@@ -24,6 +24,9 @@ git rev-parse HEAD 2>/dev/null || true
 echo "== GEMM kernel scaling =="
 go test ./internal/tensor -bench 'MatMulWorkers' -cpu "$CPUS" -benchtime "$BENCHTIME" -run XXX
 
+echo "== GEMM kernel on the MNIST batch-8 shapes, dense and half-zero inputs (GFLOP/s) =="
+go test . -bench 'BenchmarkMatMulShapes' -cpu "$CPUS" -benchtime "$BENCHTIME" -run XXX
+
 echo "== architecture tables (Tables I–III) =="
 go test . -bench 'BenchmarkTables1to3_Architectures' -cpu "$CPUS" -benchtime "$BENCHTIME" -run XXX
 

@@ -416,8 +416,17 @@ func batchBenchInputs(b *testing.B, env *bench.Env, n int) []*tensor.Tensor {
 	return xs
 }
 
+// gomaxprocsWorkers points the shared model's GEMM pools at GOMAXPROCS
+// for one benchmark, so that bench.sh's -cpu sweep changes the worker
+// count and not just the scheduler's.
+func gomaxprocsWorkers(b *testing.B, env *bench.Env) {
+	env.Model.SetWorkers(-1)
+	b.Cleanup(func() { env.Model.SetWorkers(0) })
+}
+
 func BenchmarkForwardBatch(b *testing.B) {
 	env := sharedEnv(b, bench.MNIST)
+	gomaxprocsWorkers(b, env)
 	xs := batchBenchInputs(b, env, 8)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -430,6 +439,7 @@ func BenchmarkForwardBatch(b *testing.B) {
 
 func BenchmarkForwardLoop(b *testing.B) {
 	env := sharedEnv(b, bench.MNIST)
+	gomaxprocsWorkers(b, env)
 	xs := batchBenchInputs(b, env, 8)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -438,6 +448,59 @@ func BenchmarkForwardLoop(b *testing.B) {
 			if _, err := env.Model.Forward(x); err != nil {
 				b.Fatal(err)
 			}
+		}
+	}
+}
+
+// BenchmarkMatMulShapes times the five GEMMs one MNIST batch of 8
+// issues, on a dense left operand and on one with the half zeros a ReLU
+// leaves, at GOMAXPROCS workers. Each product is reached as a Dense
+// layer's batched forward over one (m,n) sample — a stacking copy plus
+// the GEMM — because the gemmbudget rule keeps bare kernel calls inside
+// nn and core. GFLOP/s counts the nominal 2·m·n·p, skipped terms
+// included.
+func BenchmarkMatMulShapes(b *testing.B) {
+	shapes := []struct {
+		name    string
+		m, n, p int
+	}{
+		{"conv0", 8 * 676, 9, 32},
+		{"conv1", 8 * 576, 288, 32},
+		{"conv2", 8 * 100, 288, 64},
+		{"dense0", 8, 6400, 256},
+		{"dense1", 8, 256, 10},
+	}
+	for _, sh := range shapes {
+		layer, err := nn.NewDense(sh.n, sh.p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		m, err := nn.NewModel(tensor.Shape{sh.m, sh.n}, layer)
+		if err != nil {
+			b.Fatal(err)
+		}
+		m.InitWeights(42)
+		m.SetWorkers(-1)
+		for _, zeros := range []int{0, 50} {
+			x := prng.New(7).Tensor(sh.m, sh.n)
+			if zeros == 50 {
+				d := x.Data()
+				for i, v := range d {
+					if v < 0 {
+						d[i] = 0
+					}
+				}
+			}
+			b.Run(fmt.Sprintf("%s/zeros=%d%%", sh.name, zeros), func(b *testing.B) {
+				xs := []*tensor.Tensor{x}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := layer.ForwardBatch(xs); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(2*float64(sh.m)*float64(sh.n)*float64(sh.p)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+			})
 		}
 	}
 }
@@ -457,6 +520,7 @@ func serverBench(b *testing.B, batchSize int, delay time.Duration) {
 // recording.
 func serverBenchCtx(b *testing.B, ctx context.Context, batchSize int, delay time.Duration) {
 	env := sharedEnv(b, bench.MNIST)
+	gomaxprocsWorkers(b, env)
 	xs := batchBenchInputs(b, env, 8)
 	rt := milr.NewRuntime(milr.WithBatchSize(batchSize), milr.WithMaxBatchDelay(delay))
 	srv, err := rt.NewServer(env.Model)

@@ -24,7 +24,7 @@ import (
 //     then carrying the propagation on *through the recovered layer* —
 //     and for the GEMM layers (conv, dense) the continuation is stacked
 //     with the layer's post-recovery verification probe into a single
-//     pooled GEMM (nn.RecoveryForwardBatch, the Im2ColBand-stacked
+//     pooled GEMM (nn.RecoveryForwardBatch, the stacked-batch
 //     product), so propagation and verification cost one kernel
 //     invocation, not two;
 //   - segments share nothing but read-only checkpoints, so they recover

@@ -119,8 +119,26 @@ func (a *Activation) derivative(x float32) float32 {
 // Forward implements Layer.
 func (a *Activation) Forward(in *tensor.Tensor) (*tensor.Tensor, error) {
 	out := in.Clone()
-	out.Apply(a.apply)
+	a.forwardInPlace(out.Data())
 	return out, nil
+}
+
+// forwardInPlace implements inPlaceLayer. ReLU, on every conv and dense
+// block's path, gets a direct loop; the rest go through apply.
+func (a *Activation) forwardInPlace(x []float32) {
+	switch a.kind {
+	case ReLU:
+		for i, v := range x {
+			if v < 0 {
+				x[i] = 0
+			}
+		}
+	case Identity:
+	default:
+		for i, v := range x {
+			x[i] = a.apply(v)
+		}
+	}
 }
 
 // RecoveryForward implements Layer: identity, per the paper's linearized

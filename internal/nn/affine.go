@@ -76,13 +76,19 @@ func (a *Affine) Forward(in *tensor.Tensor) (*tensor.Tensor, error) {
 		return nil, err
 	}
 	out := in.Clone()
-	d := out.Data()
-	g, b := a.Gain(), a.Shift()
-	for i := range d {
-		c := i % a.c
-		d[i] = g[c]*d[i] + b[c]
-	}
+	a.forwardInPlace(out.Data())
 	return out, nil
+}
+
+// forwardInPlace implements inPlaceLayer: the trailing dimension is the
+// channel, so x is a run of rows of a.c values.
+func (a *Affine) forwardInPlace(x []float32) {
+	g, b := a.Gain(), a.Shift()
+	for ; len(x) >= len(g); x = x[len(g):] {
+		for c, gv := range g {
+			x[c] = gv*x[c] + b[c]
+		}
+	}
 }
 
 // RecoveryForward implements Layer; affine is linear, so recovery

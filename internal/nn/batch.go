@@ -9,19 +9,19 @@ import (
 )
 
 // Batch-first inference. A batch is a slice of per-sample tensors (all
-// the same shape); the GEMM layers stack the whole batch into a single
-// matrix product — one im2col GEMM per convolution, one (B×In)·(In×Out)
-// product per dense layer — instead of issuing B small ones. Because the
-// GEMM kernels accumulate per output element in float64 with a fixed
-// k-ascending order, the stacked products are bit-identical to the
-// per-sample ones: ForwardBatch and B Forward calls produce the same
-// logits to the last bit at every worker count (pinned by
-// batch_equiv_test.go).
+// the same shape). The model stacks it into one buffer of B·elements
+// values and every layer works on the stack: the GEMM layers issue one
+// matrix product for the whole batch — one im2col GEMM per convolution,
+// one (B×In)·(In×Out) product per dense layer — and the elementwise
+// layers run in place. Because the GEMM kernel accumulates per output
+// element in float64 with a fixed k-ascending order, and an elementwise
+// layer computes each value from that value alone, the stacked pass is
+// bit-identical to the per-sample one: ForwardBatch and B Forward calls
+// produce the same logits to the last bit at every worker count (pinned
+// by batch_equiv_test.go).
 
 // BatchCapable is implemented by layers that can process a whole batch
 // in one kernel invocation (convolution and dense, the GEMM layers).
-// Layers without it are applied per sample, which is exact for every
-// layer in this package (none carries cross-sample state at inference).
 type BatchCapable interface {
 	Layer
 	// ForwardBatch runs normal inference on every sample at once. The
@@ -41,8 +41,8 @@ var (
 // batch in one kernel invocation under recovery semantics. The MILR
 // engine's batched recovery pipeline uses it to stack a segment's golden
 // propagation activation together with the layer's post-recovery
-// verification probe into one pooled GEMM — the same Im2ColBand-stacked
-// product ForwardBatch issues — instead of two single-sample passes.
+// verification probe into one pooled GEMM — the same stacked product
+// ForwardBatch issues — instead of two single-sample passes.
 type RecoveryBatchCapable interface {
 	Layer
 	// RecoveryForwardBatch runs the MILR deterministic pass on every
@@ -63,53 +63,131 @@ func (d *Dense) RecoveryForwardBatch(ins []*tensor.Tensor) ([]*tensor.Tensor, er
 	return d.ForwardBatch(ins)
 }
 
-// ForwardBatch implements BatchCapable: the batch's im2col matrices are
-// stacked into one (B·G², F²Z) coefficient matrix and multiplied with
-// the (F²Z, Y) filter matrix in a single GEMM.
+// stackedLayer is a layer's inference on a stacked batch: b samples of
+// shape in, back to back in x, written to dst, which holds b outputs.
+// Scratch comes from ws; nothing derived from the layer's parameters
+// may be left in it (see workspace).
+type stackedLayer interface {
+	forwardStacked(ws *workspace, dst, x []float32, b int, in tensor.Shape) error
+}
+
+// inPlaceLayer is an elementwise layer's inference on a stacked batch,
+// overwriting x. Each value is computed exactly as Forward computes it.
+type inPlaceLayer interface {
+	forwardInPlace(x []float32)
+}
+
+var (
+	_ stackedLayer = (*Conv2D)(nil)
+	_ stackedLayer = (*Dense)(nil)
+	_ stackedLayer = (*Pool2D)(nil)
+
+	_ inPlaceLayer = (*Bias)(nil)
+	_ inPlaceLayer = (*Affine)(nil)
+	_ inPlaceLayer = (*Activation)(nil)
+	_ inPlaceLayer = (*Flatten)(nil)
+	_ inPlaceLayer = (*Dropout)(nil)
+)
+
+// forwardStacked implements stackedLayer: the batch's im2col matrices,
+// stacked into one (B·G², F²Z) coefficient matrix, are multiplied with
+// the live (F²Z, Y) filter matrix in a single GEMM. The kernel lowers
+// the rows as it consumes them, so the matrix is never materialised.
+func (c *Conv2D) forwardStacked(ws *workspace, dst, x []float32, b int, in tensor.Shape) error {
+	h, w, pad := in[0], in[1], c.Pad()
+	ph, pw := h+2*pad, w+2*pad
+	if pad > 0 {
+		padded := tensor.Grow(&ws.pad, b*ph*pw*c.z)
+		clear(padded)
+		for r := 0; r < b*h; r++ { // row r%h of sample r/h
+			copy(padded[((r/h*ph+r%h+pad)*pw+pad)*c.z:], x[r*w*c.z:(r+1)*w*c.z])
+		}
+		x = padded
+	}
+	rows, m, err := tensor.Im2ColRows(x, b, ph, pw, c.z, c.f, c.stride)
+	if err == nil {
+		err = tensor.MatMulRowsInto(dst, rows, c.w.Data(), m, c.f*c.f*c.z, c.y, c.pool(), &ws.gemm)
+	}
+	if err != nil {
+		return fmt.Errorf("conv %q: %w", c.name, err)
+	}
+	return nil
+}
+
+// forwardStacked implements stackedLayer: the batch's input rows are
+// one (B·M × In) matrix, multiplied with the live parameter matrix in a
+// single GEMM.
+func (d *Dense) forwardStacked(ws *workspace, dst, x []float32, b int, in tensor.Shape) error {
+	if err := tensor.MatMulInto(dst, x, d.w.Data(), b*in[0], d.n, d.p, d.pool(), &ws.gemm); err != nil {
+		return fmt.Errorf("dense %q: %w", d.name, err)
+	}
+	return nil
+}
+
+// forwardStacked implements stackedLayer, one sample at a time.
+func (p *Pool2D) forwardStacked(_ *workspace, dst, x []float32, b int, in tensor.Shape) error {
+	ne, oe := in.NumElements(), len(dst)/b
+	for s := 0; s < b; s++ {
+		p.reduce(dst[s*oe:(s+1)*oe], x[s*ne:(s+1)*ne], in[0], in[1], in[2], nil)
+	}
+	return nil
+}
+
+// runStacked is a GEMM layer's ForwardBatch outside a model: it stacks
+// ins (b samples of shape in) in a workspace of its own, runs the layer
+// and returns the stacked output.
+func runStacked(l stackedLayer, ins []*tensor.Tensor, b int, in, out tensor.Shape) ([]float32, error) {
+	var ws workspace
+	x := stackBatch(&ws.act[0], ins, b*in.NumElements())
+	dst := tensor.Grow(&ws.act[1], b*out.NumElements())
+	return dst, l.forwardStacked(&ws, dst, x, b, in)
+}
+
+// stackBatch copies the samples, n values in all, back to back into buf.
+func stackBatch(buf *[]float32, xs []*tensor.Tensor, n int) []float32 {
+	stacked := tensor.Grow(buf, n)
+	off := 0
+	for _, x := range xs {
+		off += copy(stacked[off:], x.Data())
+	}
+	return stacked
+}
+
+// unstack copies consecutive runs of stacked, one per shape, into
+// caller-owned tensors.
+func unstack(stacked []float32, n int, shape func(i int) tensor.Shape) []*tensor.Tensor {
+	outs := make([]*tensor.Tensor, n)
+	off := 0
+	for i := range outs {
+		outs[i] = tensor.New(shape(i)...)
+		off += copy(outs[i].Data(), stacked[off:])
+	}
+	return outs
+}
+
+// ForwardBatch implements BatchCapable: one GEMM for the whole batch
+// (see forwardStacked).
 func (c *Conv2D) ForwardBatch(ins []*tensor.Tensor) ([]*tensor.Tensor, error) {
 	if len(ins) == 0 {
 		return nil, fmt.Errorf("nn: conv %q: empty batch", c.name)
 	}
-	outShape, err := c.OutShape(ins[0].Shape())
+	in := ins[0].Shape()
+	outShape, err := c.OutShape(in)
 	if err != nil {
 		return nil, err
 	}
-	for b, in := range ins[1:] {
-		if !in.Shape().Equal(ins[0].Shape()) {
-			return nil, fmt.Errorf("nn: conv %q: batch sample %d has shape %v, sample 0 has %v",
-				c.name, b+1, in.Shape(), ins[0].Shape())
-		}
+	if err := sameShapes(ins, in); err != nil {
+		return nil, fmt.Errorf("nn: conv %q: %w", c.name, err)
 	}
-	g2 := outShape[0] * outShape[1]
-	workers := c.pool()
-	cols := tensor.New(len(ins)*g2, c.f*c.f*c.z)
-	for b, in := range ins {
-		padded, err := c.padInput(in)
-		if err != nil {
-			return nil, err
-		}
-		if err := tensor.Im2ColBand(cols, b*g2, padded, c.f, c.stride, workers); err != nil {
-			return nil, fmt.Errorf("conv %q: %w", c.name, err)
-		}
-	}
-	flat, err := tensor.MatMulWorkers(cols, c.weightsMatrix(), workers)
+	flat, err := runStacked(c, ins, len(ins), in, outShape)
 	if err != nil {
-		return nil, fmt.Errorf("conv %q: %w", c.name, err)
+		return nil, err
 	}
-	outs := make([]*tensor.Tensor, len(ins))
-	fd := flat.Data()
-	stride := g2 * c.y
-	for b := range outs {
-		out := tensor.New(outShape...)
-		copy(out.Data(), fd[b*stride:(b+1)*stride])
-		outs[b] = out
-	}
-	return outs, nil
+	return unstack(flat, len(ins), func(int) tensor.Shape { return outShape }), nil
 }
 
-// ForwardBatch implements BatchCapable: the batch's input rows are
-// stacked into one (B×In) matrix and multiplied with the parameter
-// matrix in a single GEMM.
+// ForwardBatch implements BatchCapable: one GEMM for the whole batch
+// (see forwardStacked). Samples may differ in their row counts.
 func (d *Dense) ForwardBatch(ins []*tensor.Tensor) ([]*tensor.Tensor, error) {
 	if len(ins) == 0 {
 		return nil, fmt.Errorf("nn: dense %q: empty batch", d.name)
@@ -121,34 +199,37 @@ func (d *Dense) ForwardBatch(ins []*tensor.Tensor) ([]*tensor.Tensor, error) {
 		}
 		rows += in.Dim(0)
 	}
-	stacked := tensor.New(rows, d.n)
-	sd := stacked.Data()
-	off := 0
-	for _, in := range ins {
-		copy(sd[off:off+in.NumElements()], in.Data())
-		off += in.NumElements()
-	}
-	flat, err := tensor.MatMulWorkers(stacked, d.w, d.pool())
+	flat, err := runStacked(d, ins, 1, tensor.Shape{rows, d.n}, tensor.Shape{rows, d.p})
 	if err != nil {
-		return nil, fmt.Errorf("dense %q: %w", d.name, err)
+		return nil, err
 	}
-	outs := make([]*tensor.Tensor, len(ins))
-	fd := flat.Data()
-	off = 0
-	for b, in := range ins {
-		m := in.Dim(0)
-		out := tensor.New(m, d.p)
-		copy(out.Data(), fd[off:off+m*d.p])
-		off += m * d.p
-		outs[b] = out
+	return unstack(flat, len(ins), func(i int) tensor.Shape { return tensor.Shape{ins[i].Dim(0), d.p} }), nil
+}
+
+// hasShape is x.Shape().Equal(want) without the copy Shape makes.
+func hasShape(x *tensor.Tensor, want tensor.Shape) bool {
+	same := x.Rank() == len(want)
+	for i := 0; same && i < len(want); i++ {
+		same = x.Dim(i) == want[i]
 	}
-	return outs, nil
+	return same
+}
+
+// sameShapes reports the first sample whose shape is not want.
+func sameShapes(xs []*tensor.Tensor, want tensor.Shape) error {
+	for b, x := range xs {
+		if !hasShape(x, want) {
+			return fmt.Errorf("batch sample %d has shape %v, sample 0 has %v", b, x.Shape(), want)
+		}
+	}
+	return nil
 }
 
 // ForwardBatch runs normal inference on a batch of same-shaped inputs.
 // GEMM layers (conv, dense) consume the whole batch in one stacked
-// matrix product; every other layer is applied per sample. The outputs
-// are bit-identical to per-sample Forward calls in the input order.
+// matrix product; every other layer runs over the stack, in place where
+// it is elementwise. The outputs are caller-owned and bit-identical to
+// per-sample Forward calls in the input order.
 func (m *Model) ForwardBatch(xs []*tensor.Tensor) ([]*tensor.Tensor, error) {
 	return m.ForwardBatchContext(context.Background(), xs)
 }
@@ -159,34 +240,77 @@ func (m *Model) ForwardBatch(xs []*tensor.Tensor) ([]*tensor.Tensor, error) {
 // path is identical to ForwardBatch — the context is consulted only for
 // tracing, never for cancellation, so a batch always completes whole.
 func (m *Model) ForwardBatchContext(ctx context.Context, xs []*tensor.Tensor) ([]*tensor.Tensor, error) {
+	var outs []*tensor.Tensor
+	err := m.forwardStacked(ctx, xs, func(stacked []float32, out tensor.Shape) {
+		outs = unstack(stacked, len(xs), func(int) tensor.Shape { return out })
+	})
+	return outs, err
+}
+
+// forwardStacked runs the batched pass in a workspace checked out for
+// the call and hands the stacked outputs (len(xs) samples of shape out)
+// to use before the workspace goes back: stacked is only valid inside
+// use. In steady state the pass allocates nothing that grows with the
+// layer sizes.
+func (m *Model) forwardStacked(ctx context.Context, xs []*tensor.Tensor, use func(stacked []float32, out tensor.Shape)) error {
 	if len(xs) == 0 {
-		return nil, fmt.Errorf("nn: empty batch")
+		return fmt.Errorf("nn: empty batch")
 	}
-	cur := make([]*tensor.Tensor, len(xs))
-	copy(cur, xs)
+	shapes := m.shapes
+	if !hasShape(xs[0], m.inShape) {
+		// Not the build-time shape: layers such as convolution accept
+		// other extents, so re-derive the chain for this call.
+		var err error
+		if shapes, err = m.shapeChain(xs[0].Shape()); err != nil {
+			return err
+		}
+	}
+	if err := sameShapes(xs, shapes[0]); err != nil {
+		return fmt.Errorf("nn: %w", err)
+	}
+	ws := m.checkout()
+	defer m.checkin(ws)
+
+	b, side := len(xs), 0
+	cur := stackBatch(&ws.act[side], xs, b*shapes[0].NumElements())
 	for i, l := range m.layers {
-		if bc, ok := l.(BatchCapable); ok {
-			_, sp := obs.Start(ctx, "tensor.gemm")
-			sp.SetAttr("layer", l.Name())
-			sp.SetInt("index", i)
-			sp.SetInt("batch", len(cur))
-			next, err := bc.ForwardBatch(cur)
+		switch l := l.(type) {
+		case inPlaceLayer:
+			l.forwardInPlace(cur)
+		case stackedLayer:
+			var sp *obs.Span
+			if _, gemm := l.(BatchCapable); gemm {
+				_, sp = obs.Start(ctx, "tensor.gemm")
+				sp.SetAttr("layer", m.layers[i].Name())
+				sp.SetInt("index", i)
+				sp.SetInt("batch", b)
+			}
+			dst := tensor.Grow(&ws.act[1-side], b*shapes[i+1].NumElements())
+			err := l.forwardStacked(ws, dst, cur, b, shapes[i])
 			sp.End()
 			if err != nil {
-				return nil, fmt.Errorf("nn: layer %d (%s): %w", i, l.Name(), err)
+				return fmt.Errorf("nn: layer %d (%s): %w", i, m.layers[i].Name(), err)
 			}
-			cur = next
-			continue
-		}
-		for s := range cur {
-			out, err := l.Forward(cur[s])
-			if err != nil {
-				return nil, fmt.Errorf("nn: layer %d (%s): %w", i, l.Name(), err)
+			cur, side = dst, 1-side
+		default:
+			// A layer kind from outside this package: per sample,
+			// through its Forward.
+			ne := shapes[i].NumElements()
+			dst := tensor.Grow(&ws.act[1-side], b*shapes[i+1].NumElements())
+			for s, off := 0, 0; s < b; s++ {
+				in := tensor.New(shapes[i]...)
+				copy(in.Data(), cur[s*ne:(s+1)*ne])
+				out, err := l.Forward(in)
+				if err != nil {
+					return fmt.Errorf("nn: layer %d (%s): %w", i, l.Name(), err)
+				}
+				off += copy(dst[off:], out.Data())
 			}
-			cur[s] = out
+			cur, side = dst, 1-side
 		}
 	}
-	return cur, nil
+	use(cur, shapes[len(m.layers)])
+	return nil
 }
 
 // PredictBatch returns the argmax class of every sample in the batch,
@@ -199,15 +323,15 @@ func (m *Model) PredictBatch(xs []*tensor.Tensor) ([]int, error) {
 // span-traced batched forward path. See ForwardBatchContext for the
 // tracing-only context contract.
 func (m *Model) PredictBatchContext(ctx context.Context, xs []*tensor.Tensor) ([]int, error) {
-	outs, err := m.ForwardBatchContext(ctx, xs)
-	if err != nil {
-		return nil, err
-	}
-	preds := make([]int, len(outs))
-	for i, out := range outs {
-		preds[i] = out.ArgMax()
-	}
-	return preds, nil
+	var preds []int
+	err := m.forwardStacked(ctx, xs, func(stacked []float32, out tensor.Shape) {
+		preds = make([]int, len(xs))
+		ne := out.NumElements()
+		for i := range preds {
+			preds[i] = tensor.ArgMax(stacked[i*ne : (i+1)*ne])
+		}
+	})
+	return preds, err
 }
 
 // DefaultEvalBatch is the batch size Evaluate stacks per GEMM. Large

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"milr/internal/prng"
@@ -112,6 +113,109 @@ func TestEvaluateBatchMatchesPerSample(t *testing.T) {
 			}
 			if got != want {
 				t.Errorf("%s batch=%d: accuracy %v, want %v", name, batch, got, want)
+			}
+		}
+	}
+}
+
+// foreignLayer is a layer kind this package does not know: it has no
+// stacked or in-place form, so ForwardBatch must fall back to its
+// per-sample Forward.
+type foreignLayer struct {
+	named
+	inner *Activation
+}
+
+func (f *foreignLayer) OutShape(in tensor.Shape) (tensor.Shape, error) { return f.inner.OutShape(in) }
+func (f *foreignLayer) Forward(in *tensor.Tensor) (*tensor.Tensor, error) {
+	return f.inner.Forward(in)
+}
+func (f *foreignLayer) RecoveryForward(in *tensor.Tensor) (*tensor.Tensor, error) {
+	return f.inner.RecoveryForward(in)
+}
+func (f *foreignLayer) ForwardTrain(in *tensor.Tensor) (*tensor.Tensor, Cache, error) {
+	return f.inner.ForwardTrain(in)
+}
+func (f *foreignLayer) Backward(c Cache, dout *tensor.Tensor) (*tensor.Tensor, error) {
+	return f.inner.Backward(c, dout)
+}
+
+// TestElementwiseBatchMatchesSingle pins the in-place batch forms of
+// the elementwise layers, which the zoo networks barely exercise (their
+// biases start at zero and they only use ReLU and max pooling): with
+// random parameters and inputs carrying -0, ±Inf and NaN, every bit of
+// ForwardBatch's output equals the per-sample Forward's.
+func TestElementwiseBatchMatchesSingle(t *testing.T) {
+	mustAct := func(k ActivationKind) *Activation {
+		a, err := NewActivation(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a
+	}
+	bias3, _ := NewBias(5)
+	bias2, _ := NewBias(7)
+	affine, _ := NewAffine(5)
+	avg, _ := NewPool2D(AvgPool, 2)
+	drop, _ := NewDropout(0.5, 1)
+	cases := []struct {
+		name  string
+		in    tensor.Shape
+		layer Layer
+	}{
+		{"bias rank-3", tensor.Shape{4, 6, 5}, bias3},
+		{"bias rank-2", tensor.Shape{3, 7}, bias2},
+		{"affine", tensor.Shape{4, 6, 5}, affine},
+		{"relu", tensor.Shape{4, 6, 5}, mustAct(ReLU)},
+		{"identity", tensor.Shape{4, 6, 5}, mustAct(Identity)},
+		{"leaky relu", tensor.Shape{4, 6, 5}, mustAct(LeakyReLU)},
+		{"tanh", tensor.Shape{4, 6, 5}, mustAct(Tanh)},
+		{"avg pool", tensor.Shape{4, 6, 5}, avg},
+		{"flatten", tensor.Shape{4, 6, 5}, NewFlatten()},
+		{"dropout", tensor.Shape{4, 6, 5}, drop},
+		{"foreign layer", tensor.Shape{4, 6, 5}, &foreignLayer{inner: mustAct(LeakyReLU)}},
+	}
+	specials := []float32{float32(math.Copysign(0, -1)), float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN())}
+	for ci, c := range cases {
+		m, err := NewModel(c.in, c.layer)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if p, ok := c.layer.(Parameterized); ok {
+			if err := p.SetParams(prng.TensorFor(uint64(ci)+1, 71, p.Params().Shape()...)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		xs, kept := make([]*tensor.Tensor, 3), make([]*tensor.Tensor, 3)
+		for i := range xs {
+			xs[i] = prng.TensorFor(uint64(ci*10+i)+1, 73, c.in...)
+			for j, v := range specials {
+				xs[i].Data()[(i+3*j)%len(xs[i].Data())] = v
+			}
+			kept[i] = xs[i].Clone()
+		}
+		got, err := m.ForwardBatch(xs)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		for i, x := range xs {
+			for j, k := range kept[i].Data() {
+				if math.Float32bits(x.Data()[j]) != math.Float32bits(k) {
+					t.Fatalf("%s sample %d: ForwardBatch overwrote its input at element %d", c.name, i, j)
+				}
+			}
+			want, err := m.Forward(x)
+			if err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			if !got[i].Shape().Equal(want.Shape()) {
+				t.Fatalf("%s sample %d: shape %v, want %v", c.name, i, got[i].Shape(), want.Shape())
+			}
+			for j, w := range want.Data() {
+				if g := got[i].Data()[j]; math.Float32bits(g) != math.Float32bits(w) {
+					t.Fatalf("%s sample %d element %d: batch %v (%#x), single %v (%#x)",
+						c.name, i, j, g, math.Float32bits(g), w, math.Float32bits(w))
+				}
 			}
 		}
 	}

@@ -65,17 +65,23 @@ func (b *Bias) Forward(in *tensor.Tensor) (*tensor.Tensor, error) {
 		return nil, err
 	}
 	out := in.Clone()
-	b.addInto(out, 1)
+	b.addInto(out.Data(), 1)
 	return out, nil
 }
 
-func (b *Bias) addInto(t *tensor.Tensor, sign float32) {
-	d := t.Data()
+// addInto adds sign·parameters to every channel row of d: the trailing
+// dimension is the channel, so d is a run of rows of b.c values.
+func (b *Bias) addInto(d []float32, sign float32) {
 	bd := b.w.Data()
-	for i := range d {
-		d[i] += sign * bd[i%b.c]
+	for ; len(d) >= len(bd); d = d[len(bd):] {
+		for j, bv := range bd {
+			d[j] += sign * bv
+		}
 	}
 }
+
+// forwardInPlace implements inPlaceLayer.
+func (b *Bias) forwardInPlace(x []float32) { b.addInto(x, 1) }
 
 // RecoveryForward implements Layer; bias behaves identically in recovery
 // mode.
@@ -91,7 +97,7 @@ func (b *Bias) Invert(out *tensor.Tensor) (*tensor.Tensor, error) {
 		return nil, err
 	}
 	in := out.Clone()
-	b.addInto(in, -1)
+	b.addInto(in.Data(), -1)
 	return in, nil
 }
 

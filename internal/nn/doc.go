@@ -23,8 +23,11 @@
 // and Model.PredictBatch stack a whole batch into one GEMM per
 // conv/dense layer (BatchCapable), bit-identical to per-sample Forward
 // calls at every batch size and worker count — the property the serving
-// front-end (internal/serve) builds coalescing on. Worker pools are
-// threaded through WorkerTunable/Model.SetWorkers down to the pooled
-// GEMM kernels in internal/tensor. See ARCHITECTURE.md for the layer
+// front-end (internal/serve) builds coalescing on. The batched pass
+// works in a per-Model workspace (stacked activations, im2col rows,
+// kernel scratch — never anything derived from the weights), so a model
+// serving steadily allocates nothing per batch but its answers. Worker
+// pools are threaded through WorkerTunable/Model.SetWorkers down to the
+// GEMM kernel in internal/tensor. See ARCHITECTURE.md for the layer
 // map and the bit-identity invariant chain.
 package nn

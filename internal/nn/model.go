@@ -3,6 +3,7 @@ package nn
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"milr/internal/prng"
 	"milr/internal/tensor"
@@ -18,6 +19,11 @@ type Model struct {
 	inShape  tensor.Shape
 	shapes   []tensor.Shape // shapes[i] is the input shape of layer i; shapes[len] is the output.
 	outShape tensor.Shape
+
+	// wsFree holds the batched forward pass's idle workspaces (see
+	// workspace); it starts empty and fills as ForwardBatch calls return.
+	wsMu   sync.Mutex
+	wsFree []*workspace
 }
 
 // NewModel builds a model from layers for the given input shape.
@@ -52,6 +58,22 @@ func NewModel(inShape tensor.Shape, layers ...Layer) (*Model, error) {
 	m.shapes = append(m.shapes, cur.Clone())
 	m.outShape = cur.Clone()
 	return m, nil
+}
+
+// shapeChain threads an input shape other than the build-time one
+// through the layers: element i is layer i's input shape, the last
+// element the stack's output shape.
+func (m *Model) shapeChain(in tensor.Shape) ([]tensor.Shape, error) {
+	shapes := make([]tensor.Shape, 0, len(m.layers)+1)
+	for i, l := range m.layers {
+		shapes = append(shapes, in)
+		next, err := l.OutShape(in)
+		if err != nil {
+			return nil, fmt.Errorf("nn: layer %d (%s): %w", i, l.Name(), err)
+		}
+		in = next
+	}
+	return append(shapes, in), nil
 }
 
 func typeName(l Layer) string {

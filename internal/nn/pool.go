@@ -82,14 +82,21 @@ func (p *Pool2D) forward(in *tensor.Tensor, wantCache bool) (*tensor.Tensor, *po
 	if err != nil {
 		return nil, nil, err
 	}
-	h, w, z := in.Dim(0), in.Dim(1), in.Dim(2)
-	oh, ow := outShape[0], outShape[1]
 	out := tensor.New(outShape...)
 	var cache *poolCache
+	var argmax []int
 	if wantCache {
 		cache = &poolCache{argmax: make([]int, out.NumElements()), inShape: in.Shape()}
+		argmax = cache.argmax
 	}
-	id, od := in.Data(), out.Data()
+	p.reduce(out.Data(), in.Data(), in.Dim(0), in.Dim(1), in.Dim(2), argmax)
+	return out, cache, nil
+}
+
+// reduce pools one (h,w,z) sample id into od; a non-nil argmax records
+// the flat input index a max pool chose per output element.
+func (p *Pool2D) reduce(od, id []float32, h, w, z int, argmax []int) {
+	oh, ow := h/p.k, w/p.k
 	for i := 0; i < oh; i++ {
 		for j := 0; j < ow; j++ {
 			for c := 0; c < z; c++ {
@@ -107,8 +114,8 @@ func (p *Pool2D) forward(in *tensor.Tensor, wantCache bool) (*tensor.Tensor, *po
 						}
 					}
 					od[oidx] = best
-					if cache != nil {
-						cache.argmax[oidx] = bestIdx
+					if argmax != nil {
+						argmax[oidx] = bestIdx
 					}
 				case AvgPool:
 					var sum float64
@@ -122,8 +129,6 @@ func (p *Pool2D) forward(in *tensor.Tensor, wantCache bool) (*tensor.Tensor, *po
 			}
 		}
 	}
-	_ = h
-	return out, cache, nil
 }
 
 // Forward implements Layer.

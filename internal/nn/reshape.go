@@ -43,6 +43,10 @@ func (f *Flatten) Forward(in *tensor.Tensor) (*tensor.Tensor, error) {
 	return in.Clone().Reshape(1, in.NumElements())
 }
 
+// forwardInPlace implements inPlaceLayer: a stacked sample is already
+// the row flatten makes of it.
+func (f *Flatten) forwardInPlace([]float32) {}
+
 // RecoveryForward implements Layer.
 func (f *Flatten) RecoveryForward(in *tensor.Tensor) (*tensor.Tensor, error) {
 	return f.Forward(in)
@@ -106,6 +110,9 @@ func (d *Dropout) OutShape(in tensor.Shape) (tensor.Shape, error) { return in.Cl
 
 // Forward implements Layer: identity at inference time.
 func (d *Dropout) Forward(in *tensor.Tensor) (*tensor.Tensor, error) { return in.Clone(), nil }
+
+// forwardInPlace implements inPlaceLayer: identity at inference time.
+func (d *Dropout) forwardInPlace([]float32) {}
 
 // RecoveryForward implements Layer: identity.
 func (d *Dropout) RecoveryForward(in *tensor.Tensor) (*tensor.Tensor, error) { return in.Clone(), nil }

@@ -11,15 +11,15 @@ import (
 // than n (a worker per item is the finest useful granularity). n <= 0
 // resolves to 1 so callers can always divide by the result.
 func Resolve(requested, n int) int {
+	if n <= 0 {
+		return 1
+	}
 	w := requested
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
 	}
-	if n > 0 && w > n {
+	if w > n {
 		w = n
-	}
-	if w < 1 {
-		w = 1
 	}
 	return w
 }

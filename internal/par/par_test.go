@@ -17,7 +17,8 @@ func TestResolve(t *testing.T) {
 		{-3, 100, maxprocs},
 		{2, 100, 2},
 		{8, 3, 3},
-		{4, 0, 4},
+		{4, 0, 1},
+		{4, -2, 1},
 		{0, 0, 1},
 	}
 	for _, c := range cases {

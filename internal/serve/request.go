@@ -146,7 +146,11 @@ func ExecuteBatch(m *nn.Model, gate func(func()), batch []*Request, c *Collector
 	lats := make([]time.Duration, len(live))
 	for i, r := range live {
 		lats[i] = now.Sub(r.enq)
+	}
+	// Count before answering: a caller that reads Stats right after its
+	// reply must find itself served.
+	c.Serve(len(live), lats)
+	for i, r := range live {
 		r.done <- result{class: preds[i]}
 	}
-	c.Serve(len(live), lats)
 }

@@ -9,11 +9,11 @@
 // 32-bit float weights, so float32 is the canonical element type; solving
 // is done in float64 by internal/linalg for numerical headroom.
 //
-// The GEMM kernels here are the repository's hot path: blocked
-// multiplication with per-output-element float64 accumulation in a
-// fixed k-ascending order, so the pooled variants (MatMulWorkers, used
-// by the batched inference path) partition work across row bands while
-// remaining bit-identical to the serial kernel — the root of the
+// The GEMM kernel here is the repository's hot path: one register-tiled,
+// zero-skipping kernel with per-output-element float64 accumulation in a
+// fixed k-ascending order, so every entry point (MatMul, MatMulWorkers,
+// and the allocation-free MatMulInto the batched inference path uses)
+// is bit-identical to every other at any worker count — the root of the
 // bit-identity invariant chain described in ARCHITECTURE.md. The
 // GEMMCalls counter exists so tests can enforce the one-GEMM-per-layer
 // batching contract.

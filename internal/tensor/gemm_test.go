@@ -2,6 +2,7 @@ package tensor_test
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"testing"
 
@@ -98,4 +99,229 @@ func BenchmarkMatMulWorkers(b *testing.B) {
 			}
 		})
 	}
+}
+
+// refMatMul is the ikj kernel this package shipped before the
+// register-tiled one, kept as the oracle: one float64 accumulator per
+// output element starting at +0, k ascending, a[i][k] == 0 skipped.
+// Every stored checkpoint and persisted protector blob was computed
+// with this arithmetic, so the live kernel must reproduce it bit for
+// bit.
+func refMatMul(a, b []float32, m, n, p int) []float32 {
+	c := make([]float32, m*p)
+	acc := make([]float64, p)
+	for i := 0; i < m; i++ {
+		for j := range acc {
+			acc[j] = 0
+		}
+		for k := 0; k < n; k++ {
+			av := float64(a[i*n+k])
+			if av == 0 {
+				continue
+			}
+			brow := b[k*p : (k+1)*p]
+			for j := 0; j < p; j++ {
+				acc[j] += av * float64(brow[j])
+			}
+		}
+		for j := 0; j < p; j++ {
+			c[i*p+j] = float32(acc[j])
+		}
+	}
+	return c
+}
+
+// gemmCase draws an (m,n)·(n,p) product's operands. zeroFrac of A's
+// entries are zero. With special set, half of those zeros are -0, and B
+// gets a NaN in column 0, both infinities in column 1 and +Inf in
+// column 2. The NaN has a column of its own because the oracle compares
+// bits: when an addition meets two different NaNs (B's, and the one
+// Inf-Inf generates) the hardware keeps its first operand's payload,
+// and which operand that is is the compiler's choice, not the kernel's.
+func gemmCase(seed uint64, m, n, p int, zeroFrac float64, special bool) (a, b []float32) {
+	st := prng.New(seed)
+	a, b = make([]float32, m*n), make([]float32, n*p)
+	negZero := float32(math.Copysign(0, -1))
+	for i := range a {
+		switch {
+		case st.Float64() >= zeroFrac:
+			a[i] = st.Uniform(-1, 1)
+		case special && st.Intn(2) == 0:
+			a[i] = negZero
+		}
+	}
+	for i := range b {
+		b[i] = st.Uniform(-1, 1)
+	}
+	if special && n > 0 && p > 0 {
+		b[st.Intn(n)*p] = float32(math.NaN())
+		if p > 1 {
+			b[st.Intn(n)*p+1] = float32(math.Inf(1))
+			b[st.Intn(n)*p+1] = float32(math.Inf(-1))
+		}
+		if p > 2 {
+			b[st.Intn(n)*p+2] = float32(math.Inf(1))
+		}
+	}
+	return a, b
+}
+
+// checkAgainstOracle runs the product through every entry point —
+// MatMulWorkers, and MatMulInto and MatMulRowsInto on a Scratch that
+// earlier products have dirtied — and compares math.Float32bits of
+// every element with refMatMul's.
+func checkAgainstOracle(t testing.TB, a, b []float32, m, n, p, workers int, s *tensor.Scratch) {
+	t.Helper()
+	want := refMatMul(a, b, m, n, p)
+	got, err := tensor.MatMulWorkers(tensor.MustFromSlice(a, m, n), tensor.MustFromSlice(b, n, p), workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	into, fromRows := make([]float32, m*p), make([]float32, m*p)
+	for i := range into {
+		// The Into forms must overwrite, not accumulate.
+		into[i], fromRows[i] = float32(math.NaN()), float32(math.NaN())
+	}
+	if err := tensor.MatMulInto(into, a, b, m, n, p, workers, s); err != nil {
+		t.Fatal(err)
+	}
+	rows := func(dst []float32, lo, hi int) {
+		if len(dst) != (hi-lo)*n {
+			t.Errorf("row source asked for rows [%d,%d) of %d values in a buffer of %d", lo, hi, n, len(dst))
+		}
+		copy(dst, a[lo*n:hi*n])
+	}
+	if err := tensor.MatMulRowsInto(fromRows, rows, b, m, n, p, workers, s); err != nil {
+		t.Fatal(err)
+	}
+	for name, c := range map[string][]float32{"MatMulWorkers": got.Data(), "MatMulInto": into, "MatMulRowsInto": fromRows} {
+		for i, w := range want {
+			if g := c[i]; math.Float32bits(g) != math.Float32bits(w) {
+				t.Fatalf("(%d,%d)x(%d,%d) workers %d: %s element %d = %v (%#x), oracle %v (%#x)",
+					m, n, n, p, workers, name, i, g, math.Float32bits(g), w, math.Float32bits(w))
+			}
+		}
+	}
+}
+
+// TestMatMulBitIdentity is the kernel's contract: on every shape class
+// (both loop orders, ragged tiles, fewer rows than workers, a single
+// inner term) and on the exact products MNIST serving at batch 8 and
+// CIFAR-small issue, at zero fractions {0, 0.5, 1}, with -0 in A and
+// ±Inf/NaN in B, at workers {1,2,3,4}, every output bit equals the
+// oracle's.
+func TestMatMulBitIdentity(t *testing.T) {
+	shapes := []struct {
+		name    string
+		m, n, p int
+	}{
+		{"empty", 0, 4, 4},
+		{"no inner terms, tiled", 20, 0, 9},
+		{"no inner terms, columns split", 1, 0, 88},
+		{"tiled ragged", 19, 13, 11},
+		{"tiled one column", 33, 48, 1},
+		{"tiled n=1", 20, 1, 9},
+		{"tiled at threshold", 16, 7, 17},
+		{"stream below threshold", 15, 7, 17},
+		{"stream m<workers", 3, 17, 5},
+		{"stream n=1", 2, 1, 12},
+		{"stream one row", 1, 64, 100},
+		{"mnist conv0", 8 * 676, 9, 32},
+		{"mnist conv1", 8 * 576, 288, 32},
+		{"mnist conv2", 8 * 100, 288, 64},
+		{"mnist dense0", 8, 6400, 256},
+		{"mnist dense1", 8, 256, 10},
+		{"cifar conv0", 1024, 27, 32},
+		{"cifar conv1", 1024, 288, 32},
+		{"cifar conv2", 256, 288, 64},
+		{"cifar conv3", 256, 576, 64},
+		{"cifar conv4", 64, 576, 128},
+		{"cifar conv5", 64, 1152, 128},
+		{"cifar conv6", 64, 1152, 128},
+		{"cifar dense0", 1, 2048, 128},
+		{"cifar dense1", 1, 128, 10},
+	}
+	var s tensor.Scratch
+	for si, sh := range shapes {
+		for zi, zeroFrac := range []float64{0, 0.5, 1} {
+			// The specials touch columns 0 to 2 only; the rest of
+			// each product is an ordinary one.
+			a, b := gemmCase(uint64(si*10+zi), sh.m, sh.n, sh.p, zeroFrac, true)
+			for _, workers := range []int{1, 2, 3, 4} {
+				checkAgainstOracle(t, a, b, sh.m, sh.n, sh.p, workers, &s)
+			}
+		}
+	}
+}
+
+// TestIm2ColRowsMatchesIm2Col checks the lazy lowering against the
+// materialised one: any run of rows of a batch's stacked im2col matrix,
+// sample boundaries included, equals the same rows of the per-sample
+// Im2Col matrices laid end to end.
+func TestIm2ColRowsMatchesIm2Col(t *testing.T) {
+	for _, cfg := range []struct{ b, h, w, z, f, s int }{
+		{3, 8, 8, 3, 3, 1},
+		{2, 12, 10, 1, 5, 1},
+		{4, 9, 9, 2, 3, 2},
+		{1, 3, 3, 4, 3, 1},
+	} {
+		batch := randTensor(uint64(cfg.h*cfg.f+cfg.b), cfg.b, cfg.h, cfg.w, cfg.z)
+		var want []float32
+		per := cfg.h * cfg.w * cfg.z
+		for r := 0; r < cfg.b; r++ {
+			cols, err := tensor.Im2Col(tensor.MustFromSlice(batch.Data()[r*per:(r+1)*per], cfg.h, cfg.w, cfg.z), cfg.f, cfg.s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, cols.Data()...)
+		}
+		rows, m, err := tensor.Im2ColRows(batch.Data(), cfg.b, cfg.h, cfg.w, cfg.z, cfg.f, cfg.s)
+		if err != nil {
+			t.Fatalf("%+v: %v", cfg, err)
+		}
+		n := cfg.f * cfg.f * cfg.z
+		if m*n != len(want) {
+			t.Fatalf("%+v: %d rows of %d, want %d values", cfg, m, n, len(want))
+		}
+		for _, step := range []int{1, 5, m} {
+			for lo := 0; lo < m; lo += step {
+				hi := min(lo+step, m)
+				got := make([]float32, (hi-lo)*n)
+				rows(got, lo, hi)
+				for i, v := range got {
+					if v != want[lo*n+i] {
+						t.Fatalf("%+v rows [%d,%d): value %d differs", cfg, lo, hi, i)
+					}
+				}
+			}
+		}
+	}
+	if _, _, err := tensor.Im2ColRows(make([]float32, 10), 1, 2, 2, 3, 3, 1); err == nil {
+		t.Error("filter larger than the input not detected")
+	}
+}
+
+func TestMatMulIntoRejectsMisfitBuffers(t *testing.T) {
+	a, b, c := make([]float32, 6), make([]float32, 12), make([]float32, 8)
+	if err := tensor.MatMulInto(c, a, b, 2, 3, 4, 1, nil); err != nil {
+		t.Errorf("fitting buffers rejected: %v", err)
+	}
+	if err := tensor.MatMulInto(c[:7], a, b, 2, 3, 4, 1, nil); err == nil {
+		t.Error("short destination not detected")
+	}
+	if err := tensor.MatMulInto(c, a, b, 2, 4, 3, 1, nil); err == nil {
+		t.Error("mismatched inner dimension not detected")
+	}
+}
+
+// FuzzMatMulBitIdentity drives the same oracle from fuzzed shapes,
+// zero fractions and worker counts.
+func FuzzMatMulBitIdentity(f *testing.F) {
+	f.Add(uint64(1), uint8(19), uint8(13), uint8(11), uint8(128), uint8(2), true)
+	f.Add(uint64(2), uint8(3), uint8(200), uint8(40), uint8(0), uint8(4), false)
+	f.Add(uint64(3), uint8(16), uint8(1), uint8(8), uint8(255), uint8(1), true)
+	f.Fuzz(func(t *testing.T, seed uint64, m, n, p, zeros, workers uint8, special bool) {
+		a, b := gemmCase(seed, int(m), int(n), int(p), float64(zeros)/255, special)
+		checkAgainstOracle(t, a, b, int(m), int(n), int(p), int(workers%5), nil)
+	})
 }

@@ -5,23 +5,10 @@ import "fmt"
 // MatMul computes C = A·B for 2-D tensors A(M,N) and B(N,P), the dense
 // layer's forward operation (paper §IV-A). Accumulation is float64 to
 // keep the algebraic identities MILR relies on as tight as float32
-// storage permits.
+// storage permits. It is MatMulWorkers on one worker — the same kernel,
+// so the two are bit-identical by construction.
 func MatMul(a, b *Tensor) (*Tensor, error) {
-	if a.Rank() != 2 || b.Rank() != 2 {
-		return nil, fmt.Errorf("tensor: matmul requires rank-2 tensors, got %v and %v", a.Shape(), b.Shape())
-	}
-	m, n := a.Dim(0), a.Dim(1)
-	n2, p := b.Dim(0), b.Dim(1)
-	if n != n2 {
-		return nil, fmt.Errorf("tensor: matmul inner dimension mismatch %v x %v", a.Shape(), b.Shape())
-	}
-	gemmCalls.Add(1)
-	c := New(m, p)
-	// ikj loop order keeps the B row walk contiguous; the kernel is
-	// shared with the pool-parallel MatMulWorkers (gemm.go) so the two
-	// paths are bit-identical by construction.
-	matmulRows(a.data, b.data, c.data, 0, m, n, p)
-	return c, nil
+	return MatMulWorkers(a, b, 1)
 }
 
 // Transpose returns the transpose of a 2-D tensor.
@@ -89,33 +76,7 @@ func Crop2D(in *Tensor, p int) (*Tensor, error) {
 // (paper §IV-B-b), and composing it with a (F²Z, Y) filter matrix
 // reproduces the forward convolution.
 func Im2Col(padded *Tensor, f, s int) (*Tensor, error) {
-	if padded.Rank() != 3 {
-		return nil, fmt.Errorf("tensor: Im2Col requires (H,W,Z) tensor, got %v", padded.Shape())
-	}
-	h, w, z := padded.Dim(0), padded.Dim(1), padded.Dim(2)
-	if f <= 0 || s <= 0 {
-		return nil, fmt.Errorf("tensor: invalid filter %d or stride %d", f, s)
-	}
-	gh := (h-f)/s + 1
-	gw := (w-f)/s + 1
-	if gh <= 0 || gw <= 0 {
-		return nil, fmt.Errorf("tensor: filter %d too large for input %v", f, padded.Shape())
-	}
-	out := New(gh*gw, f*f*z)
-	row := 0
-	for i := 0; i < gh; i++ {
-		for j := 0; j < gw; j++ {
-			dst := out.data[row*f*f*z : (row+1)*f*f*z]
-			col := 0
-			for f1 := 0; f1 < f; f1++ {
-				srcOff := ((i*s+f1)*w + j*s) * z
-				copy(dst[col:col+f*z], padded.data[srcOff:srcOff+f*z])
-				col += f * z
-			}
-			row++
-		}
-	}
-	return out, nil
+	return Im2ColWorkers(padded, f, s, 1)
 }
 
 // Col2Im scatters an im2col matrix (G²  rows, F²Z columns) back into a

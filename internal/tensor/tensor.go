@@ -232,12 +232,16 @@ func (t *Tensor) Equalish(o *Tensor, tol float64) bool {
 
 // ArgMax returns the flat index of the maximum element. Ties resolve to
 // the lowest index. It panics on empty tensors (programming error).
-func (t *Tensor) ArgMax() int {
-	if len(t.data) == 0 {
+func (t *Tensor) ArgMax() int { return ArgMax(t.data) }
+
+// ArgMax is Tensor.ArgMax on a bare slice: the index of the maximum
+// element, ties to the lowest index. It panics on an empty slice.
+func ArgMax(data []float32) int {
+	if len(data) == 0 {
 		panic("tensor: ArgMax of empty tensor")
 	}
-	best, bi := t.data[0], 0
-	for i, v := range t.data {
+	best, bi := data[0], 0
+	for i, v := range data {
 		if v > best {
 			best, bi = v, i
 		}
