@@ -508,9 +508,11 @@ func BenchmarkMatMulShapes(b *testing.B) {
 // --- Serving: coalesced vs uncoalesced closed-loop swarm (PR 3) ---
 
 // serverBench drives 8 closed-loop clients × 8 requests against a
-// Server per iteration. The coalesced variant stacks up to 8 requests
-// into one GEMM; the uncoalesced one serves every request alone through
-// the same queue, isolating what coalescing itself buys.
+// one-model Fleet per iteration — the single-model serving shape
+// (milr.Server is exactly this fleet of one). The coalesced variant
+// stacks up to 8 requests into one GEMM; the uncoalesced one serves
+// every request alone through the same queue, isolating what coalescing
+// itself buys.
 func serverBench(b *testing.B, batchSize int, delay time.Duration) {
 	serverBenchCtx(b, context.Background(), batchSize, delay)
 }
@@ -521,25 +523,24 @@ func serverBench(b *testing.B, batchSize int, delay time.Duration) {
 func serverBenchCtx(b *testing.B, ctx context.Context, batchSize int, delay time.Duration) {
 	env := sharedEnv(b, bench.MNIST)
 	gomaxprocsWorkers(b, env)
-	xs := batchBenchInputs(b, env, 8)
 	rt := milr.NewRuntime(milr.WithBatchSize(batchSize), milr.WithMaxBatchDelay(delay))
-	srv, err := rt.NewServer(env.Model)
-	if err != nil {
+	fl := milr.NewFleet(rt)
+	if err := fl.Register("mnist", env.Model); err != nil {
 		b.Fatal(err)
 	}
+	specs := []bench.FleetLoadSpec{{Model: "mnist", Inputs: batchBenchInputs(b, env, 8), Clients: 8, PerClient: 8}}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := bench.RunServeLoad(ctx, srv, xs, nil, 8, 8)
-		if err != nil {
+		if _, err := bench.RunFleetLoad(ctx, fl, specs); err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(res.Stats.MeanBatchFill, "mean-fill")
 	}
 	b.StopTimer()
-	if err := srv.Close(); err != nil {
+	if err := fl.Close(); err != nil {
 		b.Fatal(err)
 	}
+	b.ReportMetric(fl.Stats().Models["mnist"].MeanBatchFill, "mean-fill")
 }
 
 func BenchmarkServerCoalesced(b *testing.B)   { serverBench(b, 8, 2*time.Millisecond) }

@@ -7,10 +7,13 @@
 //
 // Usage:
 //
-//	milr-fleet                                        # two tiny nets, 80/20 mix
+//	milr-fleet                                        # two tiny nets, equal shares
+//	milr-fleet -models mnist -clients 64                   # one model: the single-server load test
+//	milr-fleet -models mnist -batch 1 -delay 0             # ... uncoalesced, for the A/B
 //	milr-fleet -models mnist,tiny -skew 80,20 -weights 4,1 -clients 32
 //	milr-fleet -open-loop -rate 2000 -duration 2s -cap 8   # overload: ErrQueueFull sheds load
 //	milr-fleet -guard 5ms -corrupt 0.001                   # protected fleet, round-robin self-heal
+//	milr-fleet -models tiny -trace 64                      # dump the last 64 spans as a timeline
 //
 // The tool reports per-model served/rejected counts, batch fill,
 // bounded-window p50/p99 latency and fleet-guard scrub counts. Without
@@ -34,6 +37,7 @@ import (
 	"milr"
 	"milr/internal/bench"
 	"milr/internal/faults"
+	"milr/internal/obs"
 	"milr/internal/prng"
 )
 
@@ -59,7 +63,7 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("milr-fleet", flag.ContinueOnError)
 	var (
 		models   = fs.String("models", "tiny,tiny", "comma-separated networks: tiny, mnist, cifar-small, cifar-large (repeats allowed)")
-		skew     = fs.String("skew", "80,20", "per-model traffic shares (any positive scale; must match -models)")
+		skew     = fs.String("skew", "", "per-model traffic shares, e.g. 80,20 (any positive scale; must match -models; default: equal shares)")
 		weights  = fs.String("weights", "", "per-model fair-share weights (default: proportional to -skew)")
 		clients  = fs.Int("clients", 20, "total closed-loop clients, split across models by -skew")
 		requests = fs.Int("requests", 30, "requests per closed-loop client")
@@ -74,6 +78,7 @@ func run(args []string) error {
 		duration = fs.Duration("duration", time.Second, "open-loop run length (needs -open-loop)")
 		guard    = fs.Duration("guard", 0, "protect every model and round-robin self-heal on this interval (0 = no guard)")
 		corrupt  = fs.Float64("corrupt", 0, "whole-weight corruption rate injected during the run (needs -guard)")
+		trace    = fs.Int("trace", 0, "record the last N spans (admission down to tensor.gemm, scrubs included) and dump the timeline after the run (0 = off)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -89,6 +94,11 @@ func run(args []string) error {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
+	var tracer *obs.Tracer
+	if *trace > 0 {
+		tracer = obs.New(obs.Config{Capacity: *trace, Seed: *seed})
+		ctx = obs.WithTracer(ctx, tracer, "milr-fleet")
+	}
 	rt := milr.NewRuntime(
 		milr.WithSeed(*seed),
 		milr.WithWorkers(*workers),
@@ -151,6 +161,11 @@ func run(args []string) error {
 		return err
 	}
 	printFleetStats(fl.Stats(), specs, *guard > 0)
+	if tracer != nil {
+		spans := tracer.Last(*trace)
+		fmt.Printf("\nlast %d spans of %d recorded:\n", len(spans), tracer.Completed())
+		return obs.WriteTimeline(os.Stdout, spans)
+	}
 	return nil
 }
 
@@ -164,9 +179,17 @@ func buildSpecs(models, skew, weights string, seed uint64) ([]*modelSpec, error)
 		"cifar-large": milr.NewCIFARLargeNet,
 	}
 	names := strings.Split(models, ",")
-	shares, err := parseFloats(skew, len(names), "-skew")
-	if err != nil {
-		return nil, err
+	// Without -skew every model gets an equal share, so any model count
+	// runs; a -skew of the wrong length is still an error.
+	shares := make([]float64, len(names))
+	for i := range shares {
+		shares[i] = 1
+	}
+	var err error
+	if skew != "" {
+		if shares, err = parseFloats(skew, len(names), "-skew"); err != nil {
+			return nil, err
+		}
 	}
 	var total float64
 	for _, s := range shares {

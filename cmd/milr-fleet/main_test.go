@@ -1,10 +1,64 @@
 package main
 
-import "testing"
+import (
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+)
 
 func TestSmallClosedLoopRuns(t *testing.T) {
 	if err := run([]string{"-models", "tiny,tiny", "-skew", "75,25", "-clients", "8", "-requests", "6"}); err != nil {
 		t.Fatalf("small closed loop: %v", err)
+	}
+}
+
+// TestSingleModelRuns is the single-server load test: one model, -skew
+// omitted so the share defaults, and the uncoalesced arm of the
+// coalesced/uncoalesced A/B as a second run.
+func TestSingleModelRuns(t *testing.T) {
+	if err := run([]string{"-models", "tiny", "-clients", "8", "-requests", "6"}); err != nil {
+		t.Fatalf("single model: %v", err)
+	}
+	if err := run([]string{"-models", "tiny", "-clients", "8", "-requests", "6", "-batch", "1", "-delay", "0"}); err != nil {
+		t.Fatalf("single model, uncoalesced: %v", err)
+	}
+}
+
+func TestGuardedSingleModelRuns(t *testing.T) {
+	if err := run([]string{
+		"-models", "tiny", "-clients", "4", "-requests", "6",
+		"-guard", "5ms", "-corrupt", "0.001",
+	}); err != nil {
+		t.Fatalf("guarded single model: %v", err)
+	}
+}
+
+// TestTraceDumpRuns checks -trace end to end: the timeline printed
+// after the run must hold the fleet path's spans from admission down to
+// the GEMM kernel.
+func TestTraceDumpRuns(t *testing.T) {
+	// A file, not a pipe: run writes everything before anyone reads.
+	f, err := os.Create(filepath.Join(t.TempDir(), "stdout"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = f
+	runErr := run([]string{"-models", "tiny", "-clients", "4", "-requests", "3", "-trace", "64"})
+	os.Stdout = stdout
+	f.Close()
+	out, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if runErr != nil {
+		t.Fatalf("traced run: %v\noutput:\n%s", runErr, out)
+	}
+	for _, want := range []string{"trace milr-fleet", "fleet.admit", "fleet.queue_wait", "serve.batch_assemble", "nn.forward_batch", "tensor.gemm"} {
+		if !strings.Contains(string(out), want) {
+			t.Errorf("timeline missing %q:\n%s", want, out)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package milr_test
 
 import (
 	"bytes"
+	"context"
 	"testing"
 	"time"
 
@@ -14,7 +15,7 @@ func TestFacadeGuardLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	model.InitWeights(7)
-	prot, err := milr.Protect(model, 7)
+	prot, err := milr.NewRuntime(milr.WithSeed(7)).Protect(context.Background(), model)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +45,7 @@ func TestFacadePersistence(t *testing.T) {
 		t.Fatal(err)
 	}
 	model.InitWeights(8)
-	prot, err := milr.Protect(model, 8)
+	prot, err := milr.NewRuntime(milr.WithSeed(8)).Protect(context.Background(), model)
 	if err != nil {
 		t.Fatal(err)
 	}

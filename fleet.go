@@ -24,6 +24,8 @@ var ErrQueueFull = fleet.ErrQueueFull
 
 // ErrFleetClosed is returned by Fleet methods once Fleet.Close has
 // been called; requests admitted before the close are still served.
+// It is the same value as ErrServerClosed (a Server is a fleet of one),
+// so errors.Is holds for either name on either surface.
 var ErrFleetClosed = fleet.ErrClosed
 
 // ErrUnknownModel is returned by Fleet.Predict / Fleet.PredictBatch
@@ -33,11 +35,10 @@ var ErrFleetClosed = fleet.ErrClosed
 var ErrUnknownModel = fleet.ErrUnknownModel
 
 // QueueFullError is the concrete error behind every ErrQueueFull
-// rejection, on both serving surfaces: errors.Is(err, ErrQueueFull)
-// still matches, and errors.As additionally recovers which surface
-// ("serve" or "fleet"), which fleet model (empty for a standalone
-// Server), and what cap refused the request — the detail the gateway
-// puts in its 429 bodies.
+// rejection: errors.Is(err, ErrQueueFull) still matches, and errors.As
+// additionally recovers which model's queue refused the request (a
+// Server's rejections name its one fixed internal model) and at what
+// cap — the detail the gateway puts in its 429 bodies.
 type QueueFullError = serve.QueueFullError
 
 // ModelInfo describes one registered fleet model: routing name, the
@@ -89,12 +90,12 @@ func WithModelBackpressure() ModelOption {
 }
 
 // Fleet serves several named models at once: each model has its own
-// batch-coalescing admission queue (the Server machinery, per model),
-// and one shared execution budget (WithWorkers) is arbitrated across
-// them with weighted fair scheduling. Build one with NewFleet, add
-// models with Register or RegisterProtected, and shut it down with
-// Close. Answers are bit-identical to direct per-model Predict calls;
-// it is safe for concurrent use by any number of client goroutines.
+// batch-coalescing admission queue, and one shared execution budget
+// (WithWorkers) is arbitrated across them with weighted fair
+// scheduling. Build one with NewFleet, add models with Register or
+// RegisterProtected, and shut it down with Close. Answers are
+// bit-identical to direct per-model Predict calls; it is safe for
+// concurrent use by any number of client goroutines.
 type Fleet struct {
 	f  *fleet.Fleet
 	rt *Runtime
@@ -107,29 +108,47 @@ type Fleet struct {
 // default per-model admission cap, and WithDefaultDeadline the
 // deadline applied to requests whose context has none.
 func NewFleet(rt *Runtime) *Fleet {
-	return &Fleet{
-		f: fleet.New(fleet.Config{
-			Workers:   rt.opts.Workers,
-			BatchSize: rt.batch,
-			MaxDelay:  rt.maxDelay,
-			QueueCap:  rt.queueCap,
-			Deadline:  rt.deadline,
-		}),
-		rt: rt,
+	return &Fleet{f: rt.newFleet(), rt: rt}
+}
+
+// newFleet translates the runtime's serving policy into a dispatcher —
+// the single place it is wired, for NewFleet and the Server
+// constructors alike.
+func (rt *Runtime) newFleet() *fleet.Fleet {
+	return fleet.New(fleet.Config{
+		Workers:   rt.opts.Workers,
+		BatchSize: rt.batch,
+		MaxDelay:  rt.maxDelay,
+		QueueCap:  rt.queueCap,
+		Deadline:  rt.deadline,
+	})
+}
+
+// wire resolves what Register/Replace hand the dispatcher: the model
+// (pr's, when pr is non-nil) with the runtime's explicit worker policy
+// applied to its GEMM pools, and opts folded into a ModelConfig — with
+// the Gate and Scrub hooks wired to pr for a protected engine, so a
+// swapped-in protected engine serves and scrubs exactly like a
+// registered one.
+func (fl *Fleet) wire(m *Model, pr *Protector, opts []ModelOption) (*Model, fleet.ModelConfig) {
+	var mc fleet.ModelConfig
+	for _, o := range opts {
+		o(&mc)
 	}
+	if pr != nil {
+		m = pr.Model()
+		mc.Gate = pr.Sync
+		mc.Scrub = protectorScrub(pr)
+	}
+	fl.rt.tune(m)
+	return m, mc
 }
 
 // Register adds a named, unprotected model to the fleet. An explicit
 // worker policy (WithWorkers) is applied to the model's GEMM pools, as
 // in Runtime.NewServer. Models may be registered while traffic flows.
 func (fl *Fleet) Register(name string, m *Model, opts ...ModelOption) error {
-	if m != nil && fl.rt.workersSet {
-		m.SetWorkers(fl.rt.opts.Workers)
-	}
-	var mc fleet.ModelConfig
-	for _, o := range opts {
-		o(&mc)
-	}
+	m, mc := fl.wire(m, nil, opts)
 	return fl.f.Register(name, m, mc)
 }
 
@@ -140,24 +159,13 @@ func (fl *Fleet) Register(name string, m *Model, opts ...ModelOption) error {
 // model in its round-robin self-heal schedule. Other models' traffic
 // is never blocked by this model's scrubs.
 func (fl *Fleet) RegisterProtected(name string, pr *Protector, opts ...ModelOption) error {
-	m := pr.Model()
-	if fl.rt.workersSet {
-		m.SetWorkers(fl.rt.opts.Workers)
-	}
-	var mc fleet.ModelConfig
-	for _, o := range opts {
-		o(&mc)
-	}
-	mc.Gate = pr.Sync
-	mc.Scrub = protectorScrub(pr)
+	m, mc := fl.wire(nil, pr, opts)
 	return fl.f.Register(name, m, mc)
 }
 
 // protectorScrub adapts a Protector's self-heal cycle to the fleet's
 // Scrub hook, folding the detection/recovery reports into a ScrubResult
-// so the fleet can count heals without importing the engine. Shared by
-// RegisterProtected and ReplaceProtected so a swapped-in protected
-// engine scrubs exactly like a registered one.
+// so the fleet can count heals without importing the engine.
 func protectorScrub(pr *Protector) func(context.Context) (fleet.ScrubResult, error) {
 	return func(ctx context.Context) (fleet.ScrubResult, error) {
 		det, rec, err := pr.SelfHealContext(ctx)
@@ -197,13 +205,7 @@ func (fl *Fleet) Unregister(ctx context.Context, name string) error {
 // name, queue, registration-order position, fair-share account and
 // stats series.
 func (fl *Fleet) Replace(ctx context.Context, name string, m *Model, opts ...ModelOption) error {
-	if m != nil && fl.rt.workersSet {
-		m.SetWorkers(fl.rt.opts.Workers)
-	}
-	var mc fleet.ModelConfig
-	for _, o := range opts {
-		o(&mc)
-	}
+	m, mc := fl.wire(m, nil, opts)
 	return fl.f.Replace(ctx, name, m, mc)
 }
 
@@ -213,16 +215,7 @@ func (fl *Fleet) Replace(ctx context.Context, name string, m *Model, opts ...Mod
 // the round-robin schedule, exactly as if it had been registered with
 // RegisterProtected.
 func (fl *Fleet) ReplaceProtected(ctx context.Context, name string, pr *Protector, opts ...ModelOption) error {
-	m := pr.Model()
-	if fl.rt.workersSet {
-		m.SetWorkers(fl.rt.opts.Workers)
-	}
-	var mc fleet.ModelConfig
-	for _, o := range opts {
-		o(&mc)
-	}
-	mc.Gate = pr.Sync
-	mc.Scrub = protectorScrub(pr)
+	m, mc := fl.wire(nil, pr, opts)
 	return fl.f.Replace(ctx, name, m, mc)
 }
 
@@ -285,13 +278,13 @@ func (fl *Fleet) Close() error {
 }
 
 // WithQueueCap sets the default admission queue cap — the most
-// requests that may wait in one admission queue — for both serving
-// surfaces: every model queue of a Fleet built from this runtime, and
-// the single queue of a Runtime.NewServer / NewGuardedServer. At cap,
-// admission fast-fails with ErrQueueFull (or blocks, for fleet models
-// registered with WithModelBackpressure) — the open-loop overload
-// story. 0 (the default) means unbounded. Override per fleet model
-// with WithModelQueueCap.
+// requests that may wait in one admission queue: every model queue of
+// a Fleet built from this runtime, and the single queue of a
+// Runtime.NewServer / NewGuardedServer. At cap, admission fast-fails
+// with ErrQueueFull (or blocks, for fleet models registered with
+// WithModelBackpressure) — the open-loop overload story. 0 (the
+// default) means unbounded. Override per fleet model with
+// WithModelQueueCap.
 func WithQueueCap(n int) Option {
 	return func(rt *Runtime) {
 		if n < 0 {

@@ -15,7 +15,8 @@
 // (rate, run) cells of a sweep fan out across environment clones with
 // per-cell PRNG streams derived from the master seed and cell
 // coordinates alone, so results are byte-identical at any worker count
-// (shard_test.go pins this). The package also hosts the serving load
-// generator (RunServeLoad), the closed-loop client swarm behind
-// cmd/milr-serve and the BenchmarkServer* benches.
+// (shard_test.go pins this). The package also hosts the tree's one
+// closed-loop load generator (RunFleetLoad): the per-model client swarm
+// behind cmd/milr-fleet and the BenchmarkServer*/BenchmarkFleetSkewed
+// benches. A single-model load is a swarm with one spec.
 package bench

@@ -99,3 +99,75 @@ func TestRunFleetLoadCountsRejectsAsShedLoad(t *testing.T) {
 		t.Fatal("everything rejected — the queue never served")
 	}
 }
+
+// TestRunFleetLoadSingleModelCoalesces is the single-server swarm as
+// one spec: 8 closed-loop clients against a one-model fleet with a 2 ms
+// window must all be answered bit-identically and must coalesce.
+func TestRunFleetLoadSingleModelCoalesces(t *testing.T) {
+	m, err := nn.NewTinyNet()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.InitWeights(42)
+	stream := prng.New(3)
+	inputs := make([]*tensor.Tensor, 8)
+	want := make([]int, 8)
+	for i := range inputs {
+		inputs[i] = stream.Tensor(12, 12, 1)
+		want[i], err = m.Predict(inputs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	f := fleet.New(fleet.Config{BatchSize: 4, MaxDelay: 2 * time.Millisecond})
+	defer f.Close()
+	if err := f.Register("m", m, fleet.ModelConfig{}); err != nil {
+		t.Fatal(err)
+	}
+	res, err := bench.RunFleetLoad(context.Background(), f, []bench.FleetLoadSpec{
+		{Model: "m", Inputs: inputs, Want: want, Clients: 8, PerClient: 6},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := f.Stats().Models["m"]
+	if res.Requests != 48 || st.Served != 48 {
+		t.Fatalf("requests %d served %d, want 48/48", res.Requests, st.Served)
+	}
+	if res.Mismatches != 0 {
+		t.Fatalf("%d mismatches against direct predictions on clean weights", res.Mismatches)
+	}
+	if res.Throughput <= 0 {
+		t.Fatalf("non-positive throughput %v", res.Throughput)
+	}
+	if st.MeanBatchFill <= 1 {
+		t.Fatalf("closed-loop swarm of 8 clients did not coalesce: %+v", st)
+	}
+}
+
+func TestRunFleetLoadValidation(t *testing.T) {
+	m, err := nn.NewTinyNet()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.InitWeights(1)
+	f := fleet.New(fleet.Config{BatchSize: 2})
+	defer f.Close()
+	if err := f.Register("m", m, fleet.ModelConfig{}); err != nil {
+		t.Fatal(err)
+	}
+	x := []*tensor.Tensor{prng.New(1).Tensor(12, 12, 1)}
+	ctx := context.Background()
+	if _, err := bench.RunFleetLoad(ctx, nil, []bench.FleetLoadSpec{{Model: "m", Inputs: x, Clients: 1, PerClient: 1}}); err == nil {
+		t.Fatal("nil router accepted")
+	}
+	if _, err := bench.RunFleetLoad(ctx, f, []bench.FleetLoadSpec{{Model: "m", Clients: 1, PerClient: 1}}); err == nil {
+		t.Fatal("empty input set accepted")
+	}
+	if _, err := bench.RunFleetLoad(ctx, f, []bench.FleetLoadSpec{{Model: "m", Inputs: x, Want: []int{1, 2}, Clients: 1, PerClient: 1}}); err == nil {
+		t.Fatal("mis-sized want accepted")
+	}
+	if _, err := bench.RunFleetLoad(ctx, f, []bench.FleetLoadSpec{{Model: "m", Inputs: x, Clients: 0, PerClient: 5}}); err == nil {
+		t.Fatal("zero clients accepted")
+	}
+}

@@ -59,8 +59,8 @@ func TestFleetQueueFullErrorTyped(t *testing.T) {
 	if !errors.As(err, &qf) {
 		t.Fatalf("rejection %v is not a *QueueFullError", err)
 	}
-	if qf.Surface != "fleet" || qf.Model != "tiny" || qf.Cap != 1 {
-		t.Errorf("rejection detail = %+v, want Surface=fleet Model=tiny Cap=1", qf)
+	if qf.Model != "tiny" || qf.Cap != 1 {
+		t.Errorf("rejection detail = %+v, want Model=tiny Cap=1", qf)
 	}
 	// PredictBatch rejections carry the same typed error, so the gateway
 	// maps the batch route with the same errors.As.

@@ -4,12 +4,11 @@
 // all of them, so several models serve heavy traffic side by side
 // without one hot model starving the rest.
 //
-// The design composes the repository's serving front-end (package
-// serve: FIFO queue + batch coalescing + one ForwardBatch GEMM per
-// batch — this package reuses its Request/ExecuteBatch machinery and
-// keeps one serve.Collector per model, so the two dispatchers'
-// admission and execution semantics are provably the same code) with
-// two new responsibilities a single-model Server does not have:
+// It is the only admission queue, coalescing window and dispatcher in
+// the tree: the façade's single-model milr.Server is a Fleet holding
+// one model. Batches execute through package serve's shared machinery
+// (Request, ExecuteBatch — one ForwardBatch GEMM per batch — and one
+// serve.Collector per model); on top of that the router owns:
 //
 //   - Weighted fair arbitration. One dispatcher goroutine owns every
 //     queue. Each round it considers the models whose queue head is
@@ -23,8 +22,8 @@
 //     (re-)entering the runnable set is clamped up to the arbiter's
 //     global virtual time, so idling never banks priority either
 //     (TestIdleModelEarnsNoCredit). Per model, batches stay
-//     strictly sequential (FIFO answers, same as serve.Server); across
-//     models, up to Config.Workers batches execute concurrently.
+//     strictly sequential (FIFO answers); across models, up to
+//     Config.Workers batches execute concurrently.
 //
 //   - Admission control. Every model's queue has a configurable cap
 //     (Config.QueueCap fleet-wide, ModelConfig.QueueCap per model).
@@ -58,7 +57,10 @@
 // schedule, each cycle running under its own model's engine lock so it
 // serializes only against that model's inference batches.
 //
-// Invariants, pinned by fleet_test.go and milr_fleet_test.go:
+// Invariants, pinned by fleet_test.go, milr_fleet_test.go and — for
+// the single-queue contracts (greedy coalescing under backlog, timer
+// flush, cancelled-neighbour isolation, drain-on-close) —
+// internal/serve's serve_test.go, which drives a one-model Fleet:
 //
 //   - Bit identity: an answer routed through the fleet equals the
 //     answer a direct Model.Predict/PredictBatch call would give, to

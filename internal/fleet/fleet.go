@@ -20,10 +20,9 @@ import (
 // registered with blocking backpressure. Callers should treat it as
 // load shedding: the request was refused in O(1) without occupying a
 // queue slot, and retrying later (or against another model) is safe.
-// It is the same sentinel a capped standalone serve.Server returns, and
-// both surfaces wrap it in the same *serve.QueueFullError, so one
-// errors.Is check covers both serving surfaces and errors.As recovers
-// which model's queue refused the request at what cap.
+// Every rejection wraps it in a *serve.QueueFullError, so errors.Is
+// matches the sentinel and errors.As recovers which model's queue
+// refused the request at what cap.
 var ErrQueueFull = serve.ErrQueueFull
 
 // ErrClosed is returned by Predict, PredictBatch and Register once
@@ -126,10 +125,10 @@ type backend struct {
 	scrub  func(context.Context) (ScrubResult, error)
 
 	// Guarded by Fleet.mu:
-	pending  []*serve.Request
-	inflight bool          // one batch per model at a time (FIFO order, serve parity)
-	pass     float64       // stride-scheduler virtual time: lowest pass flushes next
-	space     chan struct{} // closed+replaced whenever queue slots free up
+	pending   []*serve.Request
+	inflight  bool          // one batch per model at a time (FIFO answers)
+	pass      float64       // stride-scheduler virtual time: lowest pass flushes next
+	space     chan struct{} // closed+replaced (wakeBlocked) whenever queue slots free up
 	scrubs    int64
 	scrubErr  int64
 	heals     int64         // scrub cycles whose detection pass flagged errors
@@ -144,6 +143,14 @@ type backend struct {
 	drained chan struct{}
 
 	stats *serve.Collector
+}
+
+// wakeBlocked broadcasts to every backpressure-blocked enqueuer parked
+// on b's queue; each re-checks admission from the top. Caller holds
+// Fleet.mu.
+func (b *backend) wakeBlocked() {
+	close(b.space)
+	b.space = make(chan struct{})
 }
 
 // engine is the execution snapshot a dispatcher takes under Fleet.mu
@@ -256,18 +263,12 @@ func (f *Fleet) Register(name string, m *nn.Model, mc ModelConfig) error {
 	if _, dup := f.backends[name]; dup {
 		return fmt.Errorf("fleet: model %q already registered", name)
 	}
-	qcap := f.queueCap
-	if mc.QueueCap > 0 {
-		qcap = mc.QueueCap
-	} else if mc.QueueCap < 0 {
-		qcap = 0
-	}
 	b := &backend{
 		name:    name,
 		model:   m,
 		inShape: m.InShape(),
 		weight:  mc.Weight,
-		cap:     qcap,
+		cap:     f.resolveCap(mc),
 		block:   mc.Block,
 		gate:    mc.Gate,
 		scrub:   mc.Scrub,
@@ -279,6 +280,19 @@ func (f *Fleet) Register(name string, m *nn.Model, mc ModelConfig) error {
 	f.backends[name] = b
 	f.order = append(f.order, b)
 	return nil
+}
+
+// resolveCap resolves a model's admission queue cap against the fleet
+// default: ModelConfig.QueueCap > 0 sets it, 0 inherits Config.QueueCap,
+// < 0 forces unbounded (0).
+func (f *Fleet) resolveCap(mc ModelConfig) int {
+	switch {
+	case mc.QueueCap > 0:
+		return mc.QueueCap
+	case mc.QueueCap < 0:
+		return 0
+	}
+	return f.queueCap
 }
 
 // Unregister removes a named model from the fleet, under traffic, with
@@ -317,8 +331,7 @@ func (f *Fleet) Unregister(ctx context.Context, name string) error {
 	span.SetInt("drained", len(b.pending))
 	// Wake every backpressure-blocked enqueuer parked on this queue: it
 	// re-checks, sees gone, and fails with ErrUnknownModel.
-	close(b.space)
-	b.space = make(chan struct{})
+	b.wakeBlocked()
 	f.retireLocked(b)
 	drained := b.drained
 	f.mu.Unlock()
@@ -380,23 +393,16 @@ func (f *Fleet) Replace(ctx context.Context, name string, m *nn.Model, mc ModelC
 		return fmt.Errorf("fleet: replacement for %q has input shape %v, want %v (queued requests were admitted against it)",
 			name, m.InShape(), b.inShape)
 	}
-	qcap := f.queueCap
-	if mc.QueueCap > 0 {
-		qcap = mc.QueueCap
-	} else if mc.QueueCap < 0 {
-		qcap = 0
-	}
 	b.model = m
 	b.weight = mc.Weight
-	b.cap = qcap
+	b.cap = f.resolveCap(mc)
 	b.block = mc.Block
 	b.gate = mc.Gate
 	b.scrub = mc.Scrub
 	f.swaps++
 	span.SetInt("transferred", len(b.pending))
 	// A loosened cap (or a lifted one) frees slots: wake blocked callers.
-	close(b.space)
-	b.space = make(chan struct{})
+	b.wakeBlocked()
 	f.mu.Unlock()
 	f.wake()
 	span.End()
@@ -557,7 +563,7 @@ func (f *Fleet) enqueue(ctx context.Context, model string, x *tensor.Tensor) (*s
 			admit.SetAttr("outcome", "queue_full")
 			admit.End()
 			f.mu.Unlock()
-			return nil, &serve.QueueFullError{Surface: "fleet", Model: model, Cap: b.cap}
+			return nil, &serve.QueueFullError{Model: model, Cap: b.cap}
 		}
 		// Blocking backpressure: wait outside the lock for slots to
 		// free (the dispatcher broadcasts by closing b.space whenever
@@ -626,8 +632,7 @@ func (f *Fleet) unqueue(model string, reqs []*serve.Request) {
 	}
 	b.pending = kept
 	if removed > 0 {
-		close(b.space)
-		b.space = make(chan struct{})
+		b.wakeBlocked()
 	}
 	for i := 0; i < removed; i++ {
 		b.stats.Cancel()
@@ -676,8 +681,7 @@ func (f *Fleet) takeLocked(b *backend) ([]*serve.Request, engine) {
 	}
 	b.pass += float64(n) / b.weight
 	// Queue slots freed: broadcast to any backpressure-blocked callers.
-	close(b.space)
-	b.space = make(chan struct{})
+	b.wakeBlocked()
 	return batch, engine{model: b.model, gate: b.gate}
 }
 
@@ -686,8 +690,8 @@ func (f *Fleet) takeLocked(b *backend) ([]*serve.Request, engine) {
 // the queues whose head batch is ready — the backend with the lowest
 // fair-share pass, reserves one slot from the shared worker budget,
 // and hands the batch to an executor. Per model, batches stay strictly
-// sequential (FIFO answers, serve.Server parity); across models, up to
-// the budget's capacity of batches run concurrently.
+// sequential (FIFO answers); across models, up to the budget's capacity
+// of batches run concurrently.
 func (f *Fleet) run() {
 	defer close(f.done)
 	for {
@@ -763,8 +767,7 @@ func (f *Fleet) run() {
 // dispatcher's wake-up is fired by the pool after the slot release, not
 // here.
 func (f *Fleet) execute(b *backend, eng engine, batch []*serve.Request) {
-	serve.ExecuteBatch(eng.model, eng.gate, batch, b.stats,
-		fmt.Sprintf("fleet: model %q batch", b.name))
+	serve.ExecuteBatch(eng.model, eng.gate, batch, b.stats, b.name)
 	f.mu.Lock()
 	b.inflight = false
 	f.retireLocked(b)
@@ -919,8 +922,7 @@ func (f *Fleet) Close() error {
 		// Wake every backpressure-blocked enqueuer: it re-checks and
 		// fails with ErrClosed instead of waiting on a dead queue.
 		for _, b := range f.order {
-			close(b.space)
-			b.space = make(chan struct{})
+			b.wakeBlocked()
 		}
 		f.mu.Unlock()
 		f.wake()

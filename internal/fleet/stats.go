@@ -54,11 +54,11 @@ func (f *Fleet) Models() []ModelInfo {
 	return out
 }
 
-// ModelStats is one registered model's view of Fleet.Stats: the same
-// counters, batch-fill histogram, queue depth and bounded-window
-// latency quantiles a standalone serve.Server reports, plus the
-// model's admission-control and fair-share configuration and the fleet
-// guard's per-model scrub counters.
+// ModelStats is one registered model's view of Fleet.Stats: the
+// serve.Stats counters, batch-fill histogram, queue depth and
+// bounded-window latency quantiles, plus the model's admission-control
+// and fair-share configuration and the fleet guard's per-model scrub
+// counters.
 type ModelStats struct {
 	// Stats carries the serve-level counters; its Queued field is
 	// filled from the model's own admission queue (the quantity the

@@ -22,22 +22,16 @@ var exceptions = []Exception{
 	// nakedgo: approved long-lived driver loops, each with a recorded
 	// shutdown story. These are not data-parallel fan-out — they are
 	// one goroutine per subsystem with an explicit join.
-	{Rule: "nakedgo", Path: "internal/serve/serve.go",
-		Why: "single dispatcher goroutine per Server, joined by Close (drain-on-close contract)"},
 	{Rule: "nakedgo", Path: "internal/fleet/fleet.go",
-		Why: "fleet dispatcher + guard loop, both joined by Close"},
+		Why: "the tree's one dispatcher goroutine + guard loop, both joined by Close (drain-on-close contract)"},
 	{Rule: "nakedgo", Path: "internal/core/guard.go",
 		Why: "guard ticker loop, joined by Stop"},
 	{Rule: "nakedgo", Path: "cmd/milr-gateway/main.go",
 		Why: "http.Serve error pump, joined by Shutdown in the drain sequence"},
-	{Rule: "nakedgo", Path: "cmd/milr-serve/main.go",
-		Why: "fault-injection ticker, stopped via stopInject channel before exit"},
 	{Rule: "nakedgo", Path: "cmd/milr-fleet/main.go",
 		Why: "fault-injection ticker + open-loop arrival generator, stopped via channels before exit"},
-	{Rule: "nakedgo", Path: "internal/bench/serveload.go",
-		Why: "closed-loop client swarm: one goroutine per simulated client IS the load model (a pool cap below clients would falsify it); joined by WaitGroup"},
 	{Rule: "nakedgo", Path: "internal/bench/fleetload.go",
-		Why: "closed-loop client swarm per model spec, same load-model argument as serveload.go; joined by WaitGroup"},
+		Why: "closed-loop client swarm per model spec: one goroutine per simulated client IS the load model (a pool cap below clients would falsify it); joined by WaitGroup"},
 	{Rule: "nakedgo", Path: "internal/soak/swarm.go",
 		Why: "open-loop arrival swarm: one goroutine per scheduled arrival IS the load model; joined by WaitGroup before the window closes"},
 	{Rule: "nakedgo", Path: "internal/soak/harness.go",

@@ -23,7 +23,6 @@ var ctxDirs = []string{
 // lint catches before the compiler's callers do.
 var requiredCtxEntry = map[string][]string{
 	"internal/core":  {"NewProtectorContext", "DetectContext", "RecoverContext", "SelfHealContext"},
-	"internal/serve": {"Predict", "PredictBatch"},
 	"internal/fleet": {"Predict", "PredictBatch", "StartGuard"},
 }
 

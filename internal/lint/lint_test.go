@@ -22,7 +22,7 @@ var fixtureSpec = map[string]struct{ bad, good string }{
 	"nakedgo":    {bad: "internal/gateway/fixture.go", good: "internal/par/fixture.go"},
 	"detrand":    {bad: "internal/bench/fixture/fixture.go", good: "internal/bench/fixture/fixture.go"},
 	"syncgate":   {bad: "examples/demo/fixture.go", good: "examples/demo/fixture.go"},
-	"ctxcheck":   {bad: "internal/serve/fixture.go", good: "internal/serve/fixture.go"},
+	"ctxcheck":   {bad: "internal/fleet/fixture.go", good: "internal/fleet/fixture.go"},
 	"errwrap":    {bad: "internal/gateway/fixture.go", good: "internal/gateway/fixture.go"},
 	"gemmbudget": {bad: "internal/serve/fixture.go", good: "internal/serve/fixture.go"},
 }
@@ -151,11 +151,11 @@ func TestExceptionMatching(t *testing.T) {
 		f    Finding
 		want bool
 	}{
-		{Finding{Rule: "nakedgo", File: "internal/serve/serve.go"}, true},
-		{Finding{Rule: "nakedgo", File: "internal/serve/serve_test.go"}, false},
+		{Finding{Rule: "nakedgo", File: "internal/fleet/fleet.go"}, true},
+		{Finding{Rule: "nakedgo", File: "internal/fleet/fleet_test.go"}, false},
 		{Finding{Rule: "syncgate", File: "internal/bench/cache.go"}, true},
 		{Finding{Rule: "syncgate", File: "internal/benchmark/x.go"}, false},
-		{Finding{Rule: "detrand", File: "internal/serve/serve.go"}, false},
+		{Finding{Rule: "detrand", File: "internal/fleet/fleet.go"}, false},
 	}
 	for _, c := range cases {
 		if _, ok := matchException(c.f); ok != c.want {

@@ -18,7 +18,7 @@ import (
 // stable regardless of where the loader ran.
 type File struct {
 	// Path is the module-relative slash-separated path, e.g.
-	// "internal/serve/serve.go".
+	// "internal/fleet/fleet.go".
 	Path string
 	// Dir is the module-relative directory ("." for the module root).
 	Dir string

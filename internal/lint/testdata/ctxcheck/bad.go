@@ -1,6 +1,6 @@
 // Package fixture exercises the ctxcheck rule at a virtual path inside
-// internal/serve: a late ctx, a discarded ctx, an ignored ctx, and a
-// missing required entry point (Predict).
+// internal/fleet: a late ctx, a discarded ctx, an ignored ctx, and two
+// missing required entry points (Predict, StartGuard).
 package fixture
 
 import "context"

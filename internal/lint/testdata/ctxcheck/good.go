@@ -1,5 +1,5 @@
-// Package fixture satisfies the ctxcheck contract for internal/serve:
-// both required entry points present, ctx first, named, consulted;
+// Package fixture satisfies the ctxcheck contract for internal/fleet:
+// every required entry point present, ctx first, named, consulted;
 // helpers without contexts are untouched.
 package fixture
 
@@ -19,6 +19,12 @@ func PredictBatch(ctx context.Context, xs [][]float32) error {
 		}
 	}
 	return nil
+}
+
+// StartGuard stops with its context.
+func StartGuard(ctx context.Context, every int) error {
+	<-ctx.Done()
+	return ctx.Err()
 }
 
 // Stats is exported but takes no context — out of scope.

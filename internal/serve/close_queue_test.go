@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"milr/internal/fleet"
 	"milr/internal/serve"
 )
 
@@ -18,14 +19,14 @@ import (
 // constantly).
 
 // TestQueueFullErrorTyped pins the admission-rejection error shape on
-// the standalone Server surface: errors.Is must match the shared
-// sentinel and errors.As must recover the surface and cap. Before the
-// QueueFullError type existed the rejection was an opaque fmt.Errorf
-// wrap, so the As half of this test fails on the pre-fix code.
+// a single-model queue: errors.Is must match the sentinel and errors.As
+// must recover the model and cap. Before the QueueFullError type
+// existed the rejection was an opaque fmt.Errorf wrap, so the As half
+// of this test fails on the pre-fix code.
 func TestQueueFullErrorTyped(t *testing.T) {
 	m, xs, _ := tinyModel(t, 3)
 	br := newBrake()
-	s, err := serve.New(m, serve.Config{BatchSize: 1, QueueCap: 1, Gate: br.gate})
+	s, err := newServer(m, fleet.Config{BatchSize: 1, QueueCap: 1}, br.gate)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,8 +59,8 @@ func TestQueueFullErrorTyped(t *testing.T) {
 	if !errors.As(err, &qf) {
 		t.Fatalf("rejection %v is not a *QueueFullError", err)
 	}
-	if qf.Surface != "serve" || qf.Model != "" || qf.Cap != 1 {
-		t.Errorf("rejection detail = %+v, want Surface=serve Model=\"\" Cap=1", qf)
+	if qf.Model != model || qf.Cap != 1 {
+		t.Errorf("rejection detail = %+v, want Model=%s Cap=1", qf, model)
 	}
 	if st := s.Stats(); st.Rejected != 1 {
 		t.Errorf("Rejected = %d, want 1", st.Rejected)
@@ -79,7 +80,7 @@ func TestQueueFullErrorTyped(t *testing.T) {
 // arrive after the close — all race-detector clean.
 func TestServerCloseIdempotentConcurrent(t *testing.T) {
 	m, xs, want := tinyModel(t, 16)
-	s, err := serve.New(m, serve.Config{BatchSize: 4, MaxDelay: time.Millisecond})
+	s, err := newServer(m, fleet.Config{BatchSize: 4, MaxDelay: time.Millisecond}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +93,7 @@ func TestServerCloseIdempotentConcurrent(t *testing.T) {
 			defer wg.Done()
 			got, err := s.Predict(ctx, xs[i])
 			switch {
-			case errors.Is(err, serve.ErrClosed):
+			case errors.Is(err, fleet.ErrClosed):
 				// Raced the close and lost admission — the documented
 				// outcome for requests arriving after shutdown began.
 			case err != nil:
@@ -115,7 +116,7 @@ func TestServerCloseIdempotentConcurrent(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Errorf("Close after shutdown: %v", err)
 	}
-	if _, err := s.Predict(ctx, xs[0]); !errors.Is(err, serve.ErrClosed) {
+	if _, err := s.Predict(ctx, xs[0]); !errors.Is(err, fleet.ErrClosed) {
 		t.Errorf("predict after close returned %v, want ErrClosed", err)
 	}
 }
@@ -127,7 +128,7 @@ func TestServerCloseIdempotentConcurrent(t *testing.T) {
 // histogram already has its configured shape.
 func TestSnapshotZeroTraffic(t *testing.T) {
 	m, _, _ := tinyModel(t, 1)
-	s, err := serve.New(m, serve.Config{BatchSize: 4, QueueCap: 2})
+	s, err := newServer(m, fleet.Config{BatchSize: 4, QueueCap: 2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

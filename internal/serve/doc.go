@@ -1,22 +1,35 @@
-// Package serve is the batch-coalescing inference front-end: it turns
-// many concurrent single-sample Predict calls into few large
-// Model.ForwardBatch GEMMs, which is where the multi-core inference win
-// lives (a stacked (B·G²)-row product keeps a worker pool busy where B
-// separate (G²)-row products starve it — see internal/nn/batch.go).
+// Package serve is the batch machinery under the repository's one
+// dispatcher: what turns a set of admitted single-sample requests into
+// one large Model.ForwardBatch GEMM, which is where the multi-core
+// inference win lives (a stacked (B·G²)-row product keeps a worker pool
+// busy where B separate (G²)-row products starve it — see
+// internal/nn/batch.go).
 //
-// The Server owns a FIFO admission queue and one dispatcher goroutine.
-// Admission never computes anything: Predict/PredictBatch validate the
-// input shape, apply admission control — at Config.QueueCap the call
-// fast-fails with ErrQueueFull, and Config.Deadline bounds requests
-// whose context carries no deadline of its own — append a request to
-// the queue, and block until the dispatcher answers (or the request's
-// context is done). The dispatcher coalesces up to Config.BatchSize
-// requests per batch, waiting at most Config.MaxDelay after the first
-// request of a window for stragglers, then runs exactly one
-// ForwardBatch for the whole batch and demultiplexes the per-sample
-// results.
+// It owns no queue and starts no goroutine. internal/fleet does the
+// admitting, coalescing, capping, deadlining and draining — for many
+// models or, behind the façade's milr.Server, for one — and calls into
+// three pieces kept here:
 //
-// Invariants, pinned by serve_test.go and the façade tests:
+//   - Request: one admitted sample — its input, its caller's context,
+//     its admission timestamp (what the coalescing window and the
+//     latency quantiles measure from), its queue-wait span, and a
+//     buffered result channel the caller Awaits.
+//   - ExecuteBatch: answers one coalesced batch. Requests whose context
+//     is already done are dropped at flush time and answered with the
+//     context's error; the survivors run through exactly one
+//     PredictBatch — inside the model's Gate when it has one — and each
+//     gets its own result back.
+//   - Collector / Stats: lifetime counters, the batch-fill histogram,
+//     and exact latency quantiles over a bounded sliding window, so a
+//     long-lived queue's stats memory never grows. The fleet keeps one
+//     Collector per registered model.
+//
+// QueueFullError and the ErrQueueFull sentinel it wraps live here too,
+// so the gateway can errors.As a rejection without importing the
+// dispatcher.
+//
+// Invariants, pinned by serve_test.go (which drives a one-model
+// fleet.Fleet) and the façade tests:
 //
 //   - Bit identity: a coalesced answer equals the answer a direct
 //     Model.Predict call would give, to the last bit, at every batch
@@ -26,21 +39,17 @@
 //   - Cancellation isolation: a request whose context is cancelled is
 //     dropped from its batch at flush time and answered with the
 //     context's error; the other requests in the batch are unaffected.
-//   - Scrub interleaving: with Config.Gate set to Protector.Sync, batch
+//   - Scrub interleaving: with the gate set to Protector.Sync, batch
 //     execution serializes against the MILR engine's detect/recover
 //     cycles (a scrub observes quiescent weights, inference observes
 //     fully-recovered ones), while admission keeps accepting requests —
 //     a self-heal pause delays answers, it never refuses them.
-//   - Clean shutdown: Close rejects new admissions, drains every
-//     already-admitted request, and returns once the dispatcher has
-//     exited. No request is silently lost.
+//   - Answer-after-count: a batch's counters and spans land before any
+//     of its requests is answered, so a caller that reads Stats (or the
+//     trace ring) right after its reply finds itself served.
 //
-// The package sits between the public façade (milr.Runtime.NewServer /
-// NewGuardedServer construct Servers) and the inference substrate
-// (internal/nn); it deliberately knows nothing about the MILR engine
-// beyond the opaque Gate hook. Its stats machinery (Collector, Stats —
-// lifetime counters plus exact latency quantiles over a bounded
-// sliding window, so a long-lived server's stats memory never grows)
-// is shared with internal/fleet, which keeps one Collector per
-// registered model. See ARCHITECTURE.md for the full layer map.
+// The package sits between the dispatcher (internal/fleet) and the
+// inference substrate (internal/nn); it deliberately knows nothing
+// about the MILR engine beyond the opaque gate. See ARCHITECTURE.md for
+// the full layer map.
 package serve

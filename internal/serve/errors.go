@@ -1,36 +1,35 @@
 package serve
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+)
+
+// ErrQueueFull is the sentinel behind every admission rejection: the
+// model's queue was at its configured cap, and the request was refused
+// in O(1) without occupying a queue slot — shed load or retry later.
+// The dispatcher (internal/fleet) wraps it in a *QueueFullError naming
+// the model and the cap, so errors.Is matches the rejection and
+// errors.As recovers the details.
+var ErrQueueFull = errors.New("admission queue full")
 
 // QueueFullError is the concrete error every admission rejection wraps
-// around the ErrQueueFull sentinel, on both serving surfaces: a capped
-// standalone Server sets Surface to "serve", the fleet router sets
-// Surface to "fleet" and names the model whose queue was at cap. Before
-// this type existed the two surfaces wrapped the sentinel with ad-hoc
-// fmt.Errorf formats, so a caller could errors.Is the rejection but not
-// recover which queue refused it or at what cap — exactly what an HTTP
+// around the ErrQueueFull sentinel: it names the model whose queue
+// refused the request and the cap it enforced — exactly what an HTTP
 // gateway needs to build a useful 429 response. Match it with
 // errors.As; errors.Is(err, ErrQueueFull) keeps working through Unwrap.
 type QueueFullError struct {
-	// Surface names the serving surface that refused admission:
-	// "serve" for a standalone Server, "fleet" for the fleet router.
-	Surface string
-	// Model is the fleet model whose queue was at cap; empty on a
-	// standalone Server, which serves exactly one model.
+	// Model is the fleet model whose queue was at cap.
 	Model string
 	// Cap is the configured queue cap the rejection enforced.
 	Cap int
 }
 
-// Error renders the rejection with the same information on both
-// surfaces: the surface, the model when there is one, and the cap.
+// Error renders the rejection with the model and the cap. The gateway
+// sends this text as its 429 body.
 func (e *QueueFullError) Error() string {
-	if e.Model != "" {
-		return fmt.Sprintf("%s: model %q: %v (cap %d)", e.Surface, e.Model, ErrQueueFull, e.Cap)
-	}
-	return fmt.Sprintf("%s: %v (cap %d)", e.Surface, ErrQueueFull, e.Cap)
+	return fmt.Sprintf("fleet: model %q: %v (cap %d)", e.Model, ErrQueueFull, e.Cap)
 }
 
-// Unwrap exposes the shared ErrQueueFull sentinel, so one
-// errors.Is(err, ErrQueueFull) check covers both serving surfaces.
+// Unwrap exposes the ErrQueueFull sentinel to errors.Is.
 func (e *QueueFullError) Unwrap() error { return ErrQueueFull }

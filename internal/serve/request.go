@@ -10,12 +10,10 @@ import (
 	"milr/internal/tensor"
 )
 
-// This file is the request/batch-execution machinery shared by the two
-// dispatchers in the repository: the single-model Server in this
-// package and the multi-model router in internal/fleet. Keeping it in
-// one place keeps their semantics provably identical — cancellation at
-// flush, gate-wrapped execution, per-request demux and stats all come
-// from here.
+// This file is the request/batch-execution machinery under the
+// repository's one dispatcher (internal/fleet): cancellation at flush,
+// gate-wrapped execution, per-request demux and stats all come from
+// here.
 
 // Request is one admitted sample waiting to be coalesced into a batch.
 // Build one with NewRequest at admission time; the dispatcher that owns
@@ -84,10 +82,9 @@ func (r *Request) Await(ctx context.Context) (int, error) {
 // already done are dropped (answered with their context's error, never
 // occupying a GEMM slot), the survivors run through one
 // Model.PredictBatch — under gate when non-nil — and each gets its own
-// result back. Counters and latencies land in c; errPrefix names the
-// serving surface in batch-failure errors (e.g. `serve: batch` or
-// `fleet: model "mnist" batch`).
-func ExecuteBatch(m *nn.Model, gate func(func()), batch []*Request, c *Collector, errPrefix string) {
+// result back. Counters and latencies land in c; model names the fleet
+// model in batch-failure errors.
+func ExecuteBatch(m *nn.Model, gate func(func()), batch []*Request, c *Collector, model string) {
 	// Batch-level spans parent under the first request's queue-wait
 	// chain: a coalesced batch belongs to one trace tree even though it
 	// answers many requests. With tracing off this is a nil span and a
@@ -136,7 +133,7 @@ func ExecuteBatch(m *nn.Model, gate func(func()), batch []*Request, c *Collector
 	fwd.End()
 	now := time.Now()
 	if err != nil {
-		err = fmt.Errorf("%s of %d failed: %w", errPrefix, len(live), err)
+		err = fmt.Errorf("fleet: model %q batch of %d failed: %w", model, len(live), err)
 		for _, r := range live {
 			r.done <- result{err: err}
 		}

@@ -7,11 +7,48 @@ import (
 	"testing"
 	"time"
 
+	"milr/internal/fleet"
 	"milr/internal/nn"
 	"milr/internal/prng"
 	"milr/internal/serve"
 	"milr/internal/tensor"
 )
+
+// The single-queue serving contracts: greedy coalescing under backlog,
+// timer flush, cancelled-neighbour isolation, PredictBatch order and
+// cap-unqueue, drain-on-close, expired-at-door. This package owns no
+// queue, so they pin its Request/ExecuteBatch/Collector machinery
+// through the one dispatcher that drives it: a fleet.Fleet holding a
+// single model.
+
+// server is that one-model Fleet, with the model name filled in.
+type server struct{ f *fleet.Fleet }
+
+const model = "m"
+
+// newServer builds a Fleet over cfg and registers m as its only model,
+// with gate (may be nil) wrapping every batch. cfg.QueueCap, the
+// fleet-wide default, is therefore the one queue's cap.
+func newServer(m *nn.Model, cfg fleet.Config, gate func(func())) (*server, error) {
+	f := fleet.New(cfg)
+	if err := f.Register(model, m, fleet.ModelConfig{Gate: gate}); err != nil {
+		f.Close()
+		return nil, err
+	}
+	return &server{f}, nil
+}
+
+func (s *server) Predict(ctx context.Context, x *tensor.Tensor) (int, error) {
+	return s.f.Predict(ctx, model, x)
+}
+
+func (s *server) PredictBatch(ctx context.Context, xs []*tensor.Tensor) ([]int, error) {
+	return s.f.PredictBatch(ctx, model, xs)
+}
+
+func (s *server) Stats() serve.Stats { return s.f.Stats().Models[model].Stats }
+
+func (s *server) Close() error { return s.f.Close() }
 
 // tinyModel builds the deterministic test network and the direct
 // (unserved) predictions the server must reproduce bit-identically.
@@ -35,10 +72,10 @@ func tinyModel(t *testing.T, nInputs int) (*nn.Model, []*tensor.Tensor, []int) {
 	return m, xs, want
 }
 
-// brake is a Config.Gate that parks the dispatcher until the test
-// releases it, making batch boundaries deterministic: while one batch
-// is parked inside the gate, the test can queue exactly the requests it
-// wants coalesced into the next one.
+// brake is a ModelConfig.Gate that parks the batch executor until the
+// test releases it, making batch boundaries deterministic: while one
+// batch is parked inside the gate, the test can queue exactly the
+// requests it wants coalesced into the next one.
 type brake struct {
 	entered chan struct{} // one token per execute() entering the gate
 	release chan struct{} // one token lets one execute() proceed
@@ -54,7 +91,7 @@ func (b *brake) gate(fn func()) {
 	fn()
 }
 
-func waitAdmitted(t *testing.T, s *serve.Server, n int64) {
+func waitAdmitted(t *testing.T, s *server, n int64) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for s.Stats().Admitted < n {
@@ -69,7 +106,7 @@ func TestPredictMatchesDirect(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		m, xs, want := tinyModel(t, 16)
 		m.SetWorkers(workers)
-		s, err := serve.New(m, serve.Config{BatchSize: 4, MaxDelay: time.Millisecond})
+		s, err := newServer(m, fleet.Config{BatchSize: 4, MaxDelay: time.Millisecond}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,7 +137,7 @@ func TestGreedyCoalescingUnderBacklog(t *testing.T) {
 	// must all land in batch 2.
 	m, xs, want := tinyModel(t, 9)
 	br := newBrake()
-	s, err := serve.New(m, serve.Config{BatchSize: 8, MaxDelay: 0, Gate: br.gate})
+	s, err := newServer(m, fleet.Config{BatchSize: 8, MaxDelay: 0}, br.gate)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +188,7 @@ func TestGreedyCoalescingUnderBacklog(t *testing.T) {
 func TestCancelledRequestDoesNotPoisonBatch(t *testing.T) {
 	m, xs, want := tinyModel(t, 4)
 	br := newBrake()
-	s, err := serve.New(m, serve.Config{BatchSize: 8, MaxDelay: 0, Gate: br.gate})
+	s, err := newServer(m, fleet.Config{BatchSize: 8, MaxDelay: 0}, br.gate)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +256,7 @@ func TestTimerFlushCoalesces(t *testing.T) {
 	// Four concurrent clients against a batch size of 8: the window
 	// timer (not batch-full) must flush them as one batch.
 	m, xs, want := tinyModel(t, 4)
-	s, err := serve.New(m, serve.Config{BatchSize: 8, MaxDelay: 250 * time.Millisecond})
+	s, err := newServer(m, fleet.Config{BatchSize: 8, MaxDelay: 250 * time.Millisecond}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +292,7 @@ func TestTimerFlushCoalesces(t *testing.T) {
 
 func TestPredictBatchKeepsOrder(t *testing.T) {
 	m, xs, want := tinyModel(t, 16)
-	s, err := serve.New(m, serve.Config{BatchSize: 4, MaxDelay: time.Millisecond})
+	s, err := newServer(m, fleet.Config{BatchSize: 4, MaxDelay: time.Millisecond}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +313,7 @@ func TestPredictBatchKeepsOrder(t *testing.T) {
 
 func TestAdmissionValidation(t *testing.T) {
 	m, xs, _ := tinyModel(t, 1)
-	s, err := serve.New(m, serve.Config{BatchSize: 2, MaxDelay: 0})
+	s, err := newServer(m, fleet.Config{BatchSize: 2, MaxDelay: 0}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +330,7 @@ func TestAdmissionValidation(t *testing.T) {
 	if _, err := s.Predict(cancelled, xs[0]); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled context admitted: %v", err)
 	}
-	if _, err := serve.New(nil, serve.Config{}); err == nil {
+	if _, err := newServer(nil, fleet.Config{}, nil); err == nil {
 		t.Fatal("nil model accepted")
 	}
 }
@@ -306,7 +343,7 @@ func TestAdmissionValidation(t *testing.T) {
 func TestPredictBatchQueueCapUnqueuesAdmitted(t *testing.T) {
 	m, xs, want := tinyModel(t, 3)
 	br := newBrake()
-	s, err := serve.New(m, serve.Config{BatchSize: 1, MaxDelay: 0, QueueCap: 1, Gate: br.gate})
+	s, err := newServer(m, fleet.Config{BatchSize: 1, MaxDelay: 0, QueueCap: 1}, br.gate)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,7 +388,7 @@ func TestPredictBatchQueueCapUnqueuesAdmitted(t *testing.T) {
 func TestCloseDrainsAdmittedRequests(t *testing.T) {
 	m, xs, want := tinyModel(t, 6)
 	br := newBrake()
-	s, err := serve.New(m, serve.Config{BatchSize: 8, MaxDelay: 0, Gate: br.gate})
+	s, err := newServer(m, fleet.Config{BatchSize: 8, MaxDelay: 0}, br.gate)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,7 +419,7 @@ func TestCloseDrainsAdmittedRequests(t *testing.T) {
 		t.Fatal(err)
 	}
 	wg.Wait()
-	if _, err := s.Predict(context.Background(), xs[0]); !errors.Is(err, serve.ErrClosed) {
+	if _, err := s.Predict(context.Background(), xs[0]); !errors.Is(err, fleet.ErrClosed) {
 		t.Fatalf("admission after Close returned %v, want ErrClosed", err)
 	}
 	st := s.Stats()
@@ -408,7 +445,7 @@ func TestExpiredDeadlineRejectedAtEnqueue(t *testing.T) {
 	// never occupy a batch slot until flush. The batch-fill histogram
 	// is the witness: only the live request's 1-batch may appear.
 	m, xs, want := tinyModel(t, 2)
-	s, err := serve.New(m, serve.Config{BatchSize: 4, MaxDelay: 0})
+	s, err := newServer(m, fleet.Config{BatchSize: 4, MaxDelay: 0}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

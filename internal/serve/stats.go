@@ -6,16 +6,16 @@ import (
 	"time"
 )
 
-// Stats is a point-in-time snapshot of a Server's (or, per model, a
-// fleet backend's) counters. All counters describe the whole lifetime
-// of the server up to the snapshot; the latency quantiles describe a
-// bounded sliding window (see P50).
+// Stats is a point-in-time snapshot of one model queue's counters (a
+// fleet backend's; the façade's Server is a fleet of one). All counters
+// describe the whole lifetime of the queue up to the snapshot; the
+// latency quantiles describe a bounded sliding window (see P50).
 type Stats struct {
 	// Admitted counts requests accepted into the queue.
 	Admitted int64
 	// Rejected counts requests refused at admission because the queue
 	// was at its configured cap (fast-fail admission control — the
-	// ErrQueueFull path, on a capped Server or a fleet model queue).
+	// ErrQueueFull path).
 	// Always zero for an uncapped queue.
 	Rejected int64
 	// Served counts requests answered with a prediction.
@@ -44,8 +44,8 @@ type Stats struct {
 	// Queued is the number of requests sitting in the admission queue
 	// right now, awaiting a batch — the quantity a queue cap bounds.
 	// (QueueDepth additionally counts requests already in an executing
-	// batch.) Filled by Server.Stats and the fleet's per-model
-	// snapshot, not by Collector.Snapshot, which cannot see the queue.
+	// batch.) Filled by the fleet's per-model snapshot, not by
+	// Collector.Snapshot, which cannot see the queue.
 	Queued int
 	// P50 and P99 are latency quantiles over served requests, measured
 	// from admission to answer. They are exact (nearest-rank) over a
@@ -67,9 +67,8 @@ const LatencyWindow = 4096
 
 // Collector accumulates Stats under its own lock so recording never
 // contends with the admission path's queue lock (the collector's mutex
-// is a leaf lock). One Collector backs each Server; the fleet router
-// keeps one per registered model. The zero value is not usable — build
-// one with NewCollector.
+// is a leaf lock). The fleet router keeps one per registered model.
+// The zero value is not usable — build one with NewCollector.
 type Collector struct {
 	mu          sync.Mutex
 	admitted    int64

@@ -48,9 +48,9 @@
 // For serving, Runtime.NewServer (or NewGuardedServer, to serve while a
 // Guard self-heals the same model) starts a batch-coalescing front-end:
 // concurrent single-sample Predict calls queue up and execute as few
-// large GEMMs, still bit-identical to direct calls. WithQueueCap and
-// WithDefaultDeadline give the single server the fleet's admission
-// control (fast-fail ErrQueueFull, bounded waits):
+// large GEMMs, still bit-identical to direct calls. A Server is a Fleet
+// of one model, so WithQueueCap and WithDefaultDeadline give it the
+// same admission control (fast-fail ErrQueueFull, bounded waits):
 //
 //	srv, _ := rt.NewGuardedServer(prot)
 //	defer srv.Close()
@@ -79,6 +79,7 @@ import (
 	"time"
 
 	"milr/internal/core"
+	"milr/internal/fleet"
 	"milr/internal/nn"
 	"milr/internal/serve"
 	"milr/internal/tensor"
@@ -124,9 +125,6 @@ type (
 	// GuardEvent describes one scrub cycle.
 	GuardEvent = core.GuardEvent
 
-	// Server coalesces concurrent Predict calls into batched GEMMs.
-	// Build one with Runtime.NewServer or Runtime.NewGuardedServer.
-	Server = serve.Server
 	// ServerStats is a Server.Stats snapshot: request counters, the
 	// batch-fill (coalescing) histogram, queue depth, and p50/p99
 	// admission-to-answer latency over a bounded sliding window of
@@ -136,8 +134,8 @@ type (
 
 // ErrServerClosed is returned by Server.Predict and Server.PredictBatch
 // once Server.Close has been called; requests admitted before the close
-// are still served.
-var ErrServerClosed = serve.ErrClosed
+// are still served. It is the same value as ErrFleetClosed.
+var ErrServerClosed = fleet.ErrClosed
 
 // Runtime is the engine's configuration root: one value carries the
 // master seed, the worker-pool policy for every parallel level
@@ -248,10 +246,10 @@ func WithMaxBatchDelay(d time.Duration) Option {
 // WithOptions replaces the engine options wholesale; later functional
 // options still apply on top. An escape hatch for configurations built
 // elsewhere (persisted, flag-driven). Options.Workers configures the
-// *engine* pools only — like the ProtectWithOptions wrapper it
-// replaces, WithOptions never retunes the model's GEMM pools, and it
-// clears any earlier WithWorkers model-pool policy (it replaces the
-// options wholesale); apply WithWorkers after WithOptions to set one.
+// *engine* pools only — WithOptions never retunes the model's GEMM
+// pools, and it clears any earlier WithWorkers model-pool policy (it
+// replaces the options wholesale); apply WithWorkers after WithOptions
+// to set one.
 func WithOptions(opts Options) Option {
 	return func(rt *Runtime) {
 		rt.opts = opts
@@ -321,10 +319,17 @@ func (rt *Runtime) Protect(ctx context.Context, m *Model) (*Protector, error) {
 		// initialization has succeeded.
 		return nil, err
 	}
-	if rt.workersSet {
+	rt.tune(m)
+	return pr, nil
+}
+
+// tune applies an explicit worker policy (WithWorkers) to the model's
+// GEMM pools. A runtime built without one leaves the model alone, and a
+// nil model is left for the callee to reject.
+func (rt *Runtime) tune(m *Model) {
+	if m != nil && rt.workersSet {
 		m.SetWorkers(rt.opts.Workers)
 	}
-	return pr, nil
 }
 
 // Evaluate returns classification accuracy on samples through the
@@ -335,9 +340,7 @@ func (rt *Runtime) Protect(ctx context.Context, m *Model) (*Protector, error) {
 // identical to per-sample evaluation at every batch size and worker
 // count.
 func (rt *Runtime) Evaluate(ctx context.Context, m *Model, samples []Sample) (float64, error) {
-	if rt.workersSet {
-		m.SetWorkers(rt.opts.Workers)
-	}
+	rt.tune(m)
 	return nn.EvaluateBatchContext(ctx, m, samples, rt.batch)
 }
 
@@ -355,36 +358,34 @@ func (rt *Runtime) Guard(ctx context.Context, pr *Protector, cfg GuardConfig) (*
 	return core.NewGuard(pr, cfg)
 }
 
+// Server coalesces concurrent Predict calls into batched GEMMs over one
+// model. It is a fleet of one: the same dispatcher, coalescing window,
+// admission control and drain-on-close as Fleet, holding a single model
+// under a fixed internal name. Build one with Runtime.NewServer or
+// Runtime.NewGuardedServer; it is safe for concurrent use by any number
+// of client goroutines.
+type Server struct {
+	f *fleet.Fleet
+}
+
+// serverModel is the name a Server's one model is registered under. It
+// shows up only in QueueFullError.Model and batch-failure messages.
+const serverModel = "server"
+
 // NewServer starts a batch-coalescing inference server over a model:
 // concurrent Server.Predict calls queue up, coalesce into batches of up
 // to BatchSize (WithBatchSize) within a MaxBatchDelay window
-// (WithMaxBatchDelay), and run as one ForwardBatch GEMM per batch —
-// bit-identical to direct per-sample Predict calls. Admission control
-// matches the fleet's: WithQueueCap bounds the queue (at cap, Predict
-// fast-fails with ErrQueueFull) and WithDefaultDeadline bounds requests
-// whose context has no deadline of its own. An explicit worker policy
-// (WithWorkers) is applied to the model's GEMM pools, as in Protect.
-// Call Server.Close to shut the server down; use NewGuardedServer
-// instead when a Guard scrubs the same model.
+// (WithMaxBatchDelay, measured from the oldest waiting request's
+// admission), and run as one ForwardBatch GEMM per batch —
+// bit-identical to direct per-sample Predict calls. WithQueueCap bounds
+// the queue (at cap, Predict fast-fails with ErrQueueFull) and
+// WithDefaultDeadline bounds requests whose context has no deadline of
+// its own. An explicit worker policy (WithWorkers) is applied to the
+// model's GEMM pools, as in Protect. Call Server.Close to shut the
+// server down; use NewGuardedServer instead when a Guard scrubs the
+// same model.
 func (rt *Runtime) NewServer(m *Model) (*Server, error) {
-	if rt.workersSet {
-		m.SetWorkers(rt.opts.Workers)
-	}
-	return serve.New(m, rt.serveConfig(nil))
-}
-
-// serveConfig translates the runtime's serving policy into a
-// serve.Config — the single place Server admission control (queue cap,
-// default deadline) is wired, so NewServer and NewGuardedServer cannot
-// drift apart.
-func (rt *Runtime) serveConfig(gate func(func())) serve.Config {
-	return serve.Config{
-		BatchSize: rt.batch,
-		MaxDelay:  rt.maxDelay,
-		QueueCap:  rt.queueCap,
-		Deadline:  rt.deadline,
-		Gate:      gate,
-	}
+	return rt.newServer(m, nil)
 }
 
 // NewGuardedServer is NewServer over a protected model: every batch
@@ -394,13 +395,56 @@ func (rt *Runtime) serveConfig(gate func(func())) serve.Config {
 // fully-recovered ones — while admission keeps accepting requests, so a
 // self-heal pause delays answers rather than refusing them. This is the
 // deployment shape of the paper's availability analysis (§V-E): run the
-// returned server alongside Runtime.Guard on the same protector.
+// returned server alongside Runtime.Guard on the same protector (the
+// server itself never scrubs).
 func (rt *Runtime) NewGuardedServer(pr *Protector) (*Server, error) {
-	m := pr.Model()
-	if rt.workersSet {
-		m.SetWorkers(rt.opts.Workers)
+	return rt.newServer(pr.Model(), pr.Sync)
+}
+
+// newServer registers m as the only model of a private dispatcher; gate
+// (nil for an unguarded server) wraps every batch.
+func (rt *Runtime) newServer(m *Model, gate func(func())) (*Server, error) {
+	rt.tune(m)
+	f := rt.newFleet()
+	if err := f.Register(serverModel, m, fleet.ModelConfig{Gate: gate}); err != nil {
+		f.Close()
+		return nil, err
 	}
-	return serve.New(m, rt.serveConfig(pr.Sync))
+	return &Server{f: f}, nil
+}
+
+// Predict enqueues one sample and blocks until its batch has been
+// served. The answer is bit-identical to a direct Model.Predict call.
+// It returns ErrQueueFull when the admission queue is at its configured
+// cap, ErrServerClosed after Close, and the context's error if ctx — or
+// the runtime's default deadline (WithDefaultDeadline) — expires before
+// the batch executes; the dead request is dropped from its batch
+// without affecting the other requests in it.
+func (s *Server) Predict(ctx context.Context, x *Tensor) (int, error) {
+	return s.f.Predict(ctx, serverModel, x)
+}
+
+// PredictBatch enqueues every sample of xs individually — so a caller's
+// samples coalesce with other callers' — and blocks until all are
+// answered, returning the classes in input order. If admission fails
+// partway (the queue cap, a malformed sample, Close), the samples
+// already admitted but not yet executing are removed from the queue.
+func (s *Server) PredictBatch(ctx context.Context, xs []*Tensor) ([]int, error) {
+	return s.f.PredictBatch(ctx, serverModel, xs)
+}
+
+// Stats returns a snapshot of the server's counters, batch-fill
+// histogram and latency quantiles. See ServerStats for field semantics.
+func (s *Server) Stats() ServerStats {
+	return s.f.Stats().Models[serverModel].Stats
+}
+
+// Close stops admission, serves every request admitted before the call
+// (drain-on-close), and returns once the dispatcher has exited. It is
+// idempotent and safe to call concurrently — with itself and with
+// in-flight Predict/PredictBatch calls.
+func (s *Server) Close() error {
+	return s.f.Close()
 }
 
 // NewGuard starts a background scrub loop over a protected model; call
@@ -456,22 +500,6 @@ var (
 // DefaultOptions returns the evaluation configuration for a master seed.
 func DefaultOptions(seed uint64) Options { return core.DefaultOptions(seed) }
 
-// Protect runs MILR's initialization phase on a model with default
-// options.
-//
-// Deprecated: use NewRuntime(WithSeed(seed)).Protect(ctx, m), which adds
-// cancellation, worker pools, and functional configuration.
-func Protect(m *Model, seed uint64) (*Protector, error) {
-	return core.NewProtector(m, core.DefaultOptions(seed))
-}
-
-// ProtectWithOptions is Protect with explicit options.
-//
-// Deprecated: use NewRuntime(WithOptions(opts)).Protect(ctx, m).
-func ProtectWithOptions(m *Model, opts Options) (*Protector, error) {
-	return core.NewProtector(m, opts)
-}
-
 // Train fits a model to samples with SGD + momentum.
 func Train(m *Model, samples []Sample, cfg TrainConfig) (float64, error) {
 	return nn.Train(m, samples, cfg)
@@ -479,11 +507,3 @@ func Train(m *Model, samples []Sample, cfg TrainConfig) (float64, error) {
 
 // TrainConfig configures Train.
 type TrainConfig = nn.TrainConfig
-
-// Evaluate returns classification accuracy on samples.
-//
-// Deprecated: use Runtime.Evaluate, which adds cancellation and a
-// configurable batch size (this function uses the default batch).
-func Evaluate(m *Model, samples []Sample) (float64, error) {
-	return nn.Evaluate(m, samples)
-}

@@ -40,10 +40,16 @@ var goldenAPI = []string{
 	"WithSeed",
 	"WithTolerance",
 	"WithWorkers",
-	// Serving (PR 3): the batch-coalescing inference front-end.
+	// Serving (PR 3): the batch-coalescing inference front-end. Server
+	// is a concrete type over a fleet of one, so its methods are pinned
+	// here; ErrServerClosed and ErrFleetClosed name the same value.
 	"DefaultMaxBatchDelay",
 	"ErrServerClosed",
 	"Server",
+	"Server.Close",
+	"Server.Predict",
+	"Server.PredictBatch",
+	"Server.Stats",
 	"ServerStats",
 	// Fleet (PR 4): multi-model routing over a shared worker budget,
 	// with admission control.
@@ -108,12 +114,9 @@ var goldenAPI = []string{
 	"NewTinyNet",
 	// Persistence, guards, tensors, training.
 	"DefaultOptions",
-	"Evaluate",
 	"LoadProtector",
 	"NewGuard",
 	"NewTensor",
-	"Protect",
-	"ProtectWithOptions",
 	"SaveProtector",
 	"TensorFromSlice",
 	"Train",

@@ -121,9 +121,10 @@ func TestRuntimeSelfHealContextCancelled(t *testing.T) {
 	}
 }
 
-// TestRuntimeEvaluateMatchesDeprecated: the batched Runtime.Evaluate and
-// the deprecated per-sample-API Evaluate agree exactly (the batch path
-// is bit-identical), at several batch sizes.
+// TestRuntimeEvaluateMatchesDeprecated: the batched Runtime.Evaluate
+// agrees exactly, at several batch sizes, with nn.Evaluate, the
+// default-batch evaluator underneath it (the batch path is
+// bit-identical).
 func TestRuntimeEvaluateMatchesDeprecated(t *testing.T) {
 	ctx := context.Background()
 	model, err := milr.NewTinyNet()
@@ -142,7 +143,7 @@ func TestRuntimeEvaluateMatchesDeprecated(t *testing.T) {
 		}
 		samples = append(samples, milr.Sample{X: x, Label: c % 4})
 	}
-	want, err := milr.Evaluate(model, samples)
+	want, err := nn.Evaluate(model, samples)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package milr_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -15,7 +16,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	model.InitWeights(42)
-	prot, err := milr.Protect(model, 42)
+	prot, err := milr.NewRuntime(milr.WithSeed(42)).Protect(context.Background(), model)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +55,7 @@ func TestFacadeOptionsAndStorage(t *testing.T) {
 	model.InitWeights(1)
 	opts := milr.DefaultOptions(1)
 	opts.CRCGroup = 8
-	prot, err := milr.ProtectWithOptions(model, opts)
+	prot, err := milr.NewRuntime(milr.WithOptions(opts)).Protect(context.Background(), model)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +89,7 @@ func TestFacadeTrainEvaluate(t *testing.T) {
 	if _, err := milr.Train(model, samples, milr.TrainConfig{Epochs: 2, BatchSize: 2, LR: 0.05}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := milr.Evaluate(model, samples); err != nil {
+	if _, err := milr.NewRuntime().Evaluate(context.Background(), model, samples); err != nil {
 		t.Fatal(err)
 	}
 }
