@@ -42,7 +42,7 @@ go test . -bench 'BenchmarkFleetSkewed$' -cpu "$CPUS" -benchtime "$BENCHTIME" -r
 echo "== tracer overhead: the coalesced swarm with tracing off vs on =="
 go test . -bench 'BenchmarkTracerOverhead' -cpu "$CPUS" -benchtime "$BENCHTIME" -run XXX
 
-echo "== recovery: batched segment sweeps vs sequential per-layer pipeline (MNIST, 3 segments) =="
+echo "== recovery: batched segment sweeps (MNIST, 3 segments) =="
 go test . -bench 'BenchmarkBatchedRecovery' -cpu "$CPUS" -benchtime "$BENCHTIME" -run XXX
 
 echo "== RBER sweep campaign, serial vs sharded (Figure 9 path) =="

@@ -45,7 +45,6 @@ type config struct {
 	cache   string
 	verbose bool
 	workers int
-	seqrec  bool
 }
 
 func main() {
@@ -69,7 +68,6 @@ func run(args []string) error {
 		list     = fs.Bool("list", false, "list experiments and exit")
 		verbose  = fs.Bool("v", true, "progress output on stderr")
 		workers  = fs.Int("workers", 1, "worker count for campaigns, recovery and GEMM (1 = serial, 0 = all cores)")
-		seqrec   = fs.Bool("seqrecovery", false, "use the sequential one-layer-at-a-time recovery pipeline instead of the batched segment sweeps (bit-identical results; for wall-clock A/B)")
 		cpusweep = fs.String("cpusweep", "", "comma-separated worker counts (e.g. 1,2,4): run each selected experiment at every count and print a wall-clock/speedup table")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -83,7 +81,7 @@ func run(args []string) error {
 	}
 	cfg := &config{runs: *runs, test: *test, train: *train, epochs: *epochs,
 		seed: *seed, full: *full, cache: *cache, verbose: *verbose,
-		workers: workerCount(*workers), seqrec: *seqrec}
+		workers: workerCount(*workers)}
 
 	want := map[string]bool{}
 	for _, id := range strings.Split(*exp, ",") {
@@ -203,7 +201,6 @@ func envFor(envs map[bench.NetKind]*bench.Env, kind bench.NetKind, cfg *config) 
 	if cfg.workers != 1 {
 		bcfg.Workers = cfg.workers
 	}
-	bcfg.SequentialRecovery = cfg.seqrec
 	if cfg.verbose {
 		bcfg.Verbose = os.Stderr
 	}

@@ -2,8 +2,9 @@
 // named networks behind one milr.Fleet share a single batch-execution
 // budget, and a client swarm with a skewed per-model traffic mix
 // drives them either closed-loop (each client waits for its answer) or
-// open-loop (requests arrive on a fixed schedule whether or not the
-// fleet keeps up — the regime where admission control earns its keep).
+// open-loop (exactly rate·duration requests arrive on a fixed schedule
+// whether or not the fleet keeps up — the regime where admission control
+// earns its keep).
 //
 // Usage:
 //
@@ -11,7 +12,7 @@
 //	milr-fleet -models mnist -clients 64                   # one model: the single-server load test
 //	milr-fleet -models mnist -batch 1 -delay 0             # ... uncoalesced, for the A/B
 //	milr-fleet -models mnist,tiny -skew 80,20 -weights 4,1 -clients 32
-//	milr-fleet -open-loop -rate 2000 -duration 2s -cap 8   # overload: ErrQueueFull sheds load
+//	milr-fleet -models mnist -open-loop -rate 2000 -duration 2s -cap 8  # overload: ErrQueueFull sheds load
 //	milr-fleet -guard 5ms -corrupt 0.001                   # protected fleet, round-robin self-heal
 //	milr-fleet -models tiny -trace 64                      # dump the last 64 spans as a timeline
 //
@@ -23,15 +24,13 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"milr"
@@ -153,7 +152,7 @@ func run(args []string) error {
 	}
 
 	if *openLoop {
-		err = runOpenLoop(ctx, fl, specs, *rate, *duration)
+		_, err = runOpenLoop(ctx, fl, specs, *rate, *duration)
 	} else {
 		err = runClosedLoop(ctx, fl, specs, *clients, *requests, *corrupt > 0)
 	}
@@ -295,74 +294,62 @@ func runClosedLoop(ctx context.Context, fl *milr.Fleet, specs []*modelSpec, clie
 	return nil
 }
 
-// runOpenLoop fires requests on a fixed schedule, splitting arrivals
-// across models by largest traffic deficit, and reports what admission
-// control did with the excess.
-func runOpenLoop(ctx context.Context, fl *milr.Fleet, specs []*modelSpec, rate float64, duration time.Duration) error {
+// runOpenLoop precomputes round(rate·duration) arrivals — arrival i due
+// at i/rate, split across models by largest traffic deficit — hands the
+// schedule to bench.RunOpenLoop, and reports what admission control did
+// with the excess. It returns the result it prints.
+func runOpenLoop(ctx context.Context, fl *milr.Fleet, specs []*modelSpec, rate float64, duration time.Duration) (bench.OpenLoopResult, error) {
 	if rate <= 0 {
-		return fmt.Errorf("-rate must be positive, got %v", rate)
+		return bench.OpenLoopResult{}, fmt.Errorf("-rate must be positive, got %v", rate)
 	}
-	interval := time.Duration(float64(time.Second) / rate)
-	if interval <= 0 {
-		interval = time.Nanosecond
+	targets := make([]bench.OpenLoopTarget, len(specs))
+	for i, sp := range specs {
+		targets[i] = bench.OpenLoopTarget{Name: sp.name, Inputs: sp.inputs, Want: sp.want}
 	}
-	var wg sync.WaitGroup
-	var answered, rejected, expired, mismatched atomic.Int64
-	var errMu sync.Mutex
-	var firstErr error
-	issued := make([]int64, len(specs))
-	var issuedTotal int64
-	start := time.Now()
-	for time.Since(start) < duration {
+	n := int(math.Round(rate * duration.Seconds()))
+	if n < 1 {
+		return bench.OpenLoopResult{}, fmt.Errorf("-rate %v over -duration %v schedules no arrivals", rate, duration)
+	}
+	arrivals := make([]bench.Arrival, n)
+	issued := make([]int, len(specs))
+	for k := range arrivals {
 		// Weighted-deficit pick keeps the realized mix on target even
 		// when shares are uneven.
 		pick, best := 0, -1.0
 		for i, sp := range specs {
-			d := sp.share*float64(issuedTotal) - float64(issued[i])
+			d := sp.share*float64(k) - float64(issued[i])
 			if d > best {
 				pick, best = i, d
 			}
 		}
-		sp := specs[pick]
-		idx := int(issued[pick]) % len(sp.inputs)
+		arrivals[k] = bench.Arrival{
+			Target: pick,
+			Input:  issued[pick] % len(specs[pick].inputs),
+			Due:    time.Duration(float64(k) / rate * float64(time.Second)),
+		}
 		issued[pick]++
-		issuedTotal++
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			got, err := fl.Predict(ctx, sp.name, sp.inputs[idx])
-			switch {
-			case err == nil:
-				answered.Add(1)
-				if got != sp.want[idx] {
-					mismatched.Add(1)
-				}
-			case errors.Is(err, milr.ErrQueueFull):
-				rejected.Add(1)
-			case errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled):
-				expired.Add(1)
-			default:
-				errMu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				errMu.Unlock()
-			}
-		}()
-		time.Sleep(interval)
 	}
-	wg.Wait()
-	if firstErr != nil {
-		return firstErr
+	res, err := bench.RunOpenLoop(ctx, fl, targets, arrivals)
+	if err != nil {
+		return res, err
 	}
-	elapsed := time.Since(start)
-	fmt.Printf("open loop: %d arrivals at %.0f req/s over %v\n", issuedTotal, rate, elapsed.Round(time.Millisecond))
+	var total bench.OpenLoopCounts
+	for _, c := range res.PerTarget {
+		total.Issued += c.Issued
+		total.Correct += c.Correct
+		total.Wrong += c.Wrong
+		total.Rejected += c.Rejected
+		total.Expired += c.Expired
+	}
+	fmt.Printf("open loop: %d arrivals at %.0f req/s (realised %.0f req/s, worst lateness %v) over %v\n",
+		total.Issued, rate, float64(total.Issued)/res.IssueElapsed.Seconds(),
+		res.MaxLate.Round(time.Microsecond), res.Elapsed.Round(time.Millisecond))
 	fmt.Printf("  answered %d, shed (queue full) %d, expired (deadline) %d\n\n",
-		answered.Load(), rejected.Load(), expired.Load())
-	if mismatched.Load() > 0 {
-		fmt.Printf("  %d degraded answers\n\n", mismatched.Load())
+		total.Correct+total.Wrong, total.Rejected, total.Expired)
+	if total.Wrong > 0 {
+		fmt.Printf("  %d degraded answers\n\n", total.Wrong)
 	}
-	return nil
+	return res, nil
 }
 
 func printFleetStats(st milr.FleetStats, specs []*modelSpec, guarded bool) {

@@ -1,10 +1,14 @@
 package main
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
+
+	"milr"
 )
 
 func TestSmallClosedLoopRuns(t *testing.T) {
@@ -62,6 +66,10 @@ func TestTraceDumpRuns(t *testing.T) {
 	}
 }
 
+// TestOpenLoopWithCapRuns: the open loop issues exactly
+// round(rate·duration) arrivals — the old sleep-per-arrival loop never
+// made up its overshoot and fell short of -rate — splits them by -skew,
+// and accounts for every one of them.
 func TestOpenLoopWithCapRuns(t *testing.T) {
 	if err := run([]string{
 		"-models", "tiny,tiny", "-skew", "50,50",
@@ -69,6 +77,37 @@ func TestOpenLoopWithCapRuns(t *testing.T) {
 		"-cap", "2", "-deadline", "250ms",
 	}); err != nil {
 		t.Fatalf("open loop: %v", err)
+	}
+
+	specs, err := buildSpecs("tiny,tiny", "50,50", "", 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt := milr.NewRuntime(milr.WithSeed(42), milr.WithQueueCap(2), milr.WithDefaultDeadline(250*time.Millisecond))
+	fl := milr.NewFleet(rt)
+	defer fl.Close()
+	for _, sp := range specs {
+		if err := fl.Register(sp.name, sp.model, milr.WithModelWeight(sp.weight)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := runOpenLoop(context.Background(), fl, specs, 400, 250*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range res.PerTarget {
+		if c.Issued != 50 {
+			t.Errorf("%s: %d arrivals, want 50 of the 100 that -rate 400 -duration 250ms schedules", specs[i].name, c.Issued)
+		}
+		if c.Correct+c.Rejected+c.Expired != c.Issued || c.Wrong != 0 {
+			t.Errorf("%s: counts %+v do not account for every arrival on clean weights", specs[i].name, c)
+		}
+	}
+	if res.IssueElapsed < 247*time.Millisecond {
+		t.Errorf("100 arrivals at 400 req/s issued in %v; the last is due at 247.5ms", res.IssueElapsed)
+	}
+	if _, err := runOpenLoop(context.Background(), fl, specs, 1, time.Millisecond); err == nil {
+		t.Error("a schedule with no arrivals accepted")
 	}
 }
 

@@ -66,13 +66,6 @@ type Config struct {
 	// streams from the master seed alone (see runSeed), never from
 	// worker identity or scheduling order.
 	Workers int
-	// SequentialRecovery runs the engine's one-layer-at-a-time
-	// reference recovery pipeline instead of the default batched
-	// segment sweeps. Results are bit-identical either way (the
-	// engine's equivalence tests pin this), so the knob exists purely
-	// for wall-clock A/B comparison of the two pipelines
-	// (cmd/milr-bench -seqrecovery, BenchmarkBatchedRecovery).
-	SequentialRecovery bool
 	// Verbose, when non-nil, receives progress lines.
 	Verbose io.Writer
 }
@@ -184,7 +177,6 @@ type netData struct {
 func buildModel(kind NetKind, cfg Config) (*nn.Model, core.Options, error) {
 	opts := core.DefaultOptions(cfg.Seed)
 	opts.Workers = cfg.Workers
-	opts.SequentialRecovery = cfg.SequentialRecovery
 	var model *nn.Model
 	var err error
 	switch kind {

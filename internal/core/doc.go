@@ -19,15 +19,16 @@
 //     partial checkpoint.
 //   - Error recovery: move golden tensors from the nearest checkpoints to
 //     the erroneous layers with forward and inverse passes, then call each
-//     layer's parameter-recovery function R. The default pipeline is
-//     batched per checkpoint segment: one backward sweep captures every
+//     layer's parameter-recovery function R. The pipeline is batched
+//     per checkpoint segment: one backward sweep captures every
 //     flagged layer's golden output, one forward sweep delivers golden
 //     inputs, re-solves each layer in order, and carries the propagation
 //     through the recovered layer stacked with its verification probe in
 //     a single pooled GEMM (≤ 1 propagation/verification GEMM per
 //     conv/dense layer per segment); independent segments recover
-//     concurrently. Options.SequentialRecovery selects the bit-identical
-//     one-layer-at-a-time reference path (see internal/core/segment.go).
+//     concurrently (see internal/core/segment.go). The one-layer-at-a-
+//     time path it replaced survives only as the tests' bit-identity
+//     oracle (recover_oracle_test.go).
 //
 // Concurrency contract (see ARCHITECTURE.md): the Protector's engine
 // lock serializes whole phases against each other and against external

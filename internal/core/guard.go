@@ -24,8 +24,9 @@ type Guard struct {
 	mu    sync.Mutex
 	stats GuardStats
 
-	stop chan struct{}
-	done chan struct{}
+	stopOnce sync.Once
+	stop     chan struct{}
+	done     chan struct{}
 }
 
 // GuardStats aggregates what the guard has done so far.
@@ -163,10 +164,11 @@ func (g *Guard) Stats() GuardStats {
 	return g.stats
 }
 
-// Stop signals the guard goroutine and waits for it to exit. It is safe
-// to call once; subsequent calls panic (double close), so own the guard
-// from a single place.
+// Stop signals the guard goroutine and waits for it to exit. It is
+// idempotent and safe to call from several goroutines — every call
+// returns once the goroutine is gone — so cancelling the guard's context
+// and deferring Stop as well is fine.
 func (g *Guard) Stop() {
-	close(g.stop)
+	g.stopOnce.Do(func() { close(g.stop) })
 	<-g.done
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"sync"
 	"testing"
 	"time"
@@ -87,4 +88,46 @@ func TestGuardConcurrentScrubAndInjection(t *testing.T) {
 		t.Fatal("network still dirty after three heal passes")
 	}
 	pr.SetWorkers(0)
+}
+
+// TestGuardStopIsIdempotent: Stop used to close its channel bare, so a
+// second call panicked. Callers typically both cancel the guard's
+// context and defer Stop, and Fleet.Close/Server.Close are idempotent;
+// Stop now is too — twice in a row, after a context cancel, and from
+// two goroutines at once.
+func TestGuardStopIsIdempotent(t *testing.T) {
+	_, pr := tinyProtected(t, 65)
+	newGuard := func(ctx context.Context) *Guard {
+		g, err := NewGuard(pr, GuardConfig{Interval: 200 * time.Microsecond, Context: ctx})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+
+	g := newGuard(context.Background())
+	g.Stop()
+	g.Stop()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	g = newGuard(ctx)
+	cancel()
+	g.Stop()
+	g.Stop()
+
+	g = newGuard(context.Background())
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			g.Stop()
+		}()
+	}
+	wg.Wait()
+	select {
+	case <-g.done:
+	default:
+		t.Fatal("Stop returned before the guard goroutine exited")
+	}
 }

@@ -2,11 +2,14 @@ package core
 
 import (
 	"bytes"
+	"encoding/gob"
 	"math"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
+	"milr/internal/faults"
 	"milr/internal/nn"
 )
 
@@ -86,6 +89,90 @@ func TestLoadedProtectorSelfHeals(t *testing.T) {
 	}
 	if diff := maxParamDiff(clean, m2.Snapshot()); diff > 1e-3 {
 		t.Fatalf("weights off by %g after loaded self-heal", diff)
+	}
+}
+
+// TestLegacyBlobWithSequentialRecoveryLoads pins the persistence
+// decision taken when Options.SequentialRecovery was removed:
+// persistVersion stays 1 and there is no migration. gob drops stream
+// fields the receiver no longer has, so a blob saved while the option
+// existed — even with it set — must load and self-heal to the same bits
+// as a protector built fresh.
+func TestLegacyBlobWithSequentialRecoveryLoads(t *testing.T) {
+	// Mirrors of persistedState and Options as the retiring commit's
+	// parent encoded them; gob matches struct fields by name.
+	type legacyOptions struct {
+		Seed               uint64
+		DetectTol, KeepTol float64
+		DenseBand          int
+		CRCGroup           int
+		MaxFullSolveTaps   int
+		RankTol            float64
+		Workers            int
+		SequentialRecovery bool
+	}
+	type legacyState struct {
+		Version    int
+		Opts       legacyOptions
+		NumLayers  int
+		Boundaries []int
+		Stored     map[int]persistedTensor
+		Layers     []persistedLayer
+	}
+
+	m, pr := tinyProtected(t, 54)
+	clean := m.Snapshot()
+	var saved bytes.Buffer
+	if err := pr.Save(&saved); err != nil {
+		t.Fatal(err)
+	}
+	var st legacyState
+	if err := gob.NewDecoder(&saved).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	if st.Opts.Seed != 54 || st.Opts.DenseBand == 0 {
+		t.Fatalf("mirror decoded the options wrong: %+v", st.Opts)
+	}
+	st.Opts.SequentialRecovery = true
+	var legacy bytes.Buffer
+	if err := gob.NewEncoder(&legacy).Encode(&st); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(legacy.Bytes(), []byte("SequentialRecovery")) {
+		t.Fatal("legacy blob does not carry the removed field; test is vacuous")
+	}
+
+	m2, err := nn.NewTinyNet()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m2.Restore(clean); err != nil {
+		t.Fatal(err)
+	}
+	pr2, err := LoadProtector(&legacy, m2)
+	if err != nil {
+		t.Fatalf("LoadProtector on a legacy blob: %v", err)
+	}
+	faults.New(540).FlipExactBits(m, 48)
+	faults.New(540).FlipExactBits(m2, 48)
+	det, rec, err := pr.SelfHeal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	det2, rec2, err := pr2.SelfHeal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !det.HasErrors() {
+		t.Fatal("corruption was not detected; test is vacuous")
+	}
+	if !reflect.DeepEqual(det2, det) || !reflect.DeepEqual(rec2, rec) {
+		t.Errorf("loaded protector's reports differ\n got %+v %+v\nwant %+v %+v",
+			det2.Findings, rec2.Results, det.Findings, rec.Results)
+	}
+	got := m2.Snapshot()
+	for li, wt := range m.Snapshot() {
+		compareTensors(t, 0, li, "weights healed from the legacy blob", wt, got[li])
 	}
 }
 

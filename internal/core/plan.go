@@ -53,16 +53,6 @@ type Options struct {
 	// parallel path is bit-identical to the serial one, so this is
 	// purely a throughput knob.
 	Workers int
-	// SequentialRecovery switches Recover/SelfHeal back to the original
-	// one-layer-at-a-time pipeline: each flagged layer re-propagates its
-	// own golden tensors from the nearest checkpoints and verifies with
-	// a dedicated probe pass. The default batched pipeline amortizes one
-	// propagation sweep per checkpoint segment instead and is
-	// bit-identical to this path (pinned by the equivalence tests); the
-	// flag exists as the reference implementation for those tests and
-	// for A/B benchmarks (BenchmarkBatchedRecovery), not as a tuning
-	// knob.
-	SequentialRecovery bool
 }
 
 // workerPool translates Options.Workers into the convention of
@@ -316,25 +306,4 @@ func (p *plan) segments() []segment {
 		out = append(out, segment{start: p.boundarySet[i], end: p.boundarySet[i+1]})
 	}
 	return out
-}
-
-// precedingBoundary returns the greatest boundary position ≤ i.
-func (p *plan) precedingBoundary(i int) int {
-	best := 0
-	for _, b := range p.boundarySet {
-		if b <= i && b > best {
-			best = b
-		}
-	}
-	return best
-}
-
-// succeedingBoundary returns the smallest boundary position > i.
-func (p *plan) succeedingBoundary(i int) int {
-	for _, b := range p.boundarySet {
-		if b > i {
-			return b
-		}
-	}
-	return p.model.NumLayers()
 }

@@ -249,37 +249,6 @@ func (pr *Protector) boundaryTensor(b int) (*tensor.Tensor, error) {
 	return t.Clone(), nil
 }
 
-// goldenInputOf propagates the golden tensor from the nearest preceding
-// boundary to layer i's input, using recovery-mode forward passes. If
-// layers in between hold erroneous parameters the result is corrupted
-// accordingly — exactly the degradation mechanism behind the paper's
-// high-RBER outliers (§V-B).
-func (pr *Protector) goldenInputOf(i int) (*tensor.Tensor, error) {
-	b := pr.plan.precedingBoundary(i)
-	cur, err := pr.boundaryTensor(b)
-	if err != nil {
-		return nil, err
-	}
-	return pr.model.ForwardRange(b, i, cur, true)
-}
-
-// goldenOutputOf inverts the golden tensor from the nearest succeeding
-// boundary back to layer i's output.
-func (pr *Protector) goldenOutputOf(i int) (*tensor.Tensor, error) {
-	b := pr.plan.succeedingBoundary(i)
-	cur, err := pr.boundaryTensor(b)
-	if err != nil {
-		return nil, err
-	}
-	for j := b - 1; j > i; j-- {
-		cur, err = pr.invertLayer(j, cur)
-		if err != nil {
-			return nil, fmt.Errorf("core: invert layer %d (%s): %w", j, pr.model.Layer(j).Name(), err)
-		}
-	}
-	return cur, nil
-}
-
 // invertLayer computes layer j's input from its output under recovery
 // semantics.
 func (pr *Protector) invertLayer(j int, out *tensor.Tensor) (*tensor.Tensor, error) {

@@ -68,10 +68,9 @@ func (r *RecoveryReport) AllRecovered() bool {
 // Recover runs MILR's error-recovery phase over a detection report:
 // erroneous layers are re-solved in ascending order within each
 // checkpoint segment (§V-A), each from golden input/output pairs moved
-// to it from the nearest checkpoints — by default through the batched
-// pipeline (one golden-propagation sweep pair per segment, independent
-// segments concurrent; see recoverSegments), which is bit-identical to
-// the per-layer reference path Options.SequentialRecovery selects.
+// to it from the nearest checkpoints by one golden-propagation sweep
+// pair per segment, independent segments concurrent (see
+// recoverSegments).
 // "The system can only recover at most one layer in between two
 // checkpoints, but any number of parameter errors in that layer can be
 // recovered" — with several erroneous layers per segment the golden
@@ -98,10 +97,7 @@ func (pr *Protector) RecoverContext(ctx context.Context, report *DetectionReport
 // neighbouring layers, so intra-segment order is semantic — while the
 // independent segments, and within a layer the independent filters,
 // parameter columns, and inversion positions, run on the engine's
-// worker pool. The default pipeline batches each segment's golden
-// propagation into one sweep (see recoverSegments);
-// Options.SequentialRecovery selects the original one-layer-at-a-time
-// reference path, which is bit-identical.
+// worker pool (see recoverSegments).
 func (pr *Protector) recoverLocked(ctx context.Context, report *DetectionReport) (*RecoveryReport, error) {
 	ctx, span := obs.Start(ctx, "core.recover")
 	span.SetInt("flagged", len(report.Findings))
@@ -109,44 +105,7 @@ func (pr *Protector) recoverLocked(ctx context.Context, report *DetectionReport)
 	findings := make([]LayerFinding, len(report.Findings))
 	copy(findings, report.Findings)
 	sort.Slice(findings, func(i, j int) bool { return findings[i].Layer < findings[j].Layer })
-	if pr.opts.SequentialRecovery {
-		return pr.recoverSequential(ctx, findings)
-	}
 	return pr.recoverSegments(ctx, findings)
-}
-
-// recoverSequential is the reference recovery pipeline: each flagged
-// layer fetches its own golden pair from the nearest checkpoints and
-// verifies with a dedicated probe pass. Kept as the baseline the
-// batched pipeline is pinned bit-identical against (equivalence tests,
-// BenchmarkBatchedRecovery); findings must be sorted by layer.
-func (pr *Protector) recoverSequential(ctx context.Context, findings []LayerFinding) (*RecoveryReport, error) {
-	out := &RecoveryReport{}
-	for _, f := range findings {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		lp := pr.plan.layers[f.Layer]
-		var res RecoveryResult
-		var err error
-		switch lp.role {
-		case roleConv:
-			res, err = pr.recoverConv(lp, f)
-		case roleDense:
-			res, err = pr.recoverDense(lp, f)
-		case roleBias:
-			res, err = pr.recoverBiasSequential(lp)
-		case roleAffine:
-			res, err = pr.recoverAffineSequential(lp, f)
-		default:
-			err = fmt.Errorf("core: finding for non-parameterized layer %d", f.Layer)
-		}
-		if err != nil {
-			return nil, err
-		}
-		out.Results = append(out.Results, res)
-	}
-	return out, nil
 }
 
 // SelfHeal runs detection and, when errors are found, recovery — as one
@@ -183,31 +142,12 @@ func (pr *Protector) SelfHealContext(ctx context.Context) (*DetectionReport, *Re
 	return det, rec, nil
 }
 
-// recoverConv is the sequential-path conv recovery: fetch the golden
-// pair, solve, verify with a dedicated probe pass.
-func (pr *Protector) recoverConv(lp *layerPlan, f LayerFinding) (RecoveryResult, error) {
-	goldenIn, err := pr.goldenInputOf(lp.idx)
-	if err != nil {
-		return RecoveryResult{Layer: lp.idx, Name: f.Name}, err
-	}
-	goldenOut, err := pr.goldenOutputOf(lp.idx)
-	if err != nil {
-		return RecoveryResult{Layer: lp.idx, Name: f.Name}, err
-	}
-	res, err := pr.solveConvFinding(lp, f, goldenIn, goldenOut)
-	if err != nil || res.Status == Failed {
-		return res, err
-	}
-	res.Status = pr.verifyConv(lp)
-	return res, nil
-}
-
 // solveConvFinding re-solves a flagged conv layer from a golden pair.
 // It performs everything up to — but not including — the post-solve
 // verification probe: on solver failure the returned result carries
 // Status Failed, otherwise Status is left unset for the caller to fill
-// from a probe pass (verifyConv on the sequential path, the pooled
-// propagation GEMM's probe sample on the batched one).
+// from a probe pass (the pooled propagation GEMM's probe sample, see
+// recoverSweptLayer).
 func (pr *Protector) solveConvFinding(lp *layerPlan, f LayerFinding, goldenIn, goldenOut *tensor.Tensor) (RecoveryResult, error) {
 	res := RecoveryResult{Layer: lp.idx, Name: f.Name}
 	taps := lp.conv.FilterSize() * lp.conv.FilterSize() * lp.conv.InChannels()
@@ -262,17 +202,6 @@ func (pr *Protector) solveConvFinding(lp *layerPlan, f LayerFinding, goldenIn, g
 	return res, nil
 }
 
-// verifyConv runs the conv layer's dedicated post-recovery probe pass
-// (the sequential path; the batched pipeline reads the same comparison
-// off its pooled propagation GEMM instead).
-func (pr *Protector) verifyConv(lp *layerPlan) RecoveryStatus {
-	out, err := lp.conv.RecoveryForward(pr.detectInput(lp))
-	if err != nil {
-		return Failed
-	}
-	return pr.convProbeStatus(lp, out)
-}
-
 // convProbeStatus classifies a recovered conv layer from its probe
 // response: clean against the partial checkpoint means Recovered,
 // anything else Approximate.
@@ -283,8 +212,8 @@ func (pr *Protector) convProbeStatus(lp *layerPlan, out *tensor.Tensor) Recovery
 	return Recovered
 }
 
-// recoverDense is the sequential-path dense recovery: solve, then
-// verify with a dedicated probe pass.
+// recoverDense recovers a dense layer that no golden propagation has
+// to pass through: solve, then verify with a dedicated probe pass.
 func (pr *Protector) recoverDense(lp *layerPlan, f LayerFinding) (RecoveryResult, error) {
 	res, ok := pr.solveDenseFinding(lp, f)
 	if !ok {
@@ -325,23 +254,10 @@ func (pr *Protector) denseProbeResult(lp *layerPlan, out *tensor.Tensor, res *Re
 	}
 }
 
-// recoverBiasSequential fetches the golden pair for recoverBias.
-func (pr *Protector) recoverBiasSequential(lp *layerPlan) (RecoveryResult, error) {
-	goldenIn, err := pr.goldenInputOf(lp.idx)
-	if err != nil {
-		return RecoveryResult{Layer: lp.idx, Name: pr.model.Layer(lp.idx).Name()}, err
-	}
-	goldenOut, err := pr.goldenOutputOf(lp.idx)
-	if err != nil {
-		return RecoveryResult{Layer: lp.idx, Name: pr.model.Layer(lp.idx).Name()}, err
-	}
-	return pr.recoverBias(lp, goldenIn, goldenOut)
-}
-
 // recoverBias re-solves bias parameters by subtracting the golden input
 // from the golden output and "cleaning" the broadcast copies by
 // averaging them (§IV-E-b). Verification (the parameter sum) is
-// arithmetic, so both pipelines share the whole function.
+// arithmetic, no probe pass.
 func (pr *Protector) recoverBias(lp *layerPlan, goldenIn, goldenOut *tensor.Tensor) (RecoveryResult, error) {
 	res := RecoveryResult{Layer: lp.idx, Name: pr.model.Layer(lp.idx).Name()}
 	diff := goldenOut.Clone()
@@ -414,23 +330,4 @@ func (pr *Protector) Boundaries() []int {
 	out := make([]int, len(pr.plan.boundarySet))
 	copy(out, pr.plan.boundarySet)
 	return out
-}
-
-// GoldenPair exposes the golden input/output tensors MILR would use to
-// recover layer i. Exposed for tests and the inspection tool.
-func (pr *Protector) GoldenPair(i int) (in, out *tensor.Tensor, err error) {
-	pr.mu.Lock()
-	defer pr.mu.Unlock()
-	if i < 0 || i >= pr.model.NumLayers() {
-		return nil, nil, fmt.Errorf("core: layer %d out of range", i)
-	}
-	in, err = pr.goldenInputOf(i)
-	if err != nil {
-		return nil, nil, err
-	}
-	out, err = pr.goldenOutputOf(i)
-	if err != nil {
-		return nil, nil, err
-	}
-	return in, out, nil
 }

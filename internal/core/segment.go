@@ -8,12 +8,13 @@ import (
 	"milr/internal/tensor"
 )
 
-// Batched recovery pipeline. The sequential reference path
-// (recoverSequential) moves golden tensors to every flagged layer
-// independently: layer i re-reads the checkpoint at its preceding
-// boundary, re-propagates forward through layers the previous flagged
-// layer's propagation already visited, and verifies with a dedicated
-// probe pass. This file amortizes all of that per checkpoint segment:
+// The recovery pipeline: how golden tensors reach a flagged layer and
+// how the recovered layer is verified. Moving them to every flagged
+// layer independently would re-read the checkpoint at its preceding
+// boundary, re-propagate forward through layers the previous flagged
+// layer's propagation already visited, and verify with a dedicated
+// probe pass (the per-layer oracle in recover_oracle_test.go does
+// exactly that). This file amortizes all of it per checkpoint segment:
 //
 //   - one backward sweep per segment inverts from the succeeding
 //     checkpoint once, capturing every flagged layer's golden output on
@@ -33,15 +34,15 @@ import (
 // The result is at most one propagation/verification GEMM per conv or
 // dense layer per segment (enforced via the tensor.GEMMCalls counter in
 // segment_test.go), and one checkpoint read per segment end instead of
-// one per flagged layer. Everything is bit-identical to the sequential
-// path: the sweeps visit the same layers in the same order with the
+// one per flagged layer. Everything is bit-identical to the per-layer
+// oracle: the sweeps visit the same layers in the same order with the
 // same parameter states — a layer's recovery never changes the
 // propagation *up to* its own input, and inversion above a flagged
 // layer never depends on layers below it — and the stacked GEMM is
 // per-sample bit-identical to the single-sample kernels
-// (internal/nn/batch_equiv_test.go). Pinned by
-// TestBatchedSequentialRecoveryEquivalence and the façade-level
-// TestRecoveryPipelineBitIdentity.
+// (internal/nn/batch_equiv_test.go). Pinned by the equivalence test in
+// segment_test.go; the façade-level TestRecoveryPipelineBitIdentity
+// pins pooled against serial workers.
 
 // segmentNeedsGoldenIn reports whether recovering a layer of this role
 // consumes the golden input (dense layers re-solve purely from stored
@@ -55,11 +56,11 @@ func segmentNeedsGoldenOut(r roleKind) bool {
 	return r == roleConv || r == roleBias || r == roleAffine
 }
 
-// recoverSegments is the batched recovery pipeline: findings (sorted by
-// layer) are grouped by checkpoint segment and each non-empty segment
-// recovers with one backward and one forward sweep, segments fanning
-// out on the engine's worker pool. Results are assembled in ascending
-// layer order, so the report is identical to the sequential one.
+// recoverSegments groups findings (sorted by layer) by checkpoint
+// segment and recovers each non-empty segment with one backward and one
+// forward sweep, segments fanning out on the engine's worker pool.
+// Results are assembled in ascending layer order whatever order the
+// segments finish in.
 func (pr *Protector) recoverSegments(ctx context.Context, findings []LayerFinding) (*RecoveryReport, error) {
 	segs := pr.plan.segments()
 	groups := make([][]LayerFinding, 0, len(segs))
@@ -96,12 +97,12 @@ func (pr *Protector) recoverSegments(ctx context.Context, findings []LayerFindin
 
 // recoverSegment recovers one segment's flagged layers (sorted
 // ascending) with the two-sweep pipeline. The context is checked once
-// per flagged layer, exactly like the sequential path, so cancellation
-// stays layer-atomic with the same granularity — with the first
-// flagged layer's check hoisted above the sweeps, so a cancelled
-// context aborts the segment before any inversion or propagation work
-// (and a cancelled multi-segment pass skips the remaining segments
-// outright: each begins with this check).
+// per flagged layer — that count is the contract, and it keeps
+// cancellation layer-atomic — with the first flagged layer's check
+// hoisted above the sweeps, so a cancelled context aborts the segment
+// before any inversion or propagation work (and a cancelled
+// multi-segment pass skips the remaining segments outright: each begins
+// with this check).
 func (pr *Protector) recoverSegment(ctx context.Context, seg segment, fs []LayerFinding) ([]RecoveryResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -110,9 +111,8 @@ func (pr *Protector) recoverSegment(ctx context.Context, seg segment, fs []Layer
 	checkCtx := func() error {
 		if firstChecked {
 			// The hoisted check above already covered the first flagged
-			// layer; consuming it here keeps the total context-check
-			// count identical to the sequential path's (pinned by the
-			// cancellation tests).
+			// layer; consuming it here keeps the total at one context
+			// check per flagged layer (pinned by the cancellation tests).
 			firstChecked = false
 			return nil
 		}
@@ -135,9 +135,9 @@ func (pr *Protector) recoverSegment(ctx context.Context, seg segment, fs []Layer
 
 	// Backward sweep: one inversion pass from the succeeding checkpoint
 	// captures every needed golden output. All captures happen before
-	// any solving, which matches the sequential order: recovering a
-	// layer never changes the parameters of the layers *above* a later
-	// flagged layer, so pre-capturing is bit-identical.
+	// any solving: recovering a layer never changes the parameters of
+	// the layers *above* a later flagged layer, so pre-capturing is
+	// bit-identical to capturing layer by layer.
 	outs := make(map[int]*tensor.Tensor)
 	if firstOut >= 0 {
 		cur, err := pr.boundaryTensor(seg.end)
@@ -191,8 +191,8 @@ func (pr *Protector) recoverSegment(ctx context.Context, seg segment, fs []Layer
 
 	// Flagged layers past lastIn need no golden propagation (dense, by
 	// construction): solve from stored dummy outputs and verify with a
-	// standalone probe, exactly one GEMM each — same as the sequential
-	// path, with no propagation spent reaching them.
+	// standalone probe, exactly one GEMM each, with no propagation
+	// spent reaching them.
 	for i := range fs {
 		f := &fs[i]
 		if f.Layer <= lastIn {

@@ -10,38 +10,51 @@ import (
 )
 
 // Tests for the batched (segment-sweep) recovery pipeline: bit-identity
-// against the sequential reference path, and the pipeline's cost
-// contract — at most one propagation/verification GEMM per conv/dense
-// layer per checkpoint segment, enforced through the kernel-invocation
-// counter.
+// against the per-layer oracle (recover_oracle_test.go), and the
+// pipeline's cost contract — at most one propagation/verification GEMM
+// per conv/dense layer per checkpoint segment, enforced through the
+// kernel-invocation counter.
 
 // TestBatchedSequentialRecoveryEquivalence pins the batched pipeline
-// bit-identical to the sequential reference: for identical corruption,
-// the detection report, the recovery report, and every recovered weight
-// bit must match Options.SequentialRecovery at workers 1 and 4.
+// bit-identical to the per-layer oracle: for identical corruption, the
+// detection report, the recovery report, and every recovered weight bit
+// must match selfHealOracle's at workers 1 and 4.
 func TestBatchedSequentialRecoveryEquivalence(t *testing.T) {
 	for _, c := range []struct {
 		name  string
 		build func() (*nn.Model, error)
 		opts  func(Options) Options
+		// weightSeed initialises the model, seed the protector; flips
+		// exact bit flips come from an injector seeded injSeed.
+		weightSeed, seed, injSeed uint64
+		flips                     int
 	}{
-		{"tiny", nn.NewTinyNet, nil},
-		{"tiny-partial", nn.NewTinyPartialNet, nil},
-		{"mnist", nn.NewMNISTNet, nil},
+		// 96 flips spread errors over several layers, so segments with
+		// multiple flagged layers (conv+bias) are exercised.
+		{"tiny", nn.NewTinyNet, nil, 31, 31, 9001, 96},
+		{"tiny-partial", nn.NewTinyPartialNet, nil, 31, 31, 9001, 96},
+		{"mnist", nn.NewMNISTNet, nil, 31, 31, 9001, 96},
 		// All convs forced into partial mode: the CRC-localized selective
 		// solver plus its pre-solve probe, inside the sweep.
 		{"mnist-partial", nn.NewMNISTNet, func(o Options) Options {
 			o.MaxFullSolveTaps = 1
 			return o
-		}},
+		}, 31, 31, 9001, 96},
+		// The case the façade's TestRecoveryPipelineBitIdentity ran
+		// against the oracle while an option could still select it.
+		{"mnist-128flips", nn.NewMNISTNet, nil, 5, 42, 4242, 128},
+		// The benchmark's heal-conv-bitflip1024 fault class: eight conv
+		// layers, several flagged per segment, golden tensors passing
+		// through layers that are themselves erroneous.
+		{"cifar-small-bitflip1024", nn.NewCIFARSmallNet, nil, 42, 42, 9001, 1024},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			m, err := c.build()
 			if err != nil {
 				t.Fatal(err)
 			}
-			m.InitWeights(31)
-			opts := DefaultOptions(31)
+			m.InitWeights(c.weightSeed)
+			opts := DefaultOptions(c.seed)
 			if c.opts != nil {
 				opts = c.opts(opts)
 			}
@@ -62,12 +75,13 @@ func TestBatchedSequentialRecoveryEquivalence(t *testing.T) {
 				}
 				pr.ResetCRC()
 				// Identical injector seed → identical corruption per round.
-				// 96 flips spread errors over several layers, so segments
-				// with multiple flagged layers (conv+bias) are exercised.
-				faults.New(9001).FlipExactBits(m, 96)
+				faults.New(c.injSeed).FlipExactBits(m, c.flips)
 				pr.SetWorkers(workers)
-				pr.opts.SequentialRecovery = sequential
-				det, rec, err := pr.SelfHeal()
+				selfHeal := pr.SelfHeal
+				if sequential {
+					selfHeal = pr.selfHealOracle
+				}
+				det, rec, err := selfHeal()
 				if err != nil {
 					t.Fatalf("sequential=%v workers=%d: %v", sequential, workers, err)
 				}
@@ -99,7 +113,6 @@ func TestBatchedSequentialRecoveryEquivalence(t *testing.T) {
 				}
 			}
 			pr.SetWorkers(0)
-			pr.opts.SequentialRecovery = false
 		})
 	}
 }
@@ -110,7 +123,7 @@ func TestBatchedSequentialRecoveryEquivalence(t *testing.T) {
 // segments), one self-heal must spend exactly one GEMM per conv/dense
 // layer on detection plus at most one per conv/dense layer per segment
 // on recovery propagation+verification — strictly fewer than the
-// sequential path, which re-propagates per flagged layer and probes
+// per-layer oracle, which re-propagates per flagged layer and probes
 // separately.
 func TestBatchedRecoveryGEMMBudget(t *testing.T) {
 	m, err := nn.NewTinyNet()
@@ -150,9 +163,12 @@ func TestBatchedRecoveryGEMMBudget(t *testing.T) {
 		}
 		pr.ResetCRC()
 		corrupt()
-		pr.opts.SequentialRecovery = sequential
+		selfHeal := pr.SelfHeal
+		if sequential {
+			selfHeal = pr.selfHealOracle
+		}
 		before := tensor.GEMMCalls()
-		det, _, err := pr.SelfHeal()
+		det, _, err := selfHeal()
 		if err != nil {
 			t.Fatalf("sequential=%v: %v", sequential, err)
 		}
@@ -165,15 +181,14 @@ func TestBatchedRecoveryGEMMBudget(t *testing.T) {
 
 	batched := heal(false)
 	sequential := heal(true)
-	pr.opts.SequentialRecovery = false
 
 	// Detection probes every conv/dense layer once (4 GEMMs); batched
 	// recovery spends exactly one pooled GEMM per conv/dense layer, each
 	// carrying both the segment's golden propagation and the layer's
-	// verification probe. The sequential path spends two per layer here
+	// verification probe. The oracle spends two per layer here
 	// (a verification probe plus the next flagged layer's re-propagation
 	// through it). Flagged partial-mode convs add one solver-side probe
-	// each (the CRC false-negative pre-check) on both pipelines — a
+	// each (the CRC false-negative pre-check) on both — a
 	// solve cost, not propagation, so it sits outside the ≤1-per-layer-
 	// per-segment propagation guarantee.
 	partialConvs := 0

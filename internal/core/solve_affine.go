@@ -61,23 +61,9 @@ func (pr *Protector) detectAffine(lp *layerPlan) (*LayerFinding, error) {
 	return &LayerFinding{Layer: lp.idx, Name: pr.model.Layer(lp.idx).Name(), Columns: flagged}, nil
 }
 
-// recoverAffineSequential fetches the golden pair for recoverAffine.
-func (pr *Protector) recoverAffineSequential(lp *layerPlan, f LayerFinding) (RecoveryResult, error) {
-	goldenIn, err := pr.goldenInputOf(lp.idx)
-	if err != nil {
-		return RecoveryResult{Layer: lp.idx, Name: pr.model.Layer(lp.idx).Name()}, err
-	}
-	goldenOut, err := pr.goldenOutputOf(lp.idx)
-	if err != nil {
-		return RecoveryResult{Layer: lp.idx, Name: pr.model.Layer(lp.idx).Name()}, err
-	}
-	return pr.recoverAffine(lp, f, goldenIn, goldenOut)
-}
-
 // recoverAffine re-solves flagged channels by line fit over the golden
 // pair's broadcast positions. Verification (detectAffine) is an
-// element-wise pass with no GEMM, so both recovery pipelines share the
-// whole function.
+// element-wise pass with no GEMM.
 func (pr *Protector) recoverAffine(lp *layerPlan, f LayerFinding, goldenIn, goldenOut *tensor.Tensor) (RecoveryResult, error) {
 	res := RecoveryResult{Layer: lp.idx, Name: pr.model.Layer(lp.idx).Name()}
 	c := lp.affine.Width()

@@ -11,4 +11,9 @@
 // order, so the engine's parallel per-filter/per-column solves (which
 // call them once per independent unknown) are bit-identical to serial
 // — see ARCHITECTURE.md's bit-identity invariant chain.
+//
+// The package holds what the engine and the repository benchmark's
+// probes call and no more. Everything is serial except QR.SolveMany,
+// which shares one factorization across independent right-hand sides
+// on a bounded pool; right-hand sides are vectors, never matrices.
 package linalg

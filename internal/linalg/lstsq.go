@@ -29,64 +29,6 @@ func LeastSquares(a *Matrix, b []float64) ([]float64, error) {
 	return minNorm(a, b)
 }
 
-// LeastSquaresMatrix solves min‖A·X − B‖ column-by-column, reusing the
-// factorization across right-hand sides.
-func LeastSquaresMatrix(a, b *Matrix) (*Matrix, error) {
-	if a.Rows != b.Rows {
-		return nil, fmt.Errorf("linalg: lstsq rhs has %d rows, want %d", b.Rows, a.Rows)
-	}
-	out := NewMatrix(a.Cols, b.Cols)
-	if a.Rows >= a.Cols {
-		qr, err := FactorQR(a)
-		if err != nil {
-			return nil, err
-		}
-		col := make([]float64, b.Rows)
-		for j := 0; j < b.Cols; j++ {
-			for i := 0; i < b.Rows; i++ {
-				col[i] = b.At(i, j)
-			}
-			x, err := qr.Solve(col)
-			if err != nil {
-				return nil, err
-			}
-			for i := range x {
-				out.Set(i, j, x[i])
-			}
-		}
-		return out, nil
-	}
-	// Underdetermined: factor AAᵀ once.
-	at := a.T()
-	aat, err := a.Mul(at)
-	if err != nil {
-		return nil, err
-	}
-	regularize(aat)
-	f, err := FactorLU(aat)
-	if err != nil {
-		return nil, err
-	}
-	col := make([]float64, b.Rows)
-	for j := 0; j < b.Cols; j++ {
-		for i := 0; i < b.Rows; i++ {
-			col[i] = b.At(i, j)
-		}
-		y, err := f.Solve(col)
-		if err != nil {
-			return nil, err
-		}
-		x, err := at.MulVec(y)
-		if err != nil {
-			return nil, err
-		}
-		for i := range x {
-			out.Set(i, j, x[i])
-		}
-	}
-	return out, nil
-}
-
 func minNorm(a *Matrix, b []float64) ([]float64, error) {
 	at := a.T()
 	aat, err := a.Mul(at)

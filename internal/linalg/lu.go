@@ -108,28 +108,6 @@ func (f *LU) Solve(b []float64) ([]float64, error) {
 	return x, nil
 }
 
-// SolveMatrix solves A·X = B column-by-column, reusing the factorization.
-func (f *LU) SolveMatrix(b *Matrix) (*Matrix, error) {
-	if b.Rows != f.lu.Rows {
-		return nil, fmt.Errorf("linalg: LU solve rhs has %d rows, want %d", b.Rows, f.lu.Rows)
-	}
-	out := NewMatrix(b.Rows, b.Cols)
-	col := make([]float64, b.Rows)
-	for j := 0; j < b.Cols; j++ {
-		for i := 0; i < b.Rows; i++ {
-			col[i] = b.At(i, j)
-		}
-		x, err := f.Solve(col)
-		if err != nil {
-			return nil, err
-		}
-		for i := 0; i < b.Rows; i++ {
-			out.Set(i, j, x[i])
-		}
-	}
-	return out, nil
-}
-
 // SolveSquare is a convenience wrapper: factor once, solve once.
 func SolveSquare(a *Matrix, b []float64) ([]float64, error) {
 	f, err := FactorLU(a)
@@ -137,19 +115,4 @@ func SolveSquare(a *Matrix, b []float64) ([]float64, error) {
 		return nil, err
 	}
 	return f.Solve(b)
-}
-
-// Inverse returns A⁻¹ (used by tests and the dense backward pass when
-// P = N exactly).
-func Inverse(a *Matrix) (*Matrix, error) {
-	f, err := FactorLU(a)
-	if err != nil {
-		return nil, err
-	}
-	n := a.Rows
-	eye := NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		eye.Set(i, i, 1)
-	}
-	return f.SolveMatrix(eye)
 }

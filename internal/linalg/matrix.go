@@ -125,18 +125,6 @@ func (m *Matrix) SelectColumns(cols []int) (*Matrix, error) {
 	return out, nil
 }
 
-// SelectRows returns the sub-matrix formed by the given row indices.
-func (m *Matrix) SelectRows(rows []int) (*Matrix, error) {
-	out := NewMatrix(len(rows), m.Cols)
-	for i, r := range rows {
-		if r < 0 || r >= m.Rows {
-			return nil, fmt.Errorf("linalg: row %d out of range [0,%d)", r, m.Rows)
-		}
-		copy(out.Row(i), m.Row(r))
-	}
-	return out, nil
-}
-
 // MaxAbs returns the largest absolute entry (the ∞-norm of the flattened
 // matrix), used for scale-aware singularity thresholds.
 func (m *Matrix) MaxAbs() float64 {

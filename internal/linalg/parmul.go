@@ -6,34 +6,6 @@ import (
 	"milr/internal/par"
 )
 
-// MulWorkers computes m·o on a bounded worker pool, partitioning the
-// output by contiguous row bands. Each output row is produced by the
-// same ikj kernel as Mul with the same accumulation order, so the
-// result is bit-identical to Mul at any worker count. workers <= 0
-// resolves to GOMAXPROCS.
-func (m *Matrix) MulWorkers(o *Matrix, workers int) (*Matrix, error) {
-	if m.Cols != o.Rows {
-		return nil, fmt.Errorf("linalg: mul dimension mismatch %dx%d by %dx%d", m.Rows, m.Cols, o.Rows, o.Cols)
-	}
-	out := NewMatrix(m.Rows, o.Cols)
-	par.Blocks(m.Rows, par.Resolve(workers, m.Rows), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			arow := m.Row(i)
-			orow := out.Row(i)
-			for k, av := range arow {
-				if av == 0 {
-					continue
-				}
-				brow := o.Row(k)
-				for j, bv := range brow {
-					orow[j] += av * bv
-				}
-			}
-		}
-	})
-	return out, nil
-}
-
 // SolveMany solves A·x = b for every right-hand side on a bounded
 // worker pool, sharing one factorization. Solve is read-only on the
 // factorization and each call owns its buffers, so the per-RHS results

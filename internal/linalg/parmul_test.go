@@ -2,7 +2,6 @@ package linalg
 
 import (
 	"math"
-	"runtime"
 	"testing"
 )
 
@@ -12,34 +11,6 @@ func fillSeq(m *Matrix, seed float64) {
 		// Deterministic, non-trivial values with mixed signs.
 		v = math.Mod(v*1.7+0.31, 2.0)
 		m.Data[i] = v - 1.0
-	}
-}
-
-func TestMulWorkersBitIdentical(t *testing.T) {
-	for _, d := range []struct{ m, n, p int }{{1, 8, 5}, {17, 9, 13}, {64, 16, 3}} {
-		a := NewMatrix(d.m, d.n)
-		b := NewMatrix(d.n, d.p)
-		fillSeq(a, 0.1)
-		fillSeq(b, 0.7)
-		want, err := a.Mul(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, w := range []int{0, 1, 2, runtime.GOMAXPROCS(0), 9} {
-			got, err := a.MulWorkers(b, w)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range want.Data {
-				if got.Data[i] != want.Data[i] {
-					t.Fatalf("dims %v workers %d: element %d differs", d, w, i)
-				}
-			}
-		}
-	}
-	a := NewMatrix(2, 3)
-	if _, err := a.MulWorkers(NewMatrix(4, 2), 2); err == nil {
-		t.Error("dimension mismatch not detected")
 	}
 }
 

@@ -29,11 +29,11 @@ var exceptions = []Exception{
 	{Rule: "nakedgo", Path: "cmd/milr-gateway/main.go",
 		Why: "http.Serve error pump, joined by Shutdown in the drain sequence"},
 	{Rule: "nakedgo", Path: "cmd/milr-fleet/main.go",
-		Why: "fault-injection ticker + open-loop arrival generator, stopped via channels before exit"},
+		Why: "fault-injection ticker, stopped via its channel before exit"},
 	{Rule: "nakedgo", Path: "internal/bench/fleetload.go",
 		Why: "closed-loop client swarm per model spec: one goroutine per simulated client IS the load model (a pool cap below clients would falsify it); joined by WaitGroup"},
-	{Rule: "nakedgo", Path: "internal/soak/swarm.go",
-		Why: "open-loop arrival swarm: one goroutine per scheduled arrival IS the load model; joined by WaitGroup before the window closes"},
+	{Rule: "nakedgo", Path: "internal/bench/openloop.go",
+		Why: "the one open-loop arrival engine (milr-fleet -open-loop, soak windows): one goroutine per scheduled arrival IS the load model; joined by WaitGroup before RunOpenLoop returns"},
 	{Rule: "nakedgo", Path: "internal/soak/harness.go",
 		Why: "Overlap-mode scrub runs concurrently with the window's traffic by design; joined via scrubCh before the window's metrics are read"},
 	{Rule: "nakedgo", Path: "examples/serving/main.go",

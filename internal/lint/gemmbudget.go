@@ -62,11 +62,11 @@ var gemmbudgetRule = &Rule{
 						"direct tensor.%s call outside internal/nn+core bypasses tensor.GEMMCalls accounting — go through the layer ops", sel.Sel.Name)
 					return true
 				}
-				if linalgName != "" && (sel.Sel.Name == "MulWorkers" || sel.Sel.Name == "Mul") {
-					// Matrix.Mul/MulWorkers are method calls, so the
-					// receiver is not the package ident; gate on the
-					// file importing internal/linalg at all, which
-					// outside the engine it has no other reason to do.
+				if linalgName != "" && sel.Sel.Name == "Mul" {
+					// Matrix.Mul is a method call, so the receiver is
+					// not the package ident; gate on the file importing
+					// internal/linalg at all, which outside the engine
+					// it has no other reason to do.
 					r.reportf(f, call.Pos(),
 						"direct linalg matrix multiply outside internal/nn+core bypasses kernel accounting — go through the layer ops")
 				}

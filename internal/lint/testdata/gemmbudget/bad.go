@@ -13,5 +13,5 @@ func fused(a, b *linalg.Matrix, x, w *tensor.Tensor) {
 	_ = tensor.MatMulInto(x.Data(), x.Data(), w.Data(), 1, 1, 1, 1, nil)
 	rows, m, _ := tensor.Im2ColRows(x.Data(), 1, 1, 1, 1, 1, 1)
 	_ = tensor.MatMulRowsInto(x.Data(), rows, w.Data(), m, 1, 1, 1, nil)
-	a.MulWorkers(b, 4)
+	a.Mul(b)
 }

@@ -32,33 +32,21 @@ type BatchCapable interface {
 var (
 	_ BatchCapable = (*Conv2D)(nil)
 	_ BatchCapable = (*Dense)(nil)
-
-	_ RecoveryBatchCapable = (*Conv2D)(nil)
-	_ RecoveryBatchCapable = (*Dense)(nil)
 )
 
-// RecoveryBatchCapable is implemented by layers that can process a whole
-// batch in one kernel invocation under recovery semantics. The MILR
-// engine's batched recovery pipeline uses it to stack a segment's golden
-// propagation activation together with the layer's post-recovery
-// verification probe into one pooled GEMM — the same stacked product
-// ForwardBatch issues — instead of two single-sample passes.
-type RecoveryBatchCapable interface {
-	Layer
-	// RecoveryForwardBatch runs the MILR deterministic pass on every
-	// sample at once. The result is element-wise bit-identical to calling
-	// RecoveryForward per sample.
-	RecoveryForwardBatch(ins []*tensor.Tensor) ([]*tensor.Tensor, error)
-}
-
-// RecoveryForwardBatch implements RecoveryBatchCapable. Convolution
-// behaves identically in recovery mode, so this is ForwardBatch.
+// RecoveryForwardBatch runs the MILR deterministic pass on every sample
+// in one kernel invocation, element-wise bit-identical to calling
+// RecoveryForward per sample. The MILR engine's recovery pipeline uses
+// it to stack a segment's golden propagation activation together with
+// the layer's post-recovery verification probe into one pooled GEMM
+// instead of two single-sample passes. Convolution behaves identically
+// in recovery mode, so this is ForwardBatch.
 func (c *Conv2D) RecoveryForwardBatch(ins []*tensor.Tensor) ([]*tensor.Tensor, error) {
 	return c.ForwardBatch(ins)
 }
 
-// RecoveryForwardBatch implements RecoveryBatchCapable. Dense behaves
-// identically in recovery mode, so this is ForwardBatch.
+// RecoveryForwardBatch is Conv2D.RecoveryForwardBatch for a dense
+// layer, which also behaves identically in recovery mode.
 func (d *Dense) RecoveryForwardBatch(ins []*tensor.Tensor) ([]*tensor.Tensor, error) {
 	return d.ForwardBatch(ins)
 }

@@ -31,49 +31,3 @@ func TestEvaluateWorkersMatchSerial(t *testing.T) {
 		t.Error("empty samples accepted")
 	}
 }
-
-func TestConfusionMatrix(t *testing.T) {
-	cm, err := NewConfusionMatrix(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewConfusionMatrix(0); err == nil {
-		t.Error("zero classes accepted")
-	}
-	pairs := [][2]int{{0, 0}, {0, 0}, {0, 1}, {1, 1}, {2, 0}, {2, 2}}
-	for _, p := range pairs {
-		if err := cm.Add(p[0], p[1]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := cm.Add(5, 0); err == nil {
-		t.Error("out-of-range label accepted")
-	}
-	if got := cm.Accuracy(); got != 4.0/6 {
-		t.Errorf("accuracy %v, want %v", got, 4.0/6)
-	}
-	recall := cm.PerClassRecall()
-	if recall[0] != 2.0/3 || recall[1] != 1 || recall[2] != 0.5 {
-		t.Errorf("recall %v", recall)
-	}
-}
-
-func TestConfusionAgreesWithEvaluate(t *testing.T) {
-	m, err := NewTinyNet()
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.InitWeights(2)
-	samples := makeToySamples(30, 5)
-	acc, err := Evaluate(m, samples)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cm, err := Confusion(m, samples, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cm.Accuracy() != acc {
-		t.Errorf("confusion accuracy %v != evaluate %v", cm.Accuracy(), acc)
-	}
-}

@@ -17,15 +17,18 @@
 // Protector's Sync gate (the same mutation gate serving batches hold),
 // (2) runs one round-robin self-heal scrub via Fleet.ScrubOnce when the
 // guard cadence is due, and (3) fires the window's client arrivals
-// concurrently through the fleet's Predict surface, counting correct
-// answers against the clean model's. Because fleet answers are
-// bit-identical to direct Model.Predict calls and weights only change
-// at window boundaries, per-window correctness counts are replayable
-// byte for byte; wall-clock measurements (tail latency, scrub
-// durations) ride along without participating in the deterministic
-// transcript. Config.Overlap trades that replay guarantee for realism
-// by running due scrubs concurrently with the window's traffic — the
-// mode the race tests and heal-tail-latency measurements use.
+// concurrently through the fleet's Predict surface — as one
+// bench.RunOpenLoop schedule with every arrival due at once, the same
+// arrival engine cmd/milr-fleet -open-loop paces by wall clock —
+// counting correct answers against the clean model's. Because fleet
+// answers are bit-identical to direct Model.Predict calls and weights
+// only change at window boundaries, per-window correctness counts are
+// replayable byte for byte; wall-clock measurements (tail latency,
+// scrub durations) ride along without participating in the
+// deterministic transcript. Config.Overlap trades that replay guarantee
+// for realism by running due scrubs concurrently with the window's
+// traffic — the mode the race tests and heal-tail-latency measurements
+// use.
 //
 // After the run the harness fits Eq. 6 at the measured error rate:
 // detection and recovery costs are calibrated up front on the idle

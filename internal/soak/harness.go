@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"milr/internal/availability"
+	"milr/internal/bench"
 	"milr/internal/core"
 	"milr/internal/faults"
 	"milr/internal/fleet"
@@ -66,6 +67,7 @@ func Run(ctx context.Context, cfg Config, sc Scenario, targets []*Target) (*Repo
 		return nil, fmt.Errorf("soak: no targets")
 	}
 	names := make([]string, len(targets))
+	loadTargets := make([]bench.OpenLoopTarget, len(targets))
 	index := map[string]int{}
 	for i, tg := range targets {
 		if tg == nil || tg.Protector == nil {
@@ -80,6 +82,7 @@ func Run(ctx context.Context, cfg Config, sc Scenario, targets []*Target) (*Repo
 		}
 		index[tg.Name] = i
 		names[i] = tg.Name
+		loadTargets[i] = bench.OpenLoopTarget{Name: tg.Name, Inputs: tg.Inputs, Want: tg.Want}
 	}
 	events, arrivals, err := sc.Timeline(cfg.Seed, names)
 	if err != nil {
@@ -196,15 +199,20 @@ func Run(ctx context.Context, cfg Config, sc Scenario, targets []*Target) (*Repo
 			}
 		}
 
-		// 3. Traffic: the window's Poisson arrivals, all concurrent.
-		reqs := make([]arrival, 0, 16)
+		// 3. Traffic: the window's Poisson arrivals, all due at once (the
+		// schedule — who arrives in which window, with which input — is
+		// precomputed; only the in-window interleaving is left to the
+		// scheduler, and answers are interleaving-invariant). Queue-cap
+		// rejections and expiries are counted; any other error aborts
+		// the run.
+		reqs := make([]bench.Arrival, 0, 16)
 		for mi := range targets {
 			for k := 0; k < arrivals[w][mi]; k++ {
-				reqs = append(reqs, arrival{modelIdx: mi, inputIdx: arrivalCursor[mi] % len(targets[mi].Inputs)})
+				reqs = append(reqs, bench.Arrival{Target: mi, Input: arrivalCursor[mi] % len(targets[mi].Inputs)})
 				arrivalCursor[mi]++
 			}
 		}
-		counts, err := issueWindow(wctx, fl, targets, reqs)
+		load, err := bench.RunOpenLoop(wctx, fl, loadTargets, reqs)
 		if err != nil {
 			return nil, fmt.Errorf("soak: window %d: %w", w, err)
 		}
@@ -222,15 +230,15 @@ func Run(ctx context.Context, cfg Config, sc Scenario, targets []*Target) (*Repo
 			}
 		}
 
-		for mi := range targets {
-			wm.Issued += counts.issued[mi]
-			wm.Correct += counts.correct[mi]
-			wm.Wrong += counts.wrong[mi]
-			wm.Rejected += counts.rejected[mi]
-			wm.Expired += counts.expired[mi]
-			perModel[mi].Issued += counts.issued[mi]
-			perModel[mi].Correct += counts.correct[mi]
-			perModel[mi].Wrong += counts.wrong[mi]
+		for mi, c := range load.PerTarget {
+			wm.Issued += c.Issued
+			wm.Correct += c.Correct
+			wm.Wrong += c.Wrong
+			wm.Rejected += c.Rejected
+			wm.Expired += c.Expired
+			perModel[mi].Issued += c.Issued
+			perModel[mi].Correct += c.Correct
+			perModel[mi].Wrong += c.Wrong
 		}
 		st := fl.Stats()
 		for _, name := range names {

@@ -13,8 +13,7 @@ import (
 )
 
 // recoveryNet bundles one protected model with probe inputs and their
-// clean answers — the baseline both recovery pipelines must return the
-// model to.
+// clean answers — the baseline a heal must return the model to.
 type recoveryNet struct {
 	model *milr.Model
 	prot  *milr.Protector
@@ -45,75 +44,74 @@ func buildRecoveryNet(t *testing.T, rt *milr.Runtime, seed uint64, n int) recove
 	return rn
 }
 
-// TestRecoveryPipelineBitIdentity is the batched-recovery acceptance
-// test, mirroring TestFleetBitIdentity's structure: two identically
-// built, identically corrupted MNIST nets — one healed through the
-// default batched (segment-sweep) pipeline, one through the sequential
-// reference path — must end with bit-identical weights, identical
-// detection/recovery reports, and identical predictions, at serial and
-// pooled worker counts.
+// TestRecoveryPipelineBitIdentity is the recovery pipeline's façade-
+// level acceptance test, mirroring TestFleetBitIdentity's structure: two
+// identically built, identically corrupted MNIST nets — one healed on a
+// WithWorkers(n) runtime, one on a serial WithWorkers(0) runtime — must
+// end with bit-identical weights, identical detection/recovery reports,
+// and identical predictions. (The comparison against the per-layer
+// oracle is internal/core's TestBatchedSequentialRecoveryEquivalence,
+// case mnist-128flips: the same model, seed and corruption.)
 func TestRecoveryPipelineBitIdentity(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		workers := workers
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			ctx := context.Background()
-			batchedRT := milr.NewRuntime(milr.WithSeed(42), milr.WithWorkers(workers))
-			seqOpts := batchedRT.Options()
-			seqOpts.SequentialRecovery = true
-			sequentialRT := milr.NewRuntime(milr.WithOptions(seqOpts), milr.WithWorkers(workers))
+			pooledRT := milr.NewRuntime(milr.WithSeed(42), milr.WithWorkers(workers))
+			serialRT := milr.NewRuntime(milr.WithSeed(42), milr.WithWorkers(0))
 
 			const probes = 8
-			batched := buildRecoveryNet(t, batchedRT, 5, probes)
-			sequential := buildRecoveryNet(t, sequentialRT, 5, probes)
+			pooled := buildRecoveryNet(t, pooledRT, 5, probes)
+			serial := buildRecoveryNet(t, serialRT, 5, probes)
 
 			// Identical corruption on both models, through the engine
 			// lock: several flagged layers per checkpoint segment, so the
 			// sweeps genuinely amortize.
-			for _, rn := range []recoveryNet{batched, sequential} {
+			for _, rn := range []recoveryNet{pooled, serial} {
 				rn := rn
 				rn.prot.Sync(func() {
 					faults.New(4242).FlipExactBits(rn.model, 128)
 				})
 			}
 
-			detB, recB, err := batched.prot.SelfHealContext(ctx)
+			detP, recP, err := pooled.prot.SelfHealContext(ctx)
 			if err != nil {
 				t.Fatal(err)
 			}
-			detS, recS, err := sequential.prot.SelfHealContext(ctx)
+			detS, recS, err := serial.prot.SelfHealContext(ctx)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !detB.HasErrors() {
+			if !detP.HasErrors() {
 				t.Fatal("corruption was not detected; bit-identity test is vacuous")
 			}
-			if !reflect.DeepEqual(detB, detS) {
-				t.Errorf("detection reports differ\n batched   %+v\n sequential %+v", detB.Findings, detS.Findings)
+			if !reflect.DeepEqual(detP, detS) {
+				t.Errorf("detection reports differ\n pooled %+v\n serial %+v", detP.Findings, detS.Findings)
 			}
-			if !reflect.DeepEqual(recB, recS) {
-				t.Errorf("recovery reports differ\n batched   %+v\n sequential %+v", recB.Results, recS.Results)
+			if !reflect.DeepEqual(recP, recS) {
+				t.Errorf("recovery reports differ\n pooled %+v\n serial %+v", recP.Results, recS.Results)
 			}
 
-			snapB, snapS := batched.model.Snapshot(), sequential.model.Snapshot()
+			snapP, snapS := pooled.model.Snapshot(), serial.model.Snapshot()
 			for li, ws := range snapS {
-				bd, sd := snapB[li].Data(), ws.Data()
+				pd, sd := snapP[li].Data(), ws.Data()
 				for i := range sd {
-					if bd[i] != sd[i] {
-						t.Fatalf("layer %d weight %d differs: batched %v, sequential %v", li, i, bd[i], sd[i])
+					if pd[i] != sd[i] {
+						t.Fatalf("layer %d weight %d differs: pooled %v, serial %v", li, i, pd[i], sd[i])
 					}
 				}
 			}
-			for i := range batched.xs {
-				got, err := batched.model.Predict(batched.xs[i])
+			for i := range pooled.xs {
+				got, err := pooled.model.Predict(pooled.xs[i])
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, err := sequential.model.Predict(sequential.xs[i])
+				want, err := serial.model.Predict(serial.xs[i])
 				if err != nil {
 					t.Fatal(err)
 				}
 				if got != want {
-					t.Fatalf("probe %d: batched-healed answer %d, sequential-healed %d", i, got, want)
+					t.Fatalf("probe %d: pooled-healed answer %d, serial-healed %d", i, got, want)
 				}
 			}
 		})
