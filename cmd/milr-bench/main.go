@@ -25,7 +25,7 @@ import (
 	"time"
 
 	"milr/internal/bench"
-	"milr/internal/nn"
+	"milr/internal/zoo"
 )
 
 type experiment struct {
@@ -251,20 +251,24 @@ func experiments() []experiment {
 			return nil
 		}
 	}
-	archTable := func(title string, build func() (*nn.Model, error)) func(*bench.Env, *config) error {
+	archTable := func(network string) func(*bench.Env, *config) error {
 		return func(_ *bench.Env, _ *config) error {
-			m, err := build()
+			net, err := zoo.Lookup(network)
 			if err != nil {
 				return err
 			}
-			bench.RenderArchitecture(os.Stdout, title, m)
+			m, err := net.New()
+			if err != nil {
+				return err
+			}
+			bench.RenderArchitecture(os.Stdout, net.Table+": "+net.Title, m)
 			return nil
 		}
 	}
 	return []experiment{
-		{"table1", "MNIST network architecture", bench.Tiny, archTable("Table I: MNIST network", nn.NewMNISTNet)},
-		{"table2", "CIFAR-10 small architecture", bench.Tiny, archTable("Table II: CIFAR-10 small network", nn.NewCIFARSmallNet)},
-		{"table3", "CIFAR-10 large architecture", bench.Tiny, archTable("Table III: CIFAR-10 large network", nn.NewCIFARLargeNet)},
+		{"table1", "MNIST network architecture", bench.Tiny, archTable("mnist")},
+		{"table2", "CIFAR-10 small architecture", bench.Tiny, archTable("cifar-small")},
+		{"table3", "CIFAR-10 large architecture", bench.Tiny, archTable("cifar-large")},
 		{"fig5", "MNIST RBER sweep (none/ECC/MILR/ECC+MILR)", bench.MNIST, rberFig("Figure 5: MNIST normalized accuracy vs RBER")},
 		{"fig6", "MNIST whole-weight errors", bench.MNIST, wwFig("Figure 6: MNIST whole-weight errors")},
 		{"table4", "MNIST whole-layer recovery", bench.MNIST, layerTable("Table IV: MNIST whole-layer error accuracy")},

@@ -37,7 +37,7 @@ import (
 	"milr/internal/bench"
 	"milr/internal/faults"
 	"milr/internal/obs"
-	"milr/internal/prng"
+	"milr/internal/zoo"
 )
 
 func main() {
@@ -50,6 +50,7 @@ func main() {
 // modelSpec is one registered network plus its traffic and baseline.
 type modelSpec struct {
 	name   string
+	net    zoo.Network
 	model  *milr.Model
 	weight float64
 	share  float64 // fraction of total traffic
@@ -61,7 +62,7 @@ type modelSpec struct {
 func run(args []string) error {
 	fs := flag.NewFlagSet("milr-fleet", flag.ContinueOnError)
 	var (
-		models   = fs.String("models", "tiny,tiny", "comma-separated networks: tiny, mnist, cifar-small, cifar-large (repeats allowed)")
+		models   = fs.String("models", "tiny,tiny", "comma-separated networks: "+zoo.Names()+" (repeats allowed)")
 		skew     = fs.String("skew", "", "per-model traffic shares, e.g. 80,20 (any positive scale; must match -models; default: equal shares)")
 		weights  = fs.String("weights", "", "per-model fair-share weights (default: proportional to -skew)")
 		clients  = fs.Int("clients", 20, "total closed-loop clients, split across models by -skew")
@@ -111,7 +112,7 @@ func run(args []string) error {
 	for _, sp := range specs {
 		if *guard > 0 {
 			fmt.Printf("protecting %s with MILR (initialization runs once)...\n", sp.name)
-			sp.prot, err = rt.Protect(ctx, sp.model)
+			sp.prot, err = rt.With(milr.WithMaxFullSolveTaps(sp.net.MaxFullSolveTaps)).Protect(ctx, sp.model)
 			if err != nil {
 				return err
 			}
@@ -171,22 +172,18 @@ func run(args []string) error {
 // buildSpecs parses -models/-skew/-weights into registered-model specs
 // with deterministic inputs and their direct (clean) answers.
 func buildSpecs(models, skew, weights string, seed uint64) ([]*modelSpec, error) {
-	builders := map[string]func() (*milr.Model, error){
-		"tiny":        milr.NewTinyNet,
-		"mnist":       milr.NewMNISTNet,
-		"cifar-small": milr.NewCIFARSmallNet,
-		"cifar-large": milr.NewCIFARLargeNet,
+	insts, err := zoo.ParseList(models, seed)
+	if err != nil {
+		return nil, err
 	}
-	names := strings.Split(models, ",")
 	// Without -skew every model gets an equal share, so any model count
 	// runs; a -skew of the wrong length is still an error.
-	shares := make([]float64, len(names))
+	shares := make([]float64, len(insts))
 	for i := range shares {
 		shares[i] = 1
 	}
-	var err error
 	if skew != "" {
-		if shares, err = parseFloats(skew, len(names), "-skew"); err != nil {
+		if shares, err = parseFloats(skew, len(insts), "-skew"); err != nil {
 			return nil, err
 		}
 	}
@@ -199,47 +196,24 @@ func buildSpecs(models, skew, weights string, seed uint64) ([]*modelSpec, error)
 	}
 	var ws []float64
 	if weights != "" {
-		if ws, err = parseFloats(weights, len(names), "-weights"); err != nil {
+		if ws, err = parseFloats(weights, len(insts), "-weights"); err != nil {
 			return nil, err
 		}
 	}
-	seen := map[string]int{}
-	specs := make([]*modelSpec, len(names))
-	for i, net := range names {
-		net = strings.TrimSpace(net)
-		build, ok := builders[net]
-		if !ok {
-			return nil, fmt.Errorf("unknown network %q (tiny, mnist, cifar-small, cifar-large)", net)
-		}
-		m, err := build()
+	specs := make([]*modelSpec, len(insts))
+	for i, in := range insts {
+		m, err := in.Network.Build(in.Seed)
 		if err != nil {
 			return nil, err
 		}
-		mseed := seed + uint64(i)
-		m.InitWeights(mseed)
-		name := net
-		if strings.Count(models, net) > 1 {
-			seen[net]++
-			name = fmt.Sprintf("%s-%d", net, seen[net])
-		}
-		sp := &modelSpec{name: name, model: m, weight: 1, share: shares[i] / total}
+		// Default fair-share weights proportional to expected traffic,
+		// so the arbiter's split matches the mix.
+		sp := &modelSpec{name: in.Name, net: in.Network, model: m, weight: shares[i], share: shares[i] / total}
 		if ws != nil {
 			sp.weight = ws[i]
-		} else {
-			// Default fair-share weights proportional to expected
-			// traffic, so the arbiter's split matches the mix.
-			sp.weight = shares[i]
 		}
-		const nInputs = 32
-		stream := prng.New(mseed + 1)
-		shape := m.InShape()
-		sp.inputs = make([]*milr.Tensor, nInputs)
-		sp.want = make([]int, nInputs)
-		for j := range sp.inputs {
-			sp.inputs[j] = stream.Tensor(shape...)
-			if sp.want[j], err = m.Predict(sp.inputs[j]); err != nil {
-				return nil, err
-			}
+		if sp.inputs, sp.want, err = zoo.Probes(m, in.Seed+1, 32); err != nil {
+			return nil, err
 		}
 		specs[i] = sp
 	}
@@ -363,7 +337,7 @@ func printFleetStats(st milr.FleetStats, specs []*modelSpec, guarded bool) {
 		fmt.Printf("%-14s served %5d  rejected %4d  batches %4d  mean fill %.2f  p50 %v  p99 %v",
 			name, ms.Served, ms.Rejected, ms.Batches, ms.MeanBatchFill, ms.P50, ms.P99)
 		if guarded {
-			fmt.Printf("  scrubs %d (failed %d)", ms.Scrubs, ms.ScrubFailures)
+			fmt.Printf("  scrubs %d (failed %d)  heals %d (partial %d)", ms.Scrubs, ms.ScrubFailures, ms.Heals, ms.PartialHeals)
 		}
 		fmt.Println()
 	}

@@ -2,20 +2,14 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
-	"strings"
 	"time"
 
 	"milr"
 	"milr/internal/gateway"
+	"milr/internal/zoo"
 )
-
-// errUnknownNetwork is the typed cause under every -models validation
-// failure, so callers (and tests) match it with errors.Is instead of
-// scraping the message.
-var errUnknownNetwork = errors.New("unknown network")
 
 // config is the parsed flag set of one gateway process.
 type config struct {
@@ -42,7 +36,7 @@ func parseFlags(args []string) (*config, error) {
 	cfg := &config{}
 	fs := flag.NewFlagSet("milr-gateway", flag.ContinueOnError)
 	fs.StringVar(&cfg.addr, "addr", "127.0.0.1:8080", "listen address (host:port; port 0 picks a free port)")
-	fs.StringVar(&cfg.models, "models", "tiny", "comma-separated networks to serve: tiny, mnist, cifar-small, cifar-large (repeats allowed)")
+	fs.StringVar(&cfg.models, "models", "tiny", "comma-separated networks to serve: "+zoo.Names()+" (repeats allowed)")
 	fs.StringVar(&cfg.modelsConfig, "models-config", "", `JSON models file ({"models":[{"name":...,"network":...,"seed":...},...]}); overrides -models and is re-read on SIGHUP for live register/replace/unregister`)
 	fs.BoolVar(&cfg.allowAdmin, "allow-admin", false, "open the admin routes (DELETE/PUT /v1/models/{name}); they answer 403 otherwise")
 	fs.Uint64Var(&cfg.seed, "seed", 42, "master seed for model weights")
@@ -65,17 +59,6 @@ func parseFlags(args []string) (*config, error) {
 	return cfg, nil
 }
 
-// builders maps the network names -models, -models-config and the
-// admin PUT route accept onto the zoo constructors. Shared with
-// fleetAdmin so a SIGHUP reload and an admin PUT build engines through
-// the same table as boot.
-var builders = map[string]func() (*milr.Model, error){
-	"tiny":        milr.NewTinyNet,
-	"mnist":       milr.NewMNISTNet,
-	"cifar-small": milr.NewCIFARSmallNet,
-	"cifar-large": milr.NewCIFARLargeNet,
-}
-
 // buildFleet constructs the runtime, fleet and admin the gateway
 // fronts. The startup model set comes from -models-config when given
 // (the same specs a SIGHUP re-reads), else from the -models list with
@@ -83,6 +66,10 @@ var builders = map[string]func() (*milr.Model, error){
 // guard-scheduled when -guard is set. The returned fleetAdmin backs
 // the admin routes and the SIGHUP reload loop.
 func buildFleet(ctx context.Context, cfg *config) (*milr.Fleet, *fleetAdmin, error) {
+	specs, err := initialSpecs(cfg)
+	if err != nil {
+		return nil, nil, err
+	}
 	rt := milr.NewRuntime(
 		milr.WithSeed(cfg.seed),
 		milr.WithWorkers(cfg.workers),
@@ -93,11 +80,6 @@ func buildFleet(ctx context.Context, cfg *config) (*milr.Fleet, *fleetAdmin, err
 	)
 	fl := milr.NewFleet(rt)
 	admin := &fleetAdmin{fl: fl, rt: rt, guard: cfg.guard, specs: map[string]gateway.ModelSpec{}}
-	specs, err := initialSpecs(cfg)
-	if err != nil {
-		fl.Close()
-		return nil, nil, err
-	}
 	for _, s := range specs {
 		if _, err := admin.Apply(ctx, s.Name, s.ModelSpec); err != nil {
 			fl.Close()
@@ -114,30 +96,21 @@ func buildFleet(ctx context.Context, cfg *config) (*milr.Fleet, *fleetAdmin, err
 }
 
 // initialSpecs derives the startup model set: the -models-config file
-// when given, else the -models list, where every entry gets its own
-// derived seed and duplicate network names get -1/-2/... suffixes, as
-// in milr-fleet.
+// when given, else the -models list as zoo.ParseList names and seeds it.
 func initialSpecs(cfg *config) ([]namedSpec, error) {
 	if cfg.modelsConfig != "" {
 		return loadModelsConfig(cfg.modelsConfig)
 	}
-	names := strings.Split(cfg.models, ",")
-	seen := map[string]int{}
-	specs := make([]namedSpec, 0, len(names))
-	for i, net := range names {
-		net = strings.TrimSpace(net)
-		if _, ok := builders[net]; !ok {
-			return nil, fmt.Errorf("%w %q (tiny, mnist, cifar-small, cifar-large)", errUnknownNetwork, net)
+	insts, err := zoo.ParseList(cfg.models, cfg.seed)
+	if err != nil {
+		return nil, err
+	}
+	specs := make([]namedSpec, len(insts))
+	for i, in := range insts {
+		specs[i] = namedSpec{
+			Name:      in.Name,
+			ModelSpec: gateway.ModelSpec{Network: in.Network.Name, Seed: in.Seed},
 		}
-		name := net
-		if strings.Count(cfg.models, net) > 1 {
-			seen[net]++
-			name = fmt.Sprintf("%s-%d", net, seen[net])
-		}
-		specs = append(specs, namedSpec{
-			Name:      name,
-			ModelSpec: gateway.ModelSpec{Network: net, Seed: cfg.seed + uint64(i)},
-		})
 	}
 	return specs, nil
 }

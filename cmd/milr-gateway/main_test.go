@@ -15,6 +15,8 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"milr/internal/zoo"
 )
 
 // TestGracefulShutdownDrains is the daemon-level shutdown contract:
@@ -137,8 +139,8 @@ func TestBuildFleetUnknownModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := buildFleet(context.Background(), cfg); !errors.Is(err, errUnknownNetwork) {
-		t.Errorf("buildFleet(resnet) err = %v, want errUnknownNetwork", err)
+	if _, _, err := buildFleet(context.Background(), cfg); !errors.Is(err, zoo.ErrUnknownNetwork) {
+		t.Errorf("buildFleet(resnet) err = %v, want zoo.ErrUnknownNetwork", err)
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 
 	"milr"
 	"milr/internal/gateway"
+	"milr/internal/zoo"
 )
 
 // namedSpec is one models-config entry: a gateway.ModelSpec plus the
@@ -30,47 +31,57 @@ type modelsFile struct {
 	Models []namedSpec `json:"models"`
 }
 
-// loadModelsConfig reads and validates a models config file: every
-// entry needs a unique non-empty name and a network the builder table
-// knows, so a reload either applies cleanly or rejects the whole file
-// before touching the fleet.
+// loadModelsConfig reads a models config file and validates it with
+// parseModelsConfig; errors carry the path.
 func loadModelsConfig(path string) ([]namedSpec, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
+	specs, err := parseModelsConfig(raw)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return specs, nil
+}
+
+// parseModelsConfig validates a models config document: every entry
+// needs a unique non-empty name and a network the zoo knows, so a boot
+// or a reload either applies cleanly or rejects the whole file before
+// touching the fleet.
+func parseModelsConfig(raw []byte) ([]namedSpec, error) {
 	var mf modelsFile
 	dec := json.NewDecoder(bytes.NewReader(raw))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&mf); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
+		return nil, err
 	}
 	if len(mf.Models) == 0 {
-		return nil, fmt.Errorf("%s: no models declared", path)
+		return nil, fmt.Errorf("no models declared")
 	}
 	seen := map[string]bool{}
 	for _, s := range mf.Models {
 		if s.Name == "" {
-			return nil, fmt.Errorf("%s: model entry without a name", path)
+			return nil, fmt.Errorf("model entry without a name")
 		}
 		if seen[s.Name] {
-			return nil, fmt.Errorf("%s: duplicate model name %q", path, s.Name)
+			return nil, fmt.Errorf("duplicate model name %q", s.Name)
 		}
 		seen[s.Name] = true
-		if _, ok := builders[s.Network]; !ok {
-			return nil, fmt.Errorf("%s: model %q: %w %q (tiny, mnist, cifar-small, cifar-large)",
-				path, s.Name, errUnknownNetwork, s.Network)
+		if _, err := zoo.Lookup(s.Network); err != nil {
+			return nil, fmt.Errorf("model %q: %w", s.Name, err)
 		}
 	}
 	return mf.Models, nil
 }
 
 // fleetAdmin implements gateway.Admin over the daemon's fleet: it
-// builds engines from the shared network table, registers them
-// protected or plain depending on -guard, and remembers the last
-// applied spec per model so a SIGHUP reload can diff the config file
-// against the live fleet. One mutex serializes admin mutations (HTTP
-// admin calls and the reload loop); serving traffic never takes it.
+// builds engines from the zoo table, registers them protected (under
+// the network's cost policy) or plain depending on -guard, and
+// remembers the last applied spec per model so a SIGHUP reload can diff
+// the config file against the live fleet. One mutex serializes admin
+// mutations (HTTP admin calls and the reload loop); serving traffic
+// never takes it.
 type fleetAdmin struct {
 	fl    *milr.Fleet
 	rt    *milr.Runtime
@@ -99,16 +110,14 @@ func (a *fleetAdmin) Apply(ctx context.Context, name string, spec gateway.ModelS
 	if name == "" {
 		return false, fmt.Errorf("%w: empty model name", gateway.ErrInvalidSpec)
 	}
-	build, ok := builders[spec.Network]
-	if !ok {
-		return false, fmt.Errorf("%w: %w %q (tiny, mnist, cifar-small, cifar-large)",
-			gateway.ErrInvalidSpec, errUnknownNetwork, spec.Network)
+	net, err := zoo.Lookup(spec.Network)
+	if err != nil {
+		return false, fmt.Errorf("%w: %w", gateway.ErrInvalidSpec, err)
 	}
-	m, err := build()
+	m, err := net.Build(spec.Seed)
 	if err != nil {
 		return false, err
 	}
-	m.InitWeights(spec.Seed)
 	var opts []milr.ModelOption
 	if spec.Weight > 0 {
 		opts = append(opts, milr.WithModelWeight(spec.Weight))
@@ -126,31 +135,33 @@ func (a *fleetAdmin) Apply(ctx context.Context, name string, spec gateway.ModelS
 		delete(a.specs, name)
 		exists = false
 	}
+	var pr *milr.Protector
 	if a.guard > 0 {
-		pr, err := a.rt.Protect(ctx, m)
-		if err != nil {
+		if pr, err = a.protect(ctx, net, m); err != nil {
 			return false, fmt.Errorf("protect %s: %w", name, err)
 		}
-		if exists {
-			err = a.fl.ReplaceProtected(ctx, name, pr, opts...)
-		} else {
-			err = a.fl.RegisterProtected(name, pr, opts...)
-		}
-		if err != nil {
-			return false, err
-		}
-	} else {
-		if exists {
-			err = a.fl.Replace(ctx, name, m, opts...)
-		} else {
-			err = a.fl.Register(name, m, opts...)
-		}
-		if err != nil {
-			return false, err
-		}
+	}
+	switch {
+	case pr != nil && exists:
+		err = a.fl.ReplaceProtected(ctx, name, pr, opts...)
+	case pr != nil:
+		err = a.fl.RegisterProtected(name, pr, opts...)
+	case exists:
+		err = a.fl.Replace(ctx, name, m, opts...)
+	default:
+		err = a.fl.Register(name, m, opts...)
+	}
+	if err != nil {
+		return false, err
 	}
 	a.specs[name] = spec
 	return !exists, nil
+}
+
+// protect runs MILR initialization on m under net's cost policy, so
+// the daemon plans a network exactly as milr-inspect prints it.
+func (a *fleetAdmin) protect(ctx context.Context, net zoo.Network, m *milr.Model) (*milr.Protector, error) {
+	return a.rt.With(milr.WithMaxFullSolveTaps(net.MaxFullSolveTaps)).Protect(ctx, m)
 }
 
 // reload re-reads the models config file and diffs it against the live

@@ -17,7 +17,7 @@ import (
 
 	"milr/internal/bench"
 	"milr/internal/core"
-	"milr/internal/nn"
+	"milr/internal/zoo"
 )
 
 func main() {
@@ -30,21 +30,28 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("milr-inspect", flag.ContinueOnError)
 	var (
-		net  = fs.String("net", "mnist", "network: mnist, cifar-small, cifar-large, tiny")
+		name = fs.String("net", "mnist", "network: "+zoo.Names())
 		seed = fs.Uint64("seed", 42, "master seed")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	model, opts, title, err := buildNet(*net, *seed)
+	net, err := zoo.Lookup(*name)
 	if err != nil {
 		return err
 	}
-	model.InitWeights(*seed)
+	model, err := net.Build(*seed)
+	if err != nil {
+		return err
+	}
+	title := net.Title
+	if net.Table != "" {
+		title += " (" + net.Table + ")"
+	}
 	bench.RenderArchitecture(os.Stdout, title, model)
 
 	fmt.Println("MILR plan:")
-	prot, err := core.NewProtector(model, opts)
+	prot, err := core.NewProtector(model, net.Options(*seed))
 	if err != nil {
 		return err
 	}
@@ -73,27 +80,4 @@ func run(args []string) error {
 	fmt.Printf("\ncheckpoint boundaries (layer-input positions): %v\n\n", prot.Boundaries())
 	bench.RenderStorage(os.Stdout, "Storage overhead:", prot.Storage())
 	return nil
-}
-
-func buildNet(name string, seed uint64) (*nn.Model, core.Options, string, error) {
-	opts := core.DefaultOptions(seed)
-	switch name {
-	case "mnist":
-		m, err := nn.NewMNISTNet()
-		return m, opts, "MNIST network (Table I)", err
-	case "cifar-small":
-		m, err := nn.NewCIFARSmallNet()
-		return m, opts, "CIFAR-10 small network (Table II)", err
-	case "cifar-large":
-		m, err := nn.NewCIFARLargeNet()
-		// The paper's cost policy for the large network: all convs
-		// partial-recoverable.
-		opts.MaxFullSolveTaps = 1
-		return m, opts, "CIFAR-10 large network (Table III)", err
-	case "tiny":
-		m, err := nn.NewTinyNet()
-		return m, opts, "Tiny network", err
-	default:
-		return nil, opts, "", fmt.Errorf("unknown network %q", name)
-	}
 }

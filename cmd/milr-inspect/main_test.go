@@ -14,21 +14,6 @@ func TestRunUnknownNet(t *testing.T) {
 	}
 }
 
-func TestBuildNetVariants(t *testing.T) {
-	for _, name := range []string{"mnist", "cifar-small", "cifar-large", "tiny"} {
-		m, opts, title, err := buildNet(name, 1)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if m == nil || title == "" {
-			t.Fatalf("%s: degenerate result", name)
-		}
-		if name == "cifar-large" && opts.MaxFullSolveTaps == 0 {
-			t.Error("cifar-large must carry the partial-recoverability cost policy")
-		}
-	}
-}
-
 func TestBadFlag(t *testing.T) {
 	if err := run([]string{"-definitely-not-a-flag"}); err == nil {
 		t.Fatal("bad flag accepted")

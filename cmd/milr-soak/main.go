@@ -27,15 +27,12 @@ import (
 	"io"
 	"math"
 	"os"
-	"strings"
 	"time"
 
 	"milr/internal/core"
-	"milr/internal/nn"
 	"milr/internal/obs"
-	"milr/internal/prng"
 	"milr/internal/soak"
-	"milr/internal/tensor"
+	"milr/internal/zoo"
 )
 
 func main() {
@@ -50,7 +47,7 @@ func run(args []string, stdout io.Writer) error {
 	var (
 		scenario  = fs.String("scenario", "smoke", "built-in scenario: smoke, rber, bursts, stuck, takeover, mixed")
 		seed      = fs.Uint64("seed", 42, "campaign seed; same seed replays the identical event timeline")
-		models    = fs.String("models", "tiny,tiny", "comma-separated networks: tiny, mnist, cifar-small, cifar-large (repeats allowed)")
+		models    = fs.String("models", "tiny,tiny", "comma-separated networks: "+zoo.Names()+" (repeats allowed)")
 		rate      = fs.Float64("rate", 0, "arrivals per model per window (0 = scenario default)")
 		guard     = fs.Int("guard-interval", 0, "scrub every N windows (0 = scenario default, -1 = no guard)")
 		duration  = fs.Duration("duration", 0, "wall-clock budget; truncates the script at a window boundary (0 = run to completion)")
@@ -127,59 +124,30 @@ func run(args []string, stdout io.Writer) error {
 }
 
 // buildTargets constructs the protected fleet members: each named
-// network initialized and wrapped in a MILR protector, with a
-// deterministic input set and the clean model's answers as the
-// correctness oracle.
+// network initialized and wrapped in a MILR protector under its zoo
+// cost policy, with a deterministic input set and the clean model's
+// answers as the correctness oracle.
 func buildTargets(models string, seed uint64) ([]*soak.Target, error) {
-	builders := map[string]func() (*nn.Model, error){
-		"tiny":        nn.NewTinyNet,
-		"mnist":       nn.NewMNISTNet,
-		"cifar-small": nn.NewCIFARSmallNet,
-		"cifar-large": nn.NewCIFARLargeNet,
+	insts, err := zoo.ParseList(models, seed)
+	if err != nil {
+		return nil, err
 	}
-	names := strings.Split(models, ",")
-	seen := map[string]int{}
-	targets := make([]*soak.Target, len(names))
-	for i, net := range names {
-		net = strings.TrimSpace(net)
-		build, ok := builders[net]
-		if !ok {
-			return nil, fmt.Errorf("unknown network %q (tiny, mnist, cifar-small, cifar-large)", net)
-		}
-		m, err := build()
+	targets := make([]*soak.Target, len(insts))
+	for i, in := range insts {
+		m, err := in.Network.Build(in.Seed)
 		if err != nil {
 			return nil, err
 		}
-		mseed := seed + uint64(i)
-		m.InitWeights(mseed)
-		opts := core.DefaultOptions(mseed)
-		if net == "cifar-large" {
-			// The paper's cost policy for the large network: partial
-			// recoverability on every conv layer (§V-D).
-			opts.MaxFullSolveTaps = 1
-		}
-		fmt.Fprintf(os.Stderr, "protecting %s (initialization runs once)...\n", net)
-		pr, err := core.NewProtector(m, opts)
+		fmt.Fprintf(os.Stderr, "protecting %s (initialization runs once)...\n", in.Network.Name)
+		pr, err := core.NewProtector(m, in.Network.Options(in.Seed))
 		if err != nil {
 			return nil, err
 		}
-		name := net
-		if strings.Count(models, net) > 1 {
-			seen[net]++
-			name = fmt.Sprintf("%s-%d", net, seen[net])
+		inputs, want, err := zoo.Probes(m, in.Seed+1, 16)
+		if err != nil {
+			return nil, err
 		}
-		const nInputs = 16
-		stream := prng.New(mseed + 1)
-		shape := m.InShape()
-		inputs := make([]*tensor.Tensor, nInputs)
-		want := make([]int, nInputs)
-		for j := range inputs {
-			inputs[j] = stream.Tensor(shape...)
-			if want[j], err = m.Predict(inputs[j]); err != nil {
-				return nil, err
-			}
-		}
-		targets[i] = &soak.Target{Name: name, Protector: pr, Inputs: inputs, Want: want}
+		targets[i] = &soak.Target{Name: in.Name, Protector: pr, Inputs: inputs, Want: want}
 	}
 	return targets, nil
 }

@@ -21,7 +21,7 @@ import (
 
 	"milr"
 	"milr/internal/faults"
-	"milr/internal/prng"
+	"milr/internal/zoo"
 )
 
 func main() {
@@ -57,28 +57,23 @@ func run() error {
 		probes []*milr.Tensor
 		want   []int
 	}
-	build := func(name string, builder func() (*milr.Model, error), netSeed uint64) (net, error) {
-		m, err := builder()
+	build := func(name string, netSeed uint64) (net, error) {
+		entry, err := zoo.Lookup(name)
 		if err != nil {
 			return net{}, err
 		}
-		m.InitWeights(netSeed)
-		stream := prng.New(netSeed + 7)
-		n := net{name: name, model: m, probes: make([]*milr.Tensor, clients), want: make([]int, clients)}
-		shape := m.InShape()
-		for i := range n.probes {
-			n.probes[i] = stream.Tensor(shape...)
-			if n.want[i], err = m.Predict(n.probes[i]); err != nil {
-				return net{}, err
-			}
+		m, err := entry.Build(netSeed)
+		if err != nil {
+			return net{}, err
 		}
-		return n, nil
+		probes, want, err := zoo.Probes(m, netSeed+7, clients)
+		return net{name: name, model: m, probes: probes, want: want}, err
 	}
-	tiny, err := build("tiny", milr.NewTinyNet, seed)
+	tiny, err := build("tiny", seed)
 	if err != nil {
 		return err
 	}
-	mnist, err := build("mnist", milr.NewMNISTNet, seed+1)
+	mnist, err := build("mnist", seed+1)
 	if err != nil {
 		return err
 	}

@@ -19,7 +19,7 @@ import (
 
 	"milr"
 	"milr/internal/faults"
-	"milr/internal/prng"
+	"milr/internal/zoo"
 )
 
 func main() {
@@ -54,14 +54,9 @@ func run() error {
 
 	// Per-client probe inputs and their clean answers, computed before
 	// protection starts — the equivalence baseline.
-	stream := prng.New(seed)
-	probes := make([]*milr.Tensor, clients)
-	want := make([]int, clients)
-	for i := range probes {
-		probes[i] = stream.Tensor(12, 12, 1)
-		if want[i], err = model.Predict(probes[i]); err != nil {
-			return err
-		}
+	probes, want, err := zoo.Probes(model, seed, clients)
+	if err != nil {
+		return err
 	}
 
 	// Protect the model, start the guard's scrub loop, and put the

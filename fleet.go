@@ -4,6 +4,7 @@ import (
 	"context"
 	"time"
 
+	"milr/internal/core"
 	"milr/internal/fleet"
 	"milr/internal/serve"
 )
@@ -59,7 +60,7 @@ type ModelStats = fleet.ModelStats
 // ScrubResult summarizes one fleet self-heal scrub cycle: whether the
 // detection pass flagged errors (a heal ran) and whether the model
 // verified clean afterwards. Returned by Fleet.ScrubOnce and counted
-// into ModelStats.Heals.
+// into ModelStats.Heals or, when it did not, ModelStats.PartialHeals.
 type ScrubResult = fleet.ScrubResult
 
 // ModelOption configures one model at Fleet.Register /
@@ -170,12 +171,7 @@ func protectorScrub(pr *Protector) func(context.Context) (fleet.ScrubResult, err
 	return func(ctx context.Context) (fleet.ScrubResult, error) {
 		det, rec, err := pr.SelfHealContext(ctx)
 		var res fleet.ScrubResult
-		if det != nil && det.HasErrors() {
-			res.ErrorsDetected = true
-			res.Recovered = rec != nil && rec.AllRecovered()
-		} else if err == nil {
-			res.Recovered = true // clean pass: nothing flagged
-		}
+		res.ErrorsDetected, res.Recovered = core.HealOutcome(det, rec, err)
 		return res, err
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"milr/internal/ecc"
 	"milr/internal/nn"
 	"milr/internal/tensor"
+	"milr/internal/zoo"
 )
 
 // NetKind selects one of the paper's evaluation networks (or the test
@@ -172,28 +173,19 @@ type netData struct {
 	train, test []nn.Sample
 }
 
+// kindNetwork names each kind's row in the zoo table.
+var kindNetwork = map[NetKind]string{MNIST: "mnist", CIFARSmall: "cifar-small", CIFARLarge: "cifar-large", Tiny: "tiny"}
+
 // buildModel constructs the (untrained) network and MILR options for a
-// kind, applying the configuration's worker counts to both.
+// kind from its zoo row, applying the configuration's worker counts.
 func buildModel(kind NetKind, cfg Config) (*nn.Model, core.Options, error) {
-	opts := core.DefaultOptions(cfg.Seed)
-	opts.Workers = cfg.Workers
-	var model *nn.Model
-	var err error
-	switch kind {
-	case MNIST:
-		model, err = nn.NewMNISTNet()
-	case CIFARSmall:
-		model, err = nn.NewCIFARSmallNet()
-	case CIFARLarge:
-		model, err = nn.NewCIFARLargeNet()
-		// The paper's cost policy: every conv layer of the large network
-		// uses partial recoverability (§V-D).
-		opts.MaxFullSolveTaps = 1
-	case Tiny:
-		model, err = nn.NewTinyNet()
-	default:
-		return nil, opts, fmt.Errorf("bench: unknown net kind %d", kind)
+	net, err := zoo.Lookup(kindNetwork[kind])
+	if err != nil {
+		return nil, core.Options{}, fmt.Errorf("bench: net kind %d: %w", kind, err)
 	}
+	opts := net.Options(cfg.Seed)
+	opts.Workers = cfg.Workers
+	model, err := net.New()
 	if err != nil {
 		return nil, opts, err
 	}

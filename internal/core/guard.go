@@ -123,22 +123,22 @@ func (g *Guard) scrub(ctx context.Context) {
 		// exits on its next select.
 		return
 	}
+	detected, recovered := HealOutcome(det, rec, err)
 	ev := GuardEvent{Detection: det, Err: err}
-	if det == nil || !det.HasErrors() {
-		rec = nil // a clean scrub performed no recovery
+	if detected {
+		ev.Recovery = rec // stays nil after a clean scrub: no recovery ran
 	}
-	ev.Recovery = rec
 	ev.Elapsed = time.Since(start)
 
 	g.mu.Lock()
 	g.stats.Scrubs++
 	g.stats.Downtime += ev.Elapsed
-	if det != nil && det.HasErrors() {
+	if detected {
 		g.stats.ErrorsDetected++
 	}
-	if rec != nil {
+	if ev.Recovery != nil {
 		g.stats.Recoveries++
-		if !rec.AllRecovered() {
+		if !recovered {
 			g.stats.FailedRecoveries++
 		}
 	}

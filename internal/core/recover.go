@@ -65,8 +65,8 @@ func (r *RecoveryReport) AllRecovered() bool {
 	return true
 }
 
-// Recover runs MILR's error-recovery phase over a detection report:
-// erroneous layers are re-solved in ascending order within each
+// RecoverContext runs MILR's error-recovery phase over a detection
+// report: erroneous layers are re-solved in ascending order within each
 // checkpoint segment (§V-A), each from golden input/output pairs moved
 // to it from the nearest checkpoints by one golden-propagation sweep
 // pair per segment, independent segments concurrent (see
@@ -76,16 +76,13 @@ func (r *RecoveryReport) AllRecovered() bool {
 // recovered" — with several erroneous layers per segment the golden
 // tensors themselves pass through erroneous parameters and recovery
 // accuracy degrades, reproducing the paper's high-RBER outliers.
-func (pr *Protector) Recover(report *DetectionReport) (*RecoveryReport, error) {
-	return pr.RecoverContext(context.Background(), report)
-}
-
-// RecoverContext is Recover with cancellation: the context is checked
-// between layers, so a cancelled or expired context makes recovery
-// return promptly with ctx's error. Cancellation is layer-atomic — each
-// flagged layer is either fully re-solved (the layers recovered before
-// the cancellation landed) or untouched — so the model is always in a
-// consistent state; re-running recovery later finishes the job.
+//
+// The context is checked between layers, so a cancelled or expired
+// context makes recovery return promptly with ctx's error. Cancellation
+// is layer-atomic — each flagged layer is either fully re-solved (the
+// layers recovered before the cancellation landed) or untouched — so
+// the model is always in a consistent state; re-running recovery later
+// finishes the job.
 func (pr *Protector) RecoverContext(ctx context.Context, report *DetectionReport) (*RecoveryReport, error) {
 	pr.mu.Lock()
 	defer pr.mu.Unlock()
@@ -140,6 +137,17 @@ func (pr *Protector) SelfHealContext(ctx context.Context) (*DetectionReport, *Re
 	}
 	span.SetAttr("healed", "true")
 	return det, rec, nil
+}
+
+// HealOutcome folds one SelfHeal cycle into the two facts every scrub
+// scheduler counts: whether detection flagged anything, and whether the
+// model is known good afterwards (a clean pass, or every flagged layer
+// verified). Plain bools: internal/fleet must not import the engine.
+func HealOutcome(det *DetectionReport, rec *RecoveryReport, err error) (errorsDetected, recovered bool) {
+	if det != nil && det.HasErrors() {
+		return true, rec != nil && rec.AllRecovered()
+	}
+	return false, err == nil
 }
 
 // solveConvFinding re-solves a flagged conv layer from a golden pair.

@@ -36,7 +36,7 @@ import (
 // dominance the error amplification factor per step is < 1 and the solve
 // is backward stable.
 func denseDummyRow(seed, tag uint64, i, n, band int) ([]int, []float64) {
-	stream := prng.New(seed ^ mixTag(tag) ^ mixTag(uint64(i)+0x5bd1e995))
+	stream := prng.New(seed ^ prng.Mix(tag) ^ prng.Mix(uint64(i)+0x5bd1e995))
 	width := band
 	if i+width > n {
 		width = n - i
@@ -57,15 +57,6 @@ func denseDummyRow(seed, tag uint64, i, n, band int) ([]int, []float64) {
 	}
 	vals[0] = d
 	return cols, vals
-}
-
-func mixTag(x uint64) uint64 {
-	x ^= x >> 33
-	x *= 0xff51afd7ed558ccd
-	x ^= x >> 33
-	x *= 0xc4ceb9fe1a85ec53
-	x ^= x >> 33
-	return x
 }
 
 // denseDummyOutputs computes C_dummy = A_dummy·B at initialization time,

@@ -91,7 +91,7 @@ func (d *Dataset) Template(class int) *tensor.Tensor { return d.templates[class]
 // Sample produces the idx-th sample of a class deterministically.
 func (d *Dataset) Sample(class, idx int) nn.Sample {
 	cfg := d.cfg
-	stream := prng.New(cfg.Seed ^ mix64(uint64(class)*1_000_003+uint64(idx)+1))
+	stream := prng.New(cfg.Seed ^ prng.Mix(uint64(class)*1_000_003+uint64(idx)+1))
 	sx := 0
 	sy := 0
 	if cfg.MaxShift > 0 {
@@ -132,13 +132,4 @@ func (d *Dataset) TrainTest(trainN, testN int) (train, test []nn.Sample) {
 	train = d.Batch(trainN, 0)
 	test = d.Batch(testN, 1_000_000)
 	return train, test
-}
-
-func mix64(x uint64) uint64 {
-	x ^= x >> 33
-	x *= 0xff51afd7ed558ccd
-	x ^= x >> 33
-	x *= 0xc4ceb9fe1a85ec53
-	x ^= x >> 33
-	return x
 }

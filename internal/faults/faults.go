@@ -178,16 +178,6 @@ func (in *Injector) CiphertextBitFlips(m *nn.Model, rate float64, key []byte) (C
 	return stats, nil
 }
 
-// BitFlipsInto flips bits in a raw float32 slice; used by tests and by
-// callers that target one tensor rather than a whole model.
-func (in *Injector) BitFlipsInto(data []float32, rate float64) int {
-	return in.forEachEvent(len(data)*32, rate, func(idx int) {
-		w := idx / 32
-		b := uint(idx % 32)
-		data[w] = math.Float32frombits(math.Float32bits(data[w]) ^ (1 << b))
-	})
-}
-
 // FlipExactBits flips exactly n distinct randomly chosen bits across the
 // model's parameters; used by the recovery-time experiment (Figure 11)
 // where the x-axis is an exact error count.

@@ -131,7 +131,8 @@ type backend struct {
 	space     chan struct{} // closed+replaced (wakeBlocked) whenever queue slots free up
 	scrubs    int64
 	scrubErr  int64
-	heals     int64         // scrub cycles whose detection pass flagged errors
+	heals     int64         // scrub cycles that flagged errors and verified clean afterwards
+	partial   int64         // scrub cycles that flagged errors and did not
 	scrubTime time.Duration // cumulative wall time spent in completed scrub cycles
 
 	// gone marks an unregistered backend: admission is already
@@ -870,8 +871,11 @@ func (f *Fleet) scrubNext(ctx context.Context) (string, ScrubResult, error) {
 	span.End()
 	f.mu.Lock()
 	b.scrubs++
-	if res.ErrorsDetected {
+	switch {
+	case res.ErrorsDetected && res.Recovered:
 		b.heals++
+	case res.ErrorsDetected:
+		b.partial++
 	}
 	if err != nil {
 		b.scrubErr++

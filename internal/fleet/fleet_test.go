@@ -611,6 +611,39 @@ func TestScrubOnceRoundRobinAndHeals(t *testing.T) {
 	}
 }
 
+// TestPartialHealIsNotAHeal: a cycle that flagged errors and did not
+// verify clean afterwards counts as a partial heal, never as a heal —
+// the daemon must not report a still-corrupt model as repaired.
+func TestPartialHealIsNotAHeal(t *testing.T) {
+	m, _, _ := tinyModel(t, 1, 1)
+	f := fleet.New(fleet.Config{Workers: 1, BatchSize: 1})
+	defer f.Close()
+	outcomes := []fleet.ScrubResult{
+		{ErrorsDetected: true, Recovered: false},
+		{ErrorsDetected: true, Recovered: true},
+		{ErrorsDetected: false, Recovered: true},
+		{ErrorsDetected: true, Recovered: false},
+	}
+	next := 0
+	scrub := func(context.Context) (fleet.ScrubResult, error) {
+		res := outcomes[next]
+		next++
+		return res, nil
+	}
+	if err := f.Register("m", m, fleet.ModelConfig{Scrub: scrub}); err != nil {
+		t.Fatal(err)
+	}
+	for range outcomes {
+		if _, _, err := f.ScrubOnce(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ms := f.Stats().Models["m"]
+	if ms.Scrubs != 4 || ms.Heals != 1 || ms.PartialHeals != 2 {
+		t.Fatalf("scrubs=%d heals=%d partial=%d, want 4/1/2", ms.Scrubs, ms.Heals, ms.PartialHeals)
+	}
+}
+
 func TestAdmissionValidation(t *testing.T) {
 	mA, xsA, _ := tinyModel(t, 1, 1)
 	f := fleet.New(fleet.Config{BatchSize: 2})

@@ -73,9 +73,12 @@ type ModelStats struct {
 	// model (StartGuard ticks plus ScrubOnce calls).
 	Scrubs int64
 	// Heals counts the subset of Scrubs whose detection pass flagged
-	// errors, i.e. cycles that actually repaired (or tried to repair)
-	// corrupted weights rather than verifying a clean model.
+	// errors and whose recovery verified clean (ScrubResult.Recovered):
+	// cycles that repaired corrupted weights, not clean verifications.
 	Heals int64
+	// PartialHeals counts the Scrubs that flagged errors and left
+	// approximate or failed layers behind: the model may answer wrongly.
+	PartialHeals int64
 	// ScrubFailures counts scrub cycles that returned an engine error.
 	ScrubFailures int64
 	// ScrubTime is the cumulative wall time the model's completed scrub
@@ -124,12 +127,11 @@ type Stats struct {
 // backwards.
 func (f *Fleet) Stats() Stats {
 	f.mu.Lock()
+	// What Fleet.mu guards is copied out under it; each collector's
+	// own snapshot is taken after the unlock.
 	backends := make([]*backend, 0, len(f.order))
-	var weights []float64
-	var caps []int
+	var guarded []ModelStats
 	var queued []int
-	var scrubs, heals, scrubErrs []int64
-	var scrubTimes []time.Duration
 	st := Stats{
 		GEMMCalls:    tensor.GEMMCalls(),
 		Swaps:        f.swaps,
@@ -148,11 +150,16 @@ func (f *Fleet) Stats() Stats {
 			continue
 		}
 		backends = append(backends, b)
-		weights = append(weights, b.weight)
-		caps = append(caps, b.cap)
 		queued = append(queued, len(b.pending))
-		scrubs, heals, scrubErrs = append(scrubs, b.scrubs), append(heals, b.heals), append(scrubErrs, b.scrubErr)
-		scrubTimes = append(scrubTimes, b.scrubTime)
+		guarded = append(guarded, ModelStats{
+			Weight:        b.weight,
+			QueueCap:      b.cap,
+			Scrubs:        b.scrubs,
+			Heals:         b.heals,
+			PartialHeals:  b.partial,
+			ScrubFailures: b.scrubErr,
+			ScrubTime:     b.scrubTime,
+		})
 	}
 	f.mu.Unlock()
 	for _, c := range draining {
@@ -163,15 +170,8 @@ func (f *Fleet) Stats() Stats {
 	}
 	st.Models = make(map[string]ModelStats, len(backends))
 	for i, b := range backends {
-		ms := ModelStats{
-			Stats:         b.stats.Snapshot(),
-			Weight:        weights[i],
-			QueueCap:      caps[i],
-			Scrubs:        scrubs[i],
-			Heals:         heals[i],
-			ScrubFailures: scrubErrs[i],
-			ScrubTime:     scrubTimes[i],
-		}
+		ms := guarded[i]
+		ms.Stats = b.stats.Snapshot()
 		ms.Queued = queued[i]
 		st.Models[b.name] = ms
 		st.Rejected += ms.Rejected

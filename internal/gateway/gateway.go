@@ -76,7 +76,7 @@ type Admin interface {
 // build engines through the same code.
 type ModelSpec struct {
 	// Network names the model architecture ("tiny", "mnist", ...); the
-	// Admin implementation resolves it against its builder table.
+	// Admin implementation resolves it against its network table.
 	Network string `json:"network"`
 	// Seed is the deterministic weight-init seed.
 	Seed uint64 `json:"seed"`

@@ -89,6 +89,8 @@ func WriteMetrics(w io.Writer, st fleet.Stats) error {
 			func(ms fleet.ModelStats) int64 { return ms.ScrubFailures }},
 		{"milr_model_heals_total", "Self-heal cycles whose detection pass flagged errors (actual repairs, not clean verifications).",
 			func(ms fleet.ModelStats) int64 { return ms.Heals }},
+		{"milr_model_partial_heals_total", "Self-heal cycles that flagged errors and left approximate or failed layers behind (the model did not verify clean).",
+			func(ms fleet.ModelStats) int64 { return ms.PartialHeals }},
 	}
 	for _, c := range counters {
 		mw.family(c.name, c.help, "counter")

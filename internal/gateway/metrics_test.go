@@ -45,6 +45,7 @@ func goldenStats() fleet.Stats {
 		QueueCap:      8,
 		Scrubs:        5,
 		Heals:         2,
+		PartialHeals:  1,
 		ScrubFailures: 1,
 		ScrubTime:     1250 * time.Millisecond,
 	}

@@ -86,9 +86,6 @@ func (c *Conv2D) Pad() int {
 	return 0
 }
 
-// PaddingMode returns the configured padding policy.
-func (c *Conv2D) PaddingMode() Padding { return c.padding }
-
 // SetInShape implements ShapeAware.
 func (c *Conv2D) SetInShape(in tensor.Shape) error {
 	if _, err := c.OutShape(in); err != nil {

@@ -137,11 +137,12 @@ func (st *Stream) Tensor(shape ...int) *tensor.Tensor {
 // streams from one master seed, so each layer's dummy data has its own
 // reproducible stream without storing per-layer seeds.
 func TensorFor(seed uint64, tag uint64, shape ...int) *tensor.Tensor {
-	return New(seed ^ mix(tag)).Tensor(shape...)
+	return New(seed ^ Mix(tag)).Tensor(shape...)
 }
 
-// mix decorrelates tag values before XOR-ing into the seed.
-func mix(x uint64) uint64 {
+// Mix decorrelates tag values before they are XOR-ed into a seed. Stored
+// checkpoints derive from its streams, so its constants never change.
+func Mix(x uint64) uint64 {
 	x ^= x >> 33
 	x *= 0xff51afd7ed558ccd
 	x ^= x >> 33

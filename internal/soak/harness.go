@@ -102,12 +102,7 @@ func Run(ctx context.Context, cfg Config, sc Scenario, targets []*Target) (*Repo
 			Scrub: func(ctx context.Context) (fleet.ScrubResult, error) {
 				det, rec, err := pr.SelfHealContext(ctx)
 				var res fleet.ScrubResult
-				if det != nil && det.HasErrors() {
-					res.ErrorsDetected = true
-					res.Recovered = rec != nil && rec.AllRecovered()
-				} else if err == nil {
-					res.Recovered = true
-				}
+				res.ErrorsDetected, res.Recovered = core.HealOutcome(det, rec, err)
 				return res, err
 			},
 		}
@@ -262,13 +257,14 @@ func Run(ctx context.Context, cfg Config, sc Scenario, targets []*Target) (*Repo
 	for mi, name := range names {
 		ms := st.Models[name]
 		perModel[mi].Scrubs = ms.Scrubs
-		perModel[mi].Heals = ms.Heals
+		// Heals: every cycle that ran a recovery, as the pinned transcript counts.
+		perModel[mi].Heals = ms.Heals + ms.PartialHeals
 		perModel[mi].ScrubFailures = ms.ScrubFailures
 		perModel[mi].P50 = ms.P50
 		perModel[mi].P99 = ms.P99
 		rep.PerModel[name] = perModel[mi]
 		rep.Scrubs += ms.Scrubs
-		rep.Heals += ms.Heals
+		rep.Heals += perModel[mi].Heals
 		rep.ScrubFailures += ms.ScrubFailures
 	}
 	for _, wm := range rep.PerWindow {

@@ -45,8 +45,8 @@ type ModelSummary struct {
 	Issued, Correct, Wrong int
 	// Injections/Corrupted count the fault events that hit this model.
 	Injections, Corrupted int
-	// Scrubs, Heals and ScrubFailures mirror the fleet's per-model
-	// guard counters (fleet.ModelStats).
+	// Scrubs and ScrubFailures mirror fleet.ModelStats; Heals is every
+	// cycle that found errors to repair (its Heals plus PartialHeals).
 	Scrubs, Heals, ScrubFailures int64
 	// P50/P99 are the model's final served-latency quantiles
 	// (wall-clock, excluded from Transcript).
