@@ -2,6 +2,7 @@ package milr
 
 import (
 	"context"
+	"errors"
 	"time"
 
 	"milr/internal/core"
@@ -139,7 +140,7 @@ func (fl *Fleet) wire(m *Model, pr *Protector, opts []ModelOption) (*Model, flee
 	if pr != nil {
 		m = pr.Model()
 		mc.Gate = pr.Sync
-		mc.Scrub = protectorScrub(pr)
+		mc.Scrub = protectorScrub(pr, nil)
 	}
 	fl.rt.tune(m)
 	return m, mc
@@ -166,12 +167,22 @@ func (fl *Fleet) RegisterProtected(name string, pr *Protector, opts ...ModelOpti
 
 // protectorScrub adapts a Protector's self-heal cycle to the fleet's
 // Scrub hook, folding the detection/recovery reports into a ScrubResult
-// so the fleet can count heals without importing the engine.
-func protectorScrub(pr *Protector) func(context.Context) (fleet.ScrubResult, error) {
+// so the fleet can count heals without importing the engine. onEvent
+// (a Guard's OnEvent, or nil) receives every cycle the fleet counts: not
+// one its context aborted.
+func protectorScrub(pr *Protector, onEvent func(GuardEvent)) func(context.Context) (fleet.ScrubResult, error) {
 	return func(ctx context.Context) (fleet.ScrubResult, error) {
+		start := time.Now()
 		det, rec, err := pr.SelfHealContext(ctx)
 		var res fleet.ScrubResult
 		res.ErrorsDetected, res.Recovered = core.HealOutcome(det, rec, err)
+		if onEvent != nil && !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
+			ev := GuardEvent{Detection: det, Elapsed: time.Since(start), Err: err}
+			if res.ErrorsDetected {
+				ev.Recovery = rec // stays nil after a clean scrub: no recovery ran
+			}
+			onEvent(ev)
+		}
 		return res, err
 	}
 }

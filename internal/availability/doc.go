@@ -23,6 +23,7 @@
 // encryption word and thus a weight. The Td/Tr inputs are measured at
 // the environment's configured worker count (bench.AvailabilityCurve),
 // so the curve reflects what the parallel engine actually achieves, and
-// the guard's GuardStats.Downtime is the live counterpart of the
-// model's downtime numerator.
+// the fleet's per-model ScrubTime (a Guard reports it as
+// GuardStats.Downtime) is the live counterpart of the model's downtime
+// numerator.
 package availability

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"milr/internal/nn"
 	"milr/internal/tensor"
@@ -171,26 +170,6 @@ func TestSelfHealContextCancelMidRecoveryIsLayerAtomic(t *testing.T) {
 				t.Fatalf("layer %d weight %d off by %v after follow-up heal", li, i, d)
 			}
 		}
-	}
-}
-
-func TestGuardContextStopsLoop(t *testing.T) {
-	_, pr := buildProtected(t, 11, 0)
-	ctx, cancel := context.WithCancel(context.Background())
-	g, err := NewGuard(pr, GuardConfig{Interval: time.Millisecond, Context: ctx})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cancel()
-	done := make(chan struct{})
-	go func() {
-		g.Stop()
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("guard did not stop after its context was cancelled")
 	}
 }
 

@@ -38,7 +38,9 @@
 // bit-identical to serial at every worker count. Every long-running
 // phase has a ...Context form whose cancellation is layer-atomic: each
 // flagged layer is either untouched or fully re-solved, never
-// half-written. Guard wraps the phases into the deployment scrub loop,
-// and the serving front-end (internal/serve) interleaves with it by
-// running inference batches under the same lock.
+// half-written. The engine schedules nothing and starts no goroutine of
+// its own: the deployment scrub loop is internal/fleet's guard (the
+// façade's Guard is a fleet of one), which calls SelfHealContext, and
+// the serving front-end interleaves with it by running inference
+// batches under the same lock.
 package core

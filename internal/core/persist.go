@@ -1,9 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"encoding/gob"
 	"fmt"
 	"io"
+	"slices"
 
 	"milr/internal/crc2d"
 	"milr/internal/nn"
@@ -64,10 +66,6 @@ func toPersistedTensor(t *tensor.Tensor) persistedTensor {
 	return persistedTensor{Shape: t.Shape(), Data: append([]float32(nil), t.Data()...)}
 }
 
-func fromPersistedTensor(p persistedTensor) (*tensor.Tensor, error) {
-	return tensor.FromSlice(append([]float32(nil), p.Data...), p.Shape...)
-}
-
 // Save writes the protector's stored state (the paper's error-resistant
 // storage contents) to w. Safe to call while a Guard is scrubbing.
 func (pr *Protector) Save(w io.Writer) error {
@@ -118,9 +116,28 @@ func (pr *Protector) Save(w io.Writer) error {
 // count, types, shapes); its *current* parameters are whatever survived
 // in fault-prone memory and may already be corrupted — that is the
 // point: detection and recovery work immediately after loading.
+//
+// The state itself is untrusted input: every checkpoint boundary, solver
+// mode and stored artifact must be one initialization could have
+// produced for this model and the state's options, or LoadProtector
+// returns an error naming the layer and artifact — a blob that decodes
+// but disagrees with the plan would otherwise crash the first scrub.
 func LoadProtector(r io.Reader, model *nn.Model) (*Protector, error) {
+	blob, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("core: load protector: %w", err)
+	}
+	// gob sizes a map from its declared length before reading any entry,
+	// so a forged length in the checkpoint map would allocate without
+	// bound. A first pass that skips everything but the version reads and
+	// discards the entries instead, and fails on a length the input
+	// cannot back.
+	var skim struct{ Version int }
+	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&skim); err != nil {
+		return nil, fmt.Errorf("core: load protector: %w", err)
+	}
 	var st persistedState
-	if err := gob.NewDecoder(r).Decode(&st); err != nil {
+	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&st); err != nil {
 		return nil, fmt.Errorf("core: load protector: %w", err)
 	}
 	if st.Version != persistVersion {
@@ -134,15 +151,19 @@ func LoadProtector(r io.Reader, model *nn.Model) (*Protector, error) {
 		return nil, err
 	}
 	pr := &Protector{model: model, plan: pl, opts: st.Opts}
-	pl.boundarySet = append([]int(nil), st.Boundaries...)
-	// Sorted so a corrupt state file reports the same (lowest) boundary
-	// regardless of map iteration order.
-	for _, b := range xmaps.SortedKeys(st.Stored) {
-		t, err := fromPersistedTensor(st.Stored[b])
-		if err != nil {
-			return nil, fmt.Errorf("core: load boundary %d: %w", b, err)
+	// The boundary set is a function of the model and the options alone.
+	if !slices.Equal(st.Boundaries, pl.boundarySet) {
+		return nil, fmt.Errorf("core: state has checkpoint boundaries %v, plan has %v", st.Boundaries, pl.boundarySet)
+	}
+	// Every boundary but the seed-regenerated position 0 is stored.
+	if len(st.Stored) != len(pl.boundarySet)-1 {
+		return nil, fmt.Errorf("core: state stores %d boundary checkpoints, plan has %d", len(st.Stored), len(pl.boundarySet)-1)
+	}
+	for _, b := range pl.boundarySet[1:] {
+		p := st.Stored[b]
+		if pl.stored[b], err = loadTensor(fmt.Sprintf("boundary %d checkpoint", b), p.Data, p.Shape, model.LayerInShape(b)); err != nil {
+			return nil, err
 		}
-		pl.stored[b] = t
 	}
 	if len(st.Layers) != len(pl.layers) {
 		return nil, fmt.Errorf("core: state has %d layer entries, plan has %d", len(st.Layers), len(pl.layers))
@@ -152,47 +173,81 @@ func LoadProtector(r io.Reader, model *nn.Model) (*Protector, error) {
 		if sl.Idx != lp.idx || roleKind(sl.Role) != lp.role {
 			return nil, fmt.Errorf("core: layer %d role mismatch: state %d, model %s", i, sl.Role, lp.role)
 		}
+		name := fmt.Sprintf("layer %d (%s) ", i, model.Layer(i).Name())
+		// The rank probe may only demote a full-solve conv to partial
+		// mode; no other layer solves filters at all.
+		if lp.role == roleConv && (sl.FullSolve && !lp.fullSolve || sl.PartialMode == sl.FullSolve) ||
+			lp.role != roleConv && (sl.FullSolve || sl.PartialMode) {
+			return nil, fmt.Errorf("core: load %ssolver mode: full=%v partial=%v, plan allows full=%v",
+				name, sl.FullSolve, sl.PartialMode, lp.fullSolve)
+		}
 		lp.fullSolve = sl.FullSolve
 		lp.partialMode = sl.PartialMode
 		lp.biasSum = sl.BiasSum
 		lp.detectTag = tagDetect + uint64(lp.idx)
 		lp.denseTag = tagDenseDummy + uint64(lp.idx)
 		lp.dummyTag = tagConvDummy + uint64(lp.idx)
-		if sl.Partial != nil {
-			t, err := tensor.FromSlice(append([]float32(nil), sl.Partial...), len(sl.Partial))
-			if err != nil {
-				return nil, err
+		// What initLayer stores for this role and solver mode; nil: none.
+		var partial, dummyOut, denseDummy tensor.Shape
+		crcs := 0
+		switch lp.role {
+		case roleConv:
+			partial = tensor.Shape{lp.conv.Filters()}
+			if lp.dummyFilters > 0 {
+				dummyOut = tensor.Shape{lp.g2, lp.dummyFilters}
 			}
-			lp.partial = t
-		}
-		if sl.DummyOut != nil {
-			t, err := tensor.FromSlice(append([]float32(nil), sl.DummyOut...), sl.DummyShape...)
-			if err != nil {
-				return nil, err
+			if lp.partialMode {
+				crcs = lp.conv.FilterSize() * lp.conv.FilterSize()
 			}
-			lp.dummyOut = t
+		case roleDense:
+			partial, denseDummy = tensor.Shape{lp.dense.Out()}, tensor.Shape{lp.dense.In(), lp.dense.Out()}
+		case roleAffine:
+			partial = tensor.Shape{2 * lp.affine.Width()}
 		}
-		if sl.DenseDummy != nil {
-			t, err := tensor.FromSlice(append([]float32(nil), sl.DenseDummy...), sl.DenseShape...)
-			if err != nil {
-				return nil, err
-			}
-			lp.denseDummyOut = t
+		if lp.partial, err = loadTensor(name+"partial checkpoint", sl.Partial, []int{len(sl.Partial)}, partial); err != nil {
+			return nil, err
 		}
-		if len(sl.CRCs) > 0 {
-			codes := make([]*crc2d.Code, len(sl.CRCs))
+		if lp.dummyOut, err = loadTensor(name+"dummy outputs", sl.DummyOut, sl.DummyShape, dummyOut); err != nil {
+			return nil, err
+		}
+		if lp.denseDummyOut, err = loadTensor(name+"dense dummy outputs", sl.DenseDummy, sl.DenseShape, denseDummy); err != nil {
+			return nil, err
+		}
+		if len(sl.CRCs) != crcs {
+			return nil, fmt.Errorf("core: load %sCRC codes: %d stored, want %d", name, len(sl.CRCs), crcs)
+		}
+		if crcs > 0 {
+			codes := make([]*crc2d.Code, crcs)
+			z, y := lp.conv.InChannels(), lp.conv.Filters()
 			for j, pc := range sl.CRCs {
-				code, err := restoreCode(pc)
-				if err != nil {
-					return nil, fmt.Errorf("core: load CRC %d of layer %d: %w", j, i, err)
+				if pc.Rows != z || pc.Cols != y || pc.Group != st.Opts.CRCGroup {
+					return nil, fmt.Errorf("core: load %sCRC code %d: %dx%d group %d, want %dx%d group %d",
+						name, j, pc.Rows, pc.Cols, pc.Group, z, y, st.Opts.CRCGroup)
 				}
-				codes[j] = code
+				if codes[j], err = restoreCode(pc); err != nil {
+					return nil, fmt.Errorf("core: load %sCRC code %d: %w", name, j, err)
+				}
 			}
 			lp.crcs = codes
 			lp.crcsClean = codes
 		}
 	}
 	return pr, nil
+}
+
+// loadTensor rebuilds one stored artifact after checking it against the
+// shape initialization gives it; want == nil means none is stored.
+func loadTensor(artifact string, data []float32, shape []int, want tensor.Shape) (*tensor.Tensor, error) {
+	if want == nil {
+		if len(data) > 0 {
+			return nil, fmt.Errorf("core: load %s: %d values stored, plan has none", artifact, len(data))
+		}
+		return nil, nil
+	}
+	if !want.Equal(shape) || len(data) != want.NumElements() {
+		return nil, fmt.Errorf("core: load %s: shape %v with %d values, want %v", artifact, tensor.Shape(shape), len(data), want)
+	}
+	return tensor.FromSlice(append([]float32(nil), data...), want...)
 }
 
 func persistCode(c *crc2d.Code) persistedCode {

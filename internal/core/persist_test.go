@@ -5,12 +5,11 @@ import (
 	"encoding/gob"
 	"math"
 	"reflect"
-	"sync"
 	"testing"
-	"time"
 
 	"milr/internal/faults"
 	"milr/internal/nn"
+	"milr/internal/tensor"
 )
 
 func TestSaveLoadRoundTrip(t *testing.T) {
@@ -245,83 +244,159 @@ func TestPartialModeStateSurvivesPersistence(t *testing.T) {
 	}
 }
 
-func TestGuardDetectsAndRecovers(t *testing.T) {
-	m, pr := tinyProtected(t, 55)
-	clean := m.Snapshot()
-	var mu sync.Mutex
-	var events []GuardEvent
-	g, err := NewGuard(pr, GuardConfig{
-		Interval: time.Hour, // never fires on its own during the test
-		OnEvent: func(ev GuardEvent) {
-			mu.Lock()
-			events = append(events, ev)
-			mu.Unlock()
-		},
-	})
-	if err != nil {
+// reencode decodes a saved blob, applies corrupt, and encodes the result:
+// a blob that still decodes, with one artifact off-plan.
+func reencode(t testing.TB, blob []byte, corrupt func(*persistedState)) []byte {
+	t.Helper()
+	var st persistedState
+	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
-	defer g.Stop()
-
-	// Clean scrub.
-	g.ScrubNow()
-	// Corrupt, scrub again.
-	conv := m.Layer(0).(*nn.Conv2D)
-	conv.Params().Data()[0] += 25
-	g.ScrubNow()
-
-	stats := g.Stats()
-	if stats.Scrubs != 2 {
-		t.Errorf("scrubs %d, want 2", stats.Scrubs)
+	corrupt(&st)
+	var out bytes.Buffer
+	if err := gob.NewEncoder(&out).Encode(&st); err != nil {
+		t.Fatal(err)
 	}
-	if stats.ErrorsDetected != 1 || stats.Recoveries != 1 {
-		t.Errorf("stats %+v", stats)
-	}
-	if stats.FailedRecoveries != 0 {
-		t.Errorf("failed recoveries %d", stats.FailedRecoveries)
-	}
-	if stats.Downtime <= 0 {
-		t.Error("no downtime recorded")
-	}
-	mu.Lock()
-	n := len(events)
-	mu.Unlock()
-	if n != 2 {
-		t.Errorf("events %d, want 2", n)
-	}
-	if diff := maxParamDiff(clean, m.Snapshot()); diff > 1e-3 {
-		t.Errorf("weights off by %g after guard recovery", diff)
-	}
+	return out.Bytes()
 }
 
-func TestGuardRunsOnSchedule(t *testing.T) {
-	_, pr := tinyProtected(t, 56)
-	g, err := NewGuard(pr, GuardConfig{Interval: 5 * time.Millisecond})
+// TestLoadRejectsOffPlanArtifacts: LoadProtector used to accept a blob
+// whose artifacts disagree with the plan, and the first SelfHeal after a
+// weight flip then panicked with an index out of range. Each such blob
+// must now fail to load (the error names the layer and the artifact).
+func TestLoadRejectsOffPlanArtifacts(t *testing.T) {
+	m, err := nn.NewTinyPartialNet()
 	if err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.After(2 * time.Second)
-	for g.Stats().Scrubs < 2 {
-		select {
-		case <-deadline:
-			g.Stop()
-			t.Fatalf("guard performed %d scrubs in 2s", g.Stats().Scrubs)
-		default:
-			time.Sleep(time.Millisecond)
+	m.InitWeights(59)
+	pr, err := NewProtector(m, DefaultOptions(59))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var saved bytes.Buffer
+	if err := pr.Save(&saved); err != nil {
+		t.Fatal(err)
+	}
+	// The control: re-encoding alone keeps a blob loadable, so each
+	// rejection below is the corruption's.
+	if _, err := LoadProtector(bytes.NewReader(reencode(t, saved.Bytes(), func(*persistedState) {})), m); err != nil {
+		t.Fatalf("re-encoded blob rejected: %v", err)
+	}
+	// firstLayer returns the first layer entry with the artifact.
+	firstLayer := func(st *persistedState, has func(persistedLayer) bool) *persistedLayer {
+		for i := range st.Layers {
+			if has(st.Layers[i]) {
+				return &st.Layers[i]
+			}
 		}
+		t.Fatal("no layer stores the artifact; test is vacuous")
+		return nil
 	}
-	g.Stop()
-	// After Stop, no further scrubs.
-	n := g.Stats().Scrubs
-	time.Sleep(20 * time.Millisecond)
-	if g.Stats().Scrubs != n {
-		t.Error("guard scrubbed after Stop")
+	for _, c := range []struct {
+		name, artifact string
+		corrupt        func(*persistedState)
+	}{
+		{"partial cut to one value", "partial checkpoint", func(st *persistedState) {
+			l := firstLayer(st, func(l persistedLayer) bool { return len(l.Partial) > 1 })
+			l.Partial = l.Partial[:1]
+		}},
+		{"CRCs cut to one code", "CRC codes", func(st *persistedState) {
+			l := firstLayer(st, func(l persistedLayer) bool { return len(l.CRCs) > 1 })
+			l.CRCs = l.CRCs[:1]
+		}},
+		{"dense dummy outputs reshaped", "dense dummy outputs", func(st *persistedState) {
+			l := firstLayer(st, func(l persistedLayer) bool { return l.DenseDummy != nil })
+			l.DenseShape = []int{l.DenseShape[1], l.DenseShape[0]}
+		}},
+		{"partial mode cleared", "solver mode", func(st *persistedState) {
+			l := firstLayer(st, func(l persistedLayer) bool { return l.PartialMode })
+			l.PartialMode = false
+		}},
+		{"boundary checkpoint truncated", "boundary", func(st *persistedState) {
+			b := st.Boundaries[len(st.Boundaries)-1]
+			p := st.Stored[b]
+			st.Stored[b] = persistedTensor{Shape: p.Shape, Data: p.Data[:len(p.Data)-1]}
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			blob := reencode(t, saved.Bytes(), c.corrupt)
+			_, err := LoadProtector(bytes.NewReader(blob), m)
+			if err == nil {
+				t.Fatalf("blob with off-plan %s loaded", c.artifact)
+			}
+			t.Logf("rejected: %v", err)
+		})
 	}
 }
 
-func TestGuardValidation(t *testing.T) {
-	_, pr := tinyProtected(t, 57)
-	if _, err := NewGuard(pr, GuardConfig{Interval: 0}); err == nil {
-		t.Fatal("zero interval accepted")
+// microNet is a model small enough to keep the fuzzer's mutations and
+// minimizations cheap (a blob of about a kilobyte) that still stores a
+// partial-mode conv's CRC codes (G² = 4 < F²Z = 18), a bias sum, a
+// dense layer's dummy outputs and two boundary checkpoints.
+func microNet() (*nn.Model, error) {
+	conv, err := nn.NewConv2D(3, 2, 3, 1, nn.Valid)
+	if err != nil {
+		return nil, err
 	}
+	bias, err := nn.NewBias(3)
+	if err != nil {
+		return nil, err
+	}
+	dense, err := nn.NewDense(12, 2)
+	if err != nil {
+		return nil, err
+	}
+	return nn.NewModel(tensor.Shape{4, 4, 2}, conv, bias, nn.NewFlatten(), dense)
+}
+
+// FuzzLoadProtector: saved protector blobs are untrusted input. Whatever
+// LoadProtector accepts must survive weight flips and a SelfHeal; the
+// contract is an error, never a panic. The seed is a tiny protector's
+// Save output.
+func FuzzLoadProtector(f *testing.F) {
+	m, err := microNet()
+	if err != nil {
+		f.Fatal(err)
+	}
+	m.InitWeights(60)
+	pr, err := NewProtector(m, DefaultOptions(60))
+	if err != nil {
+		f.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := pr.Save(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	// Options whose index arithmetic overflowed in the heal: a dense band
+	// near MaxInt, and a CRC group far beyond the matrix it groups.
+	f.Add(reencode(f, buf.Bytes(), func(st *persistedState) { st.Opts.DenseBand = math.MaxInt }))
+	f.Add(reencode(f, buf.Bytes(), func(st *persistedState) {
+		st.Opts.CRCGroup = 1 << 40
+		for i := range st.Layers {
+			for j := range st.Layers[i].CRCs {
+				c := &st.Layers[i].CRCs[j]
+				c.Group, c.RowCRC, c.ColCRC = st.Opts.CRCGroup, make([]uint8, c.Rows), make([]uint8, c.Cols)
+			}
+		}
+	}))
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		m, err := microNet()
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.InitWeights(60)
+		pr, err := LoadProtector(bytes.NewReader(blob), m)
+		if err != nil {
+			return
+		}
+		for _, l := range m.Layers() {
+			if p, ok := l.(nn.Parameterized); ok {
+				w := p.Params().Data()
+				w[0] = math.Float32frombits(math.Float32bits(w[0]) ^ 1<<30)
+			}
+		}
+		_, _, _ = pr.SelfHeal() // any error is fine; a panic is not
+	})
 }

@@ -38,7 +38,7 @@ import (
 func denseDummyRow(seed, tag uint64, i, n, band int) ([]int, []float64) {
 	stream := prng.New(seed ^ prng.Mix(tag) ^ prng.Mix(uint64(i)+0x5bd1e995))
 	width := band
-	if i+width > n {
+	if width > n-i { // not i+width > n: a loaded band may be near MaxInt
 		width = n - i
 	}
 	cols := make([]int, width)

@@ -92,8 +92,9 @@ func (c *Code) fill(values []float32, rowCRC, colCRC []uint8) {
 			rowCRC[r*cgroups+g] = crcOfValues(values[r*c.cols+lo : r*c.cols+hi])
 		}
 	}
-	// Vertical: along each column, groups of `group` rows.
-	buf := make([]float32, group)
+	// Vertical: along each column, groups of `group` rows. A group never
+	// holds more than every row (a persisted group may be huge).
+	buf := make([]float32, min(group, c.rows))
 	for col := 0; col < c.cols; col++ {
 		for g := 0; g*group < c.rows; g++ {
 			lo := g * group

@@ -183,9 +183,8 @@ type Fleet struct {
 	// the runnable set are clamped up to it, so neither a newly
 	// registered model nor one returning from a long idle spell can
 	// replay its saved-up credit and monopolize the budget.
-	vtime   float64
-	closed  bool
-	guardOn bool
+	vtime  float64
+	closed bool
 	// Lifecycle counters (swaps = Replace calls, unregistered =
 	// Unregister calls) and the retired totals: when an unregistered
 	// backend finishes draining, its admission counters fold into
@@ -202,9 +201,11 @@ type Fleet struct {
 	// notify carries "something changed" wake-ups to the dispatcher; a
 	// buffer of one is enough because the dispatcher re-examines every
 	// queue on each wake-up.
-	notify    chan struct{}
-	done      chan struct{} // dispatcher exited
-	closedCh  chan struct{} // closed by Close; stops the guard loop
+	notify   chan struct{}
+	done     chan struct{} // dispatcher exited
+	closedCh chan struct{} // closed by Close; stops the guard loop
+	// guardDone is the latest guard loop's exit signal (nil before the
+	// first StartGuard). A loop runs exactly while it is open.
 	guardDone chan struct{}
 
 	// closeOnce makes Close idempotent: the shutdown sequence runs
@@ -779,43 +780,59 @@ func (f *Fleet) execute(b *backend, eng engine, batch []*serve.Request) {
 // it picks the next self-healing model (round-robin over the models
 // registered with a Scrub hook, including ones registered later) and
 // runs its scrub. Each scrub executes under that model's own engine
-// lock, so it interleaves with that model's inference batches exactly
-// like a per-model Guard would — and never touches the other models.
+// lock, so it interleaves with that model's inference batches and never
+// touches the other models. It is the tree's only scrub scheduler: the
+// façade's Guard is this loop over a fleet of one.
 // The loop stops when ctx is done or the fleet closes; at most one
-// guard may run per fleet.
+// guard runs per fleet at a time, and once a loop has stopped with its
+// context a new one may be started.
 func (f *Fleet) StartGuard(ctx context.Context, interval time.Duration) error {
 	if interval <= 0 {
 		return fmt.Errorf("fleet: guard interval must be positive, got %v", interval)
 	}
 	f.mu.Lock()
+	defer f.mu.Unlock()
 	if f.closed {
-		f.mu.Unlock()
 		return ErrClosed
 	}
-	if f.guardOn {
-		f.mu.Unlock()
-		return fmt.Errorf("fleet: guard already running")
-	}
-	n := 0
-	for _, b := range f.order {
-		if b.scrub != nil && !b.gone {
-			n++
+	if f.guardDone != nil {
+		select {
+		case <-f.guardDone:
+		default:
+			return fmt.Errorf("fleet: guard already running")
 		}
 	}
-	if n == 0 {
-		f.mu.Unlock()
-		return fmt.Errorf("fleet: no self-healing models registered (none has a Scrub hook)")
+	if _, err := f.scrubbableLocked(); err != nil {
+		return err
 	}
-	f.guardOn = true
-	f.guardDone = make(chan struct{})
-	f.mu.Unlock()
-	go f.guardLoop(ctx, interval)
+	// The loop closes the channel it was started with, never the field:
+	// a finished loop must not close its successor's signal.
+	done := make(chan struct{})
+	f.guardDone = done
+	go f.guardLoop(ctx, interval, done)
 	return nil
 }
 
-// guardLoop round-robins scrubs across self-healing models.
-func (f *Fleet) guardLoop(ctx context.Context, interval time.Duration) {
-	defer close(f.guardDone)
+// scrubbableLocked returns the live self-healing models (those with a
+// Scrub hook) in registration order, or the error the guard and
+// ScrubOnce report when there are none. Caller holds f.mu.
+func (f *Fleet) scrubbableLocked() ([]*backend, error) {
+	var out []*backend
+	for _, b := range f.order {
+		if b.scrub != nil && !b.gone {
+			out = append(out, b)
+		}
+	}
+	if len(out) == 0 {
+		return nil, fmt.Errorf("fleet: no self-healing models registered (none has a Scrub hook)")
+	}
+	return out, nil
+}
+
+// guardLoop round-robins scrubs across self-healing models until ctx is
+// done or the fleet closes, then closes done.
+func (f *Fleet) guardLoop(ctx context.Context, interval time.Duration, done chan struct{}) {
+	defer close(done)
 	ticker := time.NewTicker(interval)
 	defer ticker.Stop()
 	for {
@@ -836,15 +853,10 @@ func (f *Fleet) guardLoop(ctx context.Context, interval time.Duration) {
 // core of the guard tick and ScrubOnce.
 func (f *Fleet) scrubNext(ctx context.Context) (string, ScrubResult, error) {
 	f.mu.Lock()
-	var scrubbable []*backend
-	for _, b := range f.order {
-		if b.scrub != nil && !b.gone {
-			scrubbable = append(scrubbable, b)
-		}
-	}
-	if len(scrubbable) == 0 {
+	scrubbable, err := f.scrubbableLocked()
+	if err != nil {
 		f.mu.Unlock()
-		return "", ScrubResult{}, fmt.Errorf("fleet: no self-healing models registered (none has a Scrub hook)")
+		return "", ScrubResult{}, err
 	}
 	b := scrubbable[f.scrubIdx%len(scrubbable)]
 	f.scrubIdx++

@@ -549,6 +549,56 @@ func TestGuardRoundRobin(t *testing.T) {
 	}
 }
 
+// TestGuardRestartsAfterContextEnds: a guard loop that stopped with its
+// context frees the fleet for a new one, which scrubs on its own
+// schedule; Close joins that successor.
+func TestGuardRestartsAfterContextEnds(t *testing.T) {
+	m, _, _ := tinyModel(t, 1, 1)
+	f := fleet.New(fleet.Config{Workers: 1, BatchSize: 1})
+	defer f.Close()
+	scrub := func(context.Context) (fleet.ScrubResult, error) {
+		return fleet.ScrubResult{Recovered: true}, nil
+	}
+	if err := f.Register("m", m, fleet.ModelConfig{Scrub: scrub}); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	if err := f.StartGuard(ctx, time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	cancel()
+	// The first loop exits asynchronously; until it has, a restart is
+	// still refused as "already running".
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		err := f.StartGuard(context.Background(), time.Millisecond)
+		if err == nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("StartGuard after the first guard's context ended: %v", err)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	for f.Stats().Models["m"].Scrubs < 2 {
+		if time.Now().After(deadline) {
+			t.Fatalf("restarted guard did not scrub: %+v", f.Stats().Models["m"])
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := f.StartGuard(context.Background(), time.Millisecond); err == nil {
+		t.Fatal("second StartGuard accepted while the restarted guard runs")
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	n := f.Stats().Models["m"].Scrubs
+	time.Sleep(5 * time.Millisecond)
+	if got := f.Stats().Models["m"].Scrubs; got != n {
+		t.Fatalf("restarted guard scrubbed after Close: %d, then %d", n, got)
+	}
+}
+
 // TestScrubOnceRoundRobinAndHeals pins the synchronous scrub surface:
 // ScrubOnce walks the same round-robin cursor the guard uses, returns
 // the scrubbed model's name and result, and Heals counts exactly the

@@ -24,8 +24,6 @@ var exceptions = []Exception{
 	// one goroutine per subsystem with an explicit join.
 	{Rule: "nakedgo", Path: "internal/fleet/fleet.go",
 		Why: "the tree's one dispatcher goroutine + guard loop, both joined by Close (drain-on-close contract)"},
-	{Rule: "nakedgo", Path: "internal/core/guard.go",
-		Why: "guard ticker loop, joined by Stop"},
 	{Rule: "nakedgo", Path: "cmd/milr-gateway/main.go",
 		Why: "http.Serve error pump, joined by Shutdown in the drain sequence"},
 	{Rule: "nakedgo", Path: "cmd/milr-fleet/main.go",

@@ -74,7 +74,6 @@ package milr
 
 import (
 	"context"
-	"fmt"
 	"io"
 	"time"
 
@@ -115,15 +114,6 @@ type (
 	Tensor = tensor.Tensor
 	// Shape describes tensor extents, outermost dimension first.
 	Shape = tensor.Shape
-
-	// Guard runs detection on a schedule and recovers automatically.
-	Guard = core.Guard
-	// GuardConfig configures NewGuard (interval, event hook, context).
-	GuardConfig = core.GuardConfig
-	// GuardStats aggregates scrub/recovery counts and downtime.
-	GuardStats = core.GuardStats
-	// GuardEvent describes one scrub cycle.
-	GuardEvent = core.GuardEvent
 
 	// ServerStats is a Server.Stats snapshot: request counters, the
 	// batch-fill (coalescing) histogram, queue depth, and p50/p99
@@ -344,20 +334,6 @@ func (rt *Runtime) Evaluate(ctx context.Context, m *Model, samples []Sample) (fl
 	return nn.EvaluateBatchContext(ctx, m, samples, rt.batch)
 }
 
-// Guard starts a background scrub loop over a protected model under the
-// given context: the loop exits once ctx is done (Stop also still
-// works), and in-flight scrub cycles are cancelled layer-atomically.
-// The guard's context comes from the ctx argument; setting
-// GuardConfig.Context as well is rejected rather than silently
-// overridden.
-func (rt *Runtime) Guard(ctx context.Context, pr *Protector, cfg GuardConfig) (*Guard, error) {
-	if cfg.Context != nil && cfg.Context != ctx {
-		return nil, fmt.Errorf("milr: pass the guard's context either to Runtime.Guard or in GuardConfig.Context, not both")
-	}
-	cfg.Context = ctx
-	return core.NewGuard(pr, cfg)
-}
-
 // Server coalesces concurrent Predict calls into batched GEMMs over one
 // model. It is a fleet of one: the same dispatcher, coalescing window,
 // admission control and drain-on-close as Fleet, holding a single model
@@ -445,14 +421,6 @@ func (s *Server) Stats() ServerStats {
 // in-flight Predict/PredictBatch calls.
 func (s *Server) Close() error {
 	return s.f.Close()
-}
-
-// NewGuard starts a background scrub loop over a protected model; call
-// Stop to shut it down. This is the deployment loop behind the paper's
-// availability–accuracy trade-off (§V-E). Set GuardConfig.Context (or
-// use Runtime.Guard) to bound its lifetime with a context.
-func NewGuard(pr *Protector, cfg GuardConfig) (*Guard, error) {
-	return core.NewGuard(pr, cfg)
 }
 
 // SaveProtector persists a protector's golden data (what the paper keeps
