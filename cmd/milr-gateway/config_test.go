@@ -74,15 +74,29 @@ func TestBootRejectsBadConfig(t *testing.T) {
 		"duplicate name in config":   {"-models-config", write("dup.json", `{"models":[{"name":"a","network":"tiny"},{"name":"a","network":"mnist"}]}`)},
 		"unknown field in config":    {"-models-config", write("field.json", `{"models":[{"name":"a","network":"tiny","replicas":2}]}`)},
 		"empty config":               {"-models-config", write("empty.json", `{"models":[]}`)},
+		"second document in config": {"-models-config", write("two.json",
+			`{"models":[{"name":"a","network":"tiny"}]}`+"\n"+`{"models":[{"name":"b","network":"nosuchnet"}]}`)},
 	}
 	for name, args := range cases {
-		ready := make(chan string, 1)
-		err := run(context.Background(), append([]string{"-addr", "127.0.0.1:0"}, args...), ready)
+		ctx, cancel := context.WithCancel(context.Background())
+		ready, opened := make(chan string, 1), make(chan string, 1)
+		go func() {
+			select {
+			case addr := <-ready:
+				// A boot that wrongly succeeded shuts down instead of
+				// serving until the test binary times out.
+				opened <- addr
+				cancel()
+			case <-ctx.Done():
+			}
+		}()
+		err := run(ctx, append([]string{"-addr", "127.0.0.1:0"}, args...), ready)
+		cancel()
 		if err == nil {
 			t.Errorf("%s: run returned nil", name)
 		}
 		select {
-		case addr := <-ready:
+		case addr := <-opened:
 			t.Errorf("%s: the listener opened on %s", name, addr)
 		default:
 		}

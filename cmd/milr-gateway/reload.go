@@ -3,7 +3,6 @@ package main
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"log"
 	"os"
@@ -51,9 +50,7 @@ func loadModelsConfig(path string) ([]namedSpec, error) {
 // touching the fleet.
 func parseModelsConfig(raw []byte) ([]namedSpec, error) {
 	var mf modelsFile
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&mf); err != nil {
+	if err := gateway.DecodeStrict(bytes.NewReader(raw), &mf); err != nil {
 		return nil, err
 	}
 	if len(mf.Models) == 0 {

@@ -220,21 +220,6 @@ func (pr *Protector) convProbeStatus(lp *layerPlan, out *tensor.Tensor) Recovery
 	return Recovered
 }
 
-// recoverDense recovers a dense layer that no golden propagation has
-// to pass through: solve, then verify with a dedicated probe pass.
-func (pr *Protector) recoverDense(lp *layerPlan, f LayerFinding) (RecoveryResult, error) {
-	res, ok := pr.solveDenseFinding(lp, f)
-	if !ok {
-		return res, nil
-	}
-	out, err := lp.dense.RecoveryForward(pr.denseProbeInput(lp))
-	if err != nil {
-		return res, fmt.Errorf("core: detect dense layer %d: %w", lp.idx, err)
-	}
-	pr.denseProbeResult(lp, out, &res)
-	return res, nil
-}
-
 // solveDenseFinding re-solves a flagged dense layer's columns from the
 // stored dummy outputs (no golden propagation needed). ok reports
 // whether the solve succeeded and verification is still pending; on

@@ -14,7 +14,9 @@ import (
 // checkpoints and verifies with a dedicated probe pass. It lives in a
 // _test.go file so that no user, flag or persisted blob can select it;
 // the function bodies are the product code of the commit that retired
-// Options.SequentialRecovery, unedited.
+// Options.SequentialRecovery, unedited (recoverDense moved here later,
+// also unedited, once the sweep verified dense layers through
+// recoverSweptLayer).
 
 // selfHealOracle is SelfHeal with the recovery phase run by the oracle:
 // detection, then recoverSequential over the sorted findings, as one
@@ -83,6 +85,21 @@ func (pr *Protector) recoverConv(lp *layerPlan, f LayerFinding) (RecoveryResult,
 		return res, err
 	}
 	res.Status = pr.verifyConv(lp)
+	return res, nil
+}
+
+// recoverDense recovers a dense layer that no golden propagation has
+// to pass through: solve, then verify with a dedicated probe pass.
+func (pr *Protector) recoverDense(lp *layerPlan, f LayerFinding) (RecoveryResult, error) {
+	res, ok := pr.solveDenseFinding(lp, f)
+	if !ok {
+		return res, nil
+	}
+	out, err := lp.dense.RecoveryForward(pr.denseProbeInput(lp))
+	if err != nil {
+		return res, fmt.Errorf("core: detect dense layer %d: %w", lp.idx, err)
+	}
+	pr.denseProbeResult(lp, out, &res)
 	return res, nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"milr/internal/nn"
 	"milr/internal/par"
 	"milr/internal/tensor"
 )
@@ -25,9 +26,9 @@ import (
 //     then carrying the propagation on *through the recovered layer* —
 //     and for the GEMM layers (conv, dense) the continuation is stacked
 //     with the layer's post-recovery verification probe into a single
-//     pooled GEMM (nn.RecoveryForwardBatch, the stacked-batch
-//     product), so propagation and verification cost one kernel
-//     invocation, not two;
+//     pooled GEMM (the layer's ForwardBatch, which is also its
+//     recovery-mode pass), so propagation and verification cost one
+//     kernel invocation, not two;
 //   - segments share nothing but read-only checkpoints, so they recover
 //     concurrently on the engine's worker pool (Options.Workers).
 //
@@ -190,9 +191,9 @@ func (pr *Protector) recoverSegment(ctx context.Context, seg segment, fs []Layer
 	}
 
 	// Flagged layers past lastIn need no golden propagation (dense, by
-	// construction): solve from stored dummy outputs and verify with a
-	// standalone probe, exactly one GEMM each, with no propagation
-	// spent reaching them.
+	// construction): solve from stored dummy outputs and verify with the
+	// probe alone, exactly one GEMM each, with no propagation spent
+	// reaching them.
 	for i := range fs {
 		f := &fs[i]
 		if f.Layer <= lastIn {
@@ -201,11 +202,7 @@ func (pr *Protector) recoverSegment(ctx context.Context, seg segment, fs []Layer
 		if err := checkCtx(); err != nil {
 			return results, err
 		}
-		lp := pr.plan.layers[f.Layer]
-		if lp.role != roleDense {
-			return results, fmt.Errorf("core: finding for non-parameterized layer %d", f.Layer)
-		}
-		res, err := pr.recoverDense(lp, *f)
+		res, _, err := pr.recoverSweptLayer(pr.plan.layers[f.Layer], f, nil, nil, false)
 		if err != nil {
 			return results, err
 		}
@@ -214,12 +211,12 @@ func (pr *Protector) recoverSegment(ctx context.Context, seg segment, fs []Layer
 	return results, nil
 }
 
-// recoverSweptLayer re-solves one flagged layer reached by the forward
-// sweep, verifies it, and — when propagate is set — returns the golden
-// activation carried through the recovered layer. For conv and dense
-// layers the continuation and the verification probe share one pooled
-// GEMM; bias and affine layers verify arithmetically inside their
-// solvers and propagate with a plain forward.
+// recoverSweptLayer re-solves one flagged layer, verifies it, and —
+// when propagate is set — returns the golden activation carried through
+// the recovered layer. Conv and dense layers verify with one
+// ForwardBatch: the probe alone, or stacked with the continuation when
+// the sweep goes on. Bias and affine layers verify arithmetically
+// inside their solvers and propagate with a plain forward.
 func (pr *Protector) recoverSweptLayer(lp *layerPlan, f *LayerFinding, goldenIn, goldenOut *tensor.Tensor, propagate bool) (RecoveryResult, *tensor.Tensor, error) {
 	var res RecoveryResult
 	var err error
@@ -253,36 +250,32 @@ func (pr *Protector) recoverSweptLayer(lp *layerPlan, f *LayerFinding, goldenIn,
 		}
 		return res, next, nil
 	}
-	var probe *tensor.Tensor
+	// One pooled GEMM: the verification probe, stacked behind the golden
+	// propagation when the sweep continues — bit-identical per sample to
+	// separate passes.
+	var gemm nn.BatchCapable
+	var ins []*tensor.Tensor
 	if lp.role == roleConv {
-		probe = pr.detectInput(lp)
+		gemm, ins = lp.conv, []*tensor.Tensor{pr.detectInput(lp)}
 	} else {
-		probe = pr.denseProbeInput(lp)
+		gemm, ins = lp.dense, []*tensor.Tensor{pr.denseProbeInput(lp)}
 	}
-	var probeOut, next *tensor.Tensor
 	if propagate {
-		// The pooled GEMM: golden propagation and verification probe in
-		// one stacked product, bit-identical per sample to two passes.
-		var outs []*tensor.Tensor
-		if lp.role == roleConv {
-			outs, err = lp.conv.RecoveryForwardBatch([]*tensor.Tensor{goldenIn, probe})
-		} else {
-			outs, err = lp.dense.RecoveryForwardBatch([]*tensor.Tensor{goldenIn, probe})
-		}
-		if err != nil {
-			return res, nil, fmt.Errorf("core: segment forward layer %d (%s): %w", lp.idx, layer.Name(), err)
-		}
-		next, probeOut = outs[0], outs[1]
-	} else {
-		probeOut, err = layer.RecoveryForward(probe)
-		if err != nil {
-			return res, nil, fmt.Errorf("core: verify layer %d (%s): %w", lp.idx, layer.Name(), err)
-		}
+		ins = append([]*tensor.Tensor{goldenIn}, ins...)
 	}
+	outs, err := gemm.ForwardBatch(ins)
+	if err != nil {
+		return res, nil, fmt.Errorf("core: verify layer %d (%s): %w", lp.idx, layer.Name(), err)
+	}
+	probeOut := outs[len(outs)-1]
 	if lp.role == roleConv {
 		res.Status = pr.convProbeStatus(lp, probeOut)
 	} else {
 		pr.denseProbeResult(lp, probeOut, &res)
+	}
+	var next *tensor.Tensor
+	if propagate {
+		next = outs[0]
 	}
 	return res, next, nil
 }

@@ -1,7 +1,9 @@
 package gateway_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http/httptest"
 	"strings"
@@ -171,4 +173,61 @@ func TestAdminApplyRoute(t *testing.T) {
 	if rec := doAdmin(g, "PUT", "bad", `{"network":"tiny","bogus":1}`); rec.Code != 400 {
 		t.Fatalf("PUT unknown field: %d, want 400", rec.Code)
 	}
+	if rec := doAdmin(g, "PUT", "bad", `{"network":"tiny","seed":1} {"network":"resnet"}`); rec.Code != 400 {
+		t.Fatalf("PUT trailing data: %d, want 400", rec.Code)
+	}
+	if n := len(f.Models()); n != 2 {
+		t.Fatalf("rejected PUTs changed the fleet: %d models, want 2", n)
+	}
+}
+
+// recordingAdmin is an Admin whose Apply always succeeds — created for
+// even seeds, replaced for odd ones — and counts its calls, so a fuzzer
+// can tell a rejected body from an applied one.
+type recordingAdmin struct {
+	applied int
+}
+
+func (a *recordingAdmin) Unregister(context.Context, string) error { return nil }
+
+func (a *recordingAdmin) Apply(_ context.Context, _ string, spec gateway.ModelSpec) (bool, error) {
+	a.applied++
+	return spec.Seed%2 == 0, nil
+}
+
+// FuzzAdminSpec drives PUT /v1/models/x through the real handler: no
+// body panics it, the answer is 200, 201 or 400, Apply runs exactly when
+// the answer is 2xx, and a body with anything but whitespace after its
+// first JSON value is refused.
+func FuzzAdminSpec(f *testing.F) {
+	for _, s := range []string{
+		`{"network":"tiny","seed":42,"weight":2,"queue_cap":8}`,
+		`{"network":"tiny","seed":1} {"network":"tiny"}`,
+		`{"network":"tiny"} garbage`,
+		`{"network":"tiny","replicas":2}`,
+		`{"network":"tiny","seed":18446744073709551616}`,
+		`{"network":"tiny","weight":1e400,"queue_cap":-9223372036854775809}`,
+		`{"network":"tiny","weight":-1.7976931348623157e308}`,
+		"{}\n\t ",
+		``,
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		admin := &recordingAdmin{}
+		g := gateway.New(nil, gateway.Config{Admin: admin, AllowAdmin: true})
+		rec := doAdmin(g, "PUT", "x", string(body))
+		ok := rec.Code == 200 || rec.Code == 201
+		if !ok && rec.Code != 400 {
+			t.Fatalf("status %d for %q, want 200, 201 or 400", rec.Code, body)
+		}
+		if ok != (admin.applied == 1) || admin.applied > 1 {
+			t.Fatalf("status %d but Apply ran %d times for %q", rec.Code, admin.applied, body)
+		}
+		dec := json.NewDecoder(bytes.NewReader(body))
+		var first json.RawMessage
+		if dec.Decode(&first) == nil && len(bytes.Trim(body[dec.InputOffset():], " \t\r\n")) > 0 && rec.Code != 400 {
+			t.Fatalf("status %d for %q, which has data after its first value", rec.Code, body)
+		}
+	})
 }

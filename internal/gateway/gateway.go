@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sync/atomic"
 	"time"
@@ -223,9 +224,7 @@ func (g *Gateway) handlePredict(w http.ResponseWriter, r *http.Request) {
 // the Retry-After hint on queue-full rejections.
 func (g *Gateway) predict(ctx context.Context, w http.ResponseWriter, r *http.Request, name string, info fleet.ModelInfo) (int, any) {
 	var req predictRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, g.maxBody))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := DecodeStrict(http.MaxBytesReader(w, r.Body, g.maxBody), &req); err != nil {
 		return http.StatusBadRequest, errorResponse{Error: "bad payload: " + err.Error(), Model: name}
 	}
 	switch {
@@ -403,9 +402,7 @@ func (g *Gateway) handleApply(w http.ResponseWriter, r *http.Request) {
 	}
 	name := r.PathValue("model")
 	var spec ModelSpec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, g.maxBody))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
+	if err := DecodeStrict(http.MaxBytesReader(w, r.Body, g.maxBody), &spec); err != nil {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad payload: " + err.Error(), Model: name})
 		return
 	}
@@ -443,6 +440,23 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	fmt.Fprintln(w, "ok")
+}
+
+// DecodeStrict decodes exactly one JSON value from r into v: unknown
+// fields are rejected, and anything but whitespace after the value is
+// an error, so a body or file cannot carry a second document past the
+// one that was validated. The predict and admin routes and the
+// daemon's models-config parser all decode through it.
+func DecodeStrict(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); !errors.Is(err, io.EOF) {
+		return errors.New("trailing data after the JSON value")
+	}
+	return nil
 }
 
 // writeJSON writes one JSON response with the given status.

@@ -161,6 +161,7 @@ func TestPredictBadRequests(t *testing.T) {
 		{"bad deadline", "tiny", predictBody(t, map[string]any{"input": payloads[0]}), "soon", 400, "bad deadline"},
 		{"negative deadline", "tiny", predictBody(t, map[string]any{"input": payloads[0]}), "-1s", 400, "not positive"},
 		{"unknown model", "nope", predictBody(t, map[string]any{"input": payloads[0]}), "", 404, "unknown model"},
+		{"trailing data", "tiny", predictBody(t, map[string]any{"input": payloads[0]}) + ` {"input": [1]}`, "", 400, "trailing data"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -25,7 +25,6 @@ var gemmKernels = map[string]bool{
 	"MatMulInto":     true,
 	"MatMulRowsInto": true,
 	"Im2Col":         true,
-	"Im2ColWorkers":  true,
 	"Im2ColRows":     true,
 }
 

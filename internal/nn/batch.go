@@ -13,15 +13,19 @@ import (
 // values and every layer works on the stack: the GEMM layers issue one
 // matrix product for the whole batch — one im2col GEMM per convolution,
 // one (B×In)·(In×Out) product per dense layer — and the elementwise
-// layers run in place. Because the GEMM kernel accumulates per output
-// element in float64 with a fixed k-ascending order, and an elementwise
-// layer computes each value from that value alone, the stacked pass is
-// bit-identical to the per-sample one: ForwardBatch and B Forward calls
-// produce the same logits to the last bit at every worker count (pinned
-// by batch_equiv_test.go).
+// layers run in place. A single-sample Forward — of a conv or dense
+// layer, or of the whole Model — is this pass on a batch of one, so
+// there is one forward path. Because the GEMM kernel accumulates per
+// output element in float64 with a fixed k-ascending order, and an
+// elementwise layer computes each value from that value alone, a
+// sample's logits do not depend on the batch it is stacked in or the
+// worker count; the per-sample materialised-im2col oracle in
+// forward_oracle_test.go pins that to the last bit.
 
 // BatchCapable is implemented by layers that can process a whole batch
 // in one kernel invocation (convolution and dense, the GEMM layers).
+// Their recovery-mode pass is the same product, so the MILR engine
+// stacks golden activations and probes through ForwardBatch too.
 type BatchCapable interface {
 	Layer
 	// ForwardBatch runs normal inference on every sample at once. The
@@ -34,21 +38,16 @@ var (
 	_ BatchCapable = (*Dense)(nil)
 )
 
-// RecoveryForwardBatch runs the MILR deterministic pass on every sample
-// in one kernel invocation, element-wise bit-identical to calling
-// RecoveryForward per sample. The MILR engine's recovery pipeline uses
-// it to stack a segment's golden propagation activation together with
-// the layer's post-recovery verification probe into one pooled GEMM
-// instead of two single-sample passes. Convolution behaves identically
-// in recovery mode, so this is ForwardBatch.
-func (c *Conv2D) RecoveryForwardBatch(ins []*tensor.Tensor) ([]*tensor.Tensor, error) {
-	return c.ForwardBatch(ins)
-}
-
-// RecoveryForwardBatch is Conv2D.RecoveryForwardBatch for a dense
-// layer, which also behaves identically in recovery mode.
-func (d *Dense) RecoveryForwardBatch(ins []*tensor.Tensor) ([]*tensor.Tensor, error) {
-	return d.ForwardBatch(ins)
+// forwardOne is a single-sample Forward as ForwardBatch on a batch of
+// one: the GEMM layers' and the Model's.
+func forwardOne(l interface {
+	ForwardBatch([]*tensor.Tensor) ([]*tensor.Tensor, error)
+}, x *tensor.Tensor) (*tensor.Tensor, error) {
+	outs, err := l.ForwardBatch([]*tensor.Tensor{x})
+	if err != nil {
+		return nil, err
+	}
+	return outs[0], nil
 }
 
 // stackedLayer is a layer's inference on a stacked batch: b samples of

@@ -10,9 +10,11 @@ import (
 )
 
 // Batch–single equivalence: for each of the four networks, ForwardBatch
-// must produce bit-identical logits to B per-sample Forward calls, at
-// B ∈ {1, 2, 8} and worker counts {1, 4}, while issuing at most one
-// GEMM per conv/dense layer for the whole batch.
+// must produce bit-identical logits to B per-sample passes of the
+// materialised-im2col oracle (forward_oracle_test.go), at B ∈ {1, 2, 8}
+// and worker counts {1, 4}, while issuing at most one GEMM per
+// conv/dense layer for the whole batch. Model.Forward and Model.Predict
+// are themselves the batch of one, so they cannot be the reference.
 
 func batchInputs(m *Model, b int, seedTag uint64) []*tensor.Tensor {
 	xs := make([]*tensor.Tensor, b)
@@ -43,7 +45,7 @@ func TestForwardBatchMatchesSingle(t *testing.T) {
 				xs := batchInputs(m, b, 31)
 				want := make([]*tensor.Tensor, b)
 				for i, x := range xs {
-					out, err := m.Forward(x)
+					out, err := oracleForward(m, x, false)
 					if err != nil {
 						t.Fatalf("%s workers=%d single forward: %v", name, workers, err)
 					}
@@ -76,7 +78,7 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 			t.Fatalf("%s predict batch: %v", name, err)
 		}
 		for i, x := range xs {
-			want, err := m.Predict(x)
+			want, err := oraclePredict(m, x)
 			if err != nil {
 				t.Fatalf("%s predict: %v", name, err)
 			}
@@ -97,7 +99,7 @@ func TestEvaluateBatchMatchesPerSample(t *testing.T) {
 		var want float64
 		var correct int
 		for _, s := range samples {
-			pred, err := m.Predict(s.X)
+			pred, err := oraclePredict(m, s.X)
 			if err != nil {
 				t.Fatalf("%s predict: %v", name, err)
 			}
@@ -144,7 +146,8 @@ func (f *foreignLayer) Backward(c Cache, dout *tensor.Tensor) (*tensor.Tensor, e
 // the elementwise layers, which the zoo networks barely exercise (their
 // biases start at zero and they only use ReLU and max pooling): with
 // random parameters and inputs carrying -0, ±Inf and NaN, every bit of
-// ForwardBatch's output equals the per-sample Forward's.
+// ForwardBatch's output equals the per-sample oracle's, which runs each
+// layer's own Forward.
 func TestElementwiseBatchMatchesSingle(t *testing.T) {
 	mustAct := func(k ActivationKind) *Activation {
 		a, err := NewActivation(k)
@@ -204,7 +207,7 @@ func TestElementwiseBatchMatchesSingle(t *testing.T) {
 					t.Fatalf("%s sample %d: ForwardBatch overwrote its input at element %d", c.name, i, j)
 				}
 			}
-			want, err := m.Forward(x)
+			want, err := oracleForward(m, x, false)
 			if err != nil {
 				t.Fatalf("%s: %v", c.name, err)
 			}

@@ -131,15 +131,19 @@ func (c *Conv2D) weightsMatrix() *tensor.Tensor {
 
 // Lower returns the im2col coefficient matrix of the (padded) input:
 // G² rows, F²Z columns. The MILR engine uses the same lowering to build
-// its parameter-recovery system of equations.
+// its parameter-recovery system of equations, and ForwardTrain keeps it
+// for Backward. Inference never materialises it (see forwardStacked).
 func (c *Conv2D) Lower(in *tensor.Tensor) (*tensor.Tensor, error) {
-	return c.lowerWorkers(in, 1)
+	padded, err := c.padInput(in)
+	if err != nil {
+		return nil, err
+	}
+	return tensor.Im2Col(padded, c.f, c.stride)
 }
 
 // padInput applies the layer's padding policy. Unpadded layers return
-// the input itself — the im2col kernels only read it, so the Pad2D
-// clone would be a pure copy. Both the per-sample and batch lowering
-// paths go through here.
+// the input itself — Im2Col only reads it, so the Pad2D clone would be
+// a pure copy.
 func (c *Conv2D) padInput(in *tensor.Tensor) (*tensor.Tensor, error) {
 	p := c.Pad()
 	if p == 0 {
@@ -152,33 +156,11 @@ func (c *Conv2D) padInput(in *tensor.Tensor) (*tensor.Tensor, error) {
 	return padded, nil
 }
 
-// lowerWorkers is Lower on a bounded worker pool; identical output.
-func (c *Conv2D) lowerWorkers(in *tensor.Tensor, workers int) (*tensor.Tensor, error) {
-	padded, err := c.padInput(in)
-	if err != nil {
-		return nil, err
-	}
-	return tensor.Im2ColWorkers(padded, c.f, c.stride, workers)
-}
-
-// Forward implements Layer. With a worker count set (SetWorkers) the
-// im2col lowering and the GEMM run on a bounded pool; the pooled
-// kernels are bit-identical to the serial ones.
+// Forward implements Layer: ForwardBatch on a batch of one, so a single
+// sample runs the same streamed-im2col GEMM (on the SetWorkers pool) as
+// a served batch.
 func (c *Conv2D) Forward(in *tensor.Tensor) (*tensor.Tensor, error) {
-	outShape, err := c.OutShape(in.Shape())
-	if err != nil {
-		return nil, err
-	}
-	workers := c.pool()
-	cols, err := c.lowerWorkers(in, workers)
-	if err != nil {
-		return nil, err
-	}
-	flat, err := tensor.MatMulWorkers(cols, c.weightsMatrix(), workers)
-	if err != nil {
-		return nil, fmt.Errorf("conv %q: %w", c.name, err)
-	}
-	return flat.Reshape(outShape...)
+	return forwardOne(c, in)
 }
 
 // RecoveryForward implements Layer; convolution behaves identically in

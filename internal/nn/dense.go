@@ -46,18 +46,12 @@ func (d *Dense) OutShape(in tensor.Shape) (tensor.Shape, error) {
 	return tensor.Shape{in[0], d.p}, nil
 }
 
-// Forward implements Layer. With a worker count set (SetWorkers) the
-// GEMM runs on a bounded pool — partitioned by output columns for the
-// single-row inference shape — with bit-identical results.
+// Forward implements Layer: ForwardBatch on a batch of one. With a
+// worker count set (SetWorkers) the GEMM runs on a bounded pool —
+// partitioned by output columns for the single-row inference shape —
+// with bit-identical results.
 func (d *Dense) Forward(in *tensor.Tensor) (*tensor.Tensor, error) {
-	if _, err := d.OutShape(in.Shape()); err != nil {
-		return nil, err
-	}
-	out, err := tensor.MatMulWorkers(in, d.w, d.pool())
-	if err != nil {
-		return nil, fmt.Errorf("dense %q: %w", d.name, err)
-	}
-	return out, nil
+	return forwardOne(d, in)
 }
 
 // RecoveryForward implements Layer; dense behaves identically in recovery

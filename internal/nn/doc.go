@@ -19,15 +19,21 @@
 //   - ForwardTrain/Backward: backpropagation, so evaluation networks can
 //     actually be trained on the synthetic datasets.
 //
-// Inference is batch-first on top of those modes: Model.ForwardBatch
+// Inference has one path, and it is batch-first: Model.ForwardBatch
 // and Model.PredictBatch stack a whole batch into one GEMM per
-// conv/dense layer (BatchCapable), bit-identical to per-sample Forward
-// calls at every batch size and worker count — the property the serving
-// front-end (internal/serve) builds coalescing on. The batched pass
-// works in a per-Model workspace (stacked activations, im2col rows,
+// conv/dense layer (BatchCapable), streaming the im2col rows into the
+// kernel. A single-sample Forward or Predict — of a conv or dense layer
+// or of a Model, and so every detection probe, partial checkpoint and
+// golden propagation — is that pass on a batch of one. A sample's
+// result is bit-identical at every batch size and worker count to the
+// per-sample materialised-im2col forward kept as the test oracle
+// (forward_oracle_test.go) — the property the serving front-end
+// (internal/serve) builds coalescing on. A Model's pass works in a
+// workspace from its free list (stacked activations, padded inputs,
 // kernel scratch — never anything derived from the weights), so a model
-// serving steadily allocates nothing per batch but its answers. Worker
-// pools are threaded through WorkerTunable/Model.SetWorkers down to the
-// GEMM kernel in internal/tensor. See ARCHITECTURE.md for the layer
-// map and the bit-identity invariant chain.
+// serving steadily allocates nothing per batch but its answers; a lone
+// layer's ForwardBatch uses a throw-away one. Worker pools are threaded
+// through WorkerTunable/Model.SetWorkers down to the GEMM kernel in
+// internal/tensor. See ARCHITECTURE.md for the layer map and the
+// bit-identity invariant chain.
 package nn

@@ -10,8 +10,9 @@ import (
 )
 
 // Parallel–serial equivalence for the GEMM-forward path: for each of
-// the paper's four networks, the pooled forward pass must be
-// float-identical to the serial one at every worker count. The pooled
+// the paper's four networks, the pooled forward pass — normal and
+// recovery mode — must be float-identical to the serial per-sample
+// oracle (forward_oracle_test.go) at every worker count. The pooled
 // GEMM kernels preserve the serial accumulation order exactly, so the
 // contract here is bitwise, not approximate.
 
@@ -46,11 +47,11 @@ func TestForwardParallelSerialEquivalence(t *testing.T) {
 	for name, m := range equivalenceNets(t) {
 		x := prng.TensorFor(11, 13, m.InShape()...)
 		m.SetWorkers(0)
-		want, err := m.Forward(x)
+		want, err := oracleForward(m, x, false)
 		if err != nil {
 			t.Fatalf("%s serial forward: %v", name, err)
 		}
-		wantRec, err := m.RecoveryForward(x)
+		wantRec, err := oracleForward(m, x, true)
 		if err != nil {
 			t.Fatalf("%s serial recovery forward: %v", name, err)
 		}

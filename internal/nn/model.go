@@ -129,9 +129,10 @@ func (m *Model) ParamCount() int {
 	return n
 }
 
-// Forward runs normal inference through the whole stack.
+// Forward runs normal inference through the whole stack: ForwardBatch
+// on a batch of one, in a workspace from the model's free list.
 func (m *Model) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
-	return m.ForwardRange(0, len(m.layers), x, false)
+	return forwardOne(m, x)
 }
 
 // RecoveryForward runs the MILR deterministic pass through the whole
@@ -162,13 +163,14 @@ func (m *Model) ForwardRange(from, to int, x *tensor.Tensor, recovery bool) (*te
 	return cur, nil
 }
 
-// Predict returns the argmax class of the final output for input x.
+// Predict returns the argmax class of the final output for input x:
+// PredictBatch on a batch of one.
 func (m *Model) Predict(x *tensor.Tensor) (int, error) {
-	out, err := m.Forward(x)
+	preds, err := m.PredictBatch([]*tensor.Tensor{x})
 	if err != nil {
 		return 0, err
 	}
-	return out.ArgMax(), nil
+	return preds[0], nil
 }
 
 // InitWeights fills every parameterized layer with scaled uniform values

@@ -11,9 +11,11 @@
 //
 // The GEMM kernel here is the repository's hot path: one register-tiled,
 // zero-skipping kernel with per-output-element float64 accumulation in a
-// fixed k-ascending order, so every entry point (MatMul, MatMulWorkers,
-// and the allocation-free MatMulInto the batched inference path uses)
-// is bit-identical to every other at any worker count — the root of the
+// fixed k-ascending order, so every entry point (MatMul and
+// MatMulWorkers for the solvers and training, and the allocation-free
+// MatMulInto and MatMulRowsInto that every inference forward uses, the
+// latter fed by the streamed Im2ColRows lowering) is bit-identical to
+// every other at any worker count — the root of the
 // bit-identity invariant chain described in ARCHITECTURE.md. The
 // GEMMCalls counter exists so tests can enforce the one-GEMM-per-layer
 // batching contract.

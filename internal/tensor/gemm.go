@@ -294,40 +294,6 @@ func MatMulWorkers(a, b *Tensor, workers int) (*Tensor, error) {
 	return c, nil
 }
 
-// Im2ColWorkers is Im2Col on a bounded worker pool: the output grid's
-// rows are partitioned into contiguous bands. Pure data movement, so
-// the result is trivially identical to Im2Col.
-func Im2ColWorkers(padded *Tensor, f, s, workers int) (*Tensor, error) {
-	if padded.Rank() != 3 {
-		return nil, fmt.Errorf("tensor: Im2Col requires (H,W,Z) tensor, got %v", padded.Shape())
-	}
-	if f <= 0 || s <= 0 {
-		return nil, fmt.Errorf("tensor: invalid filter %d or stride %d", f, s)
-	}
-	w, z := padded.Dim(1), padded.Dim(2)
-	gh, gw := (padded.Dim(0)-f)/s+1, (w-f)/s+1
-	if gh <= 0 || gw <= 0 {
-		return nil, fmt.Errorf("tensor: filter %d too large for input %v", f, padded.Shape())
-	}
-	out := New(gh*gw, f*f*z)
-	par.Blocks(gh, par.Resolve(workers, gh), func(ilo, ihi int) {
-		for i := ilo; i < ihi; i++ {
-			row := i * gw
-			for j := 0; j < gw; j++ {
-				dst := out.data[row*f*f*z : (row+1)*f*f*z]
-				col := 0
-				for f1 := 0; f1 < f; f1++ {
-					srcOff := ((i*s+f1)*w + j*s) * z
-					copy(dst[col:col+f*z], padded.data[srcOff:srcOff+f*z])
-					col += f * z
-				}
-				row++
-			}
-		}
-	})
-	return out, nil
-}
-
 // Im2ColRows returns the RowSource of a batch's stacked im2col matrix,
 // and its row count: padded holds b padded (h,w,z) samples back to
 // back, and row r·G²+g of the (b·G², F²Z) matrix is sample r's output

@@ -59,31 +59,6 @@ func TestMatMulWorkersShapeErrors(t *testing.T) {
 	}
 }
 
-func TestIm2ColWorkersMatchesSerial(t *testing.T) {
-	for _, cfg := range []struct{ h, w, z, f, s int }{
-		{8, 8, 3, 3, 1},
-		{12, 12, 1, 5, 1},
-		{9, 9, 2, 3, 2},
-	} {
-		in := randTensor(uint64(cfg.h*cfg.f), cfg.h, cfg.w, cfg.z)
-		want, err := tensor.Im2Col(in, cfg.f, cfg.s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{1, 2, runtime.GOMAXPROCS(0), 7} {
-			got, err := tensor.Im2ColWorkers(in, cfg.f, cfg.s, workers)
-			if err != nil {
-				t.Fatalf("%+v workers=%d: %v", cfg, workers, err)
-			}
-			for i, v := range got.Data() {
-				if v != want.Data()[i] {
-					t.Fatalf("%+v workers=%d: element %d differs", cfg, workers, i)
-				}
-			}
-		}
-	}
-}
-
 func BenchmarkMatMulWorkers(b *testing.B) {
 	// im2col-shaped product from the CIFAR-large first conv:
 	// (32·32, 3·3·64) × (3·3·64, 64).

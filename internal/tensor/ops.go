@@ -74,9 +74,31 @@ func Crop2D(in *Tensor, p int) (*Tensor, error) {
 // tap (F·F·Z columns), for stride s. This is exactly the matrix of the
 // G² equations in F²Z unknowns that MILR's conv parameter solver uses
 // (paper §IV-B-b), and composing it with a (F²Z, Y) filter matrix
-// reproduces the forward convolution.
+// reproduces the forward convolution. Inference streams the same rows
+// into the GEMM instead (Im2ColRows).
 func Im2Col(padded *Tensor, f, s int) (*Tensor, error) {
-	return Im2ColWorkers(padded, f, s, 1)
+	if padded.Rank() != 3 {
+		return nil, fmt.Errorf("tensor: Im2Col requires (H,W,Z) tensor, got %v", padded.Shape())
+	}
+	if f <= 0 || s <= 0 {
+		return nil, fmt.Errorf("tensor: invalid filter %d or stride %d", f, s)
+	}
+	w, z := padded.Dim(1), padded.Dim(2)
+	gh, gw := (padded.Dim(0)-f)/s+1, (w-f)/s+1
+	if gh <= 0 || gw <= 0 {
+		return nil, fmt.Errorf("tensor: filter %d too large for input %v", f, padded.Shape())
+	}
+	out := New(gh*gw, f*f*z)
+	dst := out.data // rows in output order, each F filter rows of F·Z
+	for i := 0; i < gh; i++ {
+		for j := 0; j < gw; j++ {
+			for f1 := 0; f1 < f; f1++ {
+				src := ((i*s+f1)*w + j*s) * z
+				dst = dst[copy(dst, padded.data[src:src+f*z]):]
+			}
+		}
+	}
+	return out, nil
 }
 
 // Col2Im scatters an im2col matrix (G²  rows, F²Z columns) back into a
