@@ -205,7 +205,7 @@ func solveConvSelective(lp *layerPlan, goldenIn, goldenOut *tensor.Tensor, suspe
 		if len(e) == 0 {
 			return nil
 		}
-		inE := make(map[int]bool, len(e))
+		inE := make([]bool, taps)
 		for _, t := range e {
 			if t < 0 || t >= taps {
 				return fmt.Errorf("core: conv %q tap %d out of range [0,%d)", c.Name(), t, taps)

@@ -25,28 +25,27 @@ import (
 // (the stored artifact is the dummy *output* matrix, N×P either way;
 // the dummy input itself is regenerated from the seed), every column
 // remains exactly solvable, and the solve costs O(N·band) per column on
-// a single CPU core.
+// a single CPU core. The solve regenerates each dummy row once per block
+// of columns, not once per column.
 
-// denseDummyRow regenerates row i of the banded dummy input matrix:
-// column indices and float64 values. The diagonal entry is made strictly
-// dominant over the row's off-diagonal mass: a random *non-dominant*
-// triangular matrix has exponentially growing condition number, and the
-// back-substitution would amplify the float32 rounding of the stored
-// dummy outputs into garbage within a few dozen steps. With row
-// dominance the error amplification factor per step is < 1 and the solve
-// is backward stable.
-func denseDummyRow(seed, tag uint64, i, n, band int) ([]int, []float64) {
+// denseDummyRowInto regenerates the values of row i of the banded dummy
+// input matrix into buf, which must hold min(band, n) values, and
+// returns buf[:width]: entry k sits in column i+k. The diagonal entry is
+// made strictly dominant over the row's off-diagonal mass: a random
+// *non-dominant* triangular matrix has exponentially growing condition
+// number, and the back-substitution would amplify the float32 rounding
+// of the stored dummy outputs into garbage within a few dozen steps.
+// With row dominance the error amplification factor per step is < 1 and
+// the solve is backward stable.
+func denseDummyRowInto(buf []float64, seed, tag uint64, i, n, band int) []float64 {
 	stream := prng.New(seed ^ prng.Mix(tag) ^ prng.Mix(uint64(i)+0x5bd1e995))
 	width := band
 	if width > n-i { // not i+width > n: a loaded band may be near MaxInt
 		width = n - i
 	}
-	cols := make([]int, width)
-	vals := make([]float64, width)
-	cols[0] = i
+	vals := buf[:width]
 	var offMass float64
 	for k := 1; k < width; k++ {
-		cols[k] = i + k
 		vals[k] = 2*stream.Float64() - 1
 		offMass += vals[k] * vals[k]
 	}
@@ -56,7 +55,7 @@ func denseDummyRow(seed, tag uint64, i, n, band int) ([]int, []float64) {
 		d = -d
 	}
 	vals[0] = d
-	return cols, vals
+	return vals
 }
 
 // denseDummyOutputs computes C_dummy = A_dummy·B at initialization time,
@@ -68,14 +67,12 @@ func denseDummyOutputs(d *nn.Dense, seed, tag uint64, band int) (*tensor.Tensor,
 	out := tensor.New(n, p)
 	od := out.Data()
 	acc := make([]float64, p)
+	buf := make([]float64, min(band, n))
 	for i := 0; i < n; i++ {
-		cols, vals := denseDummyRow(seed, tag, i, n, band)
-		for j := range acc {
-			acc[j] = 0
-		}
-		for k, c := range cols {
-			v := vals[k]
-			row := w[c*p : (c+1)*p]
+		vals := denseDummyRowInto(buf, seed, tag, i, n, band)
+		clear(acc)
+		for k, v := range vals {
+			row := w[(i+k)*p : (i+k+1)*p]
 			for j := 0; j < p; j++ {
 				acc[j] += v * float64(row[j])
 			}
@@ -94,35 +91,61 @@ func denseDummyOutputs(d *nn.Dense, seed, tag uint64, band int) (*tensor.Tensor,
 // stored bits to avoid float churn in correct weights.
 //
 // Columns are independent systems — column j reads C_dummy[:,j] and
-// writes w[:,j] only — so they solve concurrently on the engine's
-// worker pool with results identical to the sequential loop.
+// writes w[:,j] only — so contiguous blocks of the column list solve
+// concurrently on the engine's worker pool. A block walks the rows
+// once, regenerating each dummy row once for all its columns, and keeps
+// only the last band values of each column's x in a ring: row i reads
+// x[i+1 … i+band−1] and nothing else. Per column the arithmetic is the
+// single-column back substitution's (same start value, subtractions in
+// ascending k, same divide), so the recovered bits do not depend on the
+// blocking or the worker count.
+//
+// Every column is range-checked before any is solved: a bad column list
+// leaves the layer untouched.
 func solveDenseColumns(lp *layerPlan, cols []int, opts Options) error {
 	d := lp.dense
 	n, p := d.In(), d.Out()
-	w := d.Params().Data()
-	cd := lp.denseDummyOut.Data()
-	return par.ForErr(len(cols), opts.workerPool(), func(ci int) error {
-		j := cols[ci]
+	for _, j := range cols {
 		if j < 0 || j >= p {
 			return fmt.Errorf("core: dense column %d out of range [0,%d)", j, p)
 		}
-		x := make([]float64, n)
+	}
+	w := d.Params().Data()
+	cd := lp.denseDummyOut.Data()
+	band := min(opts.DenseBand, n)
+	par.Blocks(len(cols), opts.workerPool(), func(lo, hi int) {
+		block := cols[lo:hi]
+		bw := len(block)
+		row := make([]float64, band)
+		ring := make([]float64, band*bw) // x[i] of column block[b] at ring[(i mod band)·bw + b]
+		acc := make([]float64, bw)
 		for i := n - 1; i >= 0; i-- {
-			rcols, rvals := denseDummyRow(opts.Seed, lp.denseTag, i, n, opts.DenseBand)
-			acc := float64(cd[i*p+j])
-			for k := 1; k < len(rcols); k++ {
-				acc -= rvals[k] * x[rcols[k]]
+			vals := denseDummyRowInto(row, opts.Seed, lp.denseTag, i, n, band)
+			for b, j := range block {
+				acc[b] = float64(cd[i*p+j])
 			}
-			x[i] = acc / rvals[0]
-		}
-		for i := 0; i < n; i++ {
-			cur := float64(w[i*p+j])
-			if relMismatch(x[i], cur, opts.KeepTol) {
-				w[i*p+j] = float32(x[i])
+			slot := i % band
+			// s steps through slots (i+k) mod band without a division per k.
+			for k, s := 1, slot; k < len(vals); k++ {
+				if s++; s == band {
+					s = 0
+				}
+				v, xs := vals[k], ring[s*bw:(s+1)*bw]
+				for b := range acc {
+					acc[b] -= v * xs[b]
+				}
+			}
+			xs := ring[slot*bw : (slot+1)*bw]
+			for b, j := range block {
+				x := acc[b] / vals[0]
+				xs[b] = x
+				if relMismatch(x, float64(w[i*p+j]), opts.KeepTol) {
+					w[i*p+j] = float32(x)
+				}
 			}
 		}
-		return nil
 	})
+	return nil
 }
 
 // invertDense computes the input A from output C when P ≥ N: each row of

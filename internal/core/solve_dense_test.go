@@ -1,0 +1,185 @@
+package core
+
+import (
+	"context"
+	"math"
+	"runtime"
+	"testing"
+
+	"milr/internal/faults"
+	"milr/internal/nn"
+)
+
+// Tests for the dense column solve: bit-identity against the per-column
+// oracle (recover_oracle_test.go), the all-or-nothing outcome of a bad
+// column list, and the allocation bound of a warm dense-layer heal.
+
+// denseProtector protects a fresh model built by build, with the given
+// dense band.
+func denseProtector(t *testing.T, build func() (*nn.Model, error), band int) (*nn.Model, *Protector) {
+	t.Helper()
+	m, err := build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.InitWeights(42)
+	opts := DefaultOptions(42)
+	opts.DenseBand = band
+	pr, err := NewProtector(m, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m, pr
+}
+
+// largestDensePlan returns the plan of the protected model's largest
+// dense layer.
+func largestDensePlan(t *testing.T, pr *Protector) *layerPlan {
+	t.Helper()
+	var best *layerPlan
+	for _, lp := range pr.plan.layers {
+		if lp.role == roleDense && (best == nil || lp.dense.ParamCount() > best.dense.ParamCount()) {
+			best = lp
+		}
+	}
+	if best == nil {
+		t.Fatal("model has no dense layer")
+	}
+	return best
+}
+
+// checkDenseSolveMatchesOracle overwrites lp's layer, solves cols from
+// the same corrupted weights with the oracle and with solveDenseColumns,
+// and compares every weight bit. It leaves the layer as it found it.
+func checkDenseSolveMatchesOracle(t *testing.T, lp *layerPlan, cols []int, opts Options) {
+	t.Helper()
+	w := lp.dense.Params().Data()
+	clean := append([]float32(nil), w...)
+	defer copy(w, clean)
+	faults.New(uint64(len(cols))).OverwriteLayer(lp.dense)
+	corrupt := append([]float32(nil), w...)
+	if err := solveDenseColumnsOracle(lp, cols, opts); err != nil {
+		t.Fatal(err)
+	}
+	want := append([]float32(nil), w...)
+	copy(w, corrupt)
+	if err := solveDenseColumns(lp, cols, opts); err != nil {
+		t.Fatal(err)
+	}
+	rewritten := 0
+	for i := range w {
+		if math.Float32bits(w[i]) != math.Float32bits(want[i]) {
+			t.Fatalf("band %d, workers %d, columns %v: weight %d is %v, oracle %v",
+				opts.DenseBand, opts.Workers, cols, i, w[i], want[i])
+		}
+		if math.Float32bits(want[i]) != math.Float32bits(corrupt[i]) {
+			rewritten++
+		}
+	}
+	if rewritten == 0 {
+		t.Fatalf("band %d, workers %d, columns %v: the oracle rewrote nothing; test is vacuous",
+			opts.DenseBand, opts.Workers, cols)
+	}
+}
+
+// TestDenseSolveMatchesOracle pins the blocked dense solve bit-identical
+// to the per-column oracle. The recovery equivalence tests cannot: both
+// of their pipelines call solveDenseColumns. Tiny's 128×16 layer covers
+// bands shorter than, equal to the default of, and longer than the
+// layer, at several worker counts (blocks of one column up to the whole
+// list) and column lists that are full, single, unsorted and strided;
+// MNIST's 6400×256 layer is the benchmark's heal.
+func TestDenseSolveMatchesOracle(t *testing.T) {
+	for _, band := range []int{2, 7, 32, 1 << 20} {
+		_, pr := denseProtector(t, nn.NewTinyNet, band)
+		lp := largestDensePlan(t, pr)
+		p := lp.dense.Out()
+		var all, odd []int
+		for j := 0; j < p; j++ {
+			all = append(all, j)
+			if j%2 == 1 {
+				odd = append(odd, j)
+			}
+		}
+		for _, cols := range [][]int{all, {p / 3}, {p - 1, 2, p / 2, 0, 5}, odd} {
+			for _, workers := range []int{1, 3, -1} {
+				opts := pr.opts
+				opts.Workers = workers
+				checkDenseSolveMatchesOracle(t, lp, cols, opts)
+			}
+		}
+	}
+	_, pr := denseProtector(t, nn.NewMNISTNet, DefaultOptions(42).DenseBand)
+	lp := largestDensePlan(t, pr)
+	all := make([]int, lp.dense.Out())
+	for j := range all {
+		all[j] = j
+	}
+	opts := pr.opts
+	opts.Workers = -1
+	checkDenseSolveMatchesOracle(t, lp, all, opts)
+}
+
+// TestDenseSolveBadColumnLeavesLayerUntouched: a column list with an
+// entry out of range is an error and writes nothing, not even the
+// columns in range, so a layer reported Failed is never half rewritten.
+func TestDenseSolveBadColumnLeavesLayerUntouched(t *testing.T) {
+	_, pr := denseProtector(t, nn.NewTinyNet, DefaultOptions(42).DenseBand)
+	lp := largestDensePlan(t, pr)
+	p := lp.dense.Out()
+	w := lp.dense.Params().Data()
+	w[0] += 25 // column 0 is corrupt: solving it would rewrite w[0]
+	before := append([]float32(nil), w...)
+	for _, cols := range [][]int{{p, 0}, {0, -1}} {
+		if err := solveDenseColumns(lp, cols, pr.opts); err == nil {
+			t.Fatalf("columns %v: no error", cols)
+		}
+		for i := range w {
+			if math.Float32bits(w[i]) != math.Float32bits(before[i]) {
+				t.Fatalf("columns %v: weight %d rewritten %v → %v", cols, i, before[i], w[i])
+			}
+		}
+	}
+}
+
+// TestDenseHealAllocationBound pins the blocked solve's point: a warm
+// self-heal of MNIST's overwritten 6400×256 dense layer, detection
+// included, allocates a few megabytes, where regenerating every dummy
+// row once per column allocated 905 MB.
+func TestDenseHealAllocationBound(t *testing.T) {
+	m, pr := denseProtector(t, nn.NewMNISTNet, DefaultOptions(42).DenseBand)
+	lp := largestDensePlan(t, pr)
+	clean := m.Snapshot()
+	ctx := context.Background()
+	heal := func(seed uint64) uint64 {
+		faults.New(seed).OverwriteLayer(lp.dense)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, rec, err := pr.SelfHealContext(ctx)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		healed := false
+		for _, r := range rec.Results {
+			healed = healed || r.Layer == lp.idx && r.Status == Recovered
+		}
+		if !healed {
+			t.Fatalf("dense layer %d not recovered: %+v", lp.idx, rec.Results)
+		}
+		if err := m.Restore(clean); err != nil {
+			t.Fatal(err)
+		}
+		pr.ResetCRC()
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	heal(1) // sizes the model's workspaces
+	const bound = 8 << 20
+	for seed := uint64(2); seed <= 3; seed++ {
+		b := heal(seed)
+		t.Logf("warm dense-layer heal %d: %.2f MB", seed, float64(b)/(1<<20))
+		if b > bound {
+			t.Errorf("warm dense-layer heal allocated %.1f MB, want at most %d MB", float64(b)/(1<<20), bound>>20)
+		}
+	}
+}
