@@ -31,29 +31,29 @@ import (
 // Environments are built once per process and shared across benches.
 var (
 	envMu   sync.Mutex
-	envs    = map[bench.NetKind]*bench.Env{}
-	envCfgs = map[bench.NetKind]bench.Config{
-		bench.Tiny:       {Runs: 1, TestSamples: 40, TrainSamples: 80, Epochs: 3, Seed: 42},
-		bench.MNIST:      {Runs: 1, TestSamples: 30, TrainSamples: 120, Epochs: 1, Seed: 42},
-		bench.CIFARSmall: {Runs: 1, TestSamples: 16, TrainSamples: 40, Epochs: 1, Seed: 42},
-		bench.CIFARLarge: {Runs: 1, TestSamples: 12, TrainSamples: 30, Epochs: 1, Seed: 42},
+	envs    = map[string]*bench.Env{}
+	envCfgs = map[string]bench.Config{
+		"tiny":        {Runs: 1, TestSamples: 40, TrainSamples: 80, Epochs: 3, Seed: 42},
+		"mnist":       {Runs: 1, TestSamples: 30, TrainSamples: 120, Epochs: 1, Seed: 42},
+		"cifar-small": {Runs: 1, TestSamples: 16, TrainSamples: 40, Epochs: 1, Seed: 42},
+		"cifar-large": {Runs: 1, TestSamples: 12, TrainSamples: 30, Epochs: 1, Seed: 42},
 	}
 )
 
-func sharedEnv(b *testing.B, kind bench.NetKind) *bench.Env {
+func sharedEnv(b *testing.B, network string) *bench.Env {
 	b.Helper()
 	envMu.Lock()
 	defer envMu.Unlock()
-	if env, ok := envs[kind]; ok {
+	if env, ok := envs[network]; ok {
 		return env
 	}
-	cfg := envCfgs[kind]
+	cfg := envCfgs[network]
 	cfg.Verbose = io.Discard
-	env, err := bench.BuildEnv(kind, cfg)
+	env, err := bench.BuildEnv(network, cfg, "")
 	if err != nil {
-		b.Fatalf("build %v env: %v", kind, err)
+		b.Fatalf("build %s env: %v", network, err)
 	}
-	envs[kind] = env
+	envs[network] = env
 	return env
 }
 
@@ -79,8 +79,8 @@ func BenchmarkTables1to3_Architectures(b *testing.B) {
 
 // --- Figures 5/7/9: RBER sweeps ---
 
-func rberBench(b *testing.B, kind bench.NetKind, rate float64, scheme bench.Scheme) {
-	env := sharedEnv(b, kind)
+func rberBench(b *testing.B, network string, rate float64, scheme bench.Scheme) {
+	env := sharedEnv(b, network)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := bench.RBERSweep(env, []float64{rate}, []bench.Scheme{scheme})
@@ -92,24 +92,24 @@ func rberBench(b *testing.B, kind bench.NetKind, rate float64, scheme bench.Sche
 }
 
 func BenchmarkFig5_MNIST_RBER(b *testing.B) {
-	b.Run("none", func(b *testing.B) { rberBench(b, bench.MNIST, 1e-5, bench.NoRecovery) })
-	b.Run("ecc", func(b *testing.B) { rberBench(b, bench.MNIST, 1e-5, bench.ECCOnly) })
-	b.Run("milr", func(b *testing.B) { rberBench(b, bench.MNIST, 1e-5, bench.MILROnly) })
-	b.Run("ecc+milr", func(b *testing.B) { rberBench(b, bench.MNIST, 1e-5, bench.ECCPlusMILR) })
+	b.Run("none", func(b *testing.B) { rberBench(b, "mnist", 1e-5, bench.NoRecovery) })
+	b.Run("ecc", func(b *testing.B) { rberBench(b, "mnist", 1e-5, bench.ECCOnly) })
+	b.Run("milr", func(b *testing.B) { rberBench(b, "mnist", 1e-5, bench.MILROnly) })
+	b.Run("ecc+milr", func(b *testing.B) { rberBench(b, "mnist", 1e-5, bench.ECCPlusMILR) })
 }
 
 func BenchmarkFig7_CIFARSmall_RBER(b *testing.B) {
-	b.Run("milr", func(b *testing.B) { rberBench(b, bench.CIFARSmall, 1e-5, bench.MILROnly) })
+	b.Run("milr", func(b *testing.B) { rberBench(b, "cifar-small", 1e-5, bench.MILROnly) })
 }
 
 func BenchmarkFig9_CIFARLarge_RBER(b *testing.B) {
-	b.Run("milr", func(b *testing.B) { rberBench(b, bench.CIFARLarge, 1e-5, bench.MILROnly) })
+	b.Run("milr", func(b *testing.B) { rberBench(b, "cifar-large", 1e-5, bench.MILROnly) })
 }
 
 // --- Figures 6/8/10: whole-weight error sweeps ---
 
-func wholeWeightBench(b *testing.B, kind bench.NetKind, rate float64) {
-	env := sharedEnv(b, kind)
+func wholeWeightBench(b *testing.B, network string, rate float64) {
+	env := sharedEnv(b, network)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := bench.WholeWeightSweep(env, []float64{rate}, []bench.Scheme{bench.MILROnly})
@@ -120,16 +120,16 @@ func wholeWeightBench(b *testing.B, kind bench.NetKind, rate float64) {
 	}
 }
 
-func BenchmarkFig6_MNIST_WholeWeight(b *testing.B)      { wholeWeightBench(b, bench.MNIST, 1e-5) }
-func BenchmarkFig8_CIFARSmall_WholeWeight(b *testing.B) { wholeWeightBench(b, bench.CIFARSmall, 1e-5) }
+func BenchmarkFig6_MNIST_WholeWeight(b *testing.B)      { wholeWeightBench(b, "mnist", 1e-5) }
+func BenchmarkFig8_CIFARSmall_WholeWeight(b *testing.B) { wholeWeightBench(b, "cifar-small", 1e-5) }
 func BenchmarkFig10_CIFARLarge_WholeWeight(b *testing.B) {
-	wholeWeightBench(b, bench.CIFARLarge, 1e-5)
+	wholeWeightBench(b, "cifar-large", 1e-5)
 }
 
 // --- Tables IV/VI/VIII: whole-layer corruption + recovery ---
 
-func wholeLayerBench(b *testing.B, kind bench.NetKind) {
-	env := sharedEnv(b, kind)
+func wholeLayerBench(b *testing.B, network string) {
+	env := sharedEnv(b, network)
 	// Corrupt the first dense layer (fully recoverable in every
 	// network); cmd/milr-bench regenerates the full per-layer table.
 	var denseIdx = -1
@@ -161,22 +161,20 @@ func wholeLayerBench(b *testing.B, kind bench.NetKind) {
 	}
 }
 
-func BenchmarkTable4_MNIST_WholeLayer(b *testing.B)      { wholeLayerBench(b, bench.MNIST) }
-func BenchmarkTable6_CIFARSmall_WholeLayer(b *testing.B) { wholeLayerBench(b, bench.CIFARSmall) }
-func BenchmarkTable8_CIFARLarge_WholeLayer(b *testing.B) { wholeLayerBench(b, bench.CIFARLarge) }
+func BenchmarkTable4_MNIST_WholeLayer(b *testing.B)      { wholeLayerBench(b, "mnist") }
+func BenchmarkTable6_CIFARSmall_WholeLayer(b *testing.B) { wholeLayerBench(b, "cifar-small") }
+func BenchmarkTable8_CIFARLarge_WholeLayer(b *testing.B) { wholeLayerBench(b, "cifar-large") }
 
 // --- Tables V/VII/IX: storage overhead ---
 
 func BenchmarkTable5_Storage(b *testing.B) {
-	kinds := []bench.NetKind{bench.MNIST, bench.CIFARSmall, bench.CIFARLarge}
-	names := []string{"mnist", "cifar-small", "cifar-large"}
-	for i, kind := range kinds {
-		kind := kind
-		b.Run(names[i], func(b *testing.B) {
-			env := sharedEnv(b, kind)
+	for _, network := range []string{"mnist", "cifar-small", "cifar-large"} {
+		network := network
+		b.Run(network, func(b *testing.B) {
+			env := sharedEnv(b, network)
 			b.ResetTimer()
 			for j := 0; j < b.N; j++ {
-				rep := bench.Storage(env)
+				rep := env.Protector.Storage()
 				if rep.MILRBytes() <= 0 {
 					b.Fatal("degenerate storage report")
 				}
@@ -190,13 +188,10 @@ func BenchmarkTable5_Storage(b *testing.B) {
 // --- Table X: prediction and identification time ---
 
 func BenchmarkTable10_Identification(b *testing.B) {
-	for _, kc := range []struct {
-		name string
-		kind bench.NetKind
-	}{{"mnist", bench.MNIST}, {"cifar-small", bench.CIFARSmall}, {"cifar-large", bench.CIFARLarge}} {
-		kc := kc
-		b.Run(kc.name+"/predict", func(b *testing.B) {
-			env := sharedEnv(b, kc.kind)
+	for _, network := range []string{"mnist", "cifar-small", "cifar-large"} {
+		network := network
+		b.Run(network+"/predict", func(b *testing.B) {
+			env := sharedEnv(b, network)
 			x := env.Test[0].X
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -205,8 +200,8 @@ func BenchmarkTable10_Identification(b *testing.B) {
 				}
 			}
 		})
-		b.Run(kc.name+"/identify", func(b *testing.B) {
-			env := sharedEnv(b, kc.kind)
+		b.Run(network+"/identify", func(b *testing.B) {
+			env := sharedEnv(b, network)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := env.Protector.Detect(); err != nil {
@@ -223,7 +218,7 @@ func BenchmarkFig11_RecoveryTime(b *testing.B) {
 	for _, n := range []int{16, 256, 1024} {
 		n := n
 		b.Run(benchName(n), func(b *testing.B) {
-			env := sharedEnv(b, bench.MNIST)
+			env := sharedEnv(b, "mnist")
 			inj := faults.New(uint64(n))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -259,7 +254,7 @@ func benchName(n int) string {
 // --- Figure 12: availability vs minimum accuracy ---
 
 func BenchmarkFig12_Availability(b *testing.B) {
-	env := sharedEnv(b, bench.Tiny)
+	env := sharedEnv(b, "tiny")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		pts, err := bench.AvailabilityCurve(env, 40)
@@ -345,7 +340,7 @@ func BenchmarkAblation_DenseBand(b *testing.B) {
 // Detection granularity: MILR's partial-checkpoint detection vs a naive
 // full golden-output comparison through the whole network.
 func BenchmarkAblation_PartialCheckpointSavings(b *testing.B) {
-	env := sharedEnv(b, bench.Tiny)
+	env := sharedEnv(b, "tiny")
 	b.Run("partial-checkpoints", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := env.Protector.Detect(); err != nil {
@@ -372,7 +367,7 @@ func BenchmarkAblation_PartialCheckpointSavings(b *testing.B) {
 
 // Selective (CRC-localized) vs full re-solve of a conv layer's filters.
 func BenchmarkAblation_SelectiveVsFull(b *testing.B) {
-	env := sharedEnv(b, bench.Tiny)
+	env := sharedEnv(b, "tiny")
 	conv := env.Model.Layer(0).(*nn.Conv2D)
 	b.Run("full-resolve", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -425,7 +420,7 @@ func gomaxprocsWorkers(b *testing.B, env *bench.Env) {
 }
 
 func BenchmarkForwardBatch(b *testing.B) {
-	env := sharedEnv(b, bench.MNIST)
+	env := sharedEnv(b, "mnist")
 	gomaxprocsWorkers(b, env)
 	xs := batchBenchInputs(b, env, 8)
 	b.ReportAllocs()
@@ -438,7 +433,7 @@ func BenchmarkForwardBatch(b *testing.B) {
 }
 
 func BenchmarkForwardLoop(b *testing.B) {
-	env := sharedEnv(b, bench.MNIST)
+	env := sharedEnv(b, "mnist")
 	gomaxprocsWorkers(b, env)
 	xs := batchBenchInputs(b, env, 8)
 	b.ReportAllocs()
@@ -521,7 +516,7 @@ func serverBench(b *testing.B, batchSize int, delay time.Duration) {
 // the tracer-overhead benchmark can run the identical swarm with spans
 // recording.
 func serverBenchCtx(b *testing.B, ctx context.Context, batchSize int, delay time.Duration) {
-	env := sharedEnv(b, bench.MNIST)
+	env := sharedEnv(b, "mnist")
 	gomaxprocsWorkers(b, env)
 	rt := milr.NewRuntime(milr.WithBatchSize(batchSize), milr.WithMaxBatchDelay(delay))
 	fl := milr.NewFleet(rt)
@@ -571,8 +566,8 @@ func BenchmarkTracerOverhead(b *testing.B) {
 // per-model mean batch fill and that the cold model's share survives
 // the hot crowd.
 func BenchmarkFleetSkewed(b *testing.B) {
-	hot := sharedEnv(b, bench.MNIST)
-	cold := sharedEnv(b, bench.Tiny)
+	hot := sharedEnv(b, "mnist")
+	cold := sharedEnv(b, "tiny")
 	hotXs := batchBenchInputs(b, hot, 8)
 	coldXs := batchBenchInputs(b, cold, 8)
 	rt := milr.NewRuntime(milr.WithBatchSize(8), milr.WithMaxBatchDelay(2*time.Millisecond))
@@ -615,7 +610,7 @@ func BenchmarkFleetSkewed(b *testing.B) {
 // per-layer pipeline it was A/B'd against is now the test oracle in
 // internal/core; BENCHMARKS.md keeps the last A/B.)
 func BenchmarkBatchedRecovery(b *testing.B) {
-	env := sharedEnv(b, bench.MNIST)
+	env := sharedEnv(b, "mnist")
 	if err := env.Reset(); err != nil {
 		b.Fatal(err)
 	}
@@ -679,7 +674,7 @@ func BenchmarkBatchedRecovery(b *testing.B) {
 // bit-identical at every count (see internal/bench/shard_test.go), so
 // wall-clock is the only thing that moves.
 func BenchmarkRBERSweepWorkers(b *testing.B) {
-	env := sharedEnv(b, bench.CIFARLarge)
+	env := sharedEnv(b, "cifar-large")
 	savedRuns := env.Config.Runs
 	env.Config.Runs = 4
 	defer func() {

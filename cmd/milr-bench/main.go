@@ -4,7 +4,7 @@
 //
 //	milr-bench -exp all                      # everything, scaled down
 //	milr-bench -exp fig5 -runs 40 -full      # one figure at paper scale
-//	milr-bench -exp table4,table5 -net mnist
+//	milr-bench -exp table4,table5
 //	milr-bench -exp fig9 -workers 0          # shard campaign over all cores
 //	milr-bench -exp fig9 -cpusweep 1,2,4     # wall-clock/speedup table
 //	milr-bench -list                         # what can be regenerated
@@ -31,8 +31,10 @@ import (
 type experiment struct {
 	id    string
 	title string
-	kind  bench.NetKind
-	run   func(*bench.Env, *config) error
+	// network is the zoo network the experiment runs on; "" (the
+	// architecture tables) builds no environment and runs on nil.
+	network string
+	run     func(*bench.Env, *config) error
 }
 
 type config struct {
@@ -75,7 +77,7 @@ func run(args []string) error {
 	}
 	if *list {
 		for _, e := range experiments() {
-			fmt.Printf("%-8s %-16s %s\n", e.id, e.kind, e.title)
+			fmt.Printf("%-8s %-16s %s\n", e.id, e.network, e.title)
 		}
 		return nil
 	}
@@ -116,15 +118,15 @@ func run(args []string) error {
 	// Group by network so each environment is built (and trained) once.
 	// Worker-count changes retune the live environments (SetWorkers), so
 	// a -cpusweep reuses the trained weights across every count.
-	envs := map[bench.NetKind]*bench.Env{}
+	envs := map[string]*bench.Env{}
 	var speedups []bench.SpeedupRow
 	for _, n := range counts {
 		for _, e := range selected {
-			env, err := envFor(envs, e.kind, cfg)
+			env, err := envFor(envs, e.network, cfg)
 			if err != nil {
 				return fmt.Errorf("experiment %s: %w", e.id, err)
 			}
-			if n != 0 {
+			if n != 0 && env != nil {
 				env.SetWorkers(workerCount(n))
 			}
 			start := time.Now()
@@ -178,8 +180,10 @@ func parseCPUSweep(s string) ([]int, error) {
 	return counts, nil
 }
 
-func envFor(envs map[bench.NetKind]*bench.Env, kind bench.NetKind, cfg *config) (*bench.Env, error) {
-	if env, ok := envs[kind]; ok {
+// envFor returns the network's environment, building it on first use;
+// no network ("") means no environment (nil).
+func envFor(envs map[string]*bench.Env, network string, cfg *config) (*bench.Env, error) {
+	if env, ok := envs[network]; ok || network == "" {
 		return env, nil
 	}
 	bcfg := bench.DefaultConfig(cfg.seed)
@@ -204,11 +208,11 @@ func envFor(envs map[bench.NetKind]*bench.Env, kind bench.NetKind, cfg *config) 
 	if cfg.verbose {
 		bcfg.Verbose = os.Stderr
 	}
-	env, err := bench.BuildEnvCached(kind, bcfg, cfg.cache)
+	env, err := bench.BuildEnv(network, bcfg, cfg.cache)
 	if err != nil {
 		return nil, err
 	}
-	envs[kind] = env
+	envs[network] = env
 	return env, nil
 }
 
@@ -247,7 +251,7 @@ func experiments() []experiment {
 	}
 	storageTable := func(title string) func(*bench.Env, *config) error {
 		return func(env *bench.Env, _ *config) error {
-			bench.RenderStorage(os.Stdout, title, bench.Storage(env))
+			bench.RenderStorage(os.Stdout, title, env.Protector.Storage())
 			return nil
 		}
 	}
@@ -266,38 +270,38 @@ func experiments() []experiment {
 		}
 	}
 	return []experiment{
-		{"table1", "MNIST network architecture", bench.Tiny, archTable("mnist")},
-		{"table2", "CIFAR-10 small architecture", bench.Tiny, archTable("cifar-small")},
-		{"table3", "CIFAR-10 large architecture", bench.Tiny, archTable("cifar-large")},
-		{"fig5", "MNIST RBER sweep (none/ECC/MILR/ECC+MILR)", bench.MNIST, rberFig("Figure 5: MNIST normalized accuracy vs RBER")},
-		{"fig6", "MNIST whole-weight errors", bench.MNIST, wwFig("Figure 6: MNIST whole-weight errors")},
-		{"table4", "MNIST whole-layer recovery", bench.MNIST, layerTable("Table IV: MNIST whole-layer error accuracy")},
-		{"table5", "MNIST storage overhead", bench.MNIST, storageTable("Table V: MNIST storage overhead")},
-		{"fig7", "CIFAR-small RBER sweep", bench.CIFARSmall, rberFig("Figure 7: CIFAR-10 small normalized accuracy vs RBER")},
-		{"fig8", "CIFAR-small whole-weight errors", bench.CIFARSmall, wwFig("Figure 8: CIFAR-10 small whole-weight errors")},
-		{"table6", "CIFAR-small whole-layer recovery", bench.CIFARSmall, layerTable("Table VI: CIFAR-10 small whole-layer error accuracy")},
-		{"table7", "CIFAR-small storage overhead", bench.CIFARSmall, storageTable("Table VII: CIFAR-10 small storage overhead")},
-		{"fig9", "CIFAR-large RBER sweep", bench.CIFARLarge, rberFig("Figure 9: CIFAR-10 large normalized accuracy vs RBER")},
-		{"fig10", "CIFAR-large whole-weight errors", bench.CIFARLarge, wwFig("Figure 10: CIFAR-10 large whole-weight errors")},
-		{"table8", "CIFAR-large whole-layer recovery", bench.CIFARLarge, layerTable("Table VIII: CIFAR-10 large whole-layer error accuracy")},
-		{"table9", "CIFAR-large storage overhead", bench.CIFARLarge, storageTable("Table IX: CIFAR-10 large storage overhead")},
-		{"table10", "prediction and identification time", bench.MNIST, func(env *bench.Env, _ *config) error {
+		{"table1", "MNIST network architecture", "", archTable("mnist")},
+		{"table2", "CIFAR-10 small architecture", "", archTable("cifar-small")},
+		{"table3", "CIFAR-10 large architecture", "", archTable("cifar-large")},
+		{"fig5", "MNIST RBER sweep (none/ECC/MILR/ECC+MILR)", "mnist", rberFig("Figure 5: MNIST normalized accuracy vs RBER")},
+		{"fig6", "MNIST whole-weight errors", "mnist", wwFig("Figure 6: MNIST whole-weight errors")},
+		{"table4", "MNIST whole-layer recovery", "mnist", layerTable("Table IV: MNIST whole-layer error accuracy")},
+		{"table5", "MNIST storage overhead", "mnist", storageTable("Table V: MNIST storage overhead")},
+		{"fig7", "CIFAR-small RBER sweep", "cifar-small", rberFig("Figure 7: CIFAR-10 small normalized accuracy vs RBER")},
+		{"fig8", "CIFAR-small whole-weight errors", "cifar-small", wwFig("Figure 8: CIFAR-10 small whole-weight errors")},
+		{"table6", "CIFAR-small whole-layer recovery", "cifar-small", layerTable("Table VI: CIFAR-10 small whole-layer error accuracy")},
+		{"table7", "CIFAR-small storage overhead", "cifar-small", storageTable("Table VII: CIFAR-10 small storage overhead")},
+		{"fig9", "CIFAR-large RBER sweep", "cifar-large", rberFig("Figure 9: CIFAR-10 large normalized accuracy vs RBER")},
+		{"fig10", "CIFAR-large whole-weight errors", "cifar-large", wwFig("Figure 10: CIFAR-10 large whole-weight errors")},
+		{"table8", "CIFAR-large whole-layer recovery", "cifar-large", layerTable("Table VIII: CIFAR-10 large whole-layer error accuracy")},
+		{"table9", "CIFAR-large storage overhead", "cifar-large", storageTable("Table IX: CIFAR-10 large storage overhead")},
+		{"table10", "prediction and identification time", "mnist", func(env *bench.Env, _ *config) error {
 			res, err := bench.Timing(env)
 			if err != nil {
 				return err
 			}
-			bench.RenderTiming(os.Stdout, "Table X: MILR prediction and identification time ("+env.Kind.String()+")", res)
+			bench.RenderTiming(os.Stdout, "Table X: MILR prediction and identification time (MNIST)", res)
 			return nil
 		}},
-		{"fig11", "recovery time vs errors", bench.MNIST, func(env *bench.Env, _ *config) error {
+		{"fig11", "recovery time vs errors", "mnist", func(env *bench.Env, _ *config) error {
 			pts, err := bench.RecoveryTimeCurve(env, []int{16, 64, 256, 1024, 4096})
 			if err != nil {
 				return err
 			}
-			bench.RenderRecoveryCurve(os.Stdout, "Figure 11: recovery time vs number of errors ("+env.Kind.String()+")", pts)
+			bench.RenderRecoveryCurve(os.Stdout, "Figure 11: recovery time vs number of errors (MNIST)", pts)
 			return nil
 		}},
-		{"psec", "ciphertext-space bit flips (AES-XTS) — the PSEC scenario", bench.MNIST, func(env *bench.Env, _ *config) error {
+		{"psec", "ciphertext-space bit flips (AES-XTS) — the PSEC scenario", "mnist", func(env *bench.Env, _ *config) error {
 			res, err := bench.CiphertextSweep(env, bench.PaperRBERRates[:7],
 				[]bench.Scheme{bench.NoRecovery, bench.ECCOnly, bench.MILROnly})
 			if err != nil {
@@ -306,12 +310,12 @@ func experiments() []experiment {
 			bench.RenderSweep(os.Stdout, "PSEC: ciphertext RBER (each flip garbles a 16-byte plaintext block)", res)
 			return nil
 		}},
-		{"fig12", "availability vs minimum accuracy", bench.MNIST, func(env *bench.Env, _ *config) error {
+		{"fig12", "availability vs minimum accuracy", "mnist", func(env *bench.Env, _ *config) error {
 			pts, err := bench.AvailabilityCurve(env, 60)
 			if err != nil {
 				return err
 			}
-			bench.RenderAvailability(os.Stdout, "Figure 12: availability vs minimum accuracy ("+env.Kind.String()+")", pts)
+			bench.RenderAvailability(os.Stdout, "Figure 12: availability vs minimum accuracy (MNIST)", pts)
 			return nil
 		}},
 	}

@@ -1,6 +1,9 @@
 package main
 
-import "testing"
+import (
+	"os"
+	"testing"
+)
 
 func TestListFlag(t *testing.T) {
 	if err := run([]string{"-list"}); err != nil {
@@ -42,9 +45,14 @@ func TestExperimentRegistryComplete(t *testing.T) {
 }
 
 func TestArchitectureExperimentsRun(t *testing.T) {
-	// The architecture tables need no environment and must run fast.
-	if err := run([]string{"-exp", "table1,table2,table3"}); err != nil {
+	// The architecture tables need no environment and must run fast:
+	// nothing is trained, so nothing lands in the weight cache.
+	cache := t.TempDir()
+	if err := run([]string{"-exp", "table1,table2,table3", "-cache", cache}); err != nil {
 		t.Fatalf("architecture tables: %v", err)
+	}
+	if entries, err := os.ReadDir(cache); err != nil || len(entries) != 0 {
+		t.Fatalf("architecture tables left %d weight-cache entries (err %v)", len(entries), err)
 	}
 }
 

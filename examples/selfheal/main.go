@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"milr"
-	"milr/internal/bench"
 	"milr/internal/dataset"
 	"milr/internal/faults"
 )
@@ -97,7 +96,6 @@ func run() error {
 		}
 		prot.ResetCRC()
 	}
-	_ = bench.MNIST // the full sweep lives in cmd/milr-bench -exp fig5
 	fmt.Println("\n(for the full Figure 5 reproduction run: go run ./cmd/milr-bench -exp fig5)")
 	return nil
 }

@@ -10,7 +10,7 @@ import (
 func tinyEnv(t *testing.T) *Env {
 	t.Helper()
 	cfg := Config{Runs: 2, TestSamples: 30, TrainSamples: 80, Epochs: 3, Seed: 9}
-	env, err := BuildEnv(Tiny, cfg)
+	env, err := BuildEnv("tiny", cfg, "")
 	if err != nil {
 		t.Fatalf("BuildEnv: %v", err)
 	}
@@ -126,7 +126,7 @@ func TestWholeLayerTableShape(t *testing.T) {
 
 func TestStorageAndTimingSmoke(t *testing.T) {
 	env := tinyEnv(t)
-	rep := Storage(env)
+	rep := env.Protector.Storage()
 	if rep.MILRBytes() <= 0 || rep.BackupBytes <= 0 {
 		t.Error("degenerate storage report")
 	}
@@ -199,12 +199,12 @@ func TestCiphertextSweepRuns(t *testing.T) {
 func TestWeightCacheRoundTrip(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "cache")
 	cfg := Config{Runs: 1, TestSamples: 20, TrainSamples: 60, Epochs: 2, Seed: 31}
-	env1, err := BuildEnvCached(Tiny, cfg, dir)
+	env1, err := BuildEnv("tiny", cfg, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Second build must hit the cache and produce identical weights.
-	env2, err := BuildEnvCached(Tiny, cfg, dir)
+	env2, err := BuildEnv("tiny", cfg, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +217,7 @@ func TestWeightCacheRoundTrip(t *testing.T) {
 	if env1.BaseAcc != env2.BaseAcc {
 		t.Errorf("cached baseline %v != %v", env2.BaseAcc, env1.BaseAcc)
 	}
-	if _, err := os.Stat(filepath.Join(dir, cacheKey(Tiny, cfg))); err != nil {
+	if _, err := os.Stat(filepath.Join(dir, cacheKey("tiny", cfg))); err != nil {
 		t.Errorf("cache file missing: %v", err)
 	}
 }
@@ -250,7 +250,7 @@ func TestRenderersProduceOutput(t *testing.T) {
 		t.Fatal(err)
 	}
 	RenderLayerTable(&buf, "layers", rows)
-	RenderStorage(&buf, "storage", Storage(env))
+	RenderStorage(&buf, "storage", env.Protector.Storage())
 	timing, err := Timing(env)
 	if err != nil {
 		t.Fatal(err)

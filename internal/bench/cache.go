@@ -13,12 +13,12 @@ import (
 
 // Trained-weight caching: training the CIFAR networks in pure Go on one
 // core takes minutes, so cmd/milr-bench caches trained weights on disk
-// keyed by network kind and training configuration. The cache holds only
+// keyed by zoo network name and training configuration. The cache holds only
 // weights; everything else (datasets, checkpoints) regenerates from the
 // seed.
 
 type cacheFile struct {
-	Kind         int
+	Network      string
 	Seed         uint64
 	TrainSamples int
 	Epochs       int
@@ -26,17 +26,17 @@ type cacheFile struct {
 	Weights      map[int][]float32
 }
 
-func cacheKey(kind NetKind, cfg Config) string {
-	return fmt.Sprintf("milr-%d-seed%d-n%d-e%d.gob", int(kind), cfg.Seed, cfg.TrainSamples, cfg.Epochs)
+func cacheKey(network string, cfg Config) string {
+	return fmt.Sprintf("milr-%s-seed%d-n%d-e%d.gob", network, cfg.Seed, cfg.TrainSamples, cfg.Epochs)
 }
 
-// SaveWeights writes the model's trained weights to dir.
-func SaveWeights(dir string, env *Env) error {
+// saveWeights writes the model's trained weights to dir.
+func saveWeights(dir string, env *Env) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("bench: cache dir: %w", err)
 	}
 	cf := cacheFile{
-		Kind:         int(env.Kind),
+		Network:      env.Network.Name,
 		Seed:         env.Config.Seed,
 		TrainSamples: env.Config.TrainSamples,
 		Epochs:       env.Config.Epochs,
@@ -47,7 +47,7 @@ func SaveWeights(dir string, env *Env) error {
 	for _, idx := range xmaps.SortedKeys(snap) {
 		cf.Weights[idx] = append([]float32(nil), snap[idx].Data()...)
 	}
-	path := filepath.Join(dir, cacheKey(env.Kind, env.Config))
+	path := filepath.Join(dir, cacheKey(env.Network.Name, env.Config))
 	f, err := os.Create(path)
 	if err != nil {
 		return fmt.Errorf("bench: cache create: %w", err)
@@ -62,8 +62,8 @@ func SaveWeights(dir string, env *Env) error {
 // loadWeights restores cached weights into a freshly built model,
 // returning the cached baseline accuracy. It returns os.ErrNotExist when
 // no usable cache entry exists.
-func loadWeights(dir string, kind NetKind, cfg Config, m *nn.Model) (float64, error) {
-	path := filepath.Join(dir, cacheKey(kind, cfg))
+func loadWeights(dir, network string, cfg Config, m *nn.Model) (float64, error) {
+	path := filepath.Join(dir, cacheKey(network, cfg))
 	f, err := os.Open(path)
 	if err != nil {
 		return 0, err
@@ -73,7 +73,7 @@ func loadWeights(dir string, kind NetKind, cfg Config, m *nn.Model) (float64, er
 	if err := gob.NewDecoder(f).Decode(&cf); err != nil {
 		return 0, fmt.Errorf("bench: cache decode %s: %w", path, err)
 	}
-	if cf.Kind != int(kind) || cf.Seed != cfg.Seed {
+	if cf.Network != network || cf.Seed != cfg.Seed {
 		return 0, os.ErrNotExist
 	}
 	snap := map[int]*tensor.Tensor{}
@@ -101,47 +101,4 @@ func loadWeights(dir string, kind NetKind, cfg Config, m *nn.Model) (float64, er
 		return 0, err
 	}
 	return cf.BaseAcc, nil
-}
-
-// BuildEnvCached is BuildEnv with a disk cache for the trained weights:
-// on a hit, training is skipped entirely.
-func BuildEnvCached(kind NetKind, cfg Config, dir string) (*Env, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	model, opts, data, err := buildNet(kind, cfg)
-	if err != nil {
-		return nil, err
-	}
-	baseAcc, err := loadWeights(dir, kind, cfg, model)
-	if err != nil {
-		cfg.logf("[%s] no weight cache (%v); training", kind, err)
-		return buildAndMaybeSave(kind, cfg, dir)
-	}
-	cfg.logf("[%s] loaded cached weights (baseline %.1f%%)", kind, 100*baseAcc)
-	pr, err := newProtector(model, opts, cfg, kind)
-	if err != nil {
-		return nil, err
-	}
-	return &Env{
-		Kind:      kind,
-		Model:     model,
-		Protector: pr,
-		ECC:       newECC(model),
-		Test:      data.test,
-		BaseAcc:   baseAcc,
-		Config:    cfg,
-		clean:     model.Snapshot(),
-	}, nil
-}
-
-func buildAndMaybeSave(kind NetKind, cfg Config, dir string) (*Env, error) {
-	env, err := BuildEnv(kind, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := SaveWeights(dir, env); err != nil {
-		cfg.logf("[%s] weight cache write failed: %v", kind, err)
-	}
-	return env, nil
 }

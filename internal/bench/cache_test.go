@@ -4,14 +4,28 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"milr/internal/nn"
+	"milr/internal/zoo"
 )
 
-func TestLoadWeightsMissingFile(t *testing.T) {
-	m, _, _, err := buildNet(Tiny, DefaultConfig(1))
+// untrained builds the named zoo network with its weights unset.
+func untrained(t *testing.T, network string, cfg Config) *nn.Model {
+	t.Helper()
+	net, err := zoo.Lookup(network)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := loadWeights(t.TempDir(), Tiny, DefaultConfig(1), m); err == nil {
+	m, err := newModel(net, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+func TestLoadWeightsMissingFile(t *testing.T) {
+	m := untrained(t, "tiny", DefaultConfig(1))
+	if _, err := loadWeights(t.TempDir(), "tiny", DefaultConfig(1), m); err == nil {
 		t.Fatal("missing cache file accepted")
 	}
 }
@@ -19,15 +33,12 @@ func TestLoadWeightsMissingFile(t *testing.T) {
 func TestLoadWeightsCorruptFile(t *testing.T) {
 	dir := t.TempDir()
 	cfg := DefaultConfig(1)
-	path := filepath.Join(dir, cacheKey(Tiny, cfg))
+	path := filepath.Join(dir, cacheKey("tiny", cfg))
 	if err := os.WriteFile(path, []byte("not gob"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	m, _, _, err := buildNet(Tiny, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := loadWeights(dir, Tiny, cfg, m); err == nil {
+	m := untrained(t, "tiny", cfg)
+	if _, err := loadWeights(dir, "tiny", cfg, m); err == nil {
 		t.Fatal("corrupt cache accepted")
 	}
 }
@@ -38,20 +49,17 @@ func TestLoadWeightsWrongArchitecture(t *testing.T) {
 	// silently mis-restore.
 	dir := t.TempDir()
 	cfg := Config{Runs: 1, TestSamples: 10, TrainSamples: 20, Epochs: 1, Seed: 77}
-	env, err := BuildEnv(Tiny, cfg)
+	env, err := BuildEnv("tiny", cfg, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := SaveWeights(dir, env); err != nil {
+	if err := saveWeights(dir, env); err != nil {
 		t.Fatal(err)
 	}
 	// Force the same cache key to be read for a different architecture.
-	mnist, _, _, err := buildNet(MNIST, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := filepath.Join(dir, cacheKey(Tiny, cfg))
-	dst := filepath.Join(dir, cacheKey(MNIST, cfg))
+	mnist := untrained(t, "mnist", cfg)
+	src := filepath.Join(dir, cacheKey("tiny", cfg))
+	dst := filepath.Join(dir, cacheKey("mnist", cfg))
 	data, err := os.ReadFile(src)
 	if err != nil {
 		t.Fatal(err)
@@ -59,16 +67,16 @@ func TestLoadWeightsWrongArchitecture(t *testing.T) {
 	if err := os.WriteFile(dst, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := loadWeights(dir, MNIST, cfg, mnist); err == nil {
+	if _, err := loadWeights(dir, "mnist", cfg, mnist); err == nil {
 		t.Fatal("cross-architecture cache accepted")
 	}
 }
 
 func TestCacheKeyDistinguishesConfigs(t *testing.T) {
-	a := cacheKey(Tiny, Config{Seed: 1, TrainSamples: 10, Epochs: 1})
-	b := cacheKey(Tiny, Config{Seed: 2, TrainSamples: 10, Epochs: 1})
-	c := cacheKey(MNIST, Config{Seed: 1, TrainSamples: 10, Epochs: 1})
-	d := cacheKey(Tiny, Config{Seed: 1, TrainSamples: 20, Epochs: 1})
+	a := cacheKey("tiny", Config{Seed: 1, TrainSamples: 10, Epochs: 1})
+	b := cacheKey("tiny", Config{Seed: 2, TrainSamples: 10, Epochs: 1})
+	c := cacheKey("mnist", Config{Seed: 1, TrainSamples: 10, Epochs: 1})
+	d := cacheKey("tiny", Config{Seed: 1, TrainSamples: 20, Epochs: 1})
 	keys := map[string]bool{a: true, b: true, c: true, d: true}
 	if len(keys) != 4 {
 		t.Fatalf("cache keys collide: %q %q %q %q", a, b, c, d)

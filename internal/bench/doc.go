@@ -5,6 +5,12 @@
 // the recovery-time curve (Figure 11), and the availability–accuracy
 // trade-off (Figure 12).
 //
+// Networks come from internal/zoo and nowhere else: BuildEnv takes a zoo
+// network name, and the zoo row, not this package, says which synthetic
+// dataset the network trains and is evaluated on and which cost policy
+// protects it. Trained weights may be cached on disk, keyed by network
+// name, seed and training size.
+//
 // Scale knobs: the paper ran 40 injections per error-rate point against
 // TensorFlow on a GPU; this reproduction runs on one CPU core, so Config
 // defaults are scaled down and `-full` (cmd/milr-bench) restores paper

@@ -15,38 +15,6 @@ import (
 	"milr/internal/zoo"
 )
 
-// NetKind selects one of the paper's evaluation networks (or the test
-// suite's tiny network).
-type NetKind int
-
-const (
-	// MNIST is the Table I network on the MNIST-like synthetic dataset.
-	MNIST NetKind = iota + 1
-	// CIFARSmall is the Table II network on the CIFAR-like dataset.
-	CIFARSmall
-	// CIFARLarge is the Table III network on the CIFAR-like dataset,
-	// with the paper's all-convs-partial cost policy.
-	CIFARLarge
-	// Tiny is the miniature network used by tests and quick benches.
-	Tiny
-)
-
-// String implements fmt.Stringer.
-func (k NetKind) String() string {
-	switch k {
-	case MNIST:
-		return "MNIST"
-	case CIFARSmall:
-		return "CIFAR-10 Small"
-	case CIFARLarge:
-		return "CIFAR-10 Large"
-	case Tiny:
-		return "Tiny"
-	default:
-		return fmt.Sprintf("NetKind(%d)", int(k))
-	}
-}
-
 // Config scales the experiments.
 type Config struct {
 	// Runs per error-rate point (paper: 40).
@@ -98,7 +66,8 @@ func (c Config) logf(format string, args ...interface{}) {
 // needs: ECC protection of the clean weights, the test set, the baseline
 // accuracy, and the clean snapshot to restore between runs.
 type Env struct {
-	Kind      NetKind
+	// Network is the zoo row the environment was built from.
+	Network   zoo.Network
 	Model     *nn.Model
 	Protector *core.Protector
 	ECC       *ecc.Protector
@@ -109,18 +78,67 @@ type Env struct {
 	clean map[int]*tensor.Tensor
 }
 
-// BuildEnv constructs, trains, and protects a network.
-func BuildEnv(kind NetKind, cfg Config) (*Env, error) {
+// BuildEnv builds the named zoo network, trains it on the network's
+// synthetic dataset, and protects it. With a non-empty cacheDir the
+// trained weights are loaded from there when present (training is
+// skipped) and saved there when not; "" means no cache.
+func BuildEnv(network string, cfg Config, cacheDir string) (*Env, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	model, opts, data, err := buildNet(kind, cfg)
+	net, err := zoo.Lookup(network)
+	if err != nil {
+		return nil, fmt.Errorf("bench: %w", err)
+	}
+	data := net.Data
+	data.Seed = cfg.Seed
+	ds, err := dataset.New(data)
 	if err != nil {
 		return nil, err
 	}
+	train, test := ds.TrainTest(cfg.TrainSamples, cfg.TestSamples)
+	model, err := newModel(net, cfg)
+	if err != nil {
+		return nil, err
+	}
+	var acc float64
+	trained := true
+	if cacheDir != "" {
+		var lerr error
+		if acc, lerr = loadWeights(cacheDir, net.Name, cfg, model); lerr == nil {
+			trained = false
+			cfg.logf("[%s] loaded cached weights (baseline %.1f%%)", net.Name, 100*acc)
+		} else {
+			cfg.logf("[%s] no weight cache (%v); training", net.Name, lerr)
+		}
+	}
+	if trained {
+		if acc, err = trainModel(net.Name, model, train, test, cfg); err != nil {
+			return nil, err
+		}
+	}
+	opts := net.Options(cfg.Seed)
+	opts.Workers = cfg.Workers
+	start := time.Now()
+	pr, err := core.NewProtector(model, opts)
+	if err != nil {
+		return nil, fmt.Errorf("bench: protect %s: %w", net.Name, err)
+	}
+	cfg.logf("[%s] MILR initialization: %v", net.Name, time.Since(start).Round(time.Millisecond))
+	env := Env{Network: net, Test: test, BaseAcc: acc, Config: cfg, clean: model.Snapshot()}
+	out := env.withModel(model, pr)
+	if trained && cacheDir != "" {
+		if err := saveWeights(cacheDir, out); err != nil {
+			cfg.logf("[%s] weight cache write failed: %v", net.Name, err)
+		}
+	}
+	return out, nil
+}
+
+// trainModel initialises and trains model, returning its test accuracy.
+func trainModel(name string, model *nn.Model, train, test []nn.Sample, cfg Config) (float64, error) {
 	model.InitWeights(cfg.Seed)
-	train, test := data.train, data.test
-	cfg.logf("[%s] training on %d synthetic samples, %d epochs...", kind, len(train), cfg.Epochs)
+	cfg.logf("[%s] training on %d synthetic samples, %d epochs...", name, len(train), cfg.Epochs)
 	start := time.Now()
 	loss, err := nn.Train(model, train, nn.TrainConfig{
 		Epochs:    cfg.Epochs,
@@ -130,90 +148,33 @@ func BuildEnv(kind NetKind, cfg Config) (*Env, error) {
 		Seed:      cfg.Seed + 1,
 	})
 	if err != nil {
-		return nil, fmt.Errorf("bench: train %v: %w", kind, err)
+		return 0, fmt.Errorf("bench: train %s: %w", name, err)
 	}
-	cfg.logf("[%s] trained in %v (final loss %.4f)", kind, time.Since(start).Round(time.Millisecond), loss)
+	cfg.logf("[%s] trained in %v (final loss %.4f)", name, time.Since(start).Round(time.Millisecond), loss)
 	acc, err := nn.Evaluate(model, test)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-	cfg.logf("[%s] baseline accuracy: %.1f%%", kind, 100*acc)
-	pr, err := newProtector(model, opts, cfg, kind)
-	if err != nil {
-		return nil, err
-	}
-	env := &Env{
-		Kind:      kind,
-		Model:     model,
-		Protector: pr,
-		ECC:       newECC(model),
-		Test:      test,
-		BaseAcc:   acc,
-		Config:    cfg,
-		clean:     model.Snapshot(),
-	}
-	return env, nil
+	cfg.logf("[%s] baseline accuracy: %.1f%%", name, 100*acc)
+	return acc, nil
 }
 
-func newProtector(model *nn.Model, opts core.Options, cfg Config, kind NetKind) (*core.Protector, error) {
-	start := time.Now()
-	pr, err := core.NewProtector(model, opts)
-	if err != nil {
-		return nil, fmt.Errorf("bench: protect %v: %w", kind, err)
-	}
-	cfg.logf("[%s] MILR initialization: %v", kind, time.Since(start).Round(time.Millisecond))
-	return pr, nil
-}
-
-func newECC(model *nn.Model) *ecc.Protector {
-	return ecc.NewProtector(paramWords(model))
-}
-
-type netData struct {
-	train, test []nn.Sample
-}
-
-// kindNetwork names each kind's row in the zoo table.
-var kindNetwork = map[NetKind]string{MNIST: "mnist", CIFARSmall: "cifar-small", CIFARLarge: "cifar-large", Tiny: "tiny"}
-
-// buildModel constructs the (untrained) network and MILR options for a
-// kind from its zoo row, applying the configuration's worker counts.
-func buildModel(kind NetKind, cfg Config) (*nn.Model, core.Options, error) {
-	net, err := zoo.Lookup(kindNetwork[kind])
-	if err != nil {
-		return nil, core.Options{}, fmt.Errorf("bench: net kind %d: %w", kind, err)
-	}
-	opts := net.Options(cfg.Seed)
-	opts.Workers = cfg.Workers
+// newModel constructs net's untrained model at the configured worker count.
+func newModel(net zoo.Network, cfg Config) (*nn.Model, error) {
 	model, err := net.New()
 	if err != nil {
-		return nil, opts, err
+		return nil, err
 	}
 	model.SetWorkers(cfg.Workers)
-	return model, opts, nil
+	return model, nil
 }
 
-func buildNet(kind NetKind, cfg Config) (*nn.Model, core.Options, *netData, error) {
-	model, opts, err := buildModel(kind, cfg)
-	if err != nil {
-		return nil, opts, nil, err
-	}
-	var dcfg dataset.Config
-	switch kind {
-	case MNIST:
-		dcfg = dataset.MNISTLike(cfg.Seed)
-	case CIFARSmall, CIFARLarge:
-		dcfg = dataset.CIFARLike(cfg.Seed)
-	case Tiny:
-		dcfg = dataset.Config{Height: 12, Width: 12, Channels: 1, Classes: 4,
-			NoiseStd: 0.15, MaxShift: 1, Seed: cfg.Seed}
-	}
-	ds, err := dataset.New(dcfg)
-	if err != nil {
-		return nil, opts, nil, err
-	}
-	train, test := ds.TrainTest(cfg.TrainSamples, cfg.TestSamples)
-	return model, opts, &netData{train: train, test: test}, nil
+// withModel returns a copy of e over model and its protector, with ECC
+// codes computed from model's weights: the one place an Env gets its
+// mutable parts, for BuildEnv and Clone alike.
+func (e Env) withModel(model *nn.Model, pr *core.Protector) *Env {
+	e.Model, e.Protector, e.ECC = model, pr, ecc.NewProtector(paramWords(model))
+	return &e
 }
 
 // Reset restores the clean weights and protection state between

@@ -1,18 +1,20 @@
 package bench
 
 import (
+	"errors"
 	"math"
 	"testing"
 
 	"milr/internal/nn"
+	"milr/internal/zoo"
 )
 
 func TestConfigValidation(t *testing.T) {
-	if _, err := BuildEnv(Tiny, Config{}); err == nil {
+	if _, err := BuildEnv("tiny", Config{}, ""); err == nil {
 		t.Error("zero config accepted")
 	}
-	if _, err := BuildEnv(NetKind(99), DefaultConfig(1)); err == nil {
-		t.Error("unknown kind accepted")
+	if _, err := BuildEnv("resnet", DefaultConfig(1), ""); !errors.Is(err, zoo.ErrUnknownNetwork) {
+		t.Errorf("unknown network: err = %v, want zoo.ErrUnknownNetwork", err)
 	}
 }
 
@@ -108,11 +110,6 @@ func TestSchemeAndKindStrings(t *testing.T) {
 	for _, s := range []Scheme{NoRecovery, ECCOnly, MILROnly, ECCPlusMILR, Scheme(42)} {
 		if s.String() == "" {
 			t.Errorf("empty string for scheme %d", int(s))
-		}
-	}
-	for _, k := range []NetKind{MNIST, CIFARSmall, CIFARLarge, Tiny, NetKind(42)} {
-		if k.String() == "" {
-			t.Errorf("empty string for kind %d", int(k))
 		}
 	}
 }

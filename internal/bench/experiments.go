@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"milr/internal/availability"
-	"milr/internal/core"
 	"milr/internal/faults"
 	"milr/internal/nn"
 	"milr/internal/tensor"
@@ -230,16 +229,12 @@ func applyScheme(env *Env, scheme Scheme) (bool, error) {
 			return false, err
 		}
 		return stats.Uncorrectable == 0, nil
-	case MILROnly:
-		_, rec, err := env.Protector.SelfHeal()
-		if err != nil {
-			return false, err
-		}
-		return rec.AllRecovered(), nil
 	case ECCPlusMILR:
 		if _, err := env.ScrubECC(); err != nil {
 			return false, err
 		}
+		return applyScheme(env, MILROnly)
+	case MILROnly:
 		_, rec, err := env.Protector.SelfHeal()
 		if err != nil {
 			return false, err
@@ -459,9 +454,4 @@ func AvailabilityCurveWorkers(env *Env, points, workers int) ([]availability.Poi
 		DetectionsPerError: 2,
 	}
 	return availability.Curve(params, points)
-}
-
-// Storage returns the network's storage report (Tables V/VII/IX).
-func Storage(env *Env) *core.StorageReport {
-	return env.Protector.Storage()
 }

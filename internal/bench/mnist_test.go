@@ -18,7 +18,7 @@ func TestMNISTRecoveryAtModerateRBER(t *testing.T) {
 		t.Skip("MNIST training in -short mode")
 	}
 	cfg := Config{Runs: 1, TestSamples: 30, TrainSamples: 120, Epochs: 1, Seed: 42, Verbose: io.Discard}
-	env, err := BuildEnv(MNIST, cfg)
+	env, err := BuildEnv("mnist", cfg, "")
 	if err != nil {
 		t.Fatal(err)
 	}

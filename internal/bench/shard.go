@@ -33,7 +33,7 @@ func (e *Env) SetWorkers(n int) {
 // codes. The test set and clean snapshot are shared read-only. The
 // clone is what a campaign worker mutates so shards never contend.
 func (e *Env) Clone() (*Env, error) {
-	model, _, err := buildModel(e.Kind, e.Config)
+	model, err := newModel(e.Network, e.Config)
 	if err != nil {
 		return nil, err
 	}
@@ -48,16 +48,7 @@ func (e *Env) Clone() (*Env, error) {
 	if err != nil {
 		return nil, fmt.Errorf("bench: clone protector load: %w", err)
 	}
-	return &Env{
-		Kind:      e.Kind,
-		Model:     model,
-		Protector: pr,
-		ECC:       newECC(model),
-		Test:      e.Test,
-		BaseAcc:   e.BaseAcc,
-		Config:    e.Config,
-		clean:     e.clean,
-	}, nil
+	return e.withModel(model, pr), nil
 }
 
 // campaignWorkers resolves Config.Workers for an n-cell campaign:

@@ -41,7 +41,7 @@ func renderCampaigns(t *testing.T, env *Env) []byte {
 
 func TestShardedCampaignDeterminism(t *testing.T) {
 	cfg := Config{Runs: 3, TestSamples: 24, TrainSamples: 60, Epochs: 2, Seed: 1234}
-	env, err := BuildEnv(Tiny, cfg)
+	env, err := BuildEnv("tiny", cfg, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestShardedCampaignDeterminism(t *testing.T) {
 // and heals with its own protector.
 func TestCloneIsIndependent(t *testing.T) {
 	cfg := Config{Runs: 1, TestSamples: 16, TrainSamples: 40, Epochs: 2, Seed: 7}
-	env, err := BuildEnv(Tiny, cfg)
+	env, err := BuildEnv("tiny", cfg, "")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,11 @@
 // Package zoo is the one table of networks a flag, a models-config
-// entry or an admin spec can name: which constructor builds each, which
-// paper table it reproduces, and the cost policy MILR protects it under.
-// Every binary, the experiment harness and the fleet example read it, so
-// a network is never served under one plan and inspected or soaked under
-// another; zoo_guard_test.go (module root) keeps a second table out.
+// entry, an admin spec or an experiment can name: which constructor
+// builds each, which paper table it reproduces, the cost policy MILR
+// protects it under, and the synthetic dataset it trains on (this table
+// owns that choice; internal/dataset only generates). Every binary, the
+// experiment harness and the fleet example read it, so a network is
+// never served under one plan and inspected or soaked under another;
+// zoo_guard_test.go (module root) keeps a second table out.
 package zoo
 
 import (
@@ -12,6 +14,7 @@ import (
 	"strings"
 
 	"milr/internal/core"
+	"milr/internal/dataset"
 	"milr/internal/nn"
 	"milr/internal/prng"
 	"milr/internal/tensor"
@@ -30,13 +33,17 @@ type Network struct {
 	// paper requires of the large CIFAR network "to keep cost low"
 	// (§V-D); 0 leaves the choice to the planner.
 	MaxFullSolveTaps int
+	// Data is the synthetic dataset the experiments train and evaluate
+	// the network on; Seed is left zero for the caller to set.
+	Data dataset.Config
 }
 
 var networks = []Network{
-	{Name: "tiny", Title: "Tiny network", New: nn.NewTinyNet},
-	{Name: "mnist", Table: "Table I", Title: "MNIST network", New: nn.NewMNISTNet},
-	{Name: "cifar-small", Table: "Table II", Title: "CIFAR-10 small network", New: nn.NewCIFARSmallNet},
-	{Name: "cifar-large", Table: "Table III", Title: "CIFAR-10 large network", New: nn.NewCIFARLargeNet, MaxFullSolveTaps: 1},
+	{Name: "tiny", Title: "Tiny network", New: nn.NewTinyNet,
+		Data: dataset.Config{Height: 12, Width: 12, Channels: 1, Classes: 4, NoiseStd: 0.15, MaxShift: 1}},
+	{Name: "mnist", Table: "Table I", Title: "MNIST network", New: nn.NewMNISTNet, Data: dataset.MNISTLike(0)},
+	{Name: "cifar-small", Table: "Table II", Title: "CIFAR-10 small network", New: nn.NewCIFARSmallNet, Data: dataset.CIFARLike(0)},
+	{Name: "cifar-large", Table: "Table III", Title: "CIFAR-10 large network", New: nn.NewCIFARLargeNet, MaxFullSolveTaps: 1, Data: dataset.CIFARLike(0)},
 }
 
 // Names lists the network names for flag help and error messages.

@@ -5,6 +5,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"milr/internal/tensor"
 )
 
 func TestEveryEntryBuilds(t *testing.T) {
@@ -25,6 +27,24 @@ func TestEveryEntryBuilds(t *testing.T) {
 		}
 		if got := n.Options(9).Seed; got != 9 {
 			t.Errorf("%s: Options(9).Seed = %d", n.Name, got)
+		}
+	}
+}
+
+// TestDatasetFitsNetwork: every row's dataset feeds its network, image
+// for image and class for class.
+func TestDatasetFitsNetwork(t *testing.T) {
+	for _, n := range networks {
+		m, err := n.New()
+		if err != nil {
+			t.Fatalf("%s: %v", n.Name, err)
+		}
+		d := n.Data
+		if in := (tensor.Shape{d.Height, d.Width, d.Channels}); !in.Equal(m.InShape()) {
+			t.Errorf("%s: dataset images %v, network input %v", n.Name, in, m.InShape())
+		}
+		if out := m.OutShape(); out.NumElements() != d.Classes {
+			t.Errorf("%s: dataset has %d classes, network output %v", n.Name, d.Classes, out)
 		}
 	}
 }
