@@ -13,6 +13,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"milr/internal/bench"
@@ -21,13 +22,14 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Stdout, os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "milr-inspect:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+// run parses args and prints the report for the chosen network to w.
+func run(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("milr-inspect", flag.ContinueOnError)
 	var (
 		name = fs.String("net", "mnist", "network: "+zoo.Names())
@@ -48,14 +50,14 @@ func run(args []string) error {
 	if net.Table != "" {
 		title += " (" + net.Table + ")"
 	}
-	bench.RenderArchitecture(os.Stdout, title, model)
+	bench.RenderArchitecture(w, title, model)
 
-	fmt.Println("MILR plan:")
+	fmt.Fprintln(w, "MILR plan:")
 	prot, err := core.NewProtector(model, net.Options(*seed))
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%-4s %-12s %-12s %10s  %s\n", "idx", "layer", "role", "params", "notes")
+	fmt.Fprintf(w, "%-4s %-12s %-12s %10s  %s\n", "idx", "layer", "role", "params", "notes")
 	for _, info := range prot.PlanInfo() {
 		notes := ""
 		if info.BoundaryBefore {
@@ -75,9 +77,9 @@ func run(args []string) error {
 				notes += fmt.Sprintf("dummy-filters=%d ", info.DummyFilters)
 			}
 		}
-		fmt.Printf("%-4d %-12s %-12s %10d  %s\n", info.Layer, info.Name, info.Role, info.Params, notes)
+		fmt.Fprintf(w, "%-4d %-12s %-12s %10d  %s\n", info.Layer, info.Name, info.Role, info.Params, notes)
 	}
-	fmt.Printf("\ncheckpoint boundaries (layer-input positions): %v\n\n", prot.Boundaries())
-	bench.RenderStorage(os.Stdout, "Storage overhead:", prot.Storage())
+	fmt.Fprintf(w, "\ncheckpoint boundaries (layer-input positions): %v\n\n", prot.Boundaries())
+	bench.RenderStorage(w, "Storage overhead:", prot.Storage())
 	return nil
 }

@@ -156,8 +156,6 @@ func (pr *Protector) detectLayer(lp *layerPlan) (*LayerFinding, error) {
 			}, nil
 		}
 		return nil, nil
-	case roleAffine:
-		return pr.detectAffine(lp)
 	default:
 		return nil, nil
 	}

@@ -201,8 +201,6 @@ func LoadProtector(r io.Reader, model *nn.Model) (*Protector, error) {
 			}
 		case roleDense:
 			partial, denseDummy = tensor.Shape{lp.dense.Out()}, tensor.Shape{lp.dense.In(), lp.dense.Out()}
-		case roleAffine:
-			partial = tensor.Shape{2 * lp.affine.Width()}
 		}
 		if lp.partial, err = loadTensor(name+"partial checkpoint", sl.Partial, []int{len(sl.Partial)}, partial); err != nil {
 			return nil, err

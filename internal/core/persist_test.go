@@ -2,8 +2,11 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/gob"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -399,4 +402,41 @@ func FuzzLoadProtector(f *testing.F) {
 		}
 		_, _, _ = pr.SelfHeal() // any error is fine; a panic is not
 	})
+}
+
+// TestCommittedBlobLoadsAndHeals pins the saved-blob format against a
+// blob written by an older build: testdata/tiny-protector.gob is
+// NewTinyNet with InitWeights(7), protected with DefaultOptions(42) and
+// saved. It stores each layer's role number, so renumbering roleKind,
+// or any other change that stops old blobs decoding into the same plan,
+// fails here.
+func TestCommittedBlobLoadsAndHeals(t *testing.T) {
+	blob, err := os.ReadFile(filepath.Join("testdata", "tiny-protector.gob"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := nn.NewTinyNet()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.InitWeights(7)
+	clean := m.Snapshot()
+	pr, err := LoadProtector(bytes.NewReader(blob), m)
+	if err != nil {
+		t.Fatalf("LoadProtector on the committed blob: %v", err)
+	}
+	m.Layer(0).(nn.Parameterized).Params().Data()[5] = 1e30
+	det, rec, err := pr.SelfHealContext(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := det.Erroneous(); !reflect.DeepEqual(got, []int{0}) {
+		t.Fatalf("flagged layers %v, want [0]", got)
+	}
+	if len(rec.Results) != 1 || rec.Results[0].Layer != 0 || rec.Results[0].Status != Recovered {
+		t.Fatalf("recovery %+v, want layer 0 Recovered", rec.Results)
+	}
+	if diff := maxParamDiff(clean, m.Snapshot()); diff > 1e-3 {
+		t.Fatalf("weights off by %g after healing from the committed blob", diff)
+	}
 }

@@ -94,16 +94,19 @@ func (o Options) validate() error {
 	return nil
 }
 
-// roleKind classifies layers by their MILR treatment.
+// roleKind classifies layers by their MILR treatment: the paper's four
+// layer types (§IV) plus bias, which it treats as a layer of its own
+// (§IV-E). Saved protector blobs store these numbers, so they never
+// shift.
 type roleKind int
 
 const (
-	roleConv roleKind = iota + 1
-	roleDense
-	roleBias
-	roleAffine      // per-channel scale+shift (inference-mode batch norm)
-	rolePassthrough // invertible, parameter-free (activation, flatten, dropout)
-	roleOpaque      // non-invertible, parameter-free (pooling)
+	roleConv        roleKind = iota + 1 // convolution (§IV-B)
+	roleDense                           // dense (§IV-A)
+	roleBias                            // bias (§IV-E-c)
+	_                                   // 4 was roleAffine, since deleted; kept free so 5 and 6 load
+	rolePassthrough                     // invertible, parameter-free: ReLU (§IV-D), flatten
+	roleOpaque                          // non-invertible, parameter-free: max pooling (§IV-C)
 )
 
 func (r roleKind) String() string {
@@ -114,8 +117,6 @@ func (r roleKind) String() string {
 		return "dense"
 	case roleBias:
 		return "bias"
-	case roleAffine:
-		return "affine"
 	case rolePassthrough:
 		return "passthrough"
 	case roleOpaque:
@@ -166,9 +167,6 @@ type layerPlan struct {
 
 	// Bias state.
 	bias *nn.Bias
-
-	// Affine state.
-	affine *nn.Affine
 }
 
 // plan is the result of the planning half of initialization.
@@ -250,32 +248,16 @@ func buildPlan(m *nn.Model, opts Options) (*plan, error) {
 			lp.role = roleBias
 			lp.bias = v
 			lp.paramCount = v.ParamCount()
-		case *nn.Affine:
-			// An extension beyond the paper's four layer types:
-			// inference-mode batch normalization. Invertible (gains are
-			// non-zero in practice) and solvable per channel from a
-			// golden pair, so it needs neither checkpoint nor dummies.
-			lp.role = roleAffine
-			lp.affine = v
-			lp.paramCount = v.ParamCount()
 		case *nn.Pool2D:
 			// "A pooling layer changes the input in a non-invertible
 			// way. Hence, it requires the addition of a checkpoint that
 			// stores the input to the layer" (§IV-C).
 			lp.role = roleOpaque
 			boundaries[i] = true
+		case *nn.Activation, *nn.Flatten:
+			lp.role = rolePassthrough
 		default:
-			if _, ok := l.(nn.Invertible); ok {
-				lp.role = rolePassthrough
-			} else if _, ok := l.(nn.Parameterized); ok {
-				return nil, fmt.Errorf("core: parameterized layer %q of type %T is not supported", l.Name(), l)
-			} else {
-				// Unknown parameter-free, non-invertible layer: store a
-				// checkpoint, the paper's catch-all ("If data is lost on
-				// forward pass, then a checkpoint is stored").
-				lp.role = roleOpaque
-				boundaries[i] = true
-			}
+			return nil, fmt.Errorf("core: layer %q of type %T is not supported", l.Name(), l)
 		}
 		p.layers = append(p.layers, lp)
 	}

@@ -208,13 +208,6 @@ func (pr *Protector) initLayer(lp *layerPlan, goldenIn *tensor.Tensor) error {
 		// "the sum of all the bias parameters is taken and stored"
 		// (§IV-E-c).
 		lp.biasSum = lp.bias.Params().Sum()
-	case roleAffine:
-		lp.detectTag = tagDetect + uint64(i)
-		partial, err := pr.affinePartialCheckpoint(lp)
-		if err != nil {
-			return err
-		}
-		lp.partial = partial
 	}
 	return nil
 }

@@ -305,12 +305,6 @@ func (pr *Protector) RecoverAll() (*RecoveryReport, error) {
 			report.Findings = append(report.Findings, LayerFinding{Layer: lp.idx, Name: pr.model.Layer(lp.idx).Name(), Columns: all})
 		case roleBias:
 			report.Findings = append(report.Findings, LayerFinding{Layer: lp.idx, Name: pr.model.Layer(lp.idx).Name(), SumMismatch: true})
-		case roleAffine:
-			all := make([]int, lp.affine.Width())
-			for j := range all {
-				all[j] = j
-			}
-			report.Findings = append(report.Findings, LayerFinding{Layer: lp.idx, Name: pr.model.Layer(lp.idx).Name(), Columns: all})
 		}
 	}
 	return pr.recoverLocked(context.Background(), report)

@@ -59,8 +59,6 @@ func (pr *Protector) recoverSequential(ctx context.Context, findings []LayerFind
 			res, err = pr.recoverDense(lp, f)
 		case roleBias:
 			res, err = pr.recoverBiasSequential(lp)
-		case roleAffine:
-			res, err = pr.recoverAffineSequential(lp, f)
 		default:
 			err = fmt.Errorf("core: finding for non-parameterized layer %d", f.Layer)
 		}
@@ -128,19 +126,6 @@ func (pr *Protector) recoverBiasSequential(lp *layerPlan) (RecoveryResult, error
 		return RecoveryResult{Layer: lp.idx, Name: pr.model.Layer(lp.idx).Name()}, err
 	}
 	return pr.recoverBias(lp, goldenIn, goldenOut)
-}
-
-// recoverAffineSequential fetches the golden pair for recoverAffine.
-func (pr *Protector) recoverAffineSequential(lp *layerPlan, f LayerFinding) (RecoveryResult, error) {
-	goldenIn, err := pr.goldenInputOf(lp.idx)
-	if err != nil {
-		return RecoveryResult{Layer: lp.idx, Name: pr.model.Layer(lp.idx).Name()}, err
-	}
-	goldenOut, err := pr.goldenOutputOf(lp.idx)
-	if err != nil {
-		return RecoveryResult{Layer: lp.idx, Name: pr.model.Layer(lp.idx).Name()}, err
-	}
-	return pr.recoverAffine(lp, f, goldenIn, goldenOut)
 }
 
 // goldenInputOf propagates the golden tensor from the nearest preceding

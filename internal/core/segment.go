@@ -54,7 +54,7 @@ func segmentNeedsGoldenIn(r roleKind) bool { return r != roleDense }
 // segmentNeedsGoldenOut reports whether recovering a layer of this role
 // consumes the golden output.
 func segmentNeedsGoldenOut(r roleKind) bool {
-	return r == roleConv || r == roleBias || r == roleAffine
+	return r == roleConv || r == roleBias
 }
 
 // recoverSegments groups findings (sorted by layer) by checkpoint
@@ -215,8 +215,8 @@ func (pr *Protector) recoverSegment(ctx context.Context, seg segment, fs []Layer
 // when propagate is set — returns the golden activation carried through
 // the recovered layer. Conv and dense layers verify with one
 // ForwardBatch: the probe alone, or stacked with the continuation when
-// the sweep goes on. Bias and affine layers verify arithmetically
-// inside their solvers and propagate with a plain forward.
+// the sweep goes on. Bias layers verify arithmetically inside their
+// solver and propagate with a plain forward.
 func (pr *Protector) recoverSweptLayer(lp *layerPlan, f *LayerFinding, goldenIn, goldenOut *tensor.Tensor, propagate bool) (RecoveryResult, *tensor.Tensor, error) {
 	var res RecoveryResult
 	var err error
@@ -229,8 +229,6 @@ func (pr *Protector) recoverSweptLayer(lp *layerPlan, f *LayerFinding, goldenIn,
 		res, verify = pr.solveDenseFinding(lp, *f)
 	case roleBias:
 		res, err = pr.recoverBias(lp, goldenIn, goldenOut)
-	case roleAffine:
-		res, err = pr.recoverAffine(lp, *f, goldenIn, goldenOut)
 	default:
 		return res, nil, fmt.Errorf("core: finding for non-parameterized layer %d", f.Layer)
 	}
@@ -239,7 +237,7 @@ func (pr *Protector) recoverSweptLayer(lp *layerPlan, f *LayerFinding, goldenIn,
 	}
 	layer := pr.model.Layer(lp.idx)
 	if !verify {
-		// Nothing to probe (bias/affine verified arithmetically, or the
+		// Nothing to probe (bias verified arithmetically, or the
 		// solver failed): plain single-sample propagation when needed.
 		if !propagate {
 			return res, nil, nil

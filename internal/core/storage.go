@@ -88,8 +88,6 @@ func (pr *Protector) Storage() *StorageReport {
 			}
 		case roleBias:
 			ls.PartialBytes = 4 // the stored parameter sum
-		case roleAffine:
-			ls.PartialBytes = 2 * lp.affine.Width() * 4 // two probes per channel
 		}
 		report.Layers = append(report.Layers, ls)
 	}

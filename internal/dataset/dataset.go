@@ -85,9 +85,6 @@ func makeTemplate(cfg Config, class int) *tensor.Tensor {
 // Config returns the dataset configuration.
 func (d *Dataset) Config() Config { return d.cfg }
 
-// Template returns the clean pattern for a class (useful in tests).
-func (d *Dataset) Template(class int) *tensor.Tensor { return d.templates[class].Clone() }
-
 // Sample produces the idx-th sample of a class deterministically.
 func (d *Dataset) Sample(class, idx int) nn.Sample {
 	cfg := d.cfg

@@ -73,7 +73,7 @@ func TestTemplatesSeparated(t *testing.T) {
 	d, _ := New(MNISTLike(9))
 	for a := 0; a < 10; a++ {
 		for b := a + 1; b < 10; b++ {
-			diff, err := d.Template(a).MaxAbsDiff(d.Template(b))
+			diff, err := d.templates[a].MaxAbsDiff(d.templates[b])
 			if err != nil {
 				t.Fatal(err)
 			}

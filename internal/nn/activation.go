@@ -2,118 +2,28 @@ package nn
 
 import (
 	"fmt"
-	"math"
 
 	"milr/internal/tensor"
 )
 
-// ActivationKind selects the non-linearity of an Activation layer.
-type ActivationKind int
-
-const (
-	// ReLU is max(0, x), the paper's primary activation (§IV-D).
-	ReLU ActivationKind = iota + 1
-	// Identity passes values through unchanged.
-	Identity
-	// LeakyReLU is x for x ≥ 0 and 0.01·x otherwise.
-	LeakyReLU
-	// Tanh is the hyperbolic tangent.
-	Tanh
-)
-
-// String implements fmt.Stringer.
-func (k ActivationKind) String() string {
-	switch k {
-	case ReLU:
-		return "relu"
-	case Identity:
-		return "identity"
-	case LeakyReLU:
-		return "leaky_relu"
-	case Tanh:
-		return "tanh"
-	default:
-		return fmt.Sprintf("ActivationKind(%d)", int(k))
-	}
-}
-
-// Activation is a parameter-free non-linearity. Following the paper
-// (§IV-D), during MILR's initialization, detection, and recovery phases
-// every activation is treated as a linear (identity) function:
+// Activation is the ReLU non-linearity, max(0, x), the paper's
+// activation (§IV-D). During MILR's initialization, detection, and
+// recovery phases it is treated as a linear (identity) function:
 // RecoveryForward passes tensors through unchanged, and Invert does the
 // same, "allowing forward and backward passes through the layer without
 // any changes to the tensor passing through".
 type Activation struct {
 	named
-	kind ActivationKind
 }
 
 var _ Invertible = (*Activation)(nil)
 
-// NewActivation creates an activation layer of the given kind.
-func NewActivation(kind ActivationKind) (*Activation, error) {
-	switch kind {
-	case ReLU, Identity, LeakyReLU, Tanh:
-		return &Activation{kind: kind}, nil
-	default:
-		return nil, fmt.Errorf("nn: unknown activation kind %d", kind)
-	}
-}
-
-// NewReLU is shorthand for the paper's default activation.
-func NewReLU() *Activation {
-	a, err := NewActivation(ReLU)
-	if err != nil {
-		panic(err) // unreachable
-	}
-	return a
-}
-
-// Kind returns the configured non-linearity.
-func (a *Activation) Kind() ActivationKind { return a.kind }
+// NewReLU creates a ReLU activation layer.
+func NewReLU() *Activation { return &Activation{} }
 
 // OutShape implements Layer.
 func (a *Activation) OutShape(in tensor.Shape) (tensor.Shape, error) {
 	return in.Clone(), nil
-}
-
-func (a *Activation) apply(x float32) float32 {
-	switch a.kind {
-	case ReLU:
-		if x < 0 {
-			return 0
-		}
-		return x
-	case LeakyReLU:
-		if x < 0 {
-			return 0.01 * x
-		}
-		return x
-	case Tanh:
-		return float32(math.Tanh(float64(x)))
-	default:
-		return x
-	}
-}
-
-func (a *Activation) derivative(x float32) float32 {
-	switch a.kind {
-	case ReLU:
-		if x < 0 {
-			return 0
-		}
-		return 1
-	case LeakyReLU:
-		if x < 0 {
-			return 0.01
-		}
-		return 1
-	case Tanh:
-		t := math.Tanh(float64(x))
-		return float32(1 - t*t)
-	default:
-		return 1
-	}
 }
 
 // Forward implements Layer.
@@ -123,20 +33,11 @@ func (a *Activation) Forward(in *tensor.Tensor) (*tensor.Tensor, error) {
 	return out, nil
 }
 
-// forwardInPlace implements inPlaceLayer. ReLU, on every conv and dense
-// block's path, gets a direct loop; the rest go through apply.
+// forwardInPlace implements inPlaceLayer.
 func (a *Activation) forwardInPlace(x []float32) {
-	switch a.kind {
-	case ReLU:
-		for i, v := range x {
-			if v < 0 {
-				x[i] = 0
-			}
-		}
-	case Identity:
-	default:
-		for i, v := range x {
-			x[i] = a.apply(v)
+	for i, v := range x {
+		if v < 0 {
+			x[i] = 0
 		}
 	}
 }
@@ -161,7 +62,9 @@ func (a *Activation) ForwardTrain(in *tensor.Tensor) (*tensor.Tensor, Cache, err
 	return out, in, nil
 }
 
-// Backward implements Layer.
+// Backward implements Layer. The gradient is multiplied by ReLU's 0/1
+// derivative rather than set to 0, so behind a negative input a negative
+// gradient becomes −0 and an infinite or NaN one becomes NaN.
 func (a *Activation) Backward(cache Cache, dout *tensor.Tensor) (*tensor.Tensor, error) {
 	in, ok := cache.(*tensor.Tensor)
 	if !ok {
@@ -172,8 +75,12 @@ func (a *Activation) Backward(cache Cache, dout *tensor.Tensor) (*tensor.Tensor,
 	if len(dd) != len(id) {
 		return nil, fmt.Errorf("nn: activation %q gradient size mismatch %d vs %d", a.name, len(dd), len(id))
 	}
-	for i := range dd {
-		dd[i] *= a.derivative(id[i])
+	for i, x := range id {
+		var d float32 = 1
+		if x < 0 {
+			d = 0
+		}
+		dd[i] *= d
 	}
 	return din, nil
 }

@@ -70,10 +70,8 @@ var (
 	_ stackedLayer = (*Pool2D)(nil)
 
 	_ inPlaceLayer = (*Bias)(nil)
-	_ inPlaceLayer = (*Affine)(nil)
 	_ inPlaceLayer = (*Activation)(nil)
 	_ inPlaceLayer = (*Flatten)(nil)
-	_ inPlaceLayer = (*Dropout)(nil)
 )
 
 // forwardStacked implements stackedLayer: the batch's im2col matrices,
@@ -280,20 +278,7 @@ func (m *Model) forwardStacked(ctx context.Context, xs []*tensor.Tensor, use fun
 			}
 			cur, side = dst, 1-side
 		default:
-			// A layer kind from outside this package: per sample,
-			// through its Forward.
-			ne := shapes[i].NumElements()
-			dst := tensor.Grow(&ws.act[1-side], b*shapes[i+1].NumElements())
-			for s, off := 0, 0; s < b; s++ {
-				in := tensor.New(shapes[i]...)
-				copy(in.Data(), cur[s*ne:(s+1)*ne])
-				out, err := l.Forward(in)
-				if err != nil {
-					return fmt.Errorf("nn: layer %d (%s): %w", i, l.Name(), err)
-				}
-				off += copy(dst[off:], out.Data())
-			}
-			cur, side = dst, 1-side
+			return fmt.Errorf("nn: layer %d (%s): %T has no batched form", i, l.Name(), l)
 		}
 	}
 	use(cur, shapes[len(m.layers)])

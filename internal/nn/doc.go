@@ -3,11 +3,12 @@
 // offline and stdlib-only, so the network engine is hand-rolled).
 //
 // It provides the four major CNN layer types the paper targets —
-// convolution, dense, pooling, and activation (§IV) — plus the bias,
-// flatten, and dropout layers its evaluation networks use. Bias is
-// modelled as an independent layer exactly as the paper treats it
-// ("it has its own mathematical operation, and its own relationship
-// between its input, output and parameters", §IV-E).
+// convolution, dense, max pooling, and the ReLU activation (§IV) — plus
+// the bias and flatten layers its evaluation networks use, and nothing
+// else: NewModel rejects any other layer type. Bias is modelled as an
+// independent layer exactly as the paper treats it ("it has its own
+// mathematical operation, and its own relationship between its input,
+// output and parameters", §IV-E).
 //
 // Every layer supports three execution modes:
 //

@@ -56,9 +56,6 @@ func checkParamGrad(t *testing.T, l Parameterized, in *tensor.Tensor, tol float6
 	case *Bias:
 		analytic = v.grad.Clone()
 		v.grad.Fill(0)
-	case *Affine:
-		analytic = v.grad.Clone()
-		v.grad.Fill(0)
 	default:
 		t.Fatalf("unhandled layer type %T", l)
 	}
@@ -100,8 +97,6 @@ func checkInputGrad(t *testing.T, l Layer, in *tensor.Tensor, tol float64) {
 		case *Dense:
 			v.grad.Fill(0)
 		case *Bias:
-			v.grad.Fill(0)
-		case *Affine:
 			v.grad.Fill(0)
 		}
 	}
@@ -175,32 +170,24 @@ func TestBiasGradients(t *testing.T) {
 }
 
 func TestActivationInputGradients(t *testing.T) {
-	for _, kind := range []ActivationKind{ReLU, LeakyReLU, Tanh, Identity} {
-		a, err := NewActivation(kind)
-		if err != nil {
-			t.Fatal(err)
+	in := prng.New(4).Tensor(10)
+	// Nudge values away from the ReLU kink where finite differences
+	// are invalid.
+	for i, v := range in.Data() {
+		if v > -0.05 && v < 0.05 {
+			in.Data()[i] = 0.2
 		}
-		in := prng.New(4).Tensor(10)
-		// Nudge values away from the ReLU kink where finite differences
-		// are invalid.
-		for i, v := range in.Data() {
-			if v > -0.05 && v < 0.05 {
-				in.Data()[i] = 0.2
-			}
-		}
-		checkInputGrad(t, a, in, 1e-2)
 	}
+	checkInputGrad(t, NewReLU(), in, 1e-2)
 }
 
 func TestPoolInputGradients(t *testing.T) {
-	for _, kind := range []PoolKind{MaxPool, AvgPool} {
-		p, err := NewPool2D(kind, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		in := prng.New(5).Tensor(4, 4, 2)
-		checkInputGrad(t, p, in, 1e-2)
+	p, err := NewMaxPool2D(2)
+	if err != nil {
+		t.Fatal(err)
 	}
+	in := prng.New(5).Tensor(4, 4, 2)
+	checkInputGrad(t, p, in, 1e-2)
 }
 
 func TestFlattenInputGradients(t *testing.T) {

@@ -49,8 +49,8 @@ type Parameterized interface {
 }
 
 // Invertible is implemented by layers whose input can be recomputed from
-// their output with no side information (bias, activation under recovery
-// semantics, flatten, dropout). Convolution and dense layers are only
+// their output with no side information (bias, ReLU under recovery
+// semantics, flatten). Convolution and dense layers are only
 // conditionally invertible and are inverted by the MILR engine itself,
 // which owns the dummy data they may need.
 type Invertible interface {

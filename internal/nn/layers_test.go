@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"math"
 	"testing"
 
 	"milr/internal/prng"
@@ -121,46 +120,23 @@ func TestBiasBroadcastModes(t *testing.T) {
 	}
 }
 
-func TestActivationKinds(t *testing.T) {
-	for _, kind := range []ActivationKind{ReLU, Identity, LeakyReLU, Tanh} {
-		a, err := NewActivation(kind)
-		if err != nil {
-			t.Fatal(err)
-		}
-		in := tensor.MustFromSlice([]float32{-2, 0, 3}, 3)
-		out, err := a.Forward(in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		switch kind {
-		case ReLU:
-			if out.Data()[0] != 0 || out.Data()[2] != 3 {
-				t.Errorf("relu out = %v", out.Data())
-			}
-		case Identity:
-			if !out.Equalish(in, 0) {
-				t.Error("identity changed values")
-			}
-		case LeakyReLU:
-			if math.Abs(float64(out.Data()[0])+0.02) > 1e-6 {
-				t.Errorf("leaky out = %v", out.Data())
-			}
-		case Tanh:
-			if math.Abs(float64(out.Data()[2])-math.Tanh(3)) > 1e-6 {
-				t.Errorf("tanh out = %v", out.Data())
-			}
-		}
-		// Recovery semantics: identity for every kind.
-		rec, err := a.RecoveryForward(in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !rec.Equalish(in, 0) {
-			t.Errorf("%v recovery pass is not identity", kind)
-		}
+func TestReLU(t *testing.T) {
+	a := NewReLU()
+	in := tensor.MustFromSlice([]float32{-2, 0, 3}, 3)
+	out, err := a.Forward(in)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := NewActivation(ActivationKind(99)); err == nil {
-		t.Error("unknown kind must fail")
+	if out.Data()[0] != 0 || out.Data()[2] != 3 {
+		t.Errorf("relu out = %v", out.Data())
+	}
+	// Recovery semantics: identity.
+	rec, err := a.RecoveryForward(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rec.Equalish(in, 0) {
+		t.Error("relu recovery pass is not identity")
 	}
 }
 
@@ -188,23 +164,8 @@ func TestMaxPoolForward(t *testing.T) {
 	if _, err := p.OutShape(tensor.Shape{5, 4, 1}); err == nil {
 		t.Error("non-divisible pooling must fail")
 	}
-}
-
-func TestAvgPoolForward(t *testing.T) {
-	p, err := NewPool2D(AvgPool, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := tensor.MustFromSlice([]float32{
-		1, 2,
-		3, 4,
-	}, 2, 2, 1)
-	out, err := p.Forward(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Data()[0] != 2.5 {
-		t.Errorf("avg pool = %v, want 2.5", out.Data()[0])
+	if _, err := NewMaxPool2D(1); err == nil {
+		t.Error("window 1 must fail")
 	}
 }
 
@@ -227,41 +188,6 @@ func TestFlattenRoundTrip(t *testing.T) {
 	}
 	if !back.Shape().Equal(tensor.Shape{2, 3, 4}) || !back.Equalish(in, 0) {
 		t.Error("flatten invert failed")
-	}
-}
-
-func TestDropoutInferenceIdentity(t *testing.T) {
-	d, err := NewDropout(0.5, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := prng.New(2).Tensor(10)
-	out, err := d.Forward(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !out.Equalish(in, 0) {
-		t.Error("dropout must be identity at inference")
-	}
-	outT, cache, err := d.ForwardTrain(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mask := cache.([]float32)
-	zeros := 0
-	for i, mv := range mask {
-		if mv == 0 {
-			zeros++
-			if outT.Data()[i] != 0 {
-				t.Error("masked value not zeroed")
-			}
-		}
-	}
-	if zeros == 0 {
-		t.Error("dropout 0.5 masked nothing in 10 values (astronomically unlikely)")
-	}
-	if _, err := NewDropout(1.0, 1); err == nil {
-		t.Error("rate 1.0 must fail")
 	}
 }
 

@@ -35,7 +35,12 @@ func NewModel(inShape tensor.Shape, layers ...Layer) (*Model, error) {
 	counts := make(map[string]int)
 	cur := inShape.Clone()
 	m.shapes = make([]tensor.Shape, 0, len(layers)+1)
-	for _, l := range layers {
+	for i, l := range layers {
+		switch l.(type) {
+		case stackedLayer, inPlaceLayer:
+		default:
+			return nil, fmt.Errorf("nn: layer %d: %T is not a layer type this package can run", i, l)
+		}
 		base := typeName(l)
 		if n := counts[base]; n == 0 {
 			l.SetName(base)
@@ -77,23 +82,19 @@ func (m *Model) shapeChain(in tensor.Shape) ([]tensor.Shape, error) {
 }
 
 func typeName(l Layer) string {
-	switch v := l.(type) {
+	switch l.(type) {
 	case *Conv2D:
 		return "conv2d"
 	case *Dense:
 		return "dense"
 	case *Bias:
 		return "bias"
-	case *Affine:
-		return "affine"
 	case *Activation:
-		return v.kind.String()
+		return "relu"
 	case *Pool2D:
-		return v.kind.String() + "_pool"
+		return "max_pool"
 	case *Flatten:
 		return "flatten"
-	case *Dropout:
-		return "dropout"
 	default:
 		return fmt.Sprintf("%T", l)
 	}

@@ -7,59 +7,28 @@ import (
 	"milr/internal/tensor"
 )
 
-// PoolKind selects the pooling reduction function.
-type PoolKind int
-
-const (
-	// MaxPool keeps the maximum of each window.
-	MaxPool PoolKind = iota + 1
-	// AvgPool keeps the mean of each window.
-	AvgPool
-)
-
-// String implements fmt.Stringer.
-func (k PoolKind) String() string {
-	switch k {
-	case MaxPool:
-		return "max"
-	case AvgPool:
-		return "avg"
-	default:
-		return fmt.Sprintf("PoolKind(%d)", int(k))
-	}
-}
-
-// Pool2D reduces the spatial dimensions of a (H,W,Z) input by applying a
-// reduction over non-overlapping k×k windows per channel. Pooling
-// "changes the input in a non-invertible way. Hence, it requires the
-// addition of a checkpoint that stores the input to the layer" (§IV-C):
-// the MILR planner always places a full checkpoint at a pooling layer's
-// input. Pooling has no parameters, so no parameter-solving function.
+// Pool2D is max pooling: it reduces the spatial dimensions of a (H,W,Z)
+// input by keeping the maximum of each non-overlapping k×k window per
+// channel. Pooling "changes the input in a non-invertible way. Hence, it
+// requires the addition of a checkpoint that stores the input to the
+// layer" (§IV-C): the MILR planner always places a full checkpoint at a
+// pooling layer's input. Pooling has no parameters, so no
+// parameter-solving function.
 type Pool2D struct {
 	named
-	kind PoolKind
-	k    int
+	k int
 }
 
-// NewPool2D creates a pooling layer with window and stride k.
-func NewPool2D(kind PoolKind, k int) (*Pool2D, error) {
+// NewMaxPool2D creates a max-pooling layer with window and stride k.
+func NewMaxPool2D(k int) (*Pool2D, error) {
 	if k <= 1 {
 		return nil, fmt.Errorf("nn: invalid pool window %d", k)
 	}
-	if kind != MaxPool && kind != AvgPool {
-		return nil, fmt.Errorf("nn: unknown pool kind %d", kind)
-	}
-	return &Pool2D{kind: kind, k: k}, nil
+	return &Pool2D{k: k}, nil
 }
-
-// NewMaxPool2D is shorthand for the paper's pooling layers.
-func NewMaxPool2D(k int) (*Pool2D, error) { return NewPool2D(MaxPool, k) }
 
 // Window returns the pooling window extent.
 func (p *Pool2D) Window() int { return p.k }
-
-// Kind returns the reduction function.
-func (p *Pool2D) Kind() PoolKind { return p.kind }
 
 // OutShape implements Layer.
 func (p *Pool2D) OutShape(in tensor.Shape) (tensor.Shape, error) {
@@ -73,7 +42,7 @@ func (p *Pool2D) OutShape(in tensor.Shape) (tensor.Shape, error) {
 }
 
 type poolCache struct {
-	argmax  []int // flat input index chosen per output element (max pool)
+	argmax  []int // flat input index chosen per output element
 	inShape tensor.Shape
 }
 
@@ -94,37 +63,26 @@ func (p *Pool2D) forward(in *tensor.Tensor, wantCache bool) (*tensor.Tensor, *po
 }
 
 // reduce pools one (h,w,z) sample id into od; a non-nil argmax records
-// the flat input index a max pool chose per output element.
+// the flat input index chosen per output element.
 func (p *Pool2D) reduce(od, id []float32, h, w, z int, argmax []int) {
 	oh, ow := h/p.k, w/p.k
 	for i := 0; i < oh; i++ {
 		for j := 0; j < ow; j++ {
 			for c := 0; c < z; c++ {
 				oidx := (i*ow+j)*z + c
-				switch p.kind {
-				case MaxPool:
-					best := float32(math.Inf(-1))
-					bestIdx := -1
-					for di := 0; di < p.k; di++ {
-						for dj := 0; dj < p.k; dj++ {
-							iidx := ((i*p.k+di)*w+(j*p.k+dj))*z + c
-							if id[iidx] > best {
-								best, bestIdx = id[iidx], iidx
-							}
+				best := float32(math.Inf(-1))
+				bestIdx := -1
+				for di := 0; di < p.k; di++ {
+					for dj := 0; dj < p.k; dj++ {
+						iidx := ((i*p.k+di)*w+(j*p.k+dj))*z + c
+						if id[iidx] > best {
+							best, bestIdx = id[iidx], iidx
 						}
 					}
-					od[oidx] = best
-					if argmax != nil {
-						argmax[oidx] = bestIdx
-					}
-				case AvgPool:
-					var sum float64
-					for di := 0; di < p.k; di++ {
-						for dj := 0; dj < p.k; dj++ {
-							sum += float64(id[((i*p.k+di)*w+(j*p.k+dj))*z+c])
-						}
-					}
-					od[oidx] = float32(sum / float64(p.k*p.k))
+				}
+				od[oidx] = best
+				if argmax != nil {
+					argmax[oidx] = bestIdx
 				}
 			}
 		}
@@ -161,28 +119,8 @@ func (p *Pool2D) Backward(cache Cache, dout *tensor.Tensor) (*tensor.Tensor, err
 	}
 	din := tensor.New(pc.inShape...)
 	dd, dod := din.Data(), dout.Data()
-	switch p.kind {
-	case MaxPool:
-		for oidx, iidx := range pc.argmax {
-			dd[iidx] += dod[oidx]
-		}
-	case AvgPool:
-		oh := pc.inShape[0] / p.k
-		ow := pc.inShape[1] / p.k
-		w, z := pc.inShape[1], pc.inShape[2]
-		inv := float32(1) / float32(p.k*p.k)
-		for i := 0; i < oh; i++ {
-			for j := 0; j < ow; j++ {
-				for c := 0; c < z; c++ {
-					g := dod[(i*ow+j)*z+c] * inv
-					for di := 0; di < p.k; di++ {
-						for dj := 0; dj < p.k; dj++ {
-							dd[((i*p.k+di)*w+(j*p.k+dj))*z+c] += g
-						}
-					}
-				}
-			}
-		}
+	for oidx, iidx := range pc.argmax {
+		dd[iidx] += dod[oidx]
 	}
 	return din, nil
 }

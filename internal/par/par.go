@@ -118,10 +118,6 @@ func NewPool(workers int) *Pool {
 // Cap returns the pool's concurrency bound.
 func (p *Pool) Cap() int { return cap(p.sem) }
 
-// InFlight returns how many slots are currently reserved or running —
-// a monitoring snapshot, immediately stale under concurrency.
-func (p *Pool) InFlight() int { return len(p.sem) }
-
 // TryAcquire reserves one slot without blocking and reports whether it
 // succeeded. A reserved slot must be consumed by exactly one Go call
 // (or returned with Release).

@@ -139,9 +139,6 @@ func TestPoolBoundsConcurrency(t *testing.T) {
 	if p.TryAcquire() {
 		t.Fatal("acquired a 4th slot from a 3-slot pool with all workers busy")
 	}
-	if p.InFlight() != 3 {
-		t.Fatalf("in-flight = %d, want 3", p.InFlight())
-	}
 	close(release)
 	p.Wait()
 	if got := peak.Load(); got != 3 {
