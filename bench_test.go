@@ -369,12 +369,19 @@ func BenchmarkAblation_PartialCheckpointSavings(b *testing.B) {
 func BenchmarkAblation_SelectiveVsFull(b *testing.B) {
 	env := sharedEnv(b, "tiny")
 	conv := env.Model.Layer(0).(*nn.Conv2D)
+	// Flag every filter of the conv, so recovery re-solves the whole
+	// layer instead of the CRC-localized taps.
+	all := make([]int, conv.Filters())
+	for k := range all {
+		all[k] = k
+	}
+	full := &core.DetectionReport{Findings: []core.LayerFinding{{Layer: 0, Name: conv.Name(), Filters: all}}}
 	b.Run("full-resolve", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
 			conv.Params().Data()[1] += 3
 			b.StartTimer()
-			if _, err := env.Protector.RecoverAll(); err != nil {
+			if _, err := env.Protector.RecoverContext(context.Background(), full); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -503,11 +510,10 @@ func BenchmarkMatMulShapes(b *testing.B) {
 // --- Serving: coalesced vs uncoalesced closed-loop swarm (PR 3) ---
 
 // serverBench drives 8 closed-loop clients × 8 requests against a
-// one-model Fleet per iteration — the single-model serving shape
-// (milr.Server is exactly this fleet of one). The coalesced variant
-// stacks up to 8 requests into one GEMM; the uncoalesced one serves
-// every request alone through the same queue, isolating what coalescing
-// itself buys.
+// one-model Fleet per iteration — the single-model serving shape. The
+// coalesced variant stacks up to 8 requests into one GEMM; the
+// uncoalesced one serves every request alone through the same queue,
+// isolating what coalescing itself buys.
 func serverBench(b *testing.B, batchSize int, delay time.Duration) {
 	serverBenchCtx(b, context.Background(), batchSize, delay)
 }

@@ -32,14 +32,17 @@ var fullyDocumented = map[string]bool{
 }
 
 // requiredExamples lists the runnable godoc examples the façade must
-// carry (example_test.go): the self-heal loop and the fleet router,
-// the two entry points a new user reaches first. They run — and their
-// output is asserted — under `go test`, so the documented snippets
-// cannot rot; this lint makes their presence mandatory rather than
-// incidental.
+// carry (example_test.go): the self-heal loop, the fleet router, the
+// guarded deployment (a protected model served and scrubbed by one
+// fleet) and persistence across a restart — the stories a new user
+// reaches first. They run — and their output is asserted — under
+// `go test`, so the documented snippets cannot rot; this lint makes
+// their presence mandatory rather than incidental.
 var requiredExamples = []string{
 	"ExampleProtector_SelfHealContext",
 	"ExampleNewFleet",
+	"ExampleFleet_RegisterProtected",
+	"ExampleLoadProtector",
 }
 
 // TestFacadeExamplesPresent enforces requiredExamples: the façade's

@@ -1,6 +1,7 @@
 package milr_test
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 
@@ -106,4 +107,94 @@ func ExampleNewFleet() {
 	// Output:
 	// a routed == direct: true
 	// b routed == direct: true
+}
+
+// ExampleFleet_RegisterProtected is the guarded deployment: a protected
+// model serves through the fleet, its batches inside the protector's
+// engine lock, while scrub cycles detect and heal corruption. A
+// production fleet runs the cycles on a schedule (StartGuard); ScrubOnce
+// runs one synchronously.
+func ExampleFleet_RegisterProtected() {
+	ctx := context.Background()
+	rt := milr.NewRuntime(milr.WithSeed(7))
+	model, err := milr.NewTinyNet()
+	if err != nil {
+		panic(err)
+	}
+	model.InitWeights(7)
+	prot, err := rt.Protect(ctx, model)
+	if err != nil {
+		panic(err)
+	}
+	fl := milr.NewFleet(rt)
+	defer fl.Close()
+	if err := fl.RegisterProtected("tiny", prot); err != nil {
+		panic(err)
+	}
+
+	x := milr.NewTensor(12, 12, 1)
+	for i := range x.Data() {
+		x.Data()[i] = float32(i%5) / 5
+	}
+	clean, err := fl.Predict(ctx, "tiny", x)
+	if err != nil {
+		panic(err)
+	}
+
+	// A fault lands in a protected weight, through the mutation gate.
+	prot.Sync(func() {
+		model.Layer(0).(milr.Parameterized).Params().Data()[3] += 50
+	})
+
+	name, res, err := fl.ScrubOnce(ctx)
+	if err != nil {
+		panic(err)
+	}
+	served, err := fl.Predict(ctx, "tiny", x)
+	if err != nil {
+		panic(err)
+	}
+	fmt.Printf("scrubbed %s: errors detected %v, heal verified %v\n", name, res.ErrorsDetected, res.Recovered)
+	fmt.Println("served answer equals the clean one:", served == clean)
+	// Output:
+	// scrubbed tiny: errors detected true, heal verified true
+	// served answer equals the clean one: true
+}
+
+// ExampleLoadProtector persists a protector's golden data and reattaches
+// it after a restart, skipping the initialization phase; the reloaded
+// protector heals the model as the original would.
+func ExampleLoadProtector() {
+	ctx := context.Background()
+	model, err := milr.NewTinyNet()
+	if err != nil {
+		panic(err)
+	}
+	model.InitWeights(8)
+	prot, err := milr.NewRuntime(milr.WithSeed(8)).Protect(ctx, model)
+	if err != nil {
+		panic(err)
+	}
+	var store bytes.Buffer // stands in for an SSD or persistent memory
+	if err := milr.SaveProtector(prot, &store); err != nil {
+		panic(err)
+	}
+
+	// After a restart: the same weights, the stored golden data.
+	restored, err := milr.LoadProtector(&store, model)
+	if err != nil {
+		panic(err)
+	}
+	restored.Sync(func() {
+		model.Layer(0).(milr.Parameterized).Params().Data()[0] += 40
+	})
+	det, rec, err := restored.SelfHealContext(ctx)
+	if err != nil {
+		panic(err)
+	}
+	fmt.Println("erroneous layers:", det.Erroneous())
+	fmt.Println("all recovered:", rec.AllRecovered())
+	// Output:
+	// erroneous layers: [0]
+	// all recovered: true
 }

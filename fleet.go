@@ -2,7 +2,6 @@ package milr
 
 import (
 	"context"
-	"errors"
 	"time"
 
 	"milr/internal/core"
@@ -16,18 +15,15 @@ import (
 // arbitration and admission control. See internal/fleet for the
 // routing design and ARCHITECTURE.md for the layer map.
 
-// ErrQueueFull is returned by Fleet.Predict / Fleet.PredictBatch and by
-// a capped Server's Predict / PredictBatch when the target admission
-// queue is at its configured cap (WithQueueCap / WithModelQueueCap) and
-// the model was not registered with WithModelBackpressure. The request
-// was refused in O(1) without occupying a queue slot — shed load or
-// retry later.
+// ErrQueueFull is returned by Fleet.Predict / Fleet.PredictBatch when
+// the target model's admission queue is at its configured cap
+// (WithQueueCap / WithModelQueueCap) and the model was not registered
+// with WithModelBackpressure. The request was refused in O(1) without
+// occupying a queue slot — shed load or retry later.
 var ErrQueueFull = fleet.ErrQueueFull
 
 // ErrFleetClosed is returned by Fleet methods once Fleet.Close has
 // been called; requests admitted before the close are still served.
-// It is the same value as ErrServerClosed (a Server is a fleet of one),
-// so errors.Is holds for either name on either surface.
 var ErrFleetClosed = fleet.ErrClosed
 
 // ErrUnknownModel is returned by Fleet.Predict / Fleet.PredictBatch
@@ -38,9 +34,8 @@ var ErrUnknownModel = fleet.ErrUnknownModel
 
 // QueueFullError is the concrete error behind every ErrQueueFull
 // rejection: errors.Is(err, ErrQueueFull) still matches, and errors.As
-// additionally recovers which model's queue refused the request (a
-// Server's rejections name its one fixed internal model) and at what
-// cap — the detail the gateway puts in its 429 bodies.
+// additionally recovers which model's queue refused the request and at
+// what cap — the detail the gateway puts in its 429 bodies.
 type QueueFullError = serve.QueueFullError
 
 // ModelInfo describes one registered fleet model: routing name, the
@@ -52,10 +47,11 @@ type ModelInfo = fleet.ModelInfo
 // model plus fleet-wide admission/rejection aggregates.
 type FleetStats = fleet.Stats
 
-// ModelStats is one model's slice of FleetStats: the ServerStats
-// counters (queue depth, batch-fill histogram, bounded-window p50/p99)
-// plus the model's fair-share weight, resolved queue cap, and fleet-
-// guard scrub/heal counters.
+// ModelStats is one model's slice of FleetStats: its serving counters
+// (queue depth, batch-fill histogram, bounded-window p50/p99), its
+// fair-share weight and resolved queue cap, and the fleet guard's
+// scrub/heal counters — Scrubs, Heals, PartialHeals, ScrubFailures and
+// ScrubTime, the downtime numerator of the availability model.
 type ModelStats = fleet.ModelStats
 
 // ScrubResult summarizes one fleet self-heal scrub cycle: whether the
@@ -110,20 +106,13 @@ type Fleet struct {
 // default per-model admission cap, and WithDefaultDeadline the
 // deadline applied to requests whose context has none.
 func NewFleet(rt *Runtime) *Fleet {
-	return &Fleet{f: rt.newFleet(), rt: rt}
-}
-
-// newFleet translates the runtime's serving policy into a dispatcher —
-// the single place it is wired, for NewFleet and the Server
-// constructors alike.
-func (rt *Runtime) newFleet() *fleet.Fleet {
-	return fleet.New(fleet.Config{
+	return &Fleet{f: fleet.New(fleet.Config{
 		Workers:   rt.opts.Workers,
 		BatchSize: rt.batch,
 		MaxDelay:  rt.maxDelay,
 		QueueCap:  rt.queueCap,
 		Deadline:  rt.deadline,
-	})
+	}), rt: rt}
 }
 
 // wire resolves what Register/Replace hand the dispatcher: the model
@@ -140,7 +129,7 @@ func (fl *Fleet) wire(m *Model, pr *Protector, opts []ModelOption) (*Model, flee
 	if pr != nil {
 		m = pr.Model()
 		mc.Gate = pr.Sync
-		mc.Scrub = protectorScrub(pr, nil)
+		mc.Scrub = protectorScrub(pr)
 	}
 	fl.rt.tune(m)
 	return m, mc
@@ -148,7 +137,7 @@ func (fl *Fleet) wire(m *Model, pr *Protector, opts []ModelOption) (*Model, flee
 
 // Register adds a named, unprotected model to the fleet. An explicit
 // worker policy (WithWorkers) is applied to the model's GEMM pools, as
-// in Runtime.NewServer. Models may be registered while traffic flows.
+// in Runtime.Protect. Models may be registered while traffic flows.
 func (fl *Fleet) Register(name string, m *Model, opts ...ModelOption) error {
 	m, mc := fl.wire(m, nil, opts)
 	return fl.f.Register(name, m, mc)
@@ -156,10 +145,13 @@ func (fl *Fleet) Register(name string, m *Model, opts ...ModelOption) error {
 
 // RegisterProtected adds a MILR-protected model: its batches execute
 // inside the protector's engine lock (Protector.Sync), so they
-// serialize against that model's detect/recover cycles exactly like a
-// guarded Server's — and the fleet guard (StartGuard) includes the
-// model in its round-robin self-heal schedule. Other models' traffic
-// is never blocked by this model's scrubs.
+// serialize against that model's detect/recover cycles — a scrub
+// observes quiescent weights, inference observes fully-recovered ones —
+// while admission keeps accepting requests, so a self-heal pause
+// delays answers rather than refusing them. The fleet guard
+// (StartGuard) and ScrubOnce include the model in their round-robin
+// self-heal schedule. Other models' traffic is never blocked by this
+// model's scrubs.
 func (fl *Fleet) RegisterProtected(name string, pr *Protector, opts ...ModelOption) error {
 	m, mc := fl.wire(nil, pr, opts)
 	return fl.f.Register(name, m, mc)
@@ -167,22 +159,12 @@ func (fl *Fleet) RegisterProtected(name string, pr *Protector, opts ...ModelOpti
 
 // protectorScrub adapts a Protector's self-heal cycle to the fleet's
 // Scrub hook, folding the detection/recovery reports into a ScrubResult
-// so the fleet can count heals without importing the engine. onEvent
-// (a Guard's OnEvent, or nil) receives every cycle the fleet counts: not
-// one its context aborted.
-func protectorScrub(pr *Protector, onEvent func(GuardEvent)) func(context.Context) (fleet.ScrubResult, error) {
+// so the fleet can count heals without importing the engine.
+func protectorScrub(pr *Protector) func(context.Context) (fleet.ScrubResult, error) {
 	return func(ctx context.Context) (fleet.ScrubResult, error) {
-		start := time.Now()
 		det, rec, err := pr.SelfHealContext(ctx)
 		var res fleet.ScrubResult
 		res.ErrorsDetected, res.Recovered = core.HealOutcome(det, rec, err)
-		if onEvent != nil && !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
-			ev := GuardEvent{Detection: det, Elapsed: time.Since(start), Err: err}
-			if res.ErrorsDetected {
-				ev.Recovery = rec // stays nil after a clean scrub: no recovery ran
-			}
-			onEvent(ev)
-		}
 		return res, err
 	}
 }
@@ -285,13 +267,11 @@ func (fl *Fleet) Close() error {
 }
 
 // WithQueueCap sets the default admission queue cap — the most
-// requests that may wait in one admission queue: every model queue of
-// a Fleet built from this runtime, and the single queue of a
-// Runtime.NewServer / NewGuardedServer. At cap, admission fast-fails
-// with ErrQueueFull (or blocks, for fleet models registered with
-// WithModelBackpressure) — the open-loop overload story. 0 (the
-// default) means unbounded. Override per fleet model with
-// WithModelQueueCap.
+// requests that may wait in one model queue of a Fleet built from this
+// runtime. At cap, admission fast-fails with ErrQueueFull (or blocks,
+// for models registered with WithModelBackpressure) — the open-loop
+// overload story. 0 (the default) means unbounded. Override per model
+// with WithModelQueueCap.
 func WithQueueCap(n int) Option {
 	return func(rt *Runtime) {
 		if n < 0 {
@@ -301,10 +281,9 @@ func WithQueueCap(n int) Option {
 	}
 }
 
-// WithDefaultDeadline sets the deadline a Fleet or a single Server
-// applies to every Predict/PredictBatch call whose context has no
-// deadline of its own, so an open-loop client can never wait
-// unboundedly. Zero (the default) applies none; contexts that already
+// WithDefaultDeadline sets the deadline a Fleet applies to every
+// Predict/PredictBatch call whose context has no deadline of its own,
+// so an open-loop client can never wait unboundedly. Zero (the default) applies none; contexts that already
 // carry a deadline are never altered.
 func WithDefaultDeadline(d time.Duration) Option {
 	return func(rt *Runtime) {

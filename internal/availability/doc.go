@@ -23,7 +23,6 @@
 // encryption word and thus a weight. The Td/Tr inputs are measured at
 // the environment's configured worker count (bench.AvailabilityCurve),
 // so the curve reflects what the parallel engine actually achieves, and
-// the fleet's per-model ScrubTime (a Guard reports it as
-// GuardStats.Downtime) is the live counterpart of the model's downtime
-// numerator.
+// the fleet's per-model ModelStats.ScrubTime is the live counterpart of
+// the model's downtime numerator.
 package availability

@@ -39,8 +39,7 @@
 // phase has a ...Context form whose cancellation is layer-atomic: each
 // flagged layer is either untouched or fully re-solved, never
 // half-written. The engine schedules nothing and starts no goroutine of
-// its own: the deployment scrub loop is internal/fleet's guard (the
-// façade's Guard is a fleet of one), which calls SelfHealContext, and
-// the serving front-end interleaves with it by running inference
+// its own: the deployment scrub loop is internal/fleet's guard, which
+// calls SelfHealContext, and the serving front-end interleaves with it by running inference
 // batches under the same lock.
 package core

@@ -15,10 +15,11 @@ import (
 )
 
 // The deployment scrub loop over one protector. The engine schedules
-// nothing itself: milr.Guard is a fleet of one, so these tests drive the
-// façade's guard against the engine contracts it schedules — cancelled
-// cycles dropped without stats or events, the Sync mutation gate, and
-// a Stop that joins the loop.
+// nothing itself: the fleet guard is the only scrub scheduler, so these
+// tests register the protector as the only model of a milr.Fleet and
+// drive it against the engine contracts it schedules — cancelled cycles
+// dropped without stats, the Sync mutation gate, and a Close that joins
+// the loop.
 
 func tinyProtected(t *testing.T, seed uint64) (*nn.Model, *core.Protector) {
 	t.Helper()
@@ -48,6 +49,26 @@ func maxParamDiff(a, b map[int]*tensor.Tensor) float64 {
 	return worst
 }
 
+// guardModel is the name the protector under test is registered as.
+const guardModel = "guarded"
+
+// guardFleet registers pr as the only model of a fleet: RegisterProtected
+// wires its engine lock and its self-heal cycle, exactly as a served
+// protected model is wired.
+func guardFleet(t *testing.T, pr *core.Protector) *milr.Fleet {
+	t.Helper()
+	fl := milr.NewFleet(milr.NewRuntime())
+	if err := fl.RegisterProtected(guardModel, pr); err != nil {
+		t.Fatal(err)
+	}
+	return fl
+}
+
+// guardStats returns the guarded model's scrub counters.
+func guardStats(fl *milr.Fleet) milr.ModelStats {
+	return fl.Stats().Models[guardModel]
+}
+
 // TestGuardConcurrentScrubAndInjection is the race floor for the
 // deployment loop: a guard scrubbing on a tight schedule, a second
 // goroutine forcing extra scrub cycles, and a third injecting faults
@@ -58,22 +79,14 @@ func maxParamDiff(a, b map[int]*tensor.Tensor) float64 {
 func TestGuardConcurrentScrubAndInjection(t *testing.T) {
 	m, pr := tinyProtected(t, 64)
 	pr.SetWorkers(4)
-	var events []milr.GuardEvent
-	var evMu sync.Mutex
-	g, err := milr.NewGuard(pr, milr.GuardConfig{
-		Interval: time.Millisecond,
-		OnEvent: func(ev milr.GuardEvent) {
-			evMu.Lock()
-			events = append(events, ev)
-			evMu.Unlock()
-		},
-	})
-	if err != nil {
+	fl := guardFleet(t, pr)
+	if err := fl.StartGuard(context.Background(), time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 
 	const rounds = 40
 	var wg sync.WaitGroup
+	scrubErrs := make(chan error, rounds/2)
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
@@ -90,24 +103,28 @@ func TestGuardConcurrentScrubAndInjection(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < rounds/2; i++ {
-			g.ScrubNow()
+			if _, _, err := fl.ScrubOnce(context.Background()); err != nil {
+				scrubErrs <- err
+			}
 			time.Sleep(300 * time.Microsecond)
 		}
 	}()
 	wg.Wait()
-	g.Stop()
+	if err := fl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	close(scrubErrs)
+	for err := range scrubErrs {
+		t.Fatalf("forced scrub cycle error: %v", err)
+	}
 
-	stats := g.Stats()
+	stats := guardStats(fl)
 	if stats.Scrubs == 0 {
 		t.Fatal("guard never scrubbed")
 	}
-	evMu.Lock()
-	for _, ev := range events {
-		if ev.Err != nil {
-			t.Fatalf("scrub cycle error: %v", ev.Err)
-		}
+	if stats.ScrubFailures != 0 {
+		t.Fatalf("%d scrub cycles returned an engine error", stats.ScrubFailures)
 	}
-	evMu.Unlock()
 
 	// The storm is over; healing must converge to a clean network (more
 	// than one pass is legal when several layers between two checkpoints
@@ -129,93 +146,88 @@ func TestGuardConcurrentScrubAndInjection(t *testing.T) {
 	pr.SetWorkers(0)
 }
 
-// TestGuardStopIsIdempotent: Stop used to close its channel bare, so a
-// second call panicked. Callers typically both cancel the guard's
-// context and defer Stop, and Fleet.Close/Server.Close are idempotent;
-// Stop now is too — twice in a row, after a context cancel, and from
-// two goroutines at once.
+// TestGuardStopIsIdempotent: callers typically both cancel the guard's
+// context and defer Close, so stopping the guard must be idempotent —
+// Close twice in a row, after a context cancel, and from two goroutines
+// at once — and must join the loop.
 func TestGuardStopIsIdempotent(t *testing.T) {
 	_, pr := tinyProtected(t, 65)
-	newGuard := func(ctx context.Context) *milr.Guard {
-		g, err := milr.NewGuard(pr, milr.GuardConfig{Interval: 200 * time.Microsecond, Context: ctx})
-		if err != nil {
+	newGuard := func(ctx context.Context) *milr.Fleet {
+		fl := guardFleet(t, pr)
+		if err := fl.StartGuard(ctx, 200*time.Microsecond); err != nil {
 			t.Fatal(err)
 		}
-		return g
+		return fl
+	}
+	closeFleet := func(fl *milr.Fleet) {
+		if err := fl.Close(); err != nil {
+			t.Error(err)
+		}
 	}
 
-	g := newGuard(context.Background())
-	g.Stop()
-	g.Stop()
+	fl := newGuard(context.Background())
+	closeFleet(fl)
+	closeFleet(fl)
 
 	ctx, cancel := context.WithCancel(context.Background())
-	g = newGuard(ctx)
+	fl = newGuard(ctx)
 	cancel()
-	g.Stop()
-	g.Stop()
+	closeFleet(fl)
+	closeFleet(fl)
 
-	g = newGuard(context.Background())
+	fl = newGuard(context.Background())
 	var wg sync.WaitGroup
 	for i := 0; i < 2; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			g.Stop()
+			closeFleet(fl)
 		}()
 	}
 	wg.Wait()
-	// Stop returned only once the loop had exited: no scrub is counted
+	// Close returned only once the loop had exited: no scrub is counted
 	// after it, however long we wait.
-	n := g.Stats().Scrubs
+	n := guardStats(fl).Scrubs
 	time.Sleep(5 * time.Millisecond)
-	if got := g.Stats().Scrubs; got != n {
-		t.Fatalf("Stop returned before the guard loop exited: %d scrubs, then %d", n, got)
+	if got := guardStats(fl).Scrubs; got != n {
+		t.Fatalf("Close returned before the guard loop exited: %d scrubs, then %d", n, got)
 	}
 }
 
 func TestGuardDetectsAndRecovers(t *testing.T) {
 	m, pr := tinyProtected(t, 55)
 	clean := m.Snapshot()
-	var mu sync.Mutex
-	var events []milr.GuardEvent
-	g, err := milr.NewGuard(pr, milr.GuardConfig{
-		Interval: time.Hour, // never fires on its own during the test
-		OnEvent: func(ev milr.GuardEvent) {
-			mu.Lock()
-			events = append(events, ev)
-			mu.Unlock()
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer g.Stop()
+	fl := guardFleet(t, pr)
+	defer fl.Close()
+	ctx := context.Background()
 
 	// Clean scrub.
-	g.ScrubNow()
+	name, res, err := fl.ScrubOnce(ctx)
+	if err != nil || name != guardModel {
+		t.Fatalf("clean scrub: model %q, err %v", name, err)
+	}
+	if res.ErrorsDetected {
+		t.Errorf("clean scrub flagged errors: %+v", res)
+	}
 	// Corrupt, scrub again.
 	conv := m.Layer(0).(*nn.Conv2D)
-	conv.Params().Data()[0] += 25
-	g.ScrubNow()
+	pr.Sync(func() { conv.Params().Data()[0] += 25 })
+	if _, res, err = fl.ScrubOnce(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if !res.ErrorsDetected || !res.Recovered {
+		t.Errorf("corrupted scrub result %+v, want detected and recovered", res)
+	}
 
-	stats := g.Stats()
+	stats := guardStats(fl)
 	if stats.Scrubs != 2 {
 		t.Errorf("scrubs %d, want 2", stats.Scrubs)
 	}
-	if stats.ErrorsDetected != 1 || stats.Recoveries != 1 {
-		t.Errorf("stats %+v", stats)
+	if stats.Heals != 1 || stats.PartialHeals != 0 || stats.ScrubFailures != 0 {
+		t.Errorf("stats %+v, want one heal", stats)
 	}
-	if stats.FailedRecoveries != 0 {
-		t.Errorf("failed recoveries %d", stats.FailedRecoveries)
-	}
-	if stats.Downtime <= 0 {
-		t.Error("no downtime recorded")
-	}
-	mu.Lock()
-	n := len(events)
-	mu.Unlock()
-	if n != 2 {
-		t.Errorf("events %d, want 2", n)
+	if stats.ScrubTime <= 0 {
+		t.Error("no scrub time recorded")
 	}
 	if diff := maxParamDiff(clean, m.Snapshot()); diff > 1e-3 {
 		t.Errorf("weights off by %g after guard recovery", diff)
@@ -224,80 +236,85 @@ func TestGuardDetectsAndRecovers(t *testing.T) {
 
 func TestGuardRunsOnSchedule(t *testing.T) {
 	_, pr := tinyProtected(t, 56)
-	g, err := milr.NewGuard(pr, milr.GuardConfig{Interval: 5 * time.Millisecond})
-	if err != nil {
+	fl := guardFleet(t, pr)
+	if err := fl.StartGuard(context.Background(), 5*time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.After(2 * time.Second)
-	for g.Stats().Scrubs < 2 {
+	for guardStats(fl).Scrubs < 2 {
 		select {
 		case <-deadline:
-			g.Stop()
-			t.Fatalf("guard performed %d scrubs in 2s", g.Stats().Scrubs)
+			fl.Close()
+			t.Fatalf("guard performed %d scrubs in 2s", guardStats(fl).Scrubs)
 		default:
 			time.Sleep(time.Millisecond)
 		}
 	}
-	g.Stop()
-	// After Stop, no further scrubs.
-	n := g.Stats().Scrubs
+	fl.Close()
+	// After Close, no further scrubs.
+	n := guardStats(fl).Scrubs
 	time.Sleep(20 * time.Millisecond)
-	if g.Stats().Scrubs != n {
-		t.Error("guard scrubbed after Stop")
+	if guardStats(fl).Scrubs != n {
+		t.Error("guard scrubbed after Close")
 	}
 }
 
 func TestGuardValidation(t *testing.T) {
 	_, pr := tinyProtected(t, 57)
-	if _, err := milr.NewGuard(pr, milr.GuardConfig{Interval: 0}); err == nil {
+	fl := guardFleet(t, pr)
+	defer fl.Close()
+	if err := fl.StartGuard(context.Background(), 0); err == nil {
 		t.Fatal("zero interval accepted")
 	}
 }
 
+// TestGuardContextStopsLoop: the guard's context bounds its lifetime.
+// Once it is cancelled the loop exits on its own, without a Close,
+// which a fleet shows by accepting a new guard.
 func TestGuardContextStopsLoop(t *testing.T) {
 	_, pr := tinyProtected(t, 11)
+	fl := guardFleet(t, pr)
+	defer fl.Close()
 	ctx, cancel := context.WithCancel(context.Background())
-	g, err := milr.NewGuard(pr, milr.GuardConfig{Interval: time.Millisecond, Context: ctx})
-	if err != nil {
+	if err := fl.StartGuard(ctx, time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 	cancel()
-	done := make(chan struct{})
-	go func() {
-		g.Stop()
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("guard did not stop after its context was cancelled")
+	deadline := time.Now().Add(5 * time.Second)
+	for fl.StartGuard(context.Background(), time.Hour) != nil {
+		if time.Now().After(deadline) {
+			t.Fatal("guard did not stop after its context was cancelled")
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
 // TestGuardScrubNowAfterContextCancel: the guard's context ends the
-// schedule, not the guard — ScrubNow still runs a real cycle and heals.
+// schedule, not the fleet — ScrubOnce still runs a real cycle and heals.
 func TestGuardScrubNowAfterContextCancel(t *testing.T) {
 	m, pr := tinyProtected(t, 58)
 	clean := m.Snapshot()
+	fl := guardFleet(t, pr)
+	defer fl.Close()
 	ctx, cancel := context.WithCancel(context.Background())
-	g, err := milr.NewGuard(pr, milr.GuardConfig{Interval: time.Hour, Context: ctx})
-	if err != nil {
+	if err := fl.StartGuard(ctx, time.Hour); err != nil {
 		t.Fatal(err)
 	}
-	defer g.Stop()
 	cancel()
 	pr.Sync(func() { m.Layer(0).(*nn.Conv2D).Params().Data()[0] += 25 })
-	g.ScrubNow()
-	if st := g.Stats(); st.Scrubs != 1 || st.Recoveries != 1 || st.FailedRecoveries != 0 {
+	if _, _, err := fl.ScrubOnce(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if st := guardStats(fl); st.Scrubs != 1 || st.Heals != 1 || st.PartialHeals != 0 {
 		t.Fatalf("stats %+v, want one scrub that recovered", st)
 	}
 	if diff := maxParamDiff(clean, m.Snapshot()); diff > 1e-3 {
-		t.Fatalf("weights off by %g after ScrubNow", diff)
+		t.Fatalf("weights off by %g after ScrubOnce", diff)
 	}
 }
 
 // TestGuardApproximateLayerIsFailedRecovery: a cycle that leaves a layer
-// Approximate counts as a recovery that failed. The setup is the
+// Approximate counts as a partial heal, not a heal. The setup is the
 // forced-partial MNIST case of TestBatchedSequentialRecoveryEquivalence
 // (every conv in partial mode) with one conv overwritten whole, beyond
 // what CRC localization can pin down.
@@ -313,28 +330,17 @@ func TestGuardApproximateLayerIsFailedRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rec *core.RecoveryReport
-	g, err := milr.NewGuard(pr, milr.GuardConfig{
-		Interval: time.Hour,
-		OnEvent:  func(ev milr.GuardEvent) { rec = ev.Recovery },
-	})
+	fl := guardFleet(t, pr)
+	defer fl.Close()
+	faults.New(9001).OverwriteLayer(m.Layer(0).(nn.Parameterized))
+	_, res, err := fl.ScrubOnce(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer g.Stop()
-	faults.New(9001).OverwriteLayer(m.Layer(0).(nn.Parameterized))
-	g.ScrubNow()
-	if rec == nil {
-		t.Fatal("overwritten conv was not detected; test is vacuous")
+	if res != (milr.ScrubResult{ErrorsDetected: true, Recovered: false}) {
+		t.Fatalf("scrub result %+v, want detected and not recovered", res)
 	}
-	approximate := false
-	for _, r := range rec.Results {
-		approximate = approximate || r.Status == core.Approximate
-	}
-	if !approximate {
-		t.Fatalf("no layer left Approximate; test is vacuous: %+v", rec.Results)
-	}
-	if st := g.Stats(); st.Recoveries != 1 || st.FailedRecoveries != 1 {
-		t.Fatalf("stats %+v, want the recovery counted as failed", st)
+	if st := guardStats(fl); st.Scrubs != 1 || st.Heals != 0 || st.PartialHeals != 1 || st.ScrubFailures != 0 {
+		t.Fatalf("stats %+v, want the cycle counted as a partial heal", st)
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"reflect"
 	"runtime"
 	"testing"
@@ -129,7 +130,7 @@ func TestRecoverAllParallelSerialEquivalence(t *testing.T) {
 			params := paramLayers(m)
 			faults.New(5).OverwriteLayer(params[len(params)-1])
 			pr.SetWorkers(workers)
-			rec, err := pr.RecoverAll()
+			rec, err := pr.RecoverContext(context.Background(), allFlagged(pr))
 			if err != nil {
 				t.Fatalf("workers=%d: %v", workers, err)
 			}

@@ -67,7 +67,7 @@ func toPersistedTensor(t *tensor.Tensor) persistedTensor {
 }
 
 // Save writes the protector's stored state (the paper's error-resistant
-// storage contents) to w. Safe to call while a Guard is scrubbing.
+// storage contents) to w. Safe to call while a fleet guard is scrubbing.
 func (pr *Protector) Save(w io.Writer) error {
 	pr.mu.Lock()
 	defer pr.mu.Unlock()

@@ -79,7 +79,7 @@ func (pr *Protector) Options() Options {
 }
 
 // SetWorkers retunes the engine's worker pool (see Options.Workers) on
-// a live protector. Safe to call while a Guard is scrubbing.
+// a live protector. Safe to call while a fleet guard is scrubbing.
 func (pr *Protector) SetWorkers(n int) {
 	pr.mu.Lock()
 	defer pr.mu.Unlock()
@@ -90,7 +90,7 @@ func (pr *Protector) SetWorkers(n int) {
 // for everything outside the engine that writes the protected model's
 // parameters — fault injectors, trainers, live weight updates. Routing
 // writes through Sync makes them race-free against concurrent Detect,
-// Recover, and Guard scrub cycles (the paper's deployment story: errors
+// Recover, and fleet guard scrub cycles (the paper's deployment story: errors
 // strike *between* scrubs; a scrub observes a consistent snapshot).
 func (pr *Protector) Sync(fn func()) {
 	pr.mu.Lock()

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -358,12 +359,38 @@ func TestStorageReportSane(t *testing.T) {
 	}
 }
 
+// allFlagged builds a detection report that flags every filter, column
+// and bias sum of every parameterized layer, so RecoverContext re-solves
+// the whole network regardless of what detection would find.
+func allFlagged(pr *Protector) *DetectionReport {
+	report := &DetectionReport{}
+	for _, lp := range pr.plan.layers {
+		switch lp.role {
+		case roleConv:
+			all := make([]int, lp.conv.Filters())
+			for k := range all {
+				all[k] = k
+			}
+			report.Findings = append(report.Findings, LayerFinding{Layer: lp.idx, Name: pr.model.Layer(lp.idx).Name(), Filters: all})
+		case roleDense:
+			all := make([]int, lp.dense.Out())
+			for j := range all {
+				all[j] = j
+			}
+			report.Findings = append(report.Findings, LayerFinding{Layer: lp.idx, Name: pr.model.Layer(lp.idx).Name(), Columns: all})
+		case roleBias:
+			report.Findings = append(report.Findings, LayerFinding{Layer: lp.idx, Name: pr.model.Layer(lp.idx).Name(), SumMismatch: true})
+		}
+	}
+	return report
+}
+
 func TestRecoverAllOnCleanNetworkIsStable(t *testing.T) {
 	m, pr := tinyProtected(t, 11)
 	clean := m.Snapshot()
-	rec, err := pr.RecoverAll()
+	rec, err := pr.RecoverContext(context.Background(), allFlagged(pr))
 	if err != nil {
-		t.Fatalf("RecoverAll: %v", err)
+		t.Fatalf("full recovery: %v", err)
 	}
 	if !rec.AllRecovered() {
 		t.Fatalf("clean network recovery not clean: %+v", rec.Results)

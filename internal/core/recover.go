@@ -174,7 +174,7 @@ func (pr *Protector) solveConvFinding(lp *layerPlan, f LayerFinding, goldenIn, g
 		// CRC false-negative fallback: a filter whose partial checkpoint
 		// *currently* mismatches but for which CRC localized nothing
 		// gets all taps marked suspect. Filters that verify clean right
-		// now (e.g. a forced RecoverAll on an intact layer) are left
+		// now (e.g. a filter flagged on an intact layer) are left
 		// untouched.
 		still, err := pr.detectConv(lp)
 		if err != nil {
@@ -280,34 +280,6 @@ func (pr *Protector) recoverBias(lp *layerPlan, goldenIn, goldenOut *tensor.Tens
 		res.Status = Recovered
 	}
 	return res, nil
-}
-
-// RecoverAll forces a full recovery attempt of every parameterized layer
-// regardless of detection state — used by the whole-layer corruption
-// experiments, where detection is trivially positive, and by tests.
-func (pr *Protector) RecoverAll() (*RecoveryReport, error) {
-	pr.mu.Lock()
-	defer pr.mu.Unlock()
-	report := &DetectionReport{}
-	for _, lp := range pr.plan.layers {
-		switch lp.role {
-		case roleConv:
-			all := make([]int, lp.conv.Filters())
-			for k := range all {
-				all[k] = k
-			}
-			report.Findings = append(report.Findings, LayerFinding{Layer: lp.idx, Name: pr.model.Layer(lp.idx).Name(), Filters: all})
-		case roleDense:
-			all := make([]int, lp.dense.Out())
-			for j := range all {
-				all[j] = j
-			}
-			report.Findings = append(report.Findings, LayerFinding{Layer: lp.idx, Name: pr.model.Layer(lp.idx).Name(), Columns: all})
-		case roleBias:
-			report.Findings = append(report.Findings, LayerFinding{Layer: lp.idx, Name: pr.model.Layer(lp.idx).Name(), SumMismatch: true})
-		}
-	}
-	return pr.recoverLocked(context.Background(), report)
 }
 
 // Boundaries returns the checkpoint boundary positions (layer-input

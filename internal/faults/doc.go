@@ -11,7 +11,7 @@
 // cost O(#flips), not O(#bits).
 //
 // Concurrency: injectors write protected weights directly, so any use
-// concurrent with a Guard scrub or a serving batch must be routed
-// through Protector.Sync — the mutation gate the examples and the soak
-// tests model (see ARCHITECTURE.md).
+// concurrent with a fleet guard scrub or a serving batch must be routed
+// through Protector.Sync — the mutation gate the soak tests model (see
+// ARCHITECTURE.md).
 package faults

@@ -5,8 +5,8 @@
 // without one hot model starving the rest.
 //
 // It is the only admission queue, coalescing window and dispatcher in
-// the tree: the façade's single-model milr.Server is a Fleet holding
-// one model. Batches execute through package serve's shared machinery
+// the tree, and the façade's milr.Fleet, one model or many, is its only
+// entry point. Batches execute through package serve's shared machinery
 // (Request, ExecuteBatch — one ForwardBatch GEMM per batch — and one
 // serve.Collector per model); on top of that the router owns:
 //

@@ -781,8 +781,7 @@ func (f *Fleet) execute(b *backend, eng engine, batch []*serve.Request) {
 // registered with a Scrub hook, including ones registered later) and
 // runs its scrub. Each scrub executes under that model's own engine
 // lock, so it interleaves with that model's inference batches and never
-// touches the other models. It is the tree's only scrub scheduler: the
-// façade's Guard is this loop over a fleet of one.
+// touches the other models. It is the tree's only scrub scheduler.
 // The loop stops when ctx is done or the fleet closes; at most one
 // guard runs per fleet at a time, and once a loop has stopped with its
 // context a new one may be started.

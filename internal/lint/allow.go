@@ -34,14 +34,8 @@ var exceptions = []Exception{
 		Why: "the one open-loop arrival engine (milr-fleet -open-loop, soak windows): one goroutine per scheduled arrival IS the load model; joined by WaitGroup before RunOpenLoop returns"},
 	{Rule: "nakedgo", Path: "internal/soak/harness.go",
 		Why: "Overlap-mode scrub runs concurrently with the window's traffic by design; joined via scrubCh before the window's metrics are read"},
-	{Rule: "nakedgo", Path: "examples/serving/main.go",
-		Why: "teaching example: the visible client swarm + injection ticker are the demo; joined before exit"},
-	{Rule: "nakedgo", Path: "examples/fleet/main.go",
-		Why: "teaching example: client swarm + injection ticker, joined before exit"},
 
 	// syncgate: campaign cells mutate models they exclusively own.
 	{Rule: "syncgate", Path: "internal/bench/",
 		Why: "campaign cells mutate Env.Clone models owned by exactly one goroutine for the cell's lifetime; nothing serves from them (byte-identity across worker counts is pinned by shard tests)"},
-	{Rule: "syncgate", Path: "examples/encrypted-vm/main.go",
-		Why: "simulates a ciphertext-level DRAM fault below the software stack: the corrupted block is written back through an aliased slice the way a memory-encryption engine would, and the model is never concurrently served"},
 }

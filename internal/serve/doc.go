@@ -6,9 +6,9 @@
 // internal/nn/batch.go).
 //
 // It owns no queue and starts no goroutine. internal/fleet does the
-// admitting, coalescing, capping, deadlining and draining — for many
-// models or, behind the façade's milr.Server, for one — and calls into
-// three pieces kept here:
+// admitting, coalescing, capping, deadlining and draining — for one
+// model or many, behind the façade's milr.Fleet — and calls into three
+// pieces kept here:
 //
 //   - Request: one admitted sample — its input, its caller's context,
 //     its admission timestamp (what the coalescing window and the

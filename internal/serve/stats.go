@@ -7,7 +7,7 @@ import (
 )
 
 // Stats is a point-in-time snapshot of one model queue's counters (a
-// fleet backend's; the façade's Server is a fleet of one). All counters
+// fleet backend's). All counters
 // describe the whole lifetime of the queue up to the snapshot; the
 // latency quantiles describe a bounded sliding window (see P50).
 type Stats struct {

@@ -45,31 +45,25 @@
 // segment, bit-identical to healing layer by layer (see
 // ARCHITECTURE.md, "Recovery invariants").
 //
-// For serving, Runtime.NewServer (or NewGuardedServer, to serve while a
-// Guard self-heals the same model) starts a batch-coalescing front-end:
-// concurrent single-sample Predict calls queue up and execute as few
-// large GEMMs, still bit-identical to direct calls. A Server is a Fleet
-// of one model, so WithQueueCap and WithDefaultDeadline give it the
-// same admission control (fast-fail ErrQueueFull, bounded waits):
-//
-//	srv, _ := rt.NewGuardedServer(prot)
-//	defer srv.Close()
-//	class, _ := srv.Predict(ctx, x) // concurrent callers coalesce
-//
-// To serve several models at once, NewFleet routes named traffic over
-// per-model queues and one shared batch budget, with weighted fair
-// arbitration, queue caps (WithQueueCap → ErrQueueFull), a default
-// request deadline (WithDefaultDeadline), and a round-robin self-heal
-// schedule across the protected models:
+// For serving, NewFleet starts a batch-coalescing router: concurrent
+// single-sample Predict calls queue up per named model and execute as
+// few large GEMMs over one shared batch budget, still bit-identical to
+// direct calls, with weighted fair arbitration, queue caps
+// (WithQueueCap → ErrQueueFull) and a default request deadline
+// (WithDefaultDeadline). RegisterProtected serves a model inside its
+// protector's engine lock, and StartGuard self-heals every protected
+// model on one round-robin schedule — the deployment loop of the
+// paper's availability analysis (§V-E):
 //
 //	fl := milr.NewFleet(rt)
 //	defer fl.Close()
 //	_ = fl.RegisterProtected("mnist", prot, milr.WithModelWeight(2))
-//	class, _ = fl.Predict(ctx, "mnist", x)
+//	_ = fl.StartGuard(ctx, 50*time.Millisecond)
+//	class, _ := fl.Predict(ctx, "mnist", x) // concurrent callers coalesce
 //
 // See ARCHITECTURE.md for the layer map and the invariants each layer
-// guarantees, examples/serving for a complete guarded deployment, and
-// examples/fleet for multi-model serving.
+// guarantees, and the package examples for runnable versions of these
+// snippets.
 package milr
 
 import (
@@ -78,9 +72,7 @@ import (
 	"time"
 
 	"milr/internal/core"
-	"milr/internal/fleet"
 	"milr/internal/nn"
-	"milr/internal/serve"
 	"milr/internal/tensor"
 )
 
@@ -114,18 +106,7 @@ type (
 	Tensor = tensor.Tensor
 	// Shape describes tensor extents, outermost dimension first.
 	Shape = tensor.Shape
-
-	// ServerStats is a Server.Stats snapshot: request counters, the
-	// batch-fill (coalescing) histogram, queue depth, and p50/p99
-	// admission-to-answer latency over a bounded sliding window of
-	// recent requests.
-	ServerStats = serve.Stats
 )
-
-// ErrServerClosed is returned by Server.Predict and Server.PredictBatch
-// once Server.Close has been called; requests admitted before the close
-// are still served. It is the same value as ErrFleetClosed.
-var ErrServerClosed = fleet.ErrClosed
 
 // Runtime is the engine's configuration root: one value carries the
 // master seed, the worker-pool policy for every parallel level
@@ -143,7 +124,7 @@ type Runtime struct {
 	queueCap int
 	deadline time.Duration
 	// workersSet records an explicit WithWorkers choice: only then do
-	// Protect, Evaluate and the server constructors retune the model's
+	// Protect, Evaluate and Fleet registration retune the model's
 	// GEMM pools, so a hand-tuned model (Model.SetWorkers) is never
 	// silently reset to serial by a runtime that was built without a
 	// worker policy.
@@ -202,8 +183,8 @@ func WithMaxFullSolveTaps(taps int) Option {
 }
 
 // WithBatchSize sets how many samples Runtime.Evaluate stacks per GEMM
-// and the largest batch a Server coalesces; values below 1 clamp to 1
-// (per-sample), matching the evaluator's own clamping.
+// and the largest batch a Fleet coalesces per model; values below 1
+// clamp to 1 (per-sample), matching the evaluator's own clamping.
 func WithBatchSize(b int) Option {
 	return func(rt *Runtime) {
 		if b < 1 {
@@ -213,15 +194,15 @@ func WithBatchSize(b int) Option {
 	}
 }
 
-// DefaultMaxBatchDelay is the coalescing window servers use unless
+// DefaultMaxBatchDelay is the coalescing window a Fleet uses unless
 // WithMaxBatchDelay overrides it: long enough for concurrent clients to
 // land in one batch, short enough to stay invisible next to a
 // conv-layer GEMM. See README.md's tuning section.
 const DefaultMaxBatchDelay = 2 * time.Millisecond
 
-// WithMaxBatchDelay sets how long a Server holds a partial batch open
-// for more requests to coalesce before flushing it. Zero disables the
-// wait: the server still coalesces whatever has already queued up, but
+// WithMaxBatchDelay sets how long a Fleet holds a model's partial batch
+// open for more requests to coalesce before flushing it. Zero disables
+// the wait: the fleet still coalesces whatever has already queued up, but
 // never delays a request to fill a batch (lowest latency, least
 // coalescing). Negative values clamp to zero.
 func WithMaxBatchDelay(d time.Duration) Option {
@@ -283,12 +264,11 @@ func (rt *Runtime) BatchSize() int { return rt.batch }
 func (rt *Runtime) MaxBatchDelay() time.Duration { return rt.maxDelay }
 
 // QueueCap returns the default admission queue cap applied to fleet
-// model queues and standalone Servers (0 = unbounded). See
-// WithQueueCap.
+// model queues (0 = unbounded). See WithQueueCap.
 func (rt *Runtime) QueueCap() int { return rt.queueCap }
 
 // DefaultDeadline returns the default per-request deadline applied by
-// fleets and standalone Servers (0 = none). See WithDefaultDeadline.
+// fleets (0 = none). See WithDefaultDeadline.
 func (rt *Runtime) DefaultDeadline() time.Duration { return rt.deadline }
 
 // Options returns the engine options this runtime protects models with.
@@ -332,95 +312,6 @@ func (rt *Runtime) tune(m *Model) {
 func (rt *Runtime) Evaluate(ctx context.Context, m *Model, samples []Sample) (float64, error) {
 	rt.tune(m)
 	return nn.EvaluateBatchContext(ctx, m, samples, rt.batch)
-}
-
-// Server coalesces concurrent Predict calls into batched GEMMs over one
-// model. It is a fleet of one: the same dispatcher, coalescing window,
-// admission control and drain-on-close as Fleet, holding a single model
-// under a fixed internal name. Build one with Runtime.NewServer or
-// Runtime.NewGuardedServer; it is safe for concurrent use by any number
-// of client goroutines.
-type Server struct {
-	f *fleet.Fleet
-}
-
-// serverModel is the name a Server's one model is registered under. It
-// shows up only in QueueFullError.Model and batch-failure messages.
-const serverModel = "server"
-
-// NewServer starts a batch-coalescing inference server over a model:
-// concurrent Server.Predict calls queue up, coalesce into batches of up
-// to BatchSize (WithBatchSize) within a MaxBatchDelay window
-// (WithMaxBatchDelay, measured from the oldest waiting request's
-// admission), and run as one ForwardBatch GEMM per batch —
-// bit-identical to direct per-sample Predict calls. WithQueueCap bounds
-// the queue (at cap, Predict fast-fails with ErrQueueFull) and
-// WithDefaultDeadline bounds requests whose context has no deadline of
-// its own. An explicit worker policy (WithWorkers) is applied to the
-// model's GEMM pools, as in Protect. Call Server.Close to shut the
-// server down; use NewGuardedServer instead when a Guard scrubs the
-// same model.
-func (rt *Runtime) NewServer(m *Model) (*Server, error) {
-	return rt.newServer(m, nil)
-}
-
-// NewGuardedServer is NewServer over a protected model: every batch
-// executes inside the protector's engine lock (Protector.Sync), which
-// serializes serving against concurrent Detect/Recover/Guard scrub
-// cycles — a scrub observes quiescent weights, inference observes
-// fully-recovered ones — while admission keeps accepting requests, so a
-// self-heal pause delays answers rather than refusing them. This is the
-// deployment shape of the paper's availability analysis (§V-E): run the
-// returned server alongside Runtime.Guard on the same protector (the
-// server itself never scrubs).
-func (rt *Runtime) NewGuardedServer(pr *Protector) (*Server, error) {
-	return rt.newServer(pr.Model(), pr.Sync)
-}
-
-// newServer registers m as the only model of a private dispatcher; gate
-// (nil for an unguarded server) wraps every batch.
-func (rt *Runtime) newServer(m *Model, gate func(func())) (*Server, error) {
-	rt.tune(m)
-	f := rt.newFleet()
-	if err := f.Register(serverModel, m, fleet.ModelConfig{Gate: gate}); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return &Server{f: f}, nil
-}
-
-// Predict enqueues one sample and blocks until its batch has been
-// served. The answer is bit-identical to a direct Model.Predict call.
-// It returns ErrQueueFull when the admission queue is at its configured
-// cap, ErrServerClosed after Close, and the context's error if ctx — or
-// the runtime's default deadline (WithDefaultDeadline) — expires before
-// the batch executes; the dead request is dropped from its batch
-// without affecting the other requests in it.
-func (s *Server) Predict(ctx context.Context, x *Tensor) (int, error) {
-	return s.f.Predict(ctx, serverModel, x)
-}
-
-// PredictBatch enqueues every sample of xs individually — so a caller's
-// samples coalesce with other callers' — and blocks until all are
-// answered, returning the classes in input order. If admission fails
-// partway (the queue cap, a malformed sample, Close), the samples
-// already admitted but not yet executing are removed from the queue.
-func (s *Server) PredictBatch(ctx context.Context, xs []*Tensor) ([]int, error) {
-	return s.f.PredictBatch(ctx, serverModel, xs)
-}
-
-// Stats returns a snapshot of the server's counters, batch-fill
-// histogram and latency quantiles. See ServerStats for field semantics.
-func (s *Server) Stats() ServerStats {
-	return s.f.Stats().Models[serverModel].Stats
-}
-
-// Close stops admission, serves every request admitted before the call
-// (drain-on-close), and returns once the dispatcher has exited. It is
-// idempotent and safe to call concurrently — with itself and with
-// in-flight Predict/PredictBatch calls.
-func (s *Server) Close() error {
-	return s.f.Close()
 }
 
 // SaveProtector persists a protector's golden data (what the paper keeps

@@ -22,10 +22,7 @@ var goldenAPI = []string{
 	"Runtime",
 	"Runtime.BatchSize",
 	"Runtime.Evaluate",
-	"Runtime.Guard",
 	"Runtime.MaxBatchDelay",
-	"Runtime.NewGuardedServer",
-	"Runtime.NewServer",
 	"Runtime.Options",
 	"Runtime.Protect",
 	"Runtime.Seed",
@@ -40,19 +37,9 @@ var goldenAPI = []string{
 	"WithSeed",
 	"WithTolerance",
 	"WithWorkers",
-	// Serving (PR 3): the batch-coalescing inference front-end. Server
-	// is a concrete type over a fleet of one, so its methods are pinned
-	// here; ErrServerClosed and ErrFleetClosed name the same value.
+	// Serving: multi-model routing over a shared worker budget, with
+	// batch coalescing, admission control and the fleet guard.
 	"DefaultMaxBatchDelay",
-	"ErrServerClosed",
-	"Server",
-	"Server.Close",
-	"Server.Predict",
-	"Server.PredictBatch",
-	"Server.Stats",
-	"ServerStats",
-	// Fleet (PR 4): multi-model routing over a shared worker budget,
-	// with admission control.
 	"ErrFleetClosed",
 	"ErrQueueFull",
 	"Fleet",
@@ -67,11 +54,6 @@ var goldenAPI = []string{
 	"ScrubResult",
 	"FleetStats",
 	"ModelOption",
-	// Guard is a concrete type over a fleet of one, so its methods are
-	// declared — and pinned — here, as Server's are.
-	"Guard.ScrubNow",
-	"Guard.Stats",
-	"Guard.Stop",
 	// Gateway support (PR 6): typed admission errors and the model
 	// index the HTTP gateway maps onto status codes and payloads.
 	"ErrUnknownModel",
@@ -93,10 +75,6 @@ var goldenAPI = []string{
 	"Fleet.Unregister",
 	// Re-exported engine types.
 	"DetectionReport",
-	"Guard",
-	"GuardConfig",
-	"GuardEvent",
-	"GuardStats",
 	"Layer",
 	"LayerPlanInfo",
 	"Model",
@@ -117,10 +95,9 @@ var goldenAPI = []string{
 	"NewCIFARSmallNet",
 	"NewMNISTNet",
 	"NewTinyNet",
-	// Persistence, guards, tensors, training.
+	// Persistence, tensors, training.
 	"DefaultOptions",
 	"LoadProtector",
-	"NewGuard",
 	"NewTensor",
 	"SaveProtector",
 	"TensorFromSlice",

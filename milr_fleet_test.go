@@ -128,6 +128,13 @@ func TestFleetBitIdentity(t *testing.T) {
 				if ms.Served != perModel*2 {
 					t.Fatalf("%s served %d, want %d", n.name, ms.Served, perModel*2)
 				}
+				var histTotal int64
+				for _, k := range ms.BatchFill {
+					histTotal += k
+				}
+				if histTotal != ms.Batches {
+					t.Fatalf("%s batch-fill histogram %v sums to %d, want %d batches", n.name, ms.BatchFill, histTotal, ms.Batches)
+				}
 				if ms.MeanBatchFill <= 1 {
 					t.Logf("%s: mean batch fill %.2f (no coalescing this run)", n.name, ms.MeanBatchFill)
 				}
@@ -139,8 +146,10 @@ func TestFleetBitIdentity(t *testing.T) {
 // TestFleetQueueCapOverload pins the façade's admission-control story
 // deterministically: with one model's engine lock held (a self-heal in
 // progress), its queue fills to WithQueueCap and further open-loop
-// requests fast-fail with ErrQueueFull — while a second model keeps
-// serving — and Close still drains everything admitted.
+// requests fast-fail with a typed ErrQueueFull naming the model and
+// cap — while a second model keeps serving — a request relying on
+// WithDefaultDeadline expires instead of waiting unboundedly, and Close
+// still drains everything admitted.
 func TestFleetQueueCapOverload(t *testing.T) {
 	ctx := context.Background()
 	hot := buildFleetNet(t, "hot", milr.NewTinyNet, 7, 8)
@@ -151,6 +160,7 @@ func TestFleetQueueCapOverload(t *testing.T) {
 		milr.WithBatchSize(1),
 		milr.WithMaxBatchDelay(0),
 		milr.WithQueueCap(2),
+		milr.WithDefaultDeadline(30*time.Millisecond),
 	)
 	prot, err := rt.Protect(ctx, hot.model)
 	if err != nil {
@@ -163,6 +173,10 @@ func TestFleetQueueCapOverload(t *testing.T) {
 	if err := fl.Register("cold", cold.model, milr.WithModelQueueCap(-1)); err != nil {
 		t.Fatal(err)
 	}
+	// Requests that must be served carry their own long deadline, so
+	// the runtime's default deadline leaves them alone.
+	longCtx, cancelLong := context.WithTimeout(ctx, 5*time.Second)
+	defer cancelLong()
 
 	// Hold the hot model's engine lock: its batches park at the Sync
 	// gate exactly as during a long self-heal.
@@ -175,12 +189,12 @@ func TestFleetQueueCapOverload(t *testing.T) {
 	<-lockHeld
 
 	var wg sync.WaitGroup
-	admitted := make([]error, 3) // 1 in the parked batch + 2 at cap
+	admitted := make([]error, 2) // 1 in the parked batch + 1 queued
 	predictHot := func(i int) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, admitted[i] = fl.Predict(ctx, "hot", hot.xs[i])
+			_, admitted[i] = fl.Predict(longCtx, "hot", hot.xs[i])
 		}()
 	}
 	// Request 0 first, alone: once it is admitted and its queue slot
@@ -191,27 +205,51 @@ func TestFleetQueueCapOverload(t *testing.T) {
 		m := s.Models["hot"]
 		return m.Admitted >= 1 && m.Queued == 0
 	})
+
+	// A caller without its own deadline inherits WithDefaultDeadline:
+	// it is admitted (the queue is below cap) but expires instead of
+	// waiting out the self-heal pause. Its dead entry keeps the queue
+	// slot until flush time, exactly like a caller-cancelled request.
+	expired := make(chan error, 1)
+	go func() {
+		_, err := fl.Predict(ctx, "hot", hot.xs[7])
+		expired <- err
+	}()
+	select {
+	case err := <-expired:
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("deadline-less request during pause: %v, want DeadlineExceeded", err)
+		}
+	case <-time.After(2 * time.Second):
+		close(releaseLock)
+		t.Fatal("deadline-less request still waiting after 2s — default deadline not applied")
+	}
+
+	// Fill the remaining queue slot; the cap now applies to new
+	// arrivals.
 	predictHot(1)
-	predictHot(2)
 	waitFleet(t, fl, func(s milr.FleetStats) bool { return s.Models["hot"].Queued == 2 })
 
-	// Queue at cap: open-loop overload is shed in O(1).
-	rejects := 0
-	for i := 3; i < 8; i++ {
-		if _, err := fl.Predict(ctx, "hot", hot.xs[i]); errors.Is(err, milr.ErrQueueFull) {
-			rejects++
-		} else {
+	// Queue at cap: open-loop overload is shed in O(1), and every
+	// rejection names the queue and the cap that refused it.
+	for i := 2; i < 7; i++ {
+		_, err := fl.Predict(ctx, "hot", hot.xs[i])
+		if !errors.Is(err, milr.ErrQueueFull) {
 			t.Fatalf("overload request %d: %v, want ErrQueueFull", i, err)
 		}
-	}
-	if rejects != 5 {
-		t.Fatalf("rejected %d of 5 overload requests", rejects)
+		var qf *milr.QueueFullError
+		if !errors.As(err, &qf) {
+			t.Fatalf("rejection %v is not a *QueueFullError", err)
+		}
+		if qf.Cap != 2 || qf.Model != "hot" {
+			t.Fatalf("rejection detail = %+v, want Cap=2 and Model=hot", qf)
+		}
 	}
 
 	// The cold model is completely unaffected by the hot model's pause
 	// and full queue.
 	for i, x := range cold.xs {
-		got, err := fl.Predict(ctx, "cold", x)
+		got, err := fl.Predict(longCtx, "cold", x)
 		if err != nil {
 			t.Fatalf("cold model during hot overload: %v", err)
 		}
@@ -220,8 +258,8 @@ func TestFleetQueueCapOverload(t *testing.T) {
 		}
 	}
 
-	// Release the engine lock; drain-on-close must serve all three
-	// admitted hot requests without deadlocking.
+	// Release the engine lock; drain-on-close must serve both admitted
+	// hot requests — and drop the expired one — without deadlocking.
 	close(releaseLock)
 	if err := fl.Close(); err != nil {
 		t.Fatal(err)
@@ -236,11 +274,17 @@ func TestFleetQueueCapOverload(t *testing.T) {
 	if st.Rejected != 5 || st.Models["hot"].Rejected != 5 {
 		t.Fatalf("rejected = %d (hot %d), want 5", st.Rejected, st.Models["hot"].Rejected)
 	}
+	if hs := st.Models["hot"]; hs.Served != 2 || hs.Cancelled != 1 {
+		t.Fatalf("hot served/cancelled = %d/%d, want 2/1", hs.Served, hs.Cancelled)
+	}
 	if st.Models["cold"].Rejected != 0 {
 		t.Fatalf("cold model saw %d rejections", st.Models["cold"].Rejected)
 	}
 	if _, err := fl.Predict(ctx, "hot", hot.xs[0]); !errors.Is(err, milr.ErrFleetClosed) {
 		t.Fatalf("admission after Close: %v, want ErrFleetClosed", err)
+	}
+	if _, err := fl.PredictBatch(ctx, "hot", hot.xs[:2]); !errors.Is(err, milr.ErrFleetClosed) {
+		t.Fatalf("batch admission after Close: %v, want ErrFleetClosed", err)
 	}
 }
 

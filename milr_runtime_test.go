@@ -158,37 +158,6 @@ func TestRuntimeEvaluateMatchesDeprecated(t *testing.T) {
 	}
 }
 
-// TestRuntimeGuardContext: Runtime.Guard ties the scrub loop to a
-// context; cancelling it ends the loop (Stop stays safe to call).
-func TestRuntimeGuardContext(t *testing.T) {
-	model, err := milr.NewTinyNet()
-	if err != nil {
-		t.Fatal(err)
-	}
-	model.InitWeights(17)
-	rt := milr.NewRuntime(milr.WithSeed(17))
-	prot, err := rt.Protect(context.Background(), model)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	guard, err := rt.Guard(ctx, prot, milr.GuardConfig{Interval: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cancel()
-	done := make(chan struct{})
-	go func() {
-		guard.Stop()
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("guard did not stop after context cancellation")
-	}
-}
-
 // TestRuntimeWorkerPolicyPropagation: an explicit WithWorkers retunes
 // the model's GEMM pools through Protect and Evaluate; a runtime built
 // without a worker policy leaves a hand-tuned model alone.
@@ -229,29 +198,6 @@ func TestRuntimeWorkerPolicyPropagation(t *testing.T) {
 		t.Errorf("WithWorkers(2) not propagated through Evaluate: got %d", got)
 	}
 	model.SetWorkers(0)
-}
-
-// TestRuntimeGuardRejectsConflictingContexts: a GuardConfig.Context
-// alongside the Runtime.Guard ctx argument is an error, not a silent
-// override.
-func TestRuntimeGuardRejectsConflictingContexts(t *testing.T) {
-	model, err := milr.NewTinyNet()
-	if err != nil {
-		t.Fatal(err)
-	}
-	model.InitWeights(19)
-	rt := milr.NewRuntime(milr.WithSeed(19))
-	prot, err := rt.Protect(context.Background(), model)
-	if err != nil {
-		t.Fatal(err)
-	}
-	other, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	if _, err := rt.Guard(context.Background(), prot, milr.GuardConfig{
-		Interval: time.Hour, Context: other,
-	}); err == nil {
-		t.Fatal("conflicting guard contexts accepted; want error")
-	}
 }
 
 // TestRuntimeWithDerivation: With derives a tweaked runtime without

@@ -1,6 +1,7 @@
 package milr_test
 
 import (
+	"bytes"
 	"context"
 	"math"
 	"testing"
@@ -101,5 +102,32 @@ func TestTensorFromSliceExported(t *testing.T) {
 	}
 	if !x.Shape().Equal(milr.Shape{2, 2}) {
 		t.Errorf("shape %v", x.Shape())
+	}
+}
+
+func TestFacadePersistence(t *testing.T) {
+	model, err := milr.NewTinyNet()
+	if err != nil {
+		t.Fatal(err)
+	}
+	model.InitWeights(8)
+	prot, err := milr.NewRuntime(milr.WithSeed(8)).Protect(context.Background(), model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := milr.SaveProtector(prot, &buf); err != nil {
+		t.Fatal(err)
+	}
+	prot2, err := milr.LoadProtector(bytes.NewReader(buf.Bytes()), model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := prot2.Detect()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.HasErrors() {
+		t.Fatalf("clean network flagged after facade load: %+v", rep.Findings)
 	}
 }

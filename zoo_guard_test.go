@@ -8,10 +8,9 @@ import (
 
 // zooOwners are the only non-test places allowed to name a network
 // constructor or set the §V-D cost policy: the constructors' home, the
-// table, the façade's re-exports, and the two trees outside the
-// product (examples show the façade; benchmark/ is a module of its own
-// with its own, frozen, map).
-var zooOwners = []string{"internal/nn/", "internal/zoo/", "milr.go", "examples/", "benchmark/"}
+// table, the façade's re-exports, and benchmark/, a module of its own
+// with its own, frozen, map.
+var zooOwners = []string{"internal/nn/", "internal/zoo/", "milr.go", "benchmark/"}
 
 // TestZooIsTheOnlyNetworkTable keeps a second name→constructor table or
 // a second copy of the cifar-large policy from growing back: everything
