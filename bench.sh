@@ -19,6 +19,7 @@ echo "== clean build sanity (benchmark-validation protocol) =="
 go vet ./...
 go build ./...
 go version
+echo "GEMM kernel: $(go test ./internal/tensor -run '^TestKernelSelected$' -count=1 -v | sed -n 's/.*GEMM kernel: //p')"
 git rev-parse HEAD 2>/dev/null || true
 
 echo "== GEMM kernel scaling =="

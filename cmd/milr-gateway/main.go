@@ -59,6 +59,7 @@ import (
 
 	"milr/internal/gateway"
 	"milr/internal/obs"
+	"milr/internal/tensor"
 )
 
 func main() {
@@ -131,7 +132,7 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 	for _, mi := range fl.Models() {
 		served = append(served, mi.Name)
 	}
-	log.Printf("milr-gateway: serving %s on http://%s", strings.Join(served, ","), ln.Addr())
+	log.Printf("milr-gateway: serving %s on http://%s (GEMM kernel %s)", strings.Join(served, ","), ln.Addr(), tensor.Kernel())
 	if ready != nil {
 		ready <- ln.Addr().String()
 	}

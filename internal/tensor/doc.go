@@ -9,14 +9,17 @@
 // 32-bit float weights, so float32 is the canonical element type; solving
 // is done in float64 by internal/linalg for numerical headroom.
 //
-// The GEMM kernel here is the repository's hot path: one register-tiled,
-// zero-skipping kernel with per-output-element float64 accumulation in a
+// The GEMM kernel here is the repository's hot path: register-tiled,
+// zero-skipping, with per-output-element float64 accumulation in a
 // fixed k-ascending order, so every entry point (MatMul and
 // MatMulWorkers for the solvers and training, and the allocation-free
 // MatMulInto and MatMulRowsInto that every inference forward uses, the
 // latter fed by the streamed Im2ColRows lowering) is bit-identical to
 // every other at any worker count — the root of the
-// bit-identity invariant chain described in ARCHITECTURE.md. The
-// GEMMCalls counter exists so tests can enforce the one-GEMM-per-layer
-// batching contract.
+// bit-identity invariant chain described in ARCHITECTURE.md. Its tiles
+// come in two implementations with the same arithmetic: AVX2/FMA
+// assembly (gemm_amd64.s), chosen at init where CPUID reports it, and
+// the portable Go tile that runs everywhere else and serves as the
+// SIMD one's oracle; Kernel names the one in use. The GEMMCalls counter
+// exists so tests can enforce the one-GEMM-per-layer batching contract.
 package tensor

@@ -21,7 +21,8 @@ func GEMMCalls() uint64 { return gemmCalls.Load() }
 // Register-tiled, zero-skipping, pool-parallel GEMM. Every product in
 // the tree (MatMul, MatMulWorkers, MatMulInto, MatMulRowsInto) runs
 // matMulInto, and every output element is computed with the same
-// arithmetic whatever the shape, the loop order or the worker count:
+// arithmetic whatever the shape, the loop order, the worker count or
+// the kernel:
 //
 //   - one float64 accumulator per element, starting at +0;
 //   - k ascending;
@@ -29,11 +30,13 @@ func GEMMCalls() uint64 { return gemmCalls.Load() }
 //     bit-flipped weight never becomes NaN.
 //
 // A float32×float32 product is exact in float64, so only the summation
-// order could change a bit, and it never does. Results are therefore
-// bit-identical across the two loop orders below and at any worker
-// count — the property MILR needs, since its detection checkpoints
-// compare float outputs against stored values and its stored
-// checkpoints outlive any one kernel.
+// order could change a bit, and it never does; for the same reason a
+// fused multiply-add, which rounds a·b + acc once, rounds exactly as
+// the product followed by the sum does. Results are therefore
+// bit-identical across the two loop orders below, the two kernels and
+// any worker count — the property MILR needs, since its detection
+// checkpoints compare float outputs against stored values and its
+// stored checkpoints outlive any one kernel.
 //
 // The loop order is chosen from m alone. With tileMinRows rows or more,
 // B is packed once into float64 column panels and every A row's
@@ -43,11 +46,37 @@ func GEMMCalls() uint64 { return gemmCalls.Load() }
 // into a float64 accumulator row — the order that walks a B too large
 // for the cache (dense inference is a (B,6400)·(6400,256) product)
 // contiguously.
+//
+// The kernel is chosen once, at package init, from CPUID and XGETBV:
+// where the CPU has AVX2 and FMA and the OS saves the YMM registers
+// (gemm_amd64.s), a tile four panels wide (eight ymm accumulators, as
+// many FMAs as its latency times its throughput keeps in flight) and a
+// one-panel tile for the panels left over replace tileDot, and an FMA
+// row axpy replaces streamRows' inner loop.
+// Everywhere else the Go code below runs; it stays the portable kernel
+// and, with the ikj loop in the tests, the oracle for the SIMD one.
+// Packing, compaction and banding are shared. An assembly call covers
+// at most one output row, so preemption and stop-the-world latency stay
+// those of the Go kernel; Go slices every range it reads before the
+// call, so a kernel bug panics in Go; and it writes only a local array
+// that Go copies into C, so the race detector sees every write.
+
+// useSIMD selects the AVX2/FMA routines; tests switch it off to run the
+// Go kernel on the same host.
+var useSIMD = simdAvailable()
+
+// Kernel names the GEMM kernel this process runs: "avx2-fma" or "go".
+// A throughput figure means little without it.
+func Kernel() string {
+	if useSIMD {
+		return "avx2-fma"
+	}
+	return "go"
+}
 
 const (
-	// tileCols is the register tile's width: eight float64 accumulators,
-	// the A value and the products in flight are about what the sixteen
-	// SSE registers hold (seven measured the same, four slower).
+	// tileCols is a panel's width: eight float64 columns, two ymm
+	// registers, and the Go tile's eight scalar accumulators.
 	tileCols = 8
 	// tileMinRows is the row count from which packing B (one pass over
 	// B, amortised over m rows) is cheaper than streaming it.
@@ -207,9 +236,20 @@ func tileRows(c, a []float32, panels []float64, m, n, p int, vals []float64, off
 	for i := 0; i < m; i++ {
 		nz := compactRow(a[i*n:(i+1)*n], vals, offs)
 		crow := c[i*p : (i+1)*p]
-		for j := 0; j < p; j += tileCols {
-			tile := tileDot(panels[j*n:][:n*tileCols], vals[:nz], offs[:nz])
-			copy(crow[j:], tile[:])
+		for j := 0; j < p; {
+			switch {
+			case useSIMD && p-j > 3*tileCols:
+				var tile [4 * tileCols]float32
+				tile4(panels[j*n:][:4*n*tileCols], vals[:nz], offs[:nz], &tile)
+				j += copy(crow[j:], tile[:])
+			case useSIMD:
+				var tile [tileCols]float32
+				tile1(panels[j*n:][:n*tileCols], vals[:nz], offs[:nz], &tile)
+				j += copy(crow[j:], tile[:])
+			default:
+				tile := tileDot(panels[j*n:][:n*tileCols], vals[:nz], offs[:nz])
+				j += copy(crow[j:], tile[:])
+			}
 		}
 	}
 }
@@ -266,6 +306,10 @@ func streamRows(c, a, b []float32, n, p, lo, hi, jlo int, acc []float64) {
 				continue
 			}
 			av, brow := float64(av), b[k*p:][:len(acc)]
+			if useSIMD {
+				axpy(acc, av, brow)
+				continue
+			}
 			for j, bv := range brow {
 				acc[j] += av * float64(bv)
 			}

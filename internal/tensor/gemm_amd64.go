@@ -1,0 +1,39 @@
+package tensor
+
+// The AVX2/FMA routines of gemm_amd64.s. Each covers at most one output
+// row, writes only its out array, and trusts its caller to have sliced
+// every range it reads: span is four adjacent panels of equal length,
+// panel one; vals and offs are a compacted row (len(offs) >=
+// len(vals)); b holds at least len(acc) values.
+
+//go:noescape
+func tile4(span []float64, vals []float64, offs []int32, out *[4 * tileCols]float32)
+
+//go:noescape
+func tile1(panel []float64, vals []float64, offs []int32, out *[tileCols]float32)
+
+//go:noescape
+func axpy(acc []float64, av float64, b []float32)
+
+func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
+
+func xgetbv() (eax uint32)
+
+// simdAvailable reports whether this CPU has AVX2 and FMA and the OS
+// saves the YMM registers across context switches.
+func simdAvailable() bool {
+	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
+		return false
+	}
+	const fma, osxsave, avx = 1 << 12, 1 << 27, 1 << 28
+	if _, _, ecx, _ := cpuid(1, 0); ecx&(fma|osxsave|avx) != fma|osxsave|avx {
+		return false
+	}
+	const xmmYmmState = 1<<1 | 1<<2
+	if xgetbv()&xmmYmmState != xmmYmmState {
+		return false
+	}
+	const avx2 = 1 << 5
+	_, ebx, _, _ := cpuid(7, 0)
+	return ebx&avx2 != 0
+}

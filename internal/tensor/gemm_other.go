@@ -1,0 +1,20 @@
+//go:build !amd64
+
+package tensor
+
+// Off amd64 there is no SIMD kernel: the probe fails, so tileRows and
+// streamRows never call these.
+
+func simdAvailable() bool { return false }
+
+func tile4([]float64, []float64, []int32, *[4 * tileCols]float32) {
+	panic("tensor: no SIMD kernel on this architecture")
+}
+
+func tile1([]float64, []float64, []int32, *[tileCols]float32) {
+	panic("tensor: no SIMD kernel on this architecture")
+}
+
+func axpy([]float64, float64, []float32) {
+	panic("tensor: no SIMD kernel on this architecture")
+}

@@ -3,7 +3,9 @@ package tensor_test
 import (
 	"fmt"
 	"math"
+	"os"
 	"runtime"
+	"strings"
 	"testing"
 
 	"milr/internal/prng"
@@ -26,25 +28,69 @@ func TestMatMulWorkersBitIdentical(t *testing.T) {
 		{33, 48, 1},   // single output column
 	}
 	counts := []int{0, 1, 2, 3, runtime.GOMAXPROCS(0), 16}
-	for di, d := range dims {
-		a := randTensor(uint64(di)+1, d.m, d.n)
-		b := randTensor(uint64(di)+100, d.n, d.p)
-		want, err := tensor.MatMul(a, b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, w := range counts {
-			got, err := tensor.MatMulWorkers(a, b, w)
+	for _, kernel := range tensor.HostKernels() {
+		restore := tensor.SetKernel(kernel)
+		for di, d := range dims {
+			a := randTensor(uint64(di)+1, d.m, d.n)
+			b := randTensor(uint64(di)+100, d.n, d.p)
+			want, err := tensor.MatMul(a, b)
 			if err != nil {
-				t.Fatalf("dims %v workers %d: %v", d, w, err)
+				t.Fatal(err)
 			}
-			for i, v := range got.Data() {
-				if v != want.Data()[i] {
-					t.Fatalf("dims %v workers %d: element %d differs: %v vs %v",
-						d, w, i, v, want.Data()[i])
+			for _, w := range counts {
+				got, err := tensor.MatMulWorkers(a, b, w)
+				if err != nil {
+					t.Fatalf("dims %v workers %d: %v", d, w, err)
+				}
+				for i, v := range got.Data() {
+					if v != want.Data()[i] {
+						t.Fatalf("dims %v workers %d, %s kernel: element %d differs: %v vs %v",
+							d, w, kernel, i, v, want.Data()[i])
+					}
 				}
 			}
 		}
+		restore()
+	}
+}
+
+// TestKernelSelected checks the CPUID probe against the kernel's own
+// report: on linux/amd64, a CPU whose /proc/cpuinfo lists avx2 and fma
+// must run the SIMD kernel. A wrong feature bit would otherwise drop
+// the speed-up while every bit-identity test stays green.
+func TestKernelSelected(t *testing.T) {
+	t.Logf("GEMM kernel: %s", tensor.Kernel())
+	if runtime.GOARCH != "amd64" {
+		if got := tensor.Kernel(); got != "go" {
+			t.Fatalf("Kernel() = %q on %s, want \"go\"", got, runtime.GOARCH)
+		}
+		return
+	}
+	if runtime.GOOS != "linux" {
+		t.Skipf("no /proc/cpuinfo on %s", runtime.GOOS)
+	}
+	info, err := os.ReadFile("/proc/cpuinfo")
+	if err != nil {
+		t.Skipf("cannot read the CPU flags: %v", err)
+	}
+	flags := map[string]bool{}
+	for _, line := range strings.Split(string(info), "\n") {
+		if name, list, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(name) == "flags" {
+			for _, f := range strings.Fields(list) {
+				flags[f] = true
+			}
+			break
+		}
+	}
+	if len(flags) == 0 {
+		t.Skip("/proc/cpuinfo lists no CPU flags")
+	}
+	want := "go"
+	if flags["avx2"] && flags["fma"] {
+		want = "avx2-fma"
+	}
+	if got := tensor.Kernel(); got != want {
+		t.Fatalf("Kernel() = %q, want %q (cpuinfo avx2=%v fma=%v)", got, want, flags["avx2"], flags["fma"])
 	}
 }
 
@@ -141,13 +187,32 @@ func gemmCase(seed uint64, m, n, p int, zeroFrac float64, special bool) (a, b []
 	return a, b
 }
 
-// checkAgainstOracle runs the product through every entry point —
-// MatMulWorkers, and MatMulInto and MatMulRowsInto on a Scratch that
-// earlier products have dirtied — and compares math.Float32bits of
-// every element with refMatMul's.
+// checkAgainstOracle runs the product on every kernel this host has and
+// through every entry point — MatMulWorkers, and MatMulInto and
+// MatMulRowsInto on a Scratch that earlier products have dirtied — and
+// compares math.Float32bits of every element with refMatMul's.
 func checkAgainstOracle(t testing.TB, a, b []float32, m, n, p, workers int, s *tensor.Scratch) {
 	t.Helper()
 	want := refMatMul(a, b, m, n, p)
+	for _, kernel := range tensor.HostKernels() {
+		restore := tensor.SetKernel(kernel)
+		got := productsByEntryPoint(t, a, b, m, n, p, workers, s)
+		restore()
+		for name, c := range got {
+			for i, w := range want {
+				if g := c[i]; math.Float32bits(g) != math.Float32bits(w) {
+					t.Fatalf("(%d,%d)x(%d,%d) workers %d, %s kernel: %s element %d = %v (%#x), oracle %v (%#x)",
+						m, n, n, p, workers, kernel, name, i, g, math.Float32bits(g), w, math.Float32bits(w))
+				}
+			}
+		}
+	}
+}
+
+// productsByEntryPoint computes a·b through each entry point, keyed by
+// its name.
+func productsByEntryPoint(t testing.TB, a, b []float32, m, n, p, workers int, s *tensor.Scratch) map[string][]float32 {
+	t.Helper()
 	got, err := tensor.MatMulWorkers(tensor.MustFromSlice(a, m, n), tensor.MustFromSlice(b, n, p), workers)
 	if err != nil {
 		t.Fatal(err)
@@ -169,22 +234,16 @@ func checkAgainstOracle(t testing.TB, a, b []float32, m, n, p, workers int, s *t
 	if err := tensor.MatMulRowsInto(fromRows, rows, b, m, n, p, workers, s); err != nil {
 		t.Fatal(err)
 	}
-	for name, c := range map[string][]float32{"MatMulWorkers": got.Data(), "MatMulInto": into, "MatMulRowsInto": fromRows} {
-		for i, w := range want {
-			if g := c[i]; math.Float32bits(g) != math.Float32bits(w) {
-				t.Fatalf("(%d,%d)x(%d,%d) workers %d: %s element %d = %v (%#x), oracle %v (%#x)",
-					m, n, n, p, workers, name, i, g, math.Float32bits(g), w, math.Float32bits(w))
-			}
-		}
-	}
+	return map[string][]float32{"MatMulWorkers": got.Data(), "MatMulInto": into, "MatMulRowsInto": fromRows}
 }
 
 // TestMatMulBitIdentity is the kernel's contract: on every shape class
 // (both loop orders, ragged tiles, fewer rows than workers, a single
-// inner term) and on the exact products MNIST serving at batch 8 and
-// CIFAR-small issue, at zero fractions {0, 0.5, 1}, with -0 in A and
-// ±Inf/NaN in B, at workers {1,2,3,4}, every output bit equals the
-// oracle's.
+// inner term, widths on either side of the SIMD kernel's four-panel and
+// one-panel tiles and its axpy tail) and on the exact products MNIST
+// serving at batch 8 and CIFAR-small issue, at zero fractions
+// {0, 0.5, 1}, with -0 in A and ±Inf/NaN in B, at workers {1,2,3,4},
+// every output bit of both kernels equals the oracle's.
 func TestMatMulBitIdentity(t *testing.T) {
 	shapes := []struct {
 		name    string
@@ -201,6 +260,12 @@ func TestMatMulBitIdentity(t *testing.T) {
 		{"stream m<workers", 3, 17, 5},
 		{"stream n=1", 2, 1, 12},
 		{"stream one row", 1, 64, 100},
+		{"tiled four panels and one", 20, 9, 40},
+		{"tiled cifar-large 80 filters", 20, 9, 80},
+		{"tiled twelve panels", 17, 5, 96},
+		{"tiled 255 columns", 16, 3, 255},
+		{"stream axpy 6400", 8, 6400, 10},
+		{"stream axpy 6400 tail", 8, 6400, 255},
 		{"mnist conv0", 8 * 676, 9, 32},
 		{"mnist conv1", 8 * 576, 288, 32},
 		{"mnist conv2", 8 * 100, 288, 64},

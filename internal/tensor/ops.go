@@ -54,6 +54,9 @@ func Crop2D(in *Tensor, p int) (*Tensor, error) {
 	if in.Rank() != 3 {
 		return nil, fmt.Errorf("tensor: Crop2D requires (H,W,Z) tensor, got %v", in.Shape())
 	}
+	if p < 0 {
+		return nil, fmt.Errorf("tensor: negative crop %d", p)
+	}
 	h, w, z := in.Dim(0), in.Dim(1), in.Dim(2)
 	if p == 0 {
 		return in.Clone(), nil
@@ -83,11 +86,11 @@ func Im2Col(padded *Tensor, f, s int) (*Tensor, error) {
 	if f <= 0 || s <= 0 {
 		return nil, fmt.Errorf("tensor: invalid filter %d or stride %d", f, s)
 	}
-	w, z := padded.Dim(1), padded.Dim(2)
-	gh, gw := (padded.Dim(0)-f)/s+1, (w-f)/s+1
-	if gh <= 0 || gw <= 0 {
+	h, w, z := padded.Dim(0), padded.Dim(1), padded.Dim(2)
+	if h < f || w < f {
 		return nil, fmt.Errorf("tensor: filter %d too large for input %v", f, padded.Shape())
 	}
+	gh, gw := (h-f)/s+1, (w-f)/s+1
 	out := New(gh*gw, f*f*z)
 	dst := out.data // rows in output order, each F filter rows of F·Z
 	for i := 0; i < gh; i++ {

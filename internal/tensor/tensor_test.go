@@ -350,3 +350,30 @@ func TestStrideTwoIm2Col(t *testing.T) {
 		}
 	}
 }
+
+// TestLoweringRejectsMisfitShapes asserts that Im2Col and Crop2D return
+// an error, not a panic, for arguments that do not fit their input.
+func TestLoweringRejectsMisfitShapes(t *testing.T) {
+	in := New(2, 5, 1)
+	for _, tc := range []struct {
+		name string
+		call func() error
+	}{
+		// (2-3)/2 truncates to 0, so a shape check on the output grid
+		// alone would accept this filter and read past the input.
+		{"Im2Col filter taller than input, stride past the overhang", func() error { _, err := Im2Col(in, 3, 2); return err }},
+		{"Im2Col filter wider than input", func() error { _, err := Im2Col(New(5, 2, 1), 3, 2); return err }},
+		{"Crop2D negative", func() error { _, err := Crop2D(in, -1); return err }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("panicked: %v", r)
+				}
+			}()
+			if tc.call() == nil {
+				t.Fatal("no error")
+			}
+		})
+	}
+}
