@@ -34,17 +34,8 @@ go test . -bench 'BenchmarkTables1to3_Architectures' -cpu "$CPUS" -benchtime "$B
 echo "== batch-first inference: stacked GEMM vs per-sample loop (8 samples, MNIST) =="
 go test . -bench 'BenchmarkForward(Batch|Loop)$' -cpu "$CPUS" -benchtime "$BENCHTIME" -run XXX
 
-echo "== serving: coalesced vs uncoalesced closed-loop swarm (8 clients, MNIST) =="
-go test . -bench 'BenchmarkServer(Coalesced|Uncoalesced)$' -cpu "$CPUS" -benchtime "$BENCHTIME" -run XXX
-
-echo "== fleet: skewed 80/20 two-model mix over one shared batch budget =="
-go test . -bench 'BenchmarkFleetSkewed$' -cpu "$CPUS" -benchtime "$BENCHTIME" -run XXX
-
-echo "== tracer overhead: the coalesced swarm with tracing off vs on =="
+echo "== serving: the coalesced swarm (8 clients, MNIST) with tracing off vs on =="
 go test . -bench 'BenchmarkTracerOverhead' -cpu "$CPUS" -benchtime "$BENCHTIME" -run XXX
-
-echo "== recovery: batched segment sweeps (MNIST, 3 segments) =="
-go test . -bench 'BenchmarkBatchedRecovery' -cpu "$CPUS" -benchtime "$BENCHTIME" -run XXX
 
 echo "== RBER sweep campaign, serial vs sharded (Figure 9 path) =="
 go test . -bench 'BenchmarkRBERSweepWorkers' -benchtime "$BENCHTIME" -run XXX

@@ -301,42 +301,6 @@ func BenchmarkAblation_CRCGroupSize(b *testing.B) {
 	}
 }
 
-// Dense dummy-input bandwidth: solve cost scales with the band.
-func BenchmarkAblation_DenseBand(b *testing.B) {
-	for _, band := range []int{8, 32, 128} {
-		band := band
-		b.Run(map[int]string{8: "band=8", 32: "band=32", 128: "band=128"}[band], func(b *testing.B) {
-			m, err := nn.NewTinyNet()
-			if err != nil {
-				b.Fatal(err)
-			}
-			m.InitWeights(9)
-			opts := core.DefaultOptions(9)
-			opts.DenseBand = band
-			prot, err := core.NewProtector(m, opts)
-			if err != nil {
-				b.Fatal(err)
-			}
-			var dense *nn.Dense
-			for _, l := range m.Layers() {
-				if d, ok := l.(*nn.Dense); ok {
-					dense = d
-					break
-				}
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				dense.Params().Data()[3] += 5
-				b.StartTimer()
-				if _, _, err := prot.SelfHeal(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // Detection granularity: MILR's partial-checkpoint detection vs a naive
 // full golden-output comparison through the whole network.
 func BenchmarkAblation_PartialCheckpointSavings(b *testing.B) {
@@ -507,24 +471,17 @@ func BenchmarkMatMulShapes(b *testing.B) {
 	}
 }
 
-// --- Serving: coalesced vs uncoalesced closed-loop swarm (PR 3) ---
+// --- Serving: the coalesced closed-loop swarm, tracing off vs on ---
 
-// serverBench drives 8 closed-loop clients × 8 requests against a
-// one-model Fleet per iteration — the single-model serving shape. The
-// coalesced variant stacks up to 8 requests into one GEMM; the
-// uncoalesced one serves every request alone through the same queue,
-// isolating what coalescing itself buys.
-func serverBench(b *testing.B, batchSize int, delay time.Duration) {
-	serverBenchCtx(b, context.Background(), batchSize, delay)
-}
-
-// serverBenchCtx is serverBench with a caller-supplied load context, so
-// the tracer-overhead benchmark can run the identical swarm with spans
-// recording.
-func serverBenchCtx(b *testing.B, ctx context.Context, batchSize int, delay time.Duration) {
+// serverBenchCtx drives 8 closed-loop clients × 8 requests against a
+// one-model Fleet per iteration — the single-model serving shape,
+// coalescing up to 8 requests per GEMM within a 2 ms window — on the
+// given load context, so the tracer-overhead benchmark can run the
+// identical swarm with spans recording and without.
+func serverBenchCtx(b *testing.B, ctx context.Context) {
 	env := sharedEnv(b, "mnist")
 	gomaxprocsWorkers(b, env)
-	rt := milr.NewRuntime(milr.WithBatchSize(batchSize), milr.WithMaxBatchDelay(delay))
+	rt := milr.NewRuntime(milr.WithBatchSize(8), milr.WithMaxBatchDelay(2*time.Millisecond))
 	fl := milr.NewFleet(rt)
 	if err := fl.Register("mnist", env.Model); err != nil {
 		b.Fatal(err)
@@ -544,131 +501,21 @@ func serverBenchCtx(b *testing.B, ctx context.Context, batchSize int, delay time
 	b.ReportMetric(fl.Stats().Models["mnist"].MeanBatchFill, "mean-fill")
 }
 
-func BenchmarkServerCoalesced(b *testing.B)   { serverBench(b, 8, 2*time.Millisecond) }
-func BenchmarkServerUncoalesced(b *testing.B) { serverBench(b, 1, 0) }
-
-// BenchmarkTracerOverhead reruns the coalesced serving swarm with
-// tracing off (the nil-tracer fast path every untraced daemon rides)
-// and on (spans recording into a bounded ring). Compare the off variant
-// against BenchmarkServerCoalesced: the disabled path's cost budget is
-// <2% — one context lookup per instrumented site.
+// BenchmarkTracerOverhead runs the coalesced serving swarm with tracing
+// off (the nil-tracer fast path every untraced daemon rides) and on
+// (spans recording into a bounded ring). The off variant is the
+// coalesced serving baseline; tracing's cost budget against it is <2%
+// when disabled — one context lookup per instrumented site. The
+// uncoalesced arm is `go run ./cmd/milr-fleet -models mnist -batch 1
+// -delay 0`.
 func BenchmarkTracerOverhead(b *testing.B) {
 	b.Run("off", func(b *testing.B) {
-		serverBenchCtx(b, context.Background(), 8, 2*time.Millisecond)
+		serverBenchCtx(b, context.Background())
 	})
 	b.Run("on", func(b *testing.B) {
 		tracer := obs.New(obs.Config{Seed: 1})
 		ctx := obs.WithTracer(context.Background(), tracer, "bench")
-		serverBenchCtx(b, ctx, 8, 2*time.Millisecond)
-	})
-}
-
-// --- Fleet: skewed two-model mix over one shared batch budget (PR 4) ---
-
-// BenchmarkFleetSkewed drives an 80/20 traffic mix (8 MNIST clients,
-// 2 tiny-net clients, closed loop) through one Fleet per iteration's
-// worth of requests. The hot model carries matching fair-share weight,
-// so the arbiter splits the shared budget 4:1 — the metric to watch is
-// per-model mean batch fill and that the cold model's share survives
-// the hot crowd.
-func BenchmarkFleetSkewed(b *testing.B) {
-	hot := sharedEnv(b, "mnist")
-	cold := sharedEnv(b, "tiny")
-	hotXs := batchBenchInputs(b, hot, 8)
-	coldXs := batchBenchInputs(b, cold, 8)
-	rt := milr.NewRuntime(milr.WithBatchSize(8), milr.WithMaxBatchDelay(2*time.Millisecond))
-	fl := milr.NewFleet(rt)
-	if err := fl.Register("mnist", hot.Model, milr.WithModelWeight(4)); err != nil {
-		b.Fatal(err)
-	}
-	if err := fl.Register("tiny", cold.Model, milr.WithModelWeight(1)); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := bench.RunFleetLoad(context.Background(), fl, []bench.FleetLoadSpec{
-			{Model: "mnist", Inputs: hotXs, Clients: 8, PerClient: 8},
-			{Model: "tiny", Inputs: coldXs, Clients: 2, PerClient: 8},
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Requests != 80 {
-			b.Fatalf("answered %d of 80 requests", res.Requests)
-		}
-	}
-	b.StopTimer()
-	if err := fl.Close(); err != nil {
-		b.Fatal(err)
-	}
-	st := fl.Stats()
-	b.ReportMetric(st.Models["mnist"].MeanBatchFill, "hot-fill")
-	b.ReportMetric(st.Models["tiny"].MeanBatchFill, "cold-fill")
-}
-
-// --- Batched recovery: segment sweeps (PR 5) ---
-
-// BenchmarkBatchedRecovery times one self-heal over an MNIST net with
-// two flagged layers in each of three checkpoint segments (first conv +
-// its bias, each dense + its bias) through the batched segment sweeps,
-// and reports the GEMM count as gemms/op via the kernel counter. (The
-// per-layer pipeline it was A/B'd against is now the test oracle in
-// internal/core; BENCHMARKS.md keeps the last A/B.)
-func BenchmarkBatchedRecovery(b *testing.B) {
-	env := sharedEnv(b, "mnist")
-	if err := env.Reset(); err != nil {
-		b.Fatal(err)
-	}
-	var targets []nn.Parameterized
-	layers := env.Model.Layers()
-	for i, l := range layers {
-		switch v := l.(type) {
-		case *nn.Conv2D:
-			if i != 0 {
-				continue // interior convs are CRC-localized; keep the work identical per iteration
-			}
-			targets = append(targets, v)
-		case *nn.Dense:
-			targets = append(targets, v)
-		default:
-			continue
-		}
-		if i+1 < len(layers) {
-			if bias, ok := layers[i+1].(*nn.Bias); ok {
-				targets = append(targets, bias)
-			}
-		}
-	}
-
-	b.Run("batched", func(b *testing.B) {
-		b.ReportAllocs()
-		var gemms uint64
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			if err := env.Reset(); err != nil {
-				b.Fatal(err)
-			}
-			for _, p := range targets {
-				p.Params().Data()[0] += 40
-			}
-			b.StartTimer()
-			before := tensor.GEMMCalls()
-			det, rec, err := env.Protector.SelfHeal()
-			gemms += tensor.GEMMCalls() - before
-			if err != nil {
-				b.Fatal(err)
-			}
-			if !det.HasErrors() || len(rec.Results) != len(targets) {
-				b.Fatalf("flagged %d layers, recovered %d, want %d", len(det.Findings), len(rec.Results), len(targets))
-			}
-		}
-		b.StopTimer()
-		if err := env.Reset(); err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(gemms)/float64(b.N), "gemms/op")
+		serverBenchCtx(b, ctx)
 	})
 }
 

@@ -23,9 +23,9 @@
 // coordinates alone, so results are byte-identical at any worker count
 // (shard_test.go pins this). The package also hosts the tree's two
 // load generators, one per regime. RunFleetLoad is the closed loop: the
-// per-model client swarm behind cmd/milr-fleet and the
-// BenchmarkServer*/BenchmarkFleetSkewed benches; a single-model load is
-// a swarm with one spec. RunOpenLoop is the open loop: one arrival
+// per-model client swarm behind cmd/milr-fleet and
+// BenchmarkTracerOverhead; a single-model load is a swarm with one
+// spec. RunOpenLoop is the open loop: one arrival
 // engine over a precomputed (target, input, due offset) schedule,
 // behind cmd/milr-fleet -open-loop and every internal/soak window, and
 // the only place an open-loop outcome is classified as correct, wrong,

@@ -14,13 +14,13 @@ import (
 
 // Fleet load generation: a closed-loop client swarm with a skewed
 // per-model traffic mix against one multi-model router, used by
-// cmd/milr-fleet, BenchmarkFleetSkewed and — with a single spec —
-// BenchmarkServer*. Closed-loop means each client issues its next
-// request only after the previous answer, the regime under which
-// coalescing shows up directly as batch fill. Each model gets its own
-// client crowd, so the mix (e.g. 80/20) is expressed as client counts;
-// queue-cap rejections (fleet.ErrQueueFull) are counted as shed load,
-// not errors, so capped routers can be driven past saturation.
+// cmd/milr-fleet and — with a single spec — BenchmarkTracerOverhead.
+// Closed-loop means each client issues its next request only after the
+// previous answer, the regime under which coalescing shows up directly
+// as batch fill. Each model gets its own client crowd, so the mix
+// (e.g. 80/20) is expressed as client counts; queue-cap rejections
+// (fleet.ErrQueueFull) are counted as shed load, not errors, so capped
+// routers can be driven past saturation.
 
 // ModelPredictor is the routing surface RunFleetLoad drives. Both the
 // public milr.Fleet and the internal fleet.Fleet satisfy it.

@@ -22,7 +22,7 @@ func buildProtected(t *testing.T, seed uint64, workers int) (*nn.Model, *Protect
 		t.Fatal(err)
 	}
 	m.InitWeights(seed)
-	opts := DefaultOptions(seed)
+	opts := Options{Seed: seed}
 	opts.Workers = workers
 	pr, err := NewProtector(m, opts)
 	if err != nil {
@@ -39,7 +39,7 @@ func TestNewProtectorContextCancelled(t *testing.T) {
 	m.InitWeights(3)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := NewProtectorContext(ctx, m, DefaultOptions(3)); !errors.Is(err, context.Canceled) {
+	if _, err := NewProtectorContext(ctx, m, Options{Seed: 3}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("initialization under a cancelled context returned %v, want context.Canceled", err)
 	}
 }
@@ -192,7 +192,7 @@ func TestParallelInitEquivalence(t *testing.T) {
 					t.Fatal(err)
 				}
 				m.InitWeights(23)
-				opts := DefaultOptions(23)
+				opts := Options{Seed: 23}
 				opts.Workers = workers
 				pr, err := NewProtector(m, opts)
 				if err != nil {

@@ -148,7 +148,7 @@ func (pr *Protector) detectLayer(lp *layerPlan) (*LayerFinding, error) {
 		return pr.detectDense(lp)
 	case roleBias:
 		sum := lp.bias.Params().Sum()
-		if relMismatch(sum, lp.biasSum, pr.opts.DetectTol) {
+		if relMismatch(sum, lp.biasSum, detectTol) {
 			return &LayerFinding{
 				Layer:       lp.idx,
 				Name:        pr.model.Layer(lp.idx).Name(),
@@ -183,7 +183,7 @@ func (pr *Protector) convProbeMismatch(lp *layerPlan, out *tensor.Tensor) []int 
 	var flagged []int
 	pd := lp.partial.Data()
 	for k := 0; k < y; k++ {
-		if relMismatch(float64(out.At(gh/2, gw/2, k)), float64(pd[k]), pr.opts.DetectTol) {
+		if relMismatch(float64(out.At(gh/2, gw/2, k)), float64(pd[k]), detectTol) {
 			flagged = append(flagged, k)
 		}
 	}
@@ -215,7 +215,7 @@ func (pr *Protector) denseProbeMismatch(lp *layerPlan, out *tensor.Tensor) []int
 	pd := lp.partial.Data()
 	var flagged []int
 	for j := range pd {
-		if relMismatch(float64(od[j]), float64(pd[j]), pr.opts.DetectTol) {
+		if relMismatch(float64(od[j]), float64(pd[j]), detectTol) {
 			flagged = append(flagged, j)
 		}
 	}

@@ -28,7 +28,7 @@ func tinyProtected(t *testing.T, seed uint64) (*nn.Model, *core.Protector) {
 		t.Fatalf("NewTinyNet: %v", err)
 	}
 	m.InitWeights(seed)
-	pr, err := core.NewProtector(m, core.DefaultOptions(seed))
+	pr, err := core.NewProtector(m, core.Options{Seed: seed})
 	if err != nil {
 		t.Fatalf("NewProtector: %v", err)
 	}
@@ -324,7 +324,7 @@ func TestGuardApproximateLayerIsFailedRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.InitWeights(31)
-	opts := core.DefaultOptions(31)
+	opts := core.Options{Seed: 31}
 	opts.MaxFullSolveTaps = 1
 	pr, err := core.NewProtector(m, opts)
 	if err != nil {

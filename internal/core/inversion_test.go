@@ -76,7 +76,7 @@ func TestConvNaturalInversionInRecovery(t *testing.T) {
 	m.InitWeights(7)
 	// Give the bias non-zero values so there is something to corrupt.
 	copy(bias0.Params().Data(), []float32{0.3, -0.2, 0.9, 0.1})
-	pr, err := NewProtector(m, DefaultOptions(7))
+	pr, err := NewProtector(m, Options{Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestConvDummyFilterInversion(t *testing.T) {
 	}
 	m.InitWeights(11)
 	copy(bias0.Params().Data(), []float32{0.4, -0.6})
-	pr, err := NewProtector(m, DefaultOptions(11))
+	pr, err := NewProtector(m, Options{Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,23 +154,20 @@ func TestConvDummyFilterInversion(t *testing.T) {
 	}
 }
 
+// TestOptionsValidation: a negative MaxFullSolveTaps used to force every
+// conv into partial mode silently; it is malformed input now.
 func TestOptionsValidation(t *testing.T) {
 	m, err := nn.NewTinyNet()
 	if err != nil {
 		t.Fatal(err)
 	}
 	m.InitWeights(1)
-	for _, bad := range []Options{
-		{Seed: 1, DetectTol: 0, KeepTol: 1e-4, DenseBand: 32, CRCGroup: 4, RankTol: 1e-6},
-		{Seed: 1, DetectTol: 1e-3, KeepTol: 0, DenseBand: 32, CRCGroup: 4, RankTol: 1e-6},
-		{Seed: 1, DetectTol: 1e-3, KeepTol: 1e-4, DenseBand: 1, CRCGroup: 4, RankTol: 1e-6},
-		{Seed: 1, DetectTol: 1e-3, KeepTol: 1e-4, DenseBand: 32, CRCGroup: 0, RankTol: 1e-6},
-		{Seed: 1, DetectTol: 1e-3, KeepTol: 1e-4, DenseBand: 32, CRCGroup: 4, RankTol: 0},
-	} {
-		if _, err := NewProtector(m, bad); err == nil {
-			t.Errorf("invalid options accepted: %+v", bad)
-		}
+	bad := Options{Seed: 1, MaxFullSolveTaps: -1}
+	_, err = NewProtector(m, bad)
+	if err == nil {
+		t.Fatalf("invalid options accepted: %+v", bad)
 	}
+	t.Logf("rejected: %v", err)
 }
 
 // The paper's detection limitation, reproduced deliberately: an error
@@ -181,7 +178,7 @@ func TestTinyErrorsEscapeDetection(t *testing.T) {
 	m, pr := tinyProtected(t, 71)
 	conv := m.Layer(0).(*nn.Conv2D)
 	d := conv.Params().Data()
-	d[0] += 1e-6 // far below DetectTol's impact on any output
+	d[0] += 1e-6 // far below detectTol's impact on any output
 	rep, err := pr.Detect()
 	if err != nil {
 		t.Fatal(err)
@@ -197,7 +194,7 @@ func TestMaxFullSolveTapsForcesPartial(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.InitWeights(72)
-	opts := DefaultOptions(72)
+	opts := Options{Seed: 72}
 	opts.MaxFullSolveTaps = 1 // the paper's CIFAR-large cost policy
 	pr, err := NewProtector(m, opts)
 	if err != nil {
@@ -241,7 +238,7 @@ func TestRankProbeUsesLinalgQRP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	qrp, err := linalg.FactorQRPivot(a, pr.opts.RankTol)
+	qrp, err := linalg.FactorQRPivot(a, rankTol)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,7 +49,7 @@ func TestSelfHealParallelSerialEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			m.InitWeights(31)
-			opts := DefaultOptions(31)
+			opts := Options{Seed: 31}
 			if c.opts != nil {
 				opts = c.opts(opts)
 			}
@@ -117,7 +117,7 @@ func TestRecoverAllParallelSerialEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		m.InitWeights(77)
-		pr, err := NewProtector(m, DefaultOptions(77))
+		pr, err := NewProtector(m, Options{Seed: 77})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -50,11 +50,24 @@ type persistedCode struct {
 
 type persistedState struct {
 	Version    int
-	Opts       Options
+	Opts       persistedOptions
 	NumLayers  int
 	Boundaries []int
 	Stored     map[int]persistedTensor
 	Layers     []persistedLayer
+}
+
+// persistedOptions is what a blob records of its protector's
+// configuration: the Options, plus the dense band the dense dummy outputs
+// were built with, so a blob from a build with another band is refused
+// rather than healed against the wrong dummy rows. gob matches fields by
+// name, so the tolerance and CRC-group fields older blobs carry are
+// dropped on decode.
+type persistedOptions struct {
+	Seed             uint64
+	DenseBand        int
+	MaxFullSolveTaps int
+	Workers          int
 }
 
 type persistedTensor struct {
@@ -72,8 +85,13 @@ func (pr *Protector) Save(w io.Writer) error {
 	pr.mu.Lock()
 	defer pr.mu.Unlock()
 	st := persistedState{
-		Version:    persistVersion,
-		Opts:       pr.opts,
+		Version: persistVersion,
+		Opts: persistedOptions{
+			Seed:             pr.opts.Seed,
+			DenseBand:        denseBand,
+			MaxFullSolveTaps: pr.opts.MaxFullSolveTaps,
+			Workers:          pr.opts.Workers,
+		},
 		NumLayers:  pr.model.NumLayers(),
 		Boundaries: append([]int(nil), pr.plan.boundarySet...),
 		Stored:     map[int]persistedTensor{},
@@ -119,9 +137,10 @@ func (pr *Protector) Save(w io.Writer) error {
 //
 // The state itself is untrusted input: every checkpoint boundary, solver
 // mode and stored artifact must be one initialization could have
-// produced for this model and the state's options, or LoadProtector
-// returns an error naming the layer and artifact — a blob that decodes
-// but disagrees with the plan would otherwise crash the first scrub.
+// produced for this model and the state's options, with this build's
+// dense band and CRC group, or LoadProtector returns an error naming
+// the layer and artifact — a blob that decodes but disagrees with the
+// plan would otherwise crash the first scrub.
 func LoadProtector(r io.Reader, model *nn.Model) (*Protector, error) {
 	blob, err := io.ReadAll(r)
 	if err != nil {
@@ -146,11 +165,15 @@ func LoadProtector(r io.Reader, model *nn.Model) (*Protector, error) {
 	if st.NumLayers != model.NumLayers() {
 		return nil, fmt.Errorf("core: state has %d layers, model has %d", st.NumLayers, model.NumLayers())
 	}
-	pl, err := buildPlan(model, st.Opts)
+	if st.Opts.DenseBand != denseBand {
+		return nil, fmt.Errorf("core: state's dense band is %d, this build's is %d", st.Opts.DenseBand, denseBand)
+	}
+	opts := Options{Seed: st.Opts.Seed, MaxFullSolveTaps: st.Opts.MaxFullSolveTaps, Workers: st.Opts.Workers}
+	pl, err := buildPlan(model, opts)
 	if err != nil {
 		return nil, err
 	}
-	pr := &Protector{model: model, plan: pl, opts: st.Opts}
+	pr := &Protector{model: model, plan: pl, opts: opts}
 	// The boundary set is a function of the model and the options alone.
 	if !slices.Equal(st.Boundaries, pl.boundarySet) {
 		return nil, fmt.Errorf("core: state has checkpoint boundaries %v, plan has %v", st.Boundaries, pl.boundarySet)
@@ -218,9 +241,9 @@ func LoadProtector(r io.Reader, model *nn.Model) (*Protector, error) {
 			codes := make([]*crc2d.Code, crcs)
 			z, y := lp.conv.InChannels(), lp.conv.Filters()
 			for j, pc := range sl.CRCs {
-				if pc.Rows != z || pc.Cols != y || pc.Group != st.Opts.CRCGroup {
+				if pc.Rows != z || pc.Cols != y || pc.Group != crc2d.DefaultGroup {
 					return nil, fmt.Errorf("core: load %sCRC code %d: %dx%d group %d, want %dx%d group %d",
-						name, j, pc.Rows, pc.Cols, pc.Group, z, y, st.Opts.CRCGroup)
+						name, j, pc.Rows, pc.Cols, pc.Group, z, y, crc2d.DefaultGroup)
 				}
 				if codes[j], err = restoreCode(pc); err != nil {
 					return nil, fmt.Errorf("core: load %sCRC code %d: %w", name, j, err)

@@ -95,14 +95,17 @@ func TestLoadedProtectorSelfHeals(t *testing.T) {
 }
 
 // TestLegacyBlobWithSequentialRecoveryLoads pins the persistence
-// decision taken when Options.SequentialRecovery was removed:
-// persistVersion stays 1 and there is no migration. gob drops stream
-// fields the receiver no longer has, so a blob saved while the option
-// existed — even with it set — must load and self-heal to the same bits
-// as a protector built fresh.
+// decision taken when Options.SequentialRecovery, and later the
+// tolerance and CRC-group options, were removed: persistVersion stays 1
+// and there is no migration. gob drops stream fields the receiver no
+// longer has, so a blob saved while those options existed must load and
+// self-heal to the same bits as a protector built fresh — even with
+// values that would switch detection off (an infinite detect tolerance,
+// a NaN keep tolerance) or that the build never used (rank tolerance 0,
+// CRC group 8).
 func TestLegacyBlobWithSequentialRecoveryLoads(t *testing.T) {
-	// Mirrors of persistedState and Options as the retiring commit's
-	// parent encoded them; gob matches struct fields by name.
+	// Mirrors of persistedState and Options as the retiring commits'
+	// parents encoded them; gob matches struct fields by name.
 	type legacyOptions struct {
 		Seed               uint64
 		DetectTol, KeepTol float64
@@ -136,12 +139,16 @@ func TestLegacyBlobWithSequentialRecoveryLoads(t *testing.T) {
 		t.Fatalf("mirror decoded the options wrong: %+v", st.Opts)
 	}
 	st.Opts.SequentialRecovery = true
+	st.Opts.DetectTol, st.Opts.KeepTol = math.Inf(1), math.NaN()
+	st.Opts.RankTol, st.Opts.CRCGroup = 0, 8
 	var legacy bytes.Buffer
 	if err := gob.NewEncoder(&legacy).Encode(&st); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Contains(legacy.Bytes(), []byte("SequentialRecovery")) {
-		t.Fatal("legacy blob does not carry the removed field; test is vacuous")
+	for _, field := range []string{"SequentialRecovery", "DetectTol", "KeepTol", "CRCGroup"} {
+		if !bytes.Contains(legacy.Bytes(), []byte(field)) {
+			t.Fatalf("legacy blob does not carry the removed field %s; test is vacuous", field)
+		}
 	}
 
 	m2, err := nn.NewTinyNet()
@@ -202,7 +209,7 @@ func TestPartialModeStateSurvivesPersistence(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.InitWeights(54)
-	pr, err := NewProtector(m, DefaultOptions(54))
+	pr, err := NewProtector(m, Options{Seed: 54})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,13 +274,16 @@ func reencode(t testing.TB, blob []byte, corrupt func(*persistedState)) []byte {
 // whose artifacts disagree with the plan, and the first SelfHeal after a
 // weight flip then panicked with an index out of range. Each such blob
 // must now fail to load (the error names the layer and the artifact).
+// So must a blob whose dense dummy outputs were built with another band
+// (it would heal against the wrong dummy rows) and one with a negative
+// MaxFullSolveTaps; their errors name the band or the field.
 func TestLoadRejectsOffPlanArtifacts(t *testing.T) {
 	m, err := nn.NewTinyPartialNet()
 	if err != nil {
 		t.Fatal(err)
 	}
 	m.InitWeights(59)
-	pr, err := NewProtector(m, DefaultOptions(59))
+	pr, err := NewProtector(m, Options{Seed: 59})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,6 +331,8 @@ func TestLoadRejectsOffPlanArtifacts(t *testing.T) {
 			p := st.Stored[b]
 			st.Stored[b] = persistedTensor{Shape: p.Shape, Data: p.Data[:len(p.Data)-1]}
 		}},
+		{"dense band 16", "dense band", func(st *persistedState) { st.Opts.DenseBand = 16 }},
+		{"negative MaxFullSolveTaps", "MaxFullSolveTaps", func(st *persistedState) { st.Opts.MaxFullSolveTaps = -1 }},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			blob := reencode(t, saved.Bytes(), c.corrupt)
@@ -363,7 +375,7 @@ func FuzzLoadProtector(f *testing.F) {
 		f.Fatal(err)
 	}
 	m.InitWeights(60)
-	pr, err := NewProtector(m, DefaultOptions(60))
+	pr, err := NewProtector(m, Options{Seed: 60})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -372,15 +384,15 @@ func FuzzLoadProtector(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(buf.Bytes())
-	// Options whose index arithmetic overflowed in the heal: a dense band
-	// near MaxInt, and a CRC group far beyond the matrix it groups.
+	// Values whose index arithmetic overflowed in the heal when the blob
+	// set them: a dense band near MaxInt, and a CRC group far beyond the
+	// matrix it groups. Both are refused at load now.
 	f.Add(reencode(f, buf.Bytes(), func(st *persistedState) { st.Opts.DenseBand = math.MaxInt }))
 	f.Add(reencode(f, buf.Bytes(), func(st *persistedState) {
-		st.Opts.CRCGroup = 1 << 40
 		for i := range st.Layers {
 			for j := range st.Layers[i].CRCs {
 				c := &st.Layers[i].CRCs[j]
-				c.Group, c.RowCRC, c.ColCRC = st.Opts.CRCGroup, make([]uint8, c.Rows), make([]uint8, c.Cols)
+				c.Group, c.RowCRC, c.ColCRC = 1<<40, make([]uint8, c.Rows), make([]uint8, c.Cols)
 			}
 		}
 	}))
@@ -406,7 +418,7 @@ func FuzzLoadProtector(f *testing.F) {
 
 // TestCommittedBlobLoadsAndHeals pins the saved-blob format against a
 // blob written by an older build: testdata/tiny-protector.gob is
-// NewTinyNet with InitWeights(7), protected with DefaultOptions(42) and
+// NewTinyNet with InitWeights(7), protected with Options{Seed: 42} and
 // saved. It stores each layer's role number, so renumbering roleKind,
 // or any other change that stops old blobs decoding into the same plan,
 // fails here.

@@ -9,42 +9,49 @@ import (
 	"milr/internal/tensor"
 )
 
+// The method's constants, with crc2d.DefaultGroup (the paper's 2-D CRC
+// group of 4). They are fixed by the method, not by the caller, so
+// Options does not carry them; a saved blob records only the dense band
+// its dummy outputs were built with, and LoadProtector refuses any other.
+const (
+	// detectTol is the relative tolerance for comparing layer outputs
+	// against partial checkpoints. It must exceed the solver's float
+	// noise so recovered layers are not re-flagged forever, which also
+	// means errors with no "meaningful impact on the output of the
+	// layer" go undetected — a limitation the paper reports and we
+	// reproduce (§V-B).
+	detectTol = 1e-3
+	// keepTol is the relative tolerance below which a re-solved
+	// parameter is considered identical to the stored one and the
+	// stored value is kept, avoiding gratuitous float churn in correct
+	// weights.
+	keepTol = 1e-4
+	// rankTol is the relative tolerance of the initialization-time rank
+	// probe that decides whether a conv layer's golden-input system has
+	// full column rank (whole-filter recovery) or not (partial mode).
+	rankTol = 1e-6
+	// denseBand is the bandwidth of the banded pseudo-random dummy input
+	// used for dense parameter solving. The paper used unstructured
+	// random dummy input and leaned on GPU lstsq; a banded system has
+	// identical storage cost (the dummy *outputs* are what is stored)
+	// but solves in O(N·band) per column on a CPU. See ARCHITECTURE.md
+	// (deviations).
+	denseBand = 32
+)
+
 // Options configures a Protector.
 type Options struct {
 	// Seed is the master seed; every PRNG tensor (golden input, detection
 	// inputs, dummy rows/filters) derives from it, so only this one value
 	// plus the stored checkpoints need to survive.
 	Seed uint64
-	// DetectTol is the relative tolerance for comparing layer outputs
-	// against partial checkpoints. It must exceed the solver's float
-	// noise so recovered layers are not re-flagged forever, which also
-	// means errors with no "meaningful impact on the output of the
-	// layer" go undetected — a limitation the paper reports and we
-	// reproduce (§V-B).
-	DetectTol float64
-	// KeepTol is the relative tolerance below which a re-solved
-	// parameter is considered identical to the stored one and the
-	// stored value is kept, avoiding gratuitous float churn in correct
-	// weights.
-	KeepTol float64
-	// DenseBand is the bandwidth of the banded pseudo-random dummy input
-	// used for dense parameter solving. The paper used unstructured
-	// random dummy input and leaned on GPU lstsq; a banded system has
-	// identical storage cost (the dummy *outputs* are what is stored)
-	// but solves in O(N·band) per column on a CPU. See ARCHITECTURE.md (deviations).
-	DenseBand int
-	// CRCGroup is the 2-D CRC group size (the paper uses 4).
-	CRCGroup int
 	// MaxFullSolveTaps caps the F²Z size above which conv layers are
 	// forced into partial-recoverability mode regardless of solvability,
 	// reproducing the paper's cost policy for the large CIFAR network
 	// ("the convolution layers were required to use partial
-	// recoverability to keep cost low", §V-D). Zero means no cap.
+	// recoverability to keep cost low", §V-D). Zero means no cap; a
+	// negative value is rejected.
 	MaxFullSolveTaps int
-	// RankTol is the relative tolerance of the initialization-time rank
-	// probe that decides whether a conv layer's golden-input system has
-	// full column rank (whole-filter recovery) or not (partial mode).
-	RankTol float64
 	// Workers bounds the worker pool used by detection (independent
 	// layers scrub concurrently) and recovery (independent checkpoint
 	// segments, filters, parameter columns, and inversion positions
@@ -65,31 +72,9 @@ func (o Options) workerPool() int {
 	return o.Workers
 }
 
-// DefaultOptions returns the configuration used throughout the
-// evaluation.
-func DefaultOptions(seed uint64) Options {
-	return Options{
-		Seed:      seed,
-		DetectTol: 1e-3,
-		KeepTol:   1e-4,
-		DenseBand: 32,
-		CRCGroup:  crc2d.DefaultGroup,
-		RankTol:   1e-6,
-	}
-}
-
 func (o Options) validate() error {
-	if o.DetectTol <= 0 || o.KeepTol <= 0 {
-		return fmt.Errorf("core: tolerances must be positive, got detect=%g keep=%g", o.DetectTol, o.KeepTol)
-	}
-	if o.DenseBand < 2 {
-		return fmt.Errorf("core: dense band must be ≥ 2, got %d", o.DenseBand)
-	}
-	if o.CRCGroup < 1 {
-		return fmt.Errorf("core: CRC group must be ≥ 1, got %d", o.CRCGroup)
-	}
-	if o.RankTol <= 0 {
-		return fmt.Errorf("core: rank tolerance must be positive, got %g", o.RankTol)
+	if o.MaxFullSolveTaps < 0 {
+		return fmt.Errorf("core: MaxFullSolveTaps must be ≥ 0 (0 = no cap), got %d", o.MaxFullSolveTaps)
 	}
 	return nil
 }

@@ -73,7 +73,7 @@ func TestPropertyGoldenPairsConsistent(t *testing.T) {
 			t.Fatal(err)
 		}
 		m.InitWeights(seed)
-		pr, err := NewProtector(m, DefaultOptions(seed))
+		pr, err := NewProtector(m, Options{Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -159,7 +159,7 @@ func (pr *Protector) initLayer(lp *layerPlan, goldenIn *tensor.Tensor) error {
 			if err != nil {
 				return fmt.Errorf("core: rank probe layer %d: %w", i, err)
 			}
-			qrp, err := linalg.FactorQRPivot(a, pr.opts.RankTol)
+			qrp, err := linalg.FactorQRPivot(a, rankTol)
 			if err != nil {
 				return fmt.Errorf("core: rank probe layer %d: %w", i, err)
 			}
@@ -184,7 +184,7 @@ func (pr *Protector) initLayer(lp *layerPlan, goldenIn *tensor.Tensor) error {
 		lp.partial = partial
 		// After the rank probe, so a probe-demoted layer gets its codes.
 		if lp.partialMode {
-			codes, err := convEncodeCRC(lp.conv, pr.opts.CRCGroup)
+			codes, err := convEncodeCRC(lp.conv)
 			if err != nil {
 				return err
 			}
@@ -199,7 +199,7 @@ func (pr *Protector) initLayer(lp *layerPlan, goldenIn *tensor.Tensor) error {
 		}
 		lp.partial = partial
 		lp.denseTag = tagDenseDummy + uint64(i)
-		dummyOut, err := denseDummyOutputs(lp.dense, pr.opts.Seed, lp.denseTag, pr.opts.DenseBand)
+		dummyOut, err := denseDummyOutputs(lp.dense, pr.opts.Seed, lp.denseTag, denseBand)
 		if err != nil {
 			return err
 		}

@@ -20,7 +20,7 @@ func tinyProtected(t *testing.T, seed uint64) (*nn.Model, *Protector) {
 		t.Fatalf("NewTinyNet: %v", err)
 	}
 	m.InitWeights(seed)
-	pr, err := NewProtector(m, DefaultOptions(seed))
+	pr, err := NewProtector(m, Options{Seed: seed})
 	if err != nil {
 		t.Fatalf("NewProtector: %v", err)
 	}
@@ -200,7 +200,7 @@ func TestPartialModeSelectiveRecovery(t *testing.T) {
 		t.Fatalf("NewTinyPartialNet: %v", err)
 	}
 	m.InitWeights(21)
-	pr, err := NewProtector(m, DefaultOptions(21))
+	pr, err := NewProtector(m, Options{Seed: 21})
 	if err != nil {
 		t.Fatalf("NewProtector: %v", err)
 	}
@@ -244,7 +244,7 @@ func TestPartialModeWholeLayerIsApproximate(t *testing.T) {
 		t.Fatalf("NewTinyPartialNet: %v", err)
 	}
 	m.InitWeights(22)
-	pr, err := NewProtector(m, DefaultOptions(22))
+	pr, err := NewProtector(m, Options{Seed: 22})
 	if err != nil {
 		t.Fatalf("NewProtector: %v", err)
 	}
@@ -395,7 +395,7 @@ func TestRecoverAllOnCleanNetworkIsStable(t *testing.T) {
 	if !rec.AllRecovered() {
 		t.Fatalf("clean network recovery not clean: %+v", rec.Results)
 	}
-	// KeepTol must prevent float churn: parameters should be bit-exact.
+	// keepTol must prevent float churn: parameters should be bit-exact.
 	if diff := maxParamDiff(clean, m.Snapshot()); diff != 0 {
 		t.Fatalf("clean network parameters churned by %g", diff)
 	}

@@ -203,7 +203,7 @@ func (pr *Protector) solveConvFinding(lp *layerPlan, f LayerFinding, goldenIn, g
 		if approx > 0 {
 			res.Detail = fmt.Sprintf("%d filters exact, %d filters least-squares (underdetermined)", exact, approx)
 		}
-		if err := convRefreshCRC(lp, pr.opts.CRCGroup); err != nil {
+		if err := convRefreshCRC(lp); err != nil {
 			return res, err
 		}
 	}
@@ -226,7 +226,7 @@ func (pr *Protector) convProbeStatus(lp *layerPlan, out *tensor.Tensor) Recovery
 // failure the result already carries Status Failed.
 func (pr *Protector) solveDenseFinding(lp *layerPlan, f LayerFinding) (res RecoveryResult, ok bool) {
 	res = RecoveryResult{Layer: lp.idx, Name: f.Name}
-	if err := solveDenseColumns(lp, f.Columns, pr.opts); err != nil {
+	if err := solveDenseColumns(lp, f.Columns, denseBand, pr.opts); err != nil {
 		res.Status = Failed
 		res.Detail = err.Error()
 		return res, false
@@ -268,12 +268,12 @@ func (pr *Protector) recoverBias(lp *layerPlan, goldenIn, goldenOut *tensor.Tens
 	w := lp.bias.Params().Data()
 	for i := 0; i < c; i++ {
 		solved := sums[i] / float64(counts[i])
-		if relMismatch(solved, float64(w[i]), pr.opts.KeepTol) {
+		if relMismatch(solved, float64(w[i]), keepTol) {
 			w[i] = float32(solved)
 		}
 	}
 	res.Solved = c
-	if relMismatch(lp.bias.Params().Sum(), lp.biasSum, pr.opts.DetectTol) {
+	if relMismatch(lp.bias.Params().Sum(), lp.biasSum, detectTol) {
 		res.Status = Approximate
 		res.Detail = "parameter sum still mismatches"
 	} else {

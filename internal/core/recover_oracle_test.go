@@ -41,8 +41,8 @@ func (pr *Protector) selfHealOracle() (*DetectionReport, *RecoveryReport, error)
 // recoverSequential is the reference recovery pipeline: each flagged
 // layer fetches its own golden pair from the nearest checkpoints and
 // verifies with a dedicated probe pass. Kept as the baseline the
-// batched pipeline is pinned bit-identical against (equivalence tests,
-// BenchmarkBatchedRecovery); findings must be sorted by layer.
+// batched pipeline is pinned bit-identical against (equivalence tests);
+// findings must be sorted by layer.
 func (pr *Protector) recoverSequential(ctx context.Context, findings []LayerFinding) (*RecoveryReport, error) {
 	out := &RecoveryReport{}
 	for _, f := range findings {
@@ -164,8 +164,9 @@ func (pr *Protector) goldenOutputOf(i int) (*tensor.Tensor, error) {
 // TestDenseSolveMatchesOracle pins it bit-identical against: every
 // column solves alone, regenerating every dummy row itself through the
 // allocating denseDummyRow. The bodies are the product code of the
-// commit before the blocked solve, unedited but for the function name.
-func solveDenseColumnsOracle(lp *layerPlan, cols []int, opts Options) error {
+// commit before the blocked solve, unedited but for the function name
+// and the band and tolerance, which were Options fields then.
+func solveDenseColumnsOracle(lp *layerPlan, cols []int, band int, opts Options) error {
 	d := lp.dense
 	n, p := d.In(), d.Out()
 	w := d.Params().Data()
@@ -177,7 +178,7 @@ func solveDenseColumnsOracle(lp *layerPlan, cols []int, opts Options) error {
 		}
 		x := make([]float64, n)
 		for i := n - 1; i >= 0; i-- {
-			rcols, rvals := denseDummyRow(opts.Seed, lp.denseTag, i, n, opts.DenseBand)
+			rcols, rvals := denseDummyRow(opts.Seed, lp.denseTag, i, n, band)
 			acc := float64(cd[i*p+j])
 			for k := 1; k < len(rcols); k++ {
 				acc -= rvals[k] * x[rcols[k]]
@@ -186,7 +187,7 @@ func solveDenseColumnsOracle(lp *layerPlan, cols []int, opts Options) error {
 		}
 		for i := 0; i < n; i++ {
 			cur := float64(w[i*p+j])
-			if relMismatch(x[i], cur, opts.KeepTol) {
+			if relMismatch(x[i], cur, keepTol) {
 				w[i*p+j] = float32(x[i])
 			}
 		}

@@ -54,7 +54,7 @@ func TestBatchedSequentialRecoveryEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			m.InitWeights(c.weightSeed)
-			opts := DefaultOptions(c.seed)
+			opts := Options{Seed: c.seed}
 			if c.opts != nil {
 				opts = c.opts(opts)
 			}
@@ -138,7 +138,7 @@ func TestBatchedRecoveryGEMMBudget(t *testing.T) {
 			convDense++
 		}
 	}
-	pr, err := NewProtector(m, DefaultOptions(13))
+	pr, err := NewProtector(m, Options{Seed: 13})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -66,14 +66,14 @@ func convDummyOutputs(c *nn.Conv2D, goldenIn *tensor.Tensor, seed, tag uint64, c
 // filter-tap position (f1,f2), CRC-8 over groups of 4 along both axes
 // ("This is performed F² times to fully encode all parameters in the
 // matrix", §IV-B-c).
-func convEncodeCRC(c *nn.Conv2D, group int) ([]*crc2d.Code, error) {
+func convEncodeCRC(c *nn.Conv2D) ([]*crc2d.Code, error) {
 	f, z, y := c.FilterSize(), c.InChannels(), c.Filters()
 	w := c.Params().Data()
 	codes := make([]*crc2d.Code, f*f)
 	buf := make([]float32, z*y)
 	for pos := 0; pos < f*f; pos++ {
 		copy(buf, w[pos*z*y:(pos+1)*z*y])
-		code, err := crc2d.Encode(buf, z, y, group)
+		code, err := crc2d.Encode(buf, z, y, crc2d.DefaultGroup)
 		if err != nil {
 			return nil, fmt.Errorf("core: CRC encode conv %q pos %d: %w", c.Name(), pos, err)
 		}
@@ -112,8 +112,8 @@ func convLocateCRC(lp *layerPlan) (map[int][]int, error) {
 
 // convRefreshCRC re-encodes the CRC codes after recovery so later scrubs
 // compare against the restored parameters.
-func convRefreshCRC(lp *layerPlan, group int) error {
-	codes, err := convEncodeCRC(lp.conv, group)
+func convRefreshCRC(lp *layerPlan) error {
+	codes, err := convEncodeCRC(lp.conv)
 	if err != nil {
 		return err
 	}
@@ -161,7 +161,7 @@ func solveConvFull(lp *layerPlan, goldenIn, goldenOut *tensor.Tensor, filters []
 		}
 		for t := 0; t < taps; t++ {
 			cur := float64(w[t*y+k])
-			if relMismatch(x[t], cur, opts.KeepTol) {
+			if relMismatch(x[t], cur, keepTol) {
 				w[t*y+k] = float32(x[t])
 			}
 		}
@@ -243,7 +243,7 @@ func solveConvSelective(lp *layerPlan, goldenIn, goldenOut *tensor.Tensor, suspe
 		}
 		for i, t := range e {
 			cur := float64(w[t*y+k])
-			if relMismatch(x[i], cur, opts.KeepTol) {
+			if relMismatch(x[i], cur, keepTol) {
 				w[t*y+k] = float32(x[i])
 			}
 		}

@@ -40,7 +40,7 @@ import (
 func denseDummyRowInto(buf []float64, seed, tag uint64, i, n, band int) []float64 {
 	stream := prng.New(seed ^ prng.Mix(tag) ^ prng.Mix(uint64(i)+0x5bd1e995))
 	width := band
-	if width > n-i { // not i+width > n: a loaded band may be near MaxInt
+	if width > n-i { // not i+width > n, which overflows for a band near MaxInt
 		width = n - i
 	}
 	vals := buf[:width]
@@ -87,8 +87,9 @@ func denseDummyOutputs(d *nn.Dense, seed, tag uint64, band int) (*tensor.Tensor,
 // solveDenseColumns re-solves the given parameter columns of the dense
 // layer from the stored dummy outputs: for column j, the banded
 // upper-triangular system A_dummy·x = C_dummy[:,j] is solved by back
-// substitution. Entries within KeepTol of the stored value keep the
-// stored bits to avoid float churn in correct weights.
+// substitution, with the band the dummy outputs were built with.
+// Entries within keepTol of the stored value keep the stored bits to
+// avoid float churn in correct weights.
 //
 // Columns are independent systems — column j reads C_dummy[:,j] and
 // writes w[:,j] only — so contiguous blocks of the column list solve
@@ -102,7 +103,7 @@ func denseDummyOutputs(d *nn.Dense, seed, tag uint64, band int) (*tensor.Tensor,
 //
 // Every column is range-checked before any is solved: a bad column list
 // leaves the layer untouched.
-func solveDenseColumns(lp *layerPlan, cols []int, opts Options) error {
+func solveDenseColumns(lp *layerPlan, cols []int, band int, opts Options) error {
 	d := lp.dense
 	n, p := d.In(), d.Out()
 	for _, j := range cols {
@@ -112,7 +113,7 @@ func solveDenseColumns(lp *layerPlan, cols []int, opts Options) error {
 	}
 	w := d.Params().Data()
 	cd := lp.denseDummyOut.Data()
-	band := min(opts.DenseBand, n)
+	band = min(band, n)
 	par.Blocks(len(cols), opts.workerPool(), func(lo, hi int) {
 		block := cols[lo:hi]
 		bw := len(block)
@@ -139,7 +140,7 @@ func solveDenseColumns(lp *layerPlan, cols []int, opts Options) error {
 			for b, j := range block {
 				x := acc[b] / vals[0]
 				xs[b] = x
-				if relMismatch(x, float64(w[i*p+j]), opts.KeepTol) {
+				if relMismatch(x, float64(w[i*p+j]), keepTol) {
 					w[i*p+j] = float32(x)
 				}
 			}

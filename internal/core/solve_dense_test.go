@@ -14,18 +14,15 @@ import (
 // oracle (recover_oracle_test.go), the all-or-nothing outcome of a bad
 // column list, and the allocation bound of a warm dense-layer heal.
 
-// denseProtector protects a fresh model built by build, with the given
-// dense band.
-func denseProtector(t *testing.T, build func() (*nn.Model, error), band int) (*nn.Model, *Protector) {
+// denseProtector protects a fresh model built by build.
+func denseProtector(t *testing.T, build func() (*nn.Model, error)) (*nn.Model, *Protector) {
 	t.Helper()
 	m, err := build()
 	if err != nil {
 		t.Fatal(err)
 	}
 	m.InitWeights(42)
-	opts := DefaultOptions(42)
-	opts.DenseBand = band
-	pr, err := NewProtector(m, opts)
+	pr, err := NewProtector(m, Options{Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,29 +45,36 @@ func largestDensePlan(t *testing.T, pr *Protector) *layerPlan {
 	return best
 }
 
-// checkDenseSolveMatchesOracle overwrites lp's layer, solves cols from
-// the same corrupted weights with the oracle and with solveDenseColumns,
-// and compares every weight bit. It leaves the layer as it found it.
-func checkDenseSolveMatchesOracle(t *testing.T, lp *layerPlan, cols []int, opts Options) {
+// checkDenseSolveMatchesOracle rebuilds lp's dense dummy outputs with
+// band, overwrites lp's layer, solves cols from the same corrupted
+// weights with the oracle and with solveDenseColumns, and compares every
+// weight bit. It leaves the layer and its dummy outputs as it found them.
+func checkDenseSolveMatchesOracle(t *testing.T, lp *layerPlan, cols []int, band int, opts Options) {
 	t.Helper()
+	stored := lp.denseDummyOut
+	defer func() { lp.denseDummyOut = stored }()
+	var err error
+	if lp.denseDummyOut, err = denseDummyOutputs(lp.dense, opts.Seed, lp.denseTag, band); err != nil {
+		t.Fatal(err)
+	}
 	w := lp.dense.Params().Data()
 	clean := append([]float32(nil), w...)
 	defer copy(w, clean)
 	faults.New(uint64(len(cols))).OverwriteLayer(lp.dense)
 	corrupt := append([]float32(nil), w...)
-	if err := solveDenseColumnsOracle(lp, cols, opts); err != nil {
+	if err := solveDenseColumnsOracle(lp, cols, band, opts); err != nil {
 		t.Fatal(err)
 	}
 	want := append([]float32(nil), w...)
 	copy(w, corrupt)
-	if err := solveDenseColumns(lp, cols, opts); err != nil {
+	if err := solveDenseColumns(lp, cols, band, opts); err != nil {
 		t.Fatal(err)
 	}
 	rewritten := 0
 	for i := range w {
 		if math.Float32bits(w[i]) != math.Float32bits(want[i]) {
 			t.Fatalf("band %d, workers %d, columns %v: weight %d is %v, oracle %v",
-				opts.DenseBand, opts.Workers, cols, i, w[i], want[i])
+				band, opts.Workers, cols, i, w[i], want[i])
 		}
 		if math.Float32bits(want[i]) != math.Float32bits(corrupt[i]) {
 			rewritten++
@@ -78,60 +82,60 @@ func checkDenseSolveMatchesOracle(t *testing.T, lp *layerPlan, cols []int, opts 
 	}
 	if rewritten == 0 {
 		t.Fatalf("band %d, workers %d, columns %v: the oracle rewrote nothing; test is vacuous",
-			opts.DenseBand, opts.Workers, cols)
+			band, opts.Workers, cols)
 	}
 }
 
 // TestDenseSolveMatchesOracle pins the blocked dense solve bit-identical
 // to the per-column oracle. The recovery equivalence tests cannot: both
 // of their pipelines call solveDenseColumns. Tiny's 128×16 layer covers
-// bands shorter than, equal to the default of, and longer than the
-// layer, at several worker counts (blocks of one column up to the whole
-// list) and column lists that are full, single, unsorted and strided;
-// MNIST's 6400×256 layer is the benchmark's heal.
+// bands shorter than, equal to (denseBand) and longer than the layer,
+// at several worker counts (blocks of one column up to the whole list)
+// and column lists that are full, single, unsorted and strided; MNIST's
+// 6400×256 layer is the benchmark's heal.
 func TestDenseSolveMatchesOracle(t *testing.T) {
-	for _, band := range []int{2, 7, 32, 1 << 20} {
-		_, pr := denseProtector(t, nn.NewTinyNet, band)
-		lp := largestDensePlan(t, pr)
-		p := lp.dense.Out()
-		var all, odd []int
-		for j := 0; j < p; j++ {
-			all = append(all, j)
-			if j%2 == 1 {
-				odd = append(odd, j)
-			}
+	_, pr := denseProtector(t, nn.NewTinyNet)
+	lp := largestDensePlan(t, pr)
+	p := lp.dense.Out()
+	var all, odd []int
+	for j := 0; j < p; j++ {
+		all = append(all, j)
+		if j%2 == 1 {
+			odd = append(odd, j)
 		}
+	}
+	for _, band := range []int{2, 7, 32, 1 << 20} {
 		for _, cols := range [][]int{all, {p / 3}, {p - 1, 2, p / 2, 0, 5}, odd} {
 			for _, workers := range []int{1, 3, -1} {
 				opts := pr.opts
 				opts.Workers = workers
-				checkDenseSolveMatchesOracle(t, lp, cols, opts)
+				checkDenseSolveMatchesOracle(t, lp, cols, band, opts)
 			}
 		}
 	}
-	_, pr := denseProtector(t, nn.NewMNISTNet, DefaultOptions(42).DenseBand)
-	lp := largestDensePlan(t, pr)
-	all := make([]int, lp.dense.Out())
+	_, pr = denseProtector(t, nn.NewMNISTNet)
+	lp = largestDensePlan(t, pr)
+	all = make([]int, lp.dense.Out())
 	for j := range all {
 		all[j] = j
 	}
 	opts := pr.opts
 	opts.Workers = -1
-	checkDenseSolveMatchesOracle(t, lp, all, opts)
+	checkDenseSolveMatchesOracle(t, lp, all, denseBand, opts)
 }
 
 // TestDenseSolveBadColumnLeavesLayerUntouched: a column list with an
 // entry out of range is an error and writes nothing, not even the
 // columns in range, so a layer reported Failed is never half rewritten.
 func TestDenseSolveBadColumnLeavesLayerUntouched(t *testing.T) {
-	_, pr := denseProtector(t, nn.NewTinyNet, DefaultOptions(42).DenseBand)
+	_, pr := denseProtector(t, nn.NewTinyNet)
 	lp := largestDensePlan(t, pr)
 	p := lp.dense.Out()
 	w := lp.dense.Params().Data()
 	w[0] += 25 // column 0 is corrupt: solving it would rewrite w[0]
 	before := append([]float32(nil), w...)
 	for _, cols := range [][]int{{p, 0}, {0, -1}} {
-		if err := solveDenseColumns(lp, cols, pr.opts); err == nil {
+		if err := solveDenseColumns(lp, cols, denseBand, pr.opts); err == nil {
 			t.Fatalf("columns %v: no error", cols)
 		}
 		for i := range w {
@@ -147,7 +151,7 @@ func TestDenseSolveBadColumnLeavesLayerUntouched(t *testing.T) {
 // included, allocates a few megabytes, where regenerating every dummy
 // row once per column allocated 905 MB.
 func TestDenseHealAllocationBound(t *testing.T) {
-	m, pr := denseProtector(t, nn.NewMNISTNet, DefaultOptions(42).DenseBand)
+	m, pr := denseProtector(t, nn.NewMNISTNet)
 	lp := largestDensePlan(t, pr)
 	clean := m.Snapshot()
 	ctx := context.Background()

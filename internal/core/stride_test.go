@@ -32,7 +32,7 @@ func stridedNet(t *testing.T, seed uint64) (*nn.Model, *Protector) {
 		t.Fatal(err)
 	}
 	m.InitWeights(seed)
-	pr, err := NewProtector(m, DefaultOptions(seed))
+	pr, err := NewProtector(m, Options{Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -128,7 +128,7 @@ func assertSameBits(t *testing.T, got, want *tensor.Tensor, format string, args 
 // copy of the filter matrix across calls would fail the first two.
 func TestWorkspaceKeepsNothingDerivedFromWeights(t *testing.T) {
 	m, xs := mnistBatch(t, 8)
-	pr, err := core.NewProtector(m, core.DefaultOptions(42))
+	pr, err := core.NewProtector(m, core.Options{Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,7 +25,7 @@ func soakTargets(t testing.TB, n int) []*soak.Target {
 			t.Fatalf("NewTinyNet: %v", err)
 		}
 		m.InitWeights(uint64(7 + i))
-		pr, err := core.NewProtector(m, core.DefaultOptions(uint64(100+i)))
+		pr, err := core.NewProtector(m, core.Options{Seed: uint64(100 + i)})
 		if err != nil {
 			t.Fatalf("NewProtector: %v", err)
 		}

@@ -78,11 +78,10 @@ func (n Network) Build(seed uint64) (*nn.Model, error) {
 	return m, err
 }
 
-// Options returns core.DefaultOptions(seed) under the network's policy.
+// Options returns the engine options for seed under the network's cost
+// policy.
 func (n Network) Options(seed uint64) core.Options {
-	opts := core.DefaultOptions(seed)
-	opts.MaxFullSolveTaps = n.MaxFullSolveTaps
-	return opts
+	return core.Options{Seed: seed, MaxFullSolveTaps: n.MaxFullSolveTaps}
 }
 
 // Instance is one -models entry: a network, its registered name, its seed.

@@ -91,7 +91,9 @@ type (
 
 	// Protector attaches MILR protection to a model.
 	Protector = core.Protector
-	// Options tunes MILR (seed, tolerances, CRC group, cost policies).
+	// Options is the engine configuration a Runtime protects models
+	// with: seed, conv cost policy and engine workers. The method's
+	// tolerances, dense band and CRC group are constants.
 	Options = core.Options
 	// DetectionReport is the log of erroneous layers detection produces.
 	DetectionReport = core.DetectionReport
@@ -111,9 +113,9 @@ type (
 // Runtime is the engine's configuration root: one value carries the
 // master seed, the worker-pool policy for every parallel level
 // (inference GEMM, engine scrub/solve, protector initialization), the
-// MILR tolerances, and the evaluation batch size. Build one with
-// NewRuntime and functional options; the zero-option Runtime matches
-// DefaultOptions(0) with serial pools.
+// conv cost policy, and the evaluation and serving batch shape. Build
+// one with NewRuntime and functional options; the zero-option Runtime
+// has seed 0, no cost cap and serial pools.
 //
 // A Runtime is immutable after construction and safe for concurrent use;
 // derive variants with With.
@@ -151,28 +153,6 @@ func WithWorkers(n int) Option {
 		rt.opts.Workers = n
 		rt.workersSet = true
 	}
-}
-
-// WithTolerance sets the engine's comparison tolerances: detect is the
-// relative tolerance for flagging layer outputs against partial
-// checkpoints, keep the threshold below which a re-solved parameter is
-// considered identical to the stored one.
-func WithTolerance(detect, keep float64) Option {
-	return func(rt *Runtime) {
-		rt.opts.DetectTol = detect
-		rt.opts.KeepTol = keep
-	}
-}
-
-// WithDenseBand sets the bandwidth of the banded pseudo-random dummy
-// input used for dense parameter solving.
-func WithDenseBand(band int) Option {
-	return func(rt *Runtime) { rt.opts.DenseBand = band }
-}
-
-// WithCRCGroup sets the 2-D CRC group size (the paper uses 4).
-func WithCRCGroup(group int) Option {
-	return func(rt *Runtime) { rt.opts.CRCGroup = group }
 }
 
 // WithMaxFullSolveTaps caps the F²Z size above which conv layers are
@@ -214,24 +194,9 @@ func WithMaxBatchDelay(d time.Duration) Option {
 	}
 }
 
-// WithOptions replaces the engine options wholesale; later functional
-// options still apply on top. An escape hatch for configurations built
-// elsewhere (persisted, flag-driven). Options.Workers configures the
-// *engine* pools only — WithOptions never retunes the model's GEMM
-// pools, and it clears any earlier WithWorkers model-pool policy (it
-// replaces the options wholesale); apply WithWorkers after WithOptions
-// to set one.
-func WithOptions(opts Options) Option {
-	return func(rt *Runtime) {
-		rt.opts = opts
-		rt.workersSet = false
-	}
-}
-
 // NewRuntime builds a Runtime from functional options.
 func NewRuntime(opts ...Option) *Runtime {
 	rt := &Runtime{
-		opts:     core.DefaultOptions(0),
 		batch:    nn.DefaultEvalBatch,
 		maxDelay: DefaultMaxBatchDelay,
 	}
@@ -355,9 +320,6 @@ var (
 	// experimentation.
 	NewTinyNet = nn.NewTinyNet
 )
-
-// DefaultOptions returns the evaluation configuration for a master seed.
-func DefaultOptions(seed uint64) Options { return core.DefaultOptions(seed) }
 
 // Train fits a model to samples with SGD + momentum.
 func Train(m *Model, samples []Sample, cfg TrainConfig) (float64, error) {

@@ -29,13 +29,9 @@ var goldenAPI = []string{
 	"Runtime.With",
 	"Runtime.Workers",
 	"WithBatchSize",
-	"WithCRCGroup",
-	"WithDenseBand",
 	"WithMaxBatchDelay",
 	"WithMaxFullSolveTaps",
-	"WithOptions",
 	"WithSeed",
-	"WithTolerance",
 	"WithWorkers",
 	// Serving: multi-model routing over a shared worker budget, with
 	// batch coalescing, admission control and the fleet guard.
@@ -96,7 +92,6 @@ var goldenAPI = []string{
 	"NewMNISTNet",
 	"NewTinyNet",
 	// Persistence, tensors, training.
-	"DefaultOptions",
 	"LoadProtector",
 	"NewTensor",
 	"SaveProtector",

@@ -212,10 +212,4 @@ func TestRuntimeWithDerivation(t *testing.T) {
 		t.Fatalf("derivation wrong: workers=%d seed=%d batch=%d",
 			derived.Workers(), derived.Seed(), derived.BatchSize())
 	}
-	opts := milr.DefaultOptions(99)
-	opts.CRCGroup = 8
-	viaOpts := milr.NewRuntime(milr.WithOptions(opts), milr.WithWorkers(3))
-	if viaOpts.Options().CRCGroup != 8 || viaOpts.Seed() != 99 || viaOpts.Workers() != 3 {
-		t.Fatalf("WithOptions composition wrong: %+v", viaOpts.Options())
-	}
 }

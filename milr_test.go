@@ -54,9 +54,7 @@ func TestFacadeOptionsAndStorage(t *testing.T) {
 		t.Fatal(err)
 	}
 	model.InitWeights(1)
-	opts := milr.DefaultOptions(1)
-	opts.CRCGroup = 8
-	prot, err := milr.NewRuntime(milr.WithOptions(opts)).Protect(context.Background(), model)
+	prot, err := milr.NewRuntime(milr.WithSeed(1)).Protect(context.Background(), model)
 	if err != nil {
 		t.Fatal(err)
 	}
