@@ -17,9 +17,8 @@ import (
 
 // ErrQueueFull is returned by Fleet.Predict / Fleet.PredictBatch when
 // the target model's admission queue is at its configured cap
-// (WithQueueCap / WithModelQueueCap) and the model was not registered
-// with WithModelBackpressure. The request was refused in O(1) without
-// occupying a queue slot — shed load or retry later.
+// (WithQueueCap / WithModelQueueCap). The request was refused in O(1)
+// without occupying a queue slot — shed load or retry later.
 var ErrQueueFull = fleet.ErrQueueFull
 
 // ErrFleetClosed is returned by Fleet methods once Fleet.Close has
@@ -77,14 +76,6 @@ func WithModelWeight(w float64) ModelOption {
 // unbounded. Zero keeps the fleet default.
 func WithModelQueueCap(n int) ModelOption {
 	return func(mc *fleet.ModelConfig) { mc.QueueCap = n }
-}
-
-// WithModelBackpressure switches the model's full-queue behaviour from
-// fast-fail (ErrQueueFull) to blocking: admission waits for a queue
-// slot until the request's context is done or the fleet closes. Use it
-// for closed-loop callers that prefer latency over load shedding.
-func WithModelBackpressure() ModelOption {
-	return func(mc *fleet.ModelConfig) { mc.Block = true }
 }
 
 // Fleet serves several named models at once: each model has its own
@@ -171,14 +162,13 @@ func protectorScrub(pr *Protector) func(context.Context) (fleet.ScrubResult, err
 
 // Unregister removes a named model from the fleet under live traffic
 // with zero dropped requests: new admissions fail with ErrUnknownModel
-// immediately (backpressure-blocked callers are woken to the same
-// error), every already-admitted request still gets its answer while
-// the model's queue drains, the fleet guard's rotation skips the model,
-// and its fair-share weight leaves the arbiter once the drain ends.
-// Unregister blocks until the drain completes or ctx is done; an early
-// ctx return leaves the drain running in the background. The model's
-// per-model stats series are dropped, but its totals keep counting in
-// the fleet-wide aggregates, which stay monotonic.
+// immediately, every already-admitted request still gets its answer
+// while the model's queue drains, the fleet guard's rotation skips the
+// model, and its fair-share weight leaves the arbiter once the drain
+// ends. Unregister blocks until the drain completes or ctx is done; an
+// early ctx return leaves the drain running in the background. The
+// model's per-model stats series are dropped, but its totals keep
+// counting in the fleet-wide aggregates, which stay monotonic.
 func (fl *Fleet) Unregister(ctx context.Context, name string) error {
 	return fl.f.Unregister(ctx, name)
 }
@@ -211,9 +201,9 @@ func (fl *Fleet) ReplaceProtected(ctx context.Context, name string, pr *Protecto
 // Predict routes one sample to the named model and blocks until its
 // coalesced batch has been served; the answer is bit-identical to a
 // direct Model.Predict call. It returns ErrQueueFull when the model's
-// queue is at cap (unless registered with backpressure), ErrFleetClosed
-// after Close, and the context's error if ctx — or the fleet's default
-// deadline (WithDefaultDeadline) — expires first.
+// queue is at cap, ErrFleetClosed after Close, and the context's error
+// if ctx — or the fleet's default deadline (WithDefaultDeadline) —
+// expires first.
 func (fl *Fleet) Predict(ctx context.Context, model string, x *Tensor) (int, error) {
 	return fl.f.Predict(ctx, model, x)
 }
@@ -268,10 +258,9 @@ func (fl *Fleet) Close() error {
 
 // WithQueueCap sets the default admission queue cap — the most
 // requests that may wait in one model queue of a Fleet built from this
-// runtime. At cap, admission fast-fails with ErrQueueFull (or blocks,
-// for models registered with WithModelBackpressure) — the open-loop
-// overload story. 0 (the default) means unbounded. Override per model
-// with WithModelQueueCap.
+// runtime. At cap, admission fast-fails with ErrQueueFull — the
+// open-loop overload story. 0 (the default) means unbounded. Override
+// per model with WithModelQueueCap.
 func WithQueueCap(n int) Option {
 	return func(rt *Runtime) {
 		if n < 0 {

@@ -27,29 +27,26 @@
 //
 //   - Admission control. Every model's queue has a configurable cap
 //     (Config.QueueCap fleet-wide, ModelConfig.QueueCap per model).
-//     At cap, admission either fast-fails with ErrQueueFull — O(1)
-//     load shedding for open-loop traffic, the request never occupies
-//     a queue slot — or, with ModelConfig.Block, applies blocking
-//     backpressure until slots free, the request's context expires, or
-//     the fleet closes. Config.Deadline supplies a default per-request
-//     deadline to any call whose context has none, so an open-loop
-//     client cannot wait unboundedly. A request whose context is
-//     already expired is rejected at enqueue time, never occupying a
-//     batch slot.
+//     At cap, admission fast-fails with ErrQueueFull — O(1) load
+//     shedding, the request never occupies a queue slot, and the
+//     rejection is counted in the model's Rejected series.
+//     Config.Deadline supplies a default per-request deadline to any
+//     call whose context has none, so an open-loop client cannot wait
+//     unboundedly. A request whose context is already expired is
+//     rejected at enqueue time, never occupying a batch slot.
 //
 // The fleet is elastic: models come and go under live traffic.
-// Unregister cuts admission over to ErrUnknownModel immediately, wakes
-// backpressure-parked callers to the same error, drains the model's
-// queue with no coalescing delay, and — once the last batch lands —
-// retires the backend from the stride scheduler and the scrub rotation,
-// folding its admission totals into the fleet's retired aggregates so
-// Stats stays monotonic. Replace swaps a model's engine (model, weight,
-// cap, gate, scrub) atomically at batch granularity: the dispatcher
-// snapshots an engine under the fleet lock when it claims a batch, so a
-// batch in flight finishes on the old engine while everything after the
-// swap — including requests already queued — runs on the new one, and
-// no request is ever dropped or answered ErrClosed across the cutover
-// (swap_test.go is the torture battery).
+// Unregister cuts admission over to ErrUnknownModel immediately, drains
+// the model's queue with no coalescing delay, and — once the last batch
+// lands — retires the backend from the stride scheduler and the scrub
+// rotation, folding its admission totals into the fleet's retired
+// aggregates so Stats stays monotonic. Replace swaps a model's engine
+// (model, weight, cap, gate, scrub) atomically at batch granularity: the
+// dispatcher snapshots an engine under the fleet lock when it claims a
+// batch, so a batch in flight finishes on the old engine while
+// everything after the swap — including requests already queued — runs
+// on the new one, and no request is ever dropped or answered ErrClosed
+// across the cutover (swap_test.go is the torture battery).
 //
 // Self-healing models register a Scrub hook (the façade wires it to
 // Protector.SelfHealContext) and a Gate (Protector.Sync); StartGuard
@@ -79,10 +76,10 @@
 //     model's totals stay in the fleet-wide aggregates (its per-model
 //     series are dropped) so counters never move backwards.
 //   - Drain-on-close: Close rejects new admissions fleet-wide
-//     (ErrClosed), wakes blocked backpressure callers, serves every
-//     already-admitted request on every model, and joins the
-//     dispatcher, all executors and the guard loop. Queue caps can
-//     reject under overload, but they can never deadlock the drain.
+//     (ErrClosed), serves every already-admitted request on every
+//     model, and joins the dispatcher, all executors and the guard
+//     loop. Queue caps can reject under overload, but they can never
+//     deadlock the drain.
 //
 // The package sits beside internal/serve, below the public façade
 // (milr.NewFleet constructs fleets, wiring Protectors to Gate/Scrub

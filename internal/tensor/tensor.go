@@ -200,13 +200,6 @@ func (t *Tensor) Sub(o *Tensor) error {
 	return nil
 }
 
-// Scale multiplies every element by k.
-func (t *Tensor) Scale(k float32) {
-	for i := range t.data {
-		t.data[i] *= k
-	}
-}
-
 // MaxAbsDiff returns the largest absolute element-wise difference between
 // t and o. It is the comparison primitive used by MILR's detection phase
 // when matching layer outputs against golden checkpoints.

@@ -92,10 +92,6 @@ func TestArithmetic(t *testing.T) {
 	if a.Data()[0] != 1 {
 		t.Errorf("Sub: got %v", a.Data())
 	}
-	a.Scale(2)
-	if a.Data()[1] != 4 {
-		t.Errorf("Scale: got %v", a.Data())
-	}
 	a.Fill(7)
 	if a.Data()[0] != 7 || a.Data()[2] != 7 {
 		t.Error("Fill failed")

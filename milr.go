@@ -225,17 +225,6 @@ func (rt *Runtime) Workers() int { return rt.opts.Workers }
 // BatchSize returns the evaluation and serving batch size.
 func (rt *Runtime) BatchSize() int { return rt.batch }
 
-// MaxBatchDelay returns the serving coalescing window.
-func (rt *Runtime) MaxBatchDelay() time.Duration { return rt.maxDelay }
-
-// QueueCap returns the default admission queue cap applied to fleet
-// model queues (0 = unbounded). See WithQueueCap.
-func (rt *Runtime) QueueCap() int { return rt.queueCap }
-
-// DefaultDeadline returns the default per-request deadline applied by
-// fleets (0 = none). See WithDefaultDeadline.
-func (rt *Runtime) DefaultDeadline() time.Duration { return rt.deadline }
-
 // Options returns the engine options this runtime protects models with.
 func (rt *Runtime) Options() Options { return rt.opts }
 

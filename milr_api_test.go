@@ -22,7 +22,6 @@ var goldenAPI = []string{
 	"Runtime",
 	"Runtime.BatchSize",
 	"Runtime.Evaluate",
-	"Runtime.MaxBatchDelay",
 	"Runtime.Options",
 	"Runtime.Protect",
 	"Runtime.Seed",
@@ -58,10 +57,7 @@ var goldenAPI = []string{
 	"QueueFullError",
 	"ModelStats",
 	"NewFleet",
-	"Runtime.DefaultDeadline",
-	"Runtime.QueueCap",
 	"WithDefaultDeadline",
-	"WithModelBackpressure",
 	"WithModelQueueCap",
 	"WithModelWeight",
 	"WithQueueCap",
