@@ -386,16 +386,24 @@ func FuzzLoadProtector(f *testing.F) {
 	f.Add(buf.Bytes())
 	// Values whose index arithmetic overflowed in the heal when the blob
 	// set them: a dense band near MaxInt, and a CRC group far beyond the
-	// matrix it groups. Both are refused at load now.
-	f.Add(reencode(f, buf.Bytes(), func(st *persistedState) { st.Opts.DenseBand = math.MaxInt }))
-	f.Add(reencode(f, buf.Bytes(), func(st *persistedState) {
-		for i := range st.Layers {
-			for j := range st.Layers[i].CRCs {
-				c := &st.Layers[i].CRCs[j]
-				c.Group, c.RowCRC, c.ColCRC = 1<<40, make([]uint8, c.Rows), make([]uint8, c.Cols)
+	// matrix it groups (MaxInt32, so that 32-bit builds compile it). Both
+	// are refused at load now.
+	for _, seed := range [][]byte{
+		reencode(f, buf.Bytes(), func(st *persistedState) { st.Opts.DenseBand = math.MaxInt }),
+		reencode(f, buf.Bytes(), func(st *persistedState) {
+			for i := range st.Layers {
+				for j := range st.Layers[i].CRCs {
+					c := &st.Layers[i].CRCs[j]
+					c.Group, c.RowCRC, c.ColCRC = math.MaxInt32, make([]uint8, c.Rows), make([]uint8, c.Cols)
+				}
 			}
+		}),
+	} {
+		if _, err := LoadProtector(bytes.NewReader(seed), m); err == nil {
+			f.Fatal("LoadProtector accepted an out-of-range seed blob")
 		}
-	}))
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, blob []byte) {
 		m, err := microNet()
 		if err != nil {

@@ -6,6 +6,7 @@ import (
 	"math"
 	"sort"
 
+	"milr/internal/linalg"
 	"milr/internal/par"
 	"milr/internal/prng"
 	"milr/internal/tensor"
@@ -193,6 +194,106 @@ func solveDenseColumnsOracle(lp *layerPlan, cols []int, band int, opts Options) 
 		}
 		return nil
 	})
+}
+
+// solveConvSelectiveOracle is the selective conv solve that the Aᵀ
+// layout replaced, kept as the oracle TestConvSelectiveSolveMatchesOracle
+// pins it bit-identical against: the golden input lowered into A, and
+// each filter's residual a scalar dot product along A's rows. The body
+// is the product code of the commit before the Aᵀ layout, unedited but
+// for the function name.
+func solveConvSelectiveOracle(lp *layerPlan, goldenIn, goldenOut *tensor.Tensor, suspects map[int][]int, opts Options) (exact, approximate int, err error) {
+	c := lp.conv
+	a, err := lowerF64(c, goldenIn)
+	if err != nil {
+		return 0, 0, err
+	}
+	y := c.Filters()
+	taps := a.Cols
+	od := goldenOut.Data()
+	if goldenOut.NumElements() != a.Rows*y {
+		return 0, 0, fmt.Errorf("core: conv %q golden output has %d values, want %d", c.Name(), goldenOut.NumElements(), a.Rows*y)
+	}
+	w := c.Params().Data()
+	// Deterministic filter order keeps runs reproducible.
+	keys := make([]int, 0, len(suspects))
+	for k := range suspects {
+		keys = append(keys, k)
+	}
+	sort.Ints(keys)
+	// Independent filters solve concurrently: filter k only reads and
+	// writes column k of the weight matrix (w[t*y+k]), so the writes
+	// are disjoint and the per-filter outcomes independent of worker
+	// count. Outcomes land in per-filter slots; the exact/approximate
+	// tallies are summed in key order afterwards.
+	uniqueSlot := make([]bool, len(keys))
+	solvedSlot := make([]bool, len(keys))
+	err = par.ForErr(len(keys), opts.workerPool(), func(ki int) error {
+		k := keys[ki]
+		e := suspects[k]
+		if len(e) == 0 {
+			return nil
+		}
+		inE := make([]bool, taps)
+		for _, t := range e {
+			if t < 0 || t >= taps {
+				return fmt.Errorf("core: conv %q tap %d out of range [0,%d)", c.Name(), t, taps)
+			}
+			inE[t] = true
+		}
+		// Residual: golden output minus the contribution of taps assumed
+		// correct.
+		rhs := make([]float64, a.Rows)
+		for g := 0; g < a.Rows; g++ {
+			acc := float64(od[g*y+k])
+			row := a.Row(g)
+			for t := 0; t < taps; t++ {
+				if !inE[t] {
+					acc -= row[t] * float64(w[t*y+k])
+				}
+			}
+			rhs[g] = acc
+		}
+		sub, err := a.SelectColumns(e)
+		if err != nil {
+			return err
+		}
+		unique := len(e) <= a.Rows
+		x, err := linalg.LeastSquares(sub, rhs)
+		if err != nil {
+			// The restricted system can be rank-deficient when the
+			// golden input is structurally low-rank; take the paper's
+			// least-squares best effort.
+			x, err = linalg.RidgeSolve(sub, rhs)
+			if err != nil {
+				return fmt.Errorf("core: conv %q selective solve filter %d: %w", c.Name(), k, err)
+			}
+			unique = false
+		}
+		for i, t := range e {
+			cur := float64(w[t*y+k])
+			if relMismatch(x[i], cur, keepTol) {
+				w[t*y+k] = float32(x[i])
+			}
+		}
+		uniqueSlot[ki] = unique
+		solvedSlot[ki] = true
+		return nil
+	})
+	if err != nil {
+		return exact, approximate, err
+	}
+	for ki := range keys {
+		if !solvedSlot[ki] {
+			continue
+		}
+		if uniqueSlot[ki] {
+			exact++
+		} else {
+			approximate++
+		}
+	}
+	return exact, approximate, nil
 }
 
 // denseDummyRow regenerates row i of the banded dummy input matrix:

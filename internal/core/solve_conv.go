@@ -46,6 +46,31 @@ func lowerF64(c *nn.Conv2D, in *tensor.Tensor) (*linalg.Matrix, error) {
 	return m, nil
 }
 
+// lowerTF64 converts the conv's im2col matrix of the golden input to
+// float64 and transposes it on the way: row t of the result holds tap
+// t's input value at every output position, the vector the selective
+// solve's residual subtracts whole. It reads eight im2col rows at a
+// time, so each tap's eight outputs fill one cache line.
+func lowerTF64(c *nn.Conv2D, in *tensor.Tensor) (*linalg.Matrix, error) {
+	cols, err := c.Lower(in)
+	if err != nil {
+		return nil, err
+	}
+	g2, taps := cols.Dim(0), cols.Dim(1)
+	at := linalg.NewMatrix(taps, g2)
+	src := cols.Data()
+	for g0 := 0; g0 < g2; g0 += 8 {
+		rows := src[g0*taps : min(g0+8, g2)*taps]
+		for t := 0; t < taps; t++ {
+			dst := at.Data[t*g2+g0:]
+			for r := 0; r*taps < len(rows); r++ {
+				dst[r] = float64(rows[r*taps+t])
+			}
+		}
+	}
+	return at, nil
+}
+
 // convDummyOutputs applies `count` PRNG dummy filters to the golden input
 // and returns their outputs (G² rows × count columns), the only part of
 // the dummy data that must be stored.
@@ -173,25 +198,28 @@ func solveConvFull(lp *layerPlan, goldenIn, goldenOut *tensor.Tensor, filters []
 // filter. When a filter's suspect count exceeds the G² available
 // equations, the minimum-norm least-squares solution is used — the
 // paper's partial-recoverability best effort.
+//
+// The golden input is lowered once per layer into Aᵀ, so each tap's
+// column of A is a contiguous row. A filter's residual starts from its
+// golden output column and subtracts w[t]·Aᵀ[t] for every tap t assumed
+// correct, in ascending t, through tensor.SubScaled: per output
+// position, the same products subtracted in the same order as a dot
+// product along A's row, so the bits do not depend on the layout.
 func solveConvSelective(lp *layerPlan, goldenIn, goldenOut *tensor.Tensor, suspects map[int][]int, opts Options) (exact, approximate int, err error) {
 	c := lp.conv
-	a, err := lowerF64(c, goldenIn)
+	at, err := lowerTF64(c, goldenIn)
 	if err != nil {
 		return 0, 0, err
 	}
 	y := c.Filters()
-	taps := a.Cols
+	taps, g2 := at.Rows, at.Cols
 	od := goldenOut.Data()
-	if goldenOut.NumElements() != a.Rows*y {
-		return 0, 0, fmt.Errorf("core: conv %q golden output has %d values, want %d", c.Name(), goldenOut.NumElements(), a.Rows*y)
+	if goldenOut.NumElements() != g2*y {
+		return 0, 0, fmt.Errorf("core: conv %q golden output has %d values, want %d", c.Name(), goldenOut.NumElements(), g2*y)
 	}
 	w := c.Params().Data()
 	// Deterministic filter order keeps runs reproducible.
-	keys := make([]int, 0, len(suspects))
-	for k := range suspects {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
+	keys := xmaps.SortedKeys(suspects)
 	// Independent filters solve concurrently: filter k only reads and
 	// writes column k of the weight matrix (w[t*y+k]), so the writes
 	// are disjoint and the per-filter outcomes independent of worker
@@ -214,22 +242,23 @@ func solveConvSelective(lp *layerPlan, goldenIn, goldenOut *tensor.Tensor, suspe
 		}
 		// Residual: golden output minus the contribution of taps assumed
 		// correct.
-		rhs := make([]float64, a.Rows)
-		for g := 0; g < a.Rows; g++ {
-			acc := float64(od[g*y+k])
-			row := a.Row(g)
-			for t := 0; t < taps; t++ {
-				if !inE[t] {
-					acc -= row[t] * float64(w[t*y+k])
-				}
+		rhs := make([]float64, g2)
+		for g := range rhs {
+			rhs[g] = float64(od[g*y+k])
+		}
+		for t := 0; t < taps; t++ {
+			if !inE[t] {
+				tensor.SubScaled(rhs, at.Row(t), float64(w[t*y+k]))
 			}
-			rhs[g] = acc
 		}
-		sub, err := a.SelectColumns(e)
-		if err != nil {
-			return err
+		// The restricted system: A's columns e, read from Aᵀ's rows.
+		sub := linalg.NewMatrix(g2, len(e))
+		for i, t := range e {
+			for g, v := range at.Row(t) {
+				sub.Data[g*len(e)+i] = v
+			}
 		}
-		unique := len(e) <= a.Rows
+		unique := len(e) <= g2
 		x, err := linalg.LeastSquares(sub, rhs)
 		if err != nil {
 			// The restricted system can be rank-deficient when the

@@ -99,7 +99,8 @@ func denseDummyOutputs(d *nn.Dense, seed, tag uint64, band int) (*tensor.Tensor,
 // x[i+1 … i+band−1] and nothing else. Per column the arithmetic is the
 // single-column back substitution's (same start value, subtractions in
 // ascending k, same divide), so the recovered bits do not depend on the
-// blocking or the worker count.
+// blocking or the worker count. One k's subtractions run for the whole
+// block as one tensor.SubScaled call.
 //
 // Every column is range-checked before any is solved: a bad column list
 // leaves the layer untouched.
@@ -131,10 +132,7 @@ func solveDenseColumns(lp *layerPlan, cols []int, band int, opts Options) error 
 				if s++; s == band {
 					s = 0
 				}
-				v, xs := vals[k], ring[s*bw:(s+1)*bw]
-				for b := range acc {
-					acc[b] -= v * xs[b]
-				}
+				tensor.SubScaled(acc, ring[s*bw:(s+1)*bw], vals[k])
 			}
 			xs := ring[slot*bw : (slot+1)*bw]
 			for b, j := range block {

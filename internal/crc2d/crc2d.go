@@ -1,7 +1,6 @@
 package crc2d
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 )
@@ -39,13 +38,19 @@ func CRC8(data []byte) uint8 {
 }
 
 // crcOfValues hashes float32 values by their IEEE-754 bit patterns, so a
-// single flipped bit always changes the checksum input.
+// single flipped bit always changes the checksum input. It is CRC8 of
+// the values' little-endian bytes, fed through the table as they are
+// read, with no buffer.
 func crcOfValues(vals []float32) uint8 {
-	buf := make([]byte, 4*len(vals))
-	for i, v := range vals {
-		binary.LittleEndian.PutUint32(buf[4*i:], math.Float32bits(v))
+	var crc uint8
+	for _, v := range vals {
+		b := math.Float32bits(v)
+		crc = crcTable[crc^uint8(b)]
+		crc = crcTable[crc^uint8(b>>8)]
+		crc = crcTable[crc^uint8(b>>16)]
+		crc = crcTable[crc^uint8(b>>24)]
 	}
-	return CRC8(buf)
+	return crc
 }
 
 // Cell identifies one matrix entry.

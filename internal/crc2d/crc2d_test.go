@@ -1,6 +1,7 @@
 package crc2d
 
 import (
+	"encoding/binary"
 	"math"
 	"testing"
 	"testing/quick"
@@ -28,6 +29,37 @@ func TestCRC8KnownProperties(t *testing.T) {
 	// "123456789" check value for CRC-8/0x07 (SMBus CRC-8) is 0xF4.
 	if got := CRC8([]byte("123456789")); got != 0xf4 {
 		t.Errorf("CRC8 check value %#x, want 0xf4", got)
+	}
+}
+
+// TestCRCOfValuesIsCRC8OfBytes pins the buffer-free value hash to CRC8
+// of the values' little-endian bytes, so the stored codes (saved blobs
+// included) keep every bit: random values of every length 0–9, and
+// NaNs with distinct payloads, ±0, ±Inf and subnormals.
+func TestCRCOfValuesIsCRC8OfBytes(t *testing.T) {
+	specials := []float32{
+		math.Float32frombits(0x7fc00001), math.Float32frombits(0xffbfffff),
+		math.Float32frombits(0x7f800123), 0, float32(math.Copysign(0, -1)),
+		float32(math.Inf(1)), float32(math.Inf(-1)), math.Float32frombits(1),
+		math.Float32frombits(0x807fffff),
+	}
+	s := prng.New(8)
+	for trial := 0; trial < 200; trial++ {
+		vals := make([]float32, trial%10)
+		for i := range vals {
+			if s.Intn(3) == 0 {
+				vals[i] = specials[s.Intn(len(specials))]
+			} else {
+				vals[i] = math.Float32frombits(uint32(s.Uint64()))
+			}
+		}
+		buf := make([]byte, 4*len(vals))
+		for i, v := range vals {
+			binary.LittleEndian.PutUint32(buf[4*i:], math.Float32bits(v))
+		}
+		if got, want := crcOfValues(vals), CRC8(buf); got != want {
+			t.Fatalf("values %v: crcOfValues %#x, CRC8 of their bytes %#x", vals, got, want)
+		}
 	}
 }
 

@@ -20,6 +20,10 @@
 // come in two implementations with the same arithmetic: AVX2/FMA
 // assembly (gemm_amd64.s), chosen at init where CPUID reports it, and
 // the portable Go tile that runs everywhere else and serves as the
-// SIMD one's oracle; Kernel names the one in use. The GEMMCalls counter
-// exists so tests can enforce the one-GEMM-per-layer batching contract.
+// SIMD one's oracle; Kernel names the one in use. SubScaled, the
+// dst −= a·x row update under the MILR heal's conv residual and dense
+// back-substitution, rides the same probe: an AVX2 multiply-then-
+// subtract loop that fuses nothing, so it rounds as its Go loop does.
+// The GEMMCalls counter exists so tests can enforce the
+// one-GEMM-per-layer batching contract.
 package tensor

@@ -52,7 +52,8 @@ func GEMMCalls() uint64 { return gemmCalls.Load() }
 // (gemm_amd64.s), a tile four panels wide (eight ymm accumulators, as
 // many FMAs as its latency times its throughput keeps in flight) and a
 // one-panel tile for the panels left over replace tileDot, and an FMA
-// row axpy replaces streamRows' inner loop.
+// row axpy replaces streamRows' inner loop. The same probe picks
+// SubScaled's body, a multiply-then-subtract loop with no FMA.
 // Everywhere else the Go code below runs; it stays the portable kernel
 // and, with the ikj loop in the tests, the oracle for the SIMD one.
 // Packing, compaction and banding are shared. An assembly call covers
@@ -318,6 +319,28 @@ func streamRows(c, a, b []float32, n, p, lo, hi, jlo int, acc []float64) {
 		for j, v := range acc {
 			crow[j] = float32(v)
 		}
+	}
+}
+
+// SubScaled computes dst[i] -= a·x[i] for every i < len(dst): the
+// inner loop of the heal's conv residual and dense back-substitution
+// (internal/core). x must hold at least len(dst) values, and dst and x
+// must not overlap. Every element is rounded as Go rounds the
+// expression: the product, then the difference. The float64
+// conversion keeps a compiler from fusing the two, and the SIMD body
+// multiplies and subtracts in separate instructions, because a
+// float64×float64 product is not exact and a fused multiply-add would
+// change bits. The result is therefore the same on either kernel. The
+// race detector does not see the SIMD body's accesses, so dst should be
+// a buffer its caller alone writes, as both heal loops' buffers are.
+func SubScaled(dst, x []float64, a float64) {
+	x = x[:len(dst)]
+	if useSIMD {
+		subScaled(dst, x, a)
+		return
+	}
+	for i, v := range x {
+		dst[i] -= float64(a * v)
 	}
 }
 

@@ -1,10 +1,11 @@
 package tensor
 
 // The AVX2/FMA routines of gemm_amd64.s. Each covers at most one output
-// row, writes only its out array, and trusts its caller to have sliced
-// every range it reads: span is four adjacent panels of equal length,
-// panel one; vals and offs are a compacted row (len(offs) >=
-// len(vals)); b holds at least len(acc) values.
+// row, writes only its out array (subScaled: dst), and trusts its
+// caller to have sliced every range it reads: span is four adjacent
+// panels of equal length, panel one; vals and offs are a compacted row
+// (len(offs) >= len(vals)); b holds at least len(acc) values, x
+// len(dst).
 
 //go:noescape
 func tile4(span []float64, vals []float64, offs []int32, out *[4 * tileCols]float32)
@@ -14,6 +15,9 @@ func tile1(panel []float64, vals []float64, offs []int32, out *[tileCols]float32
 
 //go:noescape
 func axpy(acc []float64, av float64, b []float32)
+
+//go:noescape
+func subScaled(dst, x []float64, a float64)
 
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 

@@ -2,8 +2,8 @@
 
 package tensor
 
-// Off amd64 there is no SIMD kernel: the probe fails, so tileRows and
-// streamRows never call these.
+// Off amd64 there is no SIMD kernel: the probe fails, so tileRows,
+// streamRows and SubScaled never call these.
 
 func simdAvailable() bool { return false }
 
@@ -16,5 +16,9 @@ func tile1([]float64, []float64, []int32, *[tileCols]float32) {
 }
 
 func axpy([]float64, float64, []float32) {
+	panic("tensor: no SIMD kernel on this architecture")
+}
+
+func subScaled([]float64, []float64, float64) {
 	panic("tensor: no SIMD kernel on this architecture")
 }

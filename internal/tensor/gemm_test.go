@@ -365,3 +365,86 @@ func FuzzMatMulBitIdentity(f *testing.F) {
 		checkAgainstOracle(t, a, b, int(m), int(n), int(p), int(workers%5), nil)
 	})
 }
+
+// subScaledSpecials are the values SubScaled's two kernels could round
+// or propagate differently: NaNs with distinct payloads (a signalling
+// one among them), ±Inf, ±0, the extreme subnormals and values whose
+// product overflows or underflows.
+var subScaledSpecials = []float64{
+	math.Float64frombits(0x7ff8000000000001),
+	math.Float64frombits(0xfff80000deadbeef),
+	math.Float64frombits(0x7ff0000000000123),
+	math.Inf(1), math.Inf(-1),
+	0, math.Copysign(0, -1),
+	math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+	math.Float64frombits(0x000fffffffffffff),
+	math.MaxFloat64, -math.MaxFloat64, 1e-300, -3e-200, 1, -1.5,
+}
+
+// TestSubScaledMatchesGo pins SubScaled's SIMD kernel to its Go
+// kernel bit for bit, and the Go kernel to the expression
+// dst[i] - float64(a*x[i]): every length 0–67 (the SIMD body's 16-wide,
+// 4-wide and scalar tails), x longer than dst, and the specials in dst,
+// x and a. Where a and x[i] are both NaN, Go leaves the product's
+// payload to the compiler's operand order, so the expression only
+// fixes that the result is a NaN; the two kernels must still agree on
+// its bits. The test also checks that nothing past len(dst) is written
+// and that x is only read.
+func TestSubScaledMatchesGo(t *testing.T) {
+	st := prng.New(37)
+	draw := func() float64 {
+		if st.Intn(3) == 0 {
+			return subScaledSpecials[st.Intn(len(subScaledSpecials))]
+		}
+		return 4*st.Float64() - 2
+	}
+	kernels := tensor.HostKernels()
+	as := append([]float64{0.75, -2.5e-3}, subScaledSpecials...)
+	for n := 0; n <= 67; n++ {
+		for _, extra := range []int{0, 5} {
+			for ai, a := range as {
+				buf := make([]float64, n+3)
+				x := make([]float64, n+extra)
+				for i := range buf {
+					buf[i] = draw()
+				}
+				for i := range x {
+					x[i] = draw()
+				}
+				want := append([]float64(nil), buf...)
+				for i := 0; i < n; i++ {
+					want[i] -= float64(a * x[i])
+				}
+				xWas := append([]float64(nil), x...)
+				var goBits []float64
+				for _, kernel := range kernels {
+					got := append([]float64(nil), buf...)
+					restore := tensor.SetKernel(kernel)
+					tensor.SubScaled(got[:n], x, a)
+					restore()
+					for i := range got {
+						g, w := math.Float64bits(got[i]), math.Float64bits(want[i])
+						bothNaN := i < n && math.IsNaN(a) && math.IsNaN(x[i])
+						ok := g == w || bothNaN && math.IsNaN(got[i])
+						if kernel != "go" { // HostKernels lists "go" first
+							w = math.Float64bits(goBits[i])
+							ok = g == w
+						}
+						if !ok {
+							t.Fatalf("%s kernel, len %d, len(x) %d, a #%d (%v): element %d is %#x, want %#x",
+								kernel, n, len(x), ai, a, i, g, w)
+						}
+					}
+					if kernel == "go" {
+						goBits = got
+					}
+					for i := range x {
+						if math.Float64bits(x[i]) != math.Float64bits(xWas[i]) {
+							t.Fatalf("%s kernel, len %d: x[%d] written", kernel, n, i)
+						}
+					}
+				}
+			}
+		}
+	}
+}
