@@ -58,20 +58,28 @@ func (pr *Protector) detectInput(lp *layerPlan) *tensor.Tensor {
 	return prng.TensorFor(pr.opts.Seed, lp.detectTag, shape...)
 }
 
-// convPartialCheckpoint stores one output value per filter: the filter's
-// response at the centre output position of the layer-local PRNG input,
-// a position whose receptive field covers every filter tap.
+// convProbe is a conv layer's probe response: its Y outputs at the
+// centre output position of the layer-local PRNG input, a position whose
+// receptive field covers every filter tap. Only that position's im2col
+// row is multiplied (Conv2D.ForwardAt), bit-identical to the same
+// elements of the full-map forward.
+func (pr *Protector) convProbe(lp *layerPlan) ([]float32, error) {
+	in := pr.detectInput(lp)
+	out, err := lp.conv.OutShape(in.Shape())
+	if err != nil {
+		return nil, err
+	}
+	return lp.conv.ForwardAt(in, out[0]/2, out[1]/2)
+}
+
+// convPartialCheckpoint stores one output value per filter: the
+// layer's probe response (convProbe).
 func (pr *Protector) convPartialCheckpoint(lp *layerPlan) (*tensor.Tensor, error) {
-	out, err := lp.conv.RecoveryForward(pr.detectInput(lp))
+	probe, err := pr.convProbe(lp)
 	if err != nil {
 		return nil, fmt.Errorf("core: partial checkpoint conv layer %d: %w", lp.idx, err)
 	}
-	gh, gw, y := out.Dim(0), out.Dim(1), out.Dim(2)
-	partial := tensor.New(y)
-	for k := 0; k < y; k++ {
-		partial.Set(out.At(gh/2, gw/2, k), k)
-	}
-	return partial, nil
+	return tensor.MustFromSlice(probe, len(probe)), nil
 }
 
 // densePartialCheckpoint stores one output value per parameter column:
@@ -162,28 +170,25 @@ func (pr *Protector) detectLayer(lp *layerPlan) (*LayerFinding, error) {
 }
 
 func (pr *Protector) detectConv(lp *layerPlan) (*LayerFinding, error) {
-	out, err := lp.conv.RecoveryForward(pr.detectInput(lp))
+	probe, err := pr.convProbe(lp)
 	if err != nil {
 		return nil, fmt.Errorf("core: detect conv layer %d: %w", lp.idx, err)
 	}
-	flagged := pr.convProbeMismatch(lp, out)
+	flagged := pr.convProbeMismatch(lp, probe)
 	if len(flagged) == 0 {
 		return nil, nil
 	}
 	return &LayerFinding{Layer: lp.idx, Name: pr.model.Layer(lp.idx).Name(), Filters: flagged}, nil
 }
 
-// convProbeMismatch compares a conv layer's probe response (its
-// detection input run through the layer) against the stored partial
-// checkpoint and returns the mismatching filter indices. Split from
-// detectConv so the batched recovery pipeline can verify a layer from
-// the probe sample of a pooled GEMM instead of a dedicated pass.
-func (pr *Protector) convProbeMismatch(lp *layerPlan, out *tensor.Tensor) []int {
-	gh, gw, y := out.Dim(0), out.Dim(1), out.Dim(2)
+// convProbeMismatch compares a conv layer's probe response (convProbe's
+// Y values) against the stored partial checkpoint and returns the
+// mismatching filter indices. Split from detectConv so the recovery
+// pipeline's post-heal verification shares the comparison.
+func (pr *Protector) convProbeMismatch(lp *layerPlan, probe []float32) []int {
 	var flagged []int
-	pd := lp.partial.Data()
-	for k := 0; k < y; k++ {
-		if relMismatch(float64(out.At(gh/2, gw/2, k)), float64(pd[k]), detectTol) {
+	for k, v := range lp.partial.Data() {
+		if relMismatch(float64(probe[k]), float64(v), detectTol) {
 			flagged = append(flagged, k)
 		}
 	}

@@ -460,3 +460,48 @@ func TestCommittedBlobLoadsAndHeals(t *testing.T) {
 		t.Fatalf("weights off by %g after healing from the committed blob", diff)
 	}
 }
+
+// TestCommittedBlobConvPartialsMatchProbe pins the one-row conv probe
+// against checkpoints an older build stored: every conv partial in
+// testdata/tiny-protector.gob, written when the probe was the centre
+// element of a whole-map forward, equals convProbe on the same clean
+// weights bit for bit.
+func TestCommittedBlobConvPartialsMatchProbe(t *testing.T) {
+	blob, err := os.ReadFile(filepath.Join("testdata", "tiny-protector.gob"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := nn.NewTinyNet()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.InitWeights(7)
+	pr, err := LoadProtector(bytes.NewReader(blob), m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	convs := 0
+	for _, lp := range pr.plan.layers {
+		if lp.role != roleConv {
+			continue
+		}
+		convs++
+		probe, err := pr.convProbe(lp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stored := lp.partial.Data()
+		if len(probe) != len(stored) {
+			t.Fatalf("layer %d: probe has %d values, blob %d", lp.idx, len(probe), len(stored))
+		}
+		for k, v := range stored {
+			if math.Float32bits(probe[k]) != math.Float32bits(v) {
+				t.Fatalf("layer %d filter %d: probe %v (%#x), blob %v (%#x)",
+					lp.idx, k, probe[k], math.Float32bits(probe[k]), v, math.Float32bits(v))
+			}
+		}
+	}
+	if convs == 0 {
+		t.Fatal("the committed blob holds no conv layer")
+	}
+}

@@ -154,8 +154,7 @@ func HealOutcome(det *DetectionReport, rec *RecoveryReport, err error) (errorsDe
 // It performs everything up to — but not including — the post-solve
 // verification probe: on solver failure the returned result carries
 // Status Failed, otherwise Status is left unset for the caller to fill
-// from a probe pass (the pooled propagation GEMM's probe sample, see
-// recoverSweptLayer).
+// from a probe pass (convProbe, see recoverSweptLayer).
 func (pr *Protector) solveConvFinding(lp *layerPlan, f LayerFinding, goldenIn, goldenOut *tensor.Tensor) (RecoveryResult, error) {
 	res := RecoveryResult{Layer: lp.idx, Name: f.Name}
 	taps := lp.conv.FilterSize() * lp.conv.FilterSize() * lp.conv.InChannels()
@@ -211,10 +210,10 @@ func (pr *Protector) solveConvFinding(lp *layerPlan, f LayerFinding, goldenIn, g
 }
 
 // convProbeStatus classifies a recovered conv layer from its probe
-// response: clean against the partial checkpoint means Recovered,
-// anything else Approximate.
-func (pr *Protector) convProbeStatus(lp *layerPlan, out *tensor.Tensor) RecoveryStatus {
-	if len(pr.convProbeMismatch(lp, out)) > 0 {
+// response (convProbe): clean against the partial checkpoint means
+// Recovered, anything else Approximate.
+func (pr *Protector) convProbeStatus(lp *layerPlan, probe []float32) RecoveryStatus {
+	if len(pr.convProbeMismatch(lp, probe)) > 0 {
 		return Approximate
 	}
 	return Recovered

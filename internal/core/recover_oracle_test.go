@@ -20,7 +20,9 @@ import (
 // the function bodies are the product code of the commit that retired
 // Options.SequentialRecovery, unedited (recoverDense moved here later,
 // also unedited, once the sweep verified dense layers through
-// recoverSweptLayer).
+// recoverSweptLayer) but for verifyConv, which reads the centre
+// position out of the whole map itself since convProbeStatus takes the
+// probe's Y values.
 
 // selfHealOracle is SelfHeal with the recovery phase run by the oracle:
 // detection, then recoverSequential over the sorted findings, as one
@@ -106,14 +108,20 @@ func (pr *Protector) recoverDense(lp *layerPlan, f LayerFinding) (RecoveryResult
 }
 
 // verifyConv runs the conv layer's dedicated post-recovery probe pass
-// (the sequential path; the batched pipeline reads the same comparison
-// off its pooled propagation GEMM instead).
+// (the sequential path). It keeps the whole-map forward and reads the
+// centre position out of it, so the equivalence tests cross-check the
+// pipeline's one-row probe (convProbe) against the full map.
 func (pr *Protector) verifyConv(lp *layerPlan) RecoveryStatus {
 	out, err := lp.conv.RecoveryForward(pr.detectInput(lp))
 	if err != nil {
 		return Failed
 	}
-	return pr.convProbeStatus(lp, out)
+	gh, gw := out.Dim(0), out.Dim(1)
+	probe := make([]float32, out.Dim(2))
+	for k := range probe {
+		probe[k] = out.At(gh/2, gw/2, k)
+	}
+	return pr.convProbeStatus(lp, probe)
 }
 
 // recoverBiasSequential fetches the golden pair for recoverBias.

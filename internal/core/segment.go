@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"milr/internal/nn"
 	"milr/internal/par"
 	"milr/internal/tensor"
 )
@@ -23,27 +22,31 @@ import (
 //     instead of recomputed per layer);
 //   - one forward sweep per segment propagates from the preceding
 //     checkpoint once, pausing at each flagged layer to re-solve it and
-//     then carrying the propagation on *through the recovered layer* —
-//     and for the GEMM layers (conv, dense) the continuation is stacked
-//     with the layer's post-recovery verification probe into a single
-//     pooled GEMM (the layer's ForwardBatch, which is also its
-//     recovery-mode pass), so propagation and verification cost one
-//     kernel invocation, not two;
+//     then carrying the propagation on *through the recovered layer*.
+//     A dense layer's continuation is stacked with its post-recovery
+//     probe row into one pooled GEMM (the layer's ForwardBatch, which
+//     is also its recovery-mode pass). A conv layer verifies with its
+//     one-row probe (Conv2D.ForwardAt at the centre position, the one
+//     its partial checkpoint stores) and continues with a plain
+//     forward: stacking a whole G²-row probe sample would spend G²−1
+//     rows on outputs the check never reads;
 //   - segments share nothing but read-only checkpoints, so they recover
 //     concurrently on the engine's worker pool (Options.Workers).
 //
-// The result is at most one propagation/verification GEMM per conv or
-// dense layer per segment (enforced via the tensor.GEMMCalls counter in
-// segment_test.go), and one checkpoint read per segment end instead of
-// one per flagged layer. Everything is bit-identical to the per-layer
-// oracle: the sweeps visit the same layers in the same order with the
-// same parameter states — a layer's recovery never changes the
-// propagation *up to* its own input, and inversion above a flagged
-// layer never depends on layers below it — and the stacked GEMM is
-// per-sample bit-identical to the single-sample kernels
-// (internal/nn/batch_equiv_test.go). Pinned by the equivalence test in
-// segment_test.go; the façade-level TestRecoveryPipelineBitIdentity
-// pins pooled against serial workers.
+// The result is at most one propagation GEMM per conv or dense layer
+// per segment, plus one one-row probe per recovered conv (an exact
+// count, enforced via the tensor.GEMMCalls counter in segment_test.go),
+// and one checkpoint read per segment end instead of one per flagged
+// layer. Everything is bit-identical to the per-layer oracle: the
+// sweeps visit the same layers in the same order with the same
+// parameter states — a layer's recovery never changes the propagation
+// *up to* its own input, and inversion above a flagged layer never
+// depends on layers below it — the stacked GEMM is per-sample
+// bit-identical to the single-sample kernels
+// (internal/nn/batch_equiv_test.go), and the one-row conv probe equals
+// the whole map's centre (the oracle still reads it off the whole map).
+// Pinned by the equivalence test in segment_test.go; the façade-level
+// TestRecoveryPipelineBitIdentity pins pooled against serial workers.
 
 // segmentNeedsGoldenIn reports whether recovering a layer of this role
 // consumes the golden input (dense layers re-solve purely from stored
@@ -160,7 +163,7 @@ func (pr *Protector) recoverSegment(ctx context.Context, seg segment, fs []Layer
 
 	// Forward sweep: one propagation pass from the preceding checkpoint,
 	// re-solving each flagged layer as it is reached and carrying the
-	// propagation on through the recovered parameters. Flagged GEMM
+	// propagation on through the recovered parameters. Flagged dense
 	// layers stack the continuation with their verification probe into
 	// one pooled GEMM.
 	var results []RecoveryResult
@@ -213,10 +216,11 @@ func (pr *Protector) recoverSegment(ctx context.Context, seg segment, fs []Layer
 
 // recoverSweptLayer re-solves one flagged layer, verifies it, and —
 // when propagate is set — returns the golden activation carried through
-// the recovered layer. Conv and dense layers verify with one
-// ForwardBatch: the probe alone, or stacked with the continuation when
-// the sweep goes on. Bias layers verify arithmetically inside their
-// solver and propagate with a plain forward.
+// the recovered layer. A dense layer verifies with one ForwardBatch: its
+// probe row alone, or stacked behind the continuation when the sweep
+// goes on. A conv layer verifies with its one-row probe (convProbe) and
+// propagates with a plain forward. Bias layers verify arithmetically
+// inside their solver and propagate with a plain forward.
 func (pr *Protector) recoverSweptLayer(lp *layerPlan, f *LayerFinding, goldenIn, goldenOut *tensor.Tensor, propagate bool) (RecoveryResult, *tensor.Tensor, error) {
 	var res RecoveryResult
 	var err error
@@ -236,44 +240,37 @@ func (pr *Protector) recoverSweptLayer(lp *layerPlan, f *LayerFinding, goldenIn,
 		return res, nil, err
 	}
 	layer := pr.model.Layer(lp.idx)
-	if !verify {
-		// Nothing to probe (bias verified arithmetically, or the
-		// solver failed): plain single-sample propagation when needed.
+	if verify && lp.role == roleDense {
+		// One pooled GEMM: the probe row, stacked behind the golden
+		// propagation when the sweep continues — bit-identical per
+		// sample to separate passes.
+		ins := []*tensor.Tensor{pr.denseProbeInput(lp)}
+		if propagate {
+			ins = append([]*tensor.Tensor{goldenIn}, ins...)
+		}
+		outs, err := lp.dense.ForwardBatch(ins)
+		if err != nil {
+			return res, nil, fmt.Errorf("core: verify layer %d (%s): %w", lp.idx, layer.Name(), err)
+		}
+		pr.denseProbeResult(lp, outs[len(outs)-1], &res)
 		if !propagate {
 			return res, nil, nil
 		}
-		next, err := layer.RecoveryForward(goldenIn)
+		return res, outs[0], nil
+	}
+	if verify {
+		probe, err := pr.convProbe(lp)
 		if err != nil {
-			return res, nil, fmt.Errorf("core: segment forward layer %d (%s): %w", lp.idx, layer.Name(), err)
+			return res, nil, fmt.Errorf("core: verify layer %d (%s): %w", lp.idx, layer.Name(), err)
 		}
-		return res, next, nil
+		res.Status = pr.convProbeStatus(lp, probe)
 	}
-	// One pooled GEMM: the verification probe, stacked behind the golden
-	// propagation when the sweep continues — bit-identical per sample to
-	// separate passes.
-	var gemm nn.BatchCapable
-	var ins []*tensor.Tensor
-	if lp.role == roleConv {
-		gemm, ins = lp.conv, []*tensor.Tensor{pr.detectInput(lp)}
-	} else {
-		gemm, ins = lp.dense, []*tensor.Tensor{pr.denseProbeInput(lp)}
+	if !propagate {
+		return res, nil, nil
 	}
-	if propagate {
-		ins = append([]*tensor.Tensor{goldenIn}, ins...)
-	}
-	outs, err := gemm.ForwardBatch(ins)
+	next, err := layer.RecoveryForward(goldenIn)
 	if err != nil {
-		return res, nil, fmt.Errorf("core: verify layer %d (%s): %w", lp.idx, layer.Name(), err)
-	}
-	probeOut := outs[len(outs)-1]
-	if lp.role == roleConv {
-		res.Status = pr.convProbeStatus(lp, probeOut)
-	} else {
-		pr.denseProbeResult(lp, probeOut, &res)
-	}
-	var next *tensor.Tensor
-	if propagate {
-		next = outs[0]
+		return res, nil, fmt.Errorf("core: segment forward layer %d (%s): %w", lp.idx, layer.Name(), err)
 	}
 	return res, next, nil
 }

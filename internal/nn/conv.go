@@ -169,6 +169,42 @@ func (c *Conv2D) RecoveryForward(in *tensor.Tensor) (*tensor.Tensor, error) {
 	return c.Forward(in)
 }
 
+// ForwardAt returns the Y outputs at output position (i, j) alone: that
+// position's im2col row, with padding read as zeros, times the filter
+// matrix in a one-row GEMM. The kernel computes every output element
+// the same way whatever the row count (see internal/tensor's gemm.go),
+// so each value is bit-identical to Forward's (i, j, k) element at
+// 1/G² of the work. The MILR engine probes a layer's centre position
+// this way.
+func (c *Conv2D) ForwardAt(in *tensor.Tensor, i, j int) ([]float32, error) {
+	out, err := c.OutShape(in.Shape())
+	if err != nil {
+		return nil, err
+	}
+	if i < 0 || i >= out[0] || j < 0 || j >= out[1] {
+		return nil, fmt.Errorf("nn: conv %q position (%d,%d) outside its %dx%d output", c.name, i, j, out[0], out[1])
+	}
+	h, w, fz, pad := in.Dim(0), in.Dim(1), c.f*c.z, c.Pad()
+	x := in.Data()
+	row := make([]float32, c.f*fz)
+	for f1 := 0; f1 < c.f; f1++ {
+		r := i*c.stride + f1 - pad
+		if r < 0 || r >= h {
+			continue
+		}
+		for f2 := 0; f2 < c.f; f2++ {
+			if col := j*c.stride + f2 - pad; col >= 0 && col < w {
+				copy(row[f1*fz+f2*c.z:][:c.z], x[(r*w+col)*c.z:])
+			}
+		}
+	}
+	dst := make([]float32, c.y)
+	if err := tensor.MatMulInto(dst, row, c.w.Data(), 1, len(row), c.y, 1, nil); err != nil {
+		return nil, fmt.Errorf("conv %q: %w", c.name, err)
+	}
+	return dst, nil
+}
+
 type convCache struct {
 	cols    *tensor.Tensor
 	inShape tensor.Shape

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"milr/internal/prng"
@@ -151,6 +152,102 @@ func TestGEMMLayerForwardMatchesOracle(t *testing.T) {
 				}
 				assertIdentical(t, fmt.Sprintf("%s workers=%d sample %d", c.name, workers, i), want[i], batch[i])
 			}
+		}
+	}
+}
+
+// TestConvForwardAtMatchesForward pins the one-position conv probe the
+// MILR engine detects and verifies with: at every output position of
+// valid and same padding, stride 1 and 2, one and several input
+// channels, ForwardAt's Y values equal Forward's (i, j, ·) elements to
+// the last bit. Maps of G² ≥ 16 put Forward on the packed tile and
+// ForwardAt on the streamed row, so the two loop orders are compared.
+// The weights carry NaN payloads (a signalling one among them), ±Inf,
+// ±0 and subnormals, and the inputs ±0 and subnormals. Each filter
+// holds at most one NaN source (a NaN weight, or +Inf and −Inf whose
+// sum is one), because where two different NaNs meet the hardware keeps
+// its first operand's payload, and that order is the compiler's
+// choice, not the kernel's (see the tensor package's gemmCase).
+func TestConvForwardAtMatchesForward(t *testing.T) {
+	cases := []struct {
+		name       string
+		f, z, y, s int
+		padding    Padding
+		h, w       int
+	}{
+		{"valid stride 1 z=1", 3, 1, 8, 1, Valid, 9, 9},
+		{"valid stride 2 z=3", 3, 3, 8, 2, Valid, 11, 11},
+		{"valid stride 2 z=2 small map", 3, 2, 9, 2, Valid, 5, 7},
+		{"same stride 1 z=1", 3, 1, 8, 1, Same, 6, 5},
+		{"same stride 1 z=4 f=5", 5, 4, 10, 1, Same, 7, 7},
+	}
+	nanOf := math.Float32frombits
+	perFilter := [][]float32{
+		{nanOf(0x7fc00123)},
+		{nanOf(0xffc0beef)},
+		{nanOf(0x7f800001)}, // signalling
+		{float32(math.Inf(1)), float32(math.Inf(-1))},
+		{float32(math.Inf(-1))},
+	}
+	everywhere := []float32{0, float32(math.Copysign(0, -1)), math.SmallestNonzeroFloat32,
+		-math.SmallestNonzeroFloat32, nanOf(0x007fffff)}
+	for ci, c := range cases {
+		conv, err := NewConv2D(c.f, c.z, c.y, c.s, c.padding)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := prng.TensorFor(uint64(ci)+1, 97, c.f, c.f, c.z, c.y)
+		wd, taps := w.Data(), c.f*c.f*c.z
+		st := prng.New(uint64(ci) + 7)
+		for k, specials := range perFilter {
+			for _, v := range specials {
+				wd[st.Intn(taps)*c.y+k] = v
+			}
+		}
+		for i, v := range everywhere {
+			for k := len(perFilter); k < c.y; k++ {
+				wd[((i*3+k)%taps)*c.y+k] = v
+			}
+		}
+		if err := conv.SetParams(w); err != nil {
+			t.Fatal(err)
+		}
+		in := prng.TensorFor(uint64(ci)+1, 101, c.h, c.w, c.z)
+		for i, v := range everywhere {
+			in.Data()[(i*7)%len(in.Data())] = v
+		}
+		for _, workers := range []int{1, 3} {
+			conv.SetWorkers(workers)
+			want, err := conv.Forward(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gh, gw := want.Dim(0), want.Dim(1)
+			for i := 0; i < gh; i++ {
+				for j := 0; j < gw; j++ {
+					got, err := conv.ForwardAt(in, i, j)
+					if err != nil {
+						t.Fatalf("%s (%d,%d): %v", c.name, i, j, err)
+					}
+					if len(got) != c.y {
+						t.Fatalf("%s (%d,%d): %d values, want %d", c.name, i, j, len(got), c.y)
+					}
+					for k, g := range got {
+						if wv := want.At(i, j, k); math.Float32bits(g) != math.Float32bits(wv) {
+							t.Fatalf("%s workers=%d (%d,%d,%d): ForwardAt %v (%#x), Forward %v (%#x)",
+								c.name, workers, i, j, k, g, math.Float32bits(g), wv, math.Float32bits(wv))
+						}
+					}
+				}
+			}
+			for _, pos := range [][2]int{{-1, 0}, {0, -1}, {gh, 0}, {0, gw}} {
+				if _, err := conv.ForwardAt(in, pos[0], pos[1]); err == nil {
+					t.Fatalf("%s: ForwardAt(%d,%d) outside the %dx%d map succeeded", c.name, pos[0], pos[1], gh, gw)
+				}
+			}
+		}
+		if _, err := conv.ForwardAt(tensor.New(c.h, c.w, c.z+1), 0, 0); err == nil {
+			t.Fatalf("%s: ForwardAt accepted %d input channels", c.name, c.z+1)
 		}
 	}
 }

@@ -41,7 +41,7 @@
 // stack a whole batch into one GEMM per conv/dense layer, bit-identical
 // to per-sample Forward calls. Recovery is batched the same way: one
 // golden-propagation sweep per checkpoint segment heals every flagged
-// layer in it, at most one pooled GEMM per conv/dense layer per
+// layer in it, at most one propagation GEMM per conv/dense layer per
 // segment, bit-identical to healing layer by layer (see
 // ARCHITECTURE.md, "Recovery invariants").
 //
