@@ -58,40 +58,29 @@ func (pr *Protector) detectInput(lp *layerPlan) *tensor.Tensor {
 	return prng.TensorFor(pr.opts.Seed, lp.detectTag, shape...)
 }
 
-// convProbe is a conv layer's probe response: its Y outputs at the
-// centre output position of the layer-local PRNG input, a position whose
-// receptive field covers every filter tap. Only that position's im2col
-// row is multiplied (Conv2D.ForwardAt), bit-identical to the same
-// elements of the full-map forward.
-func (pr *Protector) convProbe(lp *layerPlan) ([]float32, error) {
-	in := pr.detectInput(lp)
-	out, err := lp.conv.OutShape(in.Shape())
+// probe is a conv or dense layer's response to its layer-local PRNG
+// input, one value per filter or parameter column: what its partial
+// checkpoint stores and what every scrub compares against it.
+//   - conv: the Y outputs at the centre output position, a position
+//     whose receptive field covers every filter tap. Only that
+//     position's im2col row is multiplied (Conv2D.ForwardAt),
+//     bit-identical to the same elements of the full-map forward.
+//   - dense: the product of a single (1, In) PRNG row with the
+//     parameter matrix, whatever the model input's row count.
+func (pr *Protector) probe(lp *layerPlan) ([]float32, error) {
+	if lp.role == roleConv {
+		in := pr.detectInput(lp)
+		out, err := lp.conv.OutShape(in.Shape())
+		if err != nil {
+			return nil, err
+		}
+		return lp.conv.ForwardAt(in, out[0]/2, out[1]/2)
+	}
+	out, err := lp.dense.RecoveryForward(prng.TensorFor(pr.opts.Seed, lp.detectTag, 1, lp.dense.In()))
 	if err != nil {
 		return nil, err
 	}
-	return lp.conv.ForwardAt(in, out[0]/2, out[1]/2)
-}
-
-// convPartialCheckpoint stores one output value per filter: the
-// layer's probe response (convProbe).
-func (pr *Protector) convPartialCheckpoint(lp *layerPlan) (*tensor.Tensor, error) {
-	probe, err := pr.convProbe(lp)
-	if err != nil {
-		return nil, fmt.Errorf("core: partial checkpoint conv layer %d: %w", lp.idx, err)
-	}
-	return tensor.MustFromSlice(probe, len(probe)), nil
-}
-
-// densePartialCheckpoint stores one output value per parameter column:
-// the product of a single PRNG input row with the parameter matrix.
-func (pr *Protector) densePartialCheckpoint(lp *layerPlan) (*tensor.Tensor, error) {
-	out, err := lp.dense.RecoveryForward(pr.denseProbeInput(lp))
-	if err != nil {
-		return nil, fmt.Errorf("core: partial checkpoint dense layer %d: %w", lp.idx, err)
-	}
-	partial := tensor.New(lp.dense.Out())
-	copy(partial.Data(), out.Data())
-	return partial, nil
+	return out.Data(), nil
 }
 
 // Detect runs MILR's error-detection phase: every parameterized layer's
@@ -146,83 +135,38 @@ func (pr *Protector) detectLocked(ctx context.Context) (*DetectionReport, error)
 	return report, nil
 }
 
-// detectLayer scrubs one layer. It only reads model parameters and
-// stored checkpoints, so independent layers can run concurrently.
+// detectLayer scrubs one layer: a conv or dense layer's probe against
+// its partial checkpoint, a bias layer's parameter sum against the
+// stored one. It is the only comparison MILR makes — detection, the
+// partial-mode pre-check and post-heal verification all call it — and
+// it allocates a finding only for a flagged layer. It only reads model
+// parameters and stored checkpoints, so independent layers can run
+// concurrently.
 func (pr *Protector) detectLayer(lp *layerPlan) (*LayerFinding, error) {
+	var flagged []int
+	sumMismatch := false
 	switch lp.role {
-	case roleConv:
-		return pr.detectConv(lp)
-	case roleDense:
-		return pr.detectDense(lp)
+	case roleConv, roleDense:
+		probe, err := pr.probe(lp)
+		if err != nil {
+			return nil, fmt.Errorf("core: probe layer %d: %w", lp.idx, err)
+		}
+		for k, v := range lp.partial.Data() {
+			if relMismatch(float64(probe[k]), float64(v), detectTol) {
+				flagged = append(flagged, k)
+			}
+		}
 	case roleBias:
-		sum := lp.bias.Params().Sum()
-		if relMismatch(sum, lp.biasSum, detectTol) {
-			return &LayerFinding{
-				Layer:       lp.idx,
-				Name:        pr.model.Layer(lp.idx).Name(),
-				SumMismatch: true,
-			}, nil
-		}
-		return nil, nil
-	default:
+		sumMismatch = relMismatch(lp.bias.Params().Sum(), lp.biasSum, detectTol)
+	}
+	if len(flagged) == 0 && !sumMismatch {
 		return nil, nil
 	}
-}
-
-func (pr *Protector) detectConv(lp *layerPlan) (*LayerFinding, error) {
-	probe, err := pr.convProbe(lp)
-	if err != nil {
-		return nil, fmt.Errorf("core: detect conv layer %d: %w", lp.idx, err)
+	f := &LayerFinding{Layer: lp.idx, Name: pr.model.Layer(lp.idx).Name(), SumMismatch: sumMismatch}
+	if lp.role == roleConv {
+		f.Filters = flagged
+	} else {
+		f.Columns = flagged
 	}
-	flagged := pr.convProbeMismatch(lp, probe)
-	if len(flagged) == 0 {
-		return nil, nil
-	}
-	return &LayerFinding{Layer: lp.idx, Name: pr.model.Layer(lp.idx).Name(), Filters: flagged}, nil
-}
-
-// convProbeMismatch compares a conv layer's probe response (convProbe's
-// Y values) against the stored partial checkpoint and returns the
-// mismatching filter indices. Split from detectConv so the recovery
-// pipeline's post-heal verification shares the comparison.
-func (pr *Protector) convProbeMismatch(lp *layerPlan, probe []float32) []int {
-	var flagged []int
-	for k, v := range lp.partial.Data() {
-		if relMismatch(float64(probe[k]), float64(v), detectTol) {
-			flagged = append(flagged, k)
-		}
-	}
-	return flagged
-}
-
-// denseProbeInput regenerates the dense layer's detection input row.
-func (pr *Protector) denseProbeInput(lp *layerPlan) *tensor.Tensor {
-	return prng.TensorFor(pr.opts.Seed, lp.detectTag, 1, lp.dense.In())
-}
-
-func (pr *Protector) detectDense(lp *layerPlan) (*LayerFinding, error) {
-	out, err := lp.dense.RecoveryForward(pr.denseProbeInput(lp))
-	if err != nil {
-		return nil, fmt.Errorf("core: detect dense layer %d: %w", lp.idx, err)
-	}
-	flagged := pr.denseProbeMismatch(lp, out)
-	if len(flagged) == 0 {
-		return nil, nil
-	}
-	return &LayerFinding{Layer: lp.idx, Name: pr.model.Layer(lp.idx).Name(), Columns: flagged}, nil
-}
-
-// denseProbeMismatch is convProbeMismatch's dense counterpart: it
-// compares the probe-row response against the stored partial checkpoint
-// and returns the mismatching parameter columns.
-func (pr *Protector) denseProbeMismatch(lp *layerPlan, out *tensor.Tensor) []int {
-	od := out.Data()
-	pd := lp.partial.Data()
-	var flagged []int
-	for j := range pd {
-		if relMismatch(float64(od[j]), float64(pd[j]), detectTol) {
-			flagged = append(flagged, j)
-		}
-	}
-	return flagged
+	return f, nil
 }

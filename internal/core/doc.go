@@ -18,20 +18,20 @@
 //     forward it through that layer alone, and compare against the
 //     partial checkpoint. A conv layer is forwarded at its centre
 //     output position only (Conv2D.ForwardAt), the one position its
-//     checkpoint stores.
+//     checkpoint stores, a dense layer on one PRNG row.
 //   - Error recovery: move golden tensors from the nearest checkpoints to
 //     the erroneous layers with forward and inverse passes, then call each
 //     layer's parameter-recovery function R. The pipeline is batched
 //     per checkpoint segment: one backward sweep captures every
 //     flagged layer's golden output, one forward sweep delivers golden
-//     inputs, re-solves each layer in order, verifies it with its
-//     probe and carries the propagation through the recovered layer
-//     (≤ 1 propagation GEMM per conv/dense layer per segment; a dense
-//     layer's probe row rides in that GEMM, a conv's is a one-row GEMM
-//     of its own); independent segments recover concurrently (see
-//     internal/core/segment.go). The one-layer-at-a-
-//     time path it replaced survives only as the tests' bit-identity
-//     oracle (recover_oracle_test.go).
+//     inputs, re-solves each layer in order, verifies it with the
+//     same scrub that flagged it (a conv or dense layer's one-row
+//     probe, a bias layer's parameter sum) and carries the propagation
+//     through the recovered layer (≤ 1 propagation GEMM per conv/dense
+//     layer per segment); independent segments recover concurrently
+//     (see internal/core/segment.go). The one-layer-at-a-time path it
+//     replaced survives only as the tests' bit-identity oracle
+//     (recover_oracle_test.go).
 //
 // Concurrency contract (see ARCHITECTURE.md): the Protector's engine
 // lock serializes whole phases against each other and against external

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"io"
 	"slices"
@@ -28,6 +29,11 @@ import (
 
 // persistVersion guards the on-disk format.
 const persistVersion = 1
+
+// ErrBlobVersion is returned, wrapped, by LoadProtector for a blob
+// written in another on-disk format version. It is checked before the
+// blob's contents are decoded.
+var ErrBlobVersion = errors.New("core: unsupported protector state version")
 
 type persistedLayer struct {
 	Idx         int
@@ -155,12 +161,12 @@ func LoadProtector(r io.Reader, model *nn.Model) (*Protector, error) {
 	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&skim); err != nil {
 		return nil, fmt.Errorf("core: load protector: %w", err)
 	}
+	if skim.Version != persistVersion {
+		return nil, fmt.Errorf("%w: version %d, want %d", ErrBlobVersion, skim.Version, persistVersion)
+	}
 	var st persistedState
 	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&st); err != nil {
 		return nil, fmt.Errorf("core: load protector: %w", err)
-	}
-	if st.Version != persistVersion {
-		return nil, fmt.Errorf("core: protector state version %d, want %d", st.Version, persistVersion)
 	}
 	if st.NumLayers != model.NumLayers() {
 		return nil, fmt.Errorf("core: state has %d layers, model has %d", st.NumLayers, model.NumLayers())

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/gob"
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
@@ -200,6 +201,21 @@ func TestLoadRejectsWrongModel(t *testing.T) {
 	}
 	if _, err := LoadProtector(bytes.NewReader([]byte("garbage")), other); err == nil {
 		t.Fatal("garbage state accepted")
+	}
+}
+
+// TestLoadRejectsOtherBlobVersion: a blob in another on-disk format
+// version fails with ErrBlobVersion, before its contents are decoded.
+func TestLoadRejectsOtherBlobVersion(t *testing.T) {
+	m, pr := tinyProtected(t, 54)
+	var buf bytes.Buffer
+	if err := pr.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	blob := reencode(t, buf.Bytes(), func(st *persistedState) { st.Version = 2 })
+	_, err := LoadProtector(bytes.NewReader(blob), m)
+	if !errors.Is(err, ErrBlobVersion) {
+		t.Fatalf("version-2 blob: got %v, want ErrBlobVersion", err)
 	}
 }
 
@@ -464,7 +480,7 @@ func TestCommittedBlobLoadsAndHeals(t *testing.T) {
 // TestCommittedBlobConvPartialsMatchProbe pins the one-row conv probe
 // against checkpoints an older build stored: every conv partial in
 // testdata/tiny-protector.gob, written when the probe was the centre
-// element of a whole-map forward, equals convProbe on the same clean
+// element of a whole-map forward, equals the conv probe on the same clean
 // weights bit for bit.
 func TestCommittedBlobConvPartialsMatchProbe(t *testing.T) {
 	blob, err := os.ReadFile(filepath.Join("testdata", "tiny-protector.gob"))
@@ -486,7 +502,7 @@ func TestCommittedBlobConvPartialsMatchProbe(t *testing.T) {
 			continue
 		}
 		convs++
-		probe, err := pr.convProbe(lp)
+		probe, err := pr.probe(lp)
 		if err != nil {
 			t.Fatal(err)
 		}

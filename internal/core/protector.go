@@ -145,6 +145,15 @@ func (pr *Protector) initialize(ctx context.Context) error {
 // layer's own plan entry, so independent layers run concurrently.
 func (pr *Protector) initLayer(lp *layerPlan, goldenIn *tensor.Tensor) error {
 	i := lp.idx
+	if lp.role == roleConv || lp.role == roleDense {
+		// The partial checkpoint: the layer's probe on clean parameters.
+		lp.detectTag = tagDetect + uint64(i)
+		probe, err := pr.probe(lp)
+		if err != nil {
+			return fmt.Errorf("core: partial checkpoint layer %d: %w", i, err)
+		}
+		lp.partial = tensor.MustFromSlice(probe, len(probe))
+	}
 	switch lp.role {
 	case roleConv:
 		if lp.fullSolve {
@@ -176,12 +185,6 @@ func (pr *Protector) initLayer(lp *layerPlan, goldenIn *tensor.Tensor) error {
 			}
 			lp.dummyOut = out
 		}
-		lp.detectTag = tagDetect + uint64(i)
-		partial, err := pr.convPartialCheckpoint(lp)
-		if err != nil {
-			return err
-		}
-		lp.partial = partial
 		// After the rank probe, so a probe-demoted layer gets its codes.
 		if lp.partialMode {
 			codes, err := convEncodeCRC(lp.conv)
@@ -192,12 +195,6 @@ func (pr *Protector) initLayer(lp *layerPlan, goldenIn *tensor.Tensor) error {
 			lp.crcsClean = codes
 		}
 	case roleDense:
-		lp.detectTag = tagDetect + uint64(i)
-		partial, err := pr.densePartialCheckpoint(lp)
-		if err != nil {
-			return err
-		}
-		lp.partial = partial
 		lp.denseTag = tagDenseDummy + uint64(i)
 		dummyOut, err := denseDummyOutputs(lp.dense, pr.opts.Seed, lp.denseTag, denseBand)
 		if err != nil {

@@ -151,10 +151,8 @@ func HealOutcome(det *DetectionReport, rec *RecoveryReport, err error) (errorsDe
 }
 
 // solveConvFinding re-solves a flagged conv layer from a golden pair.
-// It performs everything up to — but not including — the post-solve
-// verification probe: on solver failure the returned result carries
-// Status Failed, otherwise Status is left unset for the caller to fill
-// from a probe pass (convProbe, see recoverSweptLayer).
+// On solver failure the returned result carries Status Failed;
+// otherwise Status is left for verifyLayer to fill.
 func (pr *Protector) solveConvFinding(lp *layerPlan, f LayerFinding, goldenIn, goldenOut *tensor.Tensor) (RecoveryResult, error) {
 	res := RecoveryResult{Layer: lp.idx, Name: f.Name}
 	taps := lp.conv.FilterSize() * lp.conv.FilterSize() * lp.conv.InChannels()
@@ -175,7 +173,7 @@ func (pr *Protector) solveConvFinding(lp *layerPlan, f LayerFinding, goldenIn, g
 		// gets all taps marked suspect. Filters that verify clean right
 		// now (e.g. a filter flagged on an intact layer) are left
 		// untouched.
-		still, err := pr.detectConv(lp)
+		still, err := pr.detectLayer(lp)
 		if err != nil {
 			return res, err
 		}
@@ -209,47 +207,46 @@ func (pr *Protector) solveConvFinding(lp *layerPlan, f LayerFinding, goldenIn, g
 	return res, nil
 }
 
-// convProbeStatus classifies a recovered conv layer from its probe
-// response (convProbe): clean against the partial checkpoint means
-// Recovered, anything else Approximate.
-func (pr *Protector) convProbeStatus(lp *layerPlan, probe []float32) RecoveryStatus {
-	if len(pr.convProbeMismatch(lp, probe)) > 0 {
-		return Approximate
-	}
-	return Recovered
-}
-
 // solveDenseFinding re-solves a flagged dense layer's columns from the
-// stored dummy outputs (no golden propagation needed). ok reports
-// whether the solve succeeded and verification is still pending; on
-// failure the result already carries Status Failed.
-func (pr *Protector) solveDenseFinding(lp *layerPlan, f LayerFinding) (res RecoveryResult, ok bool) {
-	res = RecoveryResult{Layer: lp.idx, Name: f.Name}
+// stored dummy outputs (no golden propagation needed). On failure the
+// result carries Status Failed; otherwise Status is left for
+// verifyLayer to fill.
+func (pr *Protector) solveDenseFinding(lp *layerPlan, f LayerFinding) RecoveryResult {
+	res := RecoveryResult{Layer: lp.idx, Name: f.Name}
 	if err := solveDenseColumns(lp, f.Columns, denseBand, pr.opts); err != nil {
 		res.Status = Failed
 		res.Detail = err.Error()
-		return res, false
+		return res
 	}
 	res.Solved = len(f.Columns) * lp.dense.In()
-	return res, true
+	return res
 }
 
-// denseProbeResult fills a dense recovery result's status from the
-// layer's probe response.
-func (pr *Protector) denseProbeResult(lp *layerPlan, out *tensor.Tensor, res *RecoveryResult) {
-	still := pr.denseProbeMismatch(lp, out)
-	if len(still) == 0 {
-		res.Status = Recovered
-	} else {
-		res.Status = Approximate
-		res.Detail = fmt.Sprintf("%d columns still mismatch", len(still))
+// verifyLayer fills a re-solved layer's status from the scrub that
+// flagged it (detectLayer): a clean scrub means Recovered, a flag
+// Approximate. A conv result keeps its solver's note.
+func (pr *Protector) verifyLayer(lp *layerPlan, res *RecoveryResult) error {
+	still, err := pr.detectLayer(lp)
+	if err != nil {
+		return fmt.Errorf("core: verify layer %d (%s): %w", lp.idx, pr.model.Layer(lp.idx).Name(), err)
 	}
+	if still == nil {
+		res.Status = Recovered
+		return nil
+	}
+	res.Status = Approximate
+	switch lp.role {
+	case roleDense:
+		res.Detail = fmt.Sprintf("%d columns still mismatch", len(still.Columns))
+	case roleBias:
+		res.Detail = "parameter sum still mismatches"
+	}
+	return nil
 }
 
 // recoverBias re-solves bias parameters by subtracting the golden input
 // from the golden output and "cleaning" the broadcast copies by
-// averaging them (§IV-E-b). Verification (the parameter sum) is
-// arithmetic, no probe pass.
+// averaging them (§IV-E-b). Status is left for verifyLayer to fill.
 func (pr *Protector) recoverBias(lp *layerPlan, goldenIn, goldenOut *tensor.Tensor) (RecoveryResult, error) {
 	res := RecoveryResult{Layer: lp.idx, Name: pr.model.Layer(lp.idx).Name()}
 	diff := goldenOut.Clone()
@@ -272,12 +269,6 @@ func (pr *Protector) recoverBias(lp *layerPlan, goldenIn, goldenOut *tensor.Tens
 		}
 	}
 	res.Solved = c
-	if relMismatch(lp.bias.Params().Sum(), lp.biasSum, detectTol) {
-		res.Status = Approximate
-		res.Detail = "parameter sum still mismatches"
-	} else {
-		res.Status = Recovered
-	}
 	return res, nil
 }
 

@@ -11,41 +11,37 @@ import (
 // The recovery pipeline: how golden tensors reach a flagged layer and
 // how the recovered layer is verified. Moving them to every flagged
 // layer independently would re-read the checkpoint at its preceding
-// boundary, re-propagate forward through layers the previous flagged
-// layer's propagation already visited, and verify with a dedicated
-// probe pass (the per-layer oracle in recover_oracle_test.go does
-// exactly that). This file amortizes all of it per checkpoint segment:
+// boundary and re-propagate forward through layers the previous flagged
+// layer's propagation already visited (the per-layer oracle in
+// recover_oracle_test.go does exactly that). This file amortizes it per
+// checkpoint segment:
 //
 //   - one backward sweep per segment inverts from the succeeding
 //     checkpoint once, capturing every flagged layer's golden output on
 //     the way down (the inversions between two flagged layers are shared
 //     instead of recomputed per layer);
 //   - one forward sweep per segment propagates from the preceding
-//     checkpoint once, pausing at each flagged layer to re-solve it and
-//     then carrying the propagation on *through the recovered layer*.
-//     A dense layer's continuation is stacked with its post-recovery
-//     probe row into one pooled GEMM (the layer's ForwardBatch, which
-//     is also its recovery-mode pass). A conv layer verifies with its
-//     one-row probe (Conv2D.ForwardAt at the centre position, the one
-//     its partial checkpoint stores) and continues with a plain
-//     forward: stacking a whole G²-row probe sample would spend G²−1
-//     rows on outputs the check never reads;
+//     checkpoint once, pausing at each flagged layer to re-solve it,
+//     verify it with the scrub that flagged it (verifyLayer: the
+//     one-row probe of a conv or dense layer, the parameter sum of a
+//     bias), and then carrying the propagation on *through the
+//     recovered layer* with a plain forward;
 //   - segments share nothing but read-only checkpoints, so they recover
 //     concurrently on the engine's worker pool (Options.Workers).
 //
 // The result is at most one propagation GEMM per conv or dense layer
-// per segment, plus one one-row probe per recovered conv (an exact
-// count, enforced via the tensor.GEMMCalls counter in segment_test.go),
-// and one checkpoint read per segment end instead of one per flagged
-// layer. Everything is bit-identical to the per-layer oracle: the
+// per segment, plus one one-row probe per recovered conv or dense layer
+// (an exact count, enforced via the tensor.GEMMCalls counter in
+// segment_test.go), and one checkpoint read per segment end instead of
+// one per flagged layer. The zoo nets hold one conv or dense layer per
+// segment, so there the sweep shares inversions and checkpoint reads,
+// not GEMMs. Everything is bit-identical to the per-layer oracle: the
 // sweeps visit the same layers in the same order with the same
 // parameter states — a layer's recovery never changes the propagation
 // *up to* its own input, and inversion above a flagged layer never
-// depends on layers below it — the stacked GEMM is per-sample
-// bit-identical to the single-sample kernels
-// (internal/nn/batch_equiv_test.go), and the one-row conv probe equals
-// the whole map's centre (the oracle still reads it off the whole map).
-// Pinned by the equivalence test in segment_test.go; the façade-level
+// depends on layers below it — and the oracle verifies with its own
+// comparisons (the whole map's centre for a conv). Pinned by the
+// equivalence test in segment_test.go; the façade-level
 // TestRecoveryPipelineBitIdentity pins pooled against serial workers.
 
 // segmentNeedsGoldenIn reports whether recovering a layer of this role
@@ -163,9 +159,7 @@ func (pr *Protector) recoverSegment(ctx context.Context, seg segment, fs []Layer
 
 	// Forward sweep: one propagation pass from the preceding checkpoint,
 	// re-solving each flagged layer as it is reached and carrying the
-	// propagation on through the recovered parameters. Flagged dense
-	// layers stack the continuation with their verification probe into
-	// one pooled GEMM.
+	// propagation on through the recovered parameters.
 	var results []RecoveryResult
 	if lastIn >= 0 {
 		cur, err := pr.boundaryTensor(seg.start)
@@ -195,7 +189,7 @@ func (pr *Protector) recoverSegment(ctx context.Context, seg segment, fs []Layer
 
 	// Flagged layers past lastIn need no golden propagation (dense, by
 	// construction): solve from stored dummy outputs and verify with the
-	// probe alone, exactly one GEMM each, with no propagation spent
+	// one-row probe, exactly one GEMM each, with no propagation spent
 	// reaching them.
 	for i := range fs {
 		f := &fs[i]
@@ -214,23 +208,18 @@ func (pr *Protector) recoverSegment(ctx context.Context, seg segment, fs []Layer
 	return results, nil
 }
 
-// recoverSweptLayer re-solves one flagged layer, verifies it, and —
+// recoverSweptLayer re-solves one flagged layer, verifies it with the
+// scrub that flagged it (verifyLayer) unless the solver failed, and —
 // when propagate is set — returns the golden activation carried through
-// the recovered layer. A dense layer verifies with one ForwardBatch: its
-// probe row alone, or stacked behind the continuation when the sweep
-// goes on. A conv layer verifies with its one-row probe (convProbe) and
-// propagates with a plain forward. Bias layers verify arithmetically
-// inside their solver and propagate with a plain forward.
+// the recovered layer. The rule is the same for every role.
 func (pr *Protector) recoverSweptLayer(lp *layerPlan, f *LayerFinding, goldenIn, goldenOut *tensor.Tensor, propagate bool) (RecoveryResult, *tensor.Tensor, error) {
 	var res RecoveryResult
 	var err error
-	verify := false
 	switch lp.role {
 	case roleConv:
 		res, err = pr.solveConvFinding(lp, *f, goldenIn, goldenOut)
-		verify = err == nil && res.Status != Failed
 	case roleDense:
-		res, verify = pr.solveDenseFinding(lp, *f)
+		res = pr.solveDenseFinding(lp, *f)
 	case roleBias:
 		res, err = pr.recoverBias(lp, goldenIn, goldenOut)
 	default:
@@ -239,35 +228,15 @@ func (pr *Protector) recoverSweptLayer(lp *layerPlan, f *LayerFinding, goldenIn,
 	if err != nil {
 		return res, nil, err
 	}
-	layer := pr.model.Layer(lp.idx)
-	if verify && lp.role == roleDense {
-		// One pooled GEMM: the probe row, stacked behind the golden
-		// propagation when the sweep continues — bit-identical per
-		// sample to separate passes.
-		ins := []*tensor.Tensor{pr.denseProbeInput(lp)}
-		if propagate {
-			ins = append([]*tensor.Tensor{goldenIn}, ins...)
+	if res.Status != Failed {
+		if err := pr.verifyLayer(lp, &res); err != nil {
+			return res, nil, err
 		}
-		outs, err := lp.dense.ForwardBatch(ins)
-		if err != nil {
-			return res, nil, fmt.Errorf("core: verify layer %d (%s): %w", lp.idx, layer.Name(), err)
-		}
-		pr.denseProbeResult(lp, outs[len(outs)-1], &res)
-		if !propagate {
-			return res, nil, nil
-		}
-		return res, outs[0], nil
-	}
-	if verify {
-		probe, err := pr.convProbe(lp)
-		if err != nil {
-			return res, nil, fmt.Errorf("core: verify layer %d (%s): %w", lp.idx, layer.Name(), err)
-		}
-		res.Status = pr.convProbeStatus(lp, probe)
 	}
 	if !propagate {
 		return res, nil, nil
 	}
+	layer := pr.model.Layer(lp.idx)
 	next, err := layer.RecoveryForward(goldenIn)
 	if err != nil {
 		return res, nil, fmt.Errorf("core: segment forward layer %d (%s): %w", lp.idx, layer.Name(), err)

@@ -11,9 +11,9 @@ import (
 
 // Tests for the batched (segment-sweep) recovery pipeline: bit-identity
 // against the per-layer oracle (recover_oracle_test.go), and the
-// pipeline's cost contract — at most one propagation/verification GEMM
-// per conv/dense layer per checkpoint segment, enforced through the
-// kernel-invocation counter.
+// pipeline's cost contract — at most one propagation GEMM per conv/dense
+// layer per checkpoint segment plus its one-row verification probe,
+// enforced through the kernel-invocation counter.
 
 // TestBatchedSequentialRecoveryEquivalence pins the batched pipeline
 // bit-identical to the per-layer oracle: for identical corruption, the
@@ -85,6 +85,24 @@ func TestBatchedSequentialRecoveryEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatalf("sequential=%v workers=%d: %v", sequential, workers, err)
 				}
+				if !sequential {
+					// A heal verifies each layer with the scrub that
+					// flagged it, so a fresh scrub flags exactly the
+					// layers the heal did not report Recovered.
+					unrecovered := []int{}
+					for _, r := range rec.Results {
+						if r.Status != Recovered {
+							unrecovered = append(unrecovered, r.Layer)
+						}
+					}
+					after, err := pr.Detect()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got := after.Erroneous(); !reflect.DeepEqual(got, unrecovered) {
+						t.Errorf("workers=%d: scrub after heal flags %v, want the unrecovered layers %v", workers, got, unrecovered)
+					}
+				}
 				return outcome{det: det, rec: rec, snap: m.Snapshot()}
 			}
 
@@ -117,31 +135,53 @@ func TestBatchedSequentialRecoveryEquivalence(t *testing.T) {
 	}
 }
 
+// healGEMMs restores the clean weights, corrupts them and returns the
+// GEMMs one self-heal spends — the batched pipeline's, or the per-layer
+// oracle's — after checking that detection flagged exactly want layers.
+func healGEMMs(t *testing.T, m *nn.Model, pr *Protector, clean map[int]*tensor.Tensor, corrupt func(), want int, sequential bool) uint64 {
+	t.Helper()
+	if err := m.Restore(clean); err != nil {
+		t.Fatal(err)
+	}
+	pr.ResetCRC()
+	corrupt()
+	selfHeal := pr.SelfHeal
+	if sequential {
+		selfHeal = pr.selfHealOracle
+	}
+	before := tensor.GEMMCalls()
+	det, _, err := selfHeal()
+	if err != nil {
+		t.Fatalf("sequential=%v: %v", sequential, err)
+	}
+	if len(det.Findings) != want {
+		t.Fatalf("sequential=%v: flagged %d layers, want %d", sequential, len(det.Findings), want)
+	}
+	return tensor.GEMMCalls() - before
+}
+
 // TestBatchedRecoveryGEMMBudget enforces the pipeline's cost contract
 // via the kernel counter: with every parameterized TinyNet layer
 // corrupted (two flagged layers in each of the four checkpoint
 // segments), one self-heal must spend exactly the GEMMs the cost model
-// below derives — strictly fewer than the per-layer oracle, which
-// re-propagates per flagged layer and probes separately.
+// below derives.
 func TestBatchedRecoveryGEMMBudget(t *testing.T) {
 	m, err := nn.NewTinyNet()
 	if err != nil {
 		t.Fatal(err)
 	}
 	m.InitWeights(13)
-	convDense := 0
-	for _, l := range m.Layers() {
-		switch l.(type) {
-		case *nn.Conv2D, *nn.Dense:
-			convDense++
-		}
-	}
 	pr, err := NewProtector(m, Options{Seed: 13})
 	if err != nil {
 		t.Fatal(err)
 	}
 	clean := m.Snapshot()
-	paramLayerCount := 0
+	paramLayers := 0
+	for _, l := range m.Layers() {
+		if _, ok := l.(nn.Parameterized); ok {
+			paramLayers++
+		}
+	}
 	corrupt := func() {
 		for _, l := range m.Layers() {
 			if p, ok := l.(nn.Parameterized); ok {
@@ -149,54 +189,28 @@ func TestBatchedRecoveryGEMMBudget(t *testing.T) {
 			}
 		}
 	}
-	for _, l := range m.Layers() {
-		if _, ok := l.(nn.Parameterized); ok {
-			paramLayerCount++
-		}
-	}
-
-	heal := func(sequential bool) uint64 {
-		if err := m.Restore(clean); err != nil {
-			t.Fatal(err)
-		}
-		pr.ResetCRC()
-		corrupt()
-		selfHeal := pr.SelfHeal
-		if sequential {
-			selfHeal = pr.selfHealOracle
-		}
-		before := tensor.GEMMCalls()
-		det, _, err := selfHeal()
-		if err != nil {
-			t.Fatalf("sequential=%v: %v", sequential, err)
-		}
-		if len(det.Findings) != paramLayerCount {
-			t.Fatalf("sequential=%v: flagged %d layers, want all %d parameterized",
-				sequential, len(det.Findings), paramLayerCount)
-		}
-		return tensor.GEMMCalls() - before
-	}
-
-	batched := heal(false)
-	sequential := heal(true)
+	batched := healGEMMs(t, m, pr, clean, corrupt, paramLayers, false)
 
 	// Detection probes every conv/dense layer once: a one-row GEMM each
 	// (the conv's centre im2col row, the dense probe row). Recovery
-	// then spends, per flagged layer:
-	//   - dense: one pooled GEMM, the golden propagation and the probe
-	//     row stacked;
-	//   - conv: a one-row verification probe, plus its propagation GEMM
-	//     when the segment's sweep goes on through it — here, when the
-	//     flagged bias after it shares its segment, since a bias
-	//     recovers from the golden input — plus, in partial mode, the
-	//     one-row CRC false-negative pre-check.
-	// A conv does not stack its one-row probe into the G²-row
-	// propagation: ForwardBatch stacks whole samples, and a whole-map
-	// probe costs G² rows to read one.
-	propagatingConvs, partialConvs := 0, 0
+	// then spends, per flagged conv or dense layer:
+	//   - its one-row verification probe, the same as detection's;
+	//   - its propagation GEMM when the segment's sweep goes on through
+	//     it — here, when the flagged bias after it shares its segment,
+	//     since a bias recovers from the golden input;
+	//   - in partial mode (convs only), the one-row CRC false-negative
+	//     pre-check.
+	// Every segment of this net holds one conv or dense layer, so the
+	// sweep shares no GEMM with the oracle here; see
+	// TestBatchedRecoverySharesSegmentGEMMs for a net where it does.
+	convDense, propagating, partialConvs := 0, 0, 0
 	for i, l := range m.Layers() {
-		if _, ok := l.(*nn.Conv2D); ok && pr.plan.layers[i+1].role == roleBias && pr.plan.succeedingBoundary(i) > i+1 {
-			propagatingConvs++
+		switch l.(type) {
+		case *nn.Conv2D, *nn.Dense:
+			convDense++
+			if i+1 < m.NumLayers() && pr.plan.layers[i+1].role == roleBias && pr.plan.succeedingBoundary(i) > i+1 {
+				propagating++
+			}
 		}
 	}
 	for _, info := range pr.PlanInfo() {
@@ -204,12 +218,57 @@ func TestBatchedRecoveryGEMMBudget(t *testing.T) {
 			partialConvs++
 		}
 	}
-	want := uint64(2*convDense + propagatingConvs + partialConvs)
+	want := uint64(2*convDense + propagating + partialConvs)
 	if batched != want {
-		t.Errorf("batched self-heal spent %d GEMMs, want %d (1 detect + 1 probe per conv/dense layer + %d conv propagations + %d partial-mode pre-checks)",
-			batched, want, propagatingConvs, partialConvs)
+		t.Errorf("batched self-heal spent %d GEMMs, want %d (1 detect + 1 probe per conv/dense layer + %d propagations + %d partial-mode pre-checks)",
+			batched, want, propagating, partialConvs)
 	}
-	if batched >= sequential {
-		t.Errorf("batched self-heal spent %d GEMMs, sequential %d — no amortization", batched, sequential)
+}
+
+// TestBatchedRecoverySharesSegmentGEMMs pins the amortization on a net
+// with two GEMM layers in one checkpoint segment — a 3×3 conv with nine
+// filters (invertible without dummies), bias, ReLU, flatten, a square
+// dense layer, bias — with both biases flagged. Detection spends two
+// probes; the batched sweep then propagates once through the conv and
+// once through the dense layer (4 GEMMs), while the oracle propagates
+// through the conv again for the second bias (5).
+func TestBatchedRecoverySharesSegmentGEMMs(t *testing.T) {
+	conv, err := nn.NewConv2D(3, 1, 9, 1, nn.Valid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b0, err := nn.NewBias(9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dense, err := nn.NewDense(144, 144)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b1, err := nn.NewBias(144)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := nn.NewModel(tensor.Shape{6, 6, 1}, conv, b0, nn.NewReLU(), nn.NewFlatten(), dense, b1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.InitWeights(17)
+	pr, err := NewProtector(m, Options{Seed: 17})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if segs := pr.plan.segments(); len(segs) != 1 {
+		t.Fatalf("net has %d checkpoint segments, want 1", len(segs))
+	}
+	clean := m.Snapshot()
+	corrupt := func() {
+		b0.Params().Data()[0] += 40
+		b1.Params().Data()[0] += 40
+	}
+	batched := healGEMMs(t, m, pr, clean, corrupt, 2, false)
+	sequential := healGEMMs(t, m, pr, clean, corrupt, 2, true)
+	if batched != 4 || sequential != 5 {
+		t.Errorf("self-heal spent %d GEMMs batched and %d sequential, want 4 and 5", batched, sequential)
 	}
 }

@@ -273,10 +273,16 @@ func (rt *Runtime) Evaluate(ctx context.Context, m *Model, samples []Sample) (fl
 func SaveProtector(pr *Protector, w io.Writer) error { return pr.Save(w) }
 
 // LoadProtector reattaches persisted golden data to a model after a
-// restart, skipping the initialization phase.
+// restart, skipping the initialization phase. A blob in another on-disk
+// format version fails with an error matching ErrBlobVersion.
 func LoadProtector(r io.Reader, m *Model) (*Protector, error) {
 	return core.LoadProtector(r, m)
 }
+
+// ErrBlobVersion is returned, wrapped, by LoadProtector when the saved
+// blob was written in an on-disk format version this build does not
+// read; match it with errors.Is.
+var ErrBlobVersion = core.ErrBlobVersion
 
 // NewTensor allocates a zero tensor of the given shape.
 func NewTensor(shape ...int) *Tensor { return tensor.New(shape...) }

@@ -88,6 +88,7 @@ var goldenAPI = []string{
 	"NewMNISTNet",
 	"NewTinyNet",
 	// Persistence, tensors, training.
+	"ErrBlobVersion",
 	"LoadProtector",
 	"NewTensor",
 	"SaveProtector",
