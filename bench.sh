@@ -28,6 +28,9 @@ go test ./internal/tensor -bench 'MatMulWorkers' -cpu "$CPUS" -benchtime "$BENCH
 echo "== GEMM kernel on the MNIST batch-8 shapes, dense and half-zero inputs (GFLOP/s) =="
 go test . -bench 'BenchmarkMatMulShapes' -cpu "$CPUS" -benchtime "$BENCHTIME" -run XXX
 
+echo "== protect-time rank probe and full-solve QR at CIFAR-small conv1's 1024x288 im2col shape =="
+go test ./internal/linalg -bench 'BenchmarkFactorQR(Pivot)?$' -benchtime "$BENCHTIME" -run XXX -benchmem
+
 echo "== architecture tables (Tables I–III) =="
 go test . -bench 'BenchmarkTables1to3_Architectures' -cpu "$CPUS" -benchtime "$BENCHTIME" -run XXX
 

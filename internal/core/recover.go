@@ -164,7 +164,7 @@ func (pr *Protector) solveConvFinding(lp *layerPlan, f LayerFinding, goldenIn, g
 		}
 		res.Solved = len(f.Filters) * taps
 	} else {
-		suspects, err := convLocateCRC(lp)
+		suspects, fresh, err := convLocateCRC(lp)
 		if err != nil {
 			return res, err
 		}
@@ -200,7 +200,7 @@ func (pr *Protector) solveConvFinding(lp *layerPlan, f LayerFinding, goldenIn, g
 		if approx > 0 {
 			res.Detail = fmt.Sprintf("%d filters exact, %d filters least-squares (underdetermined)", exact, approx)
 		}
-		if err := convRefreshCRC(lp); err != nil {
+		if err := convRefreshCRC(lp, fresh, suspects); err != nil {
 			return res, err
 		}
 	}

@@ -95,10 +95,8 @@ func convEncodeCRC(c *nn.Conv2D) ([]*crc2d.Code, error) {
 	f, z, y := c.FilterSize(), c.InChannels(), c.Filters()
 	w := c.Params().Data()
 	codes := make([]*crc2d.Code, f*f)
-	buf := make([]float32, z*y)
 	for pos := 0; pos < f*f; pos++ {
-		copy(buf, w[pos*z*y:(pos+1)*z*y])
-		code, err := crc2d.Encode(buf, z, y, crc2d.DefaultGroup)
+		code, err := crc2d.Encode(w[pos*z*y:(pos+1)*z*y], z, y, crc2d.DefaultGroup)
 		if err != nil {
 			return nil, fmt.Errorf("core: CRC encode conv %q pos %d: %w", c.Name(), pos, err)
 		}
@@ -111,19 +109,20 @@ func convEncodeCRC(c *nn.Conv2D) ([]*crc2d.Code, error) {
 // parameters and returns, per filter, the sorted suspect tap indices
 // (tap = (f1·F+f2)·Z+z). "CRC codes that do not match their stored
 // values are matched up with the CRC codes along the other axis
-// identifying singular weights that are erroneous" (§IV-B-c).
-func convLocateCRC(lp *layerPlan) (map[int][]int, error) {
+// identifying singular weights that are erroneous" (§IV-B-c). It also
+// returns the codes it recomputed, new slices for convRefreshCRC.
+func convLocateCRC(lp *layerPlan) (map[int][]int, []*crc2d.Code, error) {
 	c := lp.conv
 	f, z, y := c.FilterSize(), c.InChannels(), c.Filters()
 	w := c.Params().Data()
 	suspects := make(map[int][]int)
-	buf := make([]float32, z*y)
+	fresh := make([]*crc2d.Code, f*f)
 	for pos := 0; pos < f*f; pos++ {
-		copy(buf, w[pos*z*y:(pos+1)*z*y])
-		cells, err := lp.crcs[pos].Locate(buf)
+		cells, code, err := lp.crcs[pos].LocateWithCode(w[pos*z*y : (pos+1)*z*y])
 		if err != nil {
-			return nil, fmt.Errorf("core: CRC locate conv %q pos %d: %w", c.Name(), pos, err)
+			return nil, nil, fmt.Errorf("core: CRC locate conv %q pos %d: %w", c.Name(), pos, err)
 		}
+		fresh[pos] = code
 		for _, cell := range cells {
 			tap := pos*z + cell.Row
 			suspects[cell.Col] = append(suspects[cell.Col], tap)
@@ -132,17 +131,28 @@ func convLocateCRC(lp *layerPlan) (map[int][]int, error) {
 	for _, k := range xmaps.SortedKeys(suspects) {
 		sort.Ints(suspects[k])
 	}
-	return suspects, nil
+	return suspects, fresh, nil
 }
 
-// convRefreshCRC re-encodes the CRC codes after recovery so later scrubs
-// compare against the restored parameters.
-func convRefreshCRC(lp *layerPlan) error {
-	codes, err := convEncodeCRC(lp.conv)
-	if err != nil {
-		return err
+// convRefreshCRC installs the codes of the recovered parameters so later
+// locates compare against them. fresh holds convLocateCRC's codes of the
+// parameters before the solve, which wrote only the suspect taps, so
+// only the CRC groups holding a suspect cell are recomputed. fresh is
+// never the initialization-time slice (crcsClean), so ResetCRC still
+// finds that intact.
+func convRefreshCRC(lp *layerPlan, fresh []*crc2d.Code, suspects map[int][]int) error {
+	c := lp.conv
+	z, y := c.InChannels(), c.Filters()
+	w := c.Params().Data()
+	for _, k := range xmaps.SortedKeys(suspects) {
+		for _, t := range suspects[k] {
+			pos := t / z
+			if err := fresh[pos].Refresh(w[pos*z*y:(pos+1)*z*y], crc2d.Cell{Row: t % z, Col: k}); err != nil {
+				return fmt.Errorf("core: CRC refresh conv %q pos %d: %w", c.Name(), pos, err)
+			}
+		}
 	}
-	lp.crcs = codes
+	lp.crcs = fresh
 	return nil
 }
 

@@ -9,11 +9,15 @@ import (
 // parameters.
 const DefaultGroup = 4
 
-// crcTable is the table for CRC-8 with polynomial x^8+x^2+x+1 (0x07).
-var crcTable = buildTable()
+// crcTables[0] is the table for CRC-8 with polynomial x^8+x^2+x+1
+// (0x07); crcTables[k] applies it k+1 times. The table is linear over
+// GF(2), so four bytes fold as crcTables[3][crc^b0] ^ crcTables[2][b1] ^
+// crcTables[1][b2] ^ crcTables[0][b3]: slicing-by-4, one float32 per
+// step.
+var crcTables = buildTables()
 
-func buildTable() [256]uint8 {
-	var t [256]uint8
+func buildTables() [4][256]uint8 {
+	var t [4][256]uint8
 	for i := 0; i < 256; i++ {
 		crc := uint8(i)
 		for b := 0; b < 8; b++ {
@@ -23,7 +27,12 @@ func buildTable() [256]uint8 {
 				crc <<= 1
 			}
 		}
-		t[i] = crc
+		t[0][i] = crc
+	}
+	for k := 1; k < 4; k++ {
+		for i := 0; i < 256; i++ {
+			t[k][i] = t[0][t[k-1][i]]
+		}
 	}
 	return t
 }
@@ -32,23 +41,28 @@ func buildTable() [256]uint8 {
 func CRC8(data []byte) uint8 {
 	var crc uint8
 	for _, b := range data {
-		crc = crcTable[crc^b]
+		crc = crcTables[0][crc^b]
 	}
 	return crc
 }
 
 // crcOfValues hashes float32 values by their IEEE-754 bit patterns, so a
 // single flipped bit always changes the checksum input. It is CRC8 of
-// the values' little-endian bytes, fed through the table as they are
-// read, with no buffer.
+// the values' little-endian bytes, four bytes per table step, with no
+// buffer.
 func crcOfValues(vals []float32) uint8 {
+	return crcOfStrided(vals, 0, 1, len(vals))
+}
+
+// crcOfStrided is crcOfValues of the n values vals[start],
+// vals[start+stride], …: one column group of a row-major matrix is read
+// in place.
+func crcOfStrided(vals []float32, start, stride, n int) uint8 {
 	var crc uint8
-	for _, v := range vals {
-		b := math.Float32bits(v)
-		crc = crcTable[crc^uint8(b)]
-		crc = crcTable[crc^uint8(b>>8)]
-		crc = crcTable[crc^uint8(b>>16)]
-		crc = crcTable[crc^uint8(b>>24)]
+	for i := 0; i < n; i++ {
+		b := math.Float32bits(vals[start+i*stride])
+		crc = crcTables[3][crc^uint8(b)] ^ crcTables[2][uint8(b>>8)] ^
+			crcTables[1][uint8(b>>16)] ^ crcTables[0][uint8(b>>24)]
 	}
 	return crc
 }
@@ -79,42 +93,37 @@ func Encode(values []float32, rows, cols int, group int) (*Code, error) {
 	rgroups := (rows + group - 1) / group
 	c.rowCRC = make([]uint8, rows*cgroups)
 	c.colCRC = make([]uint8, rgroups*cols)
-	c.fill(values, c.rowCRC, c.colCRC)
+	c.fill(values)
 	return c, nil
 }
 
-func (c *Code) fill(values []float32, rowCRC, colCRC []uint8) {
-	group := c.group
-	cgroups := (c.cols + group - 1) / group
-	// Horizontal: along each row, groups of `group` columns.
+// fill computes every CRC of the code over values.
+func (c *Code) fill(values []float32) {
+	cgroups := (c.cols + c.group - 1) / c.group
 	for r := 0; r < c.rows; r++ {
 		for g := 0; g < cgroups; g++ {
-			lo := g * group
-			hi := lo + group
-			if hi > c.cols {
-				hi = c.cols
-			}
-			rowCRC[r*cgroups+g] = crcOfValues(values[r*c.cols+lo : r*c.cols+hi])
+			c.rowCRC[r*cgroups+g] = c.rowGroupCRC(values, r, g)
 		}
 	}
-	// Vertical: along each column, groups of `group` rows. A group never
-	// holds more than every row (a persisted group may be huge).
-	buf := make([]float32, min(group, c.rows))
-	for col := 0; col < c.cols; col++ {
-		for g := 0; g*group < c.rows; g++ {
-			lo := g * group
-			hi := lo + group
-			if hi > c.rows {
-				hi = c.rows
-			}
-			n := 0
-			for r := lo; r < hi; r++ {
-				buf[n] = values[r*c.cols+col]
-				n++
-			}
-			colCRC[g*c.cols+col] = crcOfValues(buf[:n])
+	for g := 0; g*c.group < c.rows; g++ {
+		for col := 0; col < c.cols; col++ {
+			c.colCRC[g*c.cols+col] = c.colGroupCRC(values, g, col)
 		}
 	}
+}
+
+// rowGroupCRC is the horizontal CRC of row r's column group g.
+func (c *Code) rowGroupCRC(values []float32, r, g int) uint8 {
+	lo := g * c.group
+	hi := min(lo+c.group, c.cols)
+	return crcOfValues(values[r*c.cols+lo : r*c.cols+hi])
+}
+
+// colGroupCRC is the vertical CRC of column col's row group g.
+func (c *Code) colGroupCRC(values []float32, g, col int) uint8 {
+	lo := g * c.group
+	hi := min(lo+c.group, c.rows)
+	return crcOfStrided(values, lo*c.cols+col, c.cols, hi-lo)
 }
 
 // Export returns the code's geometry and raw CRC bytes for persistence.
@@ -151,41 +160,72 @@ func (c *Code) OverheadBytes() int {
 // returns the suspect cells: entries whose horizontal and vertical group
 // CRCs both mismatch. A nil slice means the matrix matches its code.
 func (c *Code) Locate(values []float32) ([]Cell, error) {
+	cells, _, err := c.LocateWithCode(values)
+	return cells, err
+}
+
+// LocateWithCode is Locate that also returns the code it recomputed over
+// values, a new Code sharing nothing with c.
+func (c *Code) LocateWithCode(values []float32) ([]Cell, *Code, error) {
 	if len(values) != c.rows*c.cols {
-		return nil, fmt.Errorf("crc2d: %d values for %dx%d matrix", len(values), c.rows, c.cols)
+		return nil, nil, fmt.Errorf("crc2d: %d values for %dx%d matrix", len(values), c.rows, c.cols)
 	}
 	group := c.group
 	cgroups := (c.cols + group - 1) / group
 	rgroups := (c.rows + group - 1) / group
-	rowCRC := make([]uint8, len(c.rowCRC))
-	colCRC := make([]uint8, len(c.colCRC))
-	tmp := &Code{rows: c.rows, cols: c.cols, group: c.group}
-	tmp.fill(values, rowCRC, colCRC)
+	fresh := &Code{rows: c.rows, cols: c.cols, group: c.group,
+		rowCRC: make([]uint8, len(c.rowCRC)), colCRC: make([]uint8, len(c.colCRC))}
+	fresh.fill(values)
 
 	badRow := make([]bool, c.rows*cgroups)
 	anyBad := false
-	for i := range rowCRC {
-		if rowCRC[i] != c.rowCRC[i] {
+	for i, v := range fresh.rowCRC {
+		if v != c.rowCRC[i] {
 			badRow[i] = true
 			anyBad = true
 		}
 	}
 	if !anyBad {
-		return nil, nil
+		return nil, fresh, nil
 	}
 	badCol := make([]bool, rgroups*c.cols)
-	for i := range colCRC {
-		if colCRC[i] != c.colCRC[i] {
+	for i, v := range fresh.colCRC {
+		if v != c.colCRC[i] {
 			badCol[i] = true
 		}
 	}
+	// Only the columns of mismatching row groups can hold a suspect;
+	// walking them in (row, group) order keeps the cells row-major.
 	var cells []Cell
-	for r := 0; r < c.rows; r++ {
-		for col := 0; col < c.cols; col++ {
-			if badRow[r*cgroups+col/group] && badCol[(r/group)*c.cols+col] {
+	for i, bad := range badRow {
+		if !bad {
+			continue
+		}
+		r, g := i/cgroups, i%cgroups
+		cols := badCol[(r/group)*c.cols:][:c.cols]
+		for col := g * group; col < min((g+1)*group, c.cols); col++ {
+			if cols[col] {
 				cells = append(cells, Cell{Row: r, Col: col})
 			}
 		}
 	}
-	return cells, nil
+	return cells, fresh, nil
+}
+
+// Refresh recomputes, over values, the horizontal and vertical group
+// CRCs that hold cell, and leaves every other CRC as it is. Refreshed at
+// every cell written since c was computed, c equals Encode of the new
+// values.
+func (c *Code) Refresh(values []float32, cell Cell) error {
+	if len(values) != c.rows*c.cols {
+		return fmt.Errorf("crc2d: %d values for %dx%d matrix", len(values), c.rows, c.cols)
+	}
+	if cell.Row < 0 || cell.Row >= c.rows || cell.Col < 0 || cell.Col >= c.cols {
+		return fmt.Errorf("crc2d: cell (%d,%d) outside %dx%d matrix", cell.Row, cell.Col, c.rows, c.cols)
+	}
+	cgroups := (c.cols + c.group - 1) / c.group
+	rg, cg := cell.Row/c.group, cell.Col/c.group
+	c.rowCRC[cell.Row*cgroups+cg] = c.rowGroupCRC(values, cell.Row, cg)
+	c.colCRC[rg*c.cols+cell.Col] = c.colGroupCRC(values, rg, cell.Col)
+	return nil
 }

@@ -1,6 +1,7 @@
 package crc2d
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math"
 	"testing"
@@ -32,10 +33,11 @@ func TestCRC8KnownProperties(t *testing.T) {
 	}
 }
 
-// TestCRCOfValuesIsCRC8OfBytes pins the buffer-free value hash to CRC8
-// of the values' little-endian bytes, so the stored codes (saved blobs
-// included) keep every bit: random values of every length 0–9, and
-// NaNs with distinct payloads, ±0, ±Inf and subnormals.
+// TestCRCOfValuesIsCRC8OfBytes pins the buffer-free value hash, read
+// contiguously or at a stride, to CRC8 of the values' little-endian
+// bytes, so the stored codes (saved blobs included) keep every bit:
+// random values of every length 0–9, and NaNs with distinct payloads,
+// ±0, ±Inf and subnormals.
 func TestCRCOfValuesIsCRC8OfBytes(t *testing.T) {
 	specials := []float32{
 		math.Float32frombits(0x7fc00001), math.Float32frombits(0xffbfffff),
@@ -59,6 +61,14 @@ func TestCRCOfValuesIsCRC8OfBytes(t *testing.T) {
 		}
 		if got, want := crcOfValues(vals), CRC8(buf); got != want {
 			t.Fatalf("values %v: crcOfValues %#x, CRC8 of their bytes %#x", vals, got, want)
+		}
+		// The same values read in place at stride 3, as a column group.
+		strided := make([]float32, 3*len(vals)+2)
+		for i, v := range vals {
+			strided[2+3*i] = v
+		}
+		if got, want := crcOfStrided(strided, 2, 3, len(vals)), CRC8(buf); got != want {
+			t.Fatalf("values %v: crcOfStrided %#x, CRC8 of their bytes %#x", vals, got, want)
 		}
 	}
 }
@@ -198,6 +208,64 @@ func TestNonMultipleGroupGeometry(t *testing.T) {
 	}
 	if len(cells) != 1 || cells[0] != (Cell{Row: 6, Col: 8}) {
 		t.Errorf("ragged-corner error located as %v", cells)
+	}
+}
+
+func sameCode(a, b *Code) bool {
+	ar, ac, ag, arow, acol := a.Export()
+	br, bc, bg, brow, bcol := b.Export()
+	return ar == br && ac == bc && ag == bg && bytes.Equal(arow, brow) && bytes.Equal(acol, bcol)
+}
+
+// LocateWithCode's code is Encode of the values it was given, and does
+// not alias the stored code; Refresh at the written cells brings a code
+// to Encode of the new values, ragged edge groups included, and rejects
+// a cell outside the matrix.
+func TestLocateWithCodeAndRefreshMatchEncode(t *testing.T) {
+	s := prng.New(6)
+	const rows, cols = 11, 14
+	vals := randValues(s, rows*cols)
+	code, err := Encode(vals, rows, cols, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stored, _ := Encode(vals, rows, cols, 4)
+	written := []Cell{{0, 0}, {10, 13}, {5, 7}, {5, 8}, {9, 2}}
+	for _, cell := range written {
+		vals[cell.Row*cols+cell.Col] += 0.5
+	}
+	want, err := Encode(vals, rows, cols, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells, fresh, err := code.LocateWithCode(vals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cells) < len(written) {
+		t.Fatalf("located %v, want at least the %d written cells", cells, len(written))
+	}
+	if !sameCode(fresh, want) {
+		t.Error("LocateWithCode's code differs from Encode of the same values")
+	}
+	if !sameCode(code, stored) {
+		t.Error("LocateWithCode modified the stored code")
+	}
+	for _, cell := range written {
+		if err := code.Refresh(vals, cell); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !sameCode(code, want) {
+		t.Error("Refresh at the written cells differs from Encode of the new values")
+	}
+	for _, cell := range []Cell{{Row: rows, Col: 0}, {Row: 0, Col: -1}} {
+		if err := code.Refresh(vals, cell); err == nil {
+			t.Errorf("Refresh of cell %v outside the matrix must fail", cell)
+		}
+	}
+	if err := code.Refresh(vals[1:], Cell{}); err == nil {
+		t.Error("Refresh with the wrong value count must fail")
 	}
 }
 

@@ -76,5 +76,23 @@ func FuzzCRC2DRoundTrip(f *testing.F) {
 		if bitsChanged && len(cells) > 0 && !found {
 			t.Fatalf("corrupted cell (%d,%d) not among suspects %+v", idx/c, idx%c, cells)
 		}
+		// The code LocateWithCode recomputes, and the stored code
+		// refreshed at the corrupted cell alone, are both Encode's.
+		want, err := Encode(values, r, c, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, fresh, err := code.LocateWithCode(values)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := restored.Refresh(values, Cell{Row: idx / c, Col: idx % c}); err != nil {
+			t.Fatal(err)
+		}
+		for _, cd := range []*Code{fresh, restored} {
+			if !sameCode(cd, want) {
+				t.Fatalf("%dx%d group %d: code after corrupting (%d,%d) differs from Encode", r, c, g, idx/c, idx%c)
+			}
+		}
 	})
 }

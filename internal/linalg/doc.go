@@ -12,6 +12,18 @@
 // call them once per independent unknown) are bit-identical to serial
 // — see ARCHITECTURE.md's bit-identity invariant chain.
 //
+// The Householder factorizations (FactorQR, FactorQRPivot) sweep the
+// row-major matrix row by row: a step's dot products s_j = Σ_i a_ik·a_ij
+// accumulate over rows i = k… in ascending order into one vector, its
+// update a_ij += s_j·a_ik walks the same rows, and the pivoted factor's
+// remaining column norms are math.Hypot folds over rows k+1… in
+// ascending order, taken from the values that update writes. Each column
+// therefore sees the same products, sums and Hypot calls, in the same
+// order, as a walk down that column, so the factors, pivots and rank are
+// bit for bit those of the column walks the package tests keep as
+// oracles; only a NaN's sign and payload may differ, which Go leaves
+// unspecified.
+//
 // The package holds what the engine and the repository benchmark's
 // probes call and no more. Everything is serial except QR.SolveMany,
 // which shares one factorization across independent right-hand sides

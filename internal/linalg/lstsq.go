@@ -86,23 +86,59 @@ func FactorQR(a *Matrix) (*QR, error) {
 		if qr.At(k, k) < 0 {
 			norm = -norm
 		}
-		for i := k; i < m; i++ {
-			qr.Set(i, k, qr.At(i, k)/norm)
-		}
-		qr.Set(k, k, qr.At(k, k)+1)
-		for j := k + 1; j < n; j++ {
-			var s float64
-			for i := k; i < m; i++ {
-				s += qr.At(i, k) * qr.At(i, j)
-			}
-			s = -s / qr.At(k, k)
-			for i := k; i < m; i++ {
-				qr.Set(i, j, qr.At(i, j)+s*qr.At(i, k))
-			}
-		}
+		// rdia[k+1:] is not written yet: it holds the step's s_j.
+		householderStep(qr, k, norm, rdia, nil)
 		rdia[k] = -norm
 	}
 	return &QR{qr: qr, rdia: rdia}, nil
+}
+
+// householderStep turns column k, rows k…, into the Householder vector
+// of the reflector that zeroes it below the diagonal, given the column's
+// signed norm, and applies that reflector to columns k+1…. The dot
+// products s_j = Σ_i a_ik·a_ij and the update a_ij += s_j·a_ik each
+// sweep rows i = k… in ascending order, so every column sees the same
+// products and sums in the same order as a walk down that column. The
+// s_j live in s[k+1:], scratch the caller provides; s[:k+1] is not
+// touched. With norms non-nil, each updated value of rows k+1… is
+// folded into norms[j] with math.Hypot: on return norms[j] is the norm
+// of column j's rows k+1…, the next step's pivot norm.
+func householderStep(qr *Matrix, k int, norm float64, s, norms []float64) {
+	m, n := qr.Rows, qr.Cols
+	for i := k; i < m; i++ {
+		qr.Set(i, k, qr.At(i, k)/norm)
+	}
+	qr.Set(k, k, qr.At(k, k)+1)
+	sj := s[k+1 : n]
+	clear(sj)
+	for i := k; i < m; i++ {
+		row := qr.Row(i)
+		aik, rj := row[k], row[k+1:]
+		for j, v := range rj {
+			sj[j] += aik * v
+		}
+	}
+	akk := qr.At(k, k)
+	for j := range sj {
+		sj[j] = -sj[j] / akk
+	}
+	var nj []float64
+	if norms != nil {
+		nj = norms[k+1 : n]
+		clear(nj)
+	}
+	for i := k; i < m; i++ {
+		row := qr.Row(i)
+		aik, rj := row[k], row[k+1:]
+		for j, v := range rj {
+			rj[j] = v + sj[j]*aik
+		}
+		if nj != nil && i > k {
+			for j, v := range rj {
+				nj[j] = math.Hypot(nj[j], v)
+			}
+		}
+	}
 }
 
 // Solve returns the least-squares solution of A·x = b.

@@ -1,0 +1,272 @@
+package linalg
+
+import (
+	"errors"
+	"fmt"
+	"math"
+	"testing"
+
+	"milr/internal/prng"
+)
+
+// factorQRPivotOracle is FactorQRPivot as it was before its passes swept
+// rows: every column norm a fresh math.Hypot fold down the column, every
+// dot product and update a walk down one column at a time. Only the
+// returns changed, to hand back the factored matrix. It is the bit
+// oracle for factorQRPivot.
+func factorQRPivotOracle(a *Matrix, rtol float64) (*Matrix, int, error) {
+	if a.Rows < a.Cols {
+		return nil, 0, fmt.Errorf("linalg: pivoted QR requires rows ≥ cols, got %dx%d", a.Rows, a.Cols)
+	}
+	if rtol <= 0 {
+		rtol = 1e-10
+	}
+	m, n := a.Rows, a.Cols
+	qr := a.Clone()
+	colNorm := func(col, fromRow int) float64 {
+		var s float64
+		for i := fromRow; i < m; i++ {
+			s = math.Hypot(s, qr.At(i, col))
+		}
+		return s
+	}
+	var maxNorm float64
+	for j := 0; j < n; j++ {
+		if v := colNorm(j, 0); v > maxNorm {
+			maxNorm = v
+		}
+	}
+	if maxNorm == 0 {
+		return qr, 0, nil
+	}
+	rank := 0
+	for k := 0; k < n; k++ {
+		// Pivot: bring the column with the largest remaining norm to k.
+		best, bestNorm := k, colNorm(k, k)
+		for j := k + 1; j < n; j++ {
+			if v := colNorm(j, k); v > bestNorm {
+				best, bestNorm = j, v
+			}
+		}
+		if bestNorm <= rtol*maxNorm {
+			break
+		}
+		if best != k {
+			for i := 0; i < m; i++ {
+				vk, vb := qr.At(i, k), qr.At(i, best)
+				qr.Set(i, k, vb)
+				qr.Set(i, best, vk)
+			}
+		}
+		norm := bestNorm
+		if qr.At(k, k) < 0 {
+			norm = -norm
+		}
+		for i := k; i < m; i++ {
+			qr.Set(i, k, qr.At(i, k)/norm)
+		}
+		qr.Set(k, k, qr.At(k, k)+1)
+		for j := k + 1; j < n; j++ {
+			var s float64
+			for i := k; i < m; i++ {
+				s += qr.At(i, k) * qr.At(i, j)
+			}
+			s = -s / qr.At(k, k)
+			for i := k; i < m; i++ {
+				qr.Set(i, j, qr.At(i, j)+s*qr.At(i, k))
+			}
+		}
+		rank = k + 1
+	}
+	return qr, rank, nil
+}
+
+// factorQROracle is FactorQR as it was before its passes swept rows,
+// verbatim: the bit oracle for FactorQR.
+func factorQROracle(a *Matrix) (*QR, error) {
+	if a.Rows < a.Cols {
+		return nil, fmt.Errorf("linalg: QR requires rows ≥ cols, got %dx%d", a.Rows, a.Cols)
+	}
+	m, n := a.Rows, a.Cols
+	qr := a.Clone()
+	rdia := make([]float64, n)
+	tol := a.MaxAbs() * float64(m) * 1e-14
+	if tol == 0 {
+		tol = 1e-300
+	}
+	for k := 0; k < n; k++ {
+		var norm float64
+		for i := k; i < m; i++ {
+			norm = math.Hypot(norm, qr.At(i, k))
+		}
+		if norm < tol {
+			return nil, fmt.Errorf("column %d below tolerance %.3e: %w", k, tol, ErrSingular)
+		}
+		if qr.At(k, k) < 0 {
+			norm = -norm
+		}
+		for i := k; i < m; i++ {
+			qr.Set(i, k, qr.At(i, k)/norm)
+		}
+		qr.Set(k, k, qr.At(k, k)+1)
+		for j := k + 1; j < n; j++ {
+			var s float64
+			for i := k; i < m; i++ {
+				s += qr.At(i, k) * qr.At(i, j)
+			}
+			s = -s / qr.At(k, k)
+			for i := k; i < m; i++ {
+				qr.Set(i, j, qr.At(i, j)+s*qr.At(i, k))
+			}
+		}
+		rdia[k] = -norm
+	}
+	return &QR{qr: qr, rdia: rdia}, nil
+}
+
+// oracleCases are the inputs both QR factorizations are checked on:
+// full-rank tall and square matrices, exact low-rank products, repeated
+// and zero columns, an all-zero matrix, im2col-like inputs with many
+// zero taps, and non-finite entries. Each case gets a fresh matrix, so
+// a factorization that wrote through its input would show.
+func oracleCases() []struct {
+	name string
+	a    *Matrix
+} {
+	s := prng.New(4040)
+	type tc = struct {
+		name string
+		a    *Matrix
+	}
+	var cases []tc
+	for _, sh := range [][2]int{{1, 1}, {7, 3}, {40, 12}, {16, 16}, {33, 33}, {150, 40}, {96, 27}} {
+		cases = append(cases, tc{fmt.Sprintf("random%dx%d", sh[0], sh[1]), randMatrix(s, sh[0], sh[1])})
+	}
+	for _, r := range []int{1, 3, 9} {
+		u, v := randMatrix(s, 60, r), randMatrix(s, r, 14)
+		uv, err := u.Mul(v)
+		if err != nil {
+			panic(err)
+		}
+		cases = append(cases, tc{fmt.Sprintf("lowrank%d", r), uv})
+	}
+	dup := randMatrix(s, 30, 8)
+	zero := randMatrix(s, 30, 8)
+	for i := 0; i < 30; i++ {
+		dup.Set(i, 5, dup.At(i, 1))
+		dup.Set(i, 7, dup.At(i, 1))
+		zero.Set(i, 0, 0)
+		zero.Set(i, 4, 0)
+	}
+	cases = append(cases, tc{"duplicate-columns", dup}, tc{"zero-columns", zero}, tc{"all-zero", NewMatrix(9, 4)})
+	// A golden im2col: ReLU-like non-negative values, about half zero.
+	sparse := NewMatrix(64, 18)
+	for i := range sparse.Data {
+		if v := s.Float64()*2 - 1; v > 0 {
+			sparse.Data[i] = v
+		}
+	}
+	cases = append(cases, tc{"half-zero", sparse})
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		a := randMatrix(s, 20, 6)
+		a.Set(s.Intn(20), s.Intn(6), bad)
+		cases = append(cases, tc{fmt.Sprintf("entry%v", bad), a})
+	}
+	return cases
+}
+
+// sameBits reports the first index at which two slices differ in their
+// IEEE-754 bits, or -1. Any NaN matches any NaN: Go leaves unspecified
+// which NaN an operation on two NaNs returns, and on amd64 it is
+// whichever operand the compiler made the destination of a commutative
+// ADDSD, which a memory operand alone can change.
+func sameBits(got, want []float64) int {
+	if len(got) != len(want) {
+		return 0
+	}
+	for i, g := range got {
+		if math.Float64bits(g) != math.Float64bits(want[i]) && !(math.IsNaN(g) && math.IsNaN(want[i])) {
+			return i
+		}
+	}
+	return -1
+}
+
+func TestFactorQRPivotMatchesOracle(t *testing.T) {
+	for _, c := range oracleCases() {
+		for _, rtol := range []float64{1e-6, 1e-10, 0.3, 0, -1} {
+			in := c.a.Clone()
+			wantQR, wantRank, wantErr := factorQRPivotOracle(c.a, rtol)
+			gotQR, gotRank, gotErr := factorQRPivot(c.a, rtol)
+			if sameBits(c.a.Data, in.Data) >= 0 {
+				t.Fatalf("%s rtol=%g: input was modified", c.name, rtol)
+			}
+			if (gotErr == nil) != (wantErr == nil) {
+				t.Fatalf("%s rtol=%g: err %v, oracle %v", c.name, rtol, gotErr, wantErr)
+			}
+			if gotErr != nil {
+				continue
+			}
+			if gotRank != wantRank {
+				t.Errorf("%s rtol=%g: rank %d, oracle %d", c.name, rtol, gotRank, wantRank)
+			}
+			if i := sameBits(gotQR.Data, wantQR.Data); i >= 0 {
+				t.Errorf("%s rtol=%g: factor entry %d = %v, oracle %v", c.name, rtol, i, gotQR.Data[i], wantQR.Data[i])
+			}
+			if qrp, err := FactorQRPivot(c.a, rtol); err != nil || qrp.Rank() != wantRank {
+				t.Errorf("%s rtol=%g: FactorQRPivot rank %v err %v, want %d", c.name, rtol, qrp, err, wantRank)
+			}
+		}
+	}
+	if _, _, err := factorQRPivot(NewMatrix(2, 3), 0); err == nil {
+		t.Error("wide matrix: want the rows ≥ cols error")
+	}
+}
+
+func TestFactorQRMatchesOracle(t *testing.T) {
+	for _, c := range oracleCases() {
+		in := c.a.Clone()
+		want, wantErr := factorQROracle(c.a)
+		got, gotErr := FactorQR(c.a)
+		if sameBits(c.a.Data, in.Data) >= 0 {
+			t.Fatalf("%s: input was modified", c.name)
+		}
+		if (gotErr == nil) != (wantErr == nil) || errors.Is(gotErr, ErrSingular) != errors.Is(wantErr, ErrSingular) {
+			t.Fatalf("%s: err %v, oracle %v", c.name, gotErr, wantErr)
+		}
+		if gotErr != nil {
+			continue
+		}
+		if i := sameBits(got.qr.Data, want.qr.Data); i >= 0 {
+			t.Errorf("%s: factor entry %d = %v, oracle %v", c.name, i, got.qr.Data[i], want.qr.Data[i])
+		}
+		if i := sameBits(got.rdia, want.rdia); i >= 0 {
+			t.Errorf("%s: rdia[%d] = %v, oracle %v", c.name, i, got.rdia[i], want.rdia[i])
+		}
+	}
+}
+
+// BenchmarkFactorQRPivot times the protect-time rank probe on the shape
+// of CIFAR-small conv1's golden im2col matrix (1024 output positions,
+// 288 taps).
+func BenchmarkFactorQRPivot(b *testing.B) {
+	a := randMatrix(prng.New(1), 1024, 288)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := FactorQRPivot(a, 1e-10); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkFactorQR times the full-solve factorization on the same
+// shape.
+func BenchmarkFactorQR(b *testing.B) {
+	a := randMatrix(prng.New(1), 1024, 288)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := FactorQR(a); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -21,36 +21,50 @@ type QRP struct {
 // norm falls below rtol times the largest initial column norm stop the
 // elimination; the count of processed columns is the numerical rank.
 func FactorQRPivot(a *Matrix, rtol float64) (*QRP, error) {
+	_, rank, err := factorQRPivot(a, rtol)
+	if err != nil {
+		return nil, err
+	}
+	return &QRP{rank: rank}, nil
+}
+
+// factorQRPivot is FactorQRPivot returning the factored matrix too, so
+// tests can compare its bits. Every pass walks the rows in ascending
+// order (see the package doc): the remaining column norms live in one
+// vector, folded with math.Hypot over rows k+1… as the step-k update
+// writes them, which is exactly a fresh fold down each column.
+func factorQRPivot(a *Matrix, rtol float64) (*Matrix, int, error) {
 	if a.Rows < a.Cols {
-		return nil, fmt.Errorf("linalg: pivoted QR requires rows ≥ cols, got %dx%d", a.Rows, a.Cols)
+		return nil, 0, fmt.Errorf("linalg: pivoted QR requires rows ≥ cols, got %dx%d", a.Rows, a.Cols)
 	}
 	if rtol <= 0 {
 		rtol = 1e-10
 	}
 	m, n := a.Rows, a.Cols
 	qr := a.Clone()
-	colNorm := func(col, fromRow int) float64 {
-		var s float64
-		for i := fromRow; i < m; i++ {
-			s = math.Hypot(s, qr.At(i, col))
+	norms := make([]float64, n)
+	for i := 0; i < m; i++ {
+		row := qr.Row(i)
+		for j, v := range row {
+			norms[j] = math.Hypot(norms[j], v)
 		}
-		return s
 	}
 	var maxNorm float64
-	for j := 0; j < n; j++ {
-		if v := colNorm(j, 0); v > maxNorm {
+	for _, v := range norms {
+		if v > maxNorm {
 			maxNorm = v
 		}
 	}
 	if maxNorm == 0 {
-		return &QRP{rank: 0}, nil
+		return qr, 0, nil
 	}
+	s := make([]float64, n)
 	rank := 0
 	for k := 0; k < n; k++ {
 		// Pivot: bring the column with the largest remaining norm to k.
-		best, bestNorm := k, colNorm(k, k)
+		best, bestNorm := k, norms[k]
 		for j := k + 1; j < n; j++ {
-			if v := colNorm(j, k); v > bestNorm {
+			if v := norms[j]; v > bestNorm {
 				best, bestNorm = j, v
 			}
 		}
@@ -59,32 +73,19 @@ func FactorQRPivot(a *Matrix, rtol float64) (*QRP, error) {
 		}
 		if best != k {
 			for i := 0; i < m; i++ {
-				vk, vb := qr.At(i, k), qr.At(i, best)
-				qr.Set(i, k, vb)
-				qr.Set(i, best, vk)
+				row := qr.Row(i)
+				row[k], row[best] = row[best], row[k]
 			}
+			norms[k], norms[best] = norms[best], norms[k]
 		}
 		norm := bestNorm
 		if qr.At(k, k) < 0 {
 			norm = -norm
 		}
-		for i := k; i < m; i++ {
-			qr.Set(i, k, qr.At(i, k)/norm)
-		}
-		qr.Set(k, k, qr.At(k, k)+1)
-		for j := k + 1; j < n; j++ {
-			var s float64
-			for i := k; i < m; i++ {
-				s += qr.At(i, k) * qr.At(i, j)
-			}
-			s = -s / qr.At(k, k)
-			for i := k; i < m; i++ {
-				qr.Set(i, j, qr.At(i, j)+s*qr.At(i, k))
-			}
-		}
+		householderStep(qr, k, norm, s, norms)
 		rank = k + 1
 	}
-	return &QRP{rank: rank}, nil
+	return qr, rank, nil
 }
 
 // Rank returns the numerical rank detected during factorization.
