@@ -228,9 +228,8 @@ func comparePlans(t *testing.T, workers int, want, got *plan) {
 	}
 	for i, wlp := range want.layers {
 		glp := got.layers[i]
-		if wlp.fullSolve != glp.fullSolve || wlp.partialMode != glp.partialMode {
-			t.Errorf("workers=%d: layer %d mode flags differ: full=%v/%v partial=%v/%v",
-				workers, i, glp.fullSolve, wlp.fullSolve, glp.partialMode, wlp.partialMode)
+		if wlp.partialMode != glp.partialMode {
+			t.Errorf("workers=%d: layer %d partial mode %v, want %v", workers, i, glp.partialMode, wlp.partialMode)
 		}
 		if wlp.biasSum != glp.biasSum {
 			t.Errorf("workers=%d: layer %d bias sum %v, want %v", workers, i, glp.biasSum, wlp.biasSum)

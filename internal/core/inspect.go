@@ -36,7 +36,7 @@ func (pr *Protector) PlanInfo() []LayerPlanInfo {
 			Name:           pr.model.Layer(lp.idx).Name(),
 			Role:           lp.role.String(),
 			Params:         lp.paramCount,
-			FullSolve:      lp.fullSolve,
+			FullSolve:      lp.fullSolve(),
 			PartialMode:    lp.partialMode,
 			InvertNatural:  lp.invertNatural,
 			DummyFilters:   lp.dummyFilters,

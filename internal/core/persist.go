@@ -110,7 +110,7 @@ func (pr *Protector) Save(w io.Writer) error {
 			Idx:         lp.idx,
 			Role:        int(lp.role),
 			BiasSum:     lp.biasSum,
-			FullSolve:   lp.fullSolve,
+			FullSolve:   lp.fullSolve(),
 			PartialMode: lp.partialMode,
 		}
 		if lp.partial != nil {
@@ -205,12 +205,11 @@ func LoadProtector(r io.Reader, model *nn.Model) (*Protector, error) {
 		name := fmt.Sprintf("layer %d (%s) ", i, model.Layer(i).Name())
 		// The rank probe may only demote a full-solve conv to partial
 		// mode; no other layer solves filters at all.
-		if lp.role == roleConv && (sl.FullSolve && !lp.fullSolve || sl.PartialMode == sl.FullSolve) ||
+		if lp.role == roleConv && (sl.FullSolve && lp.partialMode || sl.PartialMode == sl.FullSolve) ||
 			lp.role != roleConv && (sl.FullSolve || sl.PartialMode) {
 			return nil, fmt.Errorf("core: load %ssolver mode: full=%v partial=%v, plan allows full=%v",
-				name, sl.FullSolve, sl.PartialMode, lp.fullSolve)
+				name, sl.FullSolve, sl.PartialMode, lp.fullSolve())
 		}
-		lp.fullSolve = sl.FullSolve
 		lp.partialMode = sl.PartialMode
 		lp.biasSum = sl.BiasSum
 		lp.detectTag = tagDetect + uint64(lp.idx)

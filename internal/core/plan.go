@@ -123,10 +123,12 @@ type layerPlan struct {
 	paramCount int
 
 	// Conv state.
-	conv        *nn.Conv2D
-	g2          int  // number of output positions per filter
-	fullSolve   bool // G² ≥ F²Z: whole filters solvable from golden pairs
-	partialMode bool // CRC-based localization + restricted solving
+	conv *nn.Conv2D
+	g2   int // number of output positions per filter
+	// partialMode marks a conv whose whole filters are not solvable
+	// from golden pairs (G² < F²Z, the cost cap, or a rank-deficient
+	// golden input): CRC localization picks the unknown taps.
+	partialMode bool
 	crcs        []*crc2d.Code
 	// crcsClean preserves the initialization-time codes so experiment
 	// harnesses can reset protection state after restoring clean weights
@@ -153,6 +155,10 @@ type layerPlan struct {
 	// Bias state.
 	bias *nn.Bias
 }
+
+// fullSolve reports a conv whose whole filters are solvable from golden
+// pairs: G² ≥ F²Z and a full-rank golden input.
+func (lp *layerPlan) fullSolve() bool { return lp.role == roleConv && !lp.partialMode }
 
 // plan is the result of the planning half of initialization.
 type plan struct {
@@ -200,9 +206,8 @@ func buildPlan(m *nn.Model, opts Options) (*plan, error) {
 			// the golden input (see initialize) — use the paper's
 			// partial-recoverability alternative: 2-D CRC localization
 			// plus restricted solving, instead of storing dummy input.
-			lp.fullSolve = lp.g2 >= unknowns &&
-				(opts.MaxFullSolveTaps == 0 || unknowns <= opts.MaxFullSolveTaps)
-			lp.partialMode = !lp.fullSolve
+			lp.partialMode = lp.g2 < unknowns ||
+				opts.MaxFullSolveTaps != 0 && unknowns > opts.MaxFullSolveTaps
 			// Backward pass: Y equations per sub-region vs F²Z unknowns
 			// (§IV-B-a). If underdetermined, weigh PRNG dummy filters
 			// (store their outputs) against a full input checkpoint and

@@ -119,7 +119,7 @@ func (pr *Protector) initialize(ctx context.Context) error {
 			pr.plan.stored[i] = cur.Clone()
 		}
 		lp := pr.plan.layers[i]
-		if lp.role == roleConv && (lp.fullSolve || lp.dummyFilters > 0) {
+		if lp.role == roleConv && (!lp.partialMode || lp.dummyFilters > 0) {
 			layerIn[i] = cur
 		}
 		next, err := m.Layer(i).RecoveryForward(cur)
@@ -156,7 +156,7 @@ func (pr *Protector) initLayer(lp *layerPlan, goldenIn *tensor.Tensor) error {
 	}
 	switch lp.role {
 	case roleConv:
-		if lp.fullSolve {
+		if !lp.partialMode {
 			// Rank probe: whole-filter recovery needs the golden-input
 			// im2col matrix to have full column rank. Inputs that came
 			// through earlier convolutions live in a subspace bounded by
@@ -172,10 +172,7 @@ func (pr *Protector) initLayer(lp *layerPlan, goldenIn *tensor.Tensor) error {
 			if err != nil {
 				return fmt.Errorf("core: rank probe layer %d: %w", i, err)
 			}
-			if qrp.Rank() < a.Cols {
-				lp.fullSolve = false
-				lp.partialMode = true
-			}
+			lp.partialMode = qrp.Rank() < a.Cols
 		}
 		if lp.dummyFilters > 0 {
 			lp.dummyTag = tagConvDummy + uint64(i)
@@ -276,7 +273,9 @@ func (pr *Protector) ResetCRC() {
 // relMismatch reports whether a and b differ beyond the relative
 // tolerance. NaN counts as a mismatch: bit flips in float32 exponents
 // routinely produce NaN weights, and a NaN-poisoned comparison must flag
-// the layer rather than silently comparing false.
+// the layer rather than silently comparing false. So does an infinite
+// difference, which the relative bound scaled by an infinite b would
+// otherwise excuse, keeping a ±Inf weight against its solution.
 func relMismatch(a, b, tol float64) bool {
 	if math.IsNaN(a) || math.IsNaN(b) {
 		return true
@@ -289,5 +288,5 @@ func relMismatch(a, b, tol float64) bool {
 	if mag < 0 {
 		mag = -mag
 	}
-	return d > tol*(1+mag)
+	return d > tol*(1+mag) || d > math.MaxFloat64
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"testing"
 
@@ -420,5 +421,48 @@ func TestMultiLayerErrorsSequentialRecovery(t *testing.T) {
 	}
 	if diff := maxParamDiff(clean, m.Snapshot()); diff > 1e-3 {
 		t.Fatalf("parameters differ by %g after recovery", diff)
+	}
+}
+
+// TestInfWeightHealsToRecovered: a ±Inf weight is flagged and healed
+// like any other, in a full-mode conv, a partial-mode conv, a dense
+// layer and a bias layer of MNIST. Each heal must report every layer
+// Recovered and give the weight its clean bits back; a keep test that
+// compared the solution with the Inf as equal would leave it in place.
+func TestInfWeightHealsToRecovered(t *testing.T) {
+	m, err := nn.NewMNISTNet()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.InitWeights(42)
+	pr, err := NewProtector(m, Options{Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	clean := m.Snapshot()
+	for _, li := range []int{0, 3, 11, 1} {
+		lp := pr.plan.layers[li]
+		for _, inf := range []float64{math.Inf(1), math.Inf(-1)} {
+			name := fmt.Sprintf("%s (%s, full=%v) weight 5 = %v", m.Layer(li).Name(), lp.role, lp.fullSolve(), inf)
+			w := m.Layer(li).(nn.Parameterized).Params().Data()
+			w[5] = float32(inf)
+			det, rec, err := pr.SelfHeal()
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if got := det.Erroneous(); len(got) != 1 || got[0] != li {
+				t.Fatalf("%s: flagged %v", name, got)
+			}
+			if !rec.AllRecovered() {
+				t.Fatalf("%s: %+v", name, rec.Results)
+			}
+			if want := clean[li].Data()[5]; math.Float32bits(w[5]) != math.Float32bits(want) {
+				t.Fatalf("%s: healed to %v, clean %v", name, w[5], want)
+			}
+			if err := m.Restore(clean); err != nil {
+				t.Fatal(err)
+			}
+			pr.ResetCRC()
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 
+	"milr/internal/crc2d"
 	"milr/internal/obs"
 	"milr/internal/tensor"
 	"milr/internal/xmaps"
@@ -150,22 +151,28 @@ func HealOutcome(det *DetectionReport, rec *RecoveryReport, err error) (errorsDe
 	return false, err == nil
 }
 
-// solveConvFinding re-solves a flagged conv layer from a golden pair.
-// On solver failure the returned result carries Status Failed;
-// otherwise Status is left for verifyLayer to fill.
+// solveConvFinding re-solves a flagged conv layer from a golden pair:
+// it picks each filter's suspect taps (every tap in full mode, the
+// CRC-localized ones in partial mode) and makes one solve call. On
+// solver failure the returned result carries Status Failed; otherwise
+// Status is left for verifyLayer to fill.
 func (pr *Protector) solveConvFinding(lp *layerPlan, f LayerFinding, goldenIn, goldenOut *tensor.Tensor) (RecoveryResult, error) {
 	res := RecoveryResult{Layer: lp.idx, Name: f.Name}
-	taps := lp.conv.FilterSize() * lp.conv.FilterSize() * lp.conv.InChannels()
-	if lp.fullSolve {
-		if err := solveConvFull(lp, goldenIn, goldenOut, f.Filters, pr.opts); err != nil {
-			res.Status = Failed
-			res.Detail = err.Error()
-			return res, nil
+	var suspects map[int][]int
+	var fresh []*crc2d.Code
+	var all []int // every whole-filter set shares this one slice
+	wholeFilter := func(k int) {
+		if all == nil {
+			all = make([]int, lp.conv.FilterSize()*lp.conv.FilterSize()*lp.conv.InChannels())
+			for t := range all {
+				all[t] = t
+			}
 		}
-		res.Solved = len(f.Filters) * taps
-	} else {
-		suspects, fresh, err := convLocateCRC(lp)
-		if err != nil {
+		suspects[k] = all
+	}
+	if lp.partialMode {
+		var err error
+		if suspects, fresh, err = convLocateCRC(lp); err != nil {
 			return res, err
 		}
 		// CRC false-negative fallback: a filter whose partial checkpoint
@@ -180,26 +187,29 @@ func (pr *Protector) solveConvFinding(lp *layerPlan, f LayerFinding, goldenIn, g
 		if still != nil {
 			for _, k := range still.Filters {
 				if len(suspects[k]) == 0 {
-					all := make([]int, taps)
-					for t := range all {
-						all[t] = t
-					}
-					suspects[k] = all
+					wholeFilter(k)
 				}
 			}
 		}
-		exact, approx, err := solveConvSelective(lp, goldenIn, goldenOut, suspects, pr.opts)
-		if err != nil {
-			res.Status = Failed
-			res.Detail = err.Error()
-			return res, nil
+	} else {
+		suspects = make(map[int][]int, len(f.Filters))
+		for _, k := range f.Filters {
+			wholeFilter(k)
 		}
-		for _, k := range xmaps.SortedKeys(suspects) {
-			res.Solved += len(suspects[k])
-		}
-		if approx > 0 {
-			res.Detail = fmt.Sprintf("%d filters exact, %d filters least-squares (underdetermined)", exact, approx)
-		}
+	}
+	exact, approx, err := solveConvSuspects(lp, goldenIn, goldenOut, suspects, pr.opts)
+	if err != nil {
+		res.Status = Failed
+		res.Detail = err.Error()
+		return res, nil
+	}
+	for _, k := range xmaps.SortedKeys(suspects) {
+		res.Solved += len(suspects[k])
+	}
+	if approx > 0 {
+		res.Detail = fmt.Sprintf("%d filters exact, %d filters least-squares (underdetermined)", exact, approx)
+	}
+	if lp.partialMode {
 		if err := convRefreshCRC(lp, fresh, suspects); err != nil {
 			return res, err
 		}

@@ -237,12 +237,64 @@ func solveDenseColumnsOracle(lp *layerPlan, cols []int, band int, opts Options) 
 	})
 }
 
+// solveConvFull is the whole-filter conv solve that the suspect-set
+// solve absorbed, kept as the oracle TestConvFullSolveMatchesOracle pins
+// a full-mode heal bit-identical against. The body is the product code
+// of the commit before, unedited: one QR factorization of the im2col
+// matrix serves every listed filter, and the per-filter solves run on
+// the engine's worker pool.
+func solveConvFull(lp *layerPlan, goldenIn, goldenOut *tensor.Tensor, filters []int, opts Options) error {
+	c := lp.conv
+	a, err := lowerF64(c, goldenIn)
+	if err != nil {
+		return err
+	}
+	taps := a.Cols
+	if a.Rows < taps {
+		return fmt.Errorf("core: conv %q full solve needs G²=%d ≥ F²Z=%d", c.Name(), a.Rows, taps)
+	}
+	qr, err := linalg.FactorQR(a)
+	if err != nil {
+		return fmt.Errorf("core: conv %q full solve: %w", c.Name(), err)
+	}
+	y := c.Filters()
+	od := goldenOut.Data()
+	if goldenOut.NumElements() != a.Rows*y {
+		return fmt.Errorf("core: conv %q golden output has %d values, want %d", c.Name(), goldenOut.NumElements(), a.Rows*y)
+	}
+	w := c.Params().Data()
+	return par.ForErr(len(filters), opts.workerPool(), func(fi int) error {
+		k := filters[fi]
+		if k < 0 || k >= y {
+			return fmt.Errorf("core: conv %q filter %d out of range [0,%d)", c.Name(), k, y)
+		}
+		rhs := make([]float64, a.Rows)
+		for g := 0; g < a.Rows; g++ {
+			rhs[g] = float64(od[g*y+k])
+		}
+		x, err := qr.Solve(rhs)
+		if err != nil {
+			return fmt.Errorf("core: conv %q solve filter %d: %w", c.Name(), k, err)
+		}
+		for t := 0; t < taps; t++ {
+			cur := float64(w[t*y+k])
+			if relMismatch(x[t], cur, keepTol) {
+				w[t*y+k] = float32(x[t])
+			}
+		}
+		return nil
+	})
+}
+
 // solveConvSelectiveOracle is the selective conv solve that the Aᵀ
 // layout replaced, kept as the oracle TestConvSelectiveSolveMatchesOracle
-// pins it bit-identical against: the golden input lowered into A, and
-// each filter's residual a scalar dot product along A's rows. The body
-// is the product code of the commit before the Aᵀ layout, unedited but
-// for the function name.
+// pins the suspect-set solve bit-identical against: the golden input
+// lowered into A, each filter's residual a scalar dot product along A's
+// rows, and one factorization per filter. The body is the product code
+// of the commit before the Aᵀ layout, edited only in the function name
+// and in the solve: linalg.LeastSquares, then linalg.RidgeSolve when it
+// failed, became one linalg.FactorLeastSquares, which
+// TestFactorLeastSquaresMatchesOracle pins bit-identical to that pair.
 func solveConvSelectiveOracle(lp *layerPlan, goldenIn, goldenOut *tensor.Tensor, suspects map[int][]int, opts Options) (exact, approximate int, err error) {
 	c := lp.conv
 	a, err := lowerF64(c, goldenIn)
@@ -299,18 +351,18 @@ func solveConvSelectiveOracle(lp *layerPlan, goldenIn, goldenOut *tensor.Tensor,
 		if err != nil {
 			return err
 		}
-		unique := len(e) <= a.Rows
-		x, err := linalg.LeastSquares(sub, rhs)
+		// One factorization per filter; it takes the paper's
+		// least-squares best effort when the restricted system is
+		// underdetermined or rank-deficient.
+		lsq, err := linalg.FactorLeastSquares(sub)
 		if err != nil {
-			// The restricted system can be rank-deficient when the
-			// golden input is structurally low-rank; take the paper's
-			// least-squares best effort.
-			x, err = linalg.RidgeSolve(sub, rhs)
-			if err != nil {
-				return fmt.Errorf("core: conv %q selective solve filter %d: %w", c.Name(), k, err)
-			}
-			unique = false
+			return fmt.Errorf("core: conv %q selective solve filter %d: %w", c.Name(), k, err)
 		}
+		x, err := lsq.Solve(rhs)
+		if err != nil {
+			return fmt.Errorf("core: conv %q selective solve filter %d: %w", c.Name(), k, err)
+		}
+		unique := lsq.Exact()
 		for i, t := range e {
 			cur := float64(w[t*y+k])
 			if relMismatch(x[i], cur, keepTol) {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"milr/internal/crc2d"
@@ -16,16 +17,16 @@ import (
 // Convolution algebra (paper §IV-B). With the golden input lowered by
 // im2col into A (G² rows, one per output position; F²Z columns, one per
 // filter tap), the layer computes A·W = O where W is the (F²Z, Y) filter
-// matrix. Every filter shares the coefficient matrix A, so one
-// factorization serves all Y right-hand sides.
+// matrix: G² equations per filter.
 //
-//   - Parameter solving (§IV-B-b): G² equations per filter; fully
-//     solvable when G² ≥ F²Z.
-//   - Partial recoverability: when G² < F²Z, 2-D CRC localizes the
-//     erroneous taps and a restricted system with only those unknowns is
-//     solved; beyond G² unknowns per filter, a least-squares minimum-norm
-//     solution is the best effort, as in the paper's whole-layer
-//     experiments (§V-B).
+//   - Parameter solving (§IV-B-b) and partial recoverability (§IV-B-c)
+//     are one solve of each flagged filter's suspect taps, every other
+//     tap held at its current value. A full-mode layer suspects every
+//     tap; a partial-mode layer the taps its 2-D CRC codes localize, or
+//     every tap of a filter the CRC missed. Filters with equal suspect
+//     sets share one factorization, and beyond G² unknowns the
+//     minimum-norm solution is the best effort, as in the paper's
+//     whole-layer experiments (§V-B): linalg.FactorLeastSquares.
 //   - Backward pass (§IV-B-a): each output position yields Y equations in
 //     the F²Z unknowns of its input sub-region; dummy PRNG filters (whose
 //     outputs on the golden input are stored) top the system up when
@@ -46,19 +47,13 @@ func lowerF64(c *nn.Conv2D, in *tensor.Tensor) (*linalg.Matrix, error) {
 	return m, nil
 }
 
-// lowerTF64 converts the conv's im2col matrix of the golden input to
-// float64 and transposes it on the way: row t of the result holds tap
-// t's input value at every output position, the vector the selective
-// solve's residual subtracts whole. It reads eight im2col rows at a
-// time, so each tap's eight outputs fill one cache line.
-func lowerTF64(c *nn.Conv2D, in *tensor.Tensor) (*linalg.Matrix, error) {
-	cols, err := c.Lower(in)
-	if err != nil {
-		return nil, err
-	}
-	g2, taps := cols.Dim(0), cols.Dim(1)
+// transposeF64 converts an im2col matrix (g2 rows of taps values) to
+// float64 Aᵀ: row t holds tap t's input value at every output
+// position, the vector the suspect solve's residual subtracts whole. It
+// reads eight im2col rows at a time, so each tap's eight outputs fill
+// one cache line.
+func transposeF64(src []float32, g2, taps int) *linalg.Matrix {
 	at := linalg.NewMatrix(taps, g2)
-	src := cols.Data()
 	for g0 := 0; g0 < g2; g0 += 8 {
 		rows := src[g0*taps : min(g0+8, g2)*taps]
 		for t := 0; t < taps; t++ {
@@ -68,7 +63,7 @@ func lowerTF64(c *nn.Conv2D, in *tensor.Tensor) (*linalg.Matrix, error) {
 			}
 		}
 	}
-	return at, nil
+	return at
 }
 
 // convDummyOutputs applies `count` PRNG dummy filters to the golden input
@@ -156,148 +151,132 @@ func convRefreshCRC(lp *layerPlan, fresh []*crc2d.Code, suspects map[int][]int) 
 	return nil
 }
 
-// solveConvFull re-solves whole filters from the golden input/output
-// pair. Only the filters listed are touched; one QR factorization of the
-// im2col matrix serves them all, and the per-filter solves — independent
-// right-hand sides against a read-only factorization, writing disjoint
-// weight entries — run on the engine's worker pool.
-func solveConvFull(lp *layerPlan, goldenIn, goldenOut *tensor.Tensor, filters []int, opts Options) error {
-	c := lp.conv
-	a, err := lowerF64(c, goldenIn)
-	if err != nil {
-		return err
-	}
-	taps := a.Cols
-	if a.Rows < taps {
-		return fmt.Errorf("core: conv %q full solve needs G²=%d ≥ F²Z=%d", c.Name(), a.Rows, taps)
-	}
-	qr, err := linalg.FactorQR(a)
-	if err != nil {
-		return fmt.Errorf("core: conv %q full solve: %w", c.Name(), err)
-	}
-	y := c.Filters()
-	od := goldenOut.Data()
-	if goldenOut.NumElements() != a.Rows*y {
-		return fmt.Errorf("core: conv %q golden output has %d values, want %d", c.Name(), goldenOut.NumElements(), a.Rows*y)
-	}
-	w := c.Params().Data()
-	return par.ForErr(len(filters), opts.workerPool(), func(fi int) error {
-		k := filters[fi]
-		if k < 0 || k >= y {
-			return fmt.Errorf("core: conv %q filter %d out of range [0,%d)", c.Name(), k, y)
-		}
-		rhs := make([]float64, a.Rows)
-		for g := 0; g < a.Rows; g++ {
-			rhs[g] = float64(od[g*y+k])
-		}
-		x, err := qr.Solve(rhs)
-		if err != nil {
-			return fmt.Errorf("core: conv %q solve filter %d: %w", c.Name(), k, err)
-		}
-		for t := 0; t < taps; t++ {
-			cur := float64(w[t*y+k])
-			if relMismatch(x[t], cur, keepTol) {
-				w[t*y+k] = float32(x[t])
-			}
-		}
-		return nil
-	})
+// suspectGroup is the filters that share one suspect set, and so one
+// restricted system and one factorization.
+type suspectGroup struct {
+	first   int    // the group's lowest filter, named in errors
+	taps    []int  // the suspect set, as that filter lists it
+	suspect []bool // suspect[t]: tap t is in the set
+	lsq     *linalg.LSQ
 }
 
-// solveConvSelective solves only the CRC-localized suspect taps per
-// filter. When a filter's suspect count exceeds the G² available
-// equations, the minimum-norm least-squares solution is used — the
-// paper's partial-recoverability best effort.
-//
-// The golden input is lowered once per layer into Aᵀ, so each tap's
-// column of A is a contiguous row. A filter's residual starts from its
-// golden output column and subtracts w[t]·Aᵀ[t] for every tap t assumed
-// correct, in ascending t, through tensor.SubScaled: per output
-// position, the same products subtracted in the same order as a dot
-// product along A's row, so the bits do not depend on the layout.
-func solveConvSelective(lp *layerPlan, goldenIn, goldenOut *tensor.Tensor, suspects map[int][]int, opts Options) (exact, approximate int, err error) {
+// solveConvSuspects re-solves each filter's suspect taps (suspects
+// maps filter → taps, tap = (f1·F+f2)·Z+z) from the golden pair and
+// counts the filters solved exactly and by a least-squares best
+// effort. It checks every filter and tap, and factors every group,
+// before it writes any weight. Each group's restricted matrix, A's
+// columns in set order, is gathered from the float32 im2col rows and
+// factored once, the groups on the worker pool; then the filters solve
+// on the pool, filter k writing only w[t*y+k]. A filter's residual is
+// its golden output column minus w[t]·Aᵀ[t] for every tap t outside
+// its set, in ascending t, through tensor.SubScaled: per output
+// position the products and order of a dot product along A's row, so
+// the bits do not depend on the layout. Aᵀ is built only when some set
+// leaves a tap out.
+func solveConvSuspects(lp *layerPlan, goldenIn, goldenOut *tensor.Tensor, suspects map[int][]int, opts Options) (exact, approximate int, err error) {
 	c := lp.conv
-	at, err := lowerTF64(c, goldenIn)
+	y := c.Filters()
+	taps := c.FilterSize() * c.FilterSize() * c.InChannels()
+	// Deterministic filter order keeps runs reproducible.
+	keys := xmaps.SortedKeys(suspects)
+	for _, k := range keys {
+		if k < 0 || k >= y {
+			return 0, 0, fmt.Errorf("core: conv %q filter %d out of range [0,%d)", c.Name(), k, y)
+		}
+		for _, t := range suspects[k] {
+			if t < 0 || t >= taps {
+				return 0, 0, fmt.Errorf("core: conv %q tap %d out of range [0,%d)", c.Name(), t, taps)
+			}
+		}
+	}
+	cols, err := c.Lower(goldenIn)
 	if err != nil {
 		return 0, 0, err
 	}
-	y := c.Filters()
-	taps, g2 := at.Rows, at.Cols
+	g2 := cols.Dim(0)
 	od := goldenOut.Data()
 	if goldenOut.NumElements() != g2*y {
 		return 0, 0, fmt.Errorf("core: conv %q golden output has %d values, want %d", c.Name(), goldenOut.NumElements(), g2*y)
 	}
-	w := c.Params().Data()
-	// Deterministic filter order keeps runs reproducible.
-	keys := xmaps.SortedKeys(suspects)
-	// Independent filters solve concurrently: filter k only reads and
-	// writes column k of the weight matrix (w[t*y+k]), so the writes
-	// are disjoint and the per-filter outcomes independent of worker
-	// count. Outcomes land in per-filter slots; the exact/approximate
-	// tallies are summed in key order afterwards.
-	uniqueSlot := make([]bool, len(keys))
-	solvedSlot := make([]bool, len(keys))
-	err = par.ForErr(len(keys), opts.workerPool(), func(ki int) error {
-		k := keys[ki]
+	// Group the filters by suspect set, in filter order; a filter with
+	// an empty set is not solved.
+	type filterSolve struct {
+		k int
+		g *suspectGroup
+	}
+	var groups []*suspectGroup
+	solves := make([]filterSolve, 0, len(keys))
+	needAT := false
+	for _, k := range keys {
 		e := suspects[k]
 		if len(e) == 0 {
-			return nil
+			continue
 		}
-		inE := make([]bool, taps)
-		for _, t := range e {
-			if t < 0 || t >= taps {
-				return fmt.Errorf("core: conv %q tap %d out of range [0,%d)", c.Name(), t, taps)
+		gi := slices.IndexFunc(groups, func(g *suspectGroup) bool { return slices.Equal(g.taps, e) })
+		if gi < 0 {
+			g := &suspectGroup{first: k, taps: e, suspect: make([]bool, taps)}
+			for _, t := range e {
+				g.suspect[t] = true
 			}
-			inE[t] = true
+			needAT = needAT || slices.Contains(g.suspect, false)
+			gi = len(groups)
+			groups = append(groups, g)
 		}
-		// Residual: golden output minus the contribution of taps assumed
-		// correct.
-		rhs := make([]float64, g2)
-		for g := range rhs {
-			rhs[g] = float64(od[g*y+k])
-		}
-		for t := 0; t < taps; t++ {
-			if !inE[t] {
-				tensor.SubScaled(rhs, at.Row(t), float64(w[t*y+k]))
-			}
-		}
-		// The restricted system: A's columns e, read from Aᵀ's rows.
-		sub := linalg.NewMatrix(g2, len(e))
-		for i, t := range e {
-			for g, v := range at.Row(t) {
-				sub.Data[g*len(e)+i] = v
+		solves = append(solves, filterSolve{k, groups[gi]})
+	}
+	src := cols.Data()
+	err = par.ForErr(len(groups), opts.workerPool(), func(gi int) error {
+		g := groups[gi]
+		n := len(g.taps)
+		sub := linalg.NewMatrix(g2, n)
+		for r := 0; r < g2; r++ {
+			row, dst := src[r*taps:(r+1)*taps], sub.Data[r*n:(r+1)*n]
+			for i, t := range g.taps {
+				dst[i] = float64(row[t])
 			}
 		}
-		unique := len(e) <= g2
-		x, err := linalg.LeastSquares(sub, rhs)
+		lsq, err := linalg.FactorLeastSquares(sub)
 		if err != nil {
-			// The restricted system can be rank-deficient when the
-			// golden input is structurally low-rank; take the paper's
-			// least-squares best effort.
-			x, err = linalg.RidgeSolve(sub, rhs)
-			if err != nil {
-				return fmt.Errorf("core: conv %q selective solve filter %d: %w", c.Name(), k, err)
-			}
-			unique = false
+			return fmt.Errorf("core: conv %q solve filter %d: %w", c.Name(), g.first, err)
 		}
-		for i, t := range e {
-			cur := float64(w[t*y+k])
-			if relMismatch(x[i], cur, keepTol) {
-				w[t*y+k] = float32(x[i])
-			}
-		}
-		uniqueSlot[ki] = unique
-		solvedSlot[ki] = true
+		g.lsq = lsq
 		return nil
 	})
 	if err != nil {
-		return exact, approximate, err
+		return 0, 0, err
 	}
-	for ki := range keys {
-		if !solvedSlot[ki] {
-			continue
+	var at *linalg.Matrix
+	if needAT {
+		at = transposeF64(src, g2, taps)
+	}
+	w := c.Params().Data()
+	err = par.ForErr(len(solves), opts.workerPool(), func(i int) error {
+		k, g := solves[i].k, solves[i].g
+		rhs := make([]float64, g2)
+		for r := range rhs {
+			rhs[r] = float64(od[r*y+k])
 		}
-		if uniqueSlot[ki] {
+		for t, s := range g.suspect {
+			if !s {
+				tensor.SubScaled(rhs, at.Row(t), float64(w[t*y+k]))
+			}
+		}
+		x, err := g.lsq.Solve(rhs)
+		if err != nil {
+			return fmt.Errorf("core: conv %q solve filter %d: %w", c.Name(), k, err)
+		}
+		for i, t := range g.taps {
+			if relMismatch(x[i], float64(w[t*y+k]), keepTol) {
+				w[t*y+k] = float32(x[i])
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return 0, 0, err
+	}
+	for _, fs := range solves {
+		if fs.g.lsq.Exact() {
 			exact++
 		} else {
 			approximate++

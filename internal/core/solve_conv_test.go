@@ -1,7 +1,9 @@
 package core
 
 import (
+	"context"
 	"math"
+	"strings"
 	"testing"
 
 	"milr/internal/nn"
@@ -10,7 +12,7 @@ import (
 
 // checkConvSelectiveMatchesOracle corrupts lp's weights with corrupt,
 // solves suspects from the same corrupted weights with the oracle
-// (recover_oracle_test.go) and with solveConvSelective, and compares
+// (recover_oracle_test.go) and with solveConvSuspects, and compares
 // every weight bit and the exact/approximate counts. It returns how
 // many weights the oracle rewrote and how many filters it solved
 // approximately, and leaves the layer as it found it.
@@ -28,7 +30,7 @@ func checkConvSelectiveMatchesOracle(t *testing.T, name string, lp *layerPlan, i
 	}
 	want := append([]float32(nil), w...)
 	copy(w, corrupted)
-	exact, approx, err := solveConvSelective(lp, in, out, suspects, opts)
+	exact, approx, err := solveConvSuspects(lp, in, out, suspects, opts)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
@@ -125,9 +127,9 @@ func TestConvSelectiveSolveMatchesOracle(t *testing.T) {
 				if n == 0 {
 					t.Fatalf("%s: the oracle rewrote nothing; test is vacuous", name)
 				}
-				// The duplicate's restricted system is singular:
-				// LeastSquares refuses it and the ridge solve is
-				// reported approximate.
+				// The duplicate's restricted system is singular: QR
+				// refuses it and the ridge solve is reported
+				// approximate.
 				if tc.name == "duplicated suspect" && approx != 1 {
 					t.Fatalf("%s: %d filters approximate, want 1 (the ridge path)", name, approx)
 				}
@@ -136,5 +138,212 @@ func TestConvSelectiveSolveMatchesOracle(t *testing.T) {
 	}
 	if minNormLayers == 0 {
 		t.Fatal("no layer took the minimum-norm path")
+	}
+}
+
+// TestConvFullSolveMatchesOracle pins a full-mode conv heal, the
+// suspect-set solve with every tap of each flagged filter suspect,
+// bit-identical to the whole-filter oracle solveConvFull on every
+// full-mode conv of tiny, MNIST and CIFAR-small, with its golden pair,
+// at workers {1, 3, -1}: one filter, several, every filter, and NaN and
+// ±Inf weights. Every case must rewrite weights, or the test is vacuous.
+func TestConvFullSolveMatchesOracle(t *testing.T) {
+	nets := []struct {
+		name  string
+		build func() (*nn.Model, error)
+	}{{"tiny", nn.NewTinyNet}, {"mnist", nn.NewMNISTNet}, {"cifar-small", nn.NewCIFARSmallNet}}
+	fullLayers := 0
+	for _, net := range nets {
+		m, err := net.build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.InitWeights(42)
+		pr, err := NewProtector(m, Options{Seed: 42})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, lp := range pr.plan.layers {
+			if !lp.fullSolve() {
+				continue
+			}
+			fullLayers++
+			in, out, err := pr.GoldenPair(lp.idx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := lp.conv
+			taps, y := c.FilterSize()*c.FilterSize()*c.InChannels(), c.Filters()
+			every := make([]int, y)
+			for k := range every {
+				every[k] = k
+			}
+			set := func(tap, filter int, v float32) func(w []float32) {
+				return func(w []float32) { w[tap*y+filter] = v }
+			}
+			cases := []struct {
+				name    string
+				filters []int
+				corrupt []func(w []float32)
+			}{
+				{"one filter", []int{y / 2}, []func([]float32){set(0, y/2, 3)}},
+				{"several filters", []int{0, y / 3, y - 1},
+					[]func([]float32){set(taps-1, 0, -2), set(1, y/3, 1.5), set(2, y/3, -4), set(taps/2, y-1, 0.75)}},
+				{"every filter", every, []func([]float32){set(0, 0, 9), set(taps-1, y-1, -9)}},
+				{"NaN and ±Inf", []int{1, 2, y - 1},
+					[]func([]float32){set(0, 1, float32(math.NaN())), set(taps/2, 2, float32(math.Inf(1))), set(taps-1, y-1, float32(math.Inf(-1)))}},
+			}
+			w := c.Params().Data()
+			clean := append([]float32(nil), w...)
+			for _, tc := range cases {
+				name := net.name + " " + c.Name() + " " + tc.name
+				for _, workers := range []int{1, 3, -1} {
+					for _, f := range tc.corrupt {
+						f(w)
+					}
+					corrupted := append([]float32(nil), w...)
+					opts := pr.opts
+					opts.Workers = workers
+					if err := solveConvFull(lp, in, out, tc.filters, opts); err != nil {
+						t.Fatalf("%s: oracle: %v", name, err)
+					}
+					want := append([]float32(nil), w...)
+					copy(w, corrupted)
+					pr.SetWorkers(workers)
+					res, err := pr.solveConvFinding(lp, LayerFinding{Layer: lp.idx, Name: c.Name(), Filters: tc.filters}, in, out)
+					if err != nil || res.Status == Failed {
+						t.Fatalf("%s, workers %d: %v %s", name, workers, err, res.Detail)
+					}
+					if res.Solved != len(tc.filters)*taps {
+						t.Fatalf("%s, workers %d: solved %d, want %d", name, workers, res.Solved, len(tc.filters)*taps)
+					}
+					rewritten := 0
+					for i := range w {
+						if math.Float32bits(w[i]) != math.Float32bits(want[i]) {
+							t.Fatalf("%s, workers %d: weight %d is %v, oracle %v", name, workers, i, w[i], want[i])
+						}
+						if math.Float32bits(want[i]) != math.Float32bits(corrupted[i]) {
+							rewritten++
+						}
+					}
+					if rewritten == 0 {
+						t.Fatalf("%s: the oracle rewrote nothing; test is vacuous", name)
+					}
+					copy(w, clean)
+				}
+			}
+		}
+	}
+	if fullLayers < 3 {
+		t.Fatalf("%d full-mode conv layers, want one per net", fullLayers)
+	}
+}
+
+// TestConvSolveBadSuspectsLeaveLayerUntouched: a filter or tap out of
+// range fails the conv solve before it writes any weight. Through
+// RecoverContext, a full-mode finding that lists filter 99 of a
+// 32-filter layer reports Failed and leaves even its valid filter 0,
+// corrupted, as it was; on a partial-mode layer, a tap or filter out
+// of range does the same at the solver.
+func TestConvSolveBadSuspectsLeaveLayerUntouched(t *testing.T) {
+	m, err := nn.NewMNISTNet()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.InitWeights(42)
+	pr, err := NewProtector(m, Options{Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := pr.plan.layers[0]
+	if !full.fullSolve() {
+		t.Fatal("MNIST conv2d is not full-mode")
+	}
+	w := full.conv.Params().Data()
+	w[0] = 5
+	before := append([]float32(nil), w...)
+	rep, err := pr.RecoverContext(context.Background(), &DetectionReport{
+		Findings: []LayerFinding{{Layer: 0, Name: full.conv.Name(), Filters: []int{0, 99}}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Results) != 1 || rep.Results[0].Status != Failed || rep.Results[0].Solved != 0 {
+		t.Fatalf("results %+v, want one Failed with nothing solved", rep.Results)
+	}
+	for i := range w {
+		if math.Float32bits(w[i]) != math.Float32bits(before[i]) {
+			t.Fatalf("full mode: weight %d changed from %v to %v", i, before[i], w[i])
+		}
+	}
+
+	part := pr.plan.layers[3]
+	if !part.partialMode {
+		t.Fatal("MNIST conv2d_1 is not partial-mode")
+	}
+	in, out, err := pr.GoldenPair(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := part.conv
+	taps, y := c.FilterSize()*c.FilterSize()*c.InChannels(), c.Filters()
+	w = c.Params().Data()
+	w[0] = 5
+	before = append([]float32(nil), w...)
+	for name, suspects := range map[string]map[int][]int{
+		"tap out of range":    {0: {0}, 1: {3, taps}},
+		"negative tap":        {0: {0}, 1: {-1}},
+		"filter out of range": {0: {0}, y: {0}},
+	} {
+		if _, _, err := solveConvSuspects(part, in, out, suspects, pr.opts); err == nil {
+			t.Errorf("partial mode, %s: solved without error", name)
+		}
+		for i := range w {
+			if math.Float32bits(w[i]) != math.Float32bits(before[i]) {
+				t.Fatalf("partial mode, %s: weight %d changed from %v to %v", name, i, before[i], w[i])
+			}
+		}
+	}
+}
+
+// TestConvFullSolveSingularTakesRidge pins the one behaviour the merged
+// conv solver changed: a full-mode layer whose golden im2col matrix is
+// singular (here an all-zero golden input) used to fail its QR and
+// report Failed; it now takes the ridge best effort, reports it in the
+// detail, and verifies Approximate.
+func TestConvFullSolveSingularTakesRidge(t *testing.T) {
+	m, err := nn.NewMNISTNet()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.InitWeights(42)
+	pr, err := NewProtector(m, Options{Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lp := pr.plan.layers[0]
+	in, out, err := pr.GoldenPair(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	zero := tensor.New(in.Shape()...)
+	w := lp.conv.Params().Data()
+	clean := append([]float32(nil), w...)
+	defer copy(w, clean)
+	if err := solveConvFull(lp, zero, out, []int{0}, pr.opts); err == nil {
+		t.Fatal("oracle solved a zero golden input; the case no longer pins the change")
+	}
+	copy(w, clean)
+	res, err := pr.solveConvFinding(lp, LayerFinding{Layer: 0, Name: lp.conv.Name(), Filters: []int{0}}, zero, out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Status == Failed || !strings.Contains(res.Detail, "0 filters exact, 1 filters least-squares") {
+		t.Fatalf("status %v, detail %q: want the ridge best effort", res.Status, res.Detail)
+	}
+	if err := pr.verifyLayer(lp, &res); err != nil {
+		t.Fatal(err)
+	}
+	if res.Status != Approximate {
+		t.Fatalf("verified %v, want approximate", res.Status)
 	}
 }

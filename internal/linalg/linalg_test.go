@@ -2,6 +2,7 @@ package linalg
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -9,12 +10,42 @@ import (
 	"milr/internal/prng"
 )
 
+// FromRows builds a matrix from row slices; all rows must share a length.
+func FromRows(rows [][]float64) (*Matrix, error) {
+	if len(rows) == 0 {
+		return NewMatrix(0, 0), nil
+	}
+	c := len(rows[0])
+	m := NewMatrix(len(rows), c)
+	for i, r := range rows {
+		if len(r) != c {
+			return nil, fmt.Errorf("linalg: ragged rows: row 0 has %d cols, row %d has %d", c, i, len(r))
+		}
+		copy(m.Data[i*c:(i+1)*c], r)
+	}
+	return m, nil
+}
+
 func randMatrix(s *prng.Stream, rows, cols int) *Matrix {
 	m := NewMatrix(rows, cols)
 	for i := range m.Data {
 		m.Data[i] = s.Float64()*2 - 1
 	}
 	return m
+}
+
+// lstsq factors a and solves for b, failing the test on any error.
+func lstsq(t *testing.T, a *Matrix, b []float64) []float64 {
+	t.Helper()
+	l, err := FactorLeastSquares(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, err := l.Solve(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return x
 }
 
 func maxAbsVecDiff(a, b []float64) float64 {
@@ -105,7 +136,11 @@ func TestLUSolveProperty(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := SolveSquare(a, b)
+		lu, err := FactorLU(a)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		got, err := lu.Solve(b)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -136,10 +171,7 @@ func TestQRConsistentOverdetermined(t *testing.T) {
 			want[i] = s.Float64()*2 - 1
 		}
 		b, _ := a.MulVec(want)
-		got, err := LeastSquares(a, b)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
+		got := lstsq(t, a, b)
 		if d := maxAbsVecDiff(got, want); d > 1e-8 {
 			t.Fatalf("trial %d: off by %g", trial, d)
 		}
@@ -155,10 +187,7 @@ func TestQRResidualOrthogonality(t *testing.T) {
 	for i := range b {
 		b[i] = s.Float64()*2 - 1
 	}
-	x, err := LeastSquares(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
+	x := lstsq(t, a, b)
 	ax, _ := a.MulVec(x)
 	resid := make([]float64, 20)
 	for i := range resid {
@@ -182,10 +211,7 @@ func TestMinNormUnderdetermined(t *testing.T) {
 	for i := range b {
 		b[i] = s.Float64()*2 - 1
 	}
-	x, err := LeastSquares(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
+	x := lstsq(t, a, b)
 	ax, _ := a.MulVec(x)
 	if d := maxAbsVecDiff(ax, b); d > 1e-6 {
 		t.Fatalf("not consistent: off by %g", d)
@@ -204,10 +230,7 @@ func TestMinNormUnderdetermined(t *testing.T) {
 		r[i] = s.Float64()*2 - 1
 	}
 	ar, _ := a.MulVec(r)
-	proj, err := LeastSquares(a, ar)
-	if err != nil {
-		t.Fatal(err)
-	}
+	proj := lstsq(t, a, ar)
 	nullv := make([]float64, 8)
 	var dot float64
 	for i := range nullv {
@@ -270,17 +293,33 @@ func TestQRPivotSolveFullRank(t *testing.T) {
 	}
 }
 
+// TestRidgeSolveConsistent: a tall matrix with two equal columns fails
+// QR, so FactorLeastSquares takes the ridge best effort, which must
+// still fit a consistent right-hand side and report itself inexact.
 func TestRidgeSolveConsistent(t *testing.T) {
 	s := prng.New(37)
 	a := randMatrix(s, 10, 4)
-	want := []float64{1, -2, 3, 0.5}
-	b, _ := a.MulVec(want)
-	got, err := RidgeSolve(a, b)
+	for i := 0; i < a.Rows; i++ {
+		a.Set(i, 3, a.At(i, 1))
+	}
+	if _, err := FactorQR(a); !errors.Is(err, ErrSingular) {
+		t.Fatalf("QR of equal columns: err %v, want ErrSingular", err)
+	}
+	b, _ := a.MulVec([]float64{1, -2, 3, 0.5})
+	l, err := FactorLeastSquares(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := maxAbsVecDiff(got, want); d > 1e-4 {
-		t.Fatalf("off by %g", d)
+	if l.Exact() {
+		t.Error("ridge path reported exact")
+	}
+	x, err := l.Solve(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ax, _ := a.MulVec(x)
+	if d := maxAbsVecDiff(ax, b); d > 1e-4 {
+		t.Fatalf("ridge fit off by %g", d)
 	}
 }
 

@@ -5,54 +5,103 @@ import (
 	"math"
 )
 
-// LeastSquares solves min‖A·x − b‖₂ for a single right-hand side.
+// LSQ is a factored least-squares problem min‖A·x − b‖₂: one
+// factorization of A serves any number of right-hand sides. Solve is
+// read-only on it, so concurrent calls each return the bits a lone
+// call would.
+type LSQ struct {
+	rows int
+	qr   *QR     // the QR path; nil otherwise
+	at   *Matrix // Aᵀ, for the normal-equation paths
+	lu   *LU     // AAᵀ + εI (minimum norm) or AᵀA + λI (ridge)
+	// ridge: Solve maps b through Aᵀ before the LU solve; minimum norm
+	// maps the LU solution through Aᵀ after it.
+	ridge bool
+}
+
+// FactorLeastSquares factors A under the whole least-squares policy:
 //
-//   - Overdetermined or square systems (Rows ≥ Cols) use Householder QR,
-//     the numerically robust path for the overdetermined systems MILR's
-//     conv parameter solver produces (G² equations, F²Z unknowns).
-//   - Underdetermined systems (Rows < Cols) return the minimum-norm
-//     solution x = Aᵀ(AAᵀ)⁻¹b — the paper's lstsq fallback for
-//     whole-layer corruption of partial-recoverable conv layers (§V-B):
-//     "they attempt to find a least-square solution ... as close as
-//     possible to the actual solution".
-func LeastSquares(a *Matrix, b []float64) ([]float64, error) {
-	if a.Rows != len(b) {
-		return nil, fmt.Errorf("linalg: lstsq rhs length %d, want %d", len(b), a.Rows)
-	}
+//   - Rows ≥ Cols: Householder QR, the numerically robust path for the
+//     overdetermined systems the conv parameter solver produces (G²
+//     equations, F²Z unknowns). Only this path is Exact.
+//   - Rows < Cols: the minimum-norm solution x = Aᵀ(AAᵀ + εI)⁻¹b, the
+//     paper's lstsq fallback for whole-layer corruption of
+//     partial-recoverable conv layers (§V-B): "they attempt to find a
+//     least-square solution ... as close as possible to the actual
+//     solution".
+//   - Whenever that first factorization fails (A rank-deficient to
+//     working precision), the ridge solution of (AᵀA + λI)x = Aᵀb.
+//
+// It fails only when the ridge factorization fails too.
+func FactorLeastSquares(a *Matrix) (*LSQ, error) {
+	l := &LSQ{rows: a.Rows}
+	var err error
 	if a.Rows >= a.Cols {
-		qr, err := FactorQR(a)
+		if l.qr, err = FactorQR(a); err == nil {
+			return l, nil
+		}
+	}
+	l.at = a.T()
+	if a.Rows < a.Cols {
+		var aat *Matrix
+		if aat, err = a.Mul(l.at); err != nil {
+			return nil, err
+		}
+		addRidge(aat, 1e-12)
+		if l.lu, err = FactorLU(aat); err == nil {
+			return l, nil
+		}
+	}
+	ata, err := l.at.Mul(a)
+	if err != nil {
+		return nil, err
+	}
+	addRidge(ata, 1e-10)
+	if l.lu, err = FactorLU(ata); err != nil {
+		return nil, fmt.Errorf("linalg: least squares: %w", err)
+	}
+	l.ridge = true
+	return l, nil
+}
+
+// Exact reports whether Solve returns the unique least-squares
+// solution: the QR path, not a minimum-norm or ridge best effort.
+func (l *LSQ) Exact() bool { return l.qr != nil }
+
+// Solve returns the least-squares solution for right-hand side b.
+func (l *LSQ) Solve(b []float64) ([]float64, error) {
+	if len(b) != l.rows {
+		return nil, fmt.Errorf("linalg: lstsq rhs length %d, want %d", len(b), l.rows)
+	}
+	switch {
+	case l.qr != nil:
+		return l.qr.Solve(b)
+	case l.ridge:
+		rhs, err := l.at.MulVec(b)
 		if err != nil {
 			return nil, err
 		}
-		return qr.Solve(b)
+		return l.lu.Solve(rhs)
+	default:
+		y, err := l.lu.Solve(b)
+		if err != nil {
+			return nil, err
+		}
+		return l.at.MulVec(y)
 	}
-	return minNorm(a, b)
 }
 
-func minNorm(a *Matrix, b []float64) ([]float64, error) {
-	at := a.T()
-	aat, err := a.Mul(at)
-	if err != nil {
-		return nil, err
-	}
-	regularize(aat)
-	y, err := SolveSquare(aat, b)
-	if err != nil {
-		return nil, err
-	}
-	return at.MulVec(y)
-}
-
-// regularize adds a tiny ridge to the diagonal so severely rank-deficient
-// AAᵀ systems (e.g. a conv sub-region whose padding zeroes entire taps)
+// addRidge adds rel times the square matrix's largest magnitude (1e-12
+// for a zero matrix) to its diagonal, so severely rank-deficient normal
+// equations (e.g. a conv sub-region whose padding zeroes entire taps)
 // still produce the best-effort solution the paper describes instead of
 // failing outright.
-func regularize(m *Matrix) {
-	eps := m.MaxAbs() * 1e-12
+func addRidge(m *Matrix, rel float64) {
+	eps := m.MaxAbs() * rel
 	if eps == 0 {
 		eps = 1e-12
 	}
-	for i := 0; i < m.Rows && i < m.Cols; i++ {
+	for i := 0; i < m.Rows; i++ {
 		m.Data[i*m.Cols+i] += eps
 	}
 }

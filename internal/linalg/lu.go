@@ -74,9 +74,6 @@ func luTolerance(a *Matrix) float64 {
 	return scale * float64(a.Rows) * 1e-14
 }
 
-// N returns the system size.
-func (f *LU) N() int { return f.lu.Rows }
-
 // Solve returns x such that A·x = b.
 func (f *LU) Solve(b []float64) ([]float64, error) {
 	n := f.lu.Rows
@@ -106,13 +103,4 @@ func (f *LU) Solve(b []float64) ([]float64, error) {
 		x[i] = acc / row[i]
 	}
 	return x, nil
-}
-
-// SolveSquare is a convenience wrapper: factor once, solve once.
-func SolveSquare(a *Matrix, b []float64) ([]float64, error) {
-	f, err := FactorLU(a)
-	if err != nil {
-		return nil, err
-	}
-	return f.Solve(b)
 }

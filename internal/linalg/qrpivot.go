@@ -90,30 +90,3 @@ func factorQRPivot(a *Matrix, rtol float64) (*Matrix, int, error) {
 
 // Rank returns the numerical rank detected during factorization.
 func (q *QRP) Rank() int { return q.rank }
-
-// RidgeSolve returns the Tikhonov-regularized solution of min‖A·x − b‖² +
-// λ‖x‖² via the normal equations (AᵀA + λI)x = Aᵀb, with λ scaled to the
-// matrix magnitude. It is the robust fallback for restricted recovery
-// systems that turn out rank-deficient.
-func RidgeSolve(a *Matrix, b []float64) ([]float64, error) {
-	if a.Rows != len(b) {
-		return nil, fmt.Errorf("linalg: ridge rhs length %d, want %d", len(b), a.Rows)
-	}
-	at := a.T()
-	ata, err := at.Mul(a)
-	if err != nil {
-		return nil, err
-	}
-	lambda := ata.MaxAbs() * 1e-10
-	if lambda == 0 {
-		lambda = 1e-12
-	}
-	for i := 0; i < ata.Rows; i++ {
-		ata.Data[i*ata.Cols+i] += lambda
-	}
-	rhs, err := at.MulVec(b)
-	if err != nil {
-		return nil, err
-	}
-	return SolveSquare(ata, rhs)
-}
