@@ -123,12 +123,9 @@ type layerPlan struct {
 	paramCount int
 
 	// Conv state.
-	conv *nn.Conv2D
-	g2   int // number of output positions per filter
-	// partialMode marks a conv whose whole filters are not solvable
-	// from golden pairs (G² < F²Z, the cost cap, or a rank-deficient
-	// golden input): CRC localization picks the unknown taps.
-	partialMode bool
+	conv        *nn.Conv2D
+	g2          int  // number of output positions per filter
+	partialMode bool // G² < F²Z, the cost cap or a rank-deficient golden input: CRC picks the unknowns
 	crcs        []*crc2d.Code
 	// crcsClean preserves the initialization-time codes so experiment
 	// harnesses can reset protection state after restoring clean weights

@@ -274,8 +274,7 @@ func (pr *Protector) ResetCRC() {
 // tolerance. NaN counts as a mismatch: bit flips in float32 exponents
 // routinely produce NaN weights, and a NaN-poisoned comparison must flag
 // the layer rather than silently comparing false. So does an infinite
-// difference, which the relative bound scaled by an infinite b would
-// otherwise excuse, keeping a ±Inf weight against its solution.
+// difference, which a bound scaled by an infinite b would excuse.
 func relMismatch(a, b, tol float64) bool {
 	if math.IsNaN(a) || math.IsNaN(b) {
 		return true

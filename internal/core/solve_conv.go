@@ -200,11 +200,8 @@ func solveConvSuspects(lp *layerPlan, goldenIn, goldenOut *tensor.Tensor, suspec
 	}
 	// Group the filters by suspect set, in filter order; a filter with
 	// an empty set is not solved.
-	type filterSolve struct {
-		k int
-		g *suspectGroup
-	}
-	var groups []*suspectGroup
+	type filterSolve struct{ k, g int }
+	groups := make([]suspectGroup, 0, len(keys))
 	solves := make([]filterSolve, 0, len(keys))
 	needAT := false
 	for _, k := range keys {
@@ -212,9 +209,9 @@ func solveConvSuspects(lp *layerPlan, goldenIn, goldenOut *tensor.Tensor, suspec
 		if len(e) == 0 {
 			continue
 		}
-		gi := slices.IndexFunc(groups, func(g *suspectGroup) bool { return slices.Equal(g.taps, e) })
+		gi := slices.IndexFunc(groups, func(g suspectGroup) bool { return slices.Equal(g.taps, e) })
 		if gi < 0 {
-			g := &suspectGroup{first: k, taps: e, suspect: make([]bool, taps)}
+			g := suspectGroup{first: k, taps: e, suspect: make([]bool, taps)}
 			for _, t := range e {
 				g.suspect[t] = true
 			}
@@ -222,11 +219,11 @@ func solveConvSuspects(lp *layerPlan, goldenIn, goldenOut *tensor.Tensor, suspec
 			gi = len(groups)
 			groups = append(groups, g)
 		}
-		solves = append(solves, filterSolve{k, groups[gi]})
+		solves = append(solves, filterSolve{k, gi})
 	}
 	src := cols.Data()
 	err = par.ForErr(len(groups), opts.workerPool(), func(gi int) error {
-		g := groups[gi]
+		g := &groups[gi]
 		n := len(g.taps)
 		sub := linalg.NewMatrix(g2, n)
 		for r := 0; r < g2; r++ {
@@ -251,7 +248,7 @@ func solveConvSuspects(lp *layerPlan, goldenIn, goldenOut *tensor.Tensor, suspec
 	}
 	w := c.Params().Data()
 	err = par.ForErr(len(solves), opts.workerPool(), func(i int) error {
-		k, g := solves[i].k, solves[i].g
+		k, g := solves[i].k, &groups[solves[i].g]
 		rhs := make([]float64, g2)
 		for r := range rhs {
 			rhs[r] = float64(od[r*y+k])
@@ -276,7 +273,7 @@ func solveConvSuspects(lp *layerPlan, goldenIn, goldenOut *tensor.Tensor, suspec
 		return 0, 0, err
 	}
 	for _, fs := range solves {
-		if fs.g.lsq.Exact() {
+		if groups[fs.g].lsq.Exact() {
 			exact++
 		} else {
 			approximate++

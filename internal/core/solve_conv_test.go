@@ -49,7 +49,7 @@ func checkConvSelectiveMatchesOracle(t *testing.T, name string, lp *layerPlan, i
 	return rewritten, approx
 }
 
-// TestConvSelectiveSolveMatchesOracle pins the Aᵀ selective conv solve
+// TestConvSelectiveSolveMatchesOracle pins the suspect-set conv solve
 // bit-identical to the per-row oracle on every conv layer of
 // CIFAR-small, with its golden pair, at workers {1, 3, -1}: suspects at
 // the first and last tap, adjacent ones and an empty list; NaN and ±Inf

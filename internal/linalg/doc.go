@@ -2,13 +2,11 @@
 // parameter-recovery functions are built on: LU factorization with
 // partial pivoting for square systems, QR with column pivoting for the
 // engine's rank probes, and one least-squares entry point,
-// FactorLeastSquares, which factors A once for any number of
-// right-hand sides and owns the whole fallback order: Householder QR
-// when Rows ≥ Cols (the only exact path); the ε-regularized
-// minimum-norm normal equations Aᵀ(AAᵀ + εI)⁻¹b when Rows < Cols,
-// mirroring the paper's lstsq fallback for whole-layer conv corruption
-// (§V-B); and the ridge normal equations (AᵀA + λI)x = Aᵀb whenever that
-// first factorization fails.
+// FactorLeastSquares: Householder QR for overdetermined systems, the
+// regularized minimum-norm normal equations for underdetermined ones
+// (the paper's lstsq fallback for whole-layer conv corruption, §V-B),
+// and the ridge normal equations whenever that first factorization
+// fails.
 //
 // Everything is hand-rolled on flat row-major float64 slices; the module
 // is stdlib-only by design. The solvers preserve a fixed accumulation
@@ -29,9 +27,7 @@
 // unspecified.
 //
 // The package holds what the engine and the repository benchmark's
-// probes call and no more; the one-shot LeastSquares and RidgeSolve it
-// replaced survive only as FactorLeastSquares's oracle in the package
-// tests. Everything is serial except QR.SolveMany,
+// probes call and no more. Everything is serial except QR.SolveMany,
 // which shares one factorization across independent right-hand sides
 // on a bounded pool; right-hand sides are vectors, never matrices.
 package linalg

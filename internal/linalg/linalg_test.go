@@ -2,29 +2,12 @@ package linalg
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
 
 	"milr/internal/prng"
 )
-
-// FromRows builds a matrix from row slices; all rows must share a length.
-func FromRows(rows [][]float64) (*Matrix, error) {
-	if len(rows) == 0 {
-		return NewMatrix(0, 0), nil
-	}
-	c := len(rows[0])
-	m := NewMatrix(len(rows), c)
-	for i, r := range rows {
-		if len(r) != c {
-			return nil, fmt.Errorf("linalg: ragged rows: row 0 has %d cols, row %d has %d", c, i, len(r))
-		}
-		copy(m.Data[i*c:(i+1)*c], r)
-	}
-	return m, nil
-}
 
 func randMatrix(s *prng.Stream, rows, cols int) *Matrix {
 	m := NewMatrix(rows, cols)

@@ -10,10 +10,9 @@ import (
 // read-only on it, so concurrent calls each return the bits a lone
 // call would.
 type LSQ struct {
-	rows int
-	qr   *QR     // the QR path; nil otherwise
-	at   *Matrix // Aᵀ, for the normal-equation paths
-	lu   *LU     // AAᵀ + εI (minimum norm) or AᵀA + λI (ridge)
+	qr *QR     // the QR path; nil otherwise
+	at *Matrix // Aᵀ, for the normal-equation paths
+	lu *LU     // AAᵀ + εI (minimum norm) or AᵀA + λI (ridge)
 	// ridge: Solve maps b through Aᵀ before the LU solve; minimum norm
 	// maps the LU solution through Aᵀ after it.
 	ridge bool
@@ -34,7 +33,7 @@ type LSQ struct {
 //
 // It fails only when the ridge factorization fails too.
 func FactorLeastSquares(a *Matrix) (*LSQ, error) {
-	l := &LSQ{rows: a.Rows}
+	l := &LSQ{}
 	var err error
 	if a.Rows >= a.Cols {
 		if l.qr, err = FactorQR(a); err == nil {
@@ -68,11 +67,9 @@ func FactorLeastSquares(a *Matrix) (*LSQ, error) {
 // solution: the QR path, not a minimum-norm or ridge best effort.
 func (l *LSQ) Exact() bool { return l.qr != nil }
 
-// Solve returns the least-squares solution for right-hand side b.
+// Solve returns the least-squares solution for right-hand side b, which
+// must hold one value per row of A.
 func (l *LSQ) Solve(b []float64) ([]float64, error) {
-	if len(b) != l.rows {
-		return nil, fmt.Errorf("linalg: lstsq rhs length %d, want %d", len(b), l.rows)
-	}
 	switch {
 	case l.qr != nil:
 		return l.qr.Solve(b)

@@ -25,6 +25,22 @@ func NewMatrix(rows, cols int) *Matrix {
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
 }
 
+// FromRows builds a matrix from row slices; all rows must share a length.
+func FromRows(rows [][]float64) (*Matrix, error) {
+	if len(rows) == 0 {
+		return NewMatrix(0, 0), nil
+	}
+	c := len(rows[0])
+	m := NewMatrix(len(rows), c)
+	for i, r := range rows {
+		if len(r) != c {
+			return nil, fmt.Errorf("linalg: ragged rows: row 0 has %d cols, row %d has %d", c, i, len(r))
+		}
+		copy(m.Data[i*c:(i+1)*c], r)
+	}
+	return m, nil
+}
+
 // At returns element (i,j).
 func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 
