@@ -43,6 +43,9 @@ go test . -bench 'BenchmarkTracerOverhead' -cpu "$CPUS" -benchtime "$BENCHTIME" 
 echo "== RBER sweep campaign, serial vs sharded (Figure 9 path) =="
 go test . -bench 'BenchmarkRBERSweepWorkers' -benchtime "$BENCHTIME" -run XXX
 
+echo "== clean scrub (Detect) on CIFAR-small and MNIST: one row probe per conv/dense layer, bytes and allocations =="
+go test ./internal/core -bench 'BenchmarkDetect$' -cpu "$CPUS" -benchtime "$BENCHTIME" -run XXX -benchmem
+
 echo "== detection scrub (Table X identification path) =="
 go test . -bench 'BenchmarkTable10_Identification' -cpu "$CPUS" -benchtime "$BENCHTIME" -run XXX
 

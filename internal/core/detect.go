@@ -52,35 +52,28 @@ func (r *DetectionReport) Erroneous() []int {
 // HasErrors reports whether any layer was flagged.
 func (r *DetectionReport) HasErrors() bool { return len(r.Findings) > 0 }
 
-// detectInput regenerates the layer-local detection input.
-func (pr *Protector) detectInput(lp *layerPlan) *tensor.Tensor {
-	shape := pr.model.LayerInShape(lp.idx)
-	return prng.TensorFor(pr.opts.Seed, lp.detectTag, shape...)
-}
-
 // probe is a conv or dense layer's response to its layer-local PRNG
-// input, one value per filter or parameter column: what its partial
-// checkpoint stores and what every scrub compares against it.
-//   - conv: the Y outputs at the centre output position, a position
-//     whose receptive field covers every filter tap. Only that
-//     position's im2col row is multiplied (Conv2D.ForwardAt),
-//     bit-identical to the same elements of the full-map forward.
-//   - dense: the product of a single (1, In) PRNG row with the
-//     parameter matrix, whatever the model input's row count.
+// row, one value per filter or parameter column: what its partial
+// checkpoint stores and what every scrub compares against it. It is
+// one (1, K) PRNG row times the layer's (K, N) parameter matrix in a
+// one-row GEMM: for a conv, K = F²Z taps in im2col order and N = Y
+// filters (the row is one receptive field, its output one 1×1×Y
+// position); for a dense layer, K = In and N = Out.
 func (pr *Protector) probe(lp *layerPlan) ([]float32, error) {
+	var w *tensor.Tensor
+	var n int
 	if lp.role == roleConv {
-		in := pr.detectInput(lp)
-		out, err := lp.conv.OutShape(in.Shape())
-		if err != nil {
-			return nil, err
-		}
-		return lp.conv.ForwardAt(in, out[0]/2, out[1]/2)
+		w, n = lp.conv.Params(), lp.conv.Filters()
+	} else {
+		w, n = lp.dense.Params(), lp.dense.Out()
 	}
-	out, err := lp.dense.RecoveryForward(prng.TensorFor(pr.opts.Seed, lp.detectTag, 1, lp.dense.In()))
-	if err != nil {
+	k := w.NumElements() / n
+	row := prng.TensorFor(pr.opts.Seed, lp.tag(tagDetect), 1, k)
+	out := make([]float32, n)
+	if err := tensor.MatMulInto(out, row.Data(), w.Data(), 1, k, n, 1, nil); err != nil {
 		return nil, err
 	}
-	return out.Data(), nil
+	return out, nil
 }
 
 // Detect runs MILR's error-detection phase: every parameterized layer's

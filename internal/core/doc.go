@@ -16,9 +16,10 @@
 //     2-D CRC codes.
 //   - Error detection: regenerate each layer's pseudo-random input,
 //     forward it through that layer alone, and compare against the
-//     partial checkpoint. A conv layer is forwarded at its centre
-//     output position only (Conv2D.ForwardAt), the one position its
-//     checkpoint stores, a dense layer on one PRNG row.
+//     partial checkpoint. The input is one PRNG row, multiplied by the
+//     layer's parameter matrix in a one-row GEMM: In values for a
+//     dense layer, one F×F×Z receptive field (F²Z taps, one 1×1×Y
+//     output) for a conv.
 //   - Error recovery: move golden tensors from the nearest checkpoints to
 //     the erroneous layers with forward and inverse passes, then call each
 //     layer's parameter-recovery function R. The pipeline is batched

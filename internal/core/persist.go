@@ -23,12 +23,15 @@ import (
 // restart, *without* re-running the initialization phase.
 //
 // The format is versioned gob. Everything regenerable from the master
-// seed (golden inputs, detection inputs, dummy input rows, dummy
-// filters) is deliberately NOT stored, mirroring the paper's storage
-// accounting.
+// seed (golden inputs, detection rows, dummy input rows, dummy filters)
+// is deliberately NOT stored, mirroring the paper's storage accounting.
 
-// persistVersion guards the on-disk format.
-const persistVersion = 1
+// persistVersion guards the on-disk format. Version 2 stores conv
+// partial checkpoints as the row probe (one PRNG row times the filter
+// matrix, see probe) and one solver-mode field per layer; version 1
+// stored the centre of a whole-map forward of a layer-shaped PRNG
+// input and a redundant FullSolve field, and is refused.
+const persistVersion = 2
 
 // ErrBlobVersion is returned, wrapped, by LoadProtector for a blob
 // written in another on-disk format version. It is checked before the
@@ -40,7 +43,6 @@ type persistedLayer struct {
 	Role        int
 	Partial     []float32
 	BiasSum     float64
-	FullSolve   bool
 	PartialMode bool
 	DummyOut    []float32
 	DummyShape  []int
@@ -110,7 +112,6 @@ func (pr *Protector) Save(w io.Writer) error {
 			Idx:         lp.idx,
 			Role:        int(lp.role),
 			BiasSum:     lp.biasSum,
-			FullSolve:   lp.fullSolve(),
 			PartialMode: lp.partialMode,
 		}
 		if lp.partial != nil {
@@ -205,16 +206,12 @@ func LoadProtector(r io.Reader, model *nn.Model) (*Protector, error) {
 		name := fmt.Sprintf("layer %d (%s) ", i, model.Layer(i).Name())
 		// The rank probe may only demote a full-solve conv to partial
 		// mode; no other layer solves filters at all.
-		if lp.role == roleConv && (sl.FullSolve && lp.partialMode || sl.PartialMode == sl.FullSolve) ||
-			lp.role != roleConv && (sl.FullSolve || sl.PartialMode) {
-			return nil, fmt.Errorf("core: load %ssolver mode: full=%v partial=%v, plan allows full=%v",
-				name, sl.FullSolve, sl.PartialMode, lp.fullSolve())
+		if lp.role == roleConv && !sl.PartialMode && lp.partialMode || lp.role != roleConv && sl.PartialMode {
+			return nil, fmt.Errorf("core: load %ssolver mode: partial=%v, plan allows full=%v",
+				name, sl.PartialMode, lp.fullSolve())
 		}
 		lp.partialMode = sl.PartialMode
 		lp.biasSum = sl.BiasSum
-		lp.detectTag = tagDetect + uint64(lp.idx)
-		lp.denseTag = tagDenseDummy + uint64(lp.idx)
-		lp.dummyTag = tagConvDummy + uint64(lp.idx)
 		// What initLayer stores for this role and solver mode; nil: none.
 		var partial, dummyOut, denseDummy tensor.Shape
 		crcs := 0

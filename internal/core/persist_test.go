@@ -97,13 +97,13 @@ func TestLoadedProtectorSelfHeals(t *testing.T) {
 
 // TestLegacyBlobWithSequentialRecoveryLoads pins the persistence
 // decision taken when Options.SequentialRecovery, and later the
-// tolerance and CRC-group options, were removed: persistVersion stays 1
-// and there is no migration. gob drops stream fields the receiver no
-// longer has, so a blob saved while those options existed must load and
-// self-heal to the same bits as a protector built fresh — even with
-// values that would switch detection off (an infinite detect tolerance,
-// a NaN keep tolerance) or that the build never used (rank tolerance 0,
-// CRC group 8).
+// tolerance and CRC-group options, were removed: those removals bumped
+// no persistVersion and need no migration. gob drops stream fields the
+// receiver no longer has, so a blob saved while those options existed
+// must load and self-heal to the same bits as a protector built fresh —
+// even with values that would switch detection off (an infinite detect
+// tolerance, a NaN keep tolerance) or that the build never used (rank
+// tolerance 0, CRC group 8).
 func TestLegacyBlobWithSequentialRecoveryLoads(t *testing.T) {
 	// Mirrors of persistedState and Options as the retiring commits'
 	// parents encoded them; gob matches struct fields by name.
@@ -212,10 +212,10 @@ func TestLoadRejectsOtherBlobVersion(t *testing.T) {
 	if err := pr.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	blob := reencode(t, buf.Bytes(), func(st *persistedState) { st.Version = 2 })
+	blob := reencode(t, buf.Bytes(), func(st *persistedState) { st.Version = persistVersion + 1 })
 	_, err := LoadProtector(bytes.NewReader(blob), m)
 	if !errors.Is(err, ErrBlobVersion) {
-		t.Fatalf("version-2 blob: got %v, want ErrBlobVersion", err)
+		t.Fatalf("version-%d blob: got %v, want ErrBlobVersion", persistVersion+1, err)
 	}
 }
 
@@ -443,9 +443,9 @@ func FuzzLoadProtector(f *testing.F) {
 // TestCommittedBlobLoadsAndHeals pins the saved-blob format against a
 // blob written by an older build: testdata/tiny-protector.gob is
 // NewTinyNet with InitWeights(7), protected with Options{Seed: 42} and
-// saved. It stores each layer's role number, so renumbering roleKind,
-// or any other change that stops old blobs decoding into the same plan,
-// fails here.
+// saved, its partial checkpoints row probes. It stores each layer's
+// role number, so renumbering roleKind, or any other change that stops
+// old blobs decoding into the same plan, fails here.
 func TestCommittedBlobLoadsAndHeals(t *testing.T) {
 	blob, err := os.ReadFile(filepath.Join("testdata", "tiny-protector.gob"))
 	if err != nil {
@@ -477,11 +477,10 @@ func TestCommittedBlobLoadsAndHeals(t *testing.T) {
 	}
 }
 
-// TestCommittedBlobConvPartialsMatchProbe pins the one-row conv probe
-// against checkpoints an older build stored: every conv partial in
-// testdata/tiny-protector.gob, written when the probe was the centre
-// element of a whole-map forward, equals the conv probe on the same clean
-// weights bit for bit.
+// TestCommittedBlobConvPartialsMatchProbe pins the conv row probe (one
+// (1, F²Z) PRNG row times the filter matrix) against checkpoints an
+// older build stored: every conv partial in testdata/tiny-protector.gob
+// equals the conv probe on the same clean weights bit for bit.
 func TestCommittedBlobConvPartialsMatchProbe(t *testing.T) {
 	blob, err := os.ReadFile(filepath.Join("testdata", "tiny-protector.gob"))
 	if err != nil {
@@ -519,5 +518,74 @@ func TestCommittedBlobConvPartialsMatchProbe(t *testing.T) {
 	}
 	if convs == 0 {
 		t.Fatal("the committed blob holds no conv layer")
+	}
+}
+
+// TestCommittedV1BlobRefusedDensePartialsMatchProbe pins the format
+// bump of the row probe against testdata/tiny-protector-v1.gob, the
+// same recipe saved by a version-1 build, whose conv partials are the
+// centre of a whole-map forward of a layer-shaped PRNG input.
+// LoadProtector refuses it with ErrBlobVersion. Decoded raw, its dense
+// partials equal the probe on the same clean weights bit for bit — the
+// dense rule did not change — and its conv partials do not.
+func TestCommittedV1BlobRefusedDensePartialsMatchProbe(t *testing.T) {
+	blob, err := os.ReadFile(filepath.Join("testdata", "tiny-protector-v1.gob"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := nn.NewTinyNet()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.InitWeights(7)
+	if _, err := LoadProtector(bytes.NewReader(blob), m); !errors.Is(err, ErrBlobVersion) {
+		t.Fatalf("version-1 blob: got %v, want ErrBlobVersion", err)
+	}
+	var st persistedState
+	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	if st.Version != 1 {
+		t.Fatalf("fixture is version %d, want 1", st.Version)
+	}
+	pr, err := NewProtector(m, Options{Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(st.Layers) != len(pr.plan.layers) {
+		t.Fatalf("fixture has %d layers, plan %d", len(st.Layers), len(pr.plan.layers))
+	}
+	dense := 0
+	for _, lp := range pr.plan.layers {
+		if lp.role != roleConv && lp.role != roleDense {
+			continue
+		}
+		probe, err := pr.probe(lp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stored := st.Layers[lp.idx].Partial
+		if len(probe) != len(stored) {
+			t.Fatalf("layer %d: probe has %d values, blob %d", lp.idx, len(probe), len(stored))
+		}
+		same := true
+		for k, v := range stored {
+			if math.Float32bits(probe[k]) != math.Float32bits(v) {
+				same = false
+				if lp.role == roleDense {
+					t.Fatalf("dense layer %d column %d: probe %v (%#x), blob %v (%#x)",
+						lp.idx, k, probe[k], math.Float32bits(probe[k]), v, math.Float32bits(v))
+				}
+			}
+		}
+		if lp.role == roleConv && same {
+			t.Errorf("conv layer %d: version-1 partials equal the row probe; the fixture no longer shows the bump", lp.idx)
+		}
+		if lp.role == roleDense {
+			dense++
+		}
+	}
+	if dense == 0 {
+		t.Fatal("the fixture holds no dense layer")
 	}
 }

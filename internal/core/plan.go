@@ -118,7 +118,6 @@ type layerPlan struct {
 
 	// Detection state (parameterized layers only).
 	partial    *tensor.Tensor // stored partial checkpoint
-	detectTag  uint64         // PRNG tag of the detection input
 	biasSum    float64        // stored parameter sum (bias layers)
 	paramCount int
 
@@ -138,7 +137,6 @@ type layerPlan struct {
 	// input (G²·dummyFilters values).
 	dummyFilters int
 	dummyOut     *tensor.Tensor
-	dummyTag     uint64
 
 	// Dense state.
 	dense *nn.Dense
@@ -147,11 +145,15 @@ type layerPlan struct {
 	// re-solved. This is the dominant MILR storage cost, matching the
 	// paper's Tables V/VII/IX.
 	denseDummyOut *tensor.Tensor
-	denseTag      uint64
 
 	// Bias state.
 	bias *nn.Bias
 }
+
+// tag is the PRNG tag of this layer's tensor in one tag space
+// (tagDetect, tagDenseDummy, tagConvDummy): the space plus the layer
+// index, so every layer draws its own stream from the master seed.
+func (lp *layerPlan) tag(space uint64) uint64 { return space + uint64(lp.idx) }
 
 // fullSolve reports a conv whose whole filters are solvable from golden
 // pairs: G² ≥ F²Z and a full-rank golden input.

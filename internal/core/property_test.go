@@ -98,16 +98,17 @@ func TestPropertyGoldenPairsConsistent(t *testing.T) {
 }
 
 // Property: the detection seed space is layer-local — two protectors
-// with different master seeds never share detection inputs (detection
-// state is not transferable).
+// with different master seeds never share probe rows (detection state
+// is not transferable).
 func TestPropertyDetectionSeedIsolation(t *testing.T) {
-	m1, pr1 := tinyProtected(t, 93)
+	_, pr1 := tinyProtected(t, 93)
 	_, pr2 := tinyProtected(t, 94)
-	_ = m1
-	in1 := pr1.detectInput(pr1.plan.layers[0])
-	in2 := pr2.detectInput(pr2.plan.layers[0])
-	if in1.Equalish(in2, 0) {
-		t.Fatal("distinct master seeds produced identical detection inputs")
+	lp := pr1.plan.layers[0]
+	taps := lp.conv.FilterSize() * lp.conv.FilterSize() * lp.conv.InChannels()
+	row1 := prng.TensorFor(pr1.opts.Seed, lp.tag(tagDetect), 1, taps)
+	row2 := prng.TensorFor(pr2.opts.Seed, pr2.plan.layers[0].tag(tagDetect), 1, taps)
+	if row1.Equalish(row2, 0) {
+		t.Fatal("distinct master seeds produced identical probe rows")
 	}
 }
 

@@ -14,7 +14,9 @@ import (
 )
 
 // PRNG tag spaces: every deterministic tensor MILR regenerates is keyed
-// by (master seed, tag), so only the master seed is stored.
+// by (master seed, tag), so only the master seed is stored. The golden
+// input has one tag; a per-layer tensor's tag is its space plus the
+// layer index (layerPlan.tag).
 const (
 	tagGoldenInput uint64 = 0x0100_0000_0000_0000
 	tagDetect      uint64 = 0x0200_0000_0000_0000
@@ -147,7 +149,6 @@ func (pr *Protector) initLayer(lp *layerPlan, goldenIn *tensor.Tensor) error {
 	i := lp.idx
 	if lp.role == roleConv || lp.role == roleDense {
 		// The partial checkpoint: the layer's probe on clean parameters.
-		lp.detectTag = tagDetect + uint64(i)
 		probe, err := pr.probe(lp)
 		if err != nil {
 			return fmt.Errorf("core: partial checkpoint layer %d: %w", i, err)
@@ -175,8 +176,7 @@ func (pr *Protector) initLayer(lp *layerPlan, goldenIn *tensor.Tensor) error {
 			lp.partialMode = qrp.Rank() < a.Cols
 		}
 		if lp.dummyFilters > 0 {
-			lp.dummyTag = tagConvDummy + uint64(i)
-			out, err := convDummyOutputs(lp.conv, goldenIn, pr.opts.Seed, lp.dummyTag, lp.dummyFilters)
+			out, err := convDummyOutputs(lp.conv, goldenIn, pr.opts.Seed, lp.tag(tagConvDummy), lp.dummyFilters)
 			if err != nil {
 				return fmt.Errorf("core: init dummy filters for layer %d: %w", i, err)
 			}
@@ -192,8 +192,7 @@ func (pr *Protector) initLayer(lp *layerPlan, goldenIn *tensor.Tensor) error {
 			lp.crcsClean = codes
 		}
 	case roleDense:
-		lp.denseTag = tagDenseDummy + uint64(i)
-		dummyOut, err := denseDummyOutputs(lp.dense, pr.opts.Seed, lp.denseTag, denseBand)
+		dummyOut, err := denseDummyOutputs(lp.dense, pr.opts.Seed, lp.tag(tagDenseDummy), denseBand)
 		if err != nil {
 			return err
 		}

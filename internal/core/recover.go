@@ -197,7 +197,7 @@ func (pr *Protector) solveConvFinding(lp *layerPlan, f LayerFinding, goldenIn, g
 			wholeFilter(k)
 		}
 	}
-	exact, approx, err := solveConvSuspects(lp, goldenIn, goldenOut, suspects, pr.opts)
+	exact, under, deficient, err := solveConvSuspects(lp, goldenIn, goldenOut, suspects, pr.opts)
 	if err != nil {
 		res.Status = Failed
 		res.Detail = err.Error()
@@ -206,8 +206,14 @@ func (pr *Protector) solveConvFinding(lp *layerPlan, f LayerFinding, goldenIn, g
 	for _, k := range xmaps.SortedKeys(suspects) {
 		res.Solved += len(suspects[k])
 	}
-	if approx > 0 {
-		res.Detail = fmt.Sprintf("%d filters exact, %d filters least-squares (underdetermined)", exact, approx)
+	if under+deficient > 0 {
+		res.Detail = fmt.Sprintf("%d filters exact", exact)
+		if under > 0 {
+			res.Detail += fmt.Sprintf(", %d filters least-squares (underdetermined)", under)
+		}
+		if deficient > 0 {
+			res.Detail += fmt.Sprintf(", %d filters least-squares (rank-deficient)", deficient)
+		}
 	}
 	if lp.partialMode {
 		if err := convRefreshCRC(lp, fresh, suspects); err != nil {

@@ -19,8 +19,9 @@ import (
 // _test.go file so that no user, flag or persisted blob can select it.
 // The golden-pair and solve calls are the product code of the commit
 // that retired Options.SequentialRecovery; the verification was edited
-// since, and is the oracle's own: verifyConv reads the centre position
-// out of the whole map, recoverDense probes its own (1, In) PRNG row,
+// since, and is the oracle's own: verifyConv multiplies its own
+// (1, F²Z) PRNG row into the filters, recoverDense probes its own
+// (1, In) PRNG row,
 // recoverBiasSequential checks the parameter sum, and each compares
 // with the stored checkpoint itself (oracleMismatches) rather than
 // through the engine's one scrub (detectLayer), so the equivalence
@@ -101,7 +102,7 @@ func (pr *Protector) recoverDense(lp *layerPlan, f LayerFinding) (RecoveryResult
 	if res.Status == Failed {
 		return res, nil
 	}
-	out, err := lp.dense.RecoveryForward(prng.TensorFor(pr.opts.Seed, lp.detectTag, 1, lp.dense.In()))
+	out, err := lp.dense.RecoveryForward(prng.TensorFor(pr.opts.Seed, lp.tag(tagDetect), 1, lp.dense.In()))
 	if err != nil {
 		return res, fmt.Errorf("core: detect dense layer %d: %w", lp.idx, err)
 	}
@@ -115,20 +116,22 @@ func (pr *Protector) recoverDense(lp *layerPlan, f LayerFinding) (RecoveryResult
 }
 
 // verifyConv runs the conv layer's dedicated post-recovery probe pass
-// (the sequential path). It keeps the whole-map forward and reads the
-// centre position out of it, so the equivalence tests cross-check the
-// pipeline's one-row probe against the full map.
+// (the sequential path). It builds the row rule itself, the layer's
+// (1, F²Z) PRNG row times its filters reshaped to (F²Z, Y) through
+// tensor.MatMul, rather than calling probe, so the equivalence tests
+// cross-check the pipeline's scrub against an independent path.
 func (pr *Protector) verifyConv(lp *layerPlan) RecoveryStatus {
-	out, err := lp.conv.RecoveryForward(pr.detectInput(lp))
+	c := lp.conv
+	taps := c.FilterSize() * c.FilterSize() * c.InChannels()
+	w, err := c.Params().Reshape(taps, c.Filters())
 	if err != nil {
 		return Failed
 	}
-	gh, gw := out.Dim(0), out.Dim(1)
-	probe := make([]float32, out.Dim(2))
-	for k := range probe {
-		probe[k] = out.At(gh/2, gw/2, k)
+	out, err := tensor.MatMul(prng.TensorFor(pr.opts.Seed, lp.tag(tagDetect), 1, taps), w)
+	if err != nil {
+		return Failed
 	}
-	if oracleMismatches(lp, probe) > 0 {
+	if oracleMismatches(lp, out.Data()) > 0 {
 		return Approximate
 	}
 	return Recovered
@@ -220,7 +223,7 @@ func solveDenseColumnsOracle(lp *layerPlan, cols []int, band int, opts Options) 
 		}
 		x := make([]float64, n)
 		for i := n - 1; i >= 0; i-- {
-			rcols, rvals := denseDummyRow(opts.Seed, lp.denseTag, i, n, band)
+			rcols, rvals := denseDummyRow(opts.Seed, lp.tag(tagDenseDummy), i, n, band)
 			acc := float64(cd[i*p+j])
 			for k := 1; k < len(rcols); k++ {
 				acc -= rvals[k] * x[rcols[k]]

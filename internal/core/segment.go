@@ -40,7 +40,8 @@ import (
 // parameter states — a layer's recovery never changes the propagation
 // *up to* its own input, and inversion above a flagged layer never
 // depends on layers below it — and the oracle verifies with its own
-// comparisons (the whole map's centre for a conv). Pinned by the
+// comparisons (its own PRNG row times the reshaped filters for a
+// conv). Pinned by the
 // equivalence test in segment_test.go; the façade-level
 // TestRecoveryPipelineBitIdentity pins pooled against serial workers.
 

@@ -192,7 +192,7 @@ func TestBatchedRecoveryGEMMBudget(t *testing.T) {
 	batched := healGEMMs(t, m, pr, clean, corrupt, paramLayers, false)
 
 	// Detection probes every conv/dense layer once: a one-row GEMM each
-	// (the conv's centre im2col row, the dense probe row). Recovery
+	// (the layer's PRNG row times its parameter matrix). Recovery
 	// then spends, per flagged conv or dense layer:
 	//   - its one-row verification probe, the same as detection's;
 	//   - its propagation GEMM when the segment's sweep goes on through

@@ -162,8 +162,9 @@ type suspectGroup struct {
 
 // solveConvSuspects re-solves each filter's suspect taps (suspects
 // maps filter → taps, tap = (f1·F+f2)·Z+z) from the golden pair and
-// counts the filters solved exactly and by a least-squares best
-// effort. It checks every filter and tap, and factors every group,
+// counts the filters solved exactly and, by a least-squares best
+// effort, those whose set has more taps than the G² equations
+// (underdetermined) and the rest (rank-deficient). It checks every filter and tap, and factors every group,
 // before it writes any weight. Each group's restricted matrix, A's
 // columns in set order, is gathered from the float32 im2col rows and
 // factored once, the groups on the worker pool; then the filters solve
@@ -173,7 +174,7 @@ type suspectGroup struct {
 // position the products and order of a dot product along A's row, so
 // the bits do not depend on the layout. Aᵀ is built only when some set
 // leaves a tap out.
-func solveConvSuspects(lp *layerPlan, goldenIn, goldenOut *tensor.Tensor, suspects map[int][]int, opts Options) (exact, approximate int, err error) {
+func solveConvSuspects(lp *layerPlan, goldenIn, goldenOut *tensor.Tensor, suspects map[int][]int, opts Options) (exact, underdetermined, rankDeficient int, err error) {
 	c := lp.conv
 	y := c.Filters()
 	taps := c.FilterSize() * c.FilterSize() * c.InChannels()
@@ -181,22 +182,22 @@ func solveConvSuspects(lp *layerPlan, goldenIn, goldenOut *tensor.Tensor, suspec
 	keys := xmaps.SortedKeys(suspects)
 	for _, k := range keys {
 		if k < 0 || k >= y {
-			return 0, 0, fmt.Errorf("core: conv %q filter %d out of range [0,%d)", c.Name(), k, y)
+			return 0, 0, 0, fmt.Errorf("core: conv %q filter %d out of range [0,%d)", c.Name(), k, y)
 		}
 		for _, t := range suspects[k] {
 			if t < 0 || t >= taps {
-				return 0, 0, fmt.Errorf("core: conv %q tap %d out of range [0,%d)", c.Name(), t, taps)
+				return 0, 0, 0, fmt.Errorf("core: conv %q tap %d out of range [0,%d)", c.Name(), t, taps)
 			}
 		}
 	}
 	cols, err := c.Lower(goldenIn)
 	if err != nil {
-		return 0, 0, err
+		return 0, 0, 0, err
 	}
 	g2 := cols.Dim(0)
 	od := goldenOut.Data()
 	if goldenOut.NumElements() != g2*y {
-		return 0, 0, fmt.Errorf("core: conv %q golden output has %d values, want %d", c.Name(), goldenOut.NumElements(), g2*y)
+		return 0, 0, 0, fmt.Errorf("core: conv %q golden output has %d values, want %d", c.Name(), goldenOut.NumElements(), g2*y)
 	}
 	// Group the filters by suspect set, in filter order; a filter with
 	// an empty set is not solved.
@@ -240,7 +241,7 @@ func solveConvSuspects(lp *layerPlan, goldenIn, goldenOut *tensor.Tensor, suspec
 		return nil
 	})
 	if err != nil {
-		return 0, 0, err
+		return 0, 0, 0, err
 	}
 	var at *linalg.Matrix
 	if needAT {
@@ -270,16 +271,19 @@ func solveConvSuspects(lp *layerPlan, goldenIn, goldenOut *tensor.Tensor, suspec
 		return nil
 	})
 	if err != nil {
-		return 0, 0, err
+		return 0, 0, 0, err
 	}
 	for _, fs := range solves {
-		if groups[fs.g].lsq.Exact() {
+		switch g := &groups[fs.g]; {
+		case g.lsq.Exact():
 			exact++
-		} else {
-			approximate++
+		case len(g.taps) > g2:
+			underdetermined++
+		default:
+			rankDeficient++
 		}
 	}
-	return exact, approximate, nil
+	return exact, underdetermined, rankDeficient, nil
 }
 
 // invertConv computes the conv layer's input from its output: per output
@@ -302,7 +306,7 @@ func (pr *Protector) invertConv(lp *layerPlan, out *tensor.Tensor) (*tensor.Tens
 		}
 	}
 	if lp.dummyFilters > 0 {
-		dummyW := prng.TensorFor(pr.opts.Seed, lp.dummyTag, f, f, z, lp.dummyFilters)
+		dummyW := prng.TensorFor(pr.opts.Seed, lp.tag(tagConvDummy), f, f, z, lp.dummyFilters)
 		dd := dummyW.Data()
 		for a := 0; a < lp.dummyFilters; a++ {
 			for t := 0; t < taps; t++ {

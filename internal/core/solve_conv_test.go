@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"math"
-	"strings"
 	"testing"
 
 	"milr/internal/nn"
@@ -30,10 +29,11 @@ func checkConvSelectiveMatchesOracle(t *testing.T, name string, lp *layerPlan, i
 	}
 	want := append([]float32(nil), w...)
 	copy(w, corrupted)
-	exact, approx, err := solveConvSuspects(lp, in, out, suspects, opts)
+	exact, under, deficient, err := solveConvSuspects(lp, in, out, suspects, opts)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
+	approx := under + deficient
 	if exact != wantExact || approx != wantApprox {
 		t.Fatalf("%s, workers %d: %d exact, %d approximate; oracle %d, %d",
 			name, opts.Workers, exact, approx, wantExact, wantApprox)
@@ -294,7 +294,7 @@ func TestConvSolveBadSuspectsLeaveLayerUntouched(t *testing.T) {
 		"negative tap":        {0: {0}, 1: {-1}},
 		"filter out of range": {0: {0}, y: {0}},
 	} {
-		if _, _, err := solveConvSuspects(part, in, out, suspects, pr.opts); err == nil {
+		if _, _, _, err := solveConvSuspects(part, in, out, suspects, pr.opts); err == nil {
 			t.Errorf("partial mode, %s: solved without error", name)
 		}
 		for i := range w {
@@ -309,7 +309,8 @@ func TestConvSolveBadSuspectsLeaveLayerUntouched(t *testing.T) {
 // conv solver changed: a full-mode layer whose golden im2col matrix is
 // singular (here an all-zero golden input) used to fail its QR and
 // report Failed; it now takes the ridge best effort, reports it in the
-// detail, and verifies Approximate.
+// detail as rank-deficient (a 676×9 system has more equations than
+// taps, so it is not underdetermined), and verifies Approximate.
 func TestConvFullSolveSingularTakesRidge(t *testing.T) {
 	m, err := nn.NewMNISTNet()
 	if err != nil {
@@ -337,7 +338,7 @@ func TestConvFullSolveSingularTakesRidge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Status == Failed || !strings.Contains(res.Detail, "0 filters exact, 1 filters least-squares") {
+	if res.Status == Failed || res.Detail != "0 filters exact, 1 filters least-squares (rank-deficient)" {
 		t.Fatalf("status %v, detail %q: want the ridge best effort", res.Status, res.Detail)
 	}
 	if err := pr.verifyLayer(lp, &res); err != nil {

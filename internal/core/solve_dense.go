@@ -122,7 +122,7 @@ func solveDenseColumns(lp *layerPlan, cols []int, band int, opts Options) error 
 		ring := make([]float64, band*bw) // x[i] of column block[b] at ring[(i mod band)·bw + b]
 		acc := make([]float64, bw)
 		for i := n - 1; i >= 0; i-- {
-			vals := denseDummyRowInto(row, opts.Seed, lp.denseTag, i, n, band)
+			vals := denseDummyRowInto(row, opts.Seed, lp.tag(tagDenseDummy), i, n, band)
 			for b, j := range block {
 				acc[b] = float64(cd[i*p+j])
 			}

@@ -54,7 +54,7 @@ func checkDenseSolveMatchesOracle(t *testing.T, lp *layerPlan, cols []int, band 
 	stored := lp.denseDummyOut
 	defer func() { lp.denseDummyOut = stored }()
 	var err error
-	if lp.denseDummyOut, err = denseDummyOutputs(lp.dense, opts.Seed, lp.denseTag, band); err != nil {
+	if lp.denseDummyOut, err = denseDummyOutputs(lp.dense, opts.Seed, lp.tag(tagDenseDummy), band); err != nil {
 		t.Fatal(err)
 	}
 	w := lp.dense.Params().Data()

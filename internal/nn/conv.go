@@ -174,8 +174,9 @@ func (c *Conv2D) RecoveryForward(in *tensor.Tensor) (*tensor.Tensor, error) {
 // matrix in a one-row GEMM. The kernel computes every output element
 // the same way whatever the row count (see internal/tensor's gemm.go),
 // so each value is bit-identical to Forward's (i, j, k) element at
-// 1/G² of the work. The MILR engine probes a layer's centre position
-// this way.
+// 1/G² of the work. The MILR engine does not probe through it: its
+// conv probe is a PRNG row times the filter matrix, with no input map
+// or position (see internal/core's probe).
 func (c *Conv2D) ForwardAt(in *tensor.Tensor, i, j int) ([]float32, error) {
 	out, err := c.OutShape(in.Shape())
 	if err != nil {

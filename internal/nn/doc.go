@@ -24,8 +24,8 @@
 // and Model.PredictBatch stack a whole batch into one GEMM per
 // conv/dense layer (BatchCapable), streaming the im2col rows into the
 // kernel. A single-sample Forward or Predict — of a conv or dense layer
-// or of a Model, and so every detection probe, partial checkpoint and
-// golden propagation — is that pass on a batch of one. A sample's
+// or of a Model, and so every MILR golden propagation — is that pass
+// on a batch of one. A sample's
 // result is bit-identical at every batch size and worker count to the
 // per-sample materialised-im2col forward kept as the test oracle
 // (forward_oracle_test.go) — the property the serving front-end

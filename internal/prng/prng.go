@@ -121,7 +121,7 @@ func (st *Stream) Perm(n int) []int {
 
 // Tensor fills a fresh tensor of the given shape with uniform values in
 // [-1, 1). This is MILR's "seeded pseudo-random tensor generator"
-// (Figures 2 and 3): the detection input, dummy rows/columns, and dummy
+// (Figures 2 and 3): the detection rows, dummy rows/columns, and dummy
 // filters are all drawn this way so only the seed needs storing.
 func (st *Stream) Tensor(shape ...int) *tensor.Tensor {
 	t := tensor.New(shape...)

@@ -137,7 +137,7 @@ type Runtime struct {
 type Option func(*Runtime)
 
 // WithSeed sets the master seed every PRNG artifact (golden inputs,
-// detection inputs, dummy data) derives from.
+// detection rows, dummy data) derives from.
 func WithSeed(seed uint64) Option {
 	return func(rt *Runtime) { rt.opts.Seed = seed }
 }
