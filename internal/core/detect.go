@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 
+	"milr/internal/nn"
 	"milr/internal/obs"
 	"milr/internal/par"
 	"milr/internal/prng"
@@ -60,13 +61,8 @@ func (r *DetectionReport) HasErrors() bool { return len(r.Findings) > 0 }
 // filters (the row is one receptive field, its output one 1×1×Y
 // position); for a dense layer, K = In and N = Out.
 func (pr *Protector) probe(lp *layerPlan) ([]float32, error) {
-	var w *tensor.Tensor
-	var n int
-	if lp.role == roleConv {
-		w, n = lp.conv.Params(), lp.conv.Filters()
-	} else {
-		w, n = lp.dense.Params(), lp.dense.Out()
-	}
+	w := pr.model.Layer(lp.idx).(nn.Parameterized).Params()
+	n := w.Dim(w.Rank() - 1)
 	k := w.NumElements() / n
 	row := prng.TensorFor(pr.opts.Seed, lp.tag(tagDetect), 1, k)
 	out := make([]float32, n)

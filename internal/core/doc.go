@@ -16,10 +16,9 @@
 //     2-D CRC codes.
 //   - Error detection: regenerate each layer's pseudo-random input,
 //     forward it through that layer alone, and compare against the
-//     partial checkpoint. The input is one PRNG row, multiplied by the
-//     layer's parameter matrix in a one-row GEMM: In values for a
-//     dense layer, one F×F×Z receptive field (F²Z taps, one 1×1×Y
-//     output) for a conv.
+//     partial checkpoint: one PRNG row (In values for a dense layer,
+//     one F×F×Z receptive field for a conv) times the layer's
+//     parameter matrix, in a one-row GEMM.
 //   - Error recovery: move golden tensors from the nearest checkpoints to
 //     the erroneous layers with forward and inverse passes, then call each
 //     layer's parameter-recovery function R. The pipeline is batched

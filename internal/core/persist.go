@@ -27,10 +27,8 @@ import (
 // is deliberately NOT stored, mirroring the paper's storage accounting.
 
 // persistVersion guards the on-disk format. Version 2 stores conv
-// partial checkpoints as the row probe (one PRNG row times the filter
-// matrix, see probe) and one solver-mode field per layer; version 1
-// stored the centre of a whole-map forward of a layer-shaped PRNG
-// input and a redundant FullSolve field, and is refused.
+// partials as row probes (see probe) and one solver-mode field per
+// layer; version 1 stored centre-of-map conv partials and FullSolve.
 const persistVersion = 2
 
 // ErrBlobVersion is returned, wrapped, by LoadProtector for a blob

@@ -443,9 +443,9 @@ func FuzzLoadProtector(f *testing.F) {
 // TestCommittedBlobLoadsAndHeals pins the saved-blob format against a
 // blob written by an older build: testdata/tiny-protector.gob is
 // NewTinyNet with InitWeights(7), protected with Options{Seed: 42} and
-// saved, its partial checkpoints row probes. It stores each layer's
-// role number, so renumbering roleKind, or any other change that stops
-// old blobs decoding into the same plan, fails here.
+// saved; its partial checkpoints are row probes. It stores each
+// layer's role number, so renumbering roleKind, or any other change
+// that stops old blobs decoding into the same plan, fails here.
 func TestCommittedBlobLoadsAndHeals(t *testing.T) {
 	blob, err := os.ReadFile(filepath.Join("testdata", "tiny-protector.gob"))
 	if err != nil {

@@ -150,9 +150,8 @@ type layerPlan struct {
 	bias *nn.Bias
 }
 
-// tag is the PRNG tag of this layer's tensor in one tag space
-// (tagDetect, tagDenseDummy, tagConvDummy): the space plus the layer
-// index, so every layer draws its own stream from the master seed.
+// tag is this layer's PRNG tag in a per-layer tag space (tagDetect,
+// tagDenseDummy, tagConvDummy): the space plus the layer index.
 func (lp *layerPlan) tag(space uint64) uint64 { return space + uint64(lp.idx) }
 
 // fullSolve reports a conv whose whole filters are solvable from golden

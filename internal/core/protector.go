@@ -14,9 +14,7 @@ import (
 )
 
 // PRNG tag spaces: every deterministic tensor MILR regenerates is keyed
-// by (master seed, tag), so only the master seed is stored. The golden
-// input has one tag; a per-layer tensor's tag is its space plus the
-// layer index (layerPlan.tag).
+// by (master seed, tag), so only the master seed is stored.
 const (
 	tagGoldenInput uint64 = 0x0100_0000_0000_0000
 	tagDetect      uint64 = 0x0200_0000_0000_0000

@@ -207,13 +207,7 @@ func (pr *Protector) solveConvFinding(lp *layerPlan, f LayerFinding, goldenIn, g
 		res.Solved += len(suspects[k])
 	}
 	if under+deficient > 0 {
-		res.Detail = fmt.Sprintf("%d filters exact", exact)
-		if under > 0 {
-			res.Detail += fmt.Sprintf(", %d filters least-squares (underdetermined)", under)
-		}
-		if deficient > 0 {
-			res.Detail += fmt.Sprintf(", %d filters least-squares (rank-deficient)", deficient)
-		}
+		res.Detail = fmt.Sprintf("%d filters exact, least-squares: %d underdetermined, %d rank-deficient", exact, under, deficient)
 	}
 	if lp.partialMode {
 		if err := convRefreshCRC(lp, fresh, suspects); err != nil {

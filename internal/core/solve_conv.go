@@ -163,9 +163,9 @@ type suspectGroup struct {
 // solveConvSuspects re-solves each filter's suspect taps (suspects
 // maps filter → taps, tap = (f1·F+f2)·Z+z) from the golden pair and
 // counts the filters solved exactly and, by a least-squares best
-// effort, those whose set has more taps than the G² equations
-// (underdetermined) and the rest (rank-deficient). It checks every filter and tap, and factors every group,
-// before it writes any weight. Each group's restricted matrix, A's
+// effort, those with more suspect taps than G² equations
+// (underdetermined) and the rest (rank-deficient). It checks every
+// filter and tap, and factors every group, before it writes any weight. Each group's restricted matrix, A's
 // columns in set order, is gathered from the float32 im2col rows and
 // factored once, the groups on the worker pool; then the filters solve
 // on the pool, filter k writing only w[t*y+k]. A filter's residual is

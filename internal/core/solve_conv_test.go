@@ -338,7 +338,7 @@ func TestConvFullSolveSingularTakesRidge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Status == Failed || res.Detail != "0 filters exact, 1 filters least-squares (rank-deficient)" {
+	if res.Status == Failed || res.Detail != "0 filters exact, least-squares: 0 underdetermined, 1 rank-deficient" {
 		t.Fatalf("status %v, detail %q: want the ridge best effort", res.Status, res.Detail)
 	}
 	if err := pr.verifyLayer(lp, &res); err != nil {
