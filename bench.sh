@@ -46,7 +46,7 @@ go test . -bench 'BenchmarkRBERSweepWorkers' -benchtime "$BENCHTIME" -run XXX
 echo "== clean scrub (Detect) on CIFAR-small and MNIST: one row probe per conv/dense layer, bytes and allocations =="
 go test ./internal/core -bench 'BenchmarkDetect$' -cpu "$CPUS" -benchtime "$BENCHTIME" -run XXX -benchmem
 
-echo "== detection scrub (Table X identification path) =="
+echo "== detection scrub (Table X identification path; the scrub's workers follow -cpu) =="
 go test . -bench 'BenchmarkTable10_Identification' -cpu "$CPUS" -benchtime "$BENCHTIME" -run XXX
 
 # The HTTP gateway (cmd/milr-gateway, internal/gateway) is deliberately

@@ -202,6 +202,7 @@ func BenchmarkTable10_Identification(b *testing.B) {
 		})
 		b.Run(network+"/identify", func(b *testing.B) {
 			env := sharedEnv(b, network)
+			gomaxprocsWorkers(b, env)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := env.Protector.Detect(); err != nil {
@@ -382,9 +383,10 @@ func batchBenchInputs(b *testing.B, env *bench.Env, n int) []*tensor.Tensor {
 	return xs
 }
 
-// gomaxprocsWorkers points the shared model's GEMM pools at GOMAXPROCS
-// for one benchmark, so that bench.sh's -cpu sweep changes the worker
-// count and not just the scheduler's.
+// gomaxprocsWorkers points the shared model's worker count — its GEMM
+// pools and the MILR engine protecting it — at GOMAXPROCS for one
+// benchmark, so that bench.sh's -cpu sweep changes the worker count and
+// not just the scheduler's.
 func gomaxprocsWorkers(b *testing.B, env *bench.Env) {
 	env.Model.SetWorkers(-1)
 	b.Cleanup(func() { env.Model.SetWorkers(0) })

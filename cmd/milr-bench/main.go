@@ -5,7 +5,7 @@
 //	milr-bench -exp all                      # everything, scaled down
 //	milr-bench -exp fig5 -runs 40 -full      # one figure at paper scale
 //	milr-bench -exp table4,table5
-//	milr-bench -exp fig9 -workers 0          # shard campaign over all cores
+//	milr-bench -exp fig9 -workers -1         # shard campaign over all cores
 //	milr-bench -exp fig9 -cpusweep 1,2,4     # wall-clock/speedup table
 //	milr-bench -list                         # what can be regenerated
 //
@@ -69,7 +69,7 @@ func run(args []string) error {
 		cache    = fs.String("cache", ".milr-cache", "trained-weight cache directory")
 		list     = fs.Bool("list", false, "list experiments and exit")
 		verbose  = fs.Bool("v", true, "progress output on stderr")
-		workers  = fs.Int("workers", 1, "worker count for campaigns, recovery and GEMM (1 = serial, 0 = all cores)")
+		workers  = fs.Int("workers", 1, "worker count for campaigns, recovery and GEMM (0 or 1 = serial, -1 = all cores)")
 		cpusweep = fs.String("cpusweep", "", "comma-separated worker counts (e.g. 1,2,4): run each selected experiment at every count and print a wall-clock/speedup table")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -83,7 +83,7 @@ func run(args []string) error {
 	}
 	cfg := &config{runs: *runs, test: *test, train: *train, epochs: *epochs,
 		seed: *seed, full: *full, cache: *cache, verbose: *verbose,
-		workers: workerCount(*workers)}
+		workers: *workers}
 
 	want := map[string]bool{}
 	for _, id := range strings.Split(*exp, ",") {
@@ -127,7 +127,7 @@ func run(args []string) error {
 				return fmt.Errorf("experiment %s: %w", e.id, err)
 			}
 			if n != 0 && env != nil {
-				env.SetWorkers(workerCount(n))
+				env.SetWorkers(n)
 			}
 			start := time.Now()
 			if err := e.run(env, cfg); err != nil {
@@ -152,15 +152,6 @@ func run(args []string) error {
 		bench.RenderSpeedup(os.Stdout, "Worker sweep: wall-clock per experiment", ordered)
 	}
 	return nil
-}
-
-// workerCount maps the flag convention (0 = all cores) to the internal
-// one (negative = GOMAXPROCS, see bench.Config.Workers).
-func workerCount(n int) int {
-	if n == 0 {
-		return -1
-	}
-	return n
 }
 
 // parseCPUSweep parses -cpusweep. An empty flag yields the single
@@ -202,9 +193,7 @@ func envFor(envs map[string]*bench.Env, network string, cfg *config) (*bench.Env
 	if cfg.epochs > 0 {
 		bcfg.Epochs = cfg.epochs
 	}
-	if cfg.workers != 1 {
-		bcfg.Workers = cfg.workers
-	}
+	bcfg.Workers = cfg.workers
 	if cfg.verbose {
 		bcfg.Verbose = os.Stderr
 	}

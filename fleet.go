@@ -98,7 +98,7 @@ type Fleet struct {
 // deadline applied to requests whose context has none.
 func NewFleet(rt *Runtime) *Fleet {
 	return &Fleet{f: fleet.New(fleet.Config{
-		Workers:   rt.opts.Workers,
+		Workers:   rt.workers,
 		BatchSize: rt.batch,
 		MaxDelay:  rt.maxDelay,
 		QueueCap:  rt.queueCap,
@@ -108,10 +108,9 @@ func NewFleet(rt *Runtime) *Fleet {
 
 // wire resolves what Register/Replace hand the dispatcher: the model
 // (pr's, when pr is non-nil) with the runtime's explicit worker policy
-// applied to its GEMM pools, and opts folded into a ModelConfig — with
-// the Gate and Scrub hooks wired to pr for a protected engine, so a
-// swapped-in protected engine serves and scrubs exactly like a
-// registered one.
+// applied to it, and opts folded into a ModelConfig — with the Gate and
+// Scrub hooks wired to pr for a protected engine, so a swapped-in
+// protected engine serves and scrubs exactly like a registered one.
 func (fl *Fleet) wire(m *Model, pr *Protector, opts []ModelOption) (*Model, fleet.ModelConfig) {
 	var mc fleet.ModelConfig
 	for _, o := range opts {
@@ -127,8 +126,8 @@ func (fl *Fleet) wire(m *Model, pr *Protector, opts []ModelOption) (*Model, flee
 }
 
 // Register adds a named, unprotected model to the fleet. An explicit
-// worker policy (WithWorkers) is applied to the model's GEMM pools, as
-// in Runtime.Protect. Models may be registered while traffic flows.
+// worker policy (WithWorkers) is applied to the model, as in
+// Runtime.Protect. Models may be registered while traffic flows.
 func (fl *Fleet) Register(name string, m *Model, opts ...ModelOption) error {
 	m, mc := fl.wire(m, nil, opts)
 	return fl.f.Register(name, m, mc)

@@ -28,9 +28,10 @@ type Config struct {
 	Seed uint64
 	// Workers bounds the worker pools at every level of the stack:
 	// fault-injection campaigns shard runs across environment clones,
-	// the MILR engine scrubs/solves concurrently, and the GEMM forward
-	// passes fan out. 0 keeps everything serial, n > 0 uses at most n
-	// workers per pool, negative resolves to GOMAXPROCS. Results are
+	// and the model's worker count (nn.Model.SetWorkers) fans out its
+	// GEMM forward passes and the MILR engine's scrubs and solves. 0
+	// keeps everything serial, n > 0 uses at most n workers per pool,
+	// negative resolves to GOMAXPROCS (par.Resolve). Results are
 	// bit-identical at every setting: campaign cells derive their PRNG
 	// streams from the master seed alone (see runSeed), never from
 	// worker identity or scheduling order.
@@ -117,10 +118,8 @@ func BuildEnv(network string, cfg Config, cacheDir string) (*Env, error) {
 			return nil, err
 		}
 	}
-	opts := net.Options(cfg.Seed)
-	opts.Workers = cfg.Workers
 	start := time.Now()
-	pr, err := core.NewProtector(model, opts)
+	pr, err := core.NewProtector(model, net.Options(cfg.Seed))
 	if err != nil {
 		return nil, fmt.Errorf("bench: protect %s: %w", net.Name, err)
 	}

@@ -20,11 +20,11 @@ import (
 // regression tests in shard_test.go pin down.
 
 // SetWorkers retunes every worker pool of a live environment: the
-// campaign shards, the MILR engine, and the model's GEMM layers.
+// campaign shards and the model's worker count, which its GEMM layers
+// and the MILR engine follow.
 func (e *Env) SetWorkers(n int) {
 	e.Config.Workers = n
 	e.Model.SetWorkers(n)
-	e.Protector.SetWorkers(n)
 }
 
 // Clone builds an independent environment with identical state: same
@@ -51,15 +51,6 @@ func (e *Env) Clone() (*Env, error) {
 	return e.withModel(model, pr), nil
 }
 
-// campaignWorkers resolves Config.Workers for an n-cell campaign:
-// 0 stays serial, n > 0 is honored, negative means GOMAXPROCS.
-func (e *Env) campaignWorkers(n int) int {
-	if e.Config.Workers == 0 {
-		return 1
-	}
-	return par.Resolve(e.Config.Workers, n)
-}
-
 // forEachCell runs fn(env, i) for every cell index in [0,n). Serially
 // it uses e itself; sharded, worker 0 keeps e and every other worker
 // gets a clone, with cells handed out dynamically (campaign cells have
@@ -69,7 +60,7 @@ func (e *Env) campaignWorkers(n int) int {
 // slots. The lowest-indexed cell error is returned; e is reset before
 // returning so the master environment always ends clean.
 func (e *Env) forEachCell(n int, fn func(env *Env, i int) error) error {
-	workers := e.campaignWorkers(n)
+	workers := par.Resolve(e.Config.Workers, n)
 	var err error
 	if workers <= 1 {
 		err = e.forEachCellOn(e, n, nil, fn)
@@ -89,7 +80,6 @@ func (e *Env) forEachCell(n int, fn func(env *Env, i int) error) error {
 		// oversubscribe P cores instead of dividing the cells.
 		for _, env := range envs {
 			env.Model.SetWorkers(0)
-			env.Protector.SetWorkers(0)
 		}
 		// One pool item per shard: each drains the shared cell counter
 		// on its own env, so an item never runs concurrently with
@@ -103,7 +93,6 @@ func (e *Env) forEachCell(n int, fn func(env *Env, i int) error) error {
 			})
 		})
 		e.Model.SetWorkers(e.Config.Workers)
-		e.Protector.SetWorkers(e.Config.Workers)
 		for _, cellErr := range errs {
 			if cellErr != nil {
 				err = cellErr

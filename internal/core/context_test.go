@@ -22,9 +22,8 @@ func buildProtected(t *testing.T, seed uint64, workers int) (*nn.Model, *Protect
 		t.Fatal(err)
 	}
 	m.InitWeights(seed)
-	opts := Options{Seed: seed}
-	opts.Workers = workers
-	pr, err := NewProtector(m, opts)
+	m.SetWorkers(workers)
+	pr, err := NewProtector(m, Options{Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,9 +191,8 @@ func TestParallelInitEquivalence(t *testing.T) {
 					t.Fatal(err)
 				}
 				m.InitWeights(23)
-				opts := Options{Seed: 23}
-				opts.Workers = workers
-				pr, err := NewProtector(m, opts)
+				m.SetWorkers(workers)
+				pr, err := NewProtector(m, Options{Seed: 23})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -78,7 +78,8 @@ func (pr *Protector) probe(lp *layerPlan) ([]float32, error) {
 // scheme is lightweight by design, and like the paper's it only flags
 // errors "significant enough to detect" (§V-B).
 //
-// With Options.Workers set, independent layers scrub concurrently on a
+// With the model's worker count set (nn.Model.SetWorkers), independent
+// layers scrub concurrently on a
 // bounded pool; findings are assembled in layer order, so the report is
 // identical to the serial one.
 func (pr *Protector) Detect() (*DetectionReport, error) {
@@ -99,7 +100,7 @@ func (pr *Protector) detectLocked(ctx context.Context) (*DetectionReport, error)
 	ctx, span := obs.Start(ctx, "core.detect")
 	defer span.End()
 	slots := make([]*LayerFinding, len(pr.plan.layers))
-	err := par.ForErr(len(pr.plan.layers), pr.opts.workerPool(), func(i int) error {
+	err := par.ForErr(len(pr.plan.layers), pr.model.Workers(), func(i int) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}

@@ -36,8 +36,9 @@
 // Concurrency contract (see ARCHITECTURE.md): the Protector's engine
 // lock serializes whole phases against each other and against external
 // weight mutation routed through Protector.Sync; the engine's internal
-// parallelism (Options.Workers — concurrent layer scrubs, per-filter /
-// per-column solves, init rank probes) runs inside the lock and is
+// parallelism (at the model's worker count, nn.Model.Workers —
+// concurrent layer scrubs, per-filter / per-column solves, init rank
+// probes) runs inside the lock and is
 // bit-identical to serial at every worker count. Every long-running
 // phase has a ...Context form whose cancellation is layer-atomic: each
 // flagged layer is either untouched or fully re-solved, never

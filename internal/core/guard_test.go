@@ -78,7 +78,7 @@ func guardStats(fl *milr.Fleet) milr.ModelStats {
 // never race with detection or recovery.
 func TestGuardConcurrentScrubAndInjection(t *testing.T) {
 	m, pr := tinyProtected(t, 64)
-	pr.SetWorkers(4)
+	m.SetWorkers(4)
 	fl := guardFleet(t, pr)
 	if err := fl.StartGuard(context.Background(), time.Millisecond); err != nil {
 		t.Fatal(err)
@@ -143,7 +143,7 @@ func TestGuardConcurrentScrubAndInjection(t *testing.T) {
 	if !clean {
 		t.Fatal("network still dirty after three heal passes")
 	}
-	pr.SetWorkers(0)
+	m.SetWorkers(0)
 }
 
 // TestGuardStopIsIdempotent: callers typically both cancel the guard's

@@ -71,7 +71,7 @@ func TestSelfHealParallelSerialEquivalence(t *testing.T) {
 				pr.ResetCRC()
 				// Identical injector seed → identical corruption per round.
 				faults.New(9001).FlipExactBits(m, 48)
-				pr.SetWorkers(workers)
+				m.SetWorkers(workers)
 				det, rec, err := pr.SelfHeal()
 				if err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
@@ -103,7 +103,7 @@ func TestSelfHealParallelSerialEquivalence(t *testing.T) {
 					}
 				}
 			}
-			pr.SetWorkers(0)
+			m.SetWorkers(0)
 		})
 	}
 }
@@ -129,7 +129,7 @@ func TestRecoverAllParallelSerialEquivalence(t *testing.T) {
 			pr.ResetCRC()
 			params := paramLayers(m)
 			faults.New(5).OverwriteLayer(params[len(params)-1])
-			pr.SetWorkers(workers)
+			m.SetWorkers(workers)
 			rec, err := pr.RecoverContext(context.Background(), allFlagged(pr))
 			if err != nil {
 				t.Fatalf("workers=%d: %v", workers, err)
@@ -151,6 +151,6 @@ func TestRecoverAllParallelSerialEquivalence(t *testing.T) {
 				}
 			}
 		}
-		pr.SetWorkers(0)
+		m.SetWorkers(0)
 	}
 }

@@ -24,7 +24,9 @@ import (
 //
 // The format is versioned gob. Everything regenerable from the master
 // seed (golden inputs, detection rows, dummy input rows, dummy filters)
-// is deliberately NOT stored, mirroring the paper's storage accounting.
+// is deliberately NOT stored, mirroring the paper's storage accounting,
+// and so is the worker count: a loaded protector runs at its model's
+// (nn.Model.SetWorkers), like a freshly built one.
 
 // persistVersion guards the on-disk format. Version 2 stores conv
 // partials as row probes (see probe) and one solver-mode field per
@@ -67,13 +69,13 @@ type persistedState struct {
 // configuration: the Options, plus the dense band the dense dummy outputs
 // were built with, so a blob from a build with another band is refused
 // rather than healed against the wrong dummy rows. gob matches fields by
-// name, so the tolerance and CRC-group fields older blobs carry are
-// dropped on decode.
+// name, so the tolerance, CRC-group and worker-count fields older blobs
+// carry are dropped on decode: a loaded engine runs at its model's
+// worker count, never at one read from the blob.
 type persistedOptions struct {
 	Seed             uint64
 	DenseBand        int
 	MaxFullSolveTaps int
-	Workers          int
 }
 
 type persistedTensor struct {
@@ -96,7 +98,6 @@ func (pr *Protector) Save(w io.Writer) error {
 			Seed:             pr.opts.Seed,
 			DenseBand:        denseBand,
 			MaxFullSolveTaps: pr.opts.MaxFullSolveTaps,
-			Workers:          pr.opts.Workers,
 		},
 		NumLayers:  pr.model.NumLayers(),
 		Boundaries: append([]int(nil), pr.plan.boundarySet...),
@@ -173,7 +174,7 @@ func LoadProtector(r io.Reader, model *nn.Model) (*Protector, error) {
 	if st.Opts.DenseBand != denseBand {
 		return nil, fmt.Errorf("core: state's dense band is %d, this build's is %d", st.Opts.DenseBand, denseBand)
 	}
-	opts := Options{Seed: st.Opts.Seed, MaxFullSolveTaps: st.Opts.MaxFullSolveTaps, Workers: st.Opts.Workers}
+	opts := Options{Seed: st.Opts.Seed, MaxFullSolveTaps: st.Opts.MaxFullSolveTaps}
 	pl, err := buildPlan(model, opts)
 	if err != nil {
 		return nil, err

@@ -97,13 +97,13 @@ func TestLoadedProtectorSelfHeals(t *testing.T) {
 
 // TestLegacyBlobWithSequentialRecoveryLoads pins the persistence
 // decision taken when Options.SequentialRecovery, and later the
-// tolerance and CRC-group options, were removed: those removals bumped
-// no persistVersion and need no migration. gob drops stream fields the
+// tolerance, CRC-group and worker-count options, were removed: those
+// removals bumped no persistVersion and need no migration. gob drops stream fields the
 // receiver no longer has, so a blob saved while those options existed
 // must load and self-heal to the same bits as a protector built fresh —
 // even with values that would switch detection off (an infinite detect
 // tolerance, a NaN keep tolerance) or that the build never used (rank
-// tolerance 0, CRC group 8).
+// tolerance 0, CRC group 8, 3 workers).
 func TestLegacyBlobWithSequentialRecoveryLoads(t *testing.T) {
 	// Mirrors of persistedState and Options as the retiring commits'
 	// parents encoded them; gob matches struct fields by name.
@@ -142,11 +142,12 @@ func TestLegacyBlobWithSequentialRecoveryLoads(t *testing.T) {
 	st.Opts.SequentialRecovery = true
 	st.Opts.DetectTol, st.Opts.KeepTol = math.Inf(1), math.NaN()
 	st.Opts.RankTol, st.Opts.CRCGroup = 0, 8
+	st.Opts.Workers = 3
 	var legacy bytes.Buffer
 	if err := gob.NewEncoder(&legacy).Encode(&st); err != nil {
 		t.Fatal(err)
 	}
-	for _, field := range []string{"SequentialRecovery", "DetectTol", "KeepTol", "CRCGroup"} {
+	for _, field := range []string{"SequentialRecovery", "DetectTol", "KeepTol", "CRCGroup", "Workers"} {
 		if !bytes.Contains(legacy.Bytes(), []byte(field)) {
 			t.Fatalf("legacy blob does not carry the removed field %s; test is vacuous", field)
 		}

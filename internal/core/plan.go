@@ -52,24 +52,6 @@ type Options struct {
 	// recoverability to keep cost low", §V-D). Zero means no cap; a
 	// negative value is rejected.
 	MaxFullSolveTaps int
-	// Workers bounds the worker pool used by detection (independent
-	// layers scrub concurrently) and recovery (independent checkpoint
-	// segments, filters, parameter columns, and inversion positions
-	// solve concurrently). 0 keeps the serial path, n > 0 uses at most
-	// n goroutines, and a negative value resolves to GOMAXPROCS. Every
-	// parallel path is bit-identical to the serial one, so this is
-	// purely a throughput knob.
-	Workers int
-}
-
-// workerPool translates Options.Workers into the convention of
-// par.Resolve: the serial default maps to 1, negative to the
-// GOMAXPROCS sentinel.
-func (o Options) workerPool() int {
-	if o.Workers == 0 {
-		return 1
-	}
-	return o.Workers
 }
 
 func (o Options) validate() error {

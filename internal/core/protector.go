@@ -36,7 +36,7 @@ type Protector struct {
 	// against each other and against external weight mutation routed
 	// through Sync. It makes concurrent scrub cycles and concurrent
 	// fault injection race-free; the engine's *internal* parallelism
-	// (Options.Workers) runs inside the lock.
+	// (the model's worker count, nn.Model.Workers) runs inside the lock.
 	mu sync.Mutex
 }
 
@@ -51,10 +51,11 @@ func NewProtector(m *nn.Model, opts Options) (*Protector, error) {
 
 // NewProtectorContext is NewProtector with cancellation: initialization
 // aborts promptly (returning ctx's error) once the context is done. With
-// Options.Workers set, the per-layer initialization work — rank probes,
-// dummy-output computation, partial checkpoints, CRC encoding — runs on
-// a bounded pool; rank probes dominate initialization cost and every
-// layer's artifacts are independent, so layers parallelize cleanly with
+// the model's worker count set (nn.Model.SetWorkers), the per-layer
+// initialization work — rank probes, dummy-output computation, partial
+// checkpoints, CRC encoding — runs on a bounded pool; rank probes
+// dominate initialization cost and every layer's artifacts are
+// independent, so layers parallelize cleanly with
 // bit-identical results at any worker count.
 func NewProtectorContext(ctx context.Context, m *nn.Model, opts Options) (*Protector, error) {
 	pl, err := buildPlan(m, opts)
@@ -71,20 +72,9 @@ func NewProtectorContext(ctx context.Context, m *nn.Model, opts Options) (*Prote
 // Model returns the protected model.
 func (pr *Protector) Model() *nn.Model { return pr.model }
 
-// Options returns the active configuration.
-func (pr *Protector) Options() Options {
-	pr.mu.Lock()
-	defer pr.mu.Unlock()
-	return pr.opts
-}
-
-// SetWorkers retunes the engine's worker pool (see Options.Workers) on
-// a live protector. Safe to call while a fleet guard is scrubbing.
-func (pr *Protector) SetWorkers(n int) {
-	pr.mu.Lock()
-	defer pr.mu.Unlock()
-	pr.opts.Workers = n
-}
+// Options returns the configuration the protector was built with; it
+// never changes after construction.
+func (pr *Protector) Options() Options { return pr.opts }
 
 // Sync runs fn while holding the engine lock. It is the mutation gate
 // for everything outside the engine that writes the protected model's
@@ -100,9 +90,10 @@ func (pr *Protector) Sync(fn func()) {
 
 // initialize computes every stored artifact: a sequential golden
 // propagation pass, then per-layer artifact computation on the engine's
-// worker pool (Options.Workers). Every layer's artifacts depend only on
-// that layer's parameters and its captured golden input, so the parallel
-// pass is bit-identical to the serial one at any worker count.
+// worker pool (the model's worker count). Every layer's artifacts
+// depend only on that layer's parameters and its captured golden input,
+// so the parallel pass is bit-identical to the serial one at any worker
+// count.
 func (pr *Protector) initialize(ctx context.Context) error {
 	m := pr.model
 	// 1. Propagate the golden input through the network in recovery mode,
@@ -131,7 +122,7 @@ func (pr *Protector) initialize(ctx context.Context) error {
 	pr.plan.stored[m.NumLayers()] = cur.Clone()
 
 	// 2. Per-layer detection and solver data, independent across layers.
-	return par.ForErr(len(pr.plan.layers), pr.opts.workerPool(), func(i int) error {
+	return par.ForErr(len(pr.plan.layers), pr.model.Workers(), func(i int) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}

@@ -197,7 +197,7 @@ func (pr *Protector) solveConvFinding(lp *layerPlan, f LayerFinding, goldenIn, g
 			wholeFilter(k)
 		}
 	}
-	exact, under, deficient, err := solveConvSuspects(lp, goldenIn, goldenOut, suspects, pr.opts)
+	exact, under, deficient, err := solveConvSuspects(lp, goldenIn, goldenOut, suspects, pr.model.Workers())
 	if err != nil {
 		res.Status = Failed
 		res.Detail = err.Error()
@@ -223,7 +223,7 @@ func (pr *Protector) solveConvFinding(lp *layerPlan, f LayerFinding, goldenIn, g
 // verifyLayer to fill.
 func (pr *Protector) solveDenseFinding(lp *layerPlan, f LayerFinding) RecoveryResult {
 	res := RecoveryResult{Layer: lp.idx, Name: f.Name}
-	if err := solveDenseColumns(lp, f.Columns, denseBand, pr.opts); err != nil {
+	if err := solveDenseColumns(lp, f.Columns, denseBand, pr.opts.Seed, pr.model.Workers()); err != nil {
 		res.Status = Failed
 		res.Detail = err.Error()
 		return res

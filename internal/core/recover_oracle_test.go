@@ -210,20 +210,21 @@ func (pr *Protector) goldenOutputOf(i int) (*tensor.Tensor, error) {
 // column solves alone, regenerating every dummy row itself through the
 // allocating denseDummyRow. The bodies are the product code of the
 // commit before the blocked solve, unedited but for the function name
-// and the band and tolerance, which were Options fields then.
-func solveDenseColumnsOracle(lp *layerPlan, cols []int, band int, opts Options) error {
+// and the band, tolerance, seed and worker count, which were Options
+// fields then.
+func solveDenseColumnsOracle(lp *layerPlan, cols []int, band int, seed uint64, workers int) error {
 	d := lp.dense
 	n, p := d.In(), d.Out()
 	w := d.Params().Data()
 	cd := lp.denseDummyOut.Data()
-	return par.ForErr(len(cols), opts.workerPool(), func(ci int) error {
+	return par.ForErr(len(cols), workers, func(ci int) error {
 		j := cols[ci]
 		if j < 0 || j >= p {
 			return fmt.Errorf("core: dense column %d out of range [0,%d)", j, p)
 		}
 		x := make([]float64, n)
 		for i := n - 1; i >= 0; i-- {
-			rcols, rvals := denseDummyRow(opts.Seed, lp.tag(tagDenseDummy), i, n, band)
+			rcols, rvals := denseDummyRow(seed, lp.tag(tagDenseDummy), i, n, band)
 			acc := float64(cd[i*p+j])
 			for k := 1; k < len(rcols); k++ {
 				acc -= rvals[k] * x[rcols[k]]
@@ -243,10 +244,11 @@ func solveDenseColumnsOracle(lp *layerPlan, cols []int, band int, opts Options) 
 // solveConvFull is the whole-filter conv solve that the suspect-set
 // solve absorbed, kept as the oracle TestConvFullSolveMatchesOracle pins
 // a full-mode heal bit-identical against. The body is the product code
-// of the commit before, unedited: one QR factorization of the im2col
-// matrix serves every listed filter, and the per-filter solves run on
-// the engine's worker pool.
-func solveConvFull(lp *layerPlan, goldenIn, goldenOut *tensor.Tensor, filters []int, opts Options) error {
+// of the commit before, unedited but for the worker count, an Options
+// field then: one QR factorization of the im2col matrix serves every
+// listed filter, and the per-filter solves run on the engine's worker
+// pool.
+func solveConvFull(lp *layerPlan, goldenIn, goldenOut *tensor.Tensor, filters []int, workers int) error {
 	c := lp.conv
 	a, err := lowerF64(c, goldenIn)
 	if err != nil {
@@ -266,7 +268,7 @@ func solveConvFull(lp *layerPlan, goldenIn, goldenOut *tensor.Tensor, filters []
 		return fmt.Errorf("core: conv %q golden output has %d values, want %d", c.Name(), goldenOut.NumElements(), a.Rows*y)
 	}
 	w := c.Params().Data()
-	return par.ForErr(len(filters), opts.workerPool(), func(fi int) error {
+	return par.ForErr(len(filters), workers, func(fi int) error {
 		k := filters[fi]
 		if k < 0 || k >= y {
 			return fmt.Errorf("core: conv %q filter %d out of range [0,%d)", c.Name(), k, y)
@@ -294,11 +296,11 @@ func solveConvFull(lp *layerPlan, goldenIn, goldenOut *tensor.Tensor, filters []
 // pins the suspect-set solve bit-identical against: the golden input
 // lowered into A, each filter's residual a scalar dot product along A's
 // rows, and one factorization per filter. The body is the product code
-// of the commit before the Aᵀ layout, edited only in the function name
-// and in the solve: linalg.LeastSquares, then linalg.RidgeSolve when it
+// of the commit before the Aᵀ layout, edited only in the function name,
+// the worker count (an Options field then) and the solve: linalg.LeastSquares, then linalg.RidgeSolve when it
 // failed, became one linalg.FactorLeastSquares, which
 // TestFactorLeastSquaresMatchesOracle pins bit-identical to that pair.
-func solveConvSelectiveOracle(lp *layerPlan, goldenIn, goldenOut *tensor.Tensor, suspects map[int][]int, opts Options) (exact, approximate int, err error) {
+func solveConvSelectiveOracle(lp *layerPlan, goldenIn, goldenOut *tensor.Tensor, suspects map[int][]int, workers int) (exact, approximate int, err error) {
 	c := lp.conv
 	a, err := lowerF64(c, goldenIn)
 	if err != nil {
@@ -324,7 +326,7 @@ func solveConvSelectiveOracle(lp *layerPlan, goldenIn, goldenOut *tensor.Tensor,
 	// tallies are summed in key order afterwards.
 	uniqueSlot := make([]bool, len(keys))
 	solvedSlot := make([]bool, len(keys))
-	err = par.ForErr(len(keys), opts.workerPool(), func(ki int) error {
+	err = par.ForErr(len(keys), workers, func(ki int) error {
 		k := keys[ki]
 		e := suspects[k]
 		if len(e) == 0 {

@@ -27,7 +27,7 @@ import (
 //     bias), and then carrying the propagation on *through the
 //     recovered layer* with a plain forward;
 //   - segments share nothing but read-only checkpoints, so they recover
-//     concurrently on the engine's worker pool (Options.Workers).
+//     concurrently on the engine's worker pool (nn.Model.Workers).
 //
 // The result is at most one propagation GEMM per conv or dense layer
 // per segment, plus one one-row probe per recovered conv or dense layer
@@ -81,7 +81,7 @@ func (pr *Protector) recoverSegments(ctx context.Context, findings []LayerFindin
 		groups[len(groups)-1] = append(groups[len(groups)-1], f)
 	}
 	slots := make([][]RecoveryResult, len(groups))
-	err := par.ForErr(len(groups), pr.opts.workerPool(), func(g int) error {
+	err := par.ForErr(len(groups), pr.model.Workers(), func(g int) error {
 		results, err := pr.recoverSegment(ctx, bounds[g], groups[g])
 		slots[g] = results
 		return err

@@ -76,7 +76,7 @@ func TestBatchedSequentialRecoveryEquivalence(t *testing.T) {
 				pr.ResetCRC()
 				// Identical injector seed → identical corruption per round.
 				faults.New(c.injSeed).FlipExactBits(m, c.flips)
-				pr.SetWorkers(workers)
+				m.SetWorkers(workers)
 				selfHeal := pr.SelfHeal
 				if sequential {
 					selfHeal = pr.selfHealOracle
@@ -130,7 +130,7 @@ func TestBatchedSequentialRecoveryEquivalence(t *testing.T) {
 					}
 				}
 			}
-			pr.SetWorkers(0)
+			m.SetWorkers(0)
 		})
 	}
 }

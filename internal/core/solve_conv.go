@@ -174,7 +174,7 @@ type suspectGroup struct {
 // position the products and order of a dot product along A's row, so
 // the bits do not depend on the layout. Aᵀ is built only when some set
 // leaves a tap out.
-func solveConvSuspects(lp *layerPlan, goldenIn, goldenOut *tensor.Tensor, suspects map[int][]int, opts Options) (exact, underdetermined, rankDeficient int, err error) {
+func solveConvSuspects(lp *layerPlan, goldenIn, goldenOut *tensor.Tensor, suspects map[int][]int, workers int) (exact, underdetermined, rankDeficient int, err error) {
 	c := lp.conv
 	y := c.Filters()
 	taps := c.FilterSize() * c.FilterSize() * c.InChannels()
@@ -223,7 +223,7 @@ func solveConvSuspects(lp *layerPlan, goldenIn, goldenOut *tensor.Tensor, suspec
 		solves = append(solves, filterSolve{k, gi})
 	}
 	src := cols.Data()
-	err = par.ForErr(len(groups), opts.workerPool(), func(gi int) error {
+	err = par.ForErr(len(groups), workers, func(gi int) error {
 		g := &groups[gi]
 		n := len(g.taps)
 		sub := linalg.NewMatrix(g2, n)
@@ -248,7 +248,7 @@ func solveConvSuspects(lp *layerPlan, goldenIn, goldenOut *tensor.Tensor, suspec
 		at = transposeF64(src, g2, taps)
 	}
 	w := c.Params().Data()
-	err = par.ForErr(len(solves), opts.workerPool(), func(i int) error {
+	err = par.ForErr(len(solves), workers, func(i int) error {
 		k, g := solves[i].k, &groups[solves[i].g]
 		rhs := make([]float64, g2)
 		for r := range rhs {
@@ -336,7 +336,7 @@ func (pr *Protector) invertConv(lp *layerPlan, out *tensor.Tensor) (*tensor.Tens
 	// Each output position is an independent solve against the shared
 	// read-only factorization, writing its own sub-region row — the
 	// per-position loop fans out on the engine's worker pool.
-	err = par.ForErr(g2, pr.opts.workerPool(), func(g int) error {
+	err = par.ForErr(g2, pr.model.Workers(), func(g int) error {
 		rhs := make([]float64, rows)
 		for k := 0; k < y; k++ {
 			rhs[k] = float64(od[g*y+k])

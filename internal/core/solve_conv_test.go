@@ -16,31 +16,31 @@ import (
 // many weights the oracle rewrote and how many filters it solved
 // approximately, and leaves the layer as it found it.
 func checkConvSelectiveMatchesOracle(t *testing.T, name string, lp *layerPlan, in, out *tensor.Tensor,
-	suspects map[int][]int, corrupt func(w []float32), opts Options) (rewritten, approximate int) {
+	suspects map[int][]int, corrupt func(w []float32), workers int) (rewritten, approximate int) {
 	t.Helper()
 	w := lp.conv.Params().Data()
 	clean := append([]float32(nil), w...)
 	defer copy(w, clean)
 	corrupt(w)
 	corrupted := append([]float32(nil), w...)
-	wantExact, wantApprox, err := solveConvSelectiveOracle(lp, in, out, suspects, opts)
+	wantExact, wantApprox, err := solveConvSelectiveOracle(lp, in, out, suspects, workers)
 	if err != nil {
 		t.Fatalf("%s: oracle: %v", name, err)
 	}
 	want := append([]float32(nil), w...)
 	copy(w, corrupted)
-	exact, under, deficient, err := solveConvSuspects(lp, in, out, suspects, opts)
+	exact, under, deficient, err := solveConvSuspects(lp, in, out, suspects, workers)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
 	approx := under + deficient
 	if exact != wantExact || approx != wantApprox {
 		t.Fatalf("%s, workers %d: %d exact, %d approximate; oracle %d, %d",
-			name, opts.Workers, exact, approx, wantExact, wantApprox)
+			name, workers, exact, approx, wantExact, wantApprox)
 	}
 	for i := range w {
 		if math.Float32bits(w[i]) != math.Float32bits(want[i]) {
-			t.Fatalf("%s, workers %d: weight %d is %v, oracle %v", name, opts.Workers, i, w[i], want[i])
+			t.Fatalf("%s, workers %d: weight %d is %v, oracle %v", name, workers, i, w[i], want[i])
 		}
 		if math.Float32bits(want[i]) != math.Float32bits(corrupted[i]) {
 			rewritten++
@@ -120,10 +120,8 @@ func TestConvSelectiveSolveMatchesOracle(t *testing.T) {
 		}
 		for _, tc := range cases {
 			for _, workers := range []int{1, 3, -1} {
-				opts := pr.opts
-				opts.Workers = workers
 				name := c.Name() + " " + tc.name
-				n, approx := checkConvSelectiveMatchesOracle(t, name, lp, in, out, tc.suspects, tc.corrupt, opts)
+				n, approx := checkConvSelectiveMatchesOracle(t, name, lp, in, out, tc.suspects, tc.corrupt, workers)
 				if n == 0 {
 					t.Fatalf("%s: the oracle rewrote nothing; test is vacuous", name)
 				}
@@ -202,14 +200,12 @@ func TestConvFullSolveMatchesOracle(t *testing.T) {
 						f(w)
 					}
 					corrupted := append([]float32(nil), w...)
-					opts := pr.opts
-					opts.Workers = workers
-					if err := solveConvFull(lp, in, out, tc.filters, opts); err != nil {
+					if err := solveConvFull(lp, in, out, tc.filters, workers); err != nil {
 						t.Fatalf("%s: oracle: %v", name, err)
 					}
 					want := append([]float32(nil), w...)
 					copy(w, corrupted)
-					pr.SetWorkers(workers)
+					m.SetWorkers(workers)
 					res, err := pr.solveConvFinding(lp, LayerFinding{Layer: lp.idx, Name: c.Name(), Filters: tc.filters}, in, out)
 					if err != nil || res.Status == Failed {
 						t.Fatalf("%s, workers %d: %v %s", name, workers, err, res.Detail)
@@ -294,7 +290,7 @@ func TestConvSolveBadSuspectsLeaveLayerUntouched(t *testing.T) {
 		"negative tap":        {0: {0}, 1: {-1}},
 		"filter out of range": {0: {0}, y: {0}},
 	} {
-		if _, _, _, err := solveConvSuspects(part, in, out, suspects, pr.opts); err == nil {
+		if _, _, _, err := solveConvSuspects(part, in, out, suspects, 0); err == nil {
 			t.Errorf("partial mode, %s: solved without error", name)
 		}
 		for i := range w {
@@ -330,7 +326,7 @@ func TestConvFullSolveSingularTakesRidge(t *testing.T) {
 	w := lp.conv.Params().Data()
 	clean := append([]float32(nil), w...)
 	defer copy(w, clean)
-	if err := solveConvFull(lp, zero, out, []int{0}, pr.opts); err == nil {
+	if err := solveConvFull(lp, zero, out, []int{0}, 0); err == nil {
 		t.Fatal("oracle solved a zero golden input; the case no longer pins the change")
 	}
 	copy(w, clean)

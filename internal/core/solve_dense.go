@@ -104,7 +104,7 @@ func denseDummyOutputs(d *nn.Dense, seed, tag uint64, band int) (*tensor.Tensor,
 //
 // Every column is range-checked before any is solved: a bad column list
 // leaves the layer untouched.
-func solveDenseColumns(lp *layerPlan, cols []int, band int, opts Options) error {
+func solveDenseColumns(lp *layerPlan, cols []int, band int, seed uint64, workers int) error {
 	d := lp.dense
 	n, p := d.In(), d.Out()
 	for _, j := range cols {
@@ -115,14 +115,14 @@ func solveDenseColumns(lp *layerPlan, cols []int, band int, opts Options) error 
 	w := d.Params().Data()
 	cd := lp.denseDummyOut.Data()
 	band = min(band, n)
-	par.Blocks(len(cols), opts.workerPool(), func(lo, hi int) {
+	par.Blocks(len(cols), workers, func(lo, hi int) {
 		block := cols[lo:hi]
 		bw := len(block)
 		row := make([]float64, band)
 		ring := make([]float64, band*bw) // x[i] of column block[b] at ring[(i mod band)·bw + b]
 		acc := make([]float64, bw)
 		for i := n - 1; i >= 0; i-- {
-			vals := denseDummyRowInto(row, opts.Seed, lp.tag(tagDenseDummy), i, n, band)
+			vals := denseDummyRowInto(row, seed, lp.tag(tagDenseDummy), i, n, band)
 			for b, j := range block {
 				acc[b] = float64(cd[i*p+j])
 			}

@@ -49,12 +49,12 @@ func largestDensePlan(t *testing.T, pr *Protector) *layerPlan {
 // band, overwrites lp's layer, solves cols from the same corrupted
 // weights with the oracle and with solveDenseColumns, and compares every
 // weight bit. It leaves the layer and its dummy outputs as it found them.
-func checkDenseSolveMatchesOracle(t *testing.T, lp *layerPlan, cols []int, band int, opts Options) {
+func checkDenseSolveMatchesOracle(t *testing.T, lp *layerPlan, cols []int, band int, seed uint64, workers int) {
 	t.Helper()
 	stored := lp.denseDummyOut
 	defer func() { lp.denseDummyOut = stored }()
 	var err error
-	if lp.denseDummyOut, err = denseDummyOutputs(lp.dense, opts.Seed, lp.tag(tagDenseDummy), band); err != nil {
+	if lp.denseDummyOut, err = denseDummyOutputs(lp.dense, seed, lp.tag(tagDenseDummy), band); err != nil {
 		t.Fatal(err)
 	}
 	w := lp.dense.Params().Data()
@@ -62,19 +62,19 @@ func checkDenseSolveMatchesOracle(t *testing.T, lp *layerPlan, cols []int, band 
 	defer copy(w, clean)
 	faults.New(uint64(len(cols))).OverwriteLayer(lp.dense)
 	corrupt := append([]float32(nil), w...)
-	if err := solveDenseColumnsOracle(lp, cols, band, opts); err != nil {
+	if err := solveDenseColumnsOracle(lp, cols, band, seed, workers); err != nil {
 		t.Fatal(err)
 	}
 	want := append([]float32(nil), w...)
 	copy(w, corrupt)
-	if err := solveDenseColumns(lp, cols, band, opts); err != nil {
+	if err := solveDenseColumns(lp, cols, band, seed, workers); err != nil {
 		t.Fatal(err)
 	}
 	rewritten := 0
 	for i := range w {
 		if math.Float32bits(w[i]) != math.Float32bits(want[i]) {
 			t.Fatalf("band %d, workers %d, columns %v: weight %d is %v, oracle %v",
-				band, opts.Workers, cols, i, w[i], want[i])
+				band, workers, cols, i, w[i], want[i])
 		}
 		if math.Float32bits(want[i]) != math.Float32bits(corrupt[i]) {
 			rewritten++
@@ -82,7 +82,7 @@ func checkDenseSolveMatchesOracle(t *testing.T, lp *layerPlan, cols []int, band 
 	}
 	if rewritten == 0 {
 		t.Fatalf("band %d, workers %d, columns %v: the oracle rewrote nothing; test is vacuous",
-			band, opts.Workers, cols)
+			band, workers, cols)
 	}
 }
 
@@ -107,9 +107,7 @@ func TestDenseSolveMatchesOracle(t *testing.T) {
 	for _, band := range []int{2, 7, 32, 1 << 20} {
 		for _, cols := range [][]int{all, {p / 3}, {p - 1, 2, p / 2, 0, 5}, odd} {
 			for _, workers := range []int{1, 3, -1} {
-				opts := pr.opts
-				opts.Workers = workers
-				checkDenseSolveMatchesOracle(t, lp, cols, band, opts)
+				checkDenseSolveMatchesOracle(t, lp, cols, band, pr.opts.Seed, workers)
 			}
 		}
 	}
@@ -119,9 +117,7 @@ func TestDenseSolveMatchesOracle(t *testing.T) {
 	for j := range all {
 		all[j] = j
 	}
-	opts := pr.opts
-	opts.Workers = -1
-	checkDenseSolveMatchesOracle(t, lp, all, denseBand, opts)
+	checkDenseSolveMatchesOracle(t, lp, all, denseBand, pr.opts.Seed, -1)
 }
 
 // TestDenseSolveBadColumnLeavesLayerUntouched: a column list with an
@@ -135,7 +131,7 @@ func TestDenseSolveBadColumnLeavesLayerUntouched(t *testing.T) {
 	w[0] += 25 // column 0 is corrupt: solving it would rewrite w[0]
 	before := append([]float32(nil), w...)
 	for _, cols := range [][]int{{p, 0}, {0, -1}} {
-		if err := solveDenseColumns(lp, cols, denseBand, pr.opts); err == nil {
+		if err := solveDenseColumns(lp, cols, denseBand, pr.opts.Seed, 0); err == nil {
 			t.Fatalf("columns %v: no error", cols)
 		}
 		for i := range w {

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"sync/atomic"
 	"time"
@@ -303,7 +304,8 @@ func (g *Gateway) requestContext(r *http.Request) (context.Context, context.Canc
 }
 
 // buildSample validates one flattened sample against the model's input
-// shape and builds the tensor the fleet expects.
+// shape and builds the tensor the fleet expects. A value beyond
+// float32's range is refused: narrowed, it would reach the model as ±Inf.
 func buildSample(in []float64, info fleet.ModelInfo) (*tensor.Tensor, error) {
 	want := info.InShape.NumElements()
 	if len(in) != want {
@@ -313,6 +315,9 @@ func buildSample(in []float64, info fleet.ModelInfo) (*tensor.Tensor, error) {
 	data := make([]float32, len(in))
 	for i, v := range in {
 		data[i] = float32(v)
+		if math.IsInf(float64(data[i]), 0) {
+			return nil, fmt.Errorf("value %d (%g) is outside float32's range", i, v)
+		}
 	}
 	return tensor.FromSlice(data, info.InShape...)
 }

@@ -147,6 +147,9 @@ func TestPredictBatchRoute(t *testing.T) {
 func TestPredictBadRequests(t *testing.T) {
 	g, payloads, _ := gatewayOverTiny(t)
 	short := payloads[0][:10]
+	// 1e300 narrows to float32 +Inf; it must be refused, not answered.
+	huge := append([]float64(nil), payloads[1]...)
+	huge[143] = 1e300
 	cases := []struct {
 		name, model, body, deadline string
 		wantStatus                  int
@@ -162,6 +165,8 @@ func TestPredictBadRequests(t *testing.T) {
 		{"negative deadline", "tiny", predictBody(t, map[string]any{"input": payloads[0]}), "-1s", 400, "not positive"},
 		{"unknown model", "nope", predictBody(t, map[string]any{"input": payloads[0]}), "", 404, "unknown model"},
 		{"trailing data", "tiny", predictBody(t, map[string]any{"input": payloads[0]}) + ` {"input": [1]}`, "", 400, "trailing data"},
+		{"value beyond float32", "tiny", predictBody(t, map[string]any{"input": huge}), "", 400, "value 143 (1e+300) is outside float32's range"},
+		{"batch value beyond float32", "tiny", predictBody(t, map[string]any{"inputs": [][]float64{payloads[0], huge}}), "", 400, "inputs[1]: value 143 (1e+300) is outside float32's range"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -7,7 +7,8 @@ import (
 )
 
 // SolveMany solves A·x = b for every right-hand side on a bounded
-// worker pool, sharing one factorization. Solve is read-only on the
+// worker pool (0 is serial, negative means GOMAXPROCS; see
+// par.Resolve), sharing one factorization. Solve is read-only on the
 // factorization and each call owns its buffers, so the per-RHS results
 // are identical to sequential solves. A nil rhs yields a nil solution
 // slot (callers use this to skip holes without reindexing). The error

@@ -91,7 +91,7 @@ func (c *Conv2D) forwardStacked(ws *workspace, dst, x []float32, b int, in tenso
 	}
 	rows, m, err := tensor.Im2ColRows(x, b, ph, pw, c.z, c.f, c.stride)
 	if err == nil {
-		err = tensor.MatMulRowsInto(dst, rows, c.w.Data(), m, c.f*c.f*c.z, c.y, c.pool(), &ws.gemm)
+		err = tensor.MatMulRowsInto(dst, rows, c.w.Data(), m, c.f*c.f*c.z, c.y, c.ForwardWorkers(), &ws.gemm)
 	}
 	if err != nil {
 		return fmt.Errorf("conv %q: %w", c.name, err)
@@ -103,7 +103,7 @@ func (c *Conv2D) forwardStacked(ws *workspace, dst, x []float32, b int, in tenso
 // one (B·M × In) matrix, multiplied with the live parameter matrix in a
 // single GEMM.
 func (d *Dense) forwardStacked(ws *workspace, dst, x []float32, b int, in tensor.Shape) error {
-	if err := tensor.MatMulInto(dst, x, d.w.Data(), b*in[0], d.n, d.p, d.pool(), &ws.gemm); err != nil {
+	if err := tensor.MatMulInto(dst, x, d.w.Data(), b*in[0], d.n, d.p, d.ForwardWorkers(), &ws.gemm); err != nil {
 		return fmt.Errorf("dense %q: %w", d.name, err)
 	}
 	return nil

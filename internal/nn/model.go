@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"milr/internal/prng"
 	"milr/internal/tensor"
@@ -19,6 +20,9 @@ type Model struct {
 	inShape  tensor.Shape
 	shapes   []tensor.Shape // shapes[i] is the input shape of layer i; shapes[len] is the output.
 	outShape tensor.Shape
+	// workers is the count SetWorkers last set; atomic because a live
+	// model may be retuned while inference and scrubs read it.
+	workers atomic.Int64
 
 	// wsFree holds the batched forward pass's idle workspaces (see
 	// workspace); it starts empty and fills as ForwardBatch calls return.

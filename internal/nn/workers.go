@@ -2,19 +2,19 @@ package nn
 
 import "sync/atomic"
 
-// Worker-count plumbing for the batched-GEMM inference path. A layer's
-// worker count only changes *how* its forward pass is computed, never
-// the result: the pooled GEMM kernels are bit-identical to the serial
-// ones (see internal/tensor/gemm.go). The default of 0 keeps the
-// original serial path.
+// Worker-count plumbing for the batched-GEMM inference path and the
+// MILR engine that protects the model. A worker count only changes
+// *how* a pass is computed, never the result: the pooled GEMM kernels
+// are bit-identical to the serial ones (see internal/tensor/gemm.go).
+// Counts follow par.Resolve: the default of 0 is serial, n > 0 uses at
+// most n goroutines, and a negative count is GOMAXPROCS.
 
 // WorkerTunable is implemented by layers whose forward pass can run on
 // a bounded worker pool (convolution and dense, the GEMM layers).
 type WorkerTunable interface {
 	Layer
-	// SetWorkers sets the layer's forward-pass worker count: 1 (or 0)
-	// is serial, n > 1 uses a pool of at most n goroutines, and a
-	// negative count resolves to GOMAXPROCS.
+	// SetWorkers sets the layer's forward-pass worker count (see
+	// par.Resolve).
 	SetWorkers(n int)
 	// ForwardWorkers returns the configured count.
 	ForwardWorkers() int
@@ -24,37 +24,27 @@ type WorkerTunable interface {
 // may retune a live model (e.g. drop to serial during a latency-critical
 // window) while inference goroutines read it.
 type gemmWorkers struct {
-	workers atomic.Int32
+	workers atomic.Int64
 }
 
 // SetWorkers implements WorkerTunable.
-func (g *gemmWorkers) SetWorkers(n int) {
-	if n < 0 {
-		n = -1 // resolved to GOMAXPROCS by par.Resolve at use sites
-	}
-	g.workers.Store(int32(n))
-}
+func (g *gemmWorkers) SetWorkers(n int) { g.workers.Store(int64(n)) }
 
 // ForwardWorkers implements WorkerTunable.
 func (g *gemmWorkers) ForwardWorkers() int { return int(g.workers.Load()) }
 
-// pool returns the worker count to hand to the GEMM kernels: the
-// serial default (0 and 1) maps to 1, negative to the GOMAXPROCS
-// sentinel understood by par.Resolve.
-func (g *gemmWorkers) pool() int {
-	n := int(g.workers.Load())
-	if n == 0 {
-		return 1
-	}
-	return n
-}
-
-// SetWorkers propagates a forward-pass worker count to every
-// WorkerTunable layer. 0 restores the serial path; -1 means GOMAXPROCS.
+// SetWorkers sets the model's worker count: every WorkerTunable layer's
+// forward pass and the MILR engine protecting the model (Workers) run
+// at it. 0 restores the serial path; -1 means GOMAXPROCS.
 func (m *Model) SetWorkers(n int) {
+	m.workers.Store(int64(n))
 	for _, l := range m.layers {
 		if t, ok := l.(WorkerTunable); ok {
 			t.SetWorkers(n)
 		}
 	}
 }
+
+// Workers returns the count Model.SetWorkers last set (0, serial, until
+// then).
+func (m *Model) Workers() int { return int(m.workers.Load()) }

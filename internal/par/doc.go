@@ -5,10 +5,10 @@
 //
 // Design rules, enforced here once so callers inherit them:
 //
-//   - Pools are bounded: a zero/negative worker request resolves to
-//     GOMAXPROCS, never more. Explicit positive requests are honored
-//     as-is so tests can inject worker counts (e.g. 2 on a 1-core CI
-//     box) and prove parallel–serial equivalence.
+//   - Pools are bounded: a zero worker request is serial, a negative
+//     one resolves to GOMAXPROCS, never more. Explicit positive requests
+//     are honored as-is so tests can inject worker counts (e.g. 2 on a
+//     1-core CI box) and prove parallel–serial equivalence.
 //   - Pools are joined: every function returns only after all workers
 //     have exited. No goroutine outlives the call. (Pool, the long-lived
 //     executor behind the fleet router's shared batch budget, is the one

@@ -1,27 +1,26 @@
 package par
 
 import (
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
 )
 
 // Resolve returns the effective worker count for n independent work
-// items: `requested` when positive, otherwise GOMAXPROCS, and never more
-// than n (a worker per item is the finest useful granularity). n <= 0
-// resolves to 1 so callers can always divide by the result.
+// items under the repository's one worker convention: a requested
+// count of 0 is serial, n > 0 is at most n, and a negative count is
+// GOMAXPROCS; never more than n (a worker per item is the finest useful
+// granularity). n <= 0 resolves to 1 so callers can always divide by
+// the result.
 func Resolve(requested, n int) int {
-	if n <= 0 {
+	switch {
+	case n <= 0 || requested == 0:
 		return 1
+	case requested < 0:
+		requested = runtime.GOMAXPROCS(0)
 	}
-	w := requested
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > n {
-		w = n
-	}
-	return w
+	return min(requested, n)
 }
 
 // Blocks partitions [0,n) into `workers` contiguous blocks and runs
@@ -101,18 +100,11 @@ type Pool struct {
 	wg  sync.WaitGroup
 }
 
-// NewPool builds a Pool following the repository's worker convention:
-// workers <= 0 resolves to 1 (serial — one task at a time), negative
-// resolves to GOMAXPROCS, n > 0 runs at most n tasks concurrently.
+// NewPool builds a Pool whose capacity is Resolve(workers) with no item
+// bound: 0 runs one task at a time, n > 0 at most n, negative
+// GOMAXPROCS.
 func NewPool(workers int) *Pool {
-	w := workers
-	if w < 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w < 1 {
-		w = 1
-	}
-	return &Pool{sem: make(chan struct{}, w)}
+	return &Pool{sem: make(chan struct{}, Resolve(workers, math.MaxInt))}
 }
 
 // Cap returns the pool's concurrency bound.

@@ -13,7 +13,7 @@ func TestResolve(t *testing.T) {
 	cases := []struct {
 		requested, n, want int
 	}{
-		{0, 100, maxprocs},
+		{0, 100, 1},
 		{-3, 100, maxprocs},
 		{2, 100, 2},
 		{8, 3, 3},

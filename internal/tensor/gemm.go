@@ -344,9 +344,9 @@ func SubScaled(dst, x []float64, a float64) {
 	}
 }
 
-// MatMulWorkers computes C = A·B on a bounded worker pool (workers <= 0
-// means GOMAXPROCS; see par.Resolve). The result is bit-identical to
-// MatMul for every worker count.
+// MatMulWorkers computes C = A·B on a bounded worker pool (0 is serial,
+// negative means GOMAXPROCS; see par.Resolve). The result is
+// bit-identical to MatMul for every worker count.
 func MatMulWorkers(a, b *Tensor, workers int) (*Tensor, error) {
 	if a.Rank() != 2 || b.Rank() != 2 {
 		return nil, fmt.Errorf("tensor: matmul requires rank-2 tensors, got %v and %v", a.Shape(), b.Shape())

@@ -92,8 +92,9 @@ type (
 	// Protector attaches MILR protection to a model.
 	Protector = core.Protector
 	// Options is the engine configuration a Runtime protects models
-	// with: seed, conv cost policy and engine workers. The method's
-	// tolerances, dense band and CRC group are constants.
+	// with: seed and conv cost policy. The engine runs at its model's
+	// worker count (Model.SetWorkers); the method's tolerances, dense
+	// band and CRC group are constants.
 	Options = core.Options
 	// DetectionReport is the log of erroneous layers detection produces.
 	DetectionReport = core.DetectionReport
@@ -112,22 +113,24 @@ type (
 
 // Runtime is the engine's configuration root: one value carries the
 // master seed, the worker-pool policy for every parallel level
-// (inference GEMM, engine scrub/solve, protector initialization), the
-// conv cost policy, and the evaluation and serving batch shape. Build
-// one with NewRuntime and functional options; the zero-option Runtime
-// has seed 0, no cost cap and serial pools.
+// (inference GEMM, engine scrub/solve, protector initialization, the
+// fleet's batch budget), the conv cost policy, and the evaluation and
+// serving batch shape. Build one with NewRuntime and functional
+// options; the zero-option Runtime has seed 0, no cost cap and serial
+// pools.
 //
 // A Runtime is immutable after construction and safe for concurrent use;
 // derive variants with With.
 type Runtime struct {
 	opts     core.Options
+	workers  int
 	batch    int
 	maxDelay time.Duration
 	queueCap int
 	deadline time.Duration
 	// workersSet records an explicit WithWorkers choice: only then do
 	// Protect, Evaluate and Fleet registration retune the model's
-	// GEMM pools, so a hand-tuned model (Model.SetWorkers) is never
+	// worker count, so a hand-tuned model (Model.SetWorkers) is never
 	// silently reset to serial by a runtime that was built without a
 	// worker policy.
 	workersSet bool
@@ -142,15 +145,18 @@ func WithSeed(seed uint64) Option {
 	return func(rt *Runtime) { rt.opts.Seed = seed }
 }
 
-// WithWorkers bounds every worker pool the runtime configures: the
-// model's GEMM forward passes, the engine's concurrent layer scrubs and
-// per-filter/per-column solves, and protector initialization. 0 keeps
-// everything serial, n > 0 uses at most n goroutines per pool, negative
-// resolves to GOMAXPROCS. Every parallel path is bit-identical to the
-// serial one, so this is purely a throughput knob.
+// WithWorkers bounds every worker pool the runtime configures. It is
+// the worker count Protect, Evaluate and Fleet registration set on the
+// model (Model.SetWorkers), which its GEMM forward passes and the
+// engine protecting it — concurrent layer scrubs, per-filter and
+// per-column solves, protector initialization — all run at; and it is
+// a Fleet's shared batch budget. 0 keeps everything serial, n > 0 uses
+// at most n goroutines per pool, negative resolves to GOMAXPROCS. Every
+// parallel path is bit-identical to the serial one, so this is purely a
+// throughput knob.
 func WithWorkers(n int) Option {
 	return func(rt *Runtime) {
-		rt.opts.Workers = n
+		rt.workers = n
 		rt.workersSet = true
 	}
 }
@@ -220,7 +226,7 @@ func (rt *Runtime) With(opts ...Option) *Runtime {
 func (rt *Runtime) Seed() uint64 { return rt.opts.Seed }
 
 // Workers returns the configured worker-pool bound.
-func (rt *Runtime) Workers() int { return rt.opts.Workers }
+func (rt *Runtime) Workers() int { return rt.workers }
 
 // BatchSize returns the evaluation and serving batch size.
 func (rt *Runtime) BatchSize() int { return rt.batch }
@@ -230,39 +236,41 @@ func (rt *Runtime) Options() Options { return rt.opts }
 
 // Protect runs MILR's initialization phase on a model under this
 // runtime's configuration: it plans checkpoints and computes every
-// stored artifact, with the per-layer initialization work (rank probes
-// dominate) running on the runtime's worker pool. On success, an
-// explicit worker policy (WithWorkers) is then applied to the model's
-// GEMM pools; on failure the model is untouched. The context cancels
-// initialization; the returned Protector's Detect/Recover/SelfHeal all
-// have ...Context forms for cancellation and deadlines.
+// stored artifact. An explicit worker policy (WithWorkers) is applied
+// to the model first, so the per-layer initialization work (rank probes
+// dominate) runs on its pool, and the returned Protector scrubs and
+// heals at the model's worker count from then on. On failure the model
+// keeps the worker count it had. The context cancels initialization;
+// the returned Protector's Detect/Recover/SelfHeal all have ...Context
+// forms for cancellation and deadlines.
 func (rt *Runtime) Protect(ctx context.Context, m *Model) (*Protector, error) {
+	if m == nil || !rt.workersSet {
+		return core.NewProtectorContext(ctx, m, rt.opts)
+	}
+	prev := m.Workers()
+	m.SetWorkers(rt.workers)
 	pr, err := core.NewProtectorContext(ctx, m, rt.opts)
 	if err != nil {
-		// The model is untouched on failure: pools are only retuned once
-		// initialization has succeeded.
-		return nil, err
+		m.SetWorkers(prev)
 	}
-	rt.tune(m)
-	return pr, nil
+	return pr, err
 }
 
-// tune applies an explicit worker policy (WithWorkers) to the model's
-// GEMM pools. A runtime built without one leaves the model alone, and a
-// nil model is left for the callee to reject.
+// tune applies an explicit worker policy (WithWorkers) to the model. A
+// runtime built without one leaves the model alone, and a nil model is
+// left for the callee to reject.
 func (rt *Runtime) tune(m *Model) {
 	if m != nil && rt.workersSet {
-		m.SetWorkers(rt.opts.Workers)
+		m.SetWorkers(rt.workers)
 	}
 }
 
 // Evaluate returns classification accuracy on samples through the
 // batch-first inference path (one stacked GEMM per conv/dense layer per
 // batch of BatchSize samples). An explicit worker policy (WithWorkers)
-// is applied to the model's GEMM pools, as in Protect. The context is
-// checked between batches. Accuracy is
-// identical to per-sample evaluation at every batch size and worker
-// count.
+// is applied to the model, as in Protect. The context is checked
+// between batches. Accuracy is identical to per-sample evaluation at
+// every batch size and worker count.
 func (rt *Runtime) Evaluate(ctx context.Context, m *Model, samples []Sample) (float64, error) {
 	rt.tune(m)
 	return nn.EvaluateBatchContext(ctx, m, samples, rt.batch)

@@ -69,6 +69,32 @@ func TestRuntimeProtectCancelled(t *testing.T) {
 	}
 }
 
+// TestRuntimeProtectCancelledKeepsModelWorkers: Protect sets an explicit
+// worker policy on the model before initialization, so that protect
+// runs on the pool; a failed Protect puts the model's own count back,
+// for the model and its GEMM layers alike.
+func TestRuntimeProtectCancelledKeepsModelWorkers(t *testing.T) {
+	model, err := milr.NewTinyNet()
+	if err != nil {
+		t.Fatal(err)
+	}
+	model.InitWeights(9)
+	model.SetWorkers(8) // hand-tuned
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := milr.NewRuntime(milr.WithSeed(9), milr.WithWorkers(3)).Protect(ctx, model); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Protect under cancelled context returned %v, want context.Canceled", err)
+	}
+	if got := model.Workers(); got != 8 {
+		t.Errorf("failed Protect left the model at %d workers, want 8", got)
+	}
+	for _, l := range model.Layers() {
+		if wt, ok := l.(nn.WorkerTunable); ok && wt.ForwardWorkers() != 8 {
+			t.Errorf("failed Protect left layer %s at %d workers, want 8", l.Name(), wt.ForwardWorkers())
+		}
+	}
+}
+
 // TestRuntimeSelfHealContextCancelled: a cancelled self-heal returns
 // promptly and leaves the corrupted weights bit-identical (detect-only
 // state) — the façade half of the layer-atomicity contract pinned in
