@@ -6,7 +6,6 @@
 //	milr-bench -exp fig5 -runs 40 -full      # one figure at paper scale
 //	milr-bench -exp table4,table5
 //	milr-bench -exp fig9 -workers -1         # shard campaign over all cores
-//	milr-bench -exp fig9 -cpusweep 1,2,4     # wall-clock/speedup table
 //	milr-bench -list                         # what can be regenerated
 //
 // Experiment ids match the paper: fig5..fig12, table1..table10 (tables
@@ -20,9 +19,7 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"strconv"
 	"strings"
-	"time"
 
 	"milr/internal/bench"
 	"milr/internal/zoo"
@@ -59,18 +56,17 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("milr-bench", flag.ContinueOnError)
 	var (
-		exp      = fs.String("exp", "all", "comma-separated experiment ids (fig5..fig12, table1..table10, all)")
-		runs     = fs.Int("runs", 0, "runs per error-rate point (0 = scale default)")
-		test     = fs.Int("test", 0, "evaluation samples per accuracy measurement (0 = scale default)")
-		train    = fs.Int("train", 0, "synthetic training samples (0 = scale default)")
-		epochs   = fs.Int("epochs", 0, "training epochs (0 = scale default)")
-		seed     = fs.Uint64("seed", 42, "master seed")
-		full     = fs.Bool("full", false, "paper-scale settings (slow: hours on one core)")
-		cache    = fs.String("cache", ".milr-cache", "trained-weight cache directory")
-		list     = fs.Bool("list", false, "list experiments and exit")
-		verbose  = fs.Bool("v", true, "progress output on stderr")
-		workers  = fs.Int("workers", 1, "worker count for campaigns, recovery and GEMM (0 or 1 = serial, -1 = all cores)")
-		cpusweep = fs.String("cpusweep", "", "comma-separated worker counts (e.g. 1,2,4): run each selected experiment at every count and print a wall-clock/speedup table")
+		exp     = fs.String("exp", "all", "comma-separated experiment ids (fig5..fig12, table1..table10, all)")
+		runs    = fs.Int("runs", 0, "runs per error-rate point (0 = scale default)")
+		test    = fs.Int("test", 0, "evaluation samples per accuracy measurement (0 = scale default)")
+		train   = fs.Int("train", 0, "synthetic training samples (0 = scale default)")
+		epochs  = fs.Int("epochs", 0, "training epochs (0 = scale default)")
+		seed    = fs.Uint64("seed", 42, "master seed")
+		full    = fs.Bool("full", false, "paper-scale settings (slow: hours on one core)")
+		cache   = fs.String("cache", ".milr-cache", "trained-weight cache directory")
+		list    = fs.Bool("list", false, "list experiments and exit")
+		verbose = fs.Bool("v", true, "progress output on stderr")
+		workers = fs.Int("workers", 1, "worker count for campaigns, recovery and GEMM (0 or 1 = serial, -1 = all cores)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -110,65 +106,18 @@ func run(args []string) error {
 		return fmt.Errorf("no experiments selected")
 	}
 
-	counts, err := parseCPUSweep(*cpusweep)
-	if err != nil {
-		return err
-	}
-
 	// Group by network so each environment is built (and trained) once.
-	// Worker-count changes retune the live environments (SetWorkers), so
-	// a -cpusweep reuses the trained weights across every count.
 	envs := map[string]*bench.Env{}
-	var speedups []bench.SpeedupRow
-	for _, n := range counts {
-		for _, e := range selected {
-			env, err := envFor(envs, e.network, cfg)
-			if err != nil {
-				return fmt.Errorf("experiment %s: %w", e.id, err)
-			}
-			if n != 0 && env != nil {
-				env.SetWorkers(n)
-			}
-			start := time.Now()
-			if err := e.run(env, cfg); err != nil {
-				return fmt.Errorf("experiment %s: %w", e.id, err)
-			}
-			if n != 0 {
-				speedups = append(speedups, bench.SpeedupRow{ID: e.id, Workers: n, Elapsed: time.Since(start)})
-			}
+	for _, e := range selected {
+		env, err := envFor(envs, e.network, cfg)
+		if err != nil {
+			return fmt.Errorf("experiment %s: %w", e.id, err)
 		}
-	}
-	if len(speedups) > 0 {
-		// Reorder per experiment so the speedup baseline is each
-		// experiment's first measured count.
-		ordered := make([]bench.SpeedupRow, 0, len(speedups))
-		for _, e := range selected {
-			for _, r := range speedups {
-				if r.ID == e.id {
-					ordered = append(ordered, r)
-				}
-			}
+		if err := e.run(env, cfg); err != nil {
+			return fmt.Errorf("experiment %s: %w", e.id, err)
 		}
-		bench.RenderSpeedup(os.Stdout, "Worker sweep: wall-clock per experiment", ordered)
 	}
 	return nil
-}
-
-// parseCPUSweep parses -cpusweep. An empty flag yields the single
-// sentinel count 0, meaning "run once with -workers and no sweep table".
-func parseCPUSweep(s string) ([]int, error) {
-	if strings.TrimSpace(s) == "" {
-		return []int{0}, nil
-	}
-	var counts []int
-	for _, part := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || n <= 0 {
-			return nil, fmt.Errorf("bad -cpusweep entry %q (want positive integers)", part)
-		}
-		counts = append(counts, n)
-	}
-	return counts, nil
 }
 
 // envFor returns the network's environment, building it on first use;

@@ -74,16 +74,9 @@ func RunFleetLoad(ctx context.Context, p ModelPredictor, specs []FleetLoadSpec) 
 	if len(specs) == 0 {
 		return FleetLoadResult{}, fmt.Errorf("bench: fleet load needs at least one model spec")
 	}
-	type counters struct {
-		requests, rejected, mismatches atomic.Int64
-	}
-	counts := make([]counters, len(specs))
-	var wg sync.WaitGroup
-	errMu := sync.Mutex{}
-	var firstErr error
-	start := time.Now()
-	for si := range specs {
-		spec := specs[si]
+	// Every spec is checked before any client starts, so a refused run
+	// leaves no client behind.
+	for _, spec := range specs {
 		if len(spec.Inputs) == 0 {
 			return FleetLoadResult{}, fmt.Errorf("bench: model %q spec has no inputs", spec.Model)
 		}
@@ -95,6 +88,17 @@ func RunFleetLoad(ctx context.Context, p ModelPredictor, specs []FleetLoadSpec) 
 			return FleetLoadResult{}, fmt.Errorf("bench: model %q: %d expected classes for %d inputs",
 				spec.Model, len(spec.Want), len(spec.Inputs))
 		}
+	}
+	type counters struct {
+		requests, rejected, mismatches atomic.Int64
+	}
+	counts := make([]counters, len(specs))
+	var wg sync.WaitGroup
+	errMu := sync.Mutex{}
+	var firstErr error
+	start := time.Now()
+	for si := range specs {
+		spec := specs[si]
 		c := &counts[si]
 		for cl := 0; cl < spec.Clients; cl++ {
 			cl := cl

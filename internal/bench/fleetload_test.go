@@ -170,4 +170,17 @@ func TestRunFleetLoadValidation(t *testing.T) {
 	if _, err := bench.RunFleetLoad(ctx, f, []bench.FleetLoadSpec{{Model: "m", Inputs: x, Clients: 0, PerClient: 5}}); err == nil {
 		t.Fatal("zero clients accepted")
 	}
+	// A bad later spec refuses the whole run before any client of an
+	// earlier, valid spec starts: the fleet serves nothing afterwards.
+	before := f.Stats().Served
+	if _, err := bench.RunFleetLoad(ctx, f, []bench.FleetLoadSpec{
+		{Model: "m", Inputs: x, Clients: 4, PerClient: 200},
+		{Model: "m", Clients: 1, PerClient: 1},
+	}); err == nil {
+		t.Fatal("spec with no inputs accepted after a valid one")
+	}
+	time.Sleep(100 * time.Millisecond)
+	if after := f.Stats().Served; after != before {
+		t.Fatalf("refused run left clients behind: the fleet served %d requests after it returned", after-before)
+	}
 }

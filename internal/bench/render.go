@@ -160,35 +160,3 @@ func RenderAvailability(w io.Writer, title string, pts []availability.Point) {
 	}
 	fmt.Fprintln(w)
 }
-
-// SpeedupRow is one experiment × worker-count wall-clock measurement.
-type SpeedupRow struct {
-	ID      string
-	Workers int
-	Elapsed time.Duration
-}
-
-// RenderSpeedup prints the -cpusweep wall-clock table: one line per
-// experiment per worker count, with the speedup column normalized to
-// that experiment's lowest-worker-count row (regardless of the order
-// the counts were requested in).
-func RenderSpeedup(w io.Writer, title string, rows []SpeedupRow) {
-	fmt.Fprintf(w, "%s\n", title)
-	fmt.Fprintf(w, "%-10s %8s %14s %9s\n", "experiment", "workers", "wall-clock", "speedup")
-	base := map[string]time.Duration{}
-	baseWorkers := map[string]int{}
-	for _, r := range rows {
-		if bw, ok := baseWorkers[r.ID]; !ok || r.Workers < bw {
-			baseWorkers[r.ID] = r.Workers
-			base[r.ID] = r.Elapsed
-		}
-	}
-	for _, r := range rows {
-		speedup := 0.0
-		if r.Elapsed > 0 {
-			speedup = float64(base[r.ID]) / float64(r.Elapsed)
-		}
-		fmt.Fprintf(w, "%-10s %8d %14s %8.2fx\n", r.ID, r.Workers, r.Elapsed.Round(time.Millisecond), speedup)
-	}
-	fmt.Fprintln(w)
-}

@@ -85,7 +85,7 @@ func TestPropertyGoldenPairsConsistent(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d layer %d: %v", seed, i, err)
 			}
-			fwd, err := l.RecoveryForward(in)
+			fwd, err := m.ForwardRange(i, i+1, in, true)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -113,7 +113,7 @@ func (pr *Protector) initialize(ctx context.Context) error {
 		if lp.role == roleConv && (!lp.partialMode || lp.dummyFilters > 0) {
 			layerIn[i] = cur
 		}
-		next, err := m.Layer(i).RecoveryForward(cur)
+		next, err := m.ForwardRange(i, i+1, cur, true)
 		if err != nil {
 			return fmt.Errorf("core: init forward layer %d (%s): %w", i, m.Layer(i).Name(), err)
 		}

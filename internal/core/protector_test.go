@@ -307,9 +307,9 @@ func TestGoldenPairConsistency(t *testing.T) {
 		if err != nil {
 			t.Fatalf("GoldenPair(%d): %v", i, err)
 		}
-		fwd, err := l.RecoveryForward(in)
+		fwd, err := m.ForwardRange(i, i+1, in, true)
 		if err != nil {
-			t.Fatalf("RecoveryForward(%d): %v", i, err)
+			t.Fatalf("ForwardRange(%d): %v", i, err)
 		}
 		if !fwd.Equalish(out, 1e-3) {
 			d, _ := fwd.MaxAbsDiff(out)

@@ -102,7 +102,7 @@ func (pr *Protector) recoverDense(lp *layerPlan, f LayerFinding) (RecoveryResult
 	if res.Status == Failed {
 		return res, nil
 	}
-	out, err := lp.dense.RecoveryForward(prng.TensorFor(pr.opts.Seed, lp.tag(tagDetect), 1, lp.dense.In()))
+	out, err := lp.dense.Forward(prng.TensorFor(pr.opts.Seed, lp.tag(tagDetect), 1, lp.dense.In()))
 	if err != nil {
 		return res, fmt.Errorf("core: detect dense layer %d: %w", lp.idx, err)
 	}

@@ -170,7 +170,7 @@ func (pr *Protector) recoverSegment(ctx context.Context, seg segment, fs []Layer
 		for j := seg.start; j <= lastIn; j++ {
 			f := flagged[j]
 			if f == nil {
-				cur, err = pr.model.Layer(j).RecoveryForward(cur)
+				cur, err = pr.model.ForwardRange(j, j+1, cur, true)
 				if err != nil {
 					return nil, fmt.Errorf("core: segment forward layer %d (%s): %w", j, pr.model.Layer(j).Name(), err)
 				}
@@ -237,10 +237,9 @@ func (pr *Protector) recoverSweptLayer(lp *layerPlan, f *LayerFinding, goldenIn,
 	if !propagate {
 		return res, nil, nil
 	}
-	layer := pr.model.Layer(lp.idx)
-	next, err := layer.RecoveryForward(goldenIn)
+	next, err := pr.model.ForwardRange(lp.idx, lp.idx+1, goldenIn, true)
 	if err != nil {
-		return res, nil, fmt.Errorf("core: segment forward layer %d (%s): %w", lp.idx, layer.Name(), err)
+		return res, nil, fmt.Errorf("core: segment forward layer %d (%s): %w", lp.idx, pr.model.Layer(lp.idx).Name(), err)
 	}
 	return res, next, nil
 }

@@ -356,10 +356,7 @@ func (pr *Protector) invertConv(lp *layerPlan, out *tensor.Tensor) (*tensor.Tens
 	if err != nil {
 		return nil, err
 	}
-	inShape := c.InShape()
-	if inShape == nil || len(inShape) != 3 {
-		return nil, fmt.Errorf("core: conv %q has no build-time input shape", c.Name())
-	}
+	inShape := pr.model.LayerInShape(lp.idx)
 	p := c.Pad()
 	padded, err := tensor.Col2Im(subregions, inShape[0]+2*p, inShape[1]+2*p, z, f, c.Stride())
 	if err != nil {

@@ -9,9 +9,9 @@ import (
 // Activation is the ReLU non-linearity, max(0, x), the paper's
 // activation (§IV-D). During MILR's initialization, detection, and
 // recovery phases it is treated as a linear (identity) function:
-// RecoveryForward passes tensors through unchanged, and Invert does the
-// same, "allowing forward and backward passes through the layer without
-// any changes to the tensor passing through".
+// Model.ForwardRange in recovery mode passes tensors through unchanged,
+// and Invert does the same, "allowing forward and backward passes
+// through the layer without any changes to the tensor passing through".
 type Activation struct {
 	named
 }
@@ -40,12 +40,6 @@ func (a *Activation) forwardInPlace(x []float32) {
 			x[i] = 0
 		}
 	}
-}
-
-// RecoveryForward implements Layer: identity, per the paper's linearized
-// treatment of activations during MILR phases.
-func (a *Activation) RecoveryForward(in *tensor.Tensor) (*tensor.Tensor, error) {
-	return in.Clone(), nil
 }
 
 // Invert implements Invertible: identity under recovery semantics.

@@ -22,22 +22,6 @@ import (
 // worker count; the per-sample materialised-im2col oracle in
 // forward_oracle_test.go pins that to the last bit.
 
-// BatchCapable is implemented by layers that can process a whole batch
-// in one kernel invocation (convolution and dense, the GEMM layers).
-// Their recovery-mode pass is the same product, so the MILR engine
-// stacks golden activations and probes through ForwardBatch too.
-type BatchCapable interface {
-	Layer
-	// ForwardBatch runs normal inference on every sample at once. The
-	// result is element-wise bit-identical to calling Forward per sample.
-	ForwardBatch(ins []*tensor.Tensor) ([]*tensor.Tensor, error)
-}
-
-var (
-	_ BatchCapable = (*Conv2D)(nil)
-	_ BatchCapable = (*Dense)(nil)
-)
-
 // forwardOne is a single-sample Forward as ForwardBatch on a batch of
 // one: the GEMM layers' and the Model's.
 func forwardOne(l interface {
@@ -91,7 +75,7 @@ func (c *Conv2D) forwardStacked(ws *workspace, dst, x []float32, b int, in tenso
 	}
 	rows, m, err := tensor.Im2ColRows(x, b, ph, pw, c.z, c.f, c.stride)
 	if err == nil {
-		err = tensor.MatMulRowsInto(dst, rows, c.w.Data(), m, c.f*c.f*c.z, c.y, c.ForwardWorkers(), &ws.gemm)
+		err = tensor.MatMulRowsInto(dst, rows, c.w.Data(), m, c.f*c.f*c.z, c.y, loadWorkers(c.workers), &ws.gemm)
 	}
 	if err != nil {
 		return fmt.Errorf("conv %q: %w", c.name, err)
@@ -103,7 +87,7 @@ func (c *Conv2D) forwardStacked(ws *workspace, dst, x []float32, b int, in tenso
 // one (B·M × In) matrix, multiplied with the live parameter matrix in a
 // single GEMM.
 func (d *Dense) forwardStacked(ws *workspace, dst, x []float32, b int, in tensor.Shape) error {
-	if err := tensor.MatMulInto(dst, x, d.w.Data(), b*in[0], d.n, d.p, d.ForwardWorkers(), &ws.gemm); err != nil {
+	if err := tensor.MatMulInto(dst, x, d.w.Data(), b*in[0], d.n, d.p, loadWorkers(d.workers), &ws.gemm); err != nil {
 		return fmt.Errorf("dense %q: %w", d.name, err)
 	}
 	return nil
@@ -150,8 +134,9 @@ func unstack(stacked []float32, n int, shape func(i int) tensor.Shape) []*tensor
 	return outs
 }
 
-// ForwardBatch implements BatchCapable: one GEMM for the whole batch
-// (see forwardStacked).
+// ForwardBatch runs normal inference on every sample at once, in one
+// GEMM for the whole batch (see forwardStacked). The result is
+// element-wise bit-identical to calling Forward per sample.
 func (c *Conv2D) ForwardBatch(ins []*tensor.Tensor) ([]*tensor.Tensor, error) {
 	if len(ins) == 0 {
 		return nil, fmt.Errorf("nn: conv %q: empty batch", c.name)
@@ -171,8 +156,9 @@ func (c *Conv2D) ForwardBatch(ins []*tensor.Tensor) ([]*tensor.Tensor, error) {
 	return unstack(flat, len(ins), func(int) tensor.Shape { return outShape }), nil
 }
 
-// ForwardBatch implements BatchCapable: one GEMM for the whole batch
-// (see forwardStacked). Samples may differ in their row counts.
+// ForwardBatch runs normal inference on every sample at once, in one
+// GEMM for the whole batch (see forwardStacked). Samples may differ in
+// their row counts.
 func (d *Dense) ForwardBatch(ins []*tensor.Tensor) ([]*tensor.Tensor, error) {
 	if len(ins) == 0 {
 		return nil, fmt.Errorf("nn: dense %q: empty batch", d.name)
@@ -242,7 +228,7 @@ func (m *Model) forwardStacked(ctx context.Context, xs []*tensor.Tensor, use fun
 		return fmt.Errorf("nn: empty batch")
 	}
 	shapes := m.shapes
-	if !hasShape(xs[0], m.inShape) {
+	if !hasShape(xs[0], shapes[0]) {
 		// Not the build-time shape: layers such as convolution accept
 		// other extents, so re-derive the chain for this call.
 		var err error
@@ -264,7 +250,8 @@ func (m *Model) forwardStacked(ctx context.Context, xs []*tensor.Tensor, use fun
 			l.forwardInPlace(cur)
 		case stackedLayer:
 			var sp *obs.Span
-			if _, gemm := l.(BatchCapable); gemm {
+			switch l.(type) {
+			case *Conv2D, *Dense:
 				_, sp = obs.Start(ctx, "tensor.gemm")
 				sp.SetAttr("layer", m.layers[i].Name())
 				sp.SetInt("index", i)

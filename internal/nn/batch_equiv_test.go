@@ -131,9 +131,6 @@ func (f *foreignLayer) OutShape(in tensor.Shape) (tensor.Shape, error) { return 
 func (f *foreignLayer) Forward(in *tensor.Tensor) (*tensor.Tensor, error) {
 	return f.inner.Forward(in)
 }
-func (f *foreignLayer) RecoveryForward(in *tensor.Tensor) (*tensor.Tensor, error) {
-	return f.inner.RecoveryForward(in)
-}
 func (f *foreignLayer) ForwardTrain(in *tensor.Tensor) (*tensor.Tensor, Cache, error) {
 	return f.inner.ForwardTrain(in)
 }

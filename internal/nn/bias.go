@@ -83,12 +83,6 @@ func (b *Bias) addInto(d []float32, sign float32) {
 // forwardInPlace implements inPlaceLayer.
 func (b *Bias) forwardInPlace(x []float32) { b.addInto(x, 1) }
 
-// RecoveryForward implements Layer; bias behaves identically in recovery
-// mode.
-func (b *Bias) RecoveryForward(in *tensor.Tensor) (*tensor.Tensor, error) {
-	return b.Forward(in)
-}
-
 // Invert implements Invertible: input = output − parameters. "The
 // subtraction from the parameters from the Output yields the input.
 // Making a backwards pass very fast and efficient" (§IV-E-a).

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"milr/internal/tensor"
 )
@@ -35,19 +36,16 @@ func (p Padding) String() string {
 type Conv2D struct {
 	named
 	sgdParam
-	gemmWorkers
 
 	f, z, y int
 	stride  int
 	padding Padding
-	inShape tensor.Shape
+	// workers is the count of the model the layer was last built into
+	// (see Model.SetWorkers); nil outside a model.
+	workers *atomic.Int64
 }
 
-var (
-	_ Parameterized = (*Conv2D)(nil)
-	_ ShapeAware    = (*Conv2D)(nil)
-	_ WorkerTunable = (*Conv2D)(nil)
-)
+var _ Parameterized = (*Conv2D)(nil)
 
 // NewConv2D creates a convolution layer. Weights start at zero; use an
 // initializer (see init.go) or training to populate them.
@@ -85,18 +83,6 @@ func (c *Conv2D) Pad() int {
 	}
 	return 0
 }
-
-// SetInShape implements ShapeAware.
-func (c *Conv2D) SetInShape(in tensor.Shape) error {
-	if _, err := c.OutShape(in); err != nil {
-		return err
-	}
-	c.inShape = in.Clone()
-	return nil
-}
-
-// InShape returns the build-time input shape (nil before build).
-func (c *Conv2D) InShape() tensor.Shape { return c.inShape.Clone() }
 
 // OutShape implements Layer.
 func (c *Conv2D) OutShape(in tensor.Shape) (tensor.Shape, error) {
@@ -157,16 +143,10 @@ func (c *Conv2D) padInput(in *tensor.Tensor) (*tensor.Tensor, error) {
 }
 
 // Forward implements Layer: ForwardBatch on a batch of one, so a single
-// sample runs the same streamed-im2col GEMM (on the SetWorkers pool) as
-// a served batch.
+// sample runs the same streamed-im2col GEMM (on its model's pool) as a
+// served batch.
 func (c *Conv2D) Forward(in *tensor.Tensor) (*tensor.Tensor, error) {
 	return forwardOne(c, in)
-}
-
-// RecoveryForward implements Layer; convolution behaves identically in
-// recovery mode.
-func (c *Conv2D) RecoveryForward(in *tensor.Tensor) (*tensor.Tensor, error) {
-	return c.Forward(in)
 }
 
 // ForwardAt returns the Y outputs at output position (i, j) alone: that

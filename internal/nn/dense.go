@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"milr/internal/tensor"
 )
@@ -12,15 +13,14 @@ import (
 type Dense struct {
 	named
 	sgdParam
-	gemmWorkers
 
 	n, p int
+	// workers is the count of the model the layer was last built into
+	// (see Model.SetWorkers); nil outside a model.
+	workers *atomic.Int64
 }
 
-var (
-	_ Parameterized = (*Dense)(nil)
-	_ WorkerTunable = (*Dense)(nil)
-)
+var _ Parameterized = (*Dense)(nil)
 
 // NewDense creates a dense layer mapping N inputs to P outputs.
 func NewDense(n, p int) (*Dense, error) {
@@ -46,18 +46,12 @@ func (d *Dense) OutShape(in tensor.Shape) (tensor.Shape, error) {
 	return tensor.Shape{in[0], d.p}, nil
 }
 
-// Forward implements Layer: ForwardBatch on a batch of one. With a
-// worker count set (SetWorkers) the GEMM runs on a bounded pool —
-// partitioned by output columns for the single-row inference shape —
-// with bit-identical results.
+// Forward implements Layer: ForwardBatch on a batch of one. With its
+// model's worker count set (Model.SetWorkers) the GEMM runs on a bounded
+// pool — partitioned by output columns for the single-row inference
+// shape — with bit-identical results.
 func (d *Dense) Forward(in *tensor.Tensor) (*tensor.Tensor, error) {
 	return forwardOne(d, in)
-}
-
-// RecoveryForward implements Layer; dense behaves identically in recovery
-// mode.
-func (d *Dense) RecoveryForward(in *tensor.Tensor) (*tensor.Tensor, error) {
-	return d.Forward(in)
 }
 
 // ForwardTrain implements Layer.

@@ -10,19 +10,20 @@
 // mathematical operation, and its own relationship between its input,
 // output and parameters", §IV-E).
 //
-// Every layer supports three execution modes:
+// Every layer supports two execution modes:
 //
 //   - Forward: normal inference.
-//   - RecoveryForward: the deterministic pass MILR uses during
-//     initialization, detection and recovery, in which activation layers
-//     are treated as identity (§IV-D) so golden tensors are reproducible
-//     algebraic functions of the parameters.
 //   - ForwardTrain/Backward: backpropagation, so evaluation networks can
 //     actually be trained on the synthetic datasets.
 //
+// The deterministic pass MILR uses during initialization, detection and
+// recovery is Model.ForwardRange with recovery set: each layer's
+// Forward, except that ReLU is the identity (§IV-D), so golden tensors
+// are reproducible algebraic functions of the parameters.
+//
 // Inference has one path, and it is batch-first: Model.ForwardBatch
 // and Model.PredictBatch stack a whole batch into one GEMM per
-// conv/dense layer (BatchCapable), streaming the im2col rows into the
+// conv/dense layer, streaming the im2col rows into the
 // kernel. A single-sample Forward or Predict — of a conv or dense layer
 // or of a Model, and so every MILR golden propagation — is that pass
 // on a batch of one. A sample's
@@ -33,8 +34,9 @@
 // workspace from its free list (stacked activations, padded inputs,
 // kernel scratch — never anything derived from the weights), so a model
 // serving steadily allocates nothing per batch but its answers; a lone
-// layer's ForwardBatch uses a throw-away one. Worker pools are threaded
-// through WorkerTunable/Model.SetWorkers down to the GEMM kernel in
-// internal/tensor. See ARCHITECTURE.md for the layer map and the
+// layer's ForwardBatch uses a throw-away one. A model holds one worker
+// count (Model.SetWorkers); its conv and dense layers read it and pass
+// it to the GEMM kernel in internal/tensor, and a layer outside any
+// model runs serially. See ARCHITECTURE.md for the layer map and the
 // bit-identity invariant chain.
 package nn

@@ -131,9 +131,6 @@ func TestConvGradients(t *testing.T) {
 			for i := range conv.Params().Data() {
 				conv.Params().Data()[i] = s.Uniform(-0.5, 0.5)
 			}
-			if err := conv.SetInShape(tensor.Shape{6, 6, 2}); err != nil {
-				t.Fatal(err)
-			}
 			in := s.Tensor(6, 6, 2)
 			checkParamGrad(t, conv, in, 1e-2)
 			checkInputGrad(t, conv, in, 1e-2)
@@ -191,12 +188,8 @@ func TestPoolInputGradients(t *testing.T) {
 }
 
 func TestFlattenInputGradients(t *testing.T) {
-	f := NewFlatten()
-	if err := f.SetInShape(tensor.Shape{3, 3, 2}); err != nil {
-		t.Fatal(err)
-	}
 	in := prng.New(6).Tensor(3, 3, 2)
-	checkInputGrad(t, f, in, 1e-2)
+	checkInputGrad(t, NewFlatten(), in, 1e-2)
 }
 
 func TestSoftmaxCrossEntropyGradient(t *testing.T) {

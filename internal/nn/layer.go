@@ -19,9 +19,6 @@ type Layer interface {
 	OutShape(in tensor.Shape) (tensor.Shape, error)
 	// Forward runs normal inference on a single sample.
 	Forward(in *tensor.Tensor) (*tensor.Tensor, error)
-	// RecoveryForward runs the MILR deterministic pass (activations
-	// linearized; everything else identical to Forward).
-	RecoveryForward(in *tensor.Tensor) (*tensor.Tensor, error)
 	// ForwardTrain runs inference in training mode, returning whatever
 	// cache Backward needs.
 	ForwardTrain(in *tensor.Tensor) (*tensor.Tensor, Cache, error)
@@ -58,14 +55,6 @@ type Invertible interface {
 	// Invert computes the layer input that produced out under recovery
 	// semantics.
 	Invert(out *tensor.Tensor) (*tensor.Tensor, error)
-}
-
-// ShapeAware is implemented by layers that want to know their static
-// input shape when the model is built (flatten needs it to invert, conv
-// and pooling validate against it).
-type ShapeAware interface {
-	// SetInShape informs the layer of its build-time input shape.
-	SetInShape(in tensor.Shape) error
 }
 
 // named provides the Name/SetName plumbing shared by all layers.

@@ -131,7 +131,11 @@ func TestReLU(t *testing.T) {
 		t.Errorf("relu out = %v", out.Data())
 	}
 	// Recovery semantics: identity.
-	rec, err := a.RecoveryForward(in)
+	m, err := NewModel(in.Shape(), a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := m.ForwardRange(0, 1, in, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +175,7 @@ func TestMaxPoolForward(t *testing.T) {
 
 func TestFlattenRoundTrip(t *testing.T) {
 	f := NewFlatten()
-	if err := f.SetInShape(tensor.Shape{2, 3, 4}); err != nil {
+	if _, err := NewModel(tensor.Shape{2, 3, 4}, f); err != nil {
 		t.Fatal(err)
 	}
 	in := prng.New(1).Tensor(2, 3, 4)

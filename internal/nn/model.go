@@ -13,13 +13,12 @@ import (
 
 // Model is an ordered stack of layers with a fixed input shape. Building
 // the model assigns every layer a unique name (conv2d, conv2d_1, bias,
-// bias_1, ...), validates the shape chain, and informs ShapeAware layers
-// of their input shapes.
+// bias_1, ...), validates the shape chain, and binds the layers that
+// need it to the model: conv and dense read its worker count, flatten
+// its build-time input shape.
 type Model struct {
-	layers   []Layer
-	inShape  tensor.Shape
-	shapes   []tensor.Shape // shapes[i] is the input shape of layer i; shapes[len] is the output.
-	outShape tensor.Shape
+	layers []Layer
+	shapes []tensor.Shape // shapes[i] is the input shape of layer i; shapes[len] is the output.
 	// workers is the count SetWorkers last set; atomic because a live
 	// model may be retuned while inference and scrubs read it.
 	workers atomic.Int64
@@ -35,7 +34,7 @@ func NewModel(inShape tensor.Shape, layers ...Layer) (*Model, error) {
 	if len(layers) == 0 {
 		return nil, fmt.Errorf("nn: model needs at least one layer")
 	}
-	m := &Model{layers: layers, inShape: inShape.Clone()}
+	m := &Model{layers: layers}
 	counts := make(map[string]int)
 	cur := inShape.Clone()
 	m.shapes = make([]tensor.Shape, 0, len(layers)+1)
@@ -52,10 +51,8 @@ func NewModel(inShape tensor.Shape, layers ...Layer) (*Model, error) {
 			l.SetName(fmt.Sprintf("%s_%d", base, n))
 		}
 		counts[base]++
-		if sa, ok := l.(ShapeAware); ok {
-			if err := sa.SetInShape(cur); err != nil {
-				return nil, fmt.Errorf("nn: build %q: %w", l.Name(), err)
-			}
+		if _, flat := l.(*Flatten); flat && len(cur) == 0 {
+			return nil, fmt.Errorf("nn: build %q: empty input shape", l.Name())
 		}
 		m.shapes = append(m.shapes, cur.Clone())
 		next, err := l.OutShape(cur)
@@ -65,7 +62,17 @@ func NewModel(inShape tensor.Shape, layers ...Layer) (*Model, error) {
 		cur = next
 	}
 	m.shapes = append(m.shapes, cur.Clone())
-	m.outShape = cur.Clone()
+	// Bind the layers only once the whole chain is valid.
+	for i, l := range layers {
+		switch l := l.(type) {
+		case *Conv2D:
+			l.workers = &m.workers
+		case *Dense:
+			l.workers = &m.workers
+		case *Flatten:
+			l.inShape = m.shapes[i].Clone()
+		}
+	}
 	return m, nil
 }
 
@@ -114,10 +121,10 @@ func (m *Model) Layer(i int) Layer { return m.layers[i] }
 func (m *Model) NumLayers() int { return len(m.layers) }
 
 // InShape returns the model input shape.
-func (m *Model) InShape() tensor.Shape { return m.inShape.Clone() }
+func (m *Model) InShape() tensor.Shape { return m.shapes[0].Clone() }
 
 // OutShape returns the model output shape.
-func (m *Model) OutShape() tensor.Shape { return m.outShape.Clone() }
+func (m *Model) OutShape() tensor.Shape { return m.shapes[len(m.layers)].Clone() }
 
 // LayerInShape returns the build-time input shape of layer i (i may be
 // len(layers) to get the output shape of the whole model).
@@ -146,23 +153,23 @@ func (m *Model) RecoveryForward(x *tensor.Tensor) (*tensor.Tensor, error) {
 	return m.ForwardRange(0, len(m.layers), x, true)
 }
 
-// ForwardRange runs layers [from, to) on x. With recovery set, layers use
-// their RecoveryForward semantics. The MILR engine uses this to move
-// golden tensors from a checkpoint boundary to an erroneous layer.
+// ForwardRange runs layers [from, to) on x, each through its Forward.
+// With recovery set it is MILR's deterministic pass, in which ReLU is
+// the identity (§IV-D), so golden tensors are algebraic functions of the
+// parameters; the MILR engine uses it to move golden tensors from a
+// checkpoint boundary to an erroneous layer. A layer's error names the
+// layer and is returned as is.
 func (m *Model) ForwardRange(from, to int, x *tensor.Tensor, recovery bool) (*tensor.Tensor, error) {
 	if from < 0 || to > len(m.layers) || from > to {
 		return nil, fmt.Errorf("nn: forward range [%d,%d) out of bounds for %d layers", from, to, len(m.layers))
 	}
 	cur := x
-	for i := from; i < to; i++ {
+	for _, l := range m.layers[from:to] {
 		var err error
-		if recovery {
-			cur, err = m.layers[i].RecoveryForward(cur)
-		} else {
-			cur, err = m.layers[i].Forward(cur)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("nn: layer %d (%s): %w", i, m.layers[i].Name(), err)
+		if _, relu := l.(*Activation); recovery && relu {
+			cur = cur.Clone()
+		} else if cur, err = l.Forward(cur); err != nil {
+			return nil, err
 		}
 	}
 	return cur, nil

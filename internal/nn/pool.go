@@ -89,17 +89,12 @@ func (p *Pool2D) reduce(od, id []float32, h, w, z int, argmax []int) {
 	}
 }
 
-// Forward implements Layer.
+// Forward implements Layer. Pooling is deterministic, so MILR's
+// recovery pass uses the normal reduction; invertibility is what pooling
+// lacks, and the MILR planner compensates with an input checkpoint.
 func (p *Pool2D) Forward(in *tensor.Tensor) (*tensor.Tensor, error) {
 	out, _, err := p.forward(in, false)
 	return out, err
-}
-
-// RecoveryForward implements Layer. Pooling is deterministic, so the
-// recovery pass uses the normal reduction; invertibility is what pooling
-// lacks, and the MILR planner compensates with an input checkpoint.
-func (p *Pool2D) RecoveryForward(in *tensor.Tensor) (*tensor.Tensor, error) {
-	return p.Forward(in)
 }
 
 // ForwardTrain implements Layer.

@@ -11,26 +11,15 @@ import (
 // data will be reshaped to the original form" (§IV-E-d).
 type Flatten struct {
 	named
+	// inShape is the build-time input shape Invert restores; NewModel
+	// sets it.
 	inShape tensor.Shape
 }
 
-var (
-	_ Invertible = (*Flatten)(nil)
-	_ ShapeAware = (*Flatten)(nil)
-)
+var _ Invertible = (*Flatten)(nil)
 
 // NewFlatten creates a flatten layer.
 func NewFlatten() *Flatten { return &Flatten{} }
-
-// SetInShape implements ShapeAware; the stored shape is what Invert
-// restores.
-func (f *Flatten) SetInShape(in tensor.Shape) error {
-	if len(in) == 0 {
-		return fmt.Errorf("nn: flatten %q got empty input shape", f.name)
-	}
-	f.inShape = in.Clone()
-	return nil
-}
 
 // OutShape implements Layer.
 func (f *Flatten) OutShape(in tensor.Shape) (tensor.Shape, error) {
@@ -45,11 +34,6 @@ func (f *Flatten) Forward(in *tensor.Tensor) (*tensor.Tensor, error) {
 // forwardInPlace implements inPlaceLayer: a stacked sample is already
 // the row flatten makes of it.
 func (f *Flatten) forwardInPlace([]float32) {}
-
-// RecoveryForward implements Layer.
-func (f *Flatten) RecoveryForward(in *tensor.Tensor) (*tensor.Tensor, error) {
-	return f.Forward(in)
-}
 
 // Invert implements Invertible by restoring the build-time input shape.
 func (f *Flatten) Invert(out *tensor.Tensor) (*tensor.Tensor, error) {

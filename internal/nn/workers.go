@@ -7,44 +7,25 @@ import "sync/atomic"
 // *how* a pass is computed, never the result: the pooled GEMM kernels
 // are bit-identical to the serial ones (see internal/tensor/gemm.go).
 // Counts follow par.Resolve: the default of 0 is serial, n > 0 uses at
-// most n goroutines, and a negative count is GOMAXPROCS.
+// most n goroutines, and a negative count is GOMAXPROCS. The model
+// holds the one count; NewModel points each conv and dense layer at it,
+// so a layer built into no model runs serially.
 
-// WorkerTunable is implemented by layers whose forward pass can run on
-// a bounded worker pool (convolution and dense, the GEMM layers).
-type WorkerTunable interface {
-	Layer
-	// SetWorkers sets the layer's forward-pass worker count (see
-	// par.Resolve).
-	SetWorkers(n int)
-	// ForwardWorkers returns the configured count.
-	ForwardWorkers() int
-}
-
-// gemmWorkers holds a layer's worker count. Atomic because deployments
-// may retune a live model (e.g. drop to serial during a latency-critical
-// window) while inference goroutines read it.
-type gemmWorkers struct {
-	workers atomic.Int64
-}
-
-// SetWorkers implements WorkerTunable.
-func (g *gemmWorkers) SetWorkers(n int) { g.workers.Store(int64(n)) }
-
-// ForwardWorkers implements WorkerTunable.
-func (g *gemmWorkers) ForwardWorkers() int { return int(g.workers.Load()) }
-
-// SetWorkers sets the model's worker count: every WorkerTunable layer's
-// forward pass and the MILR engine protecting the model (Workers) run
-// at it. 0 restores the serial path; -1 means GOMAXPROCS.
-func (m *Model) SetWorkers(n int) {
-	m.workers.Store(int64(n))
-	for _, l := range m.layers {
-		if t, ok := l.(WorkerTunable); ok {
-			t.SetWorkers(n)
-		}
-	}
-}
+// SetWorkers sets the model's worker count: its GEMM layers' forward
+// passes and the MILR engine protecting the model (Workers) run at it.
+// 0 restores the serial path; -1 means GOMAXPROCS. It is atomic because
+// a live model may be retuned while inference and scrubs read it.
+func (m *Model) SetWorkers(n int) { m.workers.Store(int64(n)) }
 
 // Workers returns the count Model.SetWorkers last set (0, serial, until
 // then).
 func (m *Model) Workers() int { return int(m.workers.Load()) }
+
+// loadWorkers reads the count of the model a GEMM layer was last built
+// into; nil (no model) is serial.
+func loadWorkers(w *atomic.Int64) int {
+	if w == nil {
+		return 0
+	}
+	return int(w.Load())
+}

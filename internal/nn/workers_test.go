@@ -1,13 +1,21 @@
 package nn
 
 import (
+	"fmt"
 	"math"
+	"runtime"
+	"sync"
 	"testing"
+
+	"milr/internal/prng"
+	"milr/internal/tensor"
 )
 
 // TestSetWorkersKeepsCount: the model and every GEMM layer report the
 // count SetWorkers stored, whatever its size; a count is never
-// narrowed into another meaning (serial, or GOMAXPROCS).
+// narrowed into another meaning (serial, or GOMAXPROCS). A layer built
+// into no model runs serially, and one built into a second model
+// follows that model.
 func TestSetWorkersKeepsCount(t *testing.T) {
 	m, err := NewTinyNet()
 	if err != nil {
@@ -19,9 +27,127 @@ func TestSetWorkersKeepsCount(t *testing.T) {
 			t.Errorf("SetWorkers(%d): Workers() = %d", n, got)
 		}
 		for _, l := range m.Layers() {
-			if wt, ok := l.(WorkerTunable); ok && wt.ForwardWorkers() != n {
-				t.Errorf("SetWorkers(%d): layer %s ForwardWorkers() = %d", n, l.Name(), wt.ForwardWorkers())
+			if got, ok := layerWorkers(l); ok && got != n {
+				t.Errorf("SetWorkers(%d): layer %s reads %d", n, l.Name(), got)
 			}
 		}
 	}
+
+	conv, err := NewConv2D(3, 1, 2, 1, Valid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := layerWorkers(conv); got != 0 {
+		t.Errorf("standalone conv reads %d workers, want 0 (serial)", got)
+	}
+	first, err := NewModel(tensor.Shape{5, 5, 1}, conv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first.SetWorkers(3)
+	second, err := NewModel(tensor.Shape{6, 6, 1}, conv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second.SetWorkers(5)
+	first.SetWorkers(7)
+	if got, _ := layerWorkers(conv); got != 5 {
+		t.Errorf("conv rebuilt into a second model reads %d workers, want that model's 5", got)
+	}
+}
+
+// layerWorkers is the count a GEMM layer's forward pass runs at; ok is
+// false for the other layers.
+func layerWorkers(l Layer) (n int, ok bool) {
+	switch l := l.(type) {
+	case *Conv2D:
+		return loadWorkers(l.workers), true
+	case *Dense:
+		return loadWorkers(l.workers), true
+	}
+	return 0, false
+}
+
+// TestLiveRetuneMatchesSerial: while one goroutine retunes the model
+// between serial, three workers and GOMAXPROCS, concurrent ForwardBatch
+// calls on the tiny and MNIST nets still answer bit-identically to the
+// serial pass.
+func TestLiveRetuneMatchesSerial(t *testing.T) {
+	for _, build := range []func() (*Model, error){NewTinyNet, NewMNISTNet} {
+		m, err := build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.InitWeights(3)
+		batches := make([]*tensorBatch, 0, 2)
+		for i := 0; i < 2; i++ {
+			b := &tensorBatch{}
+			for j := 0; j < 3; j++ {
+				b.xs = append(b.xs, prng.TensorFor(uint64(10*i+j)+1, 0x11fe, m.InShape()...))
+			}
+			if b.want, err = m.ForwardBatch(b.xs); err != nil {
+				t.Fatal(err)
+			}
+			batches = append(batches, b)
+		}
+
+		done := make(chan struct{})
+		var tuner sync.WaitGroup
+		tuner.Add(1)
+		go func() {
+			defer tuner.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-done:
+					return
+				default:
+					m.SetWorkers([]int{0, 3, -1}[i%3])
+					runtime.Gosched()
+				}
+			}
+		}()
+		errs := make(chan error, len(batches))
+		var runners sync.WaitGroup
+		for _, b := range batches {
+			runners.Add(1)
+			go func() {
+				defer runners.Done()
+				errs <- b.check(m, 4)
+			}()
+		}
+		runners.Wait()
+		close(done)
+		tuner.Wait()
+		close(errs)
+		for err := range errs {
+			if err != nil {
+				t.Error(err)
+			}
+		}
+		m.SetWorkers(0)
+	}
+}
+
+// tensorBatch is a batch of inputs and its serial outputs.
+type tensorBatch struct {
+	xs, want []*tensor.Tensor
+}
+
+// check runs the batch reps times and reports the first bit that
+// differs from the serial answer.
+func (b *tensorBatch) check(m *Model, reps int) error {
+	for r := 0; r < reps; r++ {
+		got, err := m.ForwardBatch(b.xs)
+		if err != nil {
+			return err
+		}
+		for s := range got {
+			for i, w := range b.want[s].Data() {
+				if g := got[s].Data()[i]; math.Float32bits(g) != math.Float32bits(w) {
+					return fmt.Errorf("rep %d sample %d element %d: %v under retuning, %v serial", r, s, i, g, w)
+				}
+			}
+		}
+	}
+	return nil
 }

@@ -92,4 +92,7 @@ func TestModelRejectsShapeMismatch(t *testing.T) {
 	if _, err := NewModel(tensor.Shape{8, 8, 1}, conv); err == nil {
 		t.Error("channel mismatch accepted at build time")
 	}
+	if _, err := NewModel(tensor.Shape{}, NewFlatten()); err == nil {
+		t.Error("flatten of an empty input shape accepted at build time")
+	}
 }

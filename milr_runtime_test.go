@@ -72,7 +72,7 @@ func TestRuntimeProtectCancelled(t *testing.T) {
 // TestRuntimeProtectCancelledKeepsModelWorkers: Protect sets an explicit
 // worker policy on the model before initialization, so that protect
 // runs on the pool; a failed Protect puts the model's own count back,
-// for the model and its GEMM layers alike.
+// the one its GEMM layers read.
 func TestRuntimeProtectCancelledKeepsModelWorkers(t *testing.T) {
 	model, err := milr.NewTinyNet()
 	if err != nil {
@@ -87,11 +87,6 @@ func TestRuntimeProtectCancelledKeepsModelWorkers(t *testing.T) {
 	}
 	if got := model.Workers(); got != 8 {
 		t.Errorf("failed Protect left the model at %d workers, want 8", got)
-	}
-	for _, l := range model.Layers() {
-		if wt, ok := l.(nn.WorkerTunable); ok && wt.ForwardWorkers() != 8 {
-			t.Errorf("failed Protect left layer %s at %d workers, want 8", l.Name(), wt.ForwardWorkers())
-		}
 	}
 }
 
@@ -189,15 +184,6 @@ func TestRuntimeEvaluateMatchesDeprecated(t *testing.T) {
 // without a worker policy leaves a hand-tuned model alone.
 func TestRuntimeWorkerPolicyPropagation(t *testing.T) {
 	ctx := context.Background()
-	forwardWorkers := func(m *milr.Model) int {
-		for _, l := range m.Layers() {
-			if wt, ok := l.(nn.WorkerTunable); ok {
-				return wt.ForwardWorkers()
-			}
-		}
-		t.Fatal("no worker-tunable layer")
-		return 0
-	}
 	model, err := milr.NewTinyNet()
 	if err != nil {
 		t.Fatal(err)
@@ -207,20 +193,20 @@ func TestRuntimeWorkerPolicyPropagation(t *testing.T) {
 	if _, err := milr.NewRuntime(milr.WithSeed(21)).Protect(ctx, model); err != nil {
 		t.Fatal(err)
 	}
-	if got := forwardWorkers(model); got != 8 {
+	if got := model.Workers(); got != 8 {
 		t.Errorf("runtime without worker policy reset model workers to %d, want 8 untouched", got)
 	}
 	if _, err := milr.NewRuntime(milr.WithSeed(21), milr.WithWorkers(3)).Protect(ctx, model); err != nil {
 		t.Fatal(err)
 	}
-	if got := forwardWorkers(model); got != 3 {
+	if got := model.Workers(); got != 3 {
 		t.Errorf("WithWorkers(3) not propagated through Protect: got %d", got)
 	}
 	samples := []milr.Sample{{X: milr.NewTensor(12, 12, 1), Label: 0}}
 	if _, err := milr.NewRuntime(milr.WithWorkers(2)).Evaluate(ctx, model, samples); err != nil {
 		t.Fatal(err)
 	}
-	if got := forwardWorkers(model); got != 2 {
+	if got := model.Workers(); got != 2 {
 		t.Errorf("WithWorkers(2) not propagated through Evaluate: got %d", got)
 	}
 	model.SetWorkers(0)
