@@ -20,12 +20,14 @@ import (
 //     checkpoint once, capturing every flagged layer's golden output on
 //     the way down (the inversions between two flagged layers are shared
 //     instead of recomputed per layer);
-//   - one forward sweep per segment propagates from the preceding
-//     checkpoint once, pausing at each flagged layer to re-solve it,
-//     verify it with the scrub that flagged it (verifyLayer: the
-//     one-row probe of a conv or dense layer, the parameter sum of a
-//     bias), and then carrying the propagation on *through the
-//     recovered layer* with a plain forward;
+//   - one forward sweep per segment visits the flagged layers in
+//     ascending order, re-solving each and verifying it with the scrub
+//     that flagged it (verifyLayer: the one-row probe of a conv or
+//     dense layer, the parameter sum of a bias). A flagged layer that
+//     consumes a golden input gets it from one recovery
+//     nn.Model.ForwardRange call, which carries the tensor from the
+//     preceding checkpoint or the previous such layer — *through its
+//     recovered parameters* — to this one, in the model's stacked pass;
 //   - segments share nothing but read-only checkpoints, so they recover
 //     concurrently on the engine's worker pool (nn.Model.Workers).
 //
@@ -45,15 +47,10 @@ import (
 // equivalence test in segment_test.go; the façade-level
 // TestRecoveryPipelineBitIdentity pins pooled against serial workers.
 
-// segmentNeedsGoldenIn reports whether recovering a layer of this role
-// consumes the golden input (dense layers re-solve purely from stored
-// dummy outputs). Unknown roles return true so the forward sweep
-// reaches the layer and reports the malformed finding in order.
-func segmentNeedsGoldenIn(r roleKind) bool { return r != roleDense }
-
-// segmentNeedsGoldenOut reports whether recovering a layer of this role
-// consumes the golden output.
-func segmentNeedsGoldenOut(r roleKind) bool {
+// segmentNeedsGolden reports whether recovering a layer of this role
+// consumes its golden input and output (dense layers re-solve purely
+// from stored dummy outputs).
+func segmentNeedsGolden(r roleKind) bool {
 	return r == roleConv || r == roleBias
 }
 
@@ -108,29 +105,13 @@ func (pr *Protector) recoverSegment(ctx context.Context, seg segment, fs []Layer
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	firstChecked := true
-	checkCtx := func() error {
-		if firstChecked {
-			// The hoisted check above already covered the first flagged
-			// layer; consuming it here keeps the total at one context
-			// check per flagged layer (pinned by the cancellation tests).
-			firstChecked = false
-			return nil
-		}
-		return ctx.Err()
-	}
 	flagged := make(map[int]*LayerFinding, len(fs))
-	lastIn := -1
-	firstOut := -1
+	firstGolden := -1 // the lowest flagged layer that consumes golden tensors
 	for i := range fs {
 		f := &fs[i]
 		flagged[f.Layer] = f
-		role := pr.plan.layers[f.Layer].role
-		if segmentNeedsGoldenIn(role) && f.Layer > lastIn {
-			lastIn = f.Layer
-		}
-		if segmentNeedsGoldenOut(role) && (firstOut < 0 || f.Layer < firstOut) {
-			firstOut = f.Layer
+		if firstGolden < 0 && segmentNeedsGolden(pr.plan.layers[f.Layer].role) {
+			firstGolden = f.Layer
 		}
 	}
 
@@ -140,16 +121,16 @@ func (pr *Protector) recoverSegment(ctx context.Context, seg segment, fs []Layer
 	// the layers *above* a later flagged layer, so pre-capturing is
 	// bit-identical to capturing layer by layer.
 	outs := make(map[int]*tensor.Tensor)
-	if firstOut >= 0 {
+	if firstGolden >= 0 {
 		cur, err := pr.boundaryTensor(seg.end)
 		if err != nil {
 			return nil, err
 		}
-		for j := seg.end - 1; j >= firstOut; j-- {
-			if f := flagged[j]; f != nil && segmentNeedsGoldenOut(pr.plan.layers[j].role) {
+		for j := seg.end - 1; j >= firstGolden; j-- {
+			if f := flagged[j]; f != nil && segmentNeedsGolden(pr.plan.layers[j].role) {
 				outs[j] = cur
 			}
-			if j > firstOut {
+			if j > firstGolden {
 				cur, err = pr.invertLayer(j, cur)
 				if err != nil {
 					return nil, fmt.Errorf("core: invert layer %d (%s): %w", j, pr.model.Layer(j).Name(), err)
@@ -158,49 +139,38 @@ func (pr *Protector) recoverSegment(ctx context.Context, seg segment, fs []Layer
 		}
 	}
 
-	// Forward sweep: one propagation pass from the preceding checkpoint,
-	// re-solving each flagged layer as it is reached and carrying the
-	// propagation on through the recovered parameters.
-	var results []RecoveryResult
-	if lastIn >= 0 {
-		cur, err := pr.boundaryTensor(seg.start)
-		if err != nil {
+	// Forward sweep: one propagation pass from the preceding checkpoint.
+	// Each flagged layer that consumes a golden input gets it from one
+	// recovery ForwardRange carrying the tensor from the previous such
+	// layer, through its recovered parameters, to this one; the others
+	// (dense) solve from stored dummy outputs with no propagation spent
+	// reaching them.
+	var cur *tensor.Tensor // golden input of layer pos
+	pos := seg.start
+	if firstGolden >= 0 {
+		var err error
+		if cur, err = pr.boundaryTensor(seg.start); err != nil {
 			return nil, err
 		}
-		for j := seg.start; j <= lastIn; j++ {
-			f := flagged[j]
-			if f == nil {
-				cur, err = pr.model.ForwardRange(j, j+1, cur, true)
-				if err != nil {
-					return nil, fmt.Errorf("core: segment forward layer %d (%s): %w", j, pr.model.Layer(j).Name(), err)
-				}
-				continue
-			}
-			if err := checkCtx(); err != nil {
-				return results, err
-			}
-			res, next, err := pr.recoverSweptLayer(pr.plan.layers[j], f, cur, outs[j], j < lastIn)
-			if err != nil {
-				return results, err
-			}
-			results = append(results, res)
-			cur = next
-		}
 	}
-
-	// Flagged layers past lastIn need no golden propagation (dense, by
-	// construction): solve from stored dummy outputs and verify with the
-	// one-row probe, exactly one GEMM each, with no propagation spent
-	// reaching them.
+	var results []RecoveryResult
 	for i := range fs {
 		f := &fs[i]
-		if f.Layer <= lastIn {
-			continue
+		if i > 0 { // the first flagged layer's check is hoisted above
+			if err := ctx.Err(); err != nil {
+				return results, err
+			}
 		}
-		if err := checkCtx(); err != nil {
-			return results, err
+		lp := pr.plan.layers[f.Layer]
+		var goldenIn *tensor.Tensor
+		if segmentNeedsGolden(lp.role) {
+			var err error
+			if cur, err = pr.model.ForwardRange(pos, f.Layer, cur, true); err != nil {
+				return results, fmt.Errorf("core: segment forward to layer %d (%s): %w", f.Layer, pr.model.Layer(f.Layer).Name(), err)
+			}
+			pos, goldenIn = f.Layer, cur
 		}
-		res, _, err := pr.recoverSweptLayer(pr.plan.layers[f.Layer], f, nil, nil, false)
+		res, err := pr.recoverSweptLayer(lp, f, goldenIn, outs[f.Layer])
 		if err != nil {
 			return results, err
 		}
@@ -209,11 +179,10 @@ func (pr *Protector) recoverSegment(ctx context.Context, seg segment, fs []Layer
 	return results, nil
 }
 
-// recoverSweptLayer re-solves one flagged layer, verifies it with the
-// scrub that flagged it (verifyLayer) unless the solver failed, and —
-// when propagate is set — returns the golden activation carried through
-// the recovered layer. The rule is the same for every role.
-func (pr *Protector) recoverSweptLayer(lp *layerPlan, f *LayerFinding, goldenIn, goldenOut *tensor.Tensor, propagate bool) (RecoveryResult, *tensor.Tensor, error) {
+// recoverSweptLayer re-solves one flagged layer and verifies it with the
+// scrub that flagged it (verifyLayer) unless the solver failed. The rule
+// is the same for every role.
+func (pr *Protector) recoverSweptLayer(lp *layerPlan, f *LayerFinding, goldenIn, goldenOut *tensor.Tensor) (RecoveryResult, error) {
 	var res RecoveryResult
 	var err error
 	switch lp.role {
@@ -224,22 +193,13 @@ func (pr *Protector) recoverSweptLayer(lp *layerPlan, f *LayerFinding, goldenIn,
 	case roleBias:
 		res, err = pr.recoverBias(lp, goldenIn, goldenOut)
 	default:
-		return res, nil, fmt.Errorf("core: finding for non-parameterized layer %d", f.Layer)
+		return res, fmt.Errorf("core: finding for non-parameterized layer %d", f.Layer)
 	}
 	if err != nil {
-		return res, nil, err
+		return res, err
 	}
 	if res.Status != Failed {
-		if err := pr.verifyLayer(lp, &res); err != nil {
-			return res, nil, err
-		}
+		err = pr.verifyLayer(lp, &res)
 	}
-	if !propagate {
-		return res, nil, nil
-	}
-	next, err := pr.model.ForwardRange(lp.idx, lp.idx+1, goldenIn, true)
-	if err != nil {
-		return res, nil, fmt.Errorf("core: segment forward layer %d (%s): %w", lp.idx, pr.model.Layer(lp.idx).Name(), err)
-	}
-	return res, next, nil
+	return res, err
 }

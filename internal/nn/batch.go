@@ -78,7 +78,7 @@ func (c *Conv2D) forwardStacked(ws *workspace, dst, x []float32, b int, in tenso
 		err = tensor.MatMulRowsInto(dst, rows, c.w.Data(), m, c.f*c.f*c.z, c.y, loadWorkers(c.workers), &ws.gemm)
 	}
 	if err != nil {
-		return fmt.Errorf("conv %q: %w", c.name, err)
+		return fmt.Errorf("nn: conv %q: %w", c.name, err)
 	}
 	return nil
 }
@@ -88,7 +88,7 @@ func (c *Conv2D) forwardStacked(ws *workspace, dst, x []float32, b int, in tenso
 // single GEMM.
 func (d *Dense) forwardStacked(ws *workspace, dst, x []float32, b int, in tensor.Shape) error {
 	if err := tensor.MatMulInto(dst, x, d.w.Data(), b*in[0], d.n, d.p, loadWorkers(d.workers), &ws.gemm); err != nil {
-		return fmt.Errorf("dense %q: %w", d.name, err)
+		return fmt.Errorf("nn: dense %q: %w", d.name, err)
 	}
 	return nil
 }
@@ -212,27 +212,32 @@ func (m *Model) ForwardBatch(xs []*tensor.Tensor) ([]*tensor.Tensor, error) {
 // tracing, never for cancellation, so a batch always completes whole.
 func (m *Model) ForwardBatchContext(ctx context.Context, xs []*tensor.Tensor) ([]*tensor.Tensor, error) {
 	var outs []*tensor.Tensor
-	err := m.forwardStacked(ctx, xs, func(stacked []float32, out tensor.Shape) {
+	err := m.forwardStacked(ctx, 0, len(m.layers), xs, false, func(stacked []float32, out tensor.Shape) {
 		outs = unstack(stacked, len(xs), func(int) tensor.Shape { return out })
 	})
 	return outs, err
 }
 
-// forwardStacked runs the batched pass in a workspace checked out for
-// the call and hands the stacked outputs (len(xs) samples of shape out)
-// to use before the workspace goes back: stacked is only valid inside
-// use. In steady state the pass allocates nothing that grows with the
-// layer sizes.
-func (m *Model) forwardStacked(ctx context.Context, xs []*tensor.Tensor, use func(stacked []float32, out tensor.Shape)) error {
+// forwardStacked runs layers [from, to) over the stacked batch in a
+// workspace checked out for the call and hands the stacked outputs
+// (len(xs) samples of shape out) to use before the workspace goes back:
+// stacked is only valid inside use. It is the one inference loop:
+// serving runs it over the whole stack, and MILR's recovery pass
+// (recovery set) over a range, with ReLU the identity (§IV-D), skipped
+// rather than copied because the stack is already the workspace's own
+// copy of the inputs. In steady state the pass allocates nothing that
+// grows with the layer sizes. A layer's error names the layer and is
+// returned as is.
+func (m *Model) forwardStacked(ctx context.Context, from, to int, xs []*tensor.Tensor, recovery bool, use func(stacked []float32, out tensor.Shape)) error {
 	if len(xs) == 0 {
 		return fmt.Errorf("nn: empty batch")
 	}
-	shapes := m.shapes
+	shapes := m.shapes[from : to+1]
 	if !hasShape(xs[0], shapes[0]) {
 		// Not the build-time shape: layers such as convolution accept
 		// other extents, so re-derive the chain for this call.
 		var err error
-		if shapes, err = m.shapeChain(xs[0].Shape()); err != nil {
+		if shapes, err = m.shapeChain(from, to, xs[0].Shape()); err != nil {
 			return err
 		}
 	}
@@ -244,10 +249,13 @@ func (m *Model) forwardStacked(ctx context.Context, xs []*tensor.Tensor, use fun
 
 	b, side := len(xs), 0
 	cur := stackBatch(&ws.act[side], xs, b*shapes[0].NumElements())
-	for i, l := range m.layers {
+	for k, l := range m.layers[from:to] {
+		i := from + k
 		switch l := l.(type) {
 		case inPlaceLayer:
-			l.forwardInPlace(cur)
+			if _, relu := l.(*Activation); !(recovery && relu) {
+				l.forwardInPlace(cur)
+			}
 		case stackedLayer:
 			var sp *obs.Span
 			switch l.(type) {
@@ -257,18 +265,18 @@ func (m *Model) forwardStacked(ctx context.Context, xs []*tensor.Tensor, use fun
 				sp.SetInt("index", i)
 				sp.SetInt("batch", b)
 			}
-			dst := tensor.Grow(&ws.act[1-side], b*shapes[i+1].NumElements())
-			err := l.forwardStacked(ws, dst, cur, b, shapes[i])
+			dst := tensor.Grow(&ws.act[1-side], b*shapes[k+1].NumElements())
+			err := l.forwardStacked(ws, dst, cur, b, shapes[k])
 			sp.End()
 			if err != nil {
-				return fmt.Errorf("nn: layer %d (%s): %w", i, m.layers[i].Name(), err)
+				return err
 			}
 			cur, side = dst, 1-side
 		default:
 			return fmt.Errorf("nn: layer %d (%s): %T has no batched form", i, l.Name(), l)
 		}
 	}
-	use(cur, shapes[len(m.layers)])
+	use(cur, shapes[to-from])
 	return nil
 }
 
@@ -283,7 +291,7 @@ func (m *Model) PredictBatch(xs []*tensor.Tensor) ([]int, error) {
 // tracing-only context contract.
 func (m *Model) PredictBatchContext(ctx context.Context, xs []*tensor.Tensor) ([]int, error) {
 	var preds []int
-	err := m.forwardStacked(ctx, xs, func(stacked []float32, out tensor.Shape) {
+	err := m.forwardStacked(ctx, 0, len(m.layers), xs, false, func(stacked []float32, out tensor.Shape) {
 		preds = make([]int, len(xs))
 		ne := out.NumElements()
 		for i := range preds {

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sync"
@@ -77,15 +78,16 @@ func NewModel(inShape tensor.Shape, layers ...Layer) (*Model, error) {
 }
 
 // shapeChain threads an input shape other than the build-time one
-// through the layers: element i is layer i's input shape, the last
-// element the stack's output shape.
-func (m *Model) shapeChain(in tensor.Shape) ([]tensor.Shape, error) {
-	shapes := make([]tensor.Shape, 0, len(m.layers)+1)
-	for i, l := range m.layers {
+// through layers [from, to): element k is layer from+k's input shape,
+// the last element the range's output shape. A layer's error names the
+// layer and is returned as is.
+func (m *Model) shapeChain(from, to int, in tensor.Shape) ([]tensor.Shape, error) {
+	shapes := make([]tensor.Shape, 0, to-from+1)
+	for _, l := range m.layers[from:to] {
 		shapes = append(shapes, in)
 		next, err := l.OutShape(in)
 		if err != nil {
-			return nil, fmt.Errorf("nn: layer %d (%s): %w", i, l.Name(), err)
+			return nil, err
 		}
 		in = next
 	}
@@ -153,26 +155,27 @@ func (m *Model) RecoveryForward(x *tensor.Tensor) (*tensor.Tensor, error) {
 	return m.ForwardRange(0, len(m.layers), x, true)
 }
 
-// ForwardRange runs layers [from, to) on x, each through its Forward.
+// ForwardRange runs layers [from, to) on x: the stacked pass
+// ForwardBatch runs, over a range, on a batch of one, in a workspace
+// from the model's free list; the result is a tensor the caller owns.
 // With recovery set it is MILR's deterministic pass, in which ReLU is
 // the identity (§IV-D), so golden tensors are algebraic functions of the
 // parameters; the MILR engine uses it to move golden tensors from a
-// checkpoint boundary to an erroneous layer. A layer's error names the
-// layer and is returned as is.
+// checkpoint boundary to an erroneous layer. An empty range returns x
+// itself. A layer's error names the layer and is returned as is.
 func (m *Model) ForwardRange(from, to int, x *tensor.Tensor, recovery bool) (*tensor.Tensor, error) {
 	if from < 0 || to > len(m.layers) || from > to {
 		return nil, fmt.Errorf("nn: forward range [%d,%d) out of bounds for %d layers", from, to, len(m.layers))
 	}
-	cur := x
-	for _, l := range m.layers[from:to] {
-		var err error
-		if _, relu := l.(*Activation); recovery && relu {
-			cur = cur.Clone()
-		} else if cur, err = l.Forward(cur); err != nil {
-			return nil, err
-		}
+	if from == to {
+		return x, nil
 	}
-	return cur, nil
+	var out *tensor.Tensor
+	err := m.forwardStacked(context.Background(), from, to, []*tensor.Tensor{x}, recovery, func(stacked []float32, shape tensor.Shape) {
+		out = tensor.New(shape...)
+		copy(out.Data(), stacked)
+	})
+	return out, err
 }
 
 // Predict returns the argmax class of the final output for input x:

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"strings"
 	"testing"
 
 	"milr/internal/prng"
@@ -72,6 +73,27 @@ func TestModelForwardRangeComposes(t *testing.T) {
 	}
 	if _, err := m.ForwardRange(3, 1, x, false); err == nil {
 		t.Error("invalid range must fail")
+	}
+	if got, err := m.ForwardRange(5, 5, x, true); err != nil || got != x {
+		t.Errorf("empty range returned (%p, %v), want its input %p", got, err, x)
+	}
+	// A misfit input fails in the layer it does not fit, and the error
+	// names that layer once, from ForwardRange as from ForwardBatch.
+	twoChannel := prng.New(4).Tensor(12, 12, 2)
+	for _, c := range []struct {
+		layer int
+		call  func() (*tensor.Tensor, error)
+	}{
+		{0, func() (*tensor.Tensor, error) { return m.ForwardRange(0, 5, twoChannel, true) }},
+		{3, func() (*tensor.Tensor, error) { return m.ForwardRange(3, 5, x, true) }},
+		{0, func() (*tensor.Tensor, error) { return m.Forward(twoChannel) }}, // ForwardBatch of one
+	} {
+		name := m.Layer(c.layer).Name()
+		if _, err := c.call(); err == nil {
+			t.Errorf("misfit input to %s accepted", name)
+		} else if n := strings.Count(err.Error(), name); n != 1 {
+			t.Errorf("misfit input to %s: error %q names the layer %d times, want once", name, err, n)
+		}
 	}
 }
 

@@ -70,8 +70,10 @@ func layerWorkers(l Layer) (n int, ok bool) {
 
 // TestLiveRetuneMatchesSerial: while one goroutine retunes the model
 // between serial, three workers and GOMAXPROCS, concurrent ForwardBatch
-// calls on the tiny and MNIST nets still answer bit-identically to the
-// serial pass.
+// calls and recovery passes (ForwardRange over the whole net, MILR's
+// golden propagation) on the tiny and MNIST nets, which check
+// workspaces out of the same free list, still answer bit-identically
+// to the serial pass.
 func TestLiveRetuneMatchesSerial(t *testing.T) {
 	for _, build := range []func() (*Model, error){NewTinyNet, NewMNISTNet} {
 		m, err := build()
@@ -79,13 +81,15 @@ func TestLiveRetuneMatchesSerial(t *testing.T) {
 			t.Fatal(err)
 		}
 		m.InitWeights(3)
-		batches := make([]*tensorBatch, 0, 2)
-		for i := 0; i < 2; i++ {
-			b := &tensorBatch{}
+		batches := make([]*tensorBatch, 0, 3)
+		for i, pass := range []func(*Model, []*tensor.Tensor) ([]*tensor.Tensor, error){
+			(*Model).ForwardBatch, (*Model).ForwardBatch, recoveryPass,
+		} {
+			b := &tensorBatch{pass: pass}
 			for j := 0; j < 3; j++ {
 				b.xs = append(b.xs, prng.TensorFor(uint64(10*i+j)+1, 0x11fe, m.InShape()...))
 			}
-			if b.want, err = m.ForwardBatch(b.xs); err != nil {
+			if b.want, err = pass(m, b.xs); err != nil {
 				t.Fatal(err)
 			}
 			batches = append(batches, b)
@@ -128,16 +132,31 @@ func TestLiveRetuneMatchesSerial(t *testing.T) {
 	}
 }
 
-// tensorBatch is a batch of inputs and its serial outputs.
+// recoveryPass runs MILR's recovery pass over the whole net on each
+// sample.
+func recoveryPass(m *Model, xs []*tensor.Tensor) ([]*tensor.Tensor, error) {
+	outs := make([]*tensor.Tensor, len(xs))
+	for i, x := range xs {
+		var err error
+		if outs[i], err = m.ForwardRange(0, m.NumLayers(), x, true); err != nil {
+			return nil, err
+		}
+	}
+	return outs, nil
+}
+
+// tensorBatch is a batch of inputs, the pass that runs it and the
+// pass's serial outputs.
 type tensorBatch struct {
 	xs, want []*tensor.Tensor
+	pass     func(*Model, []*tensor.Tensor) ([]*tensor.Tensor, error)
 }
 
 // check runs the batch reps times and reports the first bit that
 // differs from the serial answer.
 func (b *tensorBatch) check(m *Model, reps int) error {
 	for r := 0; r < reps; r++ {
-		got, err := m.ForwardBatch(b.xs)
+		got, err := b.pass(m, b.xs)
 		if err != nil {
 			return err
 		}

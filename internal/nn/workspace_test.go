@@ -50,13 +50,7 @@ func TestPredictBatchSteadyStateAllocations(t *testing.T) {
 			}
 		}
 		predict() // sizes the workspace
-		const runs = 5
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		allocs := testing.AllocsPerRun(runs, predict)
-		runtime.ReadMemStats(&after)
-		// AllocsPerRun calls predict runs+1 times.
-		bytes := float64(after.TotalAlloc-before.TotalAlloc) / (runs + 1)
+		allocs, bytes := warmAllocs(predict)
 		t.Logf("warm %s: %.0f allocations, %.0f bytes per call", c.name, allocs, bytes)
 		if allocs > 64 {
 			t.Errorf("warm %s made %.0f allocations per call, want at most 64", c.name, allocs)
@@ -65,6 +59,55 @@ func TestPredictBatchSteadyStateAllocations(t *testing.T) {
 			t.Errorf("warm %s allocated %.0f bytes per call, want at most 8 KB", c.name, bytes)
 		}
 	}
+}
+
+// TestForwardRangeAllocatesOnlyItsResult pins golden propagation to
+// the model's pooled pass: after one warm call, a recovery ForwardRange
+// over one conv or dense layer of MNIST or CIFAR-small allocates the
+// tensor it returns (as many bytes as tensor.New of its shape) and a
+// few fixed-size headers, and no workspace of its own.
+func TestForwardRangeAllocatesOnlyItsResult(t *testing.T) {
+	for _, build := range []func() (*nn.Model, error){nn.NewMNISTNet, nn.NewCIFARSmallNet} {
+		m, err := build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.InitWeights(42)
+		for i, l := range m.Layers() {
+			switch l.(type) {
+			case *nn.Conv2D, *nn.Dense:
+			default:
+				continue
+			}
+			x := prng.TensorFor(uint64(i)+1, 0xf0a1, m.LayerInShape(i)...)
+			forward := func() {
+				if _, err := m.ForwardRange(i, i+1, x, true); err != nil {
+					t.Fatal(err)
+				}
+			}
+			forward() // sizes the workspace
+			allocs, bytes := warmAllocs(forward)
+			_, result := warmAllocs(func() { tensor.New(m.LayerInShape(i + 1)...) })
+			t.Logf("warm ForwardRange over %s: %.0f allocations, %.0f bytes per call for a %.0f-byte result", l.Name(), allocs, bytes, result)
+			if allocs > 16 {
+				t.Errorf("warm ForwardRange over %s made %.0f allocations per call, want at most 16", l.Name(), allocs)
+			}
+			if bytes > result+1<<10 {
+				t.Errorf("warm ForwardRange over %s allocated %.0f bytes per call, want its %.0f-byte result and at most 1 KB more", l.Name(), bytes, result)
+			}
+		}
+	}
+}
+
+// warmAllocs returns the allocations and bytes one call of f makes.
+func warmAllocs(f func()) (allocs, bytes float64) {
+	const runs = 5
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	allocs = testing.AllocsPerRun(runs, f)
+	runtime.ReadMemStats(&after)
+	// AllocsPerRun calls f runs+1 times.
+	return allocs, float64(after.TotalAlloc-before.TotalAlloc) / (runs + 1)
 }
 
 // TestForwardBatchConcurrentCallers runs two goroutines through one
