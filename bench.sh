@@ -46,6 +46,9 @@ go test . -bench 'BenchmarkRBERSweepWorkers' -benchtime "$BENCHTIME" -run XXX
 echo "== clean scrub (Detect) on CIFAR-small and MNIST: one row probe per conv/dense layer, bytes and allocations =="
 go test ./internal/core -bench 'BenchmarkDetect$' -cpu "$CPUS" -benchtime "$BENCHTIME" -run XXX -benchmem
 
+echo "== conv heal (CIFAR-small, 1024 bit flips, SelfHeal; the model's workers follow -cpu), bytes and allocations =="
+go test ./internal/core -bench 'BenchmarkConvHeal$' -cpu "$CPUS" -benchtime "$BENCHTIME" -run XXX -benchmem
+
 echo "== detection scrub (Table X identification path; the scrub's workers follow -cpu) =="
 go test . -bench 'BenchmarkTable10_Identification' -cpu "$CPUS" -benchtime "$BENCHTIME" -run XXX
 

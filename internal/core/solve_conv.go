@@ -20,13 +20,13 @@ import (
 // matrix: G² equations per filter.
 //
 //   - Parameter solving (§IV-B-b) and partial recoverability (§IV-B-c)
-//     are one solve of each flagged filter's suspect taps, every other
-//     tap held at its current value. A full-mode layer suspects every
-//     tap; a partial-mode layer the taps its 2-D CRC codes localize, or
-//     every tap of a filter the CRC missed. Filters with equal suspect
-//     sets share one factorization, and beyond G² unknowns the
-//     minimum-norm solution is the best effort, as in the paper's
-//     whole-layer experiments (§V-B): linalg.FactorLeastSquares.
+//     are one solve of each flagged filter's suspect taps (all in full
+//     mode; in partial mode those the 2-D CRC codes localize, or all if
+//     the CRC missed the filter), every other tap held at its value.
+//     Equal suspect sets share one linalg.FactorLeastSquares; beyond G²
+//     unknowns its minimum-norm solution is the best effort, as in the
+//     paper's whole-layer experiments (§V-B). A is never built: the
+//     solve reads it one tap position at a time, as a (Z × G²) slab.
 //   - Backward pass (§IV-B-a): each output position yields Y equations in
 //     the F²Z unknowns of its input sub-region; dummy PRNG filters (whose
 //     outputs on the golden input are stored) top the system up when
@@ -45,25 +45,6 @@ func lowerF64(c *nn.Conv2D, in *tensor.Tensor) (*linalg.Matrix, error) {
 		m.Data[i] = float64(src[i])
 	}
 	return m, nil
-}
-
-// transposeF64 converts an im2col matrix (g2 rows of taps values) to
-// float64 Aᵀ: row t holds tap t's input value at every output
-// position, the vector the suspect solve's residual subtracts whole. It
-// reads eight im2col rows at a time, so each tap's eight outputs fill
-// one cache line.
-func transposeF64(src []float32, g2, taps int) *linalg.Matrix {
-	at := linalg.NewMatrix(taps, g2)
-	for g0 := 0; g0 < g2; g0 += 8 {
-		rows := src[g0*taps : min(g0+8, g2)*taps]
-		for t := 0; t < taps; t++ {
-			dst := at.Data[t*g2+g0:]
-			for r := 0; r*taps < len(rows); r++ {
-				dst[r] = float64(rows[r*taps+t])
-			}
-		}
-	}
-	return at
 }
 
 // convDummyOutputs applies `count` PRNG dummy filters to the golden input
@@ -154,112 +135,129 @@ func convRefreshCRC(lp *layerPlan, fresh []*crc2d.Code, suspects map[int][]int) 
 // suspectGroup is the filters that share one suspect set, and so one
 // restricted system and one factorization.
 type suspectGroup struct {
-	first   int    // the group's lowest filter, named in errors
-	taps    []int  // the suspect set, as that filter lists it
-	suspect []bool // suspect[t]: tap t is in the set
+	first   int            // the group's lowest filter, named in errors
+	taps    []int          // the suspect set, as that filter lists it
+	suspect []bool         // suspect[t]: tap t is in the set
+	sub     *linalg.Matrix // A's columns in set order: the restricted matrix
 	lsq     *linalg.LSQ
 }
 
 // solveConvSuspects re-solves each filter's suspect taps (suspects
 // maps filter → taps, tap = (f1·F+f2)·Z+z) from the golden pair and
-// counts the filters solved exactly and, by a least-squares best
-// effort, those with more suspect taps than G² equations
-// (underdetermined) and the rest (rank-deficient). It checks every
-// filter and tap, and factors every group, before it writes any weight. Each group's restricted matrix, A's
-// columns in set order, is gathered from the float32 im2col rows and
-// factored once, the groups on the worker pool; then the filters solve
-// on the pool, filter k writing only w[t*y+k]. A filter's residual is
-// its golden output column minus w[t]·Aᵀ[t] for every tap t outside
-// its set, in ascending t, through tensor.SubScaled: per output
-// position the products and order of a dot product along A's row, so
-// the bits do not depend on the layout. Aᵀ is built only when some set
-// leaves a tap out.
+// counts the filters solved exactly, underdetermined (more suspect taps
+// than G² equations) and rank-deficient, the last two by least-squares
+// best effort. It checks every filter and tap, and factors every
+// group, before it writes any weight. Per tap position it lowers the
+// golden input into one reused slab (row z: tap (f1·F+f2)·Z+z's input
+// at each output position, 0 in the padding); then, on the pool, each
+// group copies its suspect rows into its restricted matrix, and each
+// filter subtracts w[t]·row for its other taps from its rhs row by
+// tensor.SubScaled, so each rhs element takes the products and order
+// of a dot product along A's row, ascending t. Then the groups factor
+// and the filters solve on the pool, filter k writing only w[t*y+k].
 func solveConvSuspects(lp *layerPlan, goldenIn, goldenOut *tensor.Tensor, suspects map[int][]int, workers int) (exact, underdetermined, rankDeficient int, err error) {
 	c := lp.conv
-	y := c.Filters()
-	taps := c.FilterSize() * c.FilterSize() * c.InChannels()
-	// Deterministic filter order keeps runs reproducible.
-	keys := xmaps.SortedKeys(suspects)
-	for _, k := range keys {
-		if k < 0 || k >= y {
-			return 0, 0, 0, fmt.Errorf("core: conv %q filter %d out of range [0,%d)", c.Name(), k, y)
-		}
-		for _, t := range suspects[k] {
-			if t < 0 || t >= taps {
-				return 0, 0, 0, fmt.Errorf("core: conv %q tap %d out of range [0,%d)", c.Name(), t, taps)
-			}
-		}
-	}
-	cols, err := c.Lower(goldenIn)
+	f, z, y, s, p := c.FilterSize(), c.InChannels(), c.Filters(), c.Stride(), c.Pad()
+	taps := f * f * z
+	outShape, err := c.OutShape(goldenIn.Shape())
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	g2 := cols.Dim(0)
+	gh, gw := outShape[0], outShape[1]
+	g2 := gh * gw
 	od := goldenOut.Data()
 	if goldenOut.NumElements() != g2*y {
 		return 0, 0, 0, fmt.Errorf("core: conv %q golden output has %d values, want %d", c.Name(), goldenOut.NumElements(), g2*y)
 	}
-	// Group the filters by suspect set, in filter order; a filter with
-	// an empty set is not solved.
+	// Group the filters by suspect set, in filter order (deterministic,
+	// so runs reproduce); a filter with an empty set is not solved.
+	keys := xmaps.SortedKeys(suspects)
 	type filterSolve struct{ k, g int }
 	groups := make([]suspectGroup, 0, len(keys))
 	solves := make([]filterSolve, 0, len(keys))
-	needAT := false
 	for _, k := range keys {
+		if k < 0 || k >= y {
+			return 0, 0, 0, fmt.Errorf("core: conv %q filter %d out of range [0,%d)", c.Name(), k, y)
+		}
 		e := suspects[k]
 		if len(e) == 0 {
 			continue
 		}
 		gi := slices.IndexFunc(groups, func(g suspectGroup) bool { return slices.Equal(g.taps, e) })
 		if gi < 0 {
-			g := suspectGroup{first: k, taps: e, suspect: make([]bool, taps)}
+			g := suspectGroup{first: k, taps: e, suspect: make([]bool, taps), sub: linalg.NewMatrix(g2, len(e))}
 			for _, t := range e {
+				if t < 0 || t >= taps {
+					return 0, 0, 0, fmt.Errorf("core: conv %q tap %d out of range [0,%d)", c.Name(), t, taps)
+				}
 				g.suspect[t] = true
 			}
-			needAT = needAT || slices.Contains(g.suspect, false)
 			gi = len(groups)
 			groups = append(groups, g)
 		}
 		solves = append(solves, filterSolve{k, gi})
 	}
-	src := cols.Data()
-	err = par.ForErr(len(groups), workers, func(gi int) error {
-		g := &groups[gi]
-		n := len(g.taps)
-		sub := linalg.NewMatrix(g2, n)
-		for r := 0; r < g2; r++ {
-			row, dst := src[r*taps:(r+1)*taps], sub.Data[r*n:(r+1)*n]
-			for i, t := range g.taps {
-				dst[i] = float64(row[t])
+	rhs := make([]float64, len(solves)*g2)
+	for i, fs := range solves {
+		for r := range g2 {
+			rhs[i*g2+r] = float64(od[r*y+fs.k])
+		}
+	}
+	h, wd, in := goldenIn.Dim(0), goldenIn.Dim(1), goldenIn.Data()
+	w := c.Params().Data()
+	slab := make([]float64, z*g2)
+	for pos := range f * f {
+		di, dj := pos/f-p, pos%f-p
+		clear(slab)
+		// Eight output positions at a time, so that the eight values
+		// written to each slab row fill one cache line.
+		for i := range gh {
+			for j0 := 0; j0 < gw; j0 += 8 {
+				for zi := range z {
+					for j := j0; j < min(j0+8, gw); j++ {
+						if row, col := i*s+di, j*s+dj; row >= 0 && row < h && col >= 0 && col < wd {
+							slab[zi*g2+i*gw+j] = float64(in[(row*wd+col)*z+zi])
+						}
+					}
+				}
 			}
 		}
-		lsq, err := linalg.FactorLeastSquares(sub)
+		par.For(len(groups)+len(solves), workers, func(i int) {
+			if i < len(groups) {
+				g := &groups[i]
+				for ci, t := range g.taps {
+					if t/z == pos {
+						for r, v := range slab[(t%z)*g2 : (t%z+1)*g2] {
+							g.sub.Data[r*len(g.taps)+ci] = v
+						}
+					}
+				}
+				return
+			}
+			i -= len(groups)
+			k, g := solves[i].k, &groups[solves[i].g]
+			for t := pos * z; t < (pos+1)*z; t++ {
+				if !g.suspect[t] {
+					tensor.SubScaled(rhs[i*g2:(i+1)*g2], slab[(t%z)*g2:], float64(w[t*y+k]))
+				}
+			}
+		})
+	}
+	err = par.ForErr(len(groups), workers, func(gi int) error {
+		g := &groups[gi]
+		lsq, err := linalg.FactorLeastSquares(g.sub)
 		if err != nil {
 			return fmt.Errorf("core: conv %q solve filter %d: %w", c.Name(), g.first, err)
 		}
-		g.lsq = lsq
+		g.lsq, g.sub = lsq, nil
 		return nil
 	})
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	var at *linalg.Matrix
-	if needAT {
-		at = transposeF64(src, g2, taps)
-	}
-	w := c.Params().Data()
 	err = par.ForErr(len(solves), workers, func(i int) error {
 		k, g := solves[i].k, &groups[solves[i].g]
-		rhs := make([]float64, g2)
-		for r := range rhs {
-			rhs[r] = float64(od[r*y+k])
-		}
-		for t, s := range g.suspect {
-			if !s {
-				tensor.SubScaled(rhs, at.Row(t), float64(w[t*y+k]))
-			}
-		}
-		x, err := g.lsq.Solve(rhs)
+		x, err := g.lsq.Solve(rhs[i*g2 : (i+1)*g2])
 		if err != nil {
 			return fmt.Errorf("core: conv %q solve filter %d: %w", c.Name(), k, err)
 		}

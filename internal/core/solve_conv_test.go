@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math"
+	"runtime"
 	"testing"
 
 	"milr/internal/nn"
@@ -49,14 +50,80 @@ func checkConvSelectiveMatchesOracle(t *testing.T, name string, lp *layerPlan, i
 	return rewritten, approx
 }
 
+// checkConvSelectiveCases runs the per-row oracle cases on one conv
+// layer with its golden pair, at workers {1, 3, -1}: suspects at the
+// first and last tap, adjacent ones and an empty list; NaN and ±Inf in
+// suspect weights; a duplicated suspect, whose restricted system is
+// singular and takes the ridge path; and, where the layer has fewer
+// output positions than taps, every tap suspect, the minimum-norm path,
+// which it reports. Every case must rewrite weights, or the test is
+// vacuous. The layer needs at least five filters.
+func checkConvSelectiveCases(t *testing.T, lp *layerPlan, in, out *tensor.Tensor) (minNorm bool) {
+	t.Helper()
+	c := lp.conv
+	taps, y := c.FilterSize()*c.FilterSize()*c.InChannels(), c.Filters()
+	g2 := out.NumElements() / y
+	set := func(vals map[int]float32, filter int) func(w []float32) {
+		return func(w []float32) {
+			for tap, v := range vals {
+				w[tap*y+filter] = v
+			}
+		}
+	}
+	type testCase struct {
+		name     string
+		suspects map[int][]int
+		corrupt  func(w []float32)
+	}
+	cases := []testCase{
+		{"ends and adjacent", map[int][]int{0: {0, taps - 1}, y - 1: {1, 2, 3}, y / 2: {taps - 2, taps - 1}, y / 3: nil},
+			func(w []float32) {
+				set(map[int]float32{0: 3, taps - 1: -2}, 0)(w)
+				set(map[int]float32{1: 1.5, 2: -4, 3: 0.75}, y-1)(w)
+				set(map[int]float32{taps - 2: 9, taps - 1: -9}, y/2)(w)
+			}},
+		{"NaN and ±Inf", map[int][]int{1: {0}, 2: {taps / 2, taps/2 + 1}, 3: {taps - 1}},
+			func(w []float32) {
+				set(map[int]float32{0: float32(math.NaN())}, 1)(w)
+				set(map[int]float32{taps / 2: float32(math.Inf(1)), taps/2 + 1: float32(math.Inf(-1))}, 2)(w)
+				set(map[int]float32{taps - 1: math.Float32frombits(0xffc0beef)}, 3)(w)
+			}},
+		{"duplicated suspect", map[int][]int{4: {5, 5}}, set(map[int]float32{5: 6}, 4)},
+	}
+	if taps > g2 {
+		all := make([]int, taps)
+		for i := range all {
+			all[i] = i
+		}
+		cases = append(cases, testCase{"every tap, underdetermined", map[int][]int{0: all, y - 1: all},
+			func(w []float32) {
+				set(map[int]float32{0: 5, taps / 3: -5}, 0)(w)
+				set(map[int]float32{taps - 1: 7}, y-1)(w)
+			}})
+		minNorm = true
+	}
+	for _, tc := range cases {
+		for _, workers := range []int{1, 3, -1} {
+			name := c.Name() + " " + tc.name
+			n, approx := checkConvSelectiveMatchesOracle(t, name, lp, in, out, tc.suspects, tc.corrupt, workers)
+			if n == 0 {
+				t.Fatalf("%s: the oracle rewrote nothing; test is vacuous", name)
+			}
+			// The duplicate's restricted system is singular: QR
+			// refuses it and the ridge solve is reported
+			// approximate.
+			if tc.name == "duplicated suspect" && approx != 1 {
+				t.Fatalf("%s: %d filters approximate, want 1 (the ridge path)", name, approx)
+			}
+		}
+	}
+	return minNorm
+}
+
 // TestConvSelectiveSolveMatchesOracle pins the suspect-set conv solve
 // bit-identical to the per-row oracle on every conv layer of
-// CIFAR-small, with its golden pair, at workers {1, 3, -1}: suspects at
-// the first and last tap, adjacent ones and an empty list; NaN and ±Inf
-// in suspect weights; a duplicated suspect, whose restricted system is
-// singular and takes the ridge path; and, where a layer has fewer
-// output positions than taps, every tap suspect, the minimum-norm path.
-// Every case must rewrite weights, or the test is vacuous.
+// CIFAR-small, with its golden pair (checkConvSelectiveCases); at
+// least one layer must take the minimum-norm path.
 func TestConvSelectiveSolveMatchesOracle(t *testing.T) {
 	m, err := nn.NewCIFARSmallNet()
 	if err != nil {
@@ -76,67 +143,134 @@ func TestConvSelectiveSolveMatchesOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c := lp.conv
-		taps, y := c.FilterSize()*c.FilterSize()*c.InChannels(), c.Filters()
-		g2 := out.NumElements() / y
-		set := func(vals map[int]float32, filter int) func(w []float32) {
-			return func(w []float32) {
-				for tap, v := range vals {
-					w[tap*y+filter] = v
-				}
-			}
-		}
-		type testCase struct {
-			name     string
-			suspects map[int][]int
-			corrupt  func(w []float32)
-		}
-		cases := []testCase{
-			{"ends and adjacent", map[int][]int{0: {0, taps - 1}, y - 1: {1, 2, 3}, y / 2: {taps - 2, taps - 1}, y / 3: nil},
-				func(w []float32) {
-					set(map[int]float32{0: 3, taps - 1: -2}, 0)(w)
-					set(map[int]float32{1: 1.5, 2: -4, 3: 0.75}, y-1)(w)
-					set(map[int]float32{taps - 2: 9, taps - 1: -9}, y/2)(w)
-				}},
-			{"NaN and ±Inf", map[int][]int{1: {0}, 2: {taps / 2, taps/2 + 1}, 3: {taps - 1}},
-				func(w []float32) {
-					set(map[int]float32{0: float32(math.NaN())}, 1)(w)
-					set(map[int]float32{taps / 2: float32(math.Inf(1)), taps/2 + 1: float32(math.Inf(-1))}, 2)(w)
-					set(map[int]float32{taps - 1: math.Float32frombits(0xffc0beef)}, 3)(w)
-				}},
-			{"duplicated suspect", map[int][]int{4: {5, 5}}, set(map[int]float32{5: 6}, 4)},
-		}
-		if taps > g2 {
-			all := make([]int, taps)
-			for i := range all {
-				all[i] = i
-			}
-			cases = append(cases, testCase{"every tap, underdetermined", map[int][]int{0: all, y - 1: all},
-				func(w []float32) {
-					set(map[int]float32{0: 5, taps / 3: -5}, 0)(w)
-					set(map[int]float32{taps - 1: 7}, y-1)(w)
-				}})
+		if checkConvSelectiveCases(t, lp, in, out) {
 			minNormLayers++
-		}
-		for _, tc := range cases {
-			for _, workers := range []int{1, 3, -1} {
-				name := c.Name() + " " + tc.name
-				n, approx := checkConvSelectiveMatchesOracle(t, name, lp, in, out, tc.suspects, tc.corrupt, workers)
-				if n == 0 {
-					t.Fatalf("%s: the oracle rewrote nothing; test is vacuous", name)
-				}
-				// The duplicate's restricted system is singular: QR
-				// refuses it and the ridge solve is reported
-				// approximate.
-				if tc.name == "duplicated suspect" && approx != 1 {
-					t.Fatalf("%s: %d filters approximate, want 1 (the ridge path)", name, approx)
-				}
-			}
 		}
 	}
 	if minNormLayers == 0 {
 		t.Fatal("no layer took the minimum-norm path")
 	}
+}
+
+// TestConvSelectiveSolveIndexMathMatchesOracle runs the per-row oracle
+// cases (checkConvSelectiveCases) on the conv geometries CIFAR-small
+// lacks, where the suspect solve's own lowering computes the stride and
+// padding offsets the oracle takes from Conv2D.Lower: stridedNet's
+// stride-2 unpadded conv, MNIST's stride-1 unpadded convs, and a net on
+// a non-square 11×7 input with a stride-2 unpadded conv and a padded
+// one (nn pads only at stride 1).
+func TestConvSelectiveSolveIndexMathMatchesOracle(t *testing.T) {
+	_, strided := stridedNet(t, 81)
+	mnist, err := nn.NewMNISTNet()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mnist.InitWeights(42)
+	mnistPr, err := NewProtector(mnist, Options{Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	conv0, err := nn.NewConv2D(3, 2, 6, 2, nn.Valid) // (11,7,2) -> (5,3,6), G²=15 < 18 taps
+	if err != nil {
+		t.Fatal(err)
+	}
+	conv1, err := nn.NewConv2D(3, 6, 8, 1, nn.Same) // (5,3,6) -> (5,3,8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dense, err := nn.NewDense(120, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oblong, err := nn.NewModel(tensor.Shape{11, 7, 2}, conv0, nn.NewReLU(), conv1, nn.NewFlatten(), dense)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oblong.InitWeights(83)
+	oblongPr, err := NewProtector(oblong, Options{Seed: 83})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var strides, valid, padded, nonSquare, minNorm int
+	for _, pr := range []*Protector{strided, mnistPr, oblongPr} {
+		for _, lp := range pr.plan.layers {
+			if lp.role != roleConv {
+				continue
+			}
+			in, out, err := pr.GoldenPair(lp.idx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if checkConvSelectiveCases(t, lp, in, out) {
+				minNorm++
+			}
+			if lp.conv.Stride() > 1 {
+				strides++
+			}
+			if lp.conv.Pad() == 0 {
+				valid++
+			} else {
+				padded++
+			}
+			if in.Dim(0) != in.Dim(1) {
+				nonSquare++
+			}
+		}
+	}
+	if strides < 2 || valid < 2 || padded < 1 || nonSquare < 2 || minNorm == 0 {
+		t.Fatalf("covered %d strided, %d unpadded, %d padded, %d non-square convs and %d minimum-norm layers",
+			strides, valid, padded, nonSquare, minNorm)
+	}
+}
+
+// TestConvSolveAllocatesNoIm2Col pins the suspect solve's memory: a
+// serial solve of three taps of one filter on CIFAR-small's second conv
+// (1024 output positions × 288 taps) allocates less than that layer's
+// float32 im2col matrix, so it never materialises A or Aᵀ.
+func TestConvSolveAllocatesNoIm2Col(t *testing.T) {
+	m, err := nn.NewCIFARSmallNet()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.InitWeights(42)
+	pr, err := NewProtector(m, Options{Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var convs []*layerPlan
+	for _, lp := range pr.plan.layers {
+		if lp.role == roleConv {
+			convs = append(convs, lp)
+		}
+	}
+	lp := convs[1]
+	in, out, err := pr.GoldenPair(lp.idx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := lp.conv
+	taps, y := c.FilterSize()*c.FilterSize()*c.InChannels(), c.Filters()
+	g2 := out.NumElements() / y
+	if g2 != 1024 || taps != 288 {
+		t.Fatalf("%s: %d positions × %d taps, want 1024 × 288", c.Name(), g2, taps)
+	}
+	w := c.Params().Data()
+	clean := append([]float32(nil), w...)
+	defer copy(w, clean)
+	w[7*y+3] = 4
+	im2col := uint64(g2 * taps * 4)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	exact, _, _, err := solveConvSuspects(lp, in, out, map[int][]int{3: {7, 100, 287}}, 0)
+	runtime.ReadMemStats(&after)
+	if err != nil || exact != 1 {
+		t.Fatalf("solve: %d exact, %v", exact, err)
+	}
+	got := after.TotalAlloc - before.TotalAlloc
+	if got >= im2col {
+		t.Fatalf("%s suspect solve allocated %d B, want less than its float32 im2col's %d B", c.Name(), got, im2col)
+	}
+	t.Logf("%s suspect solve allocated %d B; its float32 im2col is %d B", c.Name(), got, im2col)
 }
 
 // TestConvFullSolveMatchesOracle pins a full-mode conv heal, the

@@ -1,6 +1,7 @@
 package gateway_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -23,7 +24,7 @@ import (
 
 // tinyFixture builds a one-model fleet ("tiny") plus inputs and the
 // direct predictions the gateway must reproduce.
-func tinyFixture(t *testing.T, fcfg fleet.Config, mcfg fleet.ModelConfig, n int) (*fleet.Fleet, [][]float64, []int) {
+func tinyFixture(t testing.TB, fcfg fleet.Config, mcfg fleet.ModelConfig, n int) (*fleet.Fleet, [][]float64, []int) {
 	t.Helper()
 	m, err := nn.NewTinyNet()
 	if err != nil {
@@ -68,7 +69,7 @@ func (b *brake) gate(fn func()) {
 	fn()
 }
 
-func predictBody(t *testing.T, payload any) string {
+func predictBody(t testing.TB, payload any) string {
 	t.Helper()
 	raw, err := json.Marshal(payload)
 	if err != nil {
@@ -99,7 +100,7 @@ func decodeJSON(t *testing.T, rec *httptest.ResponseRecorder, v any) {
 
 // gatewayOverTiny builds a Gateway over a default-configuration tiny
 // fleet, so each test reads as one line of setup.
-func gatewayOverTiny(t *testing.T) (*gateway.Gateway, [][]float64, []int) {
+func gatewayOverTiny(t testing.TB) (*gateway.Gateway, [][]float64, []int) {
 	t.Helper()
 	f, payloads, want := tinyFixture(t, fleet.Config{Workers: 2, BatchSize: 4, MaxDelay: time.Millisecond}, fleet.ModelConfig{}, 4)
 	return gateway.New(f, gateway.Config{}), payloads, want
@@ -144,17 +145,23 @@ func TestPredictBatchRoute(t *testing.T) {
 	}
 }
 
-func TestPredictBadRequests(t *testing.T) {
-	g, payloads, _ := gatewayOverTiny(t)
+// badPredictRequest is one refused predict request: its route's model,
+// body and deadline header, and the status and error text it must get.
+type badPredictRequest struct {
+	name, model, body, deadline string
+	wantStatus                  int
+	wantInBody                  string
+}
+
+// badPredictRequests lists the refusals TestPredictBadRequests pins
+// over the tiny fixture's payloads; FuzzPredictBody seeds from their
+// bodies.
+func badPredictRequests(t testing.TB, payloads [][]float64) []badPredictRequest {
 	short := payloads[0][:10]
 	// 1e300 narrows to float32 +Inf; it must be refused, not answered.
 	huge := append([]float64(nil), payloads[1]...)
 	huge[143] = 1e300
-	cases := []struct {
-		name, model, body, deadline string
-		wantStatus                  int
-		wantInBody                  string
-	}{
+	return []badPredictRequest{
 		{"malformed json", "tiny", `{"input": [1,`, "", 400, "bad payload"},
 		{"unknown field", "tiny", `{"inptu": [1]}`, "", 400, "bad payload"},
 		{"wrong sample length", "tiny", predictBody(t, map[string]any{"input": short}), "", 400, "144 values"},
@@ -168,7 +175,11 @@ func TestPredictBadRequests(t *testing.T) {
 		{"value beyond float32", "tiny", predictBody(t, map[string]any{"input": huge}), "", 400, "value 143 (1e+300) is outside float32's range"},
 		{"batch value beyond float32", "tiny", predictBody(t, map[string]any{"inputs": [][]float64{payloads[0], huge}}), "", 400, "inputs[1]: value 143 (1e+300) is outside float32's range"},
 	}
-	for _, c := range cases {
+}
+
+func TestPredictBadRequests(t *testing.T) {
+	g, payloads, _ := gatewayOverTiny(t)
+	for _, c := range badPredictRequests(t, payloads) {
 		t.Run(c.name, func(t *testing.T) {
 			rec := doPredict(g, c.model, c.body, c.deadline)
 			if rec.Code != c.wantStatus {
@@ -183,6 +194,80 @@ func TestPredictBadRequests(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzPredictBody posts arbitrary bodies to the tiny model's predict
+// route through the real handler, seeded with TestPredictBadRequests'
+// bodies (the float32-overflow rows included) and one good sample and
+// batch. No body panics it; every answer but 200 is a 4xx with a JSON
+// error body; and a 200 answer's class (or classes) equals a direct
+// Model.Predict on the body as the route decodes it: strictly, each
+// value narrowed to float32, in the model's input shape.
+func FuzzPredictBody(f *testing.F) {
+	g, payloads, _ := gatewayOverTiny(f)
+	f.Add([]byte(predictBody(f, map[string]any{"input": payloads[0]})))
+	f.Add([]byte(predictBody(f, map[string]any{"inputs": payloads[1:3]})))
+	for _, c := range badPredictRequests(f, payloads) {
+		f.Add([]byte(c.body))
+	}
+	m, err := nn.NewTinyNet()
+	if err != nil {
+		f.Fatal(err)
+	}
+	m.InitWeights(1) // tinyFixture's weights
+	predict := func(t *testing.T, in []float64) int {
+		x := tensor.New(m.InShape()...)
+		for i, v := range in {
+			x.Data()[i] = float32(v)
+		}
+		class, err := m.Predict(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return class
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := doPredict(g, "tiny", string(body), "")
+		if rec.Code != http.StatusOK {
+			var er struct {
+				Error string `json:"error"`
+			}
+			if rec.Code < 400 || rec.Code > 499 {
+				t.Fatalf("status %d for %q, want 200 or a 4xx", rec.Code, body)
+			}
+			decodeJSON(t, rec, &er)
+			if er.Error == "" {
+				t.Fatalf("status %d for %q with no error in %s", rec.Code, body, rec.Body.String())
+			}
+			return
+		}
+		var req struct {
+			Input  []float64   `json:"input"`
+			Inputs [][]float64 `json:"inputs"`
+		}
+		if err := gateway.DecodeStrict(bytes.NewReader(body), &req); err != nil {
+			t.Fatalf("200 for %q, which does not decode: %v", body, err)
+		}
+		var resp struct {
+			Class   *int  `json:"class"`
+			Classes []int `json:"classes"`
+		}
+		decodeJSON(t, rec, &resp)
+		if req.Input != nil {
+			if resp.Class == nil || *resp.Class != predict(t, req.Input) {
+				t.Fatalf("200 %s for %q, want class %d", rec.Body.String(), body, predict(t, req.Input))
+			}
+			return
+		}
+		if len(resp.Classes) != len(req.Inputs) {
+			t.Fatalf("200 %s for %q: %d classes for %d inputs", rec.Body.String(), body, len(resp.Classes), len(req.Inputs))
+		}
+		for i, in := range req.Inputs {
+			if want := predict(t, in); resp.Classes[i] != want {
+				t.Fatalf("200 %s for %q: inputs[%d] is class %d", rec.Body.String(), body, i, want)
+			}
+		}
+	})
 }
 
 // TestPredictQueueFull429 pins the load-shedding contract end to end:
