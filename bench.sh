@@ -37,6 +37,9 @@ go test . -bench 'BenchmarkTables1to3_Architectures' -cpu "$CPUS" -benchtime "$B
 echo "== batch-first inference: stacked GEMM vs per-sample loop (8 samples, MNIST) =="
 go test . -bench 'BenchmarkForward(Batch|Loop)$' -cpu "$CPUS" -benchtime "$BENCHTIME" -run XXX
 
+echo "== batch-first inference on CIFAR-small (8 samples; Same-padded convs) =="
+go test . -bench 'BenchmarkForwardBatchCIFARSmall$' -cpu "$CPUS" -benchtime "$BENCHTIME" -run XXX -benchmem
+
 echo "== serving: the coalesced swarm (8 clients, MNIST) with tracing off vs on =="
 go test . -bench 'BenchmarkTracerOverhead' -cpu "$CPUS" -benchtime "$BENCHTIME" -run XXX
 

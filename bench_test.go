@@ -405,6 +405,22 @@ func BenchmarkForwardBatch(b *testing.B) {
 	}
 }
 
+// BenchmarkForwardBatchCIFARSmall is BenchmarkForwardBatch on
+// CIFAR-small: eight convs, six of them Same-padded, so the conv
+// kernel's padded taps and per-pixel compaction dominate.
+func BenchmarkForwardBatchCIFARSmall(b *testing.B) {
+	env := sharedEnv(b, "cifar-small")
+	gomaxprocsWorkers(b, env)
+	xs := batchBenchInputs(b, env, 8)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := env.Model.ForwardBatch(xs); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkForwardLoop(b *testing.B) {
 	env := sharedEnv(b, "mnist")
 	gomaxprocsWorkers(b, env)

@@ -20,12 +20,11 @@ var gemmbudgetDirs = []string{
 // invocations. tensor.GEMMCalls (the counter read) is deliberately
 // absent: reading the budget is how tests enforce it.
 var gemmKernels = map[string]bool{
-	"MatMul":         true,
-	"MatMulWorkers":  true,
-	"MatMulInto":     true,
-	"MatMulRowsInto": true,
-	"Im2Col":         true,
-	"Im2ColRows":     true,
+	"MatMul":        true,
+	"MatMulWorkers": true,
+	"MatMulInto":    true,
+	"ConvInto":      true,
+	"Im2Col":        true,
 }
 
 // gemmbudgetRule enforces the kernel-accounting contract: every batched

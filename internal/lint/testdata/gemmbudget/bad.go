@@ -11,7 +11,6 @@ import (
 func fused(a, b *linalg.Matrix, x, w *tensor.Tensor) {
 	_ = tensor.MatMul(x, w)
 	_ = tensor.MatMulInto(x.Data(), x.Data(), w.Data(), 1, 1, 1, 1, nil)
-	rows, m, _ := tensor.Im2ColRows(x.Data(), 1, 1, 1, 1, 1, 1)
-	_ = tensor.MatMulRowsInto(x.Data(), rows, w.Data(), m, 1, 1, 1, nil)
+	_ = tensor.ConvInto(x.Data(), x.Data(), w.Data(), 1, tensor.Conv{}, 1, nil)
 	a.Mul(b)
 }

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"math"
 
 	"milr/internal/tensor"
 )
@@ -33,12 +34,18 @@ func (a *Activation) Forward(in *tensor.Tensor) (*tensor.Tensor, error) {
 	return out, nil
 }
 
-// forwardInPlace implements inPlaceLayer.
+// forwardInPlace implements inPlaceLayer: x[i] = 0 where x[i] < 0,
+// computed on the bits without a branch, which would mispredict on
+// about half of a layer's activations. The mask is all ones exactly
+// where the magnitude bits are non-zero (not ±0), at most those of Inf
+// (not NaN), and the sign is set: negative finite values and −Inf
+// become +0, and ±0, positive values and NaN of either sign stay.
 func (a *Activation) forwardInPlace(x []float32) {
 	for i, v := range x {
-		if v < 0 {
-			x[i] = 0
-		}
+		u := math.Float32bits(v)
+		m := int64(u & 0x7fffffff)
+		mask := uint32(-m >> 63 & ((m - 0x7f800001) >> 63) & -int64(u>>31))
+		x[i] = math.Float32frombits(u &^ mask)
 	}
 }
 

@@ -60,24 +60,12 @@ var (
 
 // forwardStacked implements stackedLayer: the batch's im2col matrices,
 // stacked into one (B·G², F²Z) coefficient matrix, are multiplied with
-// the live (F²Z, Y) filter matrix in a single GEMM. The kernel lowers
-// the rows as it consumes them, so the matrix is never materialised.
+// the live (F²Z, Y) filter matrix in a single GEMM. The kernel reads
+// the unpadded inputs in place, so neither the padded inputs nor the
+// matrix are materialised.
 func (c *Conv2D) forwardStacked(ws *workspace, dst, x []float32, b int, in tensor.Shape) error {
-	h, w, pad := in[0], in[1], c.Pad()
-	ph, pw := h+2*pad, w+2*pad
-	if pad > 0 {
-		padded := tensor.Grow(&ws.pad, b*ph*pw*c.z)
-		clear(padded)
-		for r := 0; r < b*h; r++ { // row r%h of sample r/h
-			copy(padded[((r/h*ph+r%h+pad)*pw+pad)*c.z:], x[r*w*c.z:(r+1)*w*c.z])
-		}
-		x = padded
-	}
-	rows, m, err := tensor.Im2ColRows(x, b, ph, pw, c.z, c.f, c.stride)
-	if err == nil {
-		err = tensor.MatMulRowsInto(dst, rows, c.w.Data(), m, c.f*c.f*c.z, c.y, loadWorkers(c.workers), &ws.gemm)
-	}
-	if err != nil {
+	g := tensor.Conv{H: in[0], W: in[1], Z: c.z, F: c.f, Stride: c.stride, Pad: c.Pad(), Y: c.y}
+	if err := tensor.ConvInto(dst, x, c.w.Data(), b, g, loadWorkers(c.workers), &ws.gemm); err != nil {
 		return fmt.Errorf("nn: conv %q: %w", c.name, err)
 	}
 	return nil

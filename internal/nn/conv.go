@@ -143,7 +143,7 @@ func (c *Conv2D) padInput(in *tensor.Tensor) (*tensor.Tensor, error) {
 }
 
 // Forward implements Layer: ForwardBatch on a batch of one, so a single
-// sample runs the same streamed-im2col GEMM (on its model's pool) as a
+// sample runs the same one-GEMM convolution (on its model's pool) as a
 // served batch.
 func (c *Conv2D) Forward(in *tensor.Tensor) (*tensor.Tensor, error) {
 	return forwardOne(c, in)

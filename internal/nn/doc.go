@@ -29,8 +29,8 @@
 // per-sample materialised-im2col forward kept as the test oracle
 // (forward_oracle_test.go) — the property the serving front-end
 // (internal/serve) builds coalescing on. A Model's pass works in a
-// workspace from its free list (stacked activations, padded inputs,
-// kernel scratch — never anything derived from the weights), so a model
+// workspace from its free list (stacked activations and kernel
+// scratch — never anything derived from the weights), so a model
 // serving steadily allocates nothing per batch but its answers, and a
 // golden propagation nothing but the tensor it returns; a lone layer's
 // ForwardBatch uses a throw-away one. A model holds one worker

@@ -63,26 +63,38 @@ func (p *Pool2D) forward(in *tensor.Tensor, wantCache bool) (*tensor.Tensor, *po
 }
 
 // reduce pools one (h,w,z) sample id into od; a non-nil argmax records
-// the flat input index chosen per output element.
+// the flat input index chosen per output element, −1 where no value
+// beat −Inf (a window of NaN and −Inf). Each output pixel's Z channels
+// start at −Inf and take the window's taps in (di, dj) order, one
+// channel-contiguous row at a time, keeping a value only if it is
+// strictly greater.
 func (p *Pool2D) reduce(od, id []float32, h, w, z int, argmax []int) {
-	oh, ow := h/p.k, w/p.k
+	oh, ow, k := h/p.k, w/p.k, p.k
 	for i := 0; i < oh; i++ {
 		for j := 0; j < ow; j++ {
-			for c := 0; c < z; c++ {
-				oidx := (i*ow+j)*z + c
-				best := float32(math.Inf(-1))
-				bestIdx := -1
-				for di := 0; di < p.k; di++ {
-					for dj := 0; dj < p.k; dj++ {
-						iidx := ((i*p.k+di)*w+(j*p.k+dj))*z + c
-						if id[iidx] > best {
-							best, bestIdx = id[iidx], iidx
+			o := (i*ow + j) * z
+			best := od[o : o+z]
+			for c := range best {
+				best[c] = float32(math.Inf(-1))
+			}
+			var arg []int
+			if argmax != nil {
+				arg = argmax[o : o+z]
+				for c := range arg {
+					arg[c] = -1
+				}
+			}
+			for di := 0; di < k; di++ {
+				for dj := 0; dj < k; dj++ {
+					base := ((i*k+di)*w + j*k + dj) * z
+					for c, v := range id[base : base+z] {
+						if v > best[c] {
+							best[c] = v
+							if arg != nil {
+								arg[c] = base + c
+							}
 						}
 					}
-				}
-				od[oidx] = best
-				if argmax != nil {
-					argmax[oidx] = bestIdx
 				}
 			}
 		}
@@ -115,7 +127,9 @@ func (p *Pool2D) Backward(cache Cache, dout *tensor.Tensor) (*tensor.Tensor, err
 	din := tensor.New(pc.inShape...)
 	dd, dod := din.Data(), dout.Data()
 	for oidx, iidx := range pc.argmax {
-		dd[iidx] += dod[oidx]
+		if iidx >= 0 { // a window no value beat −Inf in passes no gradient
+			dd[iidx] += dod[oidx]
+		}
 	}
 	return din, nil
 }

@@ -3,9 +3,10 @@ package nn
 import "milr/internal/tensor"
 
 // workspace is the memory one batched forward pass works in: the two
-// stacked activation buffers the layers alternate between, the batch's
-// zero-padded inputs to a Same convolution, and the GEMM kernel's
-// scratch (which includes the im2col rows in flight). A Model keeps the
+// stacked activation buffers the layers alternate between, and the GEMM
+// kernel's scratch (which includes each worker's compacted copy of the
+// conv input rows in flight; a convolution reads its unpadded input, so
+// there is no padded-input buffer). A Model keeps the
 // workspaces its ForwardBatch calls have returned on a free list, so a
 // model serving steadily allocates nothing per batch; buffers grow to
 // the largest demand seen and are never shrunk.
@@ -18,7 +19,6 @@ import "milr/internal/tensor"
 // over it.
 type workspace struct {
 	act  [2][]float32
-	pad  []float32
 	gemm tensor.Scratch
 }
 

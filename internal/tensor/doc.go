@@ -13,9 +13,10 @@
 // zero-skipping, with per-output-element float64 accumulation in a
 // fixed k-ascending order, so every entry point (MatMul and
 // MatMulWorkers for the solvers and training, and the allocation-free
-// MatMulInto and MatMulRowsInto that every inference forward uses, the
-// latter fed by the streamed Im2ColRows lowering) is bit-identical to
-// every other at any worker count — the root of the
+// MatMulInto and ConvInto that every inference forward uses, the
+// latter multiplying a convolution's im2col matrix without forming it,
+// from its input compacted once per pixel) is bit-identical to every
+// other at any worker count — the root of the
 // bit-identity invariant chain described in ARCHITECTURE.md. Its tiles
 // come in two implementations with the same arithmetic: AVX2/FMA
 // assembly (gemm_amd64.s), chosen at init where CPUID reports it, and

@@ -1,17 +1,17 @@
 package tensor
 
-// The AVX2/FMA routines of gemm_amd64.s. Each covers at most one output
-// row, writes only its out array (subScaled: dst), and trusts its
-// caller to have sliced every range it reads: span is four adjacent
-// panels of equal length, panel one; vals and offs are a compacted row
-// (len(offs) >= len(vals)); b holds at least len(acc) values, x
-// len(dst).
+// The AVX2/FMA routines of gemm_amd64.s. Each covers at most one run of
+// one output row, writes only its acc array (subScaled: dst), and
+// trusts its caller to have sliced every range it reads: span is four
+// adjacent panels of equal length, panel one; vals and offs are a
+// compacted run (len(offs) >= len(vals)) whose offsets plus base lie
+// inside a panel; b holds at least len(acc) values, x len(dst).
 
 //go:noescape
-func tile4(span []float64, vals []float64, offs []int32, out *[4 * tileCols]float32)
+func tile4(span []float64, vals []float64, offs []int32, base int, acc *[4 * tileCols]float64)
 
 //go:noescape
-func tile1(panel []float64, vals []float64, offs []int32, out *[tileCols]float32)
+func tile1(panel []float64, vals []float64, offs []int32, base int, acc *[tileCols]float64)
 
 //go:noescape
 func axpy(acc []float64, av float64, b []float32)

@@ -1,32 +1,35 @@
 #include "textflag.h"
 
 // The AVX2/FMA kernels of gemm_amd64.go. Each GEMM routine runs one
-// accumulator per output element, starting at +0, over the terms in
-// the order given, with VFMADD231PD: acc = a·b + acc rounded once,
-// which equals Go's rounded product then rounded sum because a
-// float32×float32 product is exact in float64. subScaled, at the end,
-// fuses nothing. The caller has bounds-checked every range read or
-// written.
+// accumulator per output element, loaded from and stored back to the
+// caller's float64 array, over the terms in the order given, with
+// VFMADD231PD: acc = a·b + acc rounded once, which equals Go's rounded
+// product then rounded sum because a float32×float32 product is exact
+// in float64. subScaled, at the end, fuses nothing. The caller has
+// bounds-checked every range read or written.
 
-// func tile4(span []float64, vals []float64, offs []int32, out *[4 * tileCols]float32)
-TEXT ·tile4(SB), NOSPLIT, $0-80
+// func tile4(span []float64, vals []float64, offs []int32, base int, acc *[4 * tileCols]float64)
+TEXT ·tile4(SB), NOSPLIT, $0-88
 	MOVQ span_base+0(FP), R8
 	MOVQ span_len+8(FP), AX
 	SHLQ $1, AX // a panel's bytes: len/4 float64s
+	MOVQ base+72(FP), DX
+	LEAQ (R8)(DX*8), R8
 	LEAQ (R8)(AX*1), R9
 	LEAQ (R9)(AX*1), R10
 	LEAQ (R10)(AX*1), R11
 	MOVQ vals_base+24(FP), SI
 	MOVQ vals_len+32(FP), CX
 	MOVQ offs_base+48(FP), DI
-	VXORPD Y0, Y0, Y0
-	VXORPD Y1, Y1, Y1
-	VXORPD Y2, Y2, Y2
-	VXORPD Y3, Y3, Y3
-	VXORPD Y4, Y4, Y4
-	VXORPD Y5, Y5, Y5
-	VXORPD Y6, Y6, Y6
-	VXORPD Y7, Y7, Y7
+	MOVQ acc+80(FP), AX
+	VMOVUPD (AX), Y0
+	VMOVUPD 32(AX), Y1
+	VMOVUPD 64(AX), Y2
+	VMOVUPD 96(AX), Y3
+	VMOVUPD 128(AX), Y4
+	VMOVUPD 160(AX), Y5
+	VMOVUPD 192(AX), Y6
+	VMOVUPD 224(AX), Y7
 	XORQ BX, BX
 	TESTQ CX, CX
 	JEQ tile4store
@@ -47,34 +50,28 @@ tile4loop:
 	JLT tile4loop
 
 tile4store:
-	MOVQ out+72(FP), AX
-	VCVTPD2PSY Y0, X0
-	VCVTPD2PSY Y1, X1
-	VCVTPD2PSY Y2, X2
-	VCVTPD2PSY Y3, X3
-	VCVTPD2PSY Y4, X4
-	VCVTPD2PSY Y5, X5
-	VCVTPD2PSY Y6, X6
-	VCVTPD2PSY Y7, X7
-	VMOVUPS X0, (AX)
-	VMOVUPS X1, 16(AX)
-	VMOVUPS X2, 32(AX)
-	VMOVUPS X3, 48(AX)
-	VMOVUPS X4, 64(AX)
-	VMOVUPS X5, 80(AX)
-	VMOVUPS X6, 96(AX)
-	VMOVUPS X7, 112(AX)
+	VMOVUPD Y0, (AX)
+	VMOVUPD Y1, 32(AX)
+	VMOVUPD Y2, 64(AX)
+	VMOVUPD Y3, 96(AX)
+	VMOVUPD Y4, 128(AX)
+	VMOVUPD Y5, 160(AX)
+	VMOVUPD Y6, 192(AX)
+	VMOVUPD Y7, 224(AX)
 	VZEROUPPER
 	RET
 
-// func tile1(panel []float64, vals []float64, offs []int32, out *[tileCols]float32)
-TEXT ·tile1(SB), NOSPLIT, $0-80
+// func tile1(panel []float64, vals []float64, offs []int32, base int, acc *[tileCols]float64)
+TEXT ·tile1(SB), NOSPLIT, $0-88
 	MOVQ panel_base+0(FP), R8
+	MOVQ base+72(FP), DX
+	LEAQ (R8)(DX*8), R8
 	MOVQ vals_base+24(FP), SI
 	MOVQ vals_len+32(FP), CX
 	MOVQ offs_base+48(FP), DI
-	VXORPD Y0, Y0, Y0
-	VXORPD Y1, Y1, Y1
+	MOVQ acc+80(FP), AX
+	VMOVUPD (AX), Y0
+	VMOVUPD 32(AX), Y1
 	XORQ BX, BX
 	TESTQ CX, CX
 	JEQ tile1store
@@ -89,11 +86,8 @@ tile1loop:
 	JLT tile1loop
 
 tile1store:
-	MOVQ out+72(FP), AX
-	VCVTPD2PSY Y0, X0
-	VCVTPD2PSY Y1, X1
-	VMOVUPS X0, (AX)
-	VMOVUPS X1, 16(AX)
+	VMOVUPD Y0, (AX)
+	VMOVUPD Y1, 32(AX)
 	VZEROUPPER
 	RET
 

@@ -7,11 +7,11 @@ package tensor
 
 func simdAvailable() bool { return false }
 
-func tile4([]float64, []float64, []int32, *[4 * tileCols]float32) {
+func tile4([]float64, []float64, []int32, int, *[4 * tileCols]float64) {
 	panic("tensor: no SIMD kernel on this architecture")
 }
 
-func tile1([]float64, []float64, []int32, *[tileCols]float32) {
+func tile1([]float64, []float64, []int32, int, *[tileCols]float64) {
 	panic("tensor: no SIMD kernel on this architecture")
 }
 

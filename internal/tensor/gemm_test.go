@@ -188,9 +188,9 @@ func gemmCase(seed uint64, m, n, p int, zeroFrac float64, special bool) (a, b []
 }
 
 // checkAgainstOracle runs the product on every kernel this host has and
-// through every entry point — MatMulWorkers, and MatMulInto and
-// MatMulRowsInto on a Scratch that earlier products have dirtied — and
-// compares math.Float32bits of every element with refMatMul's.
+// through every entry point — MatMulWorkers, and MatMulInto on a
+// Scratch that earlier products have dirtied — and compares
+// math.Float32bits of every element with refMatMul's.
 func checkAgainstOracle(t testing.TB, a, b []float32, m, n, p, workers int, s *tensor.Scratch) {
 	t.Helper()
 	want := refMatMul(a, b, m, n, p)
@@ -217,24 +217,14 @@ func productsByEntryPoint(t testing.TB, a, b []float32, m, n, p, workers int, s 
 	if err != nil {
 		t.Fatal(err)
 	}
-	into, fromRows := make([]float32, m*p), make([]float32, m*p)
+	into := make([]float32, m*p)
 	for i := range into {
-		// The Into forms must overwrite, not accumulate.
-		into[i], fromRows[i] = float32(math.NaN()), float32(math.NaN())
+		into[i] = float32(math.NaN()) // the Into form must overwrite, not accumulate
 	}
 	if err := tensor.MatMulInto(into, a, b, m, n, p, workers, s); err != nil {
 		t.Fatal(err)
 	}
-	rows := func(dst []float32, lo, hi int) {
-		if len(dst) != (hi-lo)*n {
-			t.Errorf("row source asked for rows [%d,%d) of %d values in a buffer of %d", lo, hi, n, len(dst))
-		}
-		copy(dst, a[lo*n:hi*n])
-	}
-	if err := tensor.MatMulRowsInto(fromRows, rows, b, m, n, p, workers, s); err != nil {
-		t.Fatal(err)
-	}
-	return map[string][]float32{"MatMulWorkers": got.Data(), "MatMulInto": into, "MatMulRowsInto": fromRows}
+	return map[string][]float32{"MatMulWorkers": got.Data(), "MatMulInto": into}
 }
 
 // TestMatMulBitIdentity is the kernel's contract: on every shape class
@@ -294,50 +284,119 @@ func TestMatMulBitIdentity(t *testing.T) {
 	}
 }
 
-// TestIm2ColRowsMatchesIm2Col checks the lazy lowering against the
-// materialised one: any run of rows of a batch's stacked im2col matrix,
-// sample boundaries included, equals the same rows of the per-sample
-// Im2Col matrices laid end to end.
-func TestIm2ColRowsMatchesIm2Col(t *testing.T) {
-	for _, cfg := range []struct{ b, h, w, z, f, s int }{
-		{3, 8, 8, 3, 3, 1},
-		{2, 12, 10, 1, 5, 1},
-		{4, 9, 9, 2, 3, 2},
-		{1, 3, 3, 4, 3, 1},
-	} {
-		batch := randTensor(uint64(cfg.h*cfg.f+cfg.b), cfg.b, cfg.h, cfg.w, cfg.z)
+// TestConvIntoMatchesIm2Col pins the convolution kernel, which never
+// forms the im2col matrix, to the materialised lowering: each sample
+// zero-padded (Pad2D), lowered (Im2Col) and multiplied with the filter
+// matrix by the ikj oracle. Every output bit must match on both kernels
+// at workers {0, 1, 2, -1}, through a nil Scratch and one dirtied by
+// earlier calls of other shapes, with one GEMMCalls tick per call. The
+// cases cover stride 2, Same and Valid padding, padding wider than the
+// filter (whole window rows outside the input), non-square inputs,
+// Z = 1, filter counts that are no multiple of 8 or 32, and a batch of
+// one with fewer than 16 output positions. Inputs are half zeros, some
+// of them −0; each filter matrix has a NaN in column 0, both
+// infinities in column 1 and +Inf in column 2, all on corner taps,
+// which the border outputs of a padded conv read as padding: a padded
+// tap must never become a 0·Inf term.
+func TestConvIntoMatchesIm2Col(t *testing.T) {
+	cases := []struct {
+		name                     string
+		b, h, w, z, f, s, pad, y int
+	}{
+		{"same 3x3", 3, 8, 8, 3, 3, 1, 1, 8},
+		{"valid 5x5 z=1", 2, 12, 10, 1, 5, 1, 0, 9},
+		{"valid stride 2", 2, 9, 9, 2, 3, 2, 0, 5},
+		{"valid stride 2 non-square", 2, 6, 13, 2, 3, 2, 0, 37},
+		{"same non-square z=1", 2, 7, 11, 1, 3, 1, 1, 33},
+		{"same 5x5 four panels and one", 2, 6, 5, 3, 5, 1, 2, 40},
+		{"same batch 1, G²=9", 1, 3, 3, 4, 3, 1, 1, 12},
+		{"valid batch 1, G²=4", 1, 4, 5, 2, 3, 1, 0, 3},
+		{"padding wider than the filter", 2, 2, 3, 2, 3, 2, 3, 6},
+		{"1x1", 3, 4, 6, 3, 1, 1, 0, 7},
+	}
+	var dirty tensor.Scratch
+	negZero := float32(math.Copysign(0, -1))
+	for ci, c := range cases {
+		st := prng.New(uint64(ci) + 1)
+		x := make([]float32, c.b*c.h*c.w*c.z)
+		for i := range x {
+			switch st.Intn(4) {
+			case 0:
+				x[i] = negZero
+			case 1:
+			default:
+				x[i] = st.Uniform(-1, 1)
+			}
+		}
+		n := c.f * c.f * c.z
+		filt := make([]float32, n*c.y)
+		for i := range filt {
+			filt[i] = st.Uniform(-1, 1)
+		}
+		tap := func(f1, f2, ch int) int { return (f1*c.f+f2)*c.z + ch }
+		if c.y > 2 {
+			filt[tap(0, 0, 0)*c.y] = float32(math.NaN())
+			filt[tap(0, c.f-1, c.z-1)*c.y+1] = float32(math.Inf(1))
+			filt[tap(c.f-1, 0, 0)*c.y+1] = float32(math.Inf(-1))
+			filt[tap(c.f-1, c.f-1, c.z-1)*c.y+2] = float32(math.Inf(1))
+		}
 		var want []float32
-		per := cfg.h * cfg.w * cfg.z
-		for r := 0; r < cfg.b; r++ {
-			cols, err := tensor.Im2Col(tensor.MustFromSlice(batch.Data()[r*per:(r+1)*per], cfg.h, cfg.w, cfg.z), cfg.f, cfg.s)
+		per := c.h * c.w * c.z
+		for r := 0; r < c.b; r++ {
+			padded, err := tensor.Pad2D(tensor.MustFromSlice(x[r*per:(r+1)*per], c.h, c.w, c.z), c.pad)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want = append(want, cols.Data()...)
+			cols, err := tensor.Im2Col(padded, c.f, c.s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, refMatMul(cols.Data(), filt, cols.Dim(0), n, c.y)...)
 		}
-		rows, m, err := tensor.Im2ColRows(batch.Data(), cfg.b, cfg.h, cfg.w, cfg.z, cfg.f, cfg.s)
-		if err != nil {
-			t.Fatalf("%+v: %v", cfg, err)
-		}
-		n := cfg.f * cfg.f * cfg.z
-		if m*n != len(want) {
-			t.Fatalf("%+v: %d rows of %d, want %d values", cfg, m, n, len(want))
-		}
-		for _, step := range []int{1, 5, m} {
-			for lo := 0; lo < m; lo += step {
-				hi := min(lo+step, m)
-				got := make([]float32, (hi-lo)*n)
-				rows(got, lo, hi)
-				for i, v := range got {
-					if v != want[lo*n+i] {
-						t.Fatalf("%+v rows [%d,%d): value %d differs", cfg, lo, hi, i)
+		g := tensor.Conv{H: c.h, W: c.w, Z: c.z, F: c.f, Stride: c.s, Pad: c.pad, Y: c.y}
+		for _, kernel := range tensor.HostKernels() {
+			restore := tensor.SetKernel(kernel)
+			for _, workers := range []int{0, 1, 2, -1} {
+				for _, s := range []*tensor.Scratch{nil, &dirty} {
+					got := make([]float32, len(want))
+					for i := range got {
+						got[i] = float32(math.NaN()) // must overwrite, not accumulate
+					}
+					calls := tensor.GEMMCalls()
+					if err := tensor.ConvInto(got, x, filt, c.b, g, workers, s); err != nil {
+						t.Fatalf("%s: %v", c.name, err)
+					}
+					if d := tensor.GEMMCalls() - calls; d != 1 {
+						t.Fatalf("%s: %d GEMM calls, want 1", c.name, d)
+					}
+					for i, w := range want {
+						if math.Float32bits(got[i]) != math.Float32bits(w) {
+							t.Fatalf("%s, %s kernel, workers %d, scratch %v: element %d = %v (%#x), oracle %v (%#x)",
+								c.name, kernel, workers, s != nil, i, got[i], math.Float32bits(got[i]), w, math.Float32bits(w))
+						}
 					}
 				}
 			}
+			restore()
 		}
 	}
-	if _, _, err := tensor.Im2ColRows(make([]float32, 10), 1, 2, 2, 3, 3, 1); err == nil {
+	g := tensor.Conv{H: 2, W: 2, Z: 3, F: 3, Stride: 1, Y: 1}
+	if err := tensor.ConvInto(make([]float32, 0), make([]float32, 12), make([]float32, 27), 1, g, 1, nil); err == nil {
 		t.Error("filter larger than the input not detected")
+	}
+	g.Pad = 1
+	if err := tensor.ConvInto(make([]float32, 4), make([]float32, 12), make([]float32, 27), 1, g, 1, nil); err != nil {
+		t.Errorf("fitting buffers rejected: %v", err)
+	}
+	if err := tensor.ConvInto(make([]float32, 3), make([]float32, 12), make([]float32, 27), 1, g, 1, nil); err == nil {
+		t.Error("short destination not detected")
+	}
+	if err := tensor.ConvInto(make([]float32, 4), make([]float32, 11), make([]float32, 27), 1, g, 1, nil); err == nil {
+		t.Error("short input not detected")
+	}
+	g.Stride = 0
+	if err := tensor.ConvInto(make([]float32, 4), make([]float32, 12), make([]float32, 27), 1, g, 1, nil); err == nil {
+		t.Error("stride 0 not detected")
 	}
 }
 

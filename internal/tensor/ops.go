@@ -77,8 +77,8 @@ func Crop2D(in *Tensor, p int) (*Tensor, error) {
 // tap (F·F·Z columns), for stride s. This is exactly the matrix of the
 // G² equations in F²Z unknowns that MILR's conv parameter solver uses
 // (paper §IV-B-b), and composing it with a (F²Z, Y) filter matrix
-// reproduces the forward convolution. Inference streams the same rows
-// into the GEMM instead (Im2ColRows).
+// reproduces the forward convolution. Inference multiplies the same
+// matrix without forming it (ConvInto).
 func Im2Col(padded *Tensor, f, s int) (*Tensor, error) {
 	if padded.Rank() != 3 {
 		return nil, fmt.Errorf("tensor: Im2Col requires (H,W,Z) tensor, got %v", padded.Shape())
