@@ -46,6 +46,9 @@ go test . -bench 'BenchmarkTracerOverhead' -cpu "$CPUS" -benchtime "$BENCHTIME" 
 echo "== RBER sweep campaign, serial vs sharded (Figure 9 path) =="
 go test . -bench 'BenchmarkRBERSweepWorkers' -benchtime "$BENCHTIME" -run XXX
 
+echo "== protect (NewProtector, workers -1) on CIFAR-small and MNIST: rank probes, dense dummy outputs, CRC codes and partials, bytes and allocations =="
+go test ./internal/core -bench 'BenchmarkProtect$' -benchtime "$BENCHTIME" -run XXX -benchmem
+
 echo "== clean scrub (Detect) on CIFAR-small and MNIST: one row probe per conv/dense layer, bytes and allocations =="
 go test ./internal/core -bench 'BenchmarkDetect$' -cpu "$CPUS" -benchtime "$BENCHTIME" -run XXX -benchmem
 

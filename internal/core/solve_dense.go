@@ -61,24 +61,47 @@ func denseDummyRowInto(buf []float64, seed, tag uint64, i, n, band int) []float6
 // denseDummyOutputs computes C_dummy = A_dummy·B at initialization time,
 // with the current (golden) parameters. The result is the stored dummy
 // output matrix (N rows × P columns).
+//
+// Dummy row i reads weight rows i … i+band−1. Those rows, widened to
+// float64, sit in a ring of min(band, n) rows: walking i upward, each
+// weight row is widened once, as it enters the band, at slot (row mod
+// band). Each output element sums v_k·w[i+k][j] from +0 in ascending k,
+// one k at a time for the whole row as a tensor.SubScaled call:
+// acc − (−v)·w rounds exactly as acc + v·w does (the product, then the
+// sum, never fused), so the stored bits are those of the scalar loop.
 func denseDummyOutputs(d *nn.Dense, seed, tag uint64, band int) (*tensor.Tensor, error) {
 	n, p := d.In(), d.Out()
 	w := d.Params().Data() // row-major (N,P)
 	out := tensor.New(n, p)
 	od := out.Data()
+	band = min(band, n)
 	acc := make([]float64, p)
-	buf := make([]float64, min(band, n))
+	buf := make([]float64, band)
+	ring := make([]float64, band*p)
+	widen := func(r int) {
+		dst := ring[r%band*p:][:p]
+		for j, v := range w[r*p : (r+1)*p] {
+			dst[j] = float64(v)
+		}
+	}
+	for r := 0; r < band-1; r++ {
+		widen(r)
+	}
 	for i := 0; i < n; i++ {
+		if r := i + band - 1; r < n {
+			widen(r)
+		}
 		vals := denseDummyRowInto(buf, seed, tag, i, n, band)
 		clear(acc)
-		for k, v := range vals {
-			row := w[(i+k)*p : (i+k+1)*p]
-			for j := 0; j < p; j++ {
-				acc[j] += v * float64(row[j])
+		// s steps through slots (i+k) mod band without a division per k.
+		for k, s := 0, i%band; k < len(vals); k++ {
+			tensor.SubScaled(acc, ring[s*p:(s+1)*p], -vals[k])
+			if s++; s == band {
+				s = 0
 			}
 		}
-		for j := 0; j < p; j++ {
-			od[i*p+j] = float32(acc[j])
+		for j, v := range acc {
+			od[i*p+j] = float32(v)
 		}
 	}
 	return out, nil

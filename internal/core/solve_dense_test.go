@@ -8,11 +8,14 @@ import (
 
 	"milr/internal/faults"
 	"milr/internal/nn"
+	"milr/internal/prng"
+	"milr/internal/tensor"
 )
 
 // Tests for the dense column solve: bit-identity against the per-column
 // oracle (recover_oracle_test.go), the all-or-nothing outcome of a bad
-// column list, and the allocation bound of a warm dense-layer heal.
+// column list, and the allocation bound of a warm dense-layer heal; and
+// for the dense dummy outputs, bit-identity against their scalar loop.
 
 // denseProtector protects a fresh model built by build.
 func denseProtector(t *testing.T, build func() (*nn.Model, error)) (*nn.Model, *Protector) {
@@ -180,6 +183,112 @@ func TestDenseHealAllocationBound(t *testing.T) {
 		t.Logf("warm dense-layer heal %d: %.2f MB", seed, float64(b)/(1<<20))
 		if b > bound {
 			t.Errorf("warm dense-layer heal allocated %.1f MB, want at most %d MB", float64(b)/(1<<20), bound>>20)
+		}
+	}
+}
+
+// denseDummyOutputsOracle is denseDummyOutputs as it was before it ran
+// on tensor.SubScaled: one scalar multiply-add per element, k
+// ascending from +0, each weight widened once per dummy row that reads
+// it. Only the product's conversion is new: float64(v·w) stops a port
+// that fuses from rounding v·w + acc once, which amd64 never did.
+func denseDummyOutputsOracle(d *nn.Dense, seed, tag uint64, band int) *tensor.Tensor {
+	n, p := d.In(), d.Out()
+	w := d.Params().Data()
+	out := tensor.New(n, p)
+	od := out.Data()
+	acc := make([]float64, p)
+	buf := make([]float64, min(band, n))
+	for i := 0; i < n; i++ {
+		vals := denseDummyRowInto(buf, seed, tag, i, n, band)
+		clear(acc)
+		for k, v := range vals {
+			row := w[(i+k)*p : (i+k+1)*p]
+			for j := 0; j < p; j++ {
+				acc[j] += float64(v * float64(row[j]))
+			}
+		}
+		for j := 0; j < p; j++ {
+			od[i*p+j] = float32(acc[j])
+		}
+	}
+	return out
+}
+
+// TestDenseDummyOutputsMatchOracle pins the stored dense dummy outputs
+// bit-identical to the scalar loop: the zoo's largest dense layers
+// (MNIST's 6400×256, CIFAR-small's 2048×128, tiny's), a layer narrower
+// than the band, widths that are not a multiple of the SIMD loop's 4 or
+// 16, and weights that are NaN, ±Inf and ±0, at the engine's band and
+// bands shorter and longer. Any NaN matches any NaN: which NaN a sum of
+// two returns depends on the operand order the compiler picked.
+func TestDenseDummyOutputsMatchOracle(t *testing.T) {
+	type tc struct {
+		name string
+		d    *nn.Dense
+	}
+	var cases []tc
+	for _, net := range []struct {
+		name  string
+		build func() (*nn.Model, error)
+	}{{"mnist", nn.NewMNISTNet}, {"cifar-small", nn.NewCIFARSmallNet}, {"tiny", nn.NewTinyNet}} {
+		m, err := net.build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.InitWeights(42)
+		var best *nn.Dense
+		for _, l := range m.Layers() {
+			if d, ok := l.(*nn.Dense); ok && (best == nil || d.ParamCount() > best.ParamCount()) {
+				best = d
+			}
+		}
+		cases = append(cases, tc{net.name, best})
+	}
+	s := prng.New(48)
+	random := func(n, p int) *nn.Dense {
+		d, err := nn.NewDense(n, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range d.Params().Data() {
+			d.Params().Data()[i] = s.Uniform(-1, 1)
+		}
+		return d
+	}
+	cases = append(cases,
+		tc{"narrower-than-band-5x13", random(5, 13)},
+		tc{"p=1", random(40, 1)},
+		tc{"p=21", random(70, 21)},
+		tc{"p=35", random(33, 35)})
+	special := random(64, 19)
+	w := special.Params().Data()
+	bad := []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)), 0, float32(math.Copysign(0, -1))}
+	for i := 0; i < 60; i++ {
+		w[s.Intn(len(w))] = bad[i%len(bad)]
+	}
+	for i := 0; i < 64; i++ {
+		w[i*19+3] = float32(math.Copysign(0, -1)) // a column of −0
+		w[i*19+11] = float32(math.Inf(1))         // a column of +Inf
+	}
+	cases = append(cases, tc{"nan-inf-zero", special})
+
+	for _, c := range cases {
+		for _, band := range []int{denseBand, 2, 7, 1 << 20} {
+			if c.d.In() > 2048 && band != denseBand {
+				continue // the large layers run at the engine's band only
+			}
+			want := denseDummyOutputsOracle(c.d, 42, 7, band).Data()
+			got, err := denseDummyOutputs(c.d, 42, 7, band)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, g := range got.Data() {
+				if math.Float32bits(g) != math.Float32bits(want[i]) && !(g != g && want[i] != want[i]) {
+					t.Fatalf("%s band %d: output %d = %v [%#x], oracle %v [%#x]",
+						c.name, band, i, g, math.Float32bits(g), want[i], math.Float32bits(want[i]))
+				}
+			}
 		}
 	}
 }

@@ -133,7 +133,7 @@ func FactorQR(a *Matrix) (*QR, error) {
 			norm = -norm
 		}
 		// rdia[k+1:] is not written yet: it holds the step's s_j.
-		householderStep(qr, k, norm, rdia, nil)
+		householderStep(qr, k, norm, rdia)
 		rdia[k] = -norm
 	}
 	return &QR{qr: qr, rdia: rdia}, nil
@@ -142,14 +142,28 @@ func FactorQR(a *Matrix) (*QR, error) {
 // householderStep turns column k, rows k…, into the Householder vector
 // of the reflector that zeroes it below the diagonal, given the column's
 // signed norm, and applies that reflector to columns k+1…. The dot
-// products s_j = Σ_i a_ik·a_ij and the update a_ij += s_j·a_ik each
-// sweep rows i = k… in ascending order, so every column sees the same
-// products and sums in the same order as a walk down that column. The
-// s_j live in s[k+1:], scratch the caller provides; s[:k+1] is not
-// touched. With norms non-nil, each updated value of rows k+1… is
-// folded into norms[j] with math.Hypot: on return norms[j] is the norm
-// of column j's rows k+1…, the next step's pivot norm.
-func householderStep(qr *Matrix, k int, norm float64, s, norms []float64) {
+// products s_j = Σ_i a_ik·a_ij (householderVector) and the update
+// a_ij += s_j·a_ik each sweep rows i = k… in ascending order, so every
+// column sees the same products and sums in the same order as a walk
+// down that column. The s_j live in s[k+1:], scratch the caller
+// provides; s[:k+1] is not touched.
+func householderStep(qr *Matrix, k int, norm float64, s []float64) {
+	sj := householderVector(qr, k, norm, s)
+	for i := k; i < qr.Rows; i++ {
+		row := qr.Row(i)
+		aik, rj := row[k], row[k+1:]
+		for j, v := range rj {
+			rj[j] = v + sj[j]*aik
+		}
+	}
+}
+
+// householderVector is the first half of a Householder step (see
+// householderStep): it scales column k, rows k…, by 1/norm, adds 1 to
+// the diagonal, and returns s[k+1:] holding the reflector's scaled dot
+// products s_j = −(Σ_i a_ik·a_ij)/a_kk, summed over rows i = k… in
+// ascending order.
+func householderVector(qr *Matrix, k int, norm float64, s []float64) []float64 {
 	m, n := qr.Rows, qr.Cols
 	for i := k; i < m; i++ {
 		qr.Set(i, k, qr.At(i, k)/norm)
@@ -168,23 +182,7 @@ func householderStep(qr *Matrix, k int, norm float64, s, norms []float64) {
 	for j := range sj {
 		sj[j] = -sj[j] / akk
 	}
-	var nj []float64
-	if norms != nil {
-		nj = norms[k+1 : n]
-		clear(nj)
-	}
-	for i := k; i < m; i++ {
-		row := qr.Row(i)
-		aik, rj := row[k], row[k+1:]
-		for j, v := range rj {
-			rj[j] = v + sj[j]*aik
-		}
-		if nj != nil && i > k {
-			for j, v := range rj {
-				nj[j] = math.Hypot(nj[j], v)
-			}
-		}
-	}
+	return sj
 }
 
 // Solve returns the least-squares solution of A·x = b.

@@ -1,11 +1,14 @@
 package linalg
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"testing"
 
+	"milr/internal/nn"
 	"milr/internal/prng"
 )
 
@@ -127,7 +130,8 @@ func factorQROracle(a *Matrix) (*QR, error) {
 // oracleCases are the inputs both QR factorizations are checked on:
 // full-rank tall and square matrices, exact low-rank products, repeated
 // and zero columns, an all-zero matrix, im2col-like inputs with many
-// zero taps, and non-finite entries. Each case gets a fresh matrix, so
+// zero taps, non-finite entries, subnormal columns, and a matrix whose
+// numerical rank depends on the tolerance. Each case gets a fresh matrix, so
 // a factorization that wrote through its input would show.
 func oracleCases() []struct {
 	name string
@@ -172,6 +176,50 @@ func oracleCases() []struct {
 		a.Set(s.Intn(20), s.Intn(6), bad)
 		cases = append(cases, tc{fmt.Sprintf("entry%v", bad), a})
 	}
+	// NaN and ±Inf together: in one column, in separate columns, and a
+	// row that is all three.
+	mixed := randMatrix(s, 24, 7)
+	mixed.Set(3, 1, math.NaN())
+	mixed.Set(9, 1, math.Inf(1))
+	mixed.Set(5, 4, math.Inf(-1))
+	mixed.Set(17, 6, math.Inf(1))
+	mixed.Set(20, 0, math.NaN())
+	mixed.Set(20, 2, math.Inf(-1))
+	mixed.Set(20, 3, math.Inf(1))
+	cases = append(cases, tc{"nan-and-inf", mixed})
+	// One all-zero column, last, so the pivot must move it.
+	oneZero := randMatrix(s, 25, 9)
+	for i := 0; i < 25; i++ {
+		oneZero.Set(i, 8, 0)
+	}
+	cases = append(cases, tc{"one-zero-column", oneZero})
+	// A column of subnormals, and one mixing subnormals with normal
+	// values: the norm folds divide by and square subnormal ratios.
+	sub := randMatrix(s, 30, 6)
+	for i := 0; i < 30; i++ {
+		sub.Set(i, 2, (2*s.Float64()-1)*0x1p-1060)
+		if i%3 == 0 {
+			sub.Set(i, 5, (2*s.Float64()-1)*0x1p-1070)
+		}
+	}
+	cases = append(cases, tc{"subnormal-column", sub})
+	// All subnormal, so the reflectors are built from them too.
+	allSub := randMatrix(s, 12, 4)
+	for i := range allSub.Data {
+		allSub.Data[i] *= 0x1p-1040
+	}
+	cases = append(cases, tc{"all-subnormal", allSub})
+	// Rank 5 plus a 1e-9 perturbation: full rank at rtol 1e-10, rank 5
+	// at 1e-6, the engine's rankTol.
+	u, v := randMatrix(s, 50, 5), randMatrix(s, 5, 12)
+	near, err := u.Mul(v)
+	if err != nil {
+		panic(err)
+	}
+	for i := range near.Data {
+		near.Data[i] += 1e-9 * (2*s.Float64() - 1)
+	}
+	cases = append(cases, tc{"rank-deficient-at-1e-6", near})
 	return cases
 }
 
@@ -267,6 +315,101 @@ func BenchmarkFactorQR(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := FactorQR(a); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// probeMatrix rebuilds the matrix MILR's protect-time rank probe
+// factors for the layer named conv of a zoo net with InitWeights(42)
+// protected under seed 42: the layer's golden input (the engine's
+// golden network input, propagated with recovery semantics) lowered to
+// its im2col matrix, widened to float64.
+func probeMatrix(t *testing.T, build func() (*nn.Model, error), conv string) *Matrix {
+	t.Helper()
+	m, err := build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.InitWeights(42)
+	// core's golden network input: prng.TensorFor(seed, tagGoldenInput, …).
+	in := prng.TensorFor(42, 0x0100_0000_0000_0000, m.InShape()...)
+	for i := 0; i < m.NumLayers(); i++ {
+		c, ok := m.Layer(i).(*nn.Conv2D)
+		if !ok || c.Name() != conv {
+			continue
+		}
+		golden, err := m.ForwardRange(0, i, in, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cols, err := c.Lower(golden)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := NewMatrix(cols.Dim(0), cols.Dim(1))
+		for j, v := range cols.Data() {
+			a.Data[j] = float64(v)
+		}
+		return a
+	}
+	t.Fatalf("no conv layer %q", conv)
+	return nil
+}
+
+// bitsHash is an FNV-64a hash of a matrix's bits.
+func bitsHash(a *Matrix) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	for _, v := range a.Data {
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+		h.Write(b[:])
+	}
+	return h.Sum64()
+}
+
+// TestFactorQRPivotProbePins pins the rank probe on the engine's own
+// inputs: CIFAR-small's and MNIST's conv2d_1 golden im2col matrices
+// (the protect-time probes that demote those layers to partial mode).
+// The input hash ties the rebuilt matrix to the one core factors; the
+// ranks at rankTol (1e-6) and the factor bits at 1e-6 and 1e-10 are the
+// column-walk factor's, taken before the norm folds were inlined.
+func TestFactorQRPivotProbePins(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		build func() (*nn.Model, error)
+		in    uint64
+		pins  []struct {
+			rtol   float64
+			rank   int
+			factor uint64
+		}
+	}{
+		{"cifar-small", nn.NewCIFARSmallNet, 0xef5743be897d4fd0, []struct {
+			rtol   float64
+			rank   int
+			factor uint64
+		}{{1e-6, 139, 0x223b02e6cab978b}, {1e-10, 288, 0xf02c99a979f765c4}}},
+		{"mnist", nn.NewMNISTNet, 0x27dd62a53bd2f241, []struct {
+			rtol   float64
+			rank   int
+			factor uint64
+		}{{1e-6, 25, 0xfa420d7a584c935b}, {1e-10, 288, 0xc56c6dd47c584a43}}},
+	} {
+		a := probeMatrix(t, c.build, "conv2d_1")
+		if h := bitsHash(a); h != c.in {
+			t.Fatalf("%s: probe input hash %#x, want %#x", c.name, h, c.in)
+		}
+		for _, p := range c.pins {
+			qr, rank, err := factorQRPivot(a, p.rtol)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rank != p.rank {
+				t.Errorf("%s rtol=%g: rank %d, want %d", c.name, p.rtol, rank, p.rank)
+			}
+			if h := bitsHash(qr); h != p.factor {
+				t.Errorf("%s rtol=%g: factor hash %#x, want %#x", c.name, p.rtol, h, p.factor)
+			}
 		}
 	}
 }

@@ -31,8 +31,10 @@ func FactorQRPivot(a *Matrix, rtol float64) (*QRP, error) {
 // factorQRPivot is FactorQRPivot returning the factored matrix too, so
 // tests can compare its bits. Every pass walks the rows in ascending
 // order (see the package doc): the remaining column norms live in one
-// vector, folded with math.Hypot over rows k+1… as the step-k update
-// writes them, which is exactly a fresh fold down each column.
+// vector, folded with hypotFold (math.Hypot, bit for bit) over rows
+// k+1… as the step-k update writes them, which is exactly a fresh fold
+// down each column. A norm is +0 or an earlier fold, so its sign bit is
+// clear, as hypotFold needs.
 func factorQRPivot(a *Matrix, rtol float64) (*Matrix, int, error) {
 	if a.Rows < a.Cols {
 		return nil, 0, fmt.Errorf("linalg: pivoted QR requires rows ≥ cols, got %dx%d", a.Rows, a.Cols)
@@ -46,7 +48,7 @@ func factorQRPivot(a *Matrix, rtol float64) (*Matrix, int, error) {
 	for i := 0; i < m; i++ {
 		row := qr.Row(i)
 		for j, v := range row {
-			norms[j] = math.Hypot(norms[j], v)
+			norms[j] = hypotFold(norms[j], math.Abs(v))
 		}
 	}
 	var maxNorm float64
@@ -82,10 +84,35 @@ func factorQRPivot(a *Matrix, rtol float64) (*Matrix, int, error) {
 		if qr.At(k, k) < 0 {
 			norm = -norm
 		}
-		householderStep(qr, k, norm, s, norms)
+		pivotStep(qr, k, norm, s, norms)
 		rank = k + 1
 	}
 	return qr, rank, nil
+}
+
+// pivotStep is householderStep for the pivoted factor: in the same one
+// sweep of rows k+1… that applies the reflector, it folds each updated
+// value into norms[j], so on return norms[j] is the norm of column j's
+// rows k+1…, the next step's pivot norm.
+func pivotStep(qr *Matrix, k int, norm float64, s, norms []float64) {
+	sj := householderVector(qr, k, norm, s)
+	row := qr.Row(k)
+	aik, rj := row[k], row[k+1:]
+	for j, v := range rj {
+		rj[j] = v + sj[j]*aik
+	}
+	nj := norms[k+1 : qr.Cols]
+	clear(nj)
+	for i := k + 1; i < qr.Rows; i++ {
+		row := qr.Row(i)
+		aik, rj := row[k], row[k+1:]
+		rj, nj := rj[:len(sj)], nj[:len(sj)] // no bounds checks below
+		for j, v := range rj {
+			v += sj[j] * aik
+			rj[j] = v
+			nj[j] = hypotFold(nj[j], math.Abs(v))
+		}
+	}
 }
 
 // Rank returns the numerical rank detected during factorization.

@@ -63,26 +63,63 @@ func (d *Dense) ForwardTrain(in *tensor.Tensor) (*tensor.Tensor, Cache, error) {
 	return out, in, nil
 }
 
-// Backward implements Layer: dB += Aᵀ·dC, dA = dC·Bᵀ.
+// Backward implements Layer: dB += Aᵀ·dC, dA = dC·Bᵀ. Neither product
+// is formed as a GEMM of a transposed copy: Aᵀ·dC is summed straight
+// into the gradient, and dA is row dots of dC against B's rows. Each
+// element is still the GEMM's (float64 from +0, k ascending, terms
+// whose left factor is ±0 skipped, narrowed to float32 once), so the
+// gradient and dA are bit for bit those of
+// tensor.MatMul(tensor.Transpose(A), dC) and
+// tensor.MatMul(dC, tensor.Transpose(B)).
 func (d *Dense) Backward(cache Cache, dout *tensor.Tensor) (*tensor.Tensor, error) {
 	in, ok := cache.(*tensor.Tensor)
 	if !ok {
 		return nil, fmt.Errorf("nn: dense %q got foreign cache %T", d.name, cache)
 	}
-	inT, err := tensor.Transpose(in)
-	if err != nil {
-		return nil, err
+	n, p := d.n, d.p
+	if in.Rank() != 2 || in.Dim(1) != n || dout.Rank() != 2 || dout.Dim(0) != in.Dim(0) || dout.Dim(1) != p {
+		return nil, fmt.Errorf("nn: dense %q backward got input %v and output gradient %v, want (M,%d) and (M,%d)",
+			d.name, in.Shape(), dout.Shape(), n, p)
 	}
-	dw, err := tensor.MatMul(inT, dout)
-	if err != nil {
-		return nil, err
+	m := in.Dim(0)
+	x, dy, w, g := in.Data(), dout.Data(), d.w.Data(), d.grad.Data()
+	// dB += Aᵀ·dC: row i sums A[r][i]·dC[r][:] over r ascending.
+	acc := make([]float64, p)
+	for i := 0; i < n; i++ {
+		clear(acc)
+		for r := 0; r < m; r++ {
+			a := float64(x[r*n+i])
+			if a == 0 {
+				continue
+			}
+			for j, v := range dy[r*p : (r+1)*p] {
+				acc[j] += a * float64(v)
+			}
+		}
+		for j, v := range acc {
+			g[i*p+j] += float32(v)
+		}
 	}
-	if err := d.grad.Add(dw); err != nil {
-		return nil, err
+	// dA = dC·Bᵀ: dA[r][i] is dC's row r dotted with B's row i, over
+	// dC's non-zeros in ascending order.
+	dIn := tensor.New(m, n)
+	o := dIn.Data()
+	nzIdx, nzVal := make([]int, 0, p), make([]float64, 0, p)
+	for r := 0; r < m; r++ {
+		nzIdx, nzVal = nzIdx[:0], nzVal[:0]
+		for j, v := range dy[r*p : (r+1)*p] {
+			if v != 0 {
+				nzIdx, nzVal = append(nzIdx, j), append(nzVal, float64(v))
+			}
+		}
+		for i := 0; i < n; i++ {
+			wi := w[i*p : (i+1)*p]
+			var s float64
+			for t, j := range nzIdx {
+				s += nzVal[t] * float64(wi[j])
+			}
+			o[r*n+i] = float32(s)
+		}
 	}
-	wT, err := tensor.Transpose(d.w)
-	if err != nil {
-		return nil, err
-	}
-	return tensor.MatMul(dout, wT)
+	return dIn, nil
 }

@@ -152,6 +152,108 @@ func TestDenseGradients(t *testing.T) {
 	checkInputGrad(t, d, in, 1e-2)
 }
 
+// denseBackwardOracle is Dense.Backward as it was before it summed in
+// place: both products as GEMMs of transposed copies, and the weight
+// gradient added after. It is the bit oracle for Dense.Backward.
+func denseBackwardOracle(d *Dense, in, dout *tensor.Tensor) (*tensor.Tensor, error) {
+	inT, err := tensor.Transpose(in)
+	if err != nil {
+		return nil, err
+	}
+	dw, err := tensor.MatMul(inT, dout)
+	if err != nil {
+		return nil, err
+	}
+	if err := d.grad.Add(dw); err != nil {
+		return nil, err
+	}
+	wT, err := tensor.Transpose(d.w)
+	if err != nil {
+		return nil, err
+	}
+	return tensor.MatMul(dout, wT)
+}
+
+// TestDenseBackwardMatchesTransposeOracle pins Dense.Backward's weight
+// gradient and input gradient bit-identical to the transposing GEMMs,
+// on one sample and on batches below and above the GEMM's tiling
+// threshold, with ±0 inputs and gradients (skipped terms, and −0
+// products that the GEMM's +0 start turns to +0), a −0 gradient entry,
+// and NaN and ±Inf in every operand. Any NaN matches any NaN, as in the
+// GEMM's own oracle.
+func TestDenseBackwardMatchesTransposeOracle(t *testing.T) {
+	s := prng.New(47)
+	negZero := float32(math.Copysign(0, -1))
+	special := []float32{0, negZero, float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1))}
+	fill := func(data []float32, zeros, specials bool) {
+		for i := range data {
+			data[i] = s.Uniform(-1, 1)
+			switch r := s.Intn(10); {
+			case zeros && r < 3:
+				data[i] = special[r%2]
+			case specials && r == 3 && s.Intn(8) == 0:
+				data[i] = special[2+s.Intn(3)]
+			}
+		}
+	}
+	for _, c := range []struct {
+		m, n, p  int
+		specials bool
+	}{
+		{1, 6, 4, false}, {1, 640, 96, false}, {3, 17, 5, false}, {20, 33, 9, false},
+		{1, 50, 13, true}, {4, 21, 7, true}, {18, 9, 30, true},
+	} {
+		d, err := NewDense(c.n, c.p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fill(d.Params().Data(), false, c.specials)
+		fill(d.grad.Data(), true, false)
+		in, dout := tensor.New(c.m, c.n), tensor.New(c.m, c.p)
+		fill(in.Data(), true, c.specials)
+		fill(dout.Data(), true, c.specials)
+		grad0 := d.grad.Clone()
+		want, err := denseBackwardOracle(d, in, dout)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantGrad := d.grad.Clone()
+		copy(d.grad.Data(), grad0.Data())
+		got, err := d.Backward(in, dout)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cmp := range []struct {
+			what      string
+			got, want []float32
+		}{{"input gradient", got.Data(), want.Data()}, {"weight gradient", d.grad.Data(), wantGrad.Data()}} {
+			if len(cmp.got) != len(cmp.want) {
+				t.Fatalf("%+v: %s has %d values, oracle %d", c, cmp.what, len(cmp.got), len(cmp.want))
+			}
+			for i, g := range cmp.got {
+				w := cmp.want[i]
+				if math.Float32bits(g) != math.Float32bits(w) && !(g != g && w != w) {
+					t.Fatalf("%+v: %s %d = %v [%#x], oracle %v [%#x]", c, cmp.what, i, g, math.Float32bits(g), w, math.Float32bits(w))
+				}
+			}
+		}
+	}
+	d, err := NewDense(6, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range [][2]*tensor.Tensor{
+		{tensor.New(1, 5), tensor.New(1, 4)},
+		{tensor.New(1, 6), tensor.New(1, 5)},
+		{tensor.New(2, 6), tensor.New(1, 4)},
+		{tensor.New(6), tensor.New(1, 4)},
+	} {
+		if _, err := d.Backward(bad[0], bad[1]); err == nil {
+			t.Errorf("input %v, output gradient %v: want a shape error", bad[0].Shape(), bad[1].Shape())
+		}
+	}
+}
+
 func TestBiasGradients(t *testing.T) {
 	b, err := NewBias(3)
 	if err != nil {
