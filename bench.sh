@@ -55,6 +55,9 @@ go test ./internal/core -bench 'BenchmarkDetect$' -cpu "$CPUS" -benchtime "$BENC
 echo "== conv heal (CIFAR-small, 1024 bit flips, SelfHeal; the model's workers follow -cpu), bytes and allocations =="
 go test ./internal/core -bench 'BenchmarkConvHeal$' -cpu "$CPUS" -benchtime "$BENCHTIME" -run XXX -benchmem
 
+echo "== dense heal (MNIST, the 6400x256 dense layer overwritten, SelfHeal; the model's workers follow -cpu), bytes and allocations =="
+go test ./internal/core -bench 'BenchmarkDenseHeal$' -cpu "$CPUS" -benchtime "$BENCHTIME" -run XXX -benchmem
+
 echo "== detection scrub (Table X identification path; the scrub's workers follow -cpu) =="
 go test . -bench 'BenchmarkTable10_Identification' -cpu "$CPUS" -benchtime "$BENCHTIME" -run XXX
 

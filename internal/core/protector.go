@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -62,11 +63,37 @@ func NewProtectorContext(ctx context.Context, m *nn.Model, opts Options) (*Prote
 	if err != nil {
 		return nil, err
 	}
+	if err := checkFinite(m); err != nil {
+		return nil, err
+	}
 	pr := &Protector{model: m, plan: pl, opts: opts}
 	if err := pr.initialize(ctx); err != nil {
 		return nil, err
 	}
 	return pr, nil
+}
+
+// ErrNonFiniteWeight is returned, wrapped, by NewProtector when a
+// parameter of the model is NaN or ±Inf: golden data computed from it
+// would be NaN, and the rank probe cannot see a NaN, so the engine
+// would plan solves it cannot carry out.
+var ErrNonFiniteWeight = errors.New("core: non-finite weight")
+
+// checkFinite scans every parameterized layer once and names the first
+// NaN or ±Inf parameter.
+func checkFinite(m *nn.Model) error {
+	for i, l := range m.Layers() {
+		p, ok := l.(nn.Parameterized)
+		if !ok {
+			continue
+		}
+		for k, v := range p.Params().Data() {
+			if math.Float32bits(v)&0x7f800000 == 0x7f800000 { // exponent all ones: ±Inf or NaN
+				return fmt.Errorf("core: layer %d (%s) parameter %d is %v: %w", i, l.Name(), k, v, ErrNonFiniteWeight)
+			}
+		}
+	}
+	return nil
 }
 
 // Model returns the protected model.
@@ -263,17 +290,12 @@ func (pr *Protector) ResetCRC() {
 // routinely produce NaN weights, and a NaN-poisoned comparison must flag
 // the layer rather than silently comparing false. So does an infinite
 // difference, which a bound scaled by an infinite b would excuse.
+// math.Abs clears the sign bit without a branch: on an overwritten
+// layer the signs are random, and a sign test mispredicts half the time.
 func relMismatch(a, b, tol float64) bool {
 	if math.IsNaN(a) || math.IsNaN(b) {
 		return true
 	}
-	d := a - b
-	if d < 0 {
-		d = -d
-	}
-	mag := b
-	if mag < 0 {
-		mag = -mag
-	}
-	return d > tol*(1+mag) || d > math.MaxFloat64
+	d := math.Abs(a - b)
+	return d > tol*(1+math.Abs(b)) || d > math.MaxFloat64
 }

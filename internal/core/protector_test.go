@@ -466,3 +466,71 @@ func TestInfWeightHealsToRecovered(t *testing.T) {
 		}
 	}
 }
+
+// relMismatchBranchOracle is relMismatch as it was written before its
+// absolute values became math.Abs: sign tests that branch.
+func relMismatchBranchOracle(a, b, tol float64) bool {
+	if math.IsNaN(a) || math.IsNaN(b) {
+		return true
+	}
+	d := a - b
+	if d < 0 {
+		d = -d
+	}
+	mag := b
+	if mag < 0 {
+		mag = -mag
+	}
+	return d > tol*(1+mag) || d > math.MaxFloat64
+}
+
+// TestRelMismatchMatchesBranchOracle pins the branch-free keep and
+// detection test to its branching form at both tolerances: every pair
+// of specials (±0, ±Inf, NaNs of both signs and several payloads,
+// ±subnormals, ±MaxFloat64), pairs one ulp either side of the bound
+// tol·(1+|b|), and seeded random bit patterns, both arbitrary and a
+// few ulps to a few percent apart.
+func TestRelMismatchMatchesBranchOracle(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	specials := []float64{
+		0, negZero, math.Inf(1), math.Inf(-1),
+		math.NaN(), -math.NaN(),
+		math.Float64frombits(0x7ff0000000000001), // signalling
+		math.Float64frombits(0xfff8000000c0ffee),
+		math.Float64frombits(0x7fffffffffffffff),
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+		math.Float64frombits(0x000fffffffffffff), -math.Float64frombits(0x000fffffffffffff),
+		math.MaxFloat64, -math.MaxFloat64,
+		1, -1, 0.5, -3.25, 1e-300, -1e300,
+	}
+	for _, tol := range []float64{detectTol, keepTol} {
+		check := func(a, b float64) {
+			t.Helper()
+			if got, want := relMismatch(a, b, tol), relMismatchBranchOracle(a, b, tol); got != want {
+				t.Fatalf("tol %g: relMismatch(%v [%#x], %v [%#x]) = %v, branching form says %v",
+					tol, a, math.Float64bits(a), b, math.Float64bits(b), got, want)
+			}
+		}
+		for _, a := range specials {
+			for _, b := range specials {
+				check(a, b)
+			}
+		}
+		for _, b := range []float64{0, negZero, 1, -1, 0.37, -2.5e-3, 7e5, -1e-9, math.SmallestNonzeroFloat64} {
+			bound := tol * (1 + math.Abs(b))
+			for _, d := range []float64{bound, math.Nextafter(bound, 0), math.Nextafter(bound, math.Inf(1))} {
+				check(b+d, b)
+				check(b-d, b)
+				check(math.Nextafter(b+d, math.Inf(1)), b)
+				check(math.Nextafter(b-d, math.Inf(-1)), b)
+			}
+		}
+		st := prng.New(53)
+		for i := 0; i < 100000; i++ {
+			a, b := math.Float64frombits(st.Uint64()), math.Float64frombits(st.Uint64())
+			check(a, b)
+			check(b*(1+tol*(4*st.Float64()-2)), b)
+			check(math.Float64frombits(math.Float64bits(b)+uint64(st.Intn(9))-4), b)
+		}
+	}
+}

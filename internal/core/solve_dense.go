@@ -26,7 +26,9 @@ import (
 // the dummy input itself is regenerated from the seed), every column
 // remains exactly solvable, and the solve costs O(N·band) per column on
 // a single CPU core. The solve regenerates each dummy row once per block
-// of columns, not once per column.
+// of columns, not once per column, and subtracts that row's band of
+// solved values from the whole block in one tensor.SubScaledBand call;
+// only the gather, the divide and the keep test run in Go.
 
 // denseDummyRowInto regenerates the values of row i of the banded dummy
 // input matrix into buf, which must hold min(band, n) values, and
@@ -122,8 +124,11 @@ func denseDummyOutputs(d *nn.Dense, seed, tag uint64, band int) (*tensor.Tensor,
 // x[i+1 … i+band−1] and nothing else. Per column the arithmetic is the
 // single-column back substitution's (same start value, subtractions in
 // ascending k, same divide), so the recovered bits do not depend on the
-// blocking or the worker count. One k's subtractions run for the whole
-// block as one tensor.SubScaled call.
+// blocking or the worker count. A row's subtractions, every k for the
+// whole block, are one tensor.SubScaledBand call over the ring (k
+// ascending, each product and difference rounded as SubScaled rounds
+// it); the gather of the stored outputs, the divide by the diagonal
+// and the keep test stay in Go.
 //
 // Every column is range-checked before any is solved: a bad column list
 // leaves the layer untouched.
@@ -150,13 +155,7 @@ func solveDenseColumns(lp *layerPlan, cols []int, band int, seed uint64, workers
 				acc[b] = float64(cd[i*p+j])
 			}
 			slot := i % band
-			// s steps through slots (i+k) mod band without a division per k.
-			for k, s := 1, slot; k < len(vals); k++ {
-				if s++; s == band {
-					s = 0
-				}
-				tensor.SubScaled(acc, ring[s*bw:(s+1)*bw], vals[k])
-			}
+			tensor.SubScaledBand(acc, ring, vals[1:], slot+1)
 			xs := ring[slot*bw : (slot+1)*bw]
 			for b, j := range block {
 				x := acc[b] / vals[0]

@@ -25,6 +25,11 @@
 // dst −= a·x row update under the MILR heal's conv residual and dense
 // back-substitution, rides the same probe: an AVX2 multiply-then-
 // subtract loop that fuses nothing, so it rounds as its Go loop does.
+// SubScaledBand is that loop over a band of rows, k ascending, the
+// dense back-substitution's whole row step: its AVX2 body keeps each
+// 16-column strip of the accumulator in registers across the band,
+// multiplies and subtracts as SubScaled does, and elsewhere it is the
+// per-k SubScaled loop itself.
 // The GEMMCalls counter exists so tests can enforce the
 // one-GEMM-per-layer batching contract.
 package tensor

@@ -65,7 +65,8 @@ func GEMMCalls() uint64 { return gemmCalls.Load() }
 // many FMAs as its latency times its throughput keeps in flight) and a
 // one-panel tile for the panels left over replace tileDot, and an FMA
 // row axpy replaces streamRows' inner loop. The same probe picks
-// SubScaled's body, a multiply-then-subtract loop with no FMA.
+// SubScaled's and SubScaledBand's bodies, multiply-then-subtract loops
+// with no FMA.
 // Everywhere else the Go code below runs; it stays the portable kernel
 // and, with the ikj loop in the tests, the oracle for the SIMD one.
 // Packing, compaction and banding are shared. An assembly call covers
@@ -459,6 +460,43 @@ func SubScaled(dst, x []float64, a float64) {
 	}
 	for i, v := range x {
 		dst[i] -= float64(a * v)
+	}
+}
+
+// SubScaledBand runs SubScaled(acc, row(first+k), vals[k]) for k =
+// 0, 1, … len(vals)−1 in that order, where ring holds len(ring)/len(acc)
+// rows of len(acc) values and row(r) is its row r mod that count: the
+// MILR dense heal's back-substitution step, one band of already-solved
+// rows subtracted from a block of columns. Every element takes the
+// products and differences SubScaled's loop gives it, each rounded
+// separately, nothing fused, k ascending. The SIMD body keeps a strip
+// of acc in registers across every k instead of loading and storing it
+// once per k; as with SubScaled, the race detector does not see its
+// accesses. ring must not overlap acc. It panics if first is
+// negative, or if acc is not empty and ring is empty or not a whole
+// number of rows.
+func SubScaledBand(acc, ring, vals []float64, first int) {
+	w := len(acc)
+	if first < 0 {
+		panic(fmt.Sprintf("tensor: SubScaledBand first %d < 0", first))
+	}
+	if w == 0 {
+		return
+	}
+	if len(ring) == 0 || len(ring)%w != 0 {
+		panic(fmt.Sprintf("tensor: SubScaledBand ring of %d values is not a whole number of %d-value rows", len(ring), w))
+	}
+	rows := len(ring) / w
+	first %= rows
+	if useSIMD {
+		subScaledBand(acc, ring, vals, first*w)
+		return
+	}
+	for k, s := 0, first; k < len(vals); k++ {
+		SubScaled(acc, ring[s*w:(s+1)*w], vals[k])
+		if s++; s == rows {
+			s = 0
+		}
 	}
 }
 

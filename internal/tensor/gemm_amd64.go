@@ -19,6 +19,13 @@ func axpy(acc []float64, av float64, b []float32)
 //go:noescape
 func subScaled(dst, x []float64, a float64)
 
+// subScaledBand is SubScaledBand's body: ring is a whole number of
+// len(acc)-value rows, len(acc) > 0, and start (a multiple of len(acc))
+// indexes the row vals[0] scales.
+//
+//go:noescape
+func subScaledBand(acc, ring, vals []float64, start int)
+
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbv() (eax uint32)

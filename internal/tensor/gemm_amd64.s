@@ -5,8 +5,10 @@
 // caller's float64 array, over the terms in the order given, with
 // VFMADD231PD: acc = a·b + acc rounded once, which equals Go's rounded
 // product then rounded sum because a float32×float32 product is exact
-// in float64. subScaled, at the end, fuses nothing. The caller has
-// bounds-checked every range read or written.
+// in float64. subScaled and subScaledBand, at the end, fuse nothing:
+// they multiply, then subtract, as Go rounds a float64 product and
+// difference. The caller has bounds-checked every range read or
+// written.
 
 // func tile4(span []float64, vals []float64, offs []int32, base int, acc *[4 * tileCols]float64)
 TEXT ·tile4(SB), NOSPLIT, $0-88
@@ -230,6 +232,131 @@ subtailloop:
 	JLT subtailloop
 
 subdone:
+	VZEROUPPER
+	RET
+
+// func subScaledBand(acc, ring, vals []float64, start int)
+//
+// subScaled(acc, row, vals[k]) for every k ascending, row walking the
+// ring from element start and wrapping at its end, with each strip of
+// acc (16 columns, then 4, then 1) held in registers across every k.
+// The per-element instructions and operand order are subScaled's:
+// VMULPD with the row value as its first source, then VSUBPD with acc
+// as its first source, never FMA. The caller guarantees len(acc) > 0
+// and that len(ring) is a whole number of len(acc)-value rows.
+TEXT ·subScaledBand(SB), NOSPLIT, $0-80
+	MOVQ acc_base+0(FP), DI
+	MOVQ acc_len+8(FP), CX
+	MOVQ ring_base+24(FP), R8
+	MOVQ ring_len+32(FP), R9
+	LEAQ (R8)(R9*8), R9 // the ring's end
+	MOVQ vals_base+48(FP), SI
+	MOVQ vals_len+56(FP), DX
+	MOVQ start+72(FP), R10
+	LEAQ (R8)(R10*8), R10 // the row vals[0] scales
+	MOVQ CX, R11
+	SHLQ $3, R11 // a row's bytes
+	XORQ BX, BX
+	TESTQ DX, DX
+	JEQ banddone
+	MOVQ CX, R13
+	ANDQ $-16, R13
+	JEQ band4
+
+band16:
+	VMOVUPD (DI)(BX*8), Y1
+	VMOVUPD 32(DI)(BX*8), Y2
+	VMOVUPD 64(DI)(BX*8), Y3
+	VMOVUPD 96(DI)(BX*8), Y4
+	MOVQ R10, R12
+	XORQ AX, AX
+
+	PCALIGN $32
+
+band16k:
+	VBROADCASTSD (SI)(AX*8), Y0
+	VMOVUPD (R12)(BX*8), Y5
+	VMOVUPD 32(R12)(BX*8), Y6
+	VMOVUPD 64(R12)(BX*8), Y7
+	VMOVUPD 96(R12)(BX*8), Y8
+	VMULPD Y0, Y5, Y5
+	VMULPD Y0, Y6, Y6
+	VMULPD Y0, Y7, Y7
+	VMULPD Y0, Y8, Y8
+	VSUBPD Y5, Y1, Y1
+	VSUBPD Y6, Y2, Y2
+	VSUBPD Y7, Y3, Y3
+	VSUBPD Y8, Y4, Y4
+	ADDQ R11, R12
+	CMPQ R12, R9
+	CMOVQEQ R8, R12
+	INCQ AX
+	CMPQ AX, DX
+	JLT band16k
+
+	VMOVUPD Y1, (DI)(BX*8)
+	VMOVUPD Y2, 32(DI)(BX*8)
+	VMOVUPD Y3, 64(DI)(BX*8)
+	VMOVUPD Y4, 96(DI)(BX*8)
+	ADDQ $16, BX
+	CMPQ BX, R13
+	JLT band16
+
+band4:
+	MOVQ CX, R13
+	ANDQ $-4, R13
+	CMPQ BX, R13
+	JGE band1
+
+band4col:
+	VMOVUPD (DI)(BX*8), Y1
+	MOVQ R10, R12
+	XORQ AX, AX
+
+band4k:
+	VBROADCASTSD (SI)(AX*8), Y0
+	VMOVUPD (R12)(BX*8), Y5
+	VMULPD Y0, Y5, Y5
+	VSUBPD Y5, Y1, Y1
+	ADDQ R11, R12
+	CMPQ R12, R9
+	CMOVQEQ R8, R12
+	INCQ AX
+	CMPQ AX, DX
+	JLT band4k
+
+	VMOVUPD Y1, (DI)(BX*8)
+	ADDQ $4, BX
+	CMPQ BX, R13
+	JLT band4col
+
+band1:
+	CMPQ BX, CX
+	JGE banddone
+
+band1col:
+	VMOVSD (DI)(BX*8), X1
+	MOVQ R10, R12
+	XORQ AX, AX
+
+band1k:
+	VMOVSD (SI)(AX*8), X0
+	VMOVSD (R12)(BX*8), X5
+	VMULSD X0, X5, X5
+	VSUBSD X5, X1, X1
+	ADDQ R11, R12
+	CMPQ R12, R9
+	CMOVQEQ R8, R12
+	INCQ AX
+	CMPQ AX, DX
+	JLT band1k
+
+	VMOVSD X1, (DI)(BX*8)
+	INCQ BX
+	CMPQ BX, CX
+	JLT band1col
+
+banddone:
 	VZEROUPPER
 	RET
 

@@ -3,7 +3,7 @@
 package tensor
 
 // Off amd64 there is no SIMD kernel: the probe fails, so tileRows,
-// streamRows and SubScaled never call these.
+// streamRows, SubScaled and SubScaledBand never call these.
 
 func simdAvailable() bool { return false }
 
@@ -20,5 +20,9 @@ func axpy([]float64, float64, []float32) {
 }
 
 func subScaled([]float64, []float64, float64) {
+	panic("tensor: no SIMD kernel on this architecture")
+}
+
+func subScaledBand([]float64, []float64, []float64, int) {
 	panic("tensor: no SIMD kernel on this architecture")
 }

@@ -507,3 +507,104 @@ func TestSubScaledMatchesGo(t *testing.T) {
 		}
 	}
 }
+
+// TestSubScaledBandMatchesSubScaledLoop pins SubScaledBand, on both
+// kernels, to the loop it fuses: SubScaled(acc, row (first+k) mod rows,
+// vals[k]) for k ascending, run on the Go kernel (which
+// TestSubScaledMatchesGo pins to the SIMD SubScaled and to the
+// expression), compared bit for bit. It covers widths across the SIMD
+// body's 16-wide, 4-wide and scalar tails, every first row (and first
+// past the ring, which wraps), vals empty, shorter than the ring, as
+// long and longer, and the specials in acc, ring and vals, so a NaN
+// meets a NaN in the product and in the difference. It checks that
+// nothing past acc is written and ring and vals are only read.
+func TestSubScaledBandMatchesSubScaledLoop(t *testing.T) {
+	st := prng.New(41)
+	draw := func() float64 {
+		if st.Intn(3) == 0 {
+			return subScaledSpecials[st.Intn(len(subScaledSpecials))]
+		}
+		return 4*st.Float64() - 2
+	}
+	fill := func(n int) []float64 {
+		v := make([]float64, n)
+		for i := range v {
+			v[i] = draw()
+		}
+		return v
+	}
+	kernels := tensor.HostKernels()
+	for _, w := range []int{0, 1, 3, 4, 15, 16, 17, 128, 256} {
+		for _, rows := range []int{1, 2, 7, 32} {
+			for first := 0; first <= rows; first++ {
+				for _, nv := range []int{0, 1, rows - 1, rows, rows + 3} {
+					buf := fill(w + 3)
+					ring := fill(rows * w)
+					vals := fill(nv)
+					want := append([]float64(nil), buf...)
+					restore := tensor.SetKernel("go")
+					for k, v := range vals {
+						r := (first + k) % rows
+						tensor.SubScaled(want[:w], ring[r*w:(r+1)*w], v)
+					}
+					restore()
+					ringWas := append([]float64(nil), ring...)
+					valsWas := append([]float64(nil), vals...)
+					for _, kernel := range kernels {
+						got := append([]float64(nil), buf...)
+						restore := tensor.SetKernel(kernel)
+						tensor.SubScaledBand(got[:w], ring, vals, first)
+						restore()
+						for i := range got {
+							if g, e := math.Float64bits(got[i]), math.Float64bits(want[i]); g != e {
+								t.Fatalf("%s kernel, width %d, rows %d, first %d, %d vals: element %d is %#x, want %#x",
+									kernel, w, rows, first, nv, i, g, e)
+							}
+						}
+						for _, c := range []struct {
+							name     string
+							now, was []float64
+						}{{"ring", ring, ringWas}, {"vals", vals, valsWas}} {
+							for i := range c.now {
+								if math.Float64bits(c.now[i]) != math.Float64bits(c.was[i]) {
+									t.Fatalf("%s kernel, width %d, rows %d: %s[%d] written", kernel, w, rows, c.name, i)
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	panics := func(f func()) (msg string) {
+		defer func() {
+			if r := recover(); r != nil {
+				msg = fmt.Sprint(r)
+			}
+		}()
+		f()
+		return ""
+	}
+	for _, c := range []struct {
+		name            string
+		acc, ring, vals []float64
+		first           int
+		want            string // a substring of the panic; "" for none
+	}{
+		{"negative first", make([]float64, 4), make([]float64, 8), make([]float64, 1), -1, "first -1"},
+		{"negative first, empty acc", nil, nil, nil, -1, "first -1"},
+		{"partial row", make([]float64, 4), make([]float64, 6), make([]float64, 1), 0, "whole number"},
+		{"empty ring", make([]float64, 4), nil, make([]float64, 1), 0, "whole number"},
+		{"empty ring, empty vals", make([]float64, 4), nil, nil, 0, "whole number"},
+		{"empty acc", nil, make([]float64, 5), make([]float64, 3), 2, ""},
+	} {
+		for _, kernel := range kernels {
+			restore := tensor.SetKernel(kernel)
+			msg := panics(func() { tensor.SubScaledBand(c.acc, c.ring, c.vals, c.first) })
+			restore()
+			if (msg == "") != (c.want == "") || !strings.Contains(msg, c.want) {
+				t.Errorf("%s kernel, %s: panic %q, want %q", kernel, c.name, msg, c.want)
+			}
+		}
+	}
+}

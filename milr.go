@@ -292,6 +292,12 @@ func LoadProtector(r io.Reader, m *Model) (*Protector, error) {
 // read; match it with errors.Is.
 var ErrBlobVersion = core.ErrBlobVersion
 
+// ErrNonFiniteWeight is returned, wrapped, by Runtime.Protect when a
+// model parameter is NaN or ±Inf: MILR's golden data would be computed
+// from it. The error names the layer and the parameter's index; match
+// it with errors.Is.
+var ErrNonFiniteWeight = core.ErrNonFiniteWeight
+
 // NewTensor allocates a zero tensor of the given shape.
 func NewTensor(shape ...int) *Tensor { return tensor.New(shape...) }
 

@@ -89,6 +89,7 @@ var goldenAPI = []string{
 	"NewTinyNet",
 	// Persistence, tensors, training.
 	"ErrBlobVersion",
+	"ErrNonFiniteWeight",
 	"LoadProtector",
 	"NewTensor",
 	"SaveProtector",

@@ -2,13 +2,17 @@ package milr_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"math"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
 	"milr"
 	"milr/internal/faults"
+	"milr/internal/nn"
 	"milr/internal/prng"
 )
 
@@ -202,5 +206,47 @@ func TestFleetGuardScrubRacesClose(t *testing.T) {
 	st := fl.Stats()
 	if st.Served != int64(len(net.xs)) {
 		t.Fatalf("served %d, want %d (stats %+v)", st.Served, len(net.xs), st)
+	}
+}
+
+// TestProtectRefusesNonFiniteWeight checks that initialization refuses a
+// model whose weights are already NaN or +Inf, in the tiny net's first
+// conv, first dense and first bias layer, with an error that errors.Is
+// matches to ErrNonFiniteWeight (its text names the layer and the
+// index), and that the same net, clean, still protects.
+func TestProtectRefusesNonFiniteWeight(t *testing.T) {
+	rt := milr.NewRuntime(milr.WithSeed(42))
+	kinds := map[string]func(milr.Layer) bool{
+		"conv":  func(l milr.Layer) bool { _, ok := l.(*nn.Conv2D); return ok },
+		"dense": func(l milr.Layer) bool { _, ok := l.(*nn.Dense); return ok },
+		"bias":  func(l milr.Layer) bool { _, ok := l.(*nn.Bias); return ok },
+	}
+	for kind, is := range kinds {
+		for _, bad := range []float32{float32(math.NaN()), float32(math.Inf(1))} {
+			m, err := milr.NewTinyNet()
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.InitWeights(7)
+			idx := slices.IndexFunc(m.Layers(), is)
+			if idx < 0 {
+				t.Fatalf("tiny net has no %s layer", kind)
+			}
+			data := m.Layer(idx).(milr.Parameterized).Params().Data()
+			data[len(data)/2] = bad
+			_, err = rt.Protect(context.Background(), m)
+			if !errors.Is(err, milr.ErrNonFiniteWeight) {
+				t.Fatalf("%s %v: Protect error %v, want ErrNonFiniteWeight", kind, bad, err)
+			}
+			t.Logf("%s %v: %v", kind, bad, err)
+		}
+	}
+	m, err := milr.NewTinyNet()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.InitWeights(7)
+	if _, err := rt.Protect(context.Background(), m); err != nil {
+		t.Fatalf("clean tiny net: %v", err)
 	}
 }
