@@ -297,9 +297,10 @@ func solveConvFull(lp *layerPlan, goldenIn, goldenOut *tensor.Tensor, filters []
 // lowered into A, each filter's residual a scalar dot product along A's
 // rows, and one factorization per filter. The body is the product code
 // of the commit before the Aᵀ layout, edited only in the function name,
-// the worker count (an Options field then) and the solve: linalg.LeastSquares, then linalg.RidgeSolve when it
-// failed, became one linalg.FactorLeastSquares, which
-// TestFactorLeastSquaresMatchesOracle pins bit-identical to that pair.
+// the worker count (an Options field then) and the solve: the one-shot
+// least-squares solve became one linalg.FactorLeastSquares, the solver
+// both pipelines share, which TestFactorLeastSquaresMatchesOracle
+// checks on its own.
 func solveConvSelectiveOracle(lp *layerPlan, goldenIn, goldenOut *tensor.Tensor, suspects map[int][]int, workers int) (exact, approximate int, err error) {
 	c := lp.conv
 	a, err := lowerF64(c, goldenIn)

@@ -24,9 +24,11 @@ import (
 //     mode; in partial mode those the 2-D CRC codes localize, or all if
 //     the CRC missed the filter), every other tap held at its value.
 //     Equal suspect sets share one linalg.FactorLeastSquares; beyond G²
-//     unknowns its minimum-norm solution is the best effort, as in the
-//     paper's whole-layer experiments (§V-B). A is never built: the
-//     solve reads it one tap position at a time, as a (Z × G²) slab.
+//     unknowns, or where the restricted system is rank-deficient, its
+//     pseudo-inverse (least-squares, minimum-norm) solution is the best
+//     effort, as in the paper's whole-layer experiments (§V-B). A is
+//     never built: the solve reads it one tap position at a time, as a
+//     (Z × G²) slab.
 //   - Backward pass (§IV-B-a): each output position yields Y equations in
 //     the F²Z unknowns of its input sub-region; dummy PRNG filters (whose
 //     outputs on the golden input are stored) top the system up when
@@ -151,10 +153,14 @@ type suspectGroup struct {
 // golden input into one reused slab (row z: tap (f1·F+f2)·Z+z's input
 // at each output position, 0 in the padding); then, on the pool, each
 // group copies its suspect rows into its restricted matrix, and each
-// filter subtracts w[t]·row for its other taps from its rhs row by
-// tensor.SubScaled, so each rhs element takes the products and order
-// of a dot product along A's row, ascending t. Then the groups factor
-// and the filters solve on the pool, filter k writing only w[t*y+k].
+// filter subtracts w[t]·row for its other taps from its rhs row, one
+// tensor.SubScaledBand call per run of consecutive non-suspect taps
+// over the slab from the run's first tap, so each rhs element takes the
+// products and order of a dot product along A's row, ascending t. A
+// suspect tap is skipped, never given weight 0: 0·x is NaN for an
+// infinite x and −0 for a negative one, and −0 − (−0) is +0 where the
+// skip leaves −0. Then the groups factor and the filters solve on the
+// pool, filter k writing only w[t*y+k].
 func solveConvSuspects(lp *layerPlan, goldenIn, goldenOut *tensor.Tensor, suspects map[int][]int, workers int) (exact, underdetermined, rankDeficient int, err error) {
 	c := lp.conv
 	f, z, y, s, p := c.FilterSize(), c.InChannels(), c.Filters(), c.Stride(), c.Pad()
@@ -236,10 +242,17 @@ func solveConvSuspects(lp *layerPlan, goldenIn, goldenOut *tensor.Tensor, suspec
 			}
 			i -= len(groups)
 			k, g := solves[i].k, &groups[solves[i].g]
-			for t := pos * z; t < (pos+1)*z; t++ {
-				if !g.suspect[t] {
-					tensor.SubScaled(rhs[i*g2:(i+1)*g2], slab[(t%z)*g2:], float64(w[t*y+k]))
+			var vals [128]float64 // a run's weights; a longer run takes more calls
+			for t := pos * z; t < (pos+1)*z; {
+				if g.suspect[t] {
+					t++
+					continue
 				}
+				first, n := t%z, 0
+				for ; t < (pos+1)*z && !g.suspect[t] && n < len(vals); t, n = t+1, n+1 {
+					vals[n] = float64(w[t*y+k])
+				}
+				tensor.SubScaledBand(rhs[i*g2:(i+1)*g2], slab, vals[:n], first)
 			}
 		})
 	}

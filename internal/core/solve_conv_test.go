@@ -54,9 +54,9 @@ func checkConvSelectiveMatchesOracle(t *testing.T, name string, lp *layerPlan, i
 // layer with its golden pair, at workers {1, 3, -1}: suspects at the
 // first and last tap, adjacent ones and an empty list; NaN and ±Inf in
 // suspect weights; a duplicated suspect, whose restricted system is
-// singular and takes the ridge path; and, where the layer has fewer
-// output positions than taps, every tap suspect, the minimum-norm path,
-// which it reports. Every case must rewrite weights, or the test is
+// singular and takes the pseudo-inverse path; and, where the layer has
+// fewer output positions than taps, every tap suspect, the wide
+// pseudo-inverse (minimum-norm) path, which it reports. Every case must rewrite weights, or the test is
 // vacuous. The layer needs at least five filters.
 func checkConvSelectiveCases(t *testing.T, lp *layerPlan, in, out *tensor.Tensor) (minNorm bool) {
 	t.Helper()
@@ -110,10 +110,10 @@ func checkConvSelectiveCases(t *testing.T, lp *layerPlan, in, out *tensor.Tensor
 				t.Fatalf("%s: the oracle rewrote nothing; test is vacuous", name)
 			}
 			// The duplicate's restricted system is singular: QR
-			// refuses it and the ridge solve is reported
+			// refuses it and the pseudo-inverse solve is reported
 			// approximate.
 			if tc.name == "duplicated suspect" && approx != 1 {
-				t.Fatalf("%s: %d filters approximate, want 1 (the ridge path)", name, approx)
+				t.Fatalf("%s: %d filters approximate, want 1 (the pseudo-inverse path)", name, approx)
 			}
 		}
 	}
@@ -435,13 +435,14 @@ func TestConvSolveBadSuspectsLeaveLayerUntouched(t *testing.T) {
 	}
 }
 
-// TestConvFullSolveSingularTakesRidge pins the one behaviour the merged
-// conv solver changed: a full-mode layer whose golden im2col matrix is
-// singular (here an all-zero golden input) used to fail its QR and
-// report Failed; it now takes the ridge best effort, reports it in the
-// detail as rank-deficient (a 676×9 system has more equations than
-// taps, so it is not underdetermined), and verifies Approximate.
-func TestConvFullSolveSingularTakesRidge(t *testing.T) {
+// TestConvFullSolveSingularTakesPseudoInverse pins the one behaviour
+// the merged conv solver changed: a full-mode layer whose golden im2col
+// matrix is singular (here an all-zero golden input) used to fail its
+// QR and report Failed; it now takes the least-squares best effort
+// (the pseudo-inverse, rank 0 here), reports it in the detail as
+// rank-deficient (a 676×9 system has more equations than taps, so it is
+// not underdetermined), and verifies Approximate.
+func TestConvFullSolveSingularTakesPseudoInverse(t *testing.T) {
 	m, err := nn.NewMNISTNet()
 	if err != nil {
 		t.Fatal(err)
@@ -469,7 +470,7 @@ func TestConvFullSolveSingularTakesRidge(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res.Status == Failed || res.Detail != "0 filters exact, least-squares: 0 underdetermined, 1 rank-deficient" {
-		t.Fatalf("status %v, detail %q: want the ridge best effort", res.Status, res.Detail)
+		t.Fatalf("status %v, detail %q: want the least-squares best effort", res.Status, res.Detail)
 	}
 	if err := pr.verifyLayer(lp, &res); err != nil {
 		t.Fatal(err)

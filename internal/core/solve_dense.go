@@ -68,9 +68,10 @@ func denseDummyRowInto(buf []float64, seed, tag uint64, i, n, band int) []float6
 // float64, sit in a ring of min(band, n) rows: walking i upward, each
 // weight row is widened once, as it enters the band, at slot (row mod
 // band). Each output element sums v_k·w[i+k][j] from +0 in ascending k,
-// one k at a time for the whole row as a tensor.SubScaled call:
-// acc − (−v)·w rounds exactly as acc + v·w does (the product, then the
-// sum, never fused), so the stored bits are those of the scalar loop.
+// the whole row in one tensor.SubScaledBand call over the ring from
+// slot i mod band with the negated values: acc − (−v)·w rounds exactly
+// as acc + v·w does (the product, then the sum, never fused), so the
+// stored bits are those of the scalar loop.
 func denseDummyOutputs(d *nn.Dense, seed, tag uint64, band int) (*tensor.Tensor, error) {
 	n, p := d.In(), d.Out()
 	w := d.Params().Data() // row-major (N,P)
@@ -94,14 +95,11 @@ func denseDummyOutputs(d *nn.Dense, seed, tag uint64, band int) (*tensor.Tensor,
 			widen(r)
 		}
 		vals := denseDummyRowInto(buf, seed, tag, i, n, band)
-		clear(acc)
-		// s steps through slots (i+k) mod band without a division per k.
-		for k, s := 0, i%band; k < len(vals); k++ {
-			tensor.SubScaled(acc, ring[s*p:(s+1)*p], -vals[k])
-			if s++; s == band {
-				s = 0
-			}
+		for k, v := range vals {
+			vals[k] = -v
 		}
+		clear(acc)
+		tensor.SubScaledBand(acc, ring, vals, i)
 		for j, v := range acc {
 			od[i*p+j] = float32(v)
 		}
@@ -126,9 +124,9 @@ func denseDummyOutputs(d *nn.Dense, seed, tag uint64, band int) (*tensor.Tensor,
 // ascending k, same divide), so the recovered bits do not depend on the
 // blocking or the worker count. A row's subtractions, every k for the
 // whole block, are one tensor.SubScaledBand call over the ring (k
-// ascending, each product and difference rounded as SubScaled rounds
-// it); the gather of the stored outputs, the divide by the diagonal
-// and the keep test stay in Go.
+// ascending, each product and difference rounded separately); the
+// gather of the stored outputs, the divide by the diagonal and the keep
+// test stay in Go.
 //
 // Every column is range-checked before any is solved: a bad column list
 // leaves the layer untouched.

@@ -188,7 +188,7 @@ func TestDenseHealAllocationBound(t *testing.T) {
 }
 
 // denseDummyOutputsOracle is denseDummyOutputs as it was before it ran
-// on tensor.SubScaled: one scalar multiply-add per element, k
+// on the subtract kernels: one scalar multiply-add per element, k
 // ascending from +0, each weight widened once per dummy row that reads
 // it. Only the product's conversion is new: float64(v·w) stops a port
 // that fuses from rounding v·w + acc once, which amd64 never did.

@@ -1,12 +1,13 @@
 // Package linalg contains the dense float64 linear algebra MILR's
-// parameter-recovery functions are built on: LU factorization with
-// partial pivoting for square systems, QR with column pivoting for the
-// engine's rank probes, and one least-squares entry point,
-// FactorLeastSquares: Householder QR for overdetermined systems, the
-// regularized minimum-norm normal equations for underdetermined ones
-// (the paper's lstsq fallback for whole-layer conv corruption, §V-B),
-// and the ridge normal equations whenever that first factorization
-// fails.
+// parameter-recovery functions are built on: Householder QR, and QR
+// with column pivoting for the engine's rank probes, and one
+// least-squares entry point, FactorLeastSquares. It takes the QR path
+// for the overdetermined systems QR accepts and, for every other system
+// (underdetermined ones, the paper's lstsq fallback for whole-layer
+// conv corruption, §V-B, and rank-deficient ones), the pseudo-inverse
+// solution from a complete orthogonal decomposition built on the
+// pivoted factor. No solve forms AᵀA or AAᵀ, so none squares the
+// condition number.
 //
 // Everything is hand-rolled on flat row-major float64 slices; the module
 // is stdlib-only by design. The solvers preserve a fixed accumulation

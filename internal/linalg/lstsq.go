@@ -3,6 +3,7 @@ package linalg
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // LSQ is a factored least-squares problem min‖A·x − b‖₂: one
@@ -10,97 +11,142 @@ import (
 // read-only on it, so concurrent calls each return the bits a lone
 // call would.
 type LSQ struct {
-	qr *QR     // the QR path; nil otherwise
-	at *Matrix // Aᵀ, for the normal-equation paths
-	lu *LU     // AAᵀ + εI (minimum norm) or AᵀA + λI (ridge)
-	// ridge: Solve maps b through Aᵀ before the LU solve; minimum norm
-	// maps the LU solution through Aᵀ after it.
-	ridge bool
+	qr *QR // the exact path; nil on the pseudo-inverse path
+
+	// The pseudo-inverse path (see factorPinv): p is the pivoted factor
+	// of A, or of Aᵀ when wide, and next the pseudo-inverse of R's
+	// leading rank rows when p is rank-deficient.
+	p    *QRP
+	wide bool
+	next *LSQ
 }
 
 // FactorLeastSquares factors A under the whole least-squares policy:
 //
-//   - Rows ≥ Cols: Householder QR, the numerically robust path for the
-//     overdetermined systems the conv parameter solver produces (G²
-//     equations, F²Z unknowns). Only this path is Exact.
-//   - Rows < Cols: the minimum-norm solution x = Aᵀ(AAᵀ + εI)⁻¹b, the
-//     paper's lstsq fallback for whole-layer corruption of
-//     partial-recoverable conv layers (§V-B): "they attempt to find a
-//     least-square solution ... as close as possible to the actual
-//     solution".
-//   - Whenever that first factorization fails (A rank-deficient to
-//     working precision), the ridge solution of (AᵀA + λI)x = Aᵀb.
+//   - Rows ≥ Cols and FactorQR accepts A: Householder QR, the
+//     numerically robust path for the overdetermined systems the conv
+//     parameter solver produces (G² equations, F²Z unknowns). Only this
+//     path is Exact.
+//   - Otherwise (A wide, or rank-deficient to working precision): the
+//     pseudo-inverse solution pinv(A)·b, the least-squares solution of
+//     least norm, from a complete orthogonal decomposition built on the
+//     pivoted factor the rank probe uses. That is the paper's lstsq
+//     fallback for whole-layer corruption of partial-recoverable conv
+//     layers (§V-B): "they attempt to find a least-square solution ...
+//     as close as possible to the actual solution".
 //
-// It fails only when the ridge factorization fails too.
+// On the second path a NaN or ±Inf in A is an error wrapping
+// ErrSingular, not a solution: the rank cut scales with max|A|, which
+// an infinite entry makes infinite, and a NaN entry spreads through
+// every reflector.
 func FactorLeastSquares(a *Matrix) (*LSQ, error) {
-	l := &LSQ{}
-	var err error
 	if a.Rows >= a.Cols {
-		if l.qr, err = FactorQR(a); err == nil {
-			return l, nil
+		if qr, err := FactorQR(a); err == nil {
+			return &LSQ{qr: qr}, nil
 		}
 	}
-	l.at = a.T()
+	for i, v := range a.Data {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("linalg: least squares: entry (%d,%d) is %v: %w", i/a.Cols, i%a.Cols, v, ErrSingular)
+		}
+	}
 	if a.Rows < a.Cols {
-		var aat *Matrix
-		if aat, err = a.Mul(l.at); err != nil {
-			return nil, err
+		return factorPinv(a.T(), true), nil
+	}
+	return factorPinv(a, false), nil
+}
+
+// factorPinv factors f, which is A or, when wide, Aᵀ, as f·P = Q·R,
+// cutting the rank where FactorQR would refuse a column (qrTol). With
+// rank r, T the r leading rows of R and Q₁ the r leading columns of Q,
+// A is Q₁·T·Pᵀ, whose pseudo-inverse is P·pinv(T)·Q₁ᵀ, or, when wide,
+// P·Tᵀ·Q₁ᵀ, whose pseudo-inverse is Q₁·pinv(Tᵀ)·Pᵀ. When r is f's
+// column count, pinv(T) is a back substitution and pinv(Tᵀ) a forward
+// one; otherwise Tᵀ is factored in turn, for the transposed problem.
+// Each level has fewer columns than the last, so the chain ends.
+func factorPinv(f *Matrix, wide bool) *LSQ {
+	p := factorQRPivot(f, 0, qrTol(f))
+	l := &LSQ{p: p, wide: wide}
+	if r := p.rank; r < f.Cols {
+		tt := NewMatrix(f.Cols, r)
+		for i := 0; i < r; i++ {
+			tt.Set(i, i, p.rdia[i])
+			for j := i + 1; j < f.Cols; j++ {
+				tt.Set(j, i, p.qr.At(i, j))
+			}
 		}
-		addRidge(aat, 1e-12)
-		if l.lu, err = FactorLU(aat); err == nil {
-			return l, nil
-		}
+		l.next = factorPinv(tt, !wide)
 	}
-	ata, err := l.at.Mul(a)
-	if err != nil {
-		return nil, err
-	}
-	addRidge(ata, 1e-10)
-	if l.lu, err = FactorLU(ata); err != nil {
-		return nil, fmt.Errorf("linalg: least squares: %w", err)
-	}
-	l.ridge = true
-	return l, nil
+	return l
 }
 
 // Exact reports whether Solve returns the unique least-squares
-// solution: the QR path, not a minimum-norm or ridge best effort.
+// solution: the QR path, not the pseudo-inverse best effort.
 func (l *LSQ) Exact() bool { return l.qr != nil }
 
 // Solve returns the least-squares solution for right-hand side b, which
 // must hold one value per row of A.
 func (l *LSQ) Solve(b []float64) ([]float64, error) {
-	switch {
-	case l.qr != nil:
+	if l.qr != nil {
 		return l.qr.Solve(b)
-	case l.ridge:
-		rhs, err := l.at.MulVec(b)
-		if err != nil {
-			return nil, err
-		}
-		return l.lu.Solve(rhs)
-	default:
-		y, err := l.lu.Solve(b)
-		if err != nil {
-			return nil, err
-		}
-		return l.at.MulVec(y)
 	}
+	rows := l.p.qr.Rows
+	if l.wide {
+		rows = l.p.qr.Cols
+	}
+	if len(b) != rows {
+		return nil, fmt.Errorf("linalg: least-squares rhs length %d, want %d", len(b), rows)
+	}
+	return l.solve(b), nil
 }
 
-// addRidge adds rel times the square matrix's largest magnitude (1e-12
-// for a zero matrix) to its diagonal, so severely rank-deficient normal
-// equations (e.g. a conv sub-region whose padding zeroes entire taps)
-// still produce the best-effort solution the paper describes instead of
-// failing outright.
-func addRidge(m *Matrix, rel float64) {
-	eps := m.MaxAbs() * rel
-	if eps == 0 {
-		eps = 1e-12
+// solve returns pinv(A)·b as factorPinv lays it out; b is only read.
+func (l *LSQ) solve(b []float64) []float64 {
+	p, r := l.p, l.p.rank
+	if l.wide {
+		// x = Q₁·pinv(Tᵀ)·Pᵀb.
+		c := make([]float64, len(p.perm))
+		for k, j := range p.perm {
+			c[k] = b[j]
+		}
+		if l.next != nil {
+			c = l.next.solve(c)
+		} else {
+			forwardSub(p.qr, p.rdia, c)
+		}
+		x := make([]float64, p.qr.Rows)
+		copy(x, c)
+		for k := r - 1; k >= 0; k-- {
+			reflect(p.qr, k, x)
+		}
+		return x
 	}
-	for i := 0; i < m.Rows; i++ {
-		m.Data[i*m.Cols+i] += eps
+	// x = P·pinv(T)·(Qᵀb)[:r].
+	c := slices.Clone(b)
+	for k := 0; k < r; k++ {
+		reflect(p.qr, k, c)
 	}
+	c = c[:r]
+	if l.next != nil {
+		c = l.next.solve(c)
+	} else {
+		backSub(p.qr, p.rdia, c, c)
+	}
+	x := make([]float64, len(p.perm))
+	for k, j := range p.perm {
+		x[j] = c[k]
+	}
+	return x
+}
+
+// qrTol is the column norm below which FactorQR refuses a: Rows·1e-14
+// of its largest magnitude, or 1e-300 when that is 0.
+func qrTol(a *Matrix) float64 {
+	tol := a.MaxAbs() * float64(a.Rows) * 1e-14
+	if tol == 0 {
+		tol = 1e-300
+	}
+	return tol
 }
 
 // QR is a Householder QR factorization A = Q·R for Rows ≥ Cols.
@@ -117,10 +163,7 @@ func FactorQR(a *Matrix) (*QR, error) {
 	m, n := a.Rows, a.Cols
 	qr := a.Clone()
 	rdia := make([]float64, n)
-	tol := a.MaxAbs() * float64(m) * 1e-14
-	if tol == 0 {
-		tol = 1e-300
-	}
+	tol := qrTol(a)
 	for k := 0; k < n; k++ {
 		var norm float64
 		for i := k; i < m; i++ {
@@ -193,25 +236,49 @@ func (q *QR) Solve(b []float64) ([]float64, error) {
 	}
 	y := make([]float64, m)
 	copy(y, b)
-	// Apply Householder reflections: y ← Qᵀ·y.
+	// y ← Qᵀ·y, then R·x = y[:n].
 	for k := 0; k < n; k++ {
-		var s float64
-		for i := k; i < m; i++ {
-			s += q.qr.At(i, k) * y[i]
-		}
-		s = -s / q.qr.At(k, k)
-		for i := k; i < m; i++ {
-			y[i] += s * q.qr.At(i, k)
-		}
+		reflect(q.qr, k, y)
 	}
-	// Back-substitute R·x = y[:n].
 	x := make([]float64, n)
-	for i := n - 1; i >= 0; i-- {
-		acc := y[i]
-		for j := i + 1; j < n; j++ {
-			acc -= q.qr.At(i, j) * x[j]
-		}
-		x[i] = acc / q.rdia[i]
-	}
+	backSub(q.qr, q.rdia, y[:n], x)
 	return x, nil
+}
+
+// reflect applies to y the Householder reflector stored in column k of
+// qr, rows k…, as householderVector leaves it. A reflector is its own
+// transpose and inverse.
+func reflect(qr *Matrix, k int, y []float64) {
+	var s float64
+	for i := k; i < qr.Rows; i++ {
+		s += qr.At(i, k) * y[i]
+	}
+	s = -s / qr.At(k, k)
+	for i := k; i < qr.Rows; i++ {
+		y[i] += s * qr.At(i, k)
+	}
+}
+
+// backSub solves R·x = y for R's leading len(y) rows and columns: R's
+// strict upper part in qr, its diagonal in rdia. x may be y.
+func backSub(qr *Matrix, rdia, y, x []float64) {
+	for i := len(y) - 1; i >= 0; i-- {
+		acc := y[i]
+		for j := i + 1; j < len(y); j++ {
+			acc -= qr.At(i, j) * x[j]
+		}
+		x[i] = acc / rdia[i]
+	}
+}
+
+// forwardSub solves Rᵀ·y = c in place for R's leading len(c) rows and
+// columns, laid out as backSub's.
+func forwardSub(qr *Matrix, rdia, c []float64) {
+	for i := range c {
+		acc := c[i]
+		for j := 0; j < i; j++ {
+			acc -= qr.At(j, i) * c[j]
+		}
+		c[i] = acc / rdia[i]
+	}
 }

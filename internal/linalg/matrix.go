@@ -8,7 +8,8 @@ import (
 
 // ErrSingular is returned when a factorization encounters a pivot too
 // small to divide by, i.e. the system of equations is rank-deficient and
-// the affected parameters cannot be recovered exactly.
+// the affected parameters cannot be recovered exactly, and when
+// FactorLeastSquares meets a NaN or ±Inf off its QR path.
 var ErrSingular = errors.New("linalg: matrix is singular to working precision")
 
 // Matrix is a dense row-major float64 matrix.
@@ -67,45 +68,6 @@ func (m *Matrix) T() *Matrix {
 		}
 	}
 	return t
-}
-
-// Mul returns m·o.
-func (m *Matrix) Mul(o *Matrix) (*Matrix, error) {
-	if m.Cols != o.Rows {
-		return nil, fmt.Errorf("linalg: mul dimension mismatch %dx%d by %dx%d", m.Rows, m.Cols, o.Rows, o.Cols)
-	}
-	out := NewMatrix(m.Rows, o.Cols)
-	for i := 0; i < m.Rows; i++ {
-		arow := m.Row(i)
-		orow := out.Row(i)
-		for k, av := range arow {
-			if av == 0 {
-				continue
-			}
-			brow := o.Row(k)
-			for j, bv := range brow {
-				orow[j] += av * bv
-			}
-		}
-	}
-	return out, nil
-}
-
-// MulVec returns m·x.
-func (m *Matrix) MulVec(x []float64) ([]float64, error) {
-	if m.Cols != len(x) {
-		return nil, fmt.Errorf("linalg: mulvec dimension mismatch %dx%d by %d", m.Rows, m.Cols, len(x))
-	}
-	y := make([]float64, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		var acc float64
-		for j, v := range row {
-			acc += v * x[j]
-		}
-		y[i] = acc
-	}
-	return y, nil
 }
 
 // SelectColumns returns the sub-matrix formed by the given column

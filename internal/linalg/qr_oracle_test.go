@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"slices"
 	"testing"
 
 	"milr/internal/nn"
@@ -15,17 +16,22 @@ import (
 // factorQRPivotOracle is FactorQRPivot as it was before its passes swept
 // rows: every column norm a fresh math.Hypot fold down the column, every
 // dot product and update a walk down one column at a time. Only the
-// returns changed, to hand back the factored matrix. It is the bit
-// oracle for factorQRPivot.
-func factorQRPivotOracle(a *Matrix, rtol float64) (*Matrix, int, error) {
+// returns changed, to hand back the whole factor, and it records the
+// permutation and R's diagonal as it goes. It is the bit oracle for
+// FactorQRPivot.
+func factorQRPivotOracle(a *Matrix, rtol float64) (*QRP, error) {
 	if a.Rows < a.Cols {
-		return nil, 0, fmt.Errorf("linalg: pivoted QR requires rows ≥ cols, got %dx%d", a.Rows, a.Cols)
+		return nil, fmt.Errorf("linalg: pivoted QR requires rows ≥ cols, got %dx%d", a.Rows, a.Cols)
 	}
 	if rtol <= 0 {
 		rtol = 1e-10
 	}
 	m, n := a.Rows, a.Cols
 	qr := a.Clone()
+	perm, rdia := make([]int, n), make([]float64, n)
+	for j := range perm {
+		perm[j] = j
+	}
 	colNorm := func(col, fromRow int) float64 {
 		var s float64
 		for i := fromRow; i < m; i++ {
@@ -40,7 +46,7 @@ func factorQRPivotOracle(a *Matrix, rtol float64) (*Matrix, int, error) {
 		}
 	}
 	if maxNorm == 0 {
-		return qr, 0, nil
+		return &QRP{qr: qr, rdia: rdia, perm: perm}, nil
 	}
 	rank := 0
 	for k := 0; k < n; k++ {
@@ -60,6 +66,7 @@ func factorQRPivotOracle(a *Matrix, rtol float64) (*Matrix, int, error) {
 				qr.Set(i, k, vb)
 				qr.Set(i, best, vk)
 			}
+			perm[k], perm[best] = perm[best], perm[k]
 		}
 		norm := bestNorm
 		if qr.At(k, k) < 0 {
@@ -79,9 +86,10 @@ func factorQRPivotOracle(a *Matrix, rtol float64) (*Matrix, int, error) {
 				qr.Set(i, j, qr.At(i, j)+s*qr.At(i, k))
 			}
 		}
+		rdia[k] = -norm
 		rank = k + 1
 	}
-	return qr, rank, nil
+	return &QRP{qr: qr, rdia: rdia, perm: perm, rank: rank}, nil
 }
 
 // factorQROracle is FactorQR as it was before its passes swept rows,
@@ -244,8 +252,8 @@ func TestFactorQRPivotMatchesOracle(t *testing.T) {
 	for _, c := range oracleCases() {
 		for _, rtol := range []float64{1e-6, 1e-10, 0.3, 0, -1} {
 			in := c.a.Clone()
-			wantQR, wantRank, wantErr := factorQRPivotOracle(c.a, rtol)
-			gotQR, gotRank, gotErr := factorQRPivot(c.a, rtol)
+			want, wantErr := factorQRPivotOracle(c.a, rtol)
+			got, gotErr := FactorQRPivot(c.a, rtol)
 			if sameBits(c.a.Data, in.Data) >= 0 {
 				t.Fatalf("%s rtol=%g: input was modified", c.name, rtol)
 			}
@@ -255,18 +263,21 @@ func TestFactorQRPivotMatchesOracle(t *testing.T) {
 			if gotErr != nil {
 				continue
 			}
-			if gotRank != wantRank {
-				t.Errorf("%s rtol=%g: rank %d, oracle %d", c.name, rtol, gotRank, wantRank)
+			if got.Rank() != want.rank {
+				t.Errorf("%s rtol=%g: rank %d, oracle %d", c.name, rtol, got.Rank(), want.rank)
 			}
-			if i := sameBits(gotQR.Data, wantQR.Data); i >= 0 {
-				t.Errorf("%s rtol=%g: factor entry %d = %v, oracle %v", c.name, rtol, i, gotQR.Data[i], wantQR.Data[i])
+			if i := sameBits(got.qr.Data, want.qr.Data); i >= 0 {
+				t.Errorf("%s rtol=%g: factor entry %d = %v, oracle %v", c.name, rtol, i, got.qr.Data[i], want.qr.Data[i])
 			}
-			if qrp, err := FactorQRPivot(c.a, rtol); err != nil || qrp.Rank() != wantRank {
-				t.Errorf("%s rtol=%g: FactorQRPivot rank %v err %v, want %d", c.name, rtol, qrp, err, wantRank)
+			if i := sameBits(got.rdia, want.rdia); i >= 0 {
+				t.Errorf("%s rtol=%g: rdia[%d] = %v, oracle %v", c.name, rtol, i, got.rdia[i], want.rdia[i])
+			}
+			if !slices.Equal(got.perm, want.perm) {
+				t.Errorf("%s rtol=%g: perm %v, oracle %v", c.name, rtol, got.perm, want.perm)
 			}
 		}
 	}
-	if _, _, err := factorQRPivot(NewMatrix(2, 3), 0); err == nil {
+	if _, err := FactorQRPivot(NewMatrix(2, 3), 0); err == nil {
 		t.Error("wide matrix: want the rows ≥ cols error")
 	}
 }
@@ -400,14 +411,14 @@ func TestFactorQRPivotProbePins(t *testing.T) {
 			t.Fatalf("%s: probe input hash %#x, want %#x", c.name, h, c.in)
 		}
 		for _, p := range c.pins {
-			qr, rank, err := factorQRPivot(a, p.rtol)
+			f, err := FactorQRPivot(a, p.rtol)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if rank != p.rank {
-				t.Errorf("%s rtol=%g: rank %d, want %d", c.name, p.rtol, rank, p.rank)
+			if f.rank != p.rank {
+				t.Errorf("%s rtol=%g: rank %d, want %d", c.name, p.rtol, f.rank, p.rank)
 			}
-			if h := bitsHash(qr); h != p.factor {
+			if h := bitsHash(f.qr); h != p.factor {
 				t.Errorf("%s rtol=%g: factor hash %#x, want %#x", c.name, p.rtol, h, p.factor)
 			}
 		}

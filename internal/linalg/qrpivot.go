@@ -11,39 +11,47 @@ import (
 // the condition for whole-filter recovery. Inputs that passed through
 // earlier convolutions have rank bounded by the composed receptive
 // field, which is exactly why the paper's interior conv layers are only
-// "partial recoverable" (Tables IV/VI/VIII). It is only a rank probe:
-// the factors are not kept.
+// "partial recoverable" (Tables IV/VI/VIII). FactorLeastSquares solves
+// every system QR refuses through the same factor.
 type QRP struct {
+	// qr holds, in its first rank columns, the Householder vectors on
+	// and below the diagonal (as QR's does) and R's strictly upper part
+	// above it; rows rank… of the columns past rank hold the residual
+	// block the elimination stopped at.
+	qr   *Matrix
+	rdia []float64 // R's diagonal; entries rank… are not set
+	perm []int     // column k of A·P is column perm[k] of A
 	rank int
 }
 
 // FactorQRPivot factors an m×n matrix with m ≥ n. Columns whose residual
 // norm falls below rtol times the largest initial column norm stop the
-// elimination; the count of processed columns is the numerical rank.
+// elimination; the count of processed columns is the numerical rank. A
+// non-positive rtol means 1e-10.
 func FactorQRPivot(a *Matrix, rtol float64) (*QRP, error) {
-	_, rank, err := factorQRPivot(a, rtol)
-	if err != nil {
-		return nil, err
-	}
-	return &QRP{rank: rank}, nil
-}
-
-// factorQRPivot is FactorQRPivot returning the factored matrix too, so
-// tests can compare its bits. Every pass walks the rows in ascending
-// order (see the package doc): the remaining column norms live in one
-// vector, folded with hypotFold (math.Hypot, bit for bit) over rows
-// k+1… as the step-k update writes them, which is exactly a fresh fold
-// down each column. A norm is +0 or an earlier fold, so its sign bit is
-// clear, as hypotFold needs.
-func factorQRPivot(a *Matrix, rtol float64) (*Matrix, int, error) {
 	if a.Rows < a.Cols {
-		return nil, 0, fmt.Errorf("linalg: pivoted QR requires rows ≥ cols, got %dx%d", a.Rows, a.Cols)
+		return nil, fmt.Errorf("linalg: pivoted QR requires rows ≥ cols, got %dx%d", a.Rows, a.Cols)
 	}
 	if rtol <= 0 {
 		rtol = 1e-10
 	}
+	return factorQRPivot(a, rtol, 0), nil
+}
+
+// factorQRPivot factors a (m ≥ n) until the largest remaining column
+// norm is at most rtol times the largest initial one, or below tol.
+// Every pass walks the rows in ascending order (see the package doc):
+// the remaining column norms live in one vector, folded with hypotFold
+// (math.Hypot, bit for bit) over rows k+1… as the step-k update writes
+// them, which is exactly a fresh fold down each column. A norm is +0 or
+// an earlier fold, so its sign bit is clear, as hypotFold needs.
+func factorQRPivot(a *Matrix, rtol, tol float64) *QRP {
 	m, n := a.Rows, a.Cols
-	qr := a.Clone()
+	f := &QRP{qr: a.Clone(), rdia: make([]float64, n), perm: make([]int, n)}
+	qr := f.qr
+	for j := range f.perm {
+		f.perm[j] = j
+	}
 	norms := make([]float64, n)
 	for i := 0; i < m; i++ {
 		row := qr.Row(i)
@@ -58,10 +66,9 @@ func factorQRPivot(a *Matrix, rtol float64) (*Matrix, int, error) {
 		}
 	}
 	if maxNorm == 0 {
-		return qr, 0, nil
+		return f
 	}
 	s := make([]float64, n)
-	rank := 0
 	for k := 0; k < n; k++ {
 		// Pivot: bring the column with the largest remaining norm to k.
 		best, bestNorm := k, norms[k]
@@ -70,7 +77,7 @@ func factorQRPivot(a *Matrix, rtol float64) (*Matrix, int, error) {
 				best, bestNorm = j, v
 			}
 		}
-		if bestNorm <= rtol*maxNorm {
+		if bestNorm <= rtol*maxNorm || bestNorm < tol {
 			break
 		}
 		if best != k {
@@ -79,15 +86,17 @@ func factorQRPivot(a *Matrix, rtol float64) (*Matrix, int, error) {
 				row[k], row[best] = row[best], row[k]
 			}
 			norms[k], norms[best] = norms[best], norms[k]
+			f.perm[k], f.perm[best] = f.perm[best], f.perm[k]
 		}
 		norm := bestNorm
 		if qr.At(k, k) < 0 {
 			norm = -norm
 		}
 		pivotStep(qr, k, norm, s, norms)
-		rank = k + 1
+		f.rdia[k] = -norm
+		f.rank = k + 1
 	}
-	return qr, rank, nil
+	return f
 }
 
 // pivotStep is householderStep for the pivoted factor: in the same one

@@ -21,15 +21,13 @@
 // come in two implementations with the same arithmetic: AVX2/FMA
 // assembly (gemm_amd64.s), chosen at init where CPUID reports it, and
 // the portable Go tile that runs everywhere else and serves as the
-// SIMD one's oracle; Kernel names the one in use. SubScaled, the
-// dst −= a·x row update under the MILR heal's conv residual and dense
-// back-substitution, rides the same probe: an AVX2 multiply-then-
-// subtract loop that fuses nothing, so it rounds as its Go loop does.
-// SubScaledBand is that loop over a band of rows, k ascending, the
-// dense back-substitution's whole row step: its AVX2 body keeps each
-// 16-column strip of the accumulator in registers across the band,
-// multiplies and subtracts as SubScaled does, and elsewhere it is the
-// per-k SubScaled loop itself.
+// SIMD one's oracle; Kernel names the one in use. SubScaledBand, the
+// acc −= Σ vals[k]·row_k update under every MILR heal loop (the conv
+// residual, the dense back substitution, the dense dummy outputs), one
+// band of rows subtracted k ascending, rides the same probe: its AVX2
+// body keeps each 16-column strip of the accumulator in registers
+// across the band and multiplies, then subtracts, fusing nothing, so it
+// rounds as its Go loop does.
 // The GEMMCalls counter exists so tests can enforce the
 // one-GEMM-per-layer batching contract.
 package tensor

@@ -65,8 +65,7 @@ func GEMMCalls() uint64 { return gemmCalls.Load() }
 // many FMAs as its latency times its throughput keeps in flight) and a
 // one-panel tile for the panels left over replace tileDot, and an FMA
 // row axpy replaces streamRows' inner loop. The same probe picks
-// SubScaled's and SubScaledBand's bodies, multiply-then-subtract loops
-// with no FMA.
+// SubScaledBand's body, a multiply-then-subtract loop with no FMA.
 // Everywhere else the Go code below runs; it stays the portable kernel
 // and, with the ikj loop in the tests, the oracle for the SIMD one.
 // Packing, compaction and banding are shared. An assembly call covers
@@ -441,40 +440,24 @@ func streamRows(c, a, b []float32, n, p, lo, hi, jlo int, acc []float64) {
 	}
 }
 
-// SubScaled computes dst[i] -= a·x[i] for every i < len(dst): the
-// inner loop of the heal's conv residual and dense back-substitution
-// (internal/core). x must hold at least len(dst) values, and dst and x
-// must not overlap. Every element is rounded as Go rounds the
-// expression: the product, then the difference. The float64
-// conversion keeps a compiler from fusing the two, and the SIMD body
-// multiplies and subtracts in separate instructions, because a
-// float64×float64 product is not exact and a fused multiply-add would
-// change bits. The result is therefore the same on either kernel. The
-// race detector does not see the SIMD body's accesses, so dst should be
-// a buffer its caller alone writes, as both heal loops' buffers are.
-func SubScaled(dst, x []float64, a float64) {
-	x = x[:len(dst)]
-	if useSIMD {
-		subScaled(dst, x, a)
-		return
-	}
-	for i, v := range x {
-		dst[i] -= float64(a * v)
-	}
-}
-
-// SubScaledBand runs SubScaled(acc, row(first+k), vals[k]) for k =
-// 0, 1, … len(vals)−1 in that order, where ring holds len(ring)/len(acc)
+// SubScaledBand computes acc[j] -= vals[k]·row(first+k)[j] for k = 0,
+// 1, … len(vals)−1 in that order, where ring holds len(ring)/len(acc)
 // rows of len(acc) values and row(r) is its row r mod that count: the
-// MILR dense heal's back-substitution step, one band of already-solved
-// rows subtracted from a block of columns. Every element takes the
-// products and differences SubScaled's loop gives it, each rounded
-// separately, nothing fused, k ascending. The SIMD body keeps a strip
-// of acc in registers across every k instead of loading and storing it
-// once per k; as with SubScaled, the race detector does not see its
-// accesses. ring must not overlap acc. It panics if first is
-// negative, or if acc is not empty and ring is empty or not a whole
-// number of rows.
+// MILR heal's row updates, one band of already-solved rows subtracted
+// from a block of columns in the dense back substitution, a run of
+// known taps from a filter's residual in the conv solve, and each dense
+// dummy output row at protect time. Every element is rounded as Go
+// rounds the expression, k ascending: the product, then the
+// difference. The float64 conversion keeps a compiler from fusing the
+// two, and the SIMD body multiplies and subtracts in separate
+// instructions, because a float64×float64 product is not exact and a
+// fused multiply-add would change bits. The result is therefore the
+// same on either kernel. The SIMD body keeps a strip of acc in
+// registers across every k instead of loading and storing it once per
+// k; the race detector does not see its accesses, so acc should be a
+// buffer its caller alone writes, as every heal loop's is. ring must
+// not overlap acc. It panics if first is negative, or if acc is not
+// empty and ring is empty or not a whole number of rows.
 func SubScaledBand(acc, ring, vals []float64, first int) {
 	w := len(acc)
 	if first < 0 {
@@ -493,7 +476,10 @@ func SubScaledBand(acc, ring, vals []float64, first int) {
 		return
 	}
 	for k, s := 0, first; k < len(vals); k++ {
-		SubScaled(acc, ring[s*w:(s+1)*w], vals[k])
+		a, row := vals[k], ring[s*w:(s+1)*w]
+		for j, v := range row {
+			acc[j] -= float64(a * v)
+		}
 		if s++; s == rows {
 			s = 0
 		}

@@ -1,11 +1,11 @@
 package tensor
 
 // The AVX2/FMA routines of gemm_amd64.s. Each covers at most one run of
-// one output row, writes only its acc array (subScaled: dst), and
-// trusts its caller to have sliced every range it reads: span is four
-// adjacent panels of equal length, panel one; vals and offs are a
-// compacted run (len(offs) >= len(vals)) whose offsets plus base lie
-// inside a panel; b holds at least len(acc) values, x len(dst).
+// one output row, writes only its acc array, and trusts its caller to
+// have sliced every range it reads: span is four adjacent panels of
+// equal length, panel one; vals and offs are a compacted run
+// (len(offs) >= len(vals)) whose offsets plus base lie inside a panel;
+// b holds at least len(acc) values.
 
 //go:noescape
 func tile4(span []float64, vals []float64, offs []int32, base int, acc *[4 * tileCols]float64)
@@ -15,9 +15,6 @@ func tile1(panel []float64, vals []float64, offs []int32, base int, acc *[tileCo
 
 //go:noescape
 func axpy(acc []float64, av float64, b []float32)
-
-//go:noescape
-func subScaled(dst, x []float64, a float64)
 
 // subScaledBand is SubScaledBand's body: ring is a whole number of
 // len(acc)-value rows, len(acc) > 0, and start (a multiple of len(acc))

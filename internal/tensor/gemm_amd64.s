@@ -5,9 +5,8 @@
 // caller's float64 array, over the terms in the order given, with
 // VFMADD231PD: acc = a·b + acc rounded once, which equals Go's rounded
 // product then rounded sum because a float32×float32 product is exact
-// in float64. subScaled and subScaledBand, at the end, fuse nothing:
-// they multiply, then subtract, as Go rounds a float64 product and
-// difference. The caller has bounds-checked every range read or
+// in float64. subScaledBand, at the end, fuses nothing: it multiplies,
+// then subtracts, as Go rounds a float64 product and difference. The caller has bounds-checked every range read or
 // written.
 
 // func tile4(span []float64, vals []float64, offs []int32, base int, acc *[4 * tileCols]float64)
@@ -157,93 +156,16 @@ axpydone:
 	VZEROUPPER
 	RET
 
-// func subScaled(dst, x []float64, a float64)
-//
-// dst[i] -= a·x[i] with VMULPD then VSUBPD, never FMA: each element is
-// rounded twice, as Go's scalar MULSD and SUBSD round it. x[i] is the
-// product's first operand and dst[i] the difference's, as in the
-// compiled Go loop, so a NaN meeting a NaN keeps the same payload.
-// len(x) is len(dst).
-TEXT ·subScaled(SB), NOSPLIT, $0-56
-	MOVQ dst_base+0(FP), DI
-	MOVQ dst_len+8(FP), CX
-	MOVQ x_base+24(FP), SI
-	VBROADCASTSD a+48(FP), Y0
-	XORQ BX, BX
-	MOVQ CX, DX
-	ANDQ $-16, DX
-	JEQ sub4
-
-	PCALIGN $32
-
-sub16loop:
-	VMOVUPD (SI)(BX*8), Y1
-	VMOVUPD 32(SI)(BX*8), Y2
-	VMOVUPD 64(SI)(BX*8), Y3
-	VMOVUPD 96(SI)(BX*8), Y4
-	VMULPD Y0, Y1, Y1
-	VMULPD Y0, Y2, Y2
-	VMULPD Y0, Y3, Y3
-	VMULPD Y0, Y4, Y4
-	VMOVUPD (DI)(BX*8), Y5
-	VMOVUPD 32(DI)(BX*8), Y6
-	VMOVUPD 64(DI)(BX*8), Y7
-	VMOVUPD 96(DI)(BX*8), Y8
-	VSUBPD Y1, Y5, Y5
-	VSUBPD Y2, Y6, Y6
-	VSUBPD Y3, Y7, Y7
-	VSUBPD Y4, Y8, Y8
-	VMOVUPD Y5, (DI)(BX*8)
-	VMOVUPD Y6, 32(DI)(BX*8)
-	VMOVUPD Y7, 64(DI)(BX*8)
-	VMOVUPD Y8, 96(DI)(BX*8)
-	ADDQ $16, BX
-	CMPQ BX, DX
-	JLT sub16loop
-
-sub4:
-	MOVQ CX, DX
-	ANDQ $-4, DX
-	CMPQ BX, DX
-	JGE subtail
-
-sub4loop:
-	VMOVUPD (SI)(BX*8), Y1
-	VMULPD Y0, Y1, Y1
-	VMOVUPD (DI)(BX*8), Y5
-	VSUBPD Y1, Y5, Y5
-	VMOVUPD Y5, (DI)(BX*8)
-	ADDQ $4, BX
-	CMPQ BX, DX
-	JLT sub4loop
-
-subtail:
-	CMPQ BX, CX
-	JGE subdone
-
-subtailloop:
-	VMOVSD (SI)(BX*8), X1
-	VMULSD X0, X1, X1
-	VMOVSD (DI)(BX*8), X5
-	VSUBSD X1, X5, X5
-	VMOVSD X5, (DI)(BX*8)
-	INCQ BX
-	CMPQ BX, CX
-	JLT subtailloop
-
-subdone:
-	VZEROUPPER
-	RET
-
 // func subScaledBand(acc, ring, vals []float64, start int)
 //
-// subScaled(acc, row, vals[k]) for every k ascending, row walking the
-// ring from element start and wrapping at its end, with each strip of
-// acc (16 columns, then 4, then 1) held in registers across every k.
-// The per-element instructions and operand order are subScaled's:
-// VMULPD with the row value as its first source, then VSUBPD with acc
-// as its first source, never FMA. The caller guarantees len(acc) > 0
-// and that len(ring) is a whole number of len(acc)-value rows.
+// acc[j] -= vals[k]·row[j] for every k ascending, row walking the ring
+// from element start and wrapping at its end, with each strip of acc
+// (16 columns, then 4, then 1) held in registers across every k: VMULPD
+// with the row value as its first source, then VSUBPD with acc as its
+// first source, never FMA, so each element is rounded twice, as Go's
+// scalar MULSD and SUBSD round it, and a NaN meeting a NaN keeps the
+// compiled Go loop's payload. The caller guarantees len(acc) > 0 and
+// that len(ring) is a whole number of len(acc)-value rows.
 TEXT ·subScaledBand(SB), NOSPLIT, $0-80
 	MOVQ acc_base+0(FP), DI
 	MOVQ acc_len+8(FP), CX

@@ -3,7 +3,7 @@
 package tensor
 
 // Off amd64 there is no SIMD kernel: the probe fails, so tileRows,
-// streamRows, SubScaled and SubScaledBand never call these.
+// streamRows and SubScaledBand never call these.
 
 func simdAvailable() bool { return false }
 
@@ -16,10 +16,6 @@ func tile1([]float64, []float64, []int32, int, *[tileCols]float64) {
 }
 
 func axpy([]float64, float64, []float32) {
-	panic("tensor: no SIMD kernel on this architecture")
-}
-
-func subScaled([]float64, []float64, float64) {
 	panic("tensor: no SIMD kernel on this architecture")
 }
 
