@@ -440,6 +440,76 @@ var subScaledSpecials = []float64{
 	math.MaxFloat64, -math.MaxFloat64, 1e-300, -3e-200, 1, -1.5,
 }
 
+// TestSubScaledMatchesGo pins the single scaled-row subtract,
+// SubScaledBand with one value, to the expression
+// dst[i] - float64(a*x[i]) on the Go kernel and the SIMD kernel to the
+// Go kernel, bit for bit: every length 0–67 (the SIMD body's 16-wide,
+// 4-wide and scalar tails), a ring of one row and of two (so x is
+// followed by a row that must not be read into dst), and the specials
+// in dst, x and a. Where a and x[i] are both NaN, Go leaves the
+// product's payload to the compiler's operand order, so the expression
+// only fixes that the result is a NaN; the two kernels must still agree
+// on its bits. The test also checks that nothing past len(dst) is
+// written and that x is only read.
+func TestSubScaledMatchesGo(t *testing.T) {
+	st := prng.New(37)
+	draw := func() float64 {
+		if st.Intn(3) == 0 {
+			return subScaledSpecials[st.Intn(len(subScaledSpecials))]
+		}
+		return 4*st.Float64() - 2
+	}
+	kernels := tensor.HostKernels()
+	as := append([]float64{0.75, -2.5e-3}, subScaledSpecials...)
+	for n := 0; n <= 67; n++ {
+		for _, rows := range []int{1, 2} {
+			for ai, a := range as {
+				buf := make([]float64, n+3)
+				x := make([]float64, rows*n)
+				for i := range buf {
+					buf[i] = draw()
+				}
+				for i := range x {
+					x[i] = draw()
+				}
+				want := append([]float64(nil), buf...)
+				for i := 0; i < n; i++ {
+					want[i] -= float64(a * x[i])
+				}
+				xWas := append([]float64(nil), x...)
+				var goBits []float64
+				for _, kernel := range kernels {
+					got := append([]float64(nil), buf...)
+					restore := tensor.SetKernel(kernel)
+					tensor.SubScaledBand(got[:n], x, []float64{a}, 0)
+					restore()
+					for i := range got {
+						g, w := math.Float64bits(got[i]), math.Float64bits(want[i])
+						bothNaN := i < n && math.IsNaN(a) && math.IsNaN(x[i])
+						ok := g == w || bothNaN && math.IsNaN(got[i])
+						if kernel != "go" { // HostKernels lists "go" first
+							w = math.Float64bits(goBits[i])
+							ok = g == w
+						}
+						if !ok {
+							t.Fatalf("%s kernel, len %d, %d rows, a #%d (%v): element %d is %#x, want %#x",
+								kernel, n, rows, ai, a, i, g, w)
+						}
+					}
+					if kernel == "go" {
+						goBits = got
+					}
+					for i := range x {
+						if math.Float64bits(x[i]) != math.Float64bits(xWas[i]) {
+							t.Fatalf("%s kernel, len %d: x[%d] written", kernel, n, i)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestSubScaledBandMatchesSubScaledLoop pins SubScaledBand to the
 // scalar loop acc[j] -= float64(vals[k]*row[j]), row = ring row
 // (first+k) mod rows, k ascending: the Go kernel to the loop, and the
